@@ -287,8 +287,9 @@ def read_sample(path):
     """Parse a dataset CSV back into a ChoiceSample.
 
     Rows whose coordinates are off the unit sphere by more than 1e-6 are
-    renormalized with a warning on stderr; genuinely malformed rows abort
-    with the offending line number.
+    renormalized with a warning on stderr; genuinely malformed rows,
+    NaN and infinite fields included, abort with the offending line
+    number.
     """
     try:
         fh = open(path, newline="")
@@ -322,6 +323,8 @@ def read_sample(path):
                 xi = [float(tok) for tok in row[1:]]
             except ValueError:
                 raise CliError(f"{path}: line {lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, xi)):
+                raise CliError(f"{path}: line {lineno}: NaN or infinite field")
             if yi not in (0, 1):
                 raise CliError(f"{path}: line {lineno}: y must be 0 or 1, got {yi}")
             ys.append(yi)
@@ -367,9 +370,12 @@ def _json_ready(obj):
 
 def _write_json(path, payload):
     try:
+        text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise CliError(f"not writing {path}: {exc}") from exc
+    try:
         with open(path, "w") as fh:
-            json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
@@ -385,6 +391,17 @@ def _config_echo(config, n_obs, dimension):
         "s": config.s,
         "l": config.l,
         "fx_truncation": config.fx_truncation,
+    }
+
+
+def _diagnostic_report(diag, d):
+    return {
+        "axis": diag.axis,
+        "hemisphere_mass_plus": diag.mass_plus,
+        "hemisphere_mass_minus": diag.mass_minus,
+        "violation_score": diag.violation_score,
+        "threshold": diag.threshold,
+        "target_mass": 1.0 / (2.0 * surface_area(d)),
     }
 
 
@@ -421,14 +438,7 @@ def cmd_estimate(args):
     report = {
         "config": _config_echo(config, sample.n_obs, d),
         "grid_points": int(grid.shape[0]),
-        "diagnostic": {
-            "axis": diag.axis,
-            "hemisphere_mass_plus": diag.mass_plus,
-            "hemisphere_mass_minus": diag.mass_minus,
-            "violation_score": diag.violation_score,
-            "threshold": diag.threshold,
-            "target_mass": 1.0 / (2.0 * surface_area(d)),
-        },
+        "diagnostic": _diagnostic_report(diag, d),
     }
     _write_json(args.out + ".report.json", report)
     print(f"wrote {grid.shape[0]} grid values to {args.out}")
@@ -444,7 +454,8 @@ def cmd_diagnose(args):
     resolution = args.grid_res if args.grid_res is not None else 32
     est = estimate_fbeta(sample, config)
     diag = identification_diagnostic(est, resolution=resolution)
-    target = 1.0 / (2.0 * surface_area(d))
+    report = _diagnostic_report(diag, d)
+    target = report["target_mass"]
     print("one-hemisphere support diagnostic")
     print(f"  axis: {np.array2string(diag.axis, precision=6)}")
     print(f"  hemisphere mass  +: {diag.mass_plus:.6g}  (target {target:.6g})")
@@ -452,18 +463,7 @@ def cmd_diagnose(args):
     print(f"  violation score   : {diag.violation_score:.6g}")
     print(f"  positivity cutoff : {diag.threshold:.6g}")
     if args.out:
-        _write_json(
-            args.out,
-            {
-                "config": _config_echo(config, sample.n_obs, d),
-                "axis": diag.axis,
-                "hemisphere_mass_plus": diag.mass_plus,
-                "hemisphere_mass_minus": diag.mass_minus,
-                "violation_score": diag.violation_score,
-                "threshold": diag.threshold,
-                "target_mass": target,
-            },
-        )
+        _write_json(args.out, {"config": _config_echo(config, sample.n_obs, d), **report})
         print(f"wrote report to {args.out}")
     return 0
 

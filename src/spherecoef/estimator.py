@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from . import gegenbauer, hemisphere
-from .kernels import EVAL_CHUNK, KernelSpec, HarmonicMixture, _FAMILIES, chi_table, eigenspace_dim
+from .kernels import KernelSpec, HarmonicMixture, _FAMILIES, chi_table, projector_constants
 from .sphere import build_quadrature, check_on_sphere, sample_uniform, surface_area
 
 __all__ = [
@@ -178,8 +179,8 @@ def _self_sums(x, nu, max_degree, budget=1 << 16):
     less the diagonal, to S[:, lo:hi] and the sums of its columns hi..N-1
     to S[:, hi:], so every pair is visited once.  The recursion is the one in
     gegenbauer.series_eval, run in place on the block's three buffers;
-    blocks larger than EVAL_CHUNK spread the per-degree call overhead
-    over more pairs.
+    blocks larger than kernels.EVAL_CHUNK spread the per-degree call
+    overhead over more pairs.
     """
     n_obs = x.shape[0]
     sums = np.zeros((max_degree + 1, n_obs))
@@ -247,6 +248,24 @@ class FxSelfEvaluation:
     loo_values: np.ndarray
 
 
+def _at_one(nu, max_degree):
+    return np.array([gegenbauer.eval_at_one(nu, n) for n in range(max_degree + 1)])
+
+
+def _leave_in_values(sums, config, d):
+    """The covariate density at config.fx_truncation at the sample, each
+    x_i left in its own kernel average, clipped at zero; sums is
+    _self_sums up to at least that degree."""
+    n_obs = sums.shape[1]
+    # K_T(t) = sum_n chi(n, T) unit[n] C_n(t) with the projector constants
+    # unit; the diagonal terms i = j, left out of sums, are C_n(1)
+    chi = config.fx_kernel(d).chi()
+    top = chi.size - 1
+    unit = projector_constants(top, d)
+    vals = (chi * unit) @ (sums[: top + 1] + _at_one((d - 2) / 2.0, top)[:, None]) / n_obs
+    return np.maximum(vals, 0.0)
+
+
 def fx_self_evaluation(sample, config):
     """Evaluate the plug-in covariate density at the sample, leave-in at
     config.fx_truncation and leave-one-out at the cross-validated band."""
@@ -256,14 +275,8 @@ def fx_self_evaluation(sample, config):
     top = max(FX_CV_MAX_BAND, config.fx_truncation)
     nu = (d - 2) / 2.0
     sums = _self_sums(sample.x, nu, top)
-    # K_T(t) = sum_n chi(n, T) unit[n] C_n(t), with the projector constants
-    # unit[n] = h(n, d) / (|S^{d-1}| C_n(1)); the diagonal terms i = j,
-    # left out of sums, are C_n(1)
-    at_one = np.array([gegenbauer.eval_at_one(nu, n) for n in range(top + 1)])
-    unit = np.array([eigenspace_dim(n, d) for n in range(top + 1)]) / (surface_area(d) * at_one)
-    fx_chi = config.fx_kernel(d).chi()
-    m = fx_chi.size
-    fx_vals = (fx_chi * unit[:m]) @ (sums[:m] + at_one[:m, None]) / n_obs
+    at_one = _at_one(nu, top)
+    unit = projector_constants(top, d)
     bands = _admissible_bands(config.family, top)
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
     totals = sums.sum(axis=1)
@@ -273,7 +286,7 @@ def fx_self_evaluation(sample, config):
     loo = (chi[k] * unit) @ sums / (n_obs - 1)
     return FxSelfEvaluation(
         sums=sums,
-        fx_values=np.maximum(fx_vals, 0.0),
+        fx_values=_leave_in_values(sums, config, d),
         bands=bands,
         scores=scores,
         band=int(bands[k]),
@@ -291,26 +304,21 @@ def _fx_at_sample(sample, fx):
     return fx_vals
 
 
-def _signed_trimmed_weights(sample, config, fx_vals):
-    """Per-observation weights (2y-1)/max(fx(x_i), floor) and the floor."""
-    floor = config.trimming_floor(sample.n_obs)
-    signs = 2.0 * sample.y - 1.0
-    return signs / np.maximum(fx_vals, floor), floor
-
-
 @dataclass
 class DensityEstimate:
     """Closed-form estimate of the coefficient density on S^{d-1}.
 
-    The odd part is (1/N) sum_i w_i sum_p gamma_p C_{2p+1}^nu(x_i'b); the
-    density itself is twice its positive part.  gamma holds the filtered
-    per-degree constants, already including the surface-area normalizer.
-    The weights are (2y_i - 1) / max(fx_values[i], trimming_floor).
+    odd is the estimate's odd part, an odd HarmonicMixture anchored at the
+    sample covariates x_i with weights (2y_i - 1) / max(fx_values[i],
+    trimming_floor) and coefficients chi(m) / (lambda_m N) on the odd
+    degrees m <= 2 * truncation - 1: the filter weights of kernel over the
+    hemisphere eigenvalues.  The density itself is twice its positive
+    part.
 
     fx_band is the band limit of the plug-in covariate-density estimate
     behind fx_values (None when the caller supplied them).  A plug-in fit
-    also carries an inference fit: the same anchors, gamma and kernel, with
-    weights from the leave-one-out covariate density at the
+    also carries an inference fit: the same anchors, coefficients and
+    kernel, with weights from the leave-one-out covariate density at the
     cross-validated band (its fx_band).  That band is finer than the one
     the point estimate uses, so the inference fit has less smoothing bias
     at the price of more variance; confidence_interval is built on it,
@@ -318,9 +326,7 @@ class DensityEstimate:
     estimate.
     """
 
-    anchors: np.ndarray
-    weights: np.ndarray
-    gamma: np.ndarray
+    odd: HarmonicMixture
     kernel: KernelSpec
     config: EstimatorConfig
     trimming_floor: float
@@ -329,33 +335,25 @@ class DensityEstimate:
     inference: DensityEstimate | None = None
 
     @property
+    def anchors(self):
+        return self.odd.anchors
+
+    @property
+    def weights(self):
+        return self.odd.weights
+
+    @property
     def dimension(self):
-        return self.anchors.shape[1]
+        return self.odd.dimension
 
     @property
     def n_obs(self):
-        return self.anchors.shape[0]
-
-    def _coeff_array(self):
-        coeffs = np.zeros(2 * self.config.truncation)
-        coeffs[1::2] = self.gamma
-        return coeffs
+        return self.odd.weights.shape[0]
 
     def odd_values(self, points):
         """The odd-part estimate at the given point(s)."""
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = check_on_sphere(pts, d=self.dimension)
-        coeffs = self._coeff_array()
-        nu = self.kernel.nu
-        n = self.n_obs
-        out = np.empty(pts.shape[0])
-        step = max(1, EVAL_CHUNK // max(n, 1))
-        for lo in range(0, pts.shape[0], step):
-            block = pts[lo : lo + step]
-            cosines = np.clip(block @ self.anchors.T, -1.0, 1.0)
-            out[lo : lo + step] = gegenbauer.series_eval(nu, coeffs, cosines) @ self.weights / n
-        return float(out[0]) if single else out
+        check_on_sphere(points, d=self.dimension)
+        return self.odd.evaluate(points)
 
     def density(self, points):
         """Twice the positive part of the odd estimate."""
@@ -368,27 +366,15 @@ class DensityEstimate:
 
     def z_values(self, point):
         """Per-observation summands Z_i at a single point (density = 2 * mean)."""
-        b = np.asarray(point, dtype=float)
-        if b.ndim != 1:
+        if np.ndim(point) != 1:
             raise ValueError("z_values takes a single point")
-        b = check_on_sphere(b, d=self.dimension)[0]
-        cosines = np.clip(self.anchors @ b, -1.0, 1.0)
-        return gegenbauer.series_eval(self.kernel.nu, self._coeff_array(), cosines) * self.weights
+        check_on_sphere(point, d=self.dimension)
+        ((_, terms),) = self.odd.terms(point)
+        return self.n_obs * terms[0] * self.weights
 
     def as_mixture(self):
-        """The same odd part as a HarmonicMixture (coeffs = filter / eigenvalue)."""
-        d = self.dimension
-        chi = self.kernel.chi()
-        coeffs = {
-            m: float(chi[m]) / hemisphere.eigenvalue(m, d)
-            for m in range(1, chi.size, 2)
-        }
-        return HarmonicMixture(
-            dimension=d,
-            anchors=self.anchors,
-            weights=self.weights / self.n_obs,
-            degree_coeffs=coeffs,
-        )
+        """The estimate's odd part: the odd mixture itself."""
+        return self.odd
 
 
 def estimate_fbeta(sample, config=None, fx=None):
@@ -400,31 +386,23 @@ def estimate_fbeta(sample, config=None, fx=None):
     covariate density is itself estimated from the sample
     (fx_self_evaluation): the point estimate weights by it at
     config.fx_truncation, each observation left in, and the inference fit
-    by its leave-one-out value at the cross-validated band.
+    by its leave-one-out value at the cross-validated band.  Both fits
+    share the odd mixture's anchors and coefficients; only the weights
+    differ.
     """
     config = EstimatorConfig() if config is None else config
-    if sample.n_obs < 3:
-        raise ValueError(f"need at least 3 observations, got {sample.n_obs}")
-    d = sample.dimension
+    n_obs, d = sample.n_obs, sample.dimension
+    if n_obs < 3:
+        raise ValueError(f"need at least 3 observations, got {n_obs}")
     kernel = config.main_kernel(d)
     chi = kernel.chi()
-    area = surface_area(d)
-    nu = kernel.nu
-    gamma = np.empty(config.truncation)
-    for p in range(config.truncation):
-        m = 2 * p + 1
-        gamma[p] = (
-            chi[m]
-            * eigenspace_dim(m, d)
-            / (hemisphere.eigenvalue(m, d) * gegenbauer.eval_at_one(nu, m) * area)
-        )
+    coeffs = {m: chi[m] / (hemisphere.eigenvalue(m, d) * n_obs) for m in range(1, chi.size, 2)}
+    floor = config.trimming_floor(n_obs)
 
     def fit(fx_vals, fx_band, inference=None):
-        weights, floor = _signed_trimmed_weights(sample, config, fx_vals)
+        weights = (2.0 * sample.y - 1.0) / np.maximum(fx_vals, floor)
         return DensityEstimate(
-            anchors=sample.x,
-            weights=weights,
-            gamma=gamma,
+            odd=HarmonicMixture(d, sample.x, weights, coeffs),
             kernel=kernel,
             config=config,
             trimming_floor=floor,
@@ -441,12 +419,11 @@ def estimate_fbeta(sample, config=None, fx=None):
 
 @dataclass
 class ChoiceProbabilityEstimate:
-    """Estimated choice probability x -> 1/2 + (filtered odd part).
+    """Estimated choice probability x -> 1/2 + odd_part(x).
 
-    The odd part uses the same signed trimmed weights as the density
-    estimator but without the eigenvalue division, so inverting the
-    hemisphere operator on it reproduces the density estimate's odd part
-    exactly.
+    odd_part is the hemisphere transform of a density estimate's odd
+    mixture (coefficients chi(m) / N, the same anchors and weights), so
+    inverting the hemisphere operator on it gives back that odd part.
     """
 
     odd_part: HarmonicMixture
@@ -472,20 +449,10 @@ def estimate_choice_probability(sample, config=None, fx=None):
     covariate density at config.fx_truncation, the point estimate's.
     """
     config = EstimatorConfig() if config is None else config
-    if sample.n_obs < 3:
-        raise ValueError(f"need at least 3 observations, got {sample.n_obs}")
-    d = sample.dimension
-    kernel = config.main_kernel(d)
-    fx_vals = fx_self_evaluation(sample, config).fx_values if fx is None else _fx_at_sample(sample, fx)
-    weights, _ = _signed_trimmed_weights(sample, config, fx_vals)
-    chi = kernel.chi()
-    mix = HarmonicMixture(
-        dimension=d,
-        anchors=sample.x,
-        weights=weights / sample.n_obs,
-        degree_coeffs={m: float(chi[m]) for m in range(1, chi.size, 2)},
-    )
-    return ChoiceProbabilityEstimate(odd_part=mix)
+    if fx is None:
+        sums = _self_sums(sample.x, (sample.dimension - 2) / 2.0, config.fx_truncation)
+        fx = _leave_in_values(sums, config, sample.dimension)
+    return ChoiceProbabilityEstimate(hemisphere.transform(estimate_fbeta(sample, config, fx=fx).odd))
 
 
 def standard_error(estimate, points):
@@ -498,13 +465,12 @@ def standard_error(estimate, points):
     """
     if estimate.n_obs < 2:
         raise ValueError("standard error needs at least 2 observations")
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = check_on_sphere(pts, d=estimate.dimension)
+    pts = check_on_sphere(points, d=estimate.dimension)
+    scaled = estimate.n_obs * estimate.weights
     out = np.empty(pts.shape[0])
-    for i, b in enumerate(pts):
-        out[i] = 2.0 * np.std(estimate.z_values(b), ddof=1)
-    return float(out[0]) if single else out
+    for rows, terms in estimate.odd.terms(pts):
+        out[rows] = 2.0 * np.std(terms * scaled, axis=1, ddof=1)
+    return float(out[0]) if np.ndim(points) == 1 else out
 
 
 def confidence_interval(estimate, points, level=0.95):
@@ -518,12 +484,10 @@ def confidence_interval(estimate, points, level=0.95):
     the smoothing bias that would shift an interval centred on the point
     estimate away from the truth.
     """
-    from scipy.stats import norm
-
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     fit = estimate if estimate.inference is None else estimate.inference
-    z = norm.ppf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     center = fit.density(points)
     half = z * standard_error(fit, points) / math.sqrt(fit.n_obs)
     return center - half, center + half
@@ -600,7 +564,7 @@ class IdentificationReport:
 def identification_diagnostic(estimate, resolution=32, quad=None, rel_threshold=0.3):
     """Check the estimated density for one-hemisphere support."""
     if isinstance(estimate, DensityEstimate):
-        odd = estimate.as_mixture()
+        odd = estimate.odd
     elif isinstance(estimate, HarmonicMixture):
         odd = estimate
     else:
@@ -733,10 +697,9 @@ class CoefficientDensity:
         self._dimension = sample.dimension
         self.config_ = self._config(sample.n_obs)
         self.sample_ = sample
-        self.fx_ = estimate_fx(sample, self.config_.fx_kernel(sample.dimension))
         self.estimate_ = estimate_fbeta(sample, self.config_)
-        self.choice_probability_ = estimate_choice_probability(
-            sample, self.config_, fx=self.estimate_.fx_values
+        self.choice_probability_ = ChoiceProbabilityEstimate(
+            hemisphere.transform(self.estimate_.odd)
         )
         self.n_features_in_ = sample.dimension
         return self

@@ -23,6 +23,7 @@ from .sphere import check_on_sphere, surface_area
 __all__ = [
     "eigenspace_dim",
     "laplacian_eigenvalue",
+    "projector_constants",
     "projector_kernel",
     "KernelSpec",
     "chi_weight",
@@ -69,13 +70,22 @@ def laplacian_eigenvalue(n, d):
     return float(n * (n + d - 2))
 
 
+def projector_constants(max_degree, d):
+    """The constants h(n, d) / (|S^{d-1}| C_n^nu(1)) for n = 0..max_degree,
+    which turn C_n^nu(x'y) into the zonal projector q_n(x, y)."""
+    max_degree, d = _check_degree_dim(max_degree, d)
+    nu = (d - 2) / 2.0
+    dims = np.array([eigenspace_dim(n, d) for n in range(max_degree + 1)], dtype=float)
+    at_one = np.array([gegenbauer.eval_at_one(nu, n) for n in range(max_degree + 1)])
+    return dims / (surface_area(d) * at_one)
+
+
 def projector_kernel(n, d, t):
     """Zonal kernel of the projection onto degree-n harmonics, at cosine t."""
     n, d = _check_degree_dim(n, d)
-    nu = (d - 2) / 2.0
     coeffs = np.zeros(n + 1)
-    coeffs[n] = eigenspace_dim(n, d) / (surface_area(d) * gegenbauer.eval_at_one(nu, n))
-    return gegenbauer.series_eval(nu, coeffs, t)
+    coeffs[n] = projector_constants(n, d)[n]
+    return gegenbauer.series_eval((d - 2) / 2.0, coeffs, t)
 
 
 def _is_power_of_two(n):
@@ -184,16 +194,9 @@ def chi_weight(spec, n):
 
 def _series_coeffs(spec, odd_only=False):
     """Per-degree coefficients turning chi weights into a Gegenbauer series."""
-    d = spec.dimension
-    area = surface_area(d)
-    chi = chi_weights(spec)
-    coeffs = np.zeros(spec.degree + 1)
-    for n in range(spec.degree + 1):
-        if odd_only and n % 2 == 0:
-            continue
-        coeffs[n] = (
-            chi[n] * eigenspace_dim(n, d) / (area * gegenbauer.eval_at_one(spec.nu, n))
-        )
+    coeffs = chi_weights(spec) * projector_constants(spec.degree, spec.dimension)
+    if odd_only:
+        coeffs[::2] = 0.0
     return coeffs
 
 
@@ -213,10 +216,11 @@ class HarmonicMixture:
     """Band-limited function anchored at sphere points.
 
     Represents g(b) = sum_n degree_coeffs[n] * sum_i weights[i] * q_n(x_i, b)
-    with x_i the anchor points.  This is the natural closed form for every
-    kernel-smoothed statistic in the package: evaluation needs one
-    Gegenbauer sweep over the cosine matrix, and spectral operators act by
-    rescaling degree_coeffs.
+    with x_i the anchor points.  This is the one closed form for every
+    kernel-smoothed statistic in the package (a coefficient-density
+    estimate is an odd mixture, its choice probability the mixture's
+    hemisphere transform): evaluation needs one Gegenbauer sweep over the
+    cosine matrix, and spectral operators act by rescaling degree_coeffs.
     """
 
     dimension: int
@@ -256,36 +260,29 @@ class HarmonicMixture:
             degree_coeffs=dict(new_coeffs),
         )
 
-    def _series_coeffs(self):
-        d = self.dimension
-        nu = (d - 2) / 2.0
-        area = surface_area(d)
+    def terms(self, points, chunk_size=None):
+        """Per-anchor terms, block by block: yields (rows, T) with
+        T[k, i] = sum_n degree_coeffs[n] q_n(x_i, b_k) for the points b_k
+        in the slice rows of the (m, d) batch; the mixture is T @ weights."""
+        pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
         coeffs = np.zeros(self.max_degree + 1)
         for n, c in self.degree_coeffs.items():
-            coeffs[n] = c * eigenspace_dim(n, d) / (area * gegenbauer.eval_at_one(nu, n))
-        return coeffs
+            coeffs[n] = c
+        coeffs *= projector_constants(self.max_degree, self.dimension)
+        nu = (self.dimension - 2) / 2.0
+        if chunk_size is None:
+            chunk_size = max(1, EVAL_CHUNK // max(1, self.anchors.shape[0]))
+        for start in range(0, pts.shape[0], chunk_size):
+            rows = slice(start, start + chunk_size)
+            cosines = np.clip(pts[rows] @ self.anchors.T, -1.0, 1.0)
+            yield rows, gegenbauer.series_eval(nu, coeffs, cosines)
 
     def evaluate(self, points, chunk_size=None):
         """Evaluate the mixture at one point (d,) or a batch (m, d)."""
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = check_on_sphere(pts, d=self.dimension, tol=1e-8)
-        if not self.degree_coeffs:
-            out = np.zeros(pts.shape[0])
-            return float(out[0]) if single else out
-        coeffs = self._series_coeffs()
-        nu = (self.dimension - 2) / 2.0
-        n_anchor = self.anchors.shape[0]
-        if chunk_size is None:
-            chunk_size = max(1, EVAL_CHUNK // max(1, n_anchor))
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], chunk_size):
-            block = pts[start : start + chunk_size]
-            cosines = np.clip(block @ self.anchors.T, -1.0, 1.0)
-            out[start : start + chunk_size] = (
-                gegenbauer.series_eval(nu, coeffs, cosines) @ self.weights
-            )
-        return float(out[0]) if single else out
+        out = np.empty(np.atleast_2d(points).shape[0])
+        for rows, terms in self.terms(points, chunk_size):
+            out[rows] = terms @ self.weights
+        return float(out[0]) if np.ndim(points) == 1 else out
 
     __call__ = evaluate
 

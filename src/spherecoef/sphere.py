@@ -70,7 +70,8 @@ def check_on_sphere(points, d=None, tol=1e-12):
     """Validate an array of points as living on S^{d-1}.
 
     Returns the points as a (n, d) float array.  Raises ValueError when the
-    dimension is wrong or any row's norm deviates from 1 by more than tol.
+    dimension is wrong, any coordinate is NaN or infinite, or any row's
+    norm deviates from 1 by more than tol.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
@@ -79,6 +80,8 @@ def check_on_sphere(points, d=None, tol=1e-12):
         raise ValueError(f"expected points in R^{d}, got R^{pts.shape[1]}")
     if pts.shape[1] < 2:
         raise ValueError("sphere points need dimension >= 2")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points contain NaN or infinite coordinates")
     norms = np.linalg.norm(pts, axis=1)
     worst = np.max(np.abs(norms - 1.0)) if len(norms) else 0.0
     if worst > tol:

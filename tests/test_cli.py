@@ -195,6 +195,34 @@ def test_diagnose_prints_and_writes(tmp_path, capsys):
     assert len(saved["axis"]) == 3
 
 
+def test_estimate_and_diagnose_share_the_diagnostic_report(tmp_path):
+    data = str(tmp_path / "data.csv")
+    ini = _write(tmp_path / "cfg.ini", "[model]\nn_obs = 150\n")
+    assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "4"]) == 0
+    out, rep = str(tmp_path / "fit.csv"), str(tmp_path / "diag.json")
+    assert cli.main(["estimate", data, "--out", out, "--grid-res", "4"]) == 0
+    assert cli.main(["diagnose", data, "--out", rep]) == 0
+    estimated = json.load(open(out + ".report.json"))
+    diagnosed = json.load(open(rep))
+    assert diagnosed.pop("config") == estimated["config"]
+    assert diagnosed == estimated["diagnostic"]
+
+
+def test_estimate_rejects_non_finite_field(tmp_path, capsys):
+    data = str(tmp_path / "data.csv")
+    ini = _write(tmp_path / "cfg.ini", "[model]\nn_obs = 30\n")
+    assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "2"]) == 0
+    lines = open(data).read().splitlines()
+    for bad in ("nan", "inf"):
+        holed = list(lines)
+        holed[5] = holed[5].rsplit(",", 1)[0] + "," + bad
+        path = _write(tmp_path / f"{bad}.csv", "\n".join(holed) + "\n")
+        out = tmp_path / f"{bad}-grid.csv"
+        assert cli.main(["estimate", path, "--out", str(out)]) == 2
+        assert "line 6" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bench_writes_errors_and_slope(tmp_path):
     ini = _write(
         tmp_path / "bench.ini",
@@ -212,6 +240,13 @@ def test_bench_writes_errors_and_slope(tmp_path):
     out2 = str(tmp_path / "bench2.csv")
     assert cli.main(["bench", "--config", ini, "--out", out2, "--seed", "0"]) == 0
     assert open(out).read().split("\n", 1)[1] == open(out2).read().split("\n", 1)[1]
+
+
+def test_write_json_refuses_nan(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(cli.CliError):
+        cli._write_json(str(path), {"value": float("nan")})
+    assert not path.exists()
 
 
 def test_cli_error_paths(tmp_path):

@@ -21,7 +21,7 @@ from spherecoef.estimator import (
     standard_error,
 )
 from spherecoef import estimator
-from spherecoef.kernels import KernelSpec
+from spherecoef.kernels import EVAL_CHUNK, HarmonicMixture, KernelSpec
 from spherecoef.simulate import DgpSpec, generate
 from spherecoef.sphere import (
     angle_between,
@@ -66,6 +66,11 @@ def test_choice_sample_validation():
     flipped[0] = -flipped[0]
     with pytest.raises(ValueError):
         ChoiceSample(y=np.zeros(4), x=flipped)  # negative first coordinate
+    for bad in (np.nan, np.inf):
+        holed = x.copy()
+        holed[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ChoiceSample(y=np.zeros(4), x=holed)
 
 
 # ----------------------------------------------------------------- config
@@ -291,7 +296,8 @@ def test_plugin_fit_carries_inference_fit():
     assert est.fx_band == cfg.fx_truncation
     assert np.array_equal(est.fx_values, fxe.fx_values)
     assert inf.fx_band == fxe.band and inf.inference is None
-    assert inf.anchors is est.anchors and inf.gamma is est.gamma and inf.kernel == est.kernel
+    assert inf.anchors is est.anchors and inf.kernel == est.kernel
+    assert inf.odd.degree_coeffs == est.odd.degree_coeffs
     assert np.array_equal(inf.fx_values, fxe.loo_values)
     floor = cfg.trimming_floor(40)
     assert np.array_equal(inf.weights, (2.0 * s.y - 1.0) / np.maximum(fxe.loo_values, floor))
@@ -299,6 +305,23 @@ def test_plugin_fit_carries_inference_fit():
     assert given.inference is None and given.fx_band is None
     pts = sample_uniform(3, 10, seed=27)
     assert np.allclose(given.density(pts), est.density(pts), atol=1e-15)
+
+
+@pytest.mark.parametrize("family", ["riesz", "dirichlet", "delayed_means"])
+def test_choice_probability_sweeps_only_to_the_point_band(family):
+    """The choice probability's covariate density comes from a sweep to
+    fx_truncation alone, yet equals the full self-evaluation's leave-in
+    values bit for bit, and so does the fitted choice probability."""
+    s = _random_sample(3, 60, seed=30)
+    cfg = EstimatorConfig(truncation=2, family=family, fx_truncation=8)
+    fxe = fx_self_evaluation(s, cfg)
+    sums = estimator._self_sums(s.x, 0.5, cfg.fx_truncation)
+    assert sums.shape[0] == cfg.fx_truncation + 1
+    assert np.array_equal(estimator._leave_in_values(sums, cfg, 3), fxe.fx_values)
+    pts = sample_uniform(3, 9, seed=31)
+    own = estimate_choice_probability(s, cfg).evaluate(pts)
+    given = estimate_choice_probability(s, cfg, fx=fxe.fx_values).evaluate(pts)
+    assert np.array_equal(own, given)
 
 
 def test_estimate_fbeta_validation():
@@ -420,10 +443,9 @@ def test_confidence_interval_brackets_estimate():
 def test_standard_error_needs_two_observations():
     s = _random_sample(3, 40, seed=25)
     est = estimate_fbeta(s, EstimatorConfig(truncation=1))
+    one = HarmonicMixture(3, est.anchors[:1], est.weights[:1], est.odd.degree_coeffs)
     trimmed = type(est)(
-        anchors=est.anchors[:1],
-        weights=est.weights[:1],
-        gamma=est.gamma,
+        odd=one,
         kernel=est.kernel,
         config=est.config,
         trimming_floor=est.trimming_floor,
@@ -431,6 +453,20 @@ def test_standard_error_needs_two_observations():
     )
     with pytest.raises(ValueError):
         standard_error(trimmed, np.array([0.0, 0.0, 1.0]))
+
+
+def test_standard_error_blocks_match_per_point_loop():
+    """The batched standard error reads the odd mixture's per-anchor terms
+    block by block; across block boundaries it equals the per-point
+    definition 2 * sd(Z_i(b))."""
+    s = _random_sample(3, 300, seed=32)
+    est = estimate_fbeta(s, EstimatorConfig(truncation=3))
+    pts = sample_uniform(3, 130, seed=33)
+    per_block = EVAL_CHUNK // est.n_obs
+    assert pts.shape[0] > 2 * per_block  # at least two block boundaries
+    batch = standard_error(est, pts)
+    loop = np.array([2.0 * np.std(est.z_values(b), ddof=1) for b in pts])
+    assert np.max(np.abs(batch - loop) / loop) <= 1e-14
 
 
 # ---------------------------------------------------------------- marginal
@@ -580,6 +616,9 @@ def test_coefficient_density_matches_functional_path():
     # the model keeps the plug-in fit's inference fit for its intervals
     for got, want in zip(model.confidence_interval(pts), confidence_interval(est, pts)):
         assert np.allclose(got, want, atol=1e-13)
+    # and its choice probability is the functional path's, clipped
+    want = np.clip(estimate_choice_probability(draw.sample).evaluate(pts), 0.0, 1.0)
+    assert np.allclose(model.predict_proba(pts)[:, 1], want, rtol=0.0, atol=1e-13)
 
 
 def test_coefficient_density_predictions():
