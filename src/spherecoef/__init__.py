@@ -10,11 +10,10 @@ Layout: sphere (geometry and quadrature), gegenbauer (polynomial
 recursions), kernels (filtered zonal kernels and band-limited mixtures),
 hemisphere (the averaging operator and its inverses), estimator (the
 statistical layer), simulate (synthetic designs with exact sphere
-densities), cli (command-line front end, loaded only on request:
-``from spherecoef import cli``).
+densities), cli (command-line front end).
 """
 
-from . import gegenbauer, hemisphere, kernels, simulate, sphere
+from . import cli, gegenbauer, hemisphere, kernels, simulate, sphere
 from .estimator import (
     ChoiceSample,
     CoefficientDensity,
@@ -61,6 +60,7 @@ __all__ = [
     "surface_area",
     "true_fbeta_on_sphere",
     "true_fx_on_sphere",
+    "cli",
     "gegenbauer",
     "hemisphere",
     "kernels",

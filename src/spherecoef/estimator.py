@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
-from . import gegenbauer, hemisphere
-from .kernels import KernelSpec, HarmonicMixture, _FAMILIES, chi_table, projector_constants
+from . import hemisphere
+from .kernels import KernelSpec, HarmonicMixture, _FAMILIES, _at_one, chi_table, projector_constants
 from .sphere import build_quadrature, check_on_sphere, sample_uniform, surface_area
 
 __all__ = [
@@ -248,21 +247,15 @@ class FxSelfEvaluation:
     loo_values: np.ndarray
 
 
-def _at_one(nu, max_degree):
-    return np.array([gegenbauer.eval_at_one(nu, n) for n in range(max_degree + 1)])
-
-
-def _leave_in_values(sums, config, d):
-    """The covariate density at config.fx_truncation at the sample, each
-    x_i left in its own kernel average, clipped at zero; sums is
-    _self_sums up to at least that degree."""
-    n_obs = sums.shape[1]
-    # K_T(t) = sum_n chi(n, T) unit[n] C_n(t) with the projector constants
-    # unit; the diagonal terms i = j, left out of sums, are C_n(1)
-    chi = config.fx_kernel(d).chi()
-    top = chi.size - 1
-    unit = projector_constants(top, d)
-    vals = (chi * unit) @ (sums[: top + 1] + _at_one((d - 2) / 2.0, top)[:, None]) / n_obs
+def _leave_in_values(sums, chi, unit, at_one):
+    """The covariate density with filter weights chi at the sample, each
+    x_i left in its own kernel average, clipped at zero.  sums is
+    _self_sums, unit the projector constants and at_one the values C_n(1),
+    each up to at least the kernel's degree."""
+    m = chi.size
+    # K_T(t) = sum_n chi(n, T) unit[n] C_n(t); the diagonal terms i = j,
+    # left out of sums, are C_n(1)
+    vals = (chi * unit[:m]) @ (sums[:m] + at_one[:m, None]) / sums.shape[1]
     return np.maximum(vals, 0.0)
 
 
@@ -275,7 +268,7 @@ def fx_self_evaluation(sample, config):
     top = max(FX_CV_MAX_BAND, config.fx_truncation)
     nu = (d - 2) / 2.0
     sums = _self_sums(sample.x, nu, top)
-    at_one = _at_one(nu, top)
+    at_one = _at_one(top, d)
     unit = projector_constants(top, d)
     bands = _admissible_bands(config.family, top)
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
@@ -286,7 +279,7 @@ def fx_self_evaluation(sample, config):
     loo = (chi[k] * unit) @ sums / (n_obs - 1)
     return FxSelfEvaluation(
         sums=sums,
-        fx_values=_leave_in_values(sums, config, d),
+        fx_values=_leave_in_values(sums, config.fx_kernel(d).chi(), unit, at_one),
         bands=bands,
         scores=scores,
         band=int(bands[k]),
@@ -308,10 +301,11 @@ def _fx_at_sample(sample, fx):
 class DensityEstimate:
     """Closed-form estimate of the coefficient density on S^{d-1}.
 
-    odd is the estimate's odd part, an odd HarmonicMixture anchored at the
-    sample covariates x_i with weights (2y_i - 1) / max(fx_values[i],
-    trimming_floor) and coefficients chi(m) / (lambda_m N) on the odd
-    degrees m <= 2 * truncation - 1: the filter weights of kernel over the
+    weights are the per-observation weights w_i = (2y_i - 1) /
+    max(fx_values[i], trimming_floor).  odd is the estimate's odd part, an
+    odd HarmonicMixture anchored at the sample covariates x_i with weights
+    w_i / N and coefficients chi(m) / lambda_m on the odd degrees
+    m <= 2 * truncation - 1: the filter weights of kernel over the
     hemisphere eigenvalues.  The density itself is twice its positive
     part.
 
@@ -327,6 +321,7 @@ class DensityEstimate:
     """
 
     odd: HarmonicMixture
+    weights: np.ndarray
     kernel: KernelSpec
     config: EstimatorConfig
     trimming_floor: float
@@ -339,16 +334,12 @@ class DensityEstimate:
         return self.odd.anchors
 
     @property
-    def weights(self):
-        return self.odd.weights
-
-    @property
     def dimension(self):
         return self.odd.dimension
 
     @property
     def n_obs(self):
-        return self.odd.weights.shape[0]
+        return self.odd.anchors.shape[0]
 
     def odd_values(self, points):
         """The odd-part estimate at the given point(s)."""
@@ -370,7 +361,7 @@ class DensityEstimate:
             raise ValueError("z_values takes a single point")
         check_on_sphere(point, d=self.dimension)
         ((_, terms),) = self.odd.terms(point)
-        return self.n_obs * terms[0] * self.weights
+        return terms[0] * self.weights
 
     def as_mixture(self):
         """The estimate's odd part: the odd mixture itself."""
@@ -396,13 +387,14 @@ def estimate_fbeta(sample, config=None, fx=None):
         raise ValueError(f"need at least 3 observations, got {n_obs}")
     kernel = config.main_kernel(d)
     chi = kernel.chi()
-    coeffs = {m: chi[m] / (hemisphere.eigenvalue(m, d) * n_obs) for m in range(1, chi.size, 2)}
+    coeffs = {m: float(chi[m]) / hemisphere.eigenvalue(m, d) for m in range(1, chi.size, 2)}
     floor = config.trimming_floor(n_obs)
 
     def fit(fx_vals, fx_band, inference=None):
         weights = (2.0 * sample.y - 1.0) / np.maximum(fx_vals, floor)
         return DensityEstimate(
-            odd=HarmonicMixture(d, sample.x, weights, coeffs),
+            odd=HarmonicMixture(d, sample.x, weights / n_obs, coeffs),
+            weights=weights,
             kernel=kernel,
             config=config,
             trimming_floor=floor,
@@ -422,7 +414,7 @@ class ChoiceProbabilityEstimate:
     """Estimated choice probability x -> 1/2 + odd_part(x).
 
     odd_part is the hemisphere transform of a density estimate's odd
-    mixture (coefficients chi(m) / N, the same anchors and weights), so
+    mixture (coefficients chi(m), the same anchors and weights), so
     inverting the hemisphere operator on it gives back that odd part.
     """
 
@@ -450,9 +442,12 @@ def estimate_choice_probability(sample, config=None, fx=None):
     """
     config = EstimatorConfig() if config is None else config
     if fx is None:
-        sums = _self_sums(sample.x, (sample.dimension - 2) / 2.0, config.fx_truncation)
-        fx = _leave_in_values(sums, config, sample.dimension)
-    return ChoiceProbabilityEstimate(hemisphere.transform(estimate_fbeta(sample, config, fx=fx).odd))
+        d, top = sample.dimension, config.fx_truncation
+        sums = _self_sums(sample.x, (d - 2) / 2.0, top)
+        chi = config.fx_kernel(d).chi()
+        fx = _leave_in_values(sums, chi, projector_constants(top, d), _at_one(top, d))
+    odd = estimate_fbeta(sample, config, fx=fx).odd
+    return ChoiceProbabilityEstimate(hemisphere.transform(odd))
 
 
 def standard_error(estimate, points):
@@ -466,10 +461,9 @@ def standard_error(estimate, points):
     if estimate.n_obs < 2:
         raise ValueError("standard error needs at least 2 observations")
     pts = check_on_sphere(points, d=estimate.dimension)
-    scaled = estimate.n_obs * estimate.weights
     out = np.empty(pts.shape[0])
     for rows, terms in estimate.odd.terms(pts):
-        out[rows] = 2.0 * np.std(terms * scaled, axis=1, ddof=1)
+        out[rows] = 2.0 * np.std(terms * estimate.weights, axis=1, ddof=1)
     return float(out[0]) if np.ndim(points) == 1 else out
 
 
@@ -484,10 +478,12 @@ def confidence_interval(estimate, points, level=0.95):
     the smoothing bias that would shift an interval centred on the point
     estimate away from the truth.
     """
+    from scipy.stats import norm
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     fit = estimate if estimate.inference is None else estimate.inference
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    z = norm.ppf(0.5 + level / 2.0)
     center = fit.density(points)
     half = z * standard_error(fit, points) / math.sqrt(fit.n_obs)
     return center - half, center + half

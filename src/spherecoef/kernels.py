@@ -70,14 +70,21 @@ def laplacian_eigenvalue(n, d):
     return float(n * (n + d - 2))
 
 
-def projector_constants(max_degree, d):
-    """The constants h(n, d) / (|S^{d-1}| C_n^nu(1)) for n = 0..max_degree,
-    which turn C_n^nu(x'y) into the zonal projector q_n(x, y)."""
+def _at_one(max_degree, d):
+    """The values C_n^nu(1) for n = 0..max_degree, with nu = (d-2)/2."""
     max_degree, d = _check_degree_dim(max_degree, d)
-    nu = (d - 2) / 2.0
+    return np.array([gegenbauer.eval_at_one((d - 2) / 2.0, n) for n in range(max_degree + 1)])
+
+
+def projector_constants(max_degree, d, scale=1.0):
+    """The constants scale[n] h(n, d) / (|S^{d-1}| C_n^nu(1)) for
+    n = 0..max_degree.  With scale 1 they turn C_n^nu(x'y) into the zonal
+    projector q_n(x, y); with per-degree coefficients c_n as scale they
+    turn sum_n c_n q_n into a Gegenbauer series.  The scale multiplies
+    h(n, d) before the division, so each constant is rounded once."""
+    max_degree, d = _check_degree_dim(max_degree, d)
     dims = np.array([eigenspace_dim(n, d) for n in range(max_degree + 1)], dtype=float)
-    at_one = np.array([gegenbauer.eval_at_one(nu, n) for n in range(max_degree + 1)])
-    return dims / (surface_area(d) * at_one)
+    return scale * dims / (surface_area(d) * _at_one(max_degree, d))
 
 
 def projector_kernel(n, d, t):
@@ -194,7 +201,7 @@ def chi_weight(spec, n):
 
 def _series_coeffs(spec, odd_only=False):
     """Per-degree coefficients turning chi weights into a Gegenbauer series."""
-    coeffs = chi_weights(spec) * projector_constants(spec.degree, spec.dimension)
+    coeffs = projector_constants(spec.degree, spec.dimension, chi_weights(spec))
     if odd_only:
         coeffs[::2] = 0.0
     return coeffs
@@ -268,7 +275,7 @@ class HarmonicMixture:
         coeffs = np.zeros(self.max_degree + 1)
         for n, c in self.degree_coeffs.items():
             coeffs[n] = c
-        coeffs *= projector_constants(self.max_degree, self.dimension)
+        coeffs = projector_constants(self.max_degree, self.dimension, coeffs)
         nu = (self.dimension - 2) / 2.0
         if chunk_size is None:
             chunk_size = max(1, EVAL_CHUNK // max(1, self.anchors.shape[0]))

@@ -12,10 +12,10 @@ variables, which is what the accuracy benchmarks compare against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import multivariate_normal
 
 from .estimator import ChoiceSample
 
@@ -27,24 +27,6 @@ __all__ = [
     "true_fx_on_sphere",
     "true_fbeta_on_sphere",
 ]
-
-
-def _gaussian_pdf(mean, cov):
-    """Density of N(mean, cov) on R^m as a function of (n, m) points.
-
-    Works through the Cholesky factor L of cov: the log density is
-    -(m log 2pi)/2 - sum log diag L - |L^{-1}(p - mean)|^2 / 2.  Raises
-    LinAlgError when cov is not positive definite.
-    """
-    mean = np.asarray(mean, dtype=float)
-    chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
-    log_norm = -0.5 * mean.size * math.log(2.0 * math.pi) - float(np.sum(np.log(np.diag(chol))))
-
-    def pdf(points):
-        z = np.linalg.solve(chol, (np.asarray(points, dtype=float) - mean).T)
-        return np.exp(log_norm - 0.5 * np.sum(z * z, axis=0))
-
-    return pdf
 
 
 @dataclass
@@ -76,7 +58,10 @@ class GaussianMixture:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixture weights must sum to 1, got {total}")
         self.weights = self.weights / total
-        self._components = [_gaussian_pdf(mu, cov) for mu, cov in zip(self.means, self.covs)]
+        self._components = [
+            multivariate_normal(mean=mu, cov=cov)
+            for mu, cov in zip(self.means, self.covs)
+        ]
 
     @property
     def dim(self):
@@ -84,9 +69,9 @@ class GaussianMixture:
 
     def pdf(self, points):
         points = np.asarray(points, dtype=float)
-        out = self.weights[0] * self._components[0](points)
+        out = self.weights[0] * self._components[0].pdf(points)
         for w, comp in zip(self.weights[1:], self._components[1:]):
-            out = out + w * comp(points)
+            out = out + w * comp.pdf(points)
         return out
 
     def sample(self, n, rng=None):
@@ -248,8 +233,8 @@ def _as_sphere_points(points, d):
 def true_fx_on_sphere(spec, points):
     """Exact sphere density of the normalized covariate direction."""
     pts, single = _as_sphere_points(points, spec.dimension)
-    pdf = _gaussian_pdf(spec.covariate_mean, spec.covariate_cov)
-    vals = _pushforward_values(pdf, pts[:, 0], pts[:, 1:], spec.dimension)
+    dist = multivariate_normal(mean=spec.covariate_mean, cov=spec.covariate_cov)
+    vals = _pushforward_values(dist.pdf, pts[:, 0], pts[:, 1:], spec.dimension)
     return float(vals[0]) if single else vals
 
 

@@ -21,7 +21,7 @@ from spherecoef.estimator import (
     standard_error,
 )
 from spherecoef import estimator
-from spherecoef.kernels import EVAL_CHUNK, HarmonicMixture, KernelSpec
+from spherecoef.kernels import EVAL_CHUNK, HarmonicMixture, KernelSpec, projector_constants
 from spherecoef.simulate import DgpSpec, generate
 from spherecoef.sphere import (
     angle_between,
@@ -317,7 +317,9 @@ def test_choice_probability_sweeps_only_to_the_point_band(family):
     fxe = fx_self_evaluation(s, cfg)
     sums = estimator._self_sums(s.x, 0.5, cfg.fx_truncation)
     assert sums.shape[0] == cfg.fx_truncation + 1
-    assert np.array_equal(estimator._leave_in_values(sums, cfg, 3), fxe.fx_values)
+    chi = cfg.fx_kernel(3).chi()
+    unit, at_one = projector_constants(8, 3), estimator._at_one(8, 3)
+    assert np.array_equal(estimator._leave_in_values(sums, chi, unit, at_one), fxe.fx_values)
     pts = sample_uniform(3, 9, seed=31)
     own = estimate_choice_probability(s, cfg).evaluate(pts)
     given = estimate_choice_probability(s, cfg, fx=fxe.fx_values).evaluate(pts)
@@ -446,6 +448,7 @@ def test_standard_error_needs_two_observations():
     one = HarmonicMixture(3, est.anchors[:1], est.weights[:1], est.odd.degree_coeffs)
     trimmed = type(est)(
         odd=one,
+        weights=est.weights[:1],
         kernel=est.kernel,
         config=est.config,
         trimming_floor=est.trimming_floor,
