@@ -11,12 +11,13 @@ kernel in x_i'b.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import hemisphere
+from . import gegenbauer, hemisphere
 from .kernels import KernelSpec, HarmonicMixture, _FAMILIES, _at_one, chi_table, projector_constants
 from .sphere import build_quadrature, check_on_sphere, sample_uniform, surface_area
 
@@ -176,14 +177,12 @@ def _self_sums(x, nu, max_degree, budget=1 << 16):
     One sweep over the upper triangle of the cosine matrix, in row blocks
     of about `budget` entries: block [lo, hi) x [lo, N) adds its row sums,
     less the diagonal, to S[:, lo:hi] and the sums of its columns hi..N-1
-    to S[:, hi:], so every pair is visited once.  The recursion is the one in
-    gegenbauer.series_eval, run in place on the block's three buffers;
-    blocks larger than kernels.EVAL_CHUNK spread the per-degree call
-    overhead over more pairs.
+    to S[:, hi:], so every pair is visited once.  The degrees come from
+    gegenbauer.sweep on the block's cosines; blocks larger than
+    kernels.EVAL_CHUNK spread the per-degree call overhead over more pairs.
     """
     n_obs = x.shape[0]
     sums = np.zeros((max_degree + 1, n_obs))
-    sums[0] = n_obs - 1
     lo = 0
     while lo < n_obs:
         width = n_obs - lo
@@ -191,20 +190,7 @@ def _self_sums(x, nu, max_degree, budget=1 << 16):
         rows = hi - lo
         diag = np.arange(rows)
         t = np.clip(x[lo:hi] @ x[lo:].T, -1.0, 1.0)
-        prev, cur, nxt = np.ones_like(t), (2.0 if nu == 0 else 2.0 * nu) * t, np.empty_like(t)
-        for n in range(1, max_degree + 1):
-            if n >= 2:
-                m = n - 2
-                if nu == 0 and m == 0:
-                    np.multiply(t, t, out=nxt)
-                    nxt *= 2.0
-                    nxt -= 1.0
-                else:
-                    np.multiply(t, cur, out=nxt)
-                    nxt *= 2.0 * (nu + m + 1.0) / (m + 2.0)
-                    prev *= (2.0 * nu + m) / (m + 2.0)
-                    nxt -= prev
-                prev, cur, nxt = cur, nxt, prev
+        for n, cur in enumerate(gegenbauer.sweep(nu, max_degree, t)):
             sums[n, lo:hi] += cur.sum(axis=1) - cur[diag, diag]
             if hi < n_obs:
                 sums[n, hi:] += cur[:, rows:].sum(axis=0)
@@ -642,45 +628,28 @@ class CoefficientDensity:
         self.smoothness = smoothness
         self.rate_constant = rate_constant
 
-    _param_names = (
-        "truncation",
-        "trimming_exponent",
-        "family",
-        "s",
-        "l",
-        "fx_truncation",
-        "smoothness",
-        "rate_constant",
-    )
-
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names}
+        names = list(inspect.signature(type(self).__init__).parameters)[1:]
+        return {name: getattr(self, name) for name in names}
 
     def set_params(self, **params):
         for name, value in params.items():
-            if name not in self._param_names:
+            if name not in self.get_params():
                 raise ValueError(f"unknown parameter {name!r}")
             setattr(self, name, value)
         return self
 
     def _config(self, n_obs):
-        t = self.truncation
-        if t is None:
-            t = rate_truncation(
+        params = {f.name: getattr(self, f.name) for f in fields(EstimatorConfig)}
+        if self.truncation is None:
+            params["truncation"] = rate_truncation(
                 n_obs,
                 self._dimension,
                 smoothness=self.smoothness,
                 trimming_exponent=self.trimming_exponent,
                 constant=self.rate_constant,
             )
-        return EstimatorConfig(
-            truncation=t,
-            trimming_exponent=self.trimming_exponent,
-            family=self.family,
-            s=self.s,
-            l=self.l,
-            fx_truncation=self.fx_truncation,
-        )
+        return EstimatorConfig(**params)
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)

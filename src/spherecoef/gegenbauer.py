@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import binom, poch
 
-__all__ = ["eval_all", "eval_at_one", "explicit_eval", "series_eval"]
+__all__ = ["eval_all", "eval_at_one", "explicit_eval", "series_eval", "sweep"]
 
 _EXPLICIT_MAX_DEGREE = 30
 
@@ -28,6 +28,38 @@ def _check_args(nu, max_degree, t):
     if np.any(np.abs(t) > 1.0 + 1e-9):
         raise ValueError("arguments t must lie in [-1, 1]")
     return np.clip(t, -1.0, 1.0)
+
+
+def sweep(nu, max_degree, t):
+    """Yield C_0^nu(t), ..., C_max_degree^nu(t) in turn by the three-term
+    recursion; the one place the recursion and the nu = 0 family are written.
+
+    t is an ndarray already in [-1, 1] (no check is made here).  The values
+    roll through three buffers of t's shape, updated in place: each yielded
+    array is overwritten two steps later, so copy it to keep it.
+    """
+    t = np.asarray(t, dtype=float)
+    prev = np.ones_like(t)
+    yield prev
+    if max_degree == 0:
+        return
+    cur = np.multiply(2.0 if nu == 0 else 2.0 * nu, t, out=np.empty_like(t))
+    yield cur
+    nxt = np.empty_like(t)
+    for m in range(int(max_degree) - 1):
+        if nu == 0 and m == 0:
+            # the degree-2 member of the Chebyshev-limit family; the printed
+            # three-term recursion only applies from degree 1 onward here
+            np.multiply(t, t, out=nxt)
+            nxt *= 2.0
+            nxt -= 1.0
+        else:
+            np.multiply(t, cur, out=nxt)
+            nxt *= 2.0 * (nu + m + 1.0) / (m + 2.0)
+            prev *= (2.0 * nu + m) / (m + 2.0)
+            nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+        yield cur
 
 
 def eval_all(nu, max_degree, t):
@@ -48,61 +80,28 @@ def eval_all(nu, max_degree, t):
     ndarray with shape (max_degree + 1,) + shape(t); entry [n] is C_n^nu(t).
     """
     t = _check_args(nu, max_degree, t)
-    n_deg = int(max_degree)
-    out = np.empty((n_deg + 1,) + t.shape, dtype=float)
-    out[0] = 1.0
-    if n_deg == 0:
-        return out
-    if nu == 0:
-        out[1] = 2.0 * t
-        if n_deg >= 2:
-            # the degree-2 member of the Chebyshev-limit family; the printed
-            # three-term recursion only applies from degree 1 onward here
-            out[2] = 2.0 * t * t - 1.0
-        for n in range(1, n_deg - 1):
-            out[n + 2] = (2.0 * (n + 1.0) * t * out[n + 1] - n * out[n]) / (n + 2.0)
-    else:
-        out[1] = 2.0 * nu * t
-        for n in range(0, n_deg - 1):
-            out[n + 2] = (
-                2.0 * (nu + n + 1.0) * t * out[n + 1] - (2.0 * nu + n) * out[n]
-            ) / (n + 2.0)
+    out = np.empty((int(max_degree) + 1,) + t.shape, dtype=float)
+    for n, c in enumerate(sweep(nu, max_degree, t)):
+        out[n] = c
     return out
 
 
 def series_eval(nu, coeffs, t):
     """Evaluate sum_n coeffs[n] * C_n^nu(t) in one recursion sweep.
 
-    Keeps only two rolling degree slices, so t may be a large array without
-    materializing every degree.  coeffs is a 1-D sequence indexed by degree;
-    zero entries are skipped in the accumulation.
+    Keeps only the sweep's three rolling buffers, so t may be a large array
+    without materializing every degree.  coeffs is a 1-D sequence indexed
+    by degree; zero entries are skipped in the accumulation.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coeffs must be a nonempty 1-D sequence indexed by degree")
-    max_degree = coeffs.size - 1
-    t = _check_args(nu, max_degree, t)
-    scalar = t.shape == ()
-    t = np.atleast_1d(t)
-
-    prev = np.ones_like(t)
-    out = coeffs[0] * prev if coeffs[0] != 0.0 else np.zeros_like(t)
-    if max_degree >= 1:
-        cur = 2.0 * t if nu == 0 else 2.0 * nu * t
-        if coeffs[1] != 0.0:
-            out = out + coeffs[1] * cur
-        for n in range(2, max_degree + 1):
-            if nu == 0 and n == 2:
-                nxt = 2.0 * t * t - 1.0
-            else:
-                m = n - 2
-                nxt = (
-                    2.0 * (nu + m + 1.0) * t * cur - (2.0 * nu + m) * prev
-                ) / (m + 2.0)
-            prev, cur = cur, nxt
-            if coeffs[n] != 0.0:
-                out = out + coeffs[n] * cur
-    return float(out[0]) if scalar else out
+    t = _check_args(nu, coeffs.size - 1, t)
+    out, term = np.zeros_like(t), np.empty_like(t)
+    for c, values in zip(coeffs, sweep(nu, coeffs.size - 1, t)):
+        if c != 0.0:
+            out += np.multiply(values, c, out=term)
+    return float(out) if t.shape == () else out
 
 
 def eval_at_one(nu, n):
@@ -126,9 +125,10 @@ def explicit_eval(nu, n, t):
     Intended as a test oracle: sums the closed-form expansion
     sum_l (-1)^l (nu)_{n-l} / (l! (n-2l)!) (2t)^{n-2l}
     (Chebyshev cosine form for nu = 0).  For half-integer nu the alternating
-    sum is carried out in exact rational arithmetic, so the only rounding is
-    the final conversion to float; other nu use a plain float sum, and
-    degrees above 30 are refused since that path loses accuracy there.
+    sum is carried out in exact rational arithmetic, by Horner's rule in
+    (2t)^2, so the only rounding is the final conversion to float; other nu
+    use a plain float sum, and degrees above 30 are refused since that path
+    loses accuracy there.
     """
     t = _check_args(nu, n, t)
     n = int(n)
@@ -156,10 +156,10 @@ def explicit_eval(nu, n, t):
         vals = np.empty(flat.shape, dtype=float)
         for i, ti in enumerate(flat.ravel()):
             two_t = 2 * Fraction(float(ti))
-            total = Fraction(0)
-            for l, c in enumerate(coeffs):
-                total += c * two_t ** (n - 2 * l)
-            vals.ravel()[i] = float(total)
+            square, total = two_t * two_t, Fraction(0)
+            for c in coeffs:  # from the top power, l = 0, down
+                total = total * square + c
+            vals.ravel()[i] = float(total * two_t if n % 2 else total)
         vals = vals.reshape(np.shape(t))
         return vals if t.shape else float(vals)
     val = np.zeros_like(t)

@@ -17,20 +17,15 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .kernels import HarmonicMixture, laplacian_eigenvalue
-from .sphere import check_on_sphere, surface_area
+from .sphere import surface_area
 
 __all__ = [
     "eigenvalue",
     "transform",
-    "transform_by_quadrature",
     "invert",
     "invert_by_laplacian",
 ]
-
-_BOUNDARY_TOL = 1e-12
 
 
 def _lower_area(d):
@@ -114,23 +109,3 @@ def invert_by_laplacian(g):
         new[n] = c * (-1.0) ** p * prod / (_lower_area(d) * dfact)
     return g.with_degree_coeffs(new)
 
-
-def transform_by_quadrature(f, x, quad):
-    """Hemisphere integral of f at direction(s) x by direct quadrature.
-
-    Slow oracle for the spectral routines: sums f over the quadrature nodes
-    lying in {b : x'b >= 0}.  Nodes on the boundary circle (|x'b| below
-    1e-12) get half weight, the symmetric convention for a jump sitting
-    exactly on a node.  f may be a callable or per-node values.
-    """
-    values = f(quad.points) if callable(f) else np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xs = check_on_sphere(x, d=quad.dimension)
-    out = np.empty(xs.shape[0])
-    for i, xi in enumerate(xs):
-        dots = quad.points @ xi
-        side = np.where(dots > _BOUNDARY_TOL, 1.0, 0.0)
-        side[np.abs(dots) <= _BOUNDARY_TOL] = 0.5
-        out[i] = np.sum(quad.weights * side * values)
-    return float(out[0]) if single else out

@@ -32,7 +32,6 @@ __all__ = [
     "kernel_eval",
     "kernel_odd_eval",
     "HarmonicMixture",
-    "project",
 ]
 
 _FAMILIES = ("riesz", "delayed_means", "dirichlet")
@@ -293,19 +292,3 @@ class HarmonicMixture:
 
     __call__ = evaluate
 
-
-def project(f, n, quad, x):
-    """Projection of f onto degree-n harmonics, evaluated at x by quadrature.
-
-    f may be a callable on sphere points or an array of values on the
-    quadrature nodes.  Intended as a slow, direct test oracle.
-    """
-    values = f(quad.points) if callable(f) else np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xs = check_on_sphere(x, d=quad.dimension)
-    out = np.empty(xs.shape[0])
-    for i, xi in enumerate(xs):
-        cosines = np.clip(quad.points @ xi, -1.0, 1.0)
-        out[i] = np.sum(quad.weights * values * projector_kernel(n, quad.dimension, cosines))
-    return float(out[0]) if single else out

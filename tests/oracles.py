@@ -30,6 +30,8 @@ __all__ = [
     "loo_covariate_density",
     "lscv_score",
     "direct_density_estimate",
+    "project",
+    "transform_by_quadrature",
     "gaussian_mixture_pdf",
     "pushforward_density",
 ]
@@ -228,26 +230,62 @@ def direct_density_estimate(y, x, b, fx_values, truncation, s=2.0, l=3,
     floor = math.log(n_obs) ** (-trimming_exponent)
     cutoff = 2 * truncation
 
+    gammas = {
+        m: riesz_weight(m, cutoff, d, s=s, l=l)
+        * harmonic_dim(m, d)
+        / (halfspace_eigenvalue_1d(m, d) * gegenbauer_at_one(nu, m) * area)
+        for m in range(1, 2 * truncation, 2)
+    }
     odd = 0.0
     for i in range(n_obs):
         w_i = (2.0 * y[i] - 1.0) / max(float(fx_values[i]), floor)
         t = float(np.clip(np.dot(x[i], b), -1.0, 1.0))
         acc = 0.0
-        for p in range(truncation):
-            m = 2 * p + 1
-            gamma = (
-                riesz_weight(m, cutoff, d, s=s, l=l)
-                * harmonic_dim(m, d)
-                / (
-                    halfspace_eigenvalue_1d(m, d)
-                    * gegenbauer_at_one(nu, m)
-                    * area
-                )
-            )
+        for m, gamma in gammas.items():
             acc += gamma * gegenbauer_explicit(nu, m, np.asarray(t))
         odd += w_i * acc
     odd /= n_obs
     return odd, (2.0 * odd if odd > 0.0 else 0.0)
+
+
+def _unit_rows(x, d):
+    """x as an (m, d) array, refusing any row that is not a unit vector."""
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    if xs.shape[1] != d or not np.all(np.abs(np.linalg.norm(xs, axis=1) - 1.0) <= 1e-12):
+        raise ValueError(f"expected unit vectors in R^{d}")
+    return xs
+
+
+def project(f, n, quad, x):
+    """Projection of f onto degree-n harmonics at x by quadrature: the
+    weighted sum over the nodes b of f(b) h(n, d) C_n(x . b) / (|S^{d-1}|
+    C_n(1)).  f may be a callable on sphere points or per-node values."""
+    d = quad.dimension
+    nu = (d - 2) / 2.0
+    values = f(quad.points) if callable(f) else np.asarray(f, dtype=float)
+    scale = harmonic_dim(n, d) / (sphere_area(d) * gegenbauer_at_one(nu, n))
+    out = np.array([
+        float(np.sum(quad.weights * values * scale
+                     * gegenbauer_explicit(nu, n, np.clip(quad.points @ xi, -1.0, 1.0))))
+        for xi in _unit_rows(x, d)
+    ])
+    return float(out[0]) if np.ndim(x) == 1 else out
+
+
+def transform_by_quadrature(f, x, quad):
+    """Hemisphere integral of f at direction(s) x by direct quadrature: the
+    sum of f over the nodes in {b : x . b >= 0}.  Nodes on the boundary
+    circle (|x . b| at most 1e-12) get half weight, the symmetric convention
+    for a jump sitting exactly on a node.  f may be a callable or per-node
+    values."""
+    values = f(quad.points) if callable(f) else np.asarray(f, dtype=float)
+    out = np.empty(np.atleast_2d(x).shape[0])
+    for i, xi in enumerate(_unit_rows(x, quad.dimension)):
+        dots = quad.points @ xi
+        side = np.where(dots > 1e-12, 1.0, 0.0)
+        side[np.abs(dots) <= 1e-12] = 0.5
+        out[i] = np.sum(quad.weights * side * values)
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def gaussian_mixture_pdf(point, weights, means, covs):

@@ -84,7 +84,7 @@ def test_criterion_1_eigenvalues_match_quadrature(capsys):
         dots = np.clip(quad.points @ z, -1.0, 1.0)
         for n in range(0, 12):
             vals = projector_kernel(n, d, dots)
-            got = hemisphere.transform_by_quadrature(vals, z, quad)
+            got = oracles.transform_by_quadrature(vals, z, quad)
             lam_hat = got / projector_kernel(n, d, 1.0)
             worst = max(worst, abs(lam_hat - hemisphere.eigenvalue(n, d)))
         del quad, dots, vals

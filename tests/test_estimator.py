@@ -1,5 +1,6 @@
 """Tests for the coefficient-density estimator and its companions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -657,3 +658,16 @@ def test_coefficient_density_params_and_validation():
         CoefficientDensity().density(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         CoefficientDensity().fit(np.ones((5, 3)), np.zeros(5))  # rows not unit
+
+
+def test_coefficient_density_params_mirror_config():
+    """The front end's parameters are the config's fields plus the two
+    rate-rule constants, and a fixed truncation passes them through."""
+    names = [f.name for f in dataclasses.fields(EstimatorConfig)]
+    given = dict(truncation=2, trimming_exponent=1.5, family="dirichlet", s=3.0, l=4, fx_truncation=6)
+    assert set(given) == set(names)
+    model = CoefficientDensity(**given, smoothness=1.0, rate_constant=2.0)
+    assert set(model.get_params()) == set(names) | {"smoothness", "rate_constant"}
+    draw = generate(DgpSpec.model_1(n_obs=60, seed=3))
+    model.fit(draw.sample.x, draw.sample.y)
+    assert model.config_ == EstimatorConfig(**given)

@@ -80,6 +80,35 @@ def test_series_eval_matrix_argument():
     assert np.allclose(out.ravel(), flat)
 
 
+SWEEP_ARGS = [np.asarray(0.3), T_GRID, T_GRID[:100].reshape(4, 25)]
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 24])
+def test_sweep_yields_every_degree(nu, max_degree):
+    for t in SWEEP_ARGS:
+        vals = [c.copy() for c in gegenbauer.sweep(nu, max_degree, t)]
+        assert len(vals) == max_degree + 1
+        for n, c in enumerate(vals):
+            assert isinstance(c, np.ndarray) and c.shape == t.shape
+            if nu == 0:
+                ref = np.ones_like(t) if n == 0 else (2.0 / n) * eval_chebyt(n, t)
+            else:
+                ref = eval_gegenbauer(n, nu, t)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(c - ref)) / scale < 1e-10
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 24])
+def test_series_eval_of_unit_coeffs_is_table_row(nu, max_degree):
+    table = gegenbauer.eval_all(nu, max_degree, T_GRID)
+    for n in range(max_degree + 1):
+        unit = np.zeros(max_degree + 1)
+        unit[n] = 1.0
+        assert np.array_equal(gegenbauer.series_eval(nu, unit, T_GRID), table[n])
+
+
 def test_eval_at_one():
     for nu in (0.5, 1.0, 1.5, 2.5):
         for n in range(12):

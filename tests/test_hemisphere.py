@@ -112,7 +112,7 @@ def test_transform_by_quadrature_constant():
     """Averaging the constant 1 over any hemisphere gives half the area."""
     quad = build_quadrature(3, 64)
     x = sample_uniform(3, 5, seed=110)
-    vals = hemisphere.transform_by_quadrature(np.ones(quad.n_nodes), x, quad)
+    vals = oracles.transform_by_quadrature(np.ones(quad.n_nodes), x, quad)
     assert np.allclose(vals, surface_area(3) / 2.0, atol=1e-8)
 
 
@@ -124,7 +124,7 @@ def test_transform_by_quadrature_matches_eigenvalue_on_zonal():
     pole = np.array([0.0, 0.0, 1.0])
     for n in range(0, 8):
         f = projector_kernel(n, d, quad.points @ pole)
-        got = hemisphere.transform_by_quadrature(f, pole, quad)
+        got = oracles.transform_by_quadrature(f, pole, quad)
         expected = hemisphere.eigenvalue(n, d) * projector_kernel(n, d, 1.0)
         assert got == pytest.approx(expected, abs=1e-7)
 
@@ -134,7 +134,7 @@ def test_transform_by_quadrature_single_point_and_callable():
     # so the trapezoid rule is only O(h^2) here; res 4096 gives ~4e-7
     quad = build_quadrature(2, 4096)
     x = np.array([1.0, 0.0])
-    got = hemisphere.transform_by_quadrature(lambda p: p[:, 0], x, quad)
+    got = oracles.transform_by_quadrature(lambda p: p[:, 0], x, quad)
     assert isinstance(got, float)
     # H(t -> t)(x) = lambda(1, 2) * (x . e1) = 2
     assert got == pytest.approx(hemisphere.eigenvalue(1, 2), abs=1e-6)
@@ -146,7 +146,7 @@ def test_transform_by_quadrature_halves_boundary_nodes():
     quad = build_quadrature(2, 8)
     x = np.array([1.0, 0.0])
     f = np.ones(quad.n_nodes)
-    up = hemisphere.transform_by_quadrature(f, x, quad)
-    down = hemisphere.transform_by_quadrature(f, -x, quad)
+    up = oracles.transform_by_quadrature(f, x, quad)
+    down = oracles.transform_by_quadrature(f, -x, quad)
     assert up + down == pytest.approx(surface_area(2), rel=1e-14)
     assert up == pytest.approx(down, rel=1e-14)
