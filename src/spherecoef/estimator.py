@@ -11,6 +11,7 @@ kernel in x_i'b.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, fields
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gegenbauer, hemisphere
-from .kernels import KernelSpec, HarmonicMixture, _FAMILIES, _at_one, chi_table, projector_constants
+from .kernels import KernelSpec, HarmonicMixture, _FAMILIES, _at_one, chi_table, eigenspace_dim, projector_constants
 from .sphere import build_quadrature, check_on_sphere, sample_uniform, surface_area
 
 __all__ = [
@@ -174,12 +175,29 @@ FX_CV_MAX_BAND = 24
 def _self_sums(x, nu, max_degree, budget=1 << 16):
     """S[n, i] = sum_{j != i} C_n^nu(x_i'x_j) for n = 0..max_degree.
 
-    One sweep over the upper triangle of the cosine matrix, in row blocks
-    of about `budget` entries: block [lo, hi) x [lo, N) adds its row sums,
-    less the diagonal, to S[:, lo:hi] and the sums of its columns hi..N-1
-    to S[:, hi:], so every pair is visited once.  The degrees come from
-    gegenbauer.sweep on the block's cosines; blocks larger than
-    kernels.EVAL_CHUNK spread the per-degree call overhead over more pairs.
+    Two paths give the same sums, in row blocks of about `budget` cosines
+    each.  A sample of N points takes the pair sweep (_pair_sums, N^2/2
+    cosines) when it is small against the fundamental system's M points,
+    and the fundamental system (_system_sums, 2NM cosines plus a one-off
+    set-up of order M^3, paid once per process) otherwise.  The rule, one
+    comparison of N against M, charges the set-up to the call.  At degree
+    24 the fundamental system takes over from N = 436 in d = 3 (M = 98)
+    and from N = 9 232 in d = 4 (M = 1 250); with one BLAS thread the
+    measured crossovers, set-up included, were near 650 and 9 000.
+    """
+    n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
+    if n_obs * (n_obs - 4 * m) > m**3 / 50:
+        return _system_sums(x, nu, max_degree, budget)
+    return _pair_sums(x, nu, max_degree, budget)
+
+
+def _pair_sums(x, nu, max_degree, budget=1 << 16):
+    """_self_sums by one sweep over the upper triangle of the cosine
+    matrix: block [lo, hi) x [lo, N) adds its row sums, less the diagonal,
+    to S[:, lo:hi] and the sums of its columns hi..N-1 to S[:, hi:], so
+    every pair is visited once.  The degrees come from gegenbauer.sweep on
+    the block's cosines; blocks larger than kernels.EVAL_CHUNK spread the
+    per-degree call overhead over more pairs.
     """
     n_obs = x.shape[0]
     sums = np.zeros((max_degree + 1, n_obs))
@@ -195,6 +213,81 @@ def _self_sums(x, nu, max_degree, budget=1 << 16):
             if hi < n_obs:
                 sums[n, hi:] += cur[:, rows:].sum(axis=0)
         lo = hi
+    return sums
+
+
+def _system_size(d, top):
+    """Points M in the fundamental system for degrees up to top."""
+    return 2 * top + 2 if d == 2 else 2 * eigenspace_dim(top, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _fundamental_system(d, top):
+    """Points Z (M x d) on which the degree-n harmonics are unisolvent for
+    every n <= top, and per degree a factor U_n with U_n U_n' the
+    pseudo-inverse of G_n = C_n(Z_n Z_n').
+
+    In d = 2, Z is 2 top + 2 equispaced circle points and Z_n is all of Z
+    (a prefix of an equispaced set does not resolve degree n).  Otherwise
+    Z is sample_uniform(d, 2 h(top, d), seed=0) and degree n uses its
+    first 2 h(n, d) points, twice the dimension of the degree-n harmonics:
+    that prefix is the same for every top, and it keeps the set-up's
+    eigendecompositions small (0.9 s in d = 4 at degree 24, against 4.9 s
+    on all 1 250 points).  G_n has rank h(n, d), so U_n is its top h(n, d)
+    eigenvectors over the square roots of their eigenvalues; no M x M
+    pseudo-inverse is kept.  The arrays are read-only, shared by every
+    caller.
+    """
+    m = _system_size(d, top)
+    if d == 2:
+        angles = np.pi * np.arange(m) / (top + 1)
+        z = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        z = sample_uniform(d, m, seed=0)
+    factors = []
+    gram = np.clip(z @ z.T, -1.0, 1.0)
+    for n, g in enumerate(gegenbauer.sweep((d - 2) / 2.0, top, gram)):
+        dim = eigenspace_dim(n, d)
+        size = m if d == 2 else 2 * dim
+        vals, vecs = np.linalg.eigh(g[:size, :size])
+        factors.append(vecs[:, -dim:] / np.sqrt(vals[-dim:]))
+    for a in (z, *factors):
+        a.setflags(write=False)
+    return z, tuple(factors)
+
+
+def _system_sums(x, nu, max_degree, budget=1 << 16):
+    """_self_sums through a fundamental system, linear in N.
+
+    With A_n = C_n(X Z_n') and G_n = C_n(Z_n Z_n') for the points Z_n of
+    _fundamental_system, sum_j C_n(x_i'x_j) = A_n[i] G_n^+ A_n'1 (the
+    reproducing property of the zonal projector on a unisolvent set); the
+    term j = i is C_n(1).  The N x M cosines X Z' stream through
+    gegenbauer.sweep in row blocks twice: once for the column totals
+    A_n'1 of every degree, then for S[n, rows] = A_n[rows] v_n with
+    v_n = U_n U_n' A_n'1.  No table of every degree's cosines is built.
+    """
+    d = x.shape[1]
+    z, factors = _fundamental_system(d, max_degree)
+    step = max(1, budget // z.shape[0])
+    blocks = [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
+
+    def degrees(rows):
+        return enumerate(gegenbauer.sweep(nu, max_degree, np.clip(x[rows] @ z.T, -1.0, 1.0)))
+
+    totals = np.zeros((max_degree + 1, z.shape[0]))
+    for rows in blocks:
+        for n, cur in degrees(rows):
+            totals[n] += cur.sum(axis=0)
+    v = np.zeros_like(totals)
+    for n, u in enumerate(factors):
+        size = u.shape[0]
+        v[n, :size] = u @ (u.T @ totals[n, :size])
+    sums = np.empty((max_degree + 1, x.shape[0]))
+    for rows in blocks:
+        for n, cur in degrees(rows):
+            sums[n, rows] = cur @ v[n]
+    sums -= _at_one(max_degree, d)[:, None]
     return sums
 
 
@@ -289,11 +382,12 @@ class DensityEstimate:
 
     weights are the per-observation weights w_i = (2y_i - 1) /
     max(fx_values[i], trimming_floor).  odd is the estimate's odd part, an
-    odd HarmonicMixture anchored at the sample covariates x_i with weights
-    w_i / N and coefficients chi(m) / lambda_m on the odd degrees
+    odd HarmonicMixture anchored at the sample covariates x_i with those
+    same weights (odd.weights is weights: one array per fit) and
+    coefficients chi(m) / (lambda_m N) on the odd degrees
     m <= 2 * truncation - 1: the filter weights of kernel over the
-    hemisphere eigenvalues.  The density itself is twice its positive
-    part.
+    hemisphere eigenvalues, with the 1/N of the sample mean.  The density
+    itself is twice its positive part.
 
     fx_band is the band limit of the plug-in covariate-density estimate
     behind fx_values (None when the caller supplied them).  A plug-in fit
@@ -347,7 +441,7 @@ class DensityEstimate:
             raise ValueError("z_values takes a single point")
         check_on_sphere(point, d=self.dimension)
         ((_, terms),) = self.odd.terms(point)
-        return terms[0] * self.weights
+        return self.n_obs * terms[0] * self.weights
 
     def as_mixture(self):
         """The estimate's odd part: the odd mixture itself."""
@@ -373,13 +467,13 @@ def estimate_fbeta(sample, config=None, fx=None):
         raise ValueError(f"need at least 3 observations, got {n_obs}")
     kernel = config.main_kernel(d)
     chi = kernel.chi()
-    coeffs = {m: float(chi[m]) / hemisphere.eigenvalue(m, d) for m in range(1, chi.size, 2)}
+    coeffs = {m: float(chi[m]) / (hemisphere.eigenvalue(m, d) * n_obs) for m in range(1, chi.size, 2)}
     floor = config.trimming_floor(n_obs)
 
     def fit(fx_vals, fx_band, inference=None):
         weights = (2.0 * sample.y - 1.0) / np.maximum(fx_vals, floor)
         return DensityEstimate(
-            odd=HarmonicMixture(d, sample.x, weights / n_obs, coeffs),
+            odd=HarmonicMixture(d, sample.x, weights, coeffs),
             weights=weights,
             kernel=kernel,
             config=config,
@@ -400,7 +494,7 @@ class ChoiceProbabilityEstimate:
     """Estimated choice probability x -> 1/2 + odd_part(x).
 
     odd_part is the hemisphere transform of a density estimate's odd
-    mixture (coefficients chi(m), the same anchors and weights), so
+    mixture (coefficients chi(m) / N, the same anchors and weights), so
     inverting the hemisphere operator on it gives back that odd part.
     """
 
@@ -448,8 +542,9 @@ def standard_error(estimate, points):
         raise ValueError("standard error needs at least 2 observations")
     pts = check_on_sphere(points, d=estimate.dimension)
     out = np.empty(pts.shape[0])
+    scale = 2.0 * estimate.n_obs
     for rows, terms in estimate.odd.terms(pts):
-        out[rows] = 2.0 * np.std(terms * estimate.weights, axis=1, ddof=1)
+        out[rows] = scale * np.std(terms * estimate.weights, axis=1, ddof=1)
     return float(out[0]) if np.ndim(points) == 1 else out
 
 

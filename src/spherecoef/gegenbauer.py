@@ -97,11 +97,18 @@ def series_eval(nu, coeffs, t):
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coeffs must be a nonempty 1-D sequence indexed by degree")
     t = _check_args(nu, coeffs.size - 1, t)
+    out = _series_eval(nu, coeffs, t)
+    return float(out) if t.shape == () else out
+
+
+def _series_eval(nu, coeffs, t):
+    """series_eval without its argument checks: coeffs is a nonempty 1-D
+    float array indexed by degree and t an ndarray already in [-1, 1]."""
     out, term = np.zeros_like(t), np.empty_like(t)
     for c, values in zip(coeffs, sweep(nu, coeffs.size - 1, t)):
         if c != 0.0:
             out += np.multiply(values, c, out=term)
-    return float(out) if t.shape == () else out
+    return out
 
 
 def eval_at_one(nu, n):

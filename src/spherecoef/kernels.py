@@ -227,6 +227,11 @@ class HarmonicMixture:
     estimate is an odd mixture, its choice probability the mixture's
     hemisphere transform): evaluation needs one Gegenbauer sweep over the
     cosine matrix, and spectral operators act by rescaling degree_coeffs.
+
+    weights is kept as passed when it is already a float array, not copied:
+    a DensityEstimate's odd mixture holds the fit's own weights array, and
+    a factor common to every anchor (the estimate's 1/N) sits in
+    degree_coeffs instead.
     """
 
     dimension: int
@@ -281,7 +286,7 @@ class HarmonicMixture:
         for start in range(0, pts.shape[0], chunk_size):
             rows = slice(start, start + chunk_size)
             cosines = np.clip(pts[rows] @ self.anchors.T, -1.0, 1.0)
-            yield rows, gegenbauer.series_eval(nu, coeffs, cosines)
+            yield rows, gegenbauer._series_eval(nu, coeffs, cosines)
 
     def evaluate(self, points, chunk_size=None):
         """Evaluate the mixture at one point (d,) or a batch (m, d)."""

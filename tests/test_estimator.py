@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,8 +220,9 @@ def _kernel_rounding(d, family, band):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_self_sums_match_double_loop(d):
-    """The upper-triangle sweep gives every degree's leave-one-out sums,
-    for any row-block size (budget 1: one row per block)."""
+    """The upper-triangle sweep and the fundamental system each give every
+    degree's leave-one-out sums, for any row-block size (budget 1: one row
+    per block)."""
     x = _design_points(d, 30, seed=60 + d)
     top = estimator.FX_CV_MAX_BAND
     ref = oracles.pair_sums(x, top)
@@ -228,12 +230,66 @@ def test_self_sums_match_double_loop(d):
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(top + 1)])
     tol = 1e-13 + 4.0 * np.finfo(float).eps * (x.shape[0] - 1) * bound
     for budget in (1, 97, 1 << 16):
-        sums = estimator._self_sums(x, nu, top, budget=budget)
-        assert sums.shape == ref.shape
-        assert np.all(np.abs(sums - ref) <= tol[:, None])
+        for path in (estimator._self_sums, estimator._system_sums):
+            sums = path(x, nu, top, budget=budget)
+            assert sums.shape == ref.shape
+            assert np.all(np.abs(sums - ref) <= tol[:, None])
     s = ChoiceSample(y=np.ones(30, dtype=int), x=x)
     fxe = fx_self_evaluation(s, EstimatorConfig())
     assert np.array_equal(fxe.sums, estimator._self_sums(x, nu, top))
+
+
+def _circle_sums(x, top):
+    """_self_sums in d = 2 from exactly rounded sums: C_n^0(cos a) is
+    (2/n) cos(n a), so the sum over j of C_n^0(x_i'x_j) splits into sums of
+    cos and sin of n theta_j; the term j = i is 2/n."""
+    theta = np.arctan2(x[:, 1], x[:, 0])
+    ref = np.full((top + 1, x.shape[0]), x.shape[0] - 1.0)
+    for n in range(1, top + 1):
+        c, s = np.cos(n * theta), np.sin(n * theta)
+        ref[n] = (2.0 / n) * (c * math.fsum(c) + s * math.fsum(s) - 1.0)
+    return ref
+
+
+@pytest.mark.parametrize(
+    "d,n_obs,top", [(2, 1000, 24), (3, 2000, 24), (4, 1500, 24), (2, 1000, 64), (3, 1500, 64)]
+)
+def test_system_sums_accuracy(d, n_obs, top):
+    """Through the fundamental system each degree's sums are within 1e-12
+    of that degree's largest, to degree 64: against the pair sweep in
+    d = 3 and 4, and in d = 2 against _circle_sums, since there the pair
+    sweep's own error reaches 1e-12.  At these sizes _self_sums takes the
+    fundamental system in d = 2 and 3 and the pair sweep in d = 4."""
+    x = _design_points(d, n_obs, seed=90 + d)
+    nu = (d - 2) / 2.0
+    sums = estimator._system_sums(x, nu, top)
+    ref = _circle_sums(x, top) if d == 2 else estimator._pair_sums(x, nu, top)
+    assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
+    assert np.array_equal(estimator._self_sums(x, nu, top), ref if d == 4 else sums)
+
+
+def test_self_evaluation_memory_is_linear():
+    """At N = 20 000 the self-evaluation allocates little beyond its
+    sums: the cosines stream through in row blocks, and no table of every
+    degree's or every pair's cosines is built."""
+    s = _random_sample(3, 20_000, seed=96)
+    tracemalloc.start()
+    try:
+        fxe = fx_self_evaluation(s, EstimatorConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - fxe.sums.nbytes <= 4 * 2**20
+
+
+def test_lscv_band_same_through_either_path(monkeypatch):
+    """On model_1 at N = 500 (the fundamental-system path) the
+    cross-validated band is the one the pair sweep's sums choose."""
+    cfg = EstimatorConfig()
+    samples = [generate(DgpSpec.model_1(n_obs=500, seed=seed)).sample for seed in range(200)]
+    bands = [fx_self_evaluation(s, cfg).band for s in samples]
+    monkeypatch.setattr(estimator, "_self_sums", estimator._pair_sums)
+    assert bands == [fx_self_evaluation(s, cfg).band for s in samples]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -299,11 +355,14 @@ def test_plugin_fit_carries_inference_fit():
     assert inf.fx_band == fxe.band and inf.inference is None
     assert inf.anchors is est.anchors and inf.kernel == est.kernel
     assert inf.odd.degree_coeffs == est.odd.degree_coeffs
+    # one weights array per fit, shared with its odd mixture
+    assert est.odd.weights is est.weights and inf.odd.weights is inf.weights
     assert np.array_equal(inf.fx_values, fxe.loo_values)
     floor = cfg.trimming_floor(40)
     assert np.array_equal(inf.weights, (2.0 * s.y - 1.0) / np.maximum(fxe.loo_values, floor))
     given = estimate_fbeta(s, cfg, fx=fxe.fx_values)
     assert given.inference is None and given.fx_band is None
+    assert given.odd.weights is given.weights
     pts = sample_uniform(3, 10, seed=27)
     assert np.allclose(given.density(pts), est.density(pts), atol=1e-15)
 
@@ -612,17 +671,21 @@ def test_coefficient_density_fit_and_queries():
 
 
 def test_coefficient_density_matches_functional_path():
-    draw = generate(DgpSpec.model_1(n_obs=150, seed=5))
-    model = CoefficientDensity().fit(draw.sample.x, draw.sample.y)
-    est = estimate_fbeta(draw.sample)
-    pts = sample_uniform(3, 12, seed=29)
-    assert np.allclose(model.density(pts), est.density(pts), atol=1e-13)
-    # the model keeps the plug-in fit's inference fit for its intervals
-    for got, want in zip(model.confidence_interval(pts), confidence_interval(est, pts)):
-        assert np.allclose(got, want, atol=1e-13)
-    # and its choice probability is the functional path's, clipped
-    want = np.clip(estimate_choice_probability(draw.sample).evaluate(pts), 0.0, 1.0)
-    assert np.allclose(model.predict_proba(pts)[:, 1], want, rtol=0.0, atol=1e-13)
+    """At N = 150 (pair sweep) and N = 1 000 (fundamental system, where the
+    choice probability's sweep to fx_truncation uses a smaller system than
+    the fit's sweep to the cross-validation cap)."""
+    for n_obs in (150, 1000):
+        draw = generate(DgpSpec.model_1(n_obs=n_obs, seed=5))
+        model = CoefficientDensity().fit(draw.sample.x, draw.sample.y)
+        est = estimate_fbeta(draw.sample)
+        pts = sample_uniform(3, 12, seed=29)
+        assert np.allclose(model.density(pts), est.density(pts), atol=1e-13)
+        # the model keeps the plug-in fit's inference fit for its intervals
+        for got, want in zip(model.confidence_interval(pts), confidence_interval(est, pts)):
+            assert np.allclose(got, want, atol=1e-13)
+        # and its choice probability is the functional path's, clipped
+        want = np.clip(estimate_choice_probability(draw.sample).evaluate(pts), 0.0, 1.0)
+        assert np.allclose(model.predict_proba(pts)[:, 1], want, rtol=0.0, atol=1e-13)
 
 
 def test_coefficient_density_predictions():
