@@ -4,6 +4,7 @@ Subcommands
 -----------
 simulate   draw a synthetic dataset and write it as CSV
 estimate   fit the coefficient density on a dataset, write grid values + report
+           (config echo, support diagnostic, and how the weights were formed)
 diagnose   run the one-hemisphere support diagnostic on a dataset
 bench      Monte-Carlo error study over a sample-size grid
 
@@ -69,6 +70,7 @@ from .estimator import (
     estimate_fbeta,
     identification_diagnostic,
     rate_truncation,
+    weight_summary,
 )
 from .simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere
 from .sphere import build_quadrature, surface_area
@@ -439,6 +441,7 @@ def cmd_estimate(args):
         "config": _config_echo(config, sample.n_obs, d),
         "grid_points": int(grid.shape[0]),
         "diagnostic": _diagnostic_report(diag, d),
+        "weights": weight_summary(est),
     }
     _write_json(args.out + ".report.json", report)
     print(f"wrote {grid.shape[0]} grid values to {args.out}")

@@ -34,6 +34,7 @@ __all__ = [
     "fx_self_evaluation",
     "estimate_fbeta",
     "estimate_choice_probability",
+    "weight_summary",
     "standard_error",
     "confidence_interval",
     "marginal_density",
@@ -183,10 +184,14 @@ def _self_sums(x, nu, max_degree, budget=1 << 16):
     comparison of N against M, charges the set-up to the call.  At degree
     24 the fundamental system takes over from N = 436 in d = 3 (M = 98)
     and from N = 9 232 in d = 4 (M = 1 250); with one BLAS thread the
-    measured crossovers, set-up included, were near 650 and 9 000.
+    measured crossovers, set-up included, were near 650 and 9 000.  In
+    d = 2 every N takes the fundamental system: its equispaced circle
+    points keep each degree's sums within 4e-14 of that degree's largest,
+    where the pair sweep's error reaches 4e-13, and at degree 24 it costs
+    at most 0.15 ms more (one BLAS thread), only below N = 150.
     """
     n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
-    if n_obs * (n_obs - 4 * m) > m**3 / 50:
+    if x.shape[1] == 2 or n_obs * (n_obs - 4 * m) > m**3 / 50:
         return _system_sums(x, nu, max_degree, budget)
     return _pair_sums(x, nu, max_degree, budget)
 
@@ -291,9 +296,12 @@ def _system_sums(x, nu, max_degree, budget=1 << 16):
     return sums
 
 
-def _admissible_bands(family, top):
-    """Covariate-density bands 0..top that KernelSpec accepts for the family."""
-    if family == "delayed_means":
+def _lscv_bands(config):
+    """Covariate-density bands the cross-validation searches: those up to
+    max(FX_CV_MAX_BAND, config.fx_truncation) that KernelSpec accepts for
+    config.family."""
+    top = max(FX_CV_MAX_BAND, config.fx_truncation)
+    if config.family == "delayed_means":
         return 2 ** np.arange(top.bit_length())
     return np.arange(top + 1)
 
@@ -349,7 +357,7 @@ def fx_self_evaluation(sample, config):
     sums = _self_sums(sample.x, nu, top)
     at_one = _at_one(top, d)
     unit = projector_constants(top, d)
-    bands = _admissible_bands(config.family, top)
+    bands = _lscv_bands(config)
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
     totals = sums.sum(axis=1)
     scores = (chi**2 * unit) @ (totals + n_obs * at_one) / n_obs**2
@@ -489,6 +497,35 @@ def estimate_fbeta(sample, config=None, fx=None):
     return fit(fxe.fx_values, config.fx_truncation, inference=fit(fxe.loo_values, fxe.band))
 
 
+def weight_summary(estimate):
+    """How a fit's weights were formed, as plain numbers for a report.
+
+    trimmed_count, trimmed_share: observations whose covariate density is
+        below the trimming floor, so that the floor sets their weight;
+    ess_ratio: the Kish effective sample size (sum |w_i|)^2 / sum w_i^2
+        over N;
+    max_abs_weight: the largest |w_i|;
+    fx_band: the covariate-density band behind the weights (None when the
+        caller supplied the covariate density);
+    lscv_band: the inference fit's cross-validated band, and
+        lscv_band_at_cap whether it is the highest band the search tries,
+        so that the cap rather than the data chose it (both None without
+        an inference fit).
+    """
+    w, n_obs = estimate.weights, estimate.n_obs
+    trimmed = int(np.sum(estimate.fx_values < estimate.trimming_floor))
+    band = None if estimate.inference is None else estimate.inference.fx_band
+    return {
+        "trimmed_count": trimmed,
+        "trimmed_share": trimmed / n_obs,
+        "ess_ratio": float(np.sum(np.abs(w))) ** 2 / (n_obs * float(np.sum(w * w))),
+        "max_abs_weight": float(np.max(np.abs(w))),
+        "fx_band": estimate.fx_band,
+        "lscv_band": band,
+        "lscv_band_at_cap": None if band is None else band == int(_lscv_bands(estimate.config)[-1]),
+    }
+
+
 @dataclass
 class ChoiceProbabilityEstimate:
     """Estimated choice probability x -> 1/2 + odd_part(x).
@@ -538,26 +575,42 @@ def standard_error(estimate, points):
     the half-width scale of a normal confidence interval (see
     confidence_interval, which does that and applies the quantile).
     """
+    pts = _inference_points(estimate, points)
+    out = np.empty(pts.shape[0])
+    for rows, terms in estimate.odd.terms(pts):
+        out[rows] = _spread(estimate, terms)
+    return float(out[0]) if np.ndim(points) == 1 else out
+
+
+def _inference_points(estimate, points):
+    """The points as an (m, d) batch, once the estimate has the two
+    observations a standard error needs."""
     if estimate.n_obs < 2:
         raise ValueError("standard error needs at least 2 observations")
-    pts = check_on_sphere(points, d=estimate.dimension)
-    out = np.empty(pts.shape[0])
-    scale = 2.0 * estimate.n_obs
-    for rows, terms in estimate.odd.terms(pts):
-        out[rows] = scale * np.std(terms * estimate.weights, axis=1, ddof=1)
-    return float(out[0]) if np.ndim(points) == 1 else out
+    return check_on_sphere(points, d=estimate.dimension)
+
+
+def _spread(estimate, terms):
+    """2 N sd(terms[k] * weights) for each row k of a terms block: the
+    standard error scale at the block's points."""
+    return 2.0 * estimate.n_obs * np.std(terms * estimate.weights, axis=1, ddof=1)
 
 
 def confidence_interval(estimate, points, level=0.95):
     """Pointwise normal confidence interval for the density.
 
-    Returns (lower, upper) arrays: fit.density +- z * standard_error(fit) /
-    sqrt(N) with z the two-sided normal quantile for the given level.  The
-    fit is estimate.inference when the estimate carries one (a plug-in
-    fit; see DensityEstimate), and the estimate itself otherwise.  The
-    inference fit's finer, leave-one-out covariate density removes most of
-    the smoothing bias that would shift an interval centred on the point
-    estimate away from the truth.
+    Returns (lower, upper) arrays (floats at a single point): fit.density
+    +- z * standard_error(fit) / sqrt(N) with z the two-sided normal
+    quantile for the given level, the lower bound clipped at 0.  A density
+    is never negative, so where the estimate is clipped to 0 (or its
+    interval would reach below 0) the lower bound is 0; the upper bound is
+    left as it is.  The fit is estimate.inference when the estimate
+    carries one (a plug-in fit; see DensityEstimate), and the estimate
+    itself otherwise.  The inference fit's finer, leave-one-out covariate
+    density removes most of the smoothing bias that would shift an
+    interval centred on the point estimate away from the truth.  The
+    centre and the standard error come from one pass over the fit's
+    per-anchor terms, so each block of cosines is swept once.
     """
     from scipy.stats import norm
 
@@ -565,9 +618,15 @@ def confidence_interval(estimate, points, level=0.95):
         raise ValueError(f"level must be in (0, 1), got {level}")
     fit = estimate if estimate.inference is None else estimate.inference
     z = norm.ppf(0.5 + level / 2.0)
-    center = fit.density(points)
-    half = z * standard_error(fit, points) / math.sqrt(fit.n_obs)
-    return center - half, center + half
+    pts = _inference_points(fit, points)
+    odd, spread = np.empty(pts.shape[0]), np.empty(pts.shape[0])
+    for rows, terms in fit.odd.terms(pts):
+        odd[rows] = terms @ fit.weights
+        spread[rows] = _spread(fit, terms)
+    center = np.where(odd > 0.0, 2.0 * odd, 0.0)
+    half = z * spread / math.sqrt(fit.n_obs)
+    lower, upper = np.maximum(center - half, 0.0), center + half
+    return (float(lower[0]), float(upper[0])) if np.ndim(points) == 1 else (lower, upper)
 
 
 def marginal_density(density, keep_dims, values, n_draws=512, seed=None, dimension=None):
@@ -639,7 +698,14 @@ class IdentificationReport:
 
 
 def identification_diagnostic(estimate, resolution=32, quad=None, rel_threshold=0.3):
-    """Check the estimated density for one-hemisphere support."""
+    """Check the estimated density for one-hemisphere support.
+
+    The odd part and its hemisphere transform differ only in their
+    per-degree coefficients (the transform rescales degree n by its
+    eigenvalue), so both are read on the probe nodes from one sweep of the
+    cosines, as two coefficient rows against the same per-degree sums
+    (HarmonicMixture.evaluate_series).
+    """
     if isinstance(estimate, DensityEstimate):
         odd = estimate.odd
     elif isinstance(estimate, HarmonicMixture):
@@ -653,13 +719,14 @@ def identification_diagnostic(estimate, resolution=32, quad=None, rel_threshold=
         quad = build_quadrature(d, resolution, seed=0)
     area = surface_area(d)
     averaged = hemisphere.transform(odd)
-    hemi_vals = averaged.evaluate(quad.points)
+    odd_vals, hemi_vals = odd.evaluate_series(
+        quad.points, [odd.series_coeffs(), averaged.series_coeffs()]
+    )
     masses = hemi_vals / area
     i_best = int(np.argmax(masses))
     axis = quad.points[i_best].copy()
     mass_plus = float(masses[i_best])
     mass_minus = float(averaged.evaluate(-axis) / area)
-    odd_vals = odd.evaluate(quad.points)
     peak = float(np.max(odd_vals, initial=0.0))
     threshold = max(rel_threshold * peak, 1e-12)
     incoherent = (odd_vals > threshold) & (hemi_vals < 0.0)

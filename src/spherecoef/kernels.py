@@ -225,8 +225,14 @@ class HarmonicMixture:
     with x_i the anchor points.  This is the one closed form for every
     kernel-smoothed statistic in the package (a coefficient-density
     estimate is an odd mixture, its choice probability the mixture's
-    hemisphere transform): evaluation needs one Gegenbauer sweep over the
-    cosine matrix, and spectral operators act by rescaling degree_coeffs.
+    hemisphere transform), and spectral operators act by rescaling
+    degree_coeffs.  So every such statistic is one row of coefficients
+    against the same per-degree sums D[n, k] = sum_i weights[i]
+    C_n^nu(x_i'b_k): evaluate_series sweeps a block's cosines once, reduces
+    each degree that carries a coefficient by one matrix-vector product
+    with the weights, and applies any number of coefficient rows to the
+    result.  terms keeps the per-anchor values, for statistics that need
+    more than their weighted sum (the standard error).
 
     weights is kept as passed when it is already a float array, not copied:
     a DensityEstimate's odd mixture holds the fit's own weights array, and
@@ -271,29 +277,66 @@ class HarmonicMixture:
             degree_coeffs=dict(new_coeffs),
         )
 
+    def series_coeffs(self):
+        """Gegenbauer series coefficients indexed by degree 0..max_degree:
+        degree_coeffs[n] times the projector constant of degree n, so that
+        g(b) = sum_n series_coeffs()[n] sum_i weights[i] C_n^nu(x_i'b)."""
+        coeffs = np.zeros(self.max_degree + 1)
+        for n, c in self.degree_coeffs.items():
+            coeffs[n] = c
+        return projector_constants(self.max_degree, self.dimension, coeffs)
+
+    def _cosine_blocks(self, pts, chunk_size):
+        """The one block loop: yields (rows, t) with t[k, i] = x_i'b_k
+        clipped to [-1, 1], for the points b_k in the slice rows of the
+        checked (m, d) batch pts, about EVAL_CHUNK cosines a block."""
+        if chunk_size is None:
+            chunk_size = max(1, EVAL_CHUNK // max(1, self.anchors.shape[0]))
+        for start in range(0, pts.shape[0], chunk_size):
+            rows = slice(start, start + chunk_size)
+            yield rows, np.clip(pts[rows] @ self.anchors.T, -1.0, 1.0)
+
     def terms(self, points, chunk_size=None):
         """Per-anchor terms, block by block: yields (rows, T) with
         T[k, i] = sum_n degree_coeffs[n] q_n(x_i, b_k) for the points b_k
         in the slice rows of the (m, d) batch; the mixture is T @ weights."""
         pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
-        coeffs = np.zeros(self.max_degree + 1)
-        for n, c in self.degree_coeffs.items():
-            coeffs[n] = c
-        coeffs = projector_constants(self.max_degree, self.dimension, coeffs)
+        coeffs = self.series_coeffs()
         nu = (self.dimension - 2) / 2.0
-        if chunk_size is None:
-            chunk_size = max(1, EVAL_CHUNK // max(1, self.anchors.shape[0]))
-        for start in range(0, pts.shape[0], chunk_size):
-            rows = slice(start, start + chunk_size)
-            cosines = np.clip(pts[rows] @ self.anchors.T, -1.0, 1.0)
+        for rows, cosines in self._cosine_blocks(pts, chunk_size):
             yield rows, gegenbauer._series_eval(nu, coeffs, cosines)
+
+    def evaluate_series(self, points, series, chunk_size=None):
+        """Evaluate several Gegenbauer series over these anchors and
+        weights in one sweep.
+
+        series is an (r, D) array whose rows are Gegenbauer coefficients
+        indexed by degree, as series_coeffs gives them; the rows of
+        mixtures that share these anchors and weights, such as a mixture
+        and its hemisphere transform, evaluate together.  Returns the
+        (r, m) values series @ D at the (m, d) points, with
+        D[n, k] = sum_i weights[i] C_n^nu(x_i'b_k) the per-degree sums.  Each block of cosines goes through one
+        gegenbauer.sweep up to the highest degree any row uses, and only
+        the degrees some row uses are reduced, each by one matrix-vector
+        product with the weights.
+        """
+        pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
+        series = np.atleast_2d(np.asarray(series, dtype=float))
+        out = np.zeros((series.shape[0], pts.shape[0]))
+        used = np.any(series != 0.0, axis=0)
+        if not used.any():
+            return out
+        top, live = int(np.flatnonzero(used)[-1]), series[:, used]
+        nu = (self.dimension - 2) / 2.0
+        for rows, cosines in self._cosine_blocks(pts, chunk_size):
+            degrees = gegenbauer.sweep(nu, top, cosines)
+            sums = [cur @ self.weights for n, cur in enumerate(degrees) if used[n]]
+            out[:, rows] = live @ np.array(sums)
+        return out
 
     def evaluate(self, points, chunk_size=None):
         """Evaluate the mixture at one point (d,) or a batch (m, d)."""
-        out = np.empty(np.atleast_2d(points).shape[0])
-        for rows, terms in self.terms(points, chunk_size):
-            out[rows] = terms @ self.weights
+        (out,) = self.evaluate_series(points, self.series_coeffs(), chunk_size)
         return float(out[0]) if np.ndim(points) == 1 else out
 
     __call__ = evaluate
-

@@ -30,6 +30,7 @@ __all__ = [
     "loo_covariate_density",
     "lscv_score",
     "direct_density_estimate",
+    "mixture_by_terms",
     "project",
     "transform_by_quadrature",
     "gaussian_mixture_pdf",
@@ -246,6 +247,31 @@ def direct_density_estimate(y, x, b, fx_values, truncation, s=2.0, l=3,
         odd += w_i * acc
     odd /= n_obs
     return odd, (2.0 * odd if odd > 0.0 else 0.0)
+
+
+def mixture_by_terms(mixture, points):
+    """A HarmonicMixture's value at (m, d) points (or one point) by the
+    per-anchor route: the (m, N) table of terms
+    T[k, i] = sum_n c_n h(n, d) C_n(x_i . b_k) / (|S^{d-1}| C_n(1)) over the
+    mixture's coefficients c_n, then T @ weights.  C_n(t) / C_n(1) is
+    cos(n arccos t) for d = 2 and scipy's Gegenbauer polynomial over the
+    rising factorial (2 nu)_n / n! otherwise.  Reads only the mixture's
+    dimension, anchors, weights and degree_coeffs."""
+    from scipy.special import eval_gegenbauer
+
+    d = mixture.dimension
+    nu = (d - 2) / 2.0
+    pts = _unit_rows(points, d)
+    t = np.clip(pts @ np.asarray(mixture.anchors).T, -1.0, 1.0)
+    terms = np.zeros_like(t)
+    for n, c in mixture.degree_coeffs.items():
+        if nu == 0:
+            ratio = np.cos(n * np.arccos(t))
+        else:
+            ratio = eval_gegenbauer(n, nu, t) * (math.factorial(n) / rising_factorial(2.0 * nu, n))
+        terms += (c * harmonic_dim(n, d) / sphere_area(d)) * ratio
+    out = terms @ np.asarray(mixture.weights)
+    return float(out[0]) if np.ndim(points) == 1 else out
 
 
 def _unit_rows(x, d):

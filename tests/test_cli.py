@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spherecoef import cli
-from spherecoef.estimator import EstimatorConfig
+from spherecoef.estimator import FX_CV_MAX_BAND, EstimatorConfig, estimate_fbeta
 from spherecoef.simulate import DgpSpec, generate
 
 
@@ -165,6 +165,32 @@ def test_estimate_outputs_grid_and_report(tmp_path):
         "target_mass",
     }
     assert diag["target_mass"] == pytest.approx(1.0 / (8.0 * np.pi), rel=1e-12)
+
+
+def test_estimate_report_says_how_the_weights_were_formed(tmp_path):
+    """The report's weights block matches the in-process fit of the same
+    data, and two runs with the same (config, seed) write byte-identical
+    reports."""
+    data = str(tmp_path / "data.csv")
+    ini = _write(tmp_path / "cfg.ini", "[model]\nn_obs = 300\n")
+    assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "5"]) == 0
+    outs = [str(tmp_path / f"fit{k}.csv") for k in (1, 2)]
+    for out in outs:
+        assert cli.main(["estimate", data, "--out", out, "--grid-res", "6"]) == 0
+    texts = [open(out + ".report.json", "rb").read() for out in outs]
+    assert texts[0] == texts[1]
+    weights = json.loads(texts[0])["weights"]
+    est = estimate_fbeta(cli.read_sample(data), EstimatorConfig())
+    w = est.weights
+    trimmed = int(np.sum(est.fx_values < est.trimming_floor))
+    assert weights["trimmed_count"] == trimmed
+    assert weights["trimmed_share"] == trimmed / 300
+    assert weights["ess_ratio"] == pytest.approx(np.sum(np.abs(w)) ** 2 / (300 * np.sum(w**2)), rel=1e-14)
+    assert 0.0 < weights["ess_ratio"] <= 1.0
+    assert weights["max_abs_weight"] == np.max(np.abs(w))
+    assert weights["fx_band"] == 10
+    assert weights["lscv_band"] == est.inference.fx_band
+    assert weights["lscv_band_at_cap"] == (est.inference.fx_band == FX_CV_MAX_BAND)
 
 
 def test_estimate_with_points_file(tmp_path):

@@ -22,7 +22,7 @@ from spherecoef.estimator import (
     rate_truncation,
     standard_error,
 )
-from spherecoef import estimator
+from spherecoef import estimator, hemisphere
 from spherecoef.kernels import EVAL_CHUNK, HarmonicMixture, KernelSpec, projector_constants
 from spherecoef.simulate import DgpSpec, generate
 from spherecoef.sphere import (
@@ -230,7 +230,7 @@ def test_self_sums_match_double_loop(d):
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(top + 1)])
     tol = 1e-13 + 4.0 * np.finfo(float).eps * (x.shape[0] - 1) * bound
     for budget in (1, 97, 1 << 16):
-        for path in (estimator._self_sums, estimator._system_sums):
+        for path in (estimator._pair_sums, estimator._system_sums):
             sums = path(x, nu, top, budget=budget)
             assert sums.shape == ref.shape
             assert np.all(np.abs(sums - ref) <= tol[:, None])
@@ -266,6 +266,20 @@ def test_system_sums_accuracy(d, n_obs, top):
     ref = _circle_sums(x, top) if d == 2 else estimator._pair_sums(x, nu, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
     assert np.array_equal(estimator._self_sums(x, nu, top), ref if d == 4 else sums)
+
+
+@pytest.mark.parametrize("n_obs", [3, 50, 150])
+def test_circle_self_sums_take_fundamental_system(n_obs):
+    """In d = 2, _self_sums takes the fundamental system at every N, where
+    the pair sweep would be cheaper below N = 150 but less accurate: each
+    degree's sums are within 1e-13 of that degree's largest exactly rounded
+    sum (_circle_sums)."""
+    x = _design_points(2, n_obs, seed=80)
+    top = estimator.FX_CV_MAX_BAND
+    sums = estimator._self_sums(x, 0.0, top)
+    assert np.array_equal(sums, estimator._system_sums(x, 0.0, top))
+    ref = _circle_sums(x, top)
+    assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-13
 
 
 def test_self_evaluation_memory_is_linear():
@@ -483,7 +497,8 @@ def test_standard_error_matches_manual():
 
 def test_confidence_interval_brackets_estimate():
     """The interval is the inference fit's density +- z se / sqrt(N) for a
-    plug-in fit, and the estimate's own for a fit given fx values."""
+    plug-in fit, and the estimate's own for a fit given fx values; its
+    lower bound is clipped at 0 (below 0 here for both fits)."""
     s = _random_sample(3, 40, seed=24)
     cfg = EstimatorConfig(truncation=2)
     plug = estimate_fbeta(s, cfg)
@@ -494,12 +509,69 @@ def test_confidence_interval_brackets_estimate():
         center = fit.density(b)
         assert center > 0.0
         half = 1.959963984540054 * standard_error(fit, b) / math.sqrt(fit.n_obs)
-        assert lo == pytest.approx(center - half, rel=1e-12)
+        assert lo == pytest.approx(max(center - half, 0.0), rel=1e-12)
         assert hi == pytest.approx(center + half, rel=1e-12)
         lo90, hi90 = confidence_interval(est, b, level=0.90)
-        assert lo < lo90 < hi90 < hi
+        assert lo <= lo90 < hi90 < hi
         with pytest.raises(ValueError):
             confidence_interval(est, b, level=1.5)
+
+
+def test_confidence_interval_lower_bound_clipped_at_zero():
+    """Where the density is clipped to 0 the interval is [0, z se / sqrt(N)],
+    not centred at 0 (model_1, N = 500, seed 1: the south pole's interval
+    was (-0.112, 0.112)); wherever centre - half-width >= 0 both bounds are
+    the unclipped ones, bit for bit."""
+    from scipy.stats import norm
+
+    est = estimate_fbeta(generate(DgpSpec.model_1(n_obs=500, seed=1)).sample)
+    fit = est.inference
+    z = norm.ppf(0.975)
+    pole = np.array([0.0, 0.0, -1.0])
+    lo, hi = confidence_interval(est, pole)
+    assert fit.density(pole) == 0.0
+    assert lo == 0.0
+    assert hi == z * standard_error(fit, pole) / math.sqrt(fit.n_obs)
+    assert hi == pytest.approx(0.112229457441485, rel=1e-12)
+    pts = np.vstack([sample_uniform(3, 200, seed=2), pole])
+    lo, hi = confidence_interval(est, pts)
+    odd = np.concatenate([terms @ fit.weights for _, terms in fit.odd.terms(pts)])
+    center = np.where(odd > 0.0, 2.0 * odd, 0.0)
+    half = z * standard_error(fit, pts) / math.sqrt(fit.n_obs)
+    kept = center - half >= 0.0
+    assert 0 < np.sum(kept) < pts.shape[0]
+    assert np.array_equal(lo[kept], (center - half)[kept])
+    assert np.all(lo[~kept] == 0.0)
+    assert np.array_equal(hi, center + half)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fused_interval_matches_density_and_standard_error(d):
+    """confidence_interval takes its centre and its standard error from one
+    pass over the per-anchor terms; the bounds equal the inference fit's
+    density +- z se / sqrt(N), the lower one clipped at 0, to 1e-13 of the
+    largest bound."""
+    s = _random_sample(d, 400, seed=74 + d)
+    est = estimate_fbeta(s, EstimatorConfig())
+    fit = est.inference
+    pts = sample_uniform(d, 300, seed=77 + d)
+    lo, hi = confidence_interval(est, pts)
+    center = fit.density(pts)
+    half = 1.959963984540054 * standard_error(fit, pts) / math.sqrt(fit.n_obs)
+    tol = 1e-13 * np.max(hi)
+    assert np.max(np.abs(hi - (center + half))) <= tol
+    assert np.max(np.abs(lo - np.maximum(center - half, 0.0))) <= tol
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fx_mixture_evaluation_matches_per_anchor_oracle(d):
+    """The covariate-density mixture, on every degree up to its band,
+    evaluates within 1e-13 of the per-anchor terms route."""
+    s = _random_sample(d, 400, seed=80 + d)
+    mix = estimate_fx(s, EstimatorConfig().fx_kernel(d)).mixture
+    pts = sample_uniform(d, 200, seed=83 + d)
+    want = oracles.mixture_by_terms(mix, pts)
+    assert np.max(np.abs(mix.evaluate(pts) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_standard_error_needs_two_observations():
@@ -615,6 +687,35 @@ def test_diagnostic_zero_odd_part():
     zero = est.as_mixture().with_degree_coeffs({1: 0.0})
     report = identification_diagnostic(zero)
     assert report.violation_score == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("family", ["riesz", "delayed_means", "dirichlet"])
+def test_diagnostic_matches_two_evaluation_oracle(d, family):
+    """The diagnostic reads the odd part and its hemisphere transform from
+    one sweep.  Its axis is the one two separate per-anchor evaluations
+    (oracles.mixture_by_terms) give, and its masses, cutoff and score agree
+    with theirs to 1e-13."""
+    if d == 3:
+        s = generate(DgpSpec.model_1(n_obs=400, seed=86)).sample
+    else:
+        s = _random_sample(d, 400, seed=86 + d)
+    est = estimate_fbeta(s, EstimatorConfig(truncation=4, family=family, fx_truncation=8))
+    quad = build_quadrature(d, 32 if d < 4 else 2048, seed=0)
+    report = identification_diagnostic(est, quad=quad)
+    averaged = hemisphere.transform(est.odd)
+    hemi = oracles.mixture_by_terms(averaged, quad.points)
+    odd = oracles.mixture_by_terms(est.odd, quad.points)
+    area = surface_area(d)
+    best = int(np.argmax(hemi))
+    assert np.array_equal(report.axis, quad.points[best])
+    scale = 1e-13 * np.max(np.abs(hemi)) / area
+    assert abs(report.mass_plus - hemi[best] / area) <= scale
+    assert abs(report.mass_minus - oracles.mixture_by_terms(averaged, -report.axis) / area) <= scale
+    threshold = max(0.3 * max(np.max(odd), 0.0), 1e-12)
+    assert report.threshold == pytest.approx(threshold, rel=1e-13)
+    score = 2.0 * np.sum(quad.weights[(odd > threshold) & (hemi < 0.0)])
+    assert abs(report.violation_score - score) <= 1e-13
 
 
 def test_diagnostic_input_validation():

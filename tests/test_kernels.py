@@ -1,11 +1,15 @@
 """Tests for harmonic machinery: dimensions, projectors, smoothed kernels,
 anchored mixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from spherecoef import hemisphere
 from spherecoef.kernels import (
+    EVAL_CHUNK,
     HarmonicMixture,
     KernelSpec,
     chi_weight,
@@ -189,6 +193,88 @@ def test_harmonic_mixture_validation():
         HarmonicMixture(dimension=3, anchors=2.0 * anchors, weights=np.ones(4), degree_coeffs={})
     with pytest.raises(ValueError):
         HarmonicMixture(dimension=3, anchors=anchors, weights=np.ones(4), degree_coeffs={-1: 1.0})
+
+
+def _max_rel_error(got, want):
+    """Largest difference over the largest magnitude of the reference."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("family", ["riesz", "delayed_means", "dirichlet"])
+def test_evaluate_matches_per_anchor_oracle(d, family):
+    """Evaluation through per-degree sums agrees with the per-anchor terms
+    route (oracles.mixture_by_terms) to 1e-13 of the largest value, for a
+    filtered kernel on every degree and for its odd part, across several
+    blocks; the odd part and its hemisphere transform, evaluated as two
+    coefficient rows in one sweep, each agree too."""
+    anchors = sample_uniform(d, 300, seed=40 + d)
+    weights = np.random.default_rng(d).standard_normal(300)
+    chi = KernelSpec(family, 8, d).chi()
+    full = HarmonicMixture(d, anchors, weights, {n: chi[n] for n in range(9)})
+    odd = full.with_degree_coeffs({n: chi[n] for n in range(1, 9, 2)})
+    pts = sample_uniform(d, 250, seed=50 + d)
+    assert pts.shape[0] > 2 * (EVAL_CHUNK // 300)
+    for mix in (full, odd):
+        assert _max_rel_error(mix.evaluate(pts), oracles.mixture_by_terms(mix, pts)) <= 1e-13
+    averaged = hemisphere.transform(odd)
+    rows = odd.evaluate_series(pts, [odd.series_coeffs(), averaged.series_coeffs()])
+    assert rows.shape == (2, 250)
+    for got, mix in zip(rows, (odd, averaged)):
+        assert _max_rel_error(got, oracles.mixture_by_terms(mix, pts)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_evaluate_degree_15_matches_per_anchor_oracle(d):
+    """A mixture up to degree 15 with sparse, mixed-sign coefficients (the
+    round-trip degrees of acceptance criterion 3), at a batch and at a
+    single point, which returns a float."""
+    rng = np.random.default_rng(60 + d)
+    mix = HarmonicMixture(
+        d,
+        sample_uniform(d, 120, seed=61 + d),
+        rng.standard_normal(120),
+        {n: float(rng.standard_normal()) for n in (0, 2, 5, 9, 14, 15)},
+    )
+    pts = sample_uniform(d, 90, seed=62 + d)
+    want = oracles.mixture_by_terms(mix, pts)
+    assert _max_rel_error(mix.evaluate(pts), want) <= 1e-13
+    single = mix.evaluate(pts[3])
+    assert isinstance(single, float)
+    assert abs(single - want[3]) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_zero_and_empty_coefficients_evaluate_to_zeros():
+    anchors = sample_uniform(3, 6, seed=63)
+    pts = sample_uniform(3, 40, seed=64)
+    for coeffs in ({}, {1: 0.0, 3: 0.0}, {0: 0.0}):
+        mix = HarmonicMixture(3, anchors, np.ones(6), coeffs)
+        assert np.array_equal(mix.evaluate(pts), np.zeros(40))
+        assert mix.evaluate(pts[0]) == 0.0
+        assert np.array_equal(mix.evaluate_series(pts, np.zeros((2, 4))), np.zeros((2, 40)))
+    with pytest.raises(ValueError):
+        HarmonicMixture(3, anchors, np.ones(6), {}).evaluate(2.0 * pts)
+
+
+def test_evaluation_memory_stays_in_blocks():
+    """At N = 5 000 anchors, evaluating 20 000 points allocates at most
+    2 MB beyond the output: the cosines, the sweep's buffers and the
+    per-degree sums live one block at a time."""
+    mix = HarmonicMixture(
+        3,
+        sample_uniform(3, 5000, seed=65),
+        np.random.default_rng(66).standard_normal(5000),
+        {1: 1.0, 3: -0.5, 5: 0.25},
+    )
+    pts = sample_uniform(3, 20_000, seed=67)
+    mix.evaluate(pts[:10])
+    tracemalloc.start()
+    try:
+        out = mix.evaluate(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2 * 2**20
 
 
 def test_project_recovers_degree_component():
