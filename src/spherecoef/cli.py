@@ -23,7 +23,7 @@ Config file grammar (INI, all keys optional, defaults in parentheses):
     mixture_covs = 0.3 0.15 ; 0.15 0.3       ; one matrix, or one per
                                              ; component separated by '|'
 
-    [estimator]
+    [estimator]                ; defaults and ranges are EstimatorConfig's
     truncation = 3
     truncation_rule = fixed | rate           (fixed; rate derives the band
                                               limit from the sample size)
@@ -46,9 +46,10 @@ Config file grammar (INI, all keys optional, defaults in parentheses):
     replications = 50
     resolution = 16          ; quadrature resolution for error norms
 
-Exit codes: 0 on success, 2 on usage, config, or data errors.  Outputs are
-byte-identical across runs for the same config and seed; floats are
-written with 17 significant digits, which round-trips exactly.
+Exit codes: 0 on success, 2 on usage, config, or data errors (CliError, or
+the library's ValueError), with one "error:" line and no output file.
+Outputs are byte-identical across runs for the same config and seed;
+floats are written with 17 significant digits, which round-trips exactly.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -73,7 +74,7 @@ from .estimator import (
     weight_summary,
 )
 from .simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere
-from .sphere import build_quadrature, surface_area
+from .sphere import build_quadrature, check_on_sphere, normalize, surface_area
 
 __all__ = ["main", "entry_point"]
 
@@ -95,14 +96,9 @@ _DEFAULTS = {
         "mixture_covs": "",
     },
     "estimator": {
-        "truncation": "3",
+        **{f.name: str(f.default) for f in fields(EstimatorConfig)},
         "truncation_rule": "fixed",
         "rate_constant": "3.4",
-        "trimming_exponent": "2.0",
-        "family": "riesz",
-        "s": "2.0",
-        "l": "3",
-        "fx_truncation": "10",
     },
     "grid": {"resolution": "24", "points_file": ""},
     "run": {"seed": "0"},
@@ -171,6 +167,7 @@ def build_dgp(model_cfg, n_obs=None, seed=None):
     """Construct the DgpSpec described by the [model] section."""
     preset = model_cfg["preset"]
     n = _parse_int(model_cfg["n_obs"], "n_obs", minimum=1) if n_obs is None else n_obs
+    fixed = _parse_float(model_cfg["fixed_value"], "fixed_value")
     if preset == "model_1":
         spec = DgpSpec.model_1(n_obs=n, seed=seed)
     elif preset == "model_2":
@@ -192,51 +189,42 @@ def build_dgp(model_cfg, n_obs=None, seed=None):
                 covariate_mean=_parse_vector(model_cfg["covariate_mean"], "covariate_mean"),
                 covariate_cov=_parse_matrix(model_cfg["covariate_cov"], "covariate_cov"),
                 seed=seed,
-                fixed_value=_parse_float(model_cfg["fixed_value"], "fixed_value"),
+                fixed_value=fixed,
             )
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise CliError(f"invalid custom model: {exc}") from exc
     else:
         raise CliError(f"unknown model preset {preset!r}")
-    fixed = _parse_float(model_cfg["fixed_value"], "fixed_value")
     if preset != "custom" and fixed != 1.0:
         spec = replace(spec, fixed_value=fixed)
     return spec
 
 
 def resolve_estimator_config(est_cfg, n_obs, dimension):
-    """Construct the EstimatorConfig described by the [estimator] section."""
+    """Construct the EstimatorConfig described by the [estimator] section,
+    each key parsed by the type of its default; the library checks ranges."""
+    parse = {int: _parse_int, float: _parse_float, str: lambda text, what: text}
+    params = {
+        f.name: parse[type(f.default)](est_cfg[f.name], f.name) for f in fields(EstimatorConfig)
+    }
     rule = est_cfg["truncation_rule"]
-    if rule == "fixed":
-        truncation = _parse_int(est_cfg["truncation"], "truncation", minimum=1)
-    elif rule == "rate":
-        truncation = rate_truncation(
+    if rule == "rate":
+        params["truncation"] = rate_truncation(
             n_obs,
             dimension,
-            smoothness=_parse_float(est_cfg["s"], "s"),
-            trimming_exponent=_parse_float(est_cfg["trimming_exponent"], "trimming_exponent"),
+            smoothness=params["s"],
+            trimming_exponent=params["trimming_exponent"],
             constant=_parse_float(est_cfg["rate_constant"], "rate_constant"),
         )
-    else:
+    elif rule != "fixed":
         raise CliError(f"truncation_rule must be 'fixed' or 'rate', got {rule!r}")
-    try:
-        return EstimatorConfig(
-            truncation=truncation,
-            trimming_exponent=_parse_float(est_cfg["trimming_exponent"], "trimming_exponent"),
-            family=est_cfg["family"],
-            s=_parse_float(est_cfg["s"], "s"),
-            l=_parse_int(est_cfg["l"], "l"),
-            fx_truncation=_parse_int(est_cfg["fx_truncation"], "fx_truncation", minimum=0),
-        )
-    except ValueError as exc:
-        raise CliError(f"invalid estimator config: {exc}") from exc
+    return EstimatorConfig(**params)
 
 
 def evaluation_grid(dimension, resolution, points_file=""):
     """Evaluation points: circle grid (d=2), cosine-uniform grid (d=3), or file."""
     if points_file:
-        pts = _read_points_file(points_file, dimension)
-        return pts
+        return _read_points_file(points_file, dimension)
     if resolution < 2:
         raise CliError(f"grid resolution must be >= 2, got {resolution}")
     if dimension == 2:
@@ -256,33 +244,30 @@ def evaluation_grid(dimension, resolution, points_file=""):
 
 
 def _read_points_file(path, dimension):
+    """Rows of a points CSV, each within 1e-6 of unit norm, renormalized."""
     try:
         pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        return normalize(check_on_sphere(pts, d=dimension, tol=1e-6))
     except OSError as exc:
         raise CliError(f"cannot read points file {path}: {exc}") from exc
     except ValueError as exc:
-        raise CliError(f"cannot parse points file {path}: {exc}") from exc
-    if pts.shape[1] != dimension:
-        raise CliError(
-            f"points file has {pts.shape[1]} columns, expected {dimension}"
-        )
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise CliError("points file rows must be unit vectors (within 1e-6)")
-    return pts / norms[:, None]
+        raise CliError(f"bad points file {path}: {exc}") from exc
+
+
+def _write_lines(path, lines):
+    """Write each line, newline-terminated, to path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def write_sample(sample, path):
     """Write a ChoiceSample as CSV with header y,x0,...,x{d-1}."""
-    d = sample.dimension
-    header = ",".join(["y"] + [f"x{j}" for j in range(d)])
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for yi, xi in zip(sample.y, sample.x):
-                fh.write(str(int(yi)) + "," + ",".join(f"{v:.17g}" for v in xi) + "\n")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+    header = ",".join(["y"] + [f"x{j}" for j in range(sample.dimension)])
+    rows = (str(int(yi)) + "," + ",".join(f"{v:.17g}" for v in xi) for yi, xi in zip(sample.y, sample.x))
+    _write_lines(path, [header, *rows])
 
 
 def read_sample(path):
@@ -356,44 +341,31 @@ def read_sample(path):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _json_ready(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return obj
+def _json_text(payload, path):
+    """The payload as sorted, indented JSON, refused if it holds NaN or inf."""
+    try:
+        return json.dumps(
+            payload, default=lambda a: a.tolist(), indent=2, sort_keys=True, allow_nan=False
+        )
+    except ValueError as exc:
+        raise CliError(f"not writing {path}: {exc}") from exc
 
 
 def _write_json(path, payload):
-    try:
-        text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise CliError(f"not writing {path}: {exc}") from exc
-    try:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+    _write_lines(path, [_json_text(payload, path)])
+
+
+def _write_with_report(path, lines, payload):
+    """Write lines to path and payload to path + ".report.json", the JSON
+    serialised first so that a payload it refuses leaves neither file."""
+    report_path = path + ".report.json"
+    report = _json_text(payload, report_path)
+    _write_lines(path, lines)
+    _write_lines(report_path, [report])
 
 
 def _config_echo(config, n_obs, dimension):
-    return {
-        "dimension": dimension,
-        "n_obs": n_obs,
-        "truncation": config.truncation,
-        "trimming_exponent": config.trimming_exponent,
-        "trimming_floor": config.trimming_floor(n_obs),
-        "family": config.family,
-        "s": config.s,
-        "l": config.l,
-        "fx_truncation": config.fx_truncation,
-    }
+    return dict(asdict(config), n_obs=n_obs, dimension=dimension, trimming_floor=config.trimming_floor(n_obs))
 
 
 def _diagnostic_report(diag, d):
@@ -429,21 +401,14 @@ def cmd_estimate(args):
     est = estimate_fbeta(sample, config)
     values = est.density(grid)
     header = ",".join([f"b{j}" for j in range(d)] + ["density"])
-    try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for pt, val in zip(grid, values):
-                fh.write(",".join(f"{v:.17g}" for v in pt) + f",{val:.17g}\n")
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
-    diag = identification_diagnostic(est)
+    rows = (",".join(f"{v:.17g}" for v in pt) + f",{val:.17g}" for pt, val in zip(grid, values))
     report = {
         "config": _config_echo(config, sample.n_obs, d),
         "grid_points": int(grid.shape[0]),
-        "diagnostic": _diagnostic_report(diag, d),
+        "diagnostic": _diagnostic_report(identification_diagnostic(est), d),
         "weights": weight_summary(est),
     }
-    _write_json(args.out + ".report.json", report)
+    _write_with_report(args.out, [header, *rows], report)
     print(f"wrote {grid.shape[0]} grid values to {args.out}")
     print(f"wrote report to {args.out}.report.json")
     return 0
@@ -512,13 +477,6 @@ def cmd_bench(args):
     else:
         rows = [_bench_task(t) for t in tasks]
     rows.sort(key=lambda r: (r[0], r[1]))
-    try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("n_obs,replication,l1,l2,linf\n")
-            for n, rep, l1, l2, linf in rows:
-                fh.write(f"{n},{rep},{l1:.17g},{l2:.17g},{linf:.17g}\n")
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
     medians = {}
     for n in n_grid:
         cell = [r[3] for r in rows if r[0] == n]
@@ -534,7 +492,8 @@ def cmd_bench(args):
         )
         summary["l2_slope"] = slope
         print(f"log-log slope of median L2 error: {slope:.4f}")
-    _write_json(args.out + ".report.json", summary)
+    table = (f"{n},{rep},{l1:.17g},{l2:.17g},{linf:.17g}" for n, rep, l1, l2, linf in rows)
+    _write_with_report(args.out, ["n_obs,replication,l1,l2,linf", *table], summary)
     for n in n_grid:
         print(f"N={n}: median L2 error {medians[n]:.6g}")
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -580,11 +539,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

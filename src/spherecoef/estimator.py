@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gegenbauer, hemisphere
 from .kernels import KernelSpec, HarmonicMixture, _FAMILIES, _at_one, chi_table, eigenspace_dim, projector_constants
-from .sphere import build_quadrature, check_on_sphere, sample_uniform, surface_area
+from .sphere import build_quadrature, check_on_sphere, normalize, sample_uniform, surface_area
 
 __all__ = [
     "ChoiceSample",
@@ -108,9 +108,9 @@ class EstimatorConfig:
         self.truncation = int(self.truncation)
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if not self.trimming_exponent > 0:
+        if not 0 < self.trimming_exponent < math.inf:
             raise ValueError(
-                f"trimming_exponent must be positive, got {self.trimming_exponent}"
+                f"trimming_exponent must be finite and positive, got {self.trimming_exponent}"
             )
         if int(self.fx_truncation) != self.fx_truncation or self.fx_truncation < 0:
             raise ValueError(
@@ -168,8 +168,8 @@ def estimate_fx(sample, kernel):
     return FxEstimate(mixture=mix, kernel=kernel)
 
 
-# Highest covariate-density band the cross-validation searches (or
-# config.fx_truncation when that is larger).
+# Cap on the covariate-density bands the cross-validation searches
+# (config.fx_truncation when that is larger); see _lscv_bands.
 FX_CV_MAX_BAND = 24
 
 
@@ -311,7 +311,9 @@ class FxSelfEvaluation:
     """The covariate-density estimate at its own sample, from one sweep.
 
     sums[n, i] = sum_{j != i} C_n^nu(x_i'x_j) for every degree n up to
-    max(FX_CV_MAX_BAND, config.fx_truncation).  From them:
+    the highest band the search tries (the last of _lscv_bands: the cap
+    max(FX_CV_MAX_BAND, config.fx_truncation) itself, or for delayed_means
+    the largest power of two not above it).  From them:
 
     fx_values: the estimate at config.fx_truncation, each x_i left in its
         own kernel average and clipped at zero (what estimate_fx gives at
@@ -352,12 +354,12 @@ def fx_self_evaluation(sample, config):
     n_obs, d = sample.n_obs, sample.dimension
     if n_obs < 3:
         raise ValueError(f"need at least 3 observations, got {n_obs}")
-    top = max(FX_CV_MAX_BAND, config.fx_truncation)
+    bands = _lscv_bands(config)
+    top = int(bands[-1])
     nu = (d - 2) / 2.0
     sums = _self_sums(sample.x, nu, top)
     at_one = _at_one(top, d)
     unit = projector_constants(top, d)
-    bands = _lscv_bands(config)
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
     totals = sums.sum(axis=1)
     scores = (chi**2 * unit) @ (totals + n_obs * at_one) / n_obs**2
@@ -751,8 +753,11 @@ def rate_truncation(n_obs, dimension, smoothness=2.0, trimming_exponent=2.0, mom
         raise ValueError(f"need at least 3 observations, got {n_obs}")
     if dimension < 2:
         raise ValueError(f"dimension must be >= 2, got {dimension}")
-    if smoothness <= 0 or constant <= 0:
-        raise ValueError("smoothness and constant must be positive")
+    if not all(0 < v < math.inf for v in (smoothness, trimming_exponent, constant)):
+        raise ValueError(
+            "smoothness, trimming_exponent and constant must be finite and positive, got "
+            f"{smoothness}, {trimming_exponent} and {constant}"
+        )
     exponent = 2.0 * trimming_exponent
     if moment_order >= 2.0:
         exponent += 1.0 - 2.0 / moment_order
@@ -817,10 +822,7 @@ class CoefficientDensity:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ValueError("X rows must be unit vectors (within 1e-6)")
-        sample = ChoiceSample(y=np.asarray(y), x=X / norms[:, None])
+        sample = ChoiceSample(y=np.asarray(y), x=normalize(check_on_sphere(X, tol=1e-6)))
         self._dimension = sample.dimension
         self.config_ = self._config(sample.n_obs)
         self.sample_ = sample

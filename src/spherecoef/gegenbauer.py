@@ -8,15 +8,10 @@ the circle (d = 2) and the higher-dimensional spheres uniformly.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
-from scipy.special import binom, poch
+from scipy.special import binom
 
-__all__ = ["eval_all", "eval_at_one", "explicit_eval", "series_eval", "sweep"]
-
-_EXPLICIT_MAX_DEGREE = 30
+__all__ = ["eval_all", "eval_at_one", "series_eval", "sweep"]
 
 
 def _check_args(nu, max_degree, t):
@@ -124,55 +119,3 @@ def eval_at_one(nu, n):
     if nu == 0:
         return 2.0 / n
     return float(binom(n + 2.0 * nu - 1.0, n))
-
-
-def explicit_eval(nu, n, t):
-    """Direct-summation value of C_n^nu(t), independent of the recursion.
-
-    Intended as a test oracle: sums the closed-form expansion
-    sum_l (-1)^l (nu)_{n-l} / (l! (n-2l)!) (2t)^{n-2l}
-    (Chebyshev cosine form for nu = 0).  For half-integer nu the alternating
-    sum is carried out in exact rational arithmetic, by Horner's rule in
-    (2t)^2, so the only rounding is the final conversion to float; other nu
-    use a plain float sum, and degrees above 30 are refused since that path
-    loses accuracy there.
-    """
-    t = _check_args(nu, n, t)
-    n = int(n)
-    if n > _EXPLICIT_MAX_DEGREE:
-        raise ValueError(
-            f"explicit_eval supports degrees up to {_EXPLICIT_MAX_DEGREE}, got {n}"
-        )
-    if n == 0:
-        return np.ones_like(t) if t.shape else 1.0
-    if nu == 0:
-        val = (2.0 / n) * np.cos(n * np.arccos(t))
-        return val if t.shape else float(val)
-    if float(2 * nu).is_integer():
-        nu_frac = Fraction(int(round(2 * nu)), 2)
-        coeffs = []
-        for l in range(n // 2 + 1):
-            rising = Fraction(1)
-            for j in range(n - l):
-                rising *= nu_frac + j
-            coeffs.append(
-                (-1) ** l * rising
-                / (math.factorial(l) * math.factorial(n - 2 * l))
-            )
-        flat = np.atleast_1d(t)
-        vals = np.empty(flat.shape, dtype=float)
-        for i, ti in enumerate(flat.ravel()):
-            two_t = 2 * Fraction(float(ti))
-            square, total = two_t * two_t, Fraction(0)
-            for c in coeffs:  # from the top power, l = 0, down
-                total = total * square + c
-            vals.ravel()[i] = float(total * two_t if n % 2 else total)
-        vals = vals.reshape(np.shape(t))
-        return vals if t.shape else float(vals)
-    val = np.zeros_like(t)
-    for l in range(n // 2 + 1):
-        coeff = (-1.0) ** l * float(poch(nu, n - l)) / (
-            math.factorial(l) * math.factorial(n - 2 * l)
-        )
-        val = val + coeff * (2.0 * t) ** (n - 2 * l)
-    return val if t.shape else float(val)

@@ -70,10 +70,13 @@ def transform(g):
 
 
 def invert(g):
-    """Invert the operator on an odd band-limited expansion (exact, spectral)."""
+    """Invert the operator on an odd band-limited expansion (exact, spectral).
+
+    Zero coefficients are dropped, as is_odd ignores them: an even degree
+    may carry one, and its eigenvalue is 0."""
     _require_odd(g)
     return g.with_degree_coeffs(
-        {n: c / eigenvalue(n, g.dimension) for n, c in g.degree_coeffs.items()}
+        {n: c / eigenvalue(n, g.dimension) for n, c in g.degree_coeffs.items() if c != 0.0}
     )
 
 

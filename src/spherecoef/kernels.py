@@ -123,8 +123,8 @@ class KernelSpec:
         if int(self.dimension) != self.dimension or self.dimension < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
         if self.family == "riesz":
-            if self.s <= 0:
-                raise ValueError(f"riesz smoothness s must be > 0, got {self.s}")
+            if not 0 < self.s < math.inf:
+                raise ValueError(f"riesz smoothness s must be finite and > 0, got {self.s}")
             if int(self.l) != self.l or self.l <= (self.dimension - 2) / 2.0:
                 raise ValueError(
                     f"riesz power l must be an integer > (d-2)/2 = "

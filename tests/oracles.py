@@ -11,6 +11,7 @@ identity check of shared code.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -19,6 +20,7 @@ __all__ = [
     "sphere_area",
     "rising_factorial",
     "gegenbauer_explicit",
+    "explicit_eval",
     "gegenbauer_at_one",
     "gegenbauer_explicit_bound",
     "harmonic_dim",
@@ -79,6 +81,39 @@ def gegenbauer_explicit(nu, n, t):
         )
         val = val + coeff * (2.0 * t) ** (n - 2 * k)
     return val if t.shape else float(val)
+
+
+def explicit_eval(nu, n, t):
+    """C_n^nu(t) by direct summation, exactly rounded for half-integer nu.
+
+    For half-integer nu > 0 the alternating sum
+    sum_l (-1)^l (nu)_{n-l} / (l! (n-2l)!) (2t)^{n-2l} is carried out in
+    exact rational arithmetic, by Horner's rule in (2t)^2, so the only
+    rounding is the final conversion to float.  Other nu fall back to
+    gegenbauer_explicit (the float sum, or the cosine form at nu = 0).
+    Degrees above 30 and t outside [-1, 1] are refused.
+    """
+    t = np.asarray(t, dtype=float)
+    if nu < 0 or int(n) != n or not 0 <= n <= 30 or np.any(np.abs(t) > 1.0 + 1e-9):
+        raise ValueError(f"explicit_eval takes nu >= 0, degrees 0..30 and t in [-1, 1], got nu={nu}, n={n}")
+    t, n = np.clip(t, -1.0, 1.0), int(n)
+    if nu == 0 or not float(2 * nu).is_integer():
+        return gegenbauer_explicit(nu, n, t)
+    nu_frac = Fraction(int(round(2 * nu)), 2)
+    coeffs = []
+    for l in range(n // 2 + 1):
+        rising = Fraction(1)
+        for j in range(n - l):
+            rising *= nu_frac + j
+        coeffs.append((-1) ** l * rising / (math.factorial(l) * math.factorial(n - 2 * l)))
+    vals = np.empty(t.shape)
+    for i, ti in enumerate(t.ravel()):
+        two_t = 2 * Fraction(float(ti))
+        square, total = two_t * two_t, Fraction(0)
+        for c in coeffs:  # from the top power, l = 0, down
+            total = total * square + c
+        vals.ravel()[i] = float(total * two_t if n % 2 else total)
+    return vals if t.shape else float(vals)
 
 
 def gegenbauer_at_one(nu, n):

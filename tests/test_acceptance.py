@@ -24,7 +24,8 @@ from spherecoef.estimator import (
     estimate_choice_probability,
     estimate_fbeta,
 )
-from spherecoef.gegenbauer import eval_all, explicit_eval
+from oracles import explicit_eval
+from spherecoef.gegenbauer import eval_all
 from spherecoef.kernels import HarmonicMixture, KernelSpec, kernel_eval, projector_kernel
 from spherecoef.simulate import DgpSpec, generate, true_fbeta_on_sphere
 from spherecoef.sphere import (

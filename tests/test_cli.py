@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecoef import cli
 from spherecoef.estimator import FX_CV_MAX_BAND, EstimatorConfig, estimate_fbeta
@@ -287,3 +291,95 @@ def test_cli_error_paths(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         cli.main(["simulate"])  # --out is required
+
+
+# Each input is refused by the library with a ValueError (or, for s = nan,
+# was refused only after the grid had been written).  {data} is a 60-row
+# model_1 dataset, {two_rows} a 2-row one, {nan_points} a points file with
+# a NaN row.
+_REFUSED = {
+    "rate_constant": (["estimate", "{data}"], "[estimator]\ntruncation_rule = rate\nrate_constant = -1\n"),
+    "fixed_value": (["simulate"], "[model]\nfixed_value = -1\n"),
+    "delayed_means": (["estimate", "{data}"], "[estimator]\nfamily = delayed_means\nfx_truncation = 8\n"),
+    "l": (["estimate", "{data}"], "[estimator]\nl = 0\n"),
+    "points_file_nan": (["estimate", "{data}"], "[grid]\npoints_file = {nan_points}\n"),
+    "two_rows_fixed": (["estimate", "{two_rows}"], ""),
+    "two_rows_rate": (["estimate", "{two_rows}"], "[estimator]\ntruncation_rule = rate\n"),
+    "seed": (["simulate", "--seed", "-1"], ""),
+    "s_nan": (["estimate", "{data}"], "[estimator]\ns = nan\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    data = str(tmp_path / "data.csv")
+    ini = _write(tmp_path / "m.ini", "[model]\nn_obs = 60\n")
+    assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "1"]) == 0
+    paths = {
+        "data": data,
+        "two_rows": _write(tmp_path / "two.csv", "y,x0,x1,x2\n1,0.6,0.8,0\n0,1,0,0\n"),
+        "nan_points": _write(tmp_path / "pts.csv", "0,0,1\nnan,0,1\n"),
+    }
+    argv, text = _REFUSED[case]
+    config = _write(tmp_path / "c.ini", text.format(**paths))
+    capsys.readouterr()
+    argv = [a.format(**paths) for a in argv] + ["--config", config, "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("out.csv*"))
+
+
+_BAD_VALUES = ["0", "-1", "nan", "inf", "-inf", "x"]
+_FUZZ_ESTIMATOR = {
+    "truncation": ["1", "2", "2.5"],
+    "truncation_rule": ["fixed", "rate", "sometimes"],
+    "rate_constant": ["3.4", "1"],
+    "trimming_exponent": ["2.0", "0.5"],
+    "family": ["riesz", "delayed_means", "dirichlet", "fejer"],
+    "s": ["2.0", "0.5"],
+    "l": ["3", "1", "1.5"],
+    "fx_truncation": ["8", "4"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A 40-row model_1 dataset and points files: unit rows, a NaN row,
+    two columns, and a path that does not exist."""
+    base = tmp_path_factory.mktemp("fuzz")
+    ini = _write(base / "m.ini", "[model]\nn_obs = 40\n")
+    assert cli.main(["simulate", "--config", ini, "--out", str(base / "data.csv"), "--seed", "2"]) == 0
+    _write(base / "unit.csv", "0,0,1\n0.6,0.8,0\n")
+    _write(base / "nan.csv", "0,0,1\nnan,0,1\n")
+    _write(base / "flat.csv", "0,1\n1,0\n")
+    return base
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    estimator=st.fixed_dictionaries(
+        {key: st.sampled_from(values + _BAD_VALUES) for key, values in _FUZZ_ESTIMATOR.items()}
+    ),
+    resolution=st.sampled_from(["2", "5"] + _BAD_VALUES),
+    points_file=st.sampled_from(["", "unit.csv", "nan.csv", "flat.csv", "missing.csv"]),
+)
+def test_fuzzed_config_exits_0_or_2_and_writes_nothing_on_2(fuzz_dir, estimator, resolution, points_file):
+    """Valid, out-of-range, NaN, infinite and non-numeric [estimator] and
+    [grid] values: estimate succeeds, or it exits 2 with one error line and
+    writes no file."""
+    points = str(fuzz_dir / points_file) if points_file else ""
+    lines = ["[estimator]", *(f"{k} = {v}" for k, v in estimator.items())]
+    lines += ["[grid]", f"resolution = {resolution}", f"points_file = {points}"]
+    config = _write(fuzz_dir / "fuzz.ini", "\n".join(lines) + "\n")
+    out = fuzz_dir / "out.csv"
+    report = fuzz_dir / "out.csv.report.json"
+    for path in (out, report):
+        path.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["estimate", str(fuzz_dir / "data.csv"), "--config", config, "--out", str(out)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert not out.exists() and not report.exists()

@@ -104,6 +104,12 @@ def test_estimator_config_validation():
         EstimatorConfig().trimming_floor(2)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_estimator_config_refuses_non_finite_trimming_exponent(value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        EstimatorConfig(trimming_exponent=value)
+
+
 # ------------------------------------------------------------ estimate_fx
 
 
@@ -237,6 +243,22 @@ def test_self_sums_match_double_loop(d):
     s = ChoiceSample(y=np.ones(30, dtype=int), x=x)
     fxe = fx_self_evaluation(s, EstimatorConfig())
     assert np.array_equal(fxe.sums, estimator._self_sums(x, nu, top))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_delayed_means_self_sums_stop_at_its_top_band(d):
+    """delayed_means tries the bands 1, 2, 4, 8 and 16, so its self-sums
+    stop at degree 16 rather than at FX_CV_MAX_BAND.  They match the
+    double loop within that oracle's rounding bound, as in
+    test_self_sums_match_double_loop."""
+    x = _design_points(d, 40, seed=70 + d)
+    cfg = EstimatorConfig(family="delayed_means", fx_truncation=8)
+    fxe = fx_self_evaluation(ChoiceSample(y=np.ones(40, dtype=int), x=x), cfg)
+    assert fxe.sums.shape == (17, 40) and fxe.bands[-1] == 16
+    nu = (d - 2) / 2.0
+    bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(17)])
+    tol = 1e-13 + 4.0 * np.finfo(float).eps * 39 * bound
+    assert np.all(np.abs(fxe.sums - oracles.pair_sums(x, 16)) <= tol[:, None])
 
 
 def _circle_sums(x, top):
@@ -746,6 +768,15 @@ def test_rate_truncation_validation():
         rate_truncation(100, 3, smoothness=0.0)
     with pytest.raises(ValueError):
         rate_truncation(100, 3, constant=-1.0)
+
+
+@pytest.mark.parametrize("name", ["smoothness", "trimming_exponent", "constant"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+def test_rate_truncation_refuses_non_finite_settings(name, value):
+    """A ValueError, not the OverflowError (constant = inf) or
+    ZeroDivisionError (trimming_exponent = -inf) of the arithmetic."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        rate_truncation(500, 3, **{name: value})
 
 
 # ----------------------------------------------------------- estimator API

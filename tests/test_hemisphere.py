@@ -92,6 +92,16 @@ def test_transform_requires_odd_mixture():
         hemisphere.transform(lambda p: p[:, 0])
 
 
+def test_invert_skips_explicit_zero_even_coefficient():
+    """is_odd ignores a zero coefficient at an even degree; invert drops it
+    rather than dividing by that degree's zero eigenvalue."""
+    anchors, weights = sample_uniform(3, 4, seed=72), np.linspace(-1.0, 1.0, 4)
+    g = HarmonicMixture(dimension=3, anchors=anchors, weights=weights, degree_coeffs={1: 1.0, 2: 0.0})
+    odd = HarmonicMixture(dimension=3, anchors=anchors, weights=weights, degree_coeffs={1: 1.0})
+    assert g.is_odd()
+    assert hemisphere.invert(g).degree_coeffs == hemisphere.invert(odd).degree_coeffs
+
+
 @pytest.mark.parametrize("d", [4, 8])
 def test_invert_by_laplacian_matches_spectral_inverse(d):
     g = _random_odd_mixture(d, 9, seed=80 + d)

@@ -113,6 +113,12 @@ def test_kernel_spec_validation():
     assert np.array_equal(spec.chi(), chi_weights(spec))
 
 
+@pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
+def test_kernel_spec_refuses_non_finite_riesz_smoothness(s):
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec("riesz", 4, 3, s=s)
+
+
 @pytest.mark.parametrize("family,degree", [("riesz", 6), ("dirichlet", 6), ("delayed_means", 8)])
 def test_kernel_eval_matches_projector_sum(family, degree):
     spec = KernelSpec(family, degree, 3)
