@@ -191,7 +191,7 @@ def build_dgp(model_cfg, n_obs=None, seed=None):
                 seed=seed,
                 fixed_value=fixed,
             )
-        except (ValueError, np.linalg.LinAlgError) as exc:
+        except ValueError as exc:
             raise CliError(f"invalid custom model: {exc}") from exc
     else:
         raise CliError(f"unknown model preset {preset!r}")

@@ -17,9 +17,19 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import gegenbauer, hemisphere
-from .kernels import KernelSpec, HarmonicMixture, _FAMILIES, _at_one, chi_table, eigenspace_dim, projector_constants
+from .kernels import (
+    MAX_DEGREE,
+    KernelSpec,
+    HarmonicMixture,
+    _FAMILIES,
+    _at_one,
+    chi_table,
+    eigenspace_dim,
+    projector_constants,
+)
 from .sphere import build_quadrature, check_on_sphere, normalize, sample_uniform, surface_area
 
 __all__ = [
@@ -89,9 +99,11 @@ class EstimatorConfig:
     """Tuning constants for the plug-in estimator.
 
     truncation is the number of odd degrees kept in the coefficient-density
-    expansion (the spectral filter runs to degree 2*truncation).
+    expansion (the spectral filter runs to degree 2*truncation, so
+    truncation is at most MAX_DEGREE / 2).
     trimming_exponent r sets the covariate-density floor (log N)^(-r).
-    fx_truncation is the band limit of the covariate-density kernel.
+    fx_truncation is the band limit of the covariate-density kernel, at
+    most MAX_DEGREE.
     family, s, l parametrize the filter profile (see kernels.KernelSpec).
     """
 
@@ -103,8 +115,10 @@ class EstimatorConfig:
     fx_truncation: int = 10
 
     def __post_init__(self):
-        if int(self.truncation) != self.truncation or self.truncation < 1:
-            raise ValueError(f"truncation must be an integer >= 1, got {self.truncation}")
+        if int(self.truncation) != self.truncation or not 1 <= self.truncation <= MAX_DEGREE // 2:
+            raise ValueError(
+                f"truncation must be an integer in [1, {MAX_DEGREE // 2}], got {self.truncation}"
+            )
         self.truncation = int(self.truncation)
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
@@ -112,9 +126,9 @@ class EstimatorConfig:
             raise ValueError(
                 f"trimming_exponent must be finite and positive, got {self.trimming_exponent}"
             )
-        if int(self.fx_truncation) != self.fx_truncation or self.fx_truncation < 0:
+        if int(self.fx_truncation) != self.fx_truncation or not 0 <= self.fx_truncation <= MAX_DEGREE:
             raise ValueError(
-                f"fx_truncation must be an integer >= 0, got {self.fx_truncation}"
+                f"fx_truncation must be an integer in [0, {MAX_DEGREE}], got {self.fx_truncation}"
             )
         self.fx_truncation = int(self.fx_truncation)
 
@@ -614,12 +628,10 @@ def confidence_interval(estimate, points, level=0.95):
     centre and the standard error come from one pass over the fit's
     per-anchor terms, so each block of cosines is swept once.
     """
-    from scipy.stats import norm
-
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     fit = estimate if estimate.inference is None else estimate.inference
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     pts = _inference_points(fit, points)
     odd, spread = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     for rows, terms in fit.odd.terms(pts):
@@ -747,7 +759,8 @@ def rate_truncation(n_obs, dimension, smoothness=2.0, trimming_exponent=2.0, mom
 
     T grows like (N / (log N)^e)^(1 / (2s + 2d - 1)) with e = 2r plus a
     moment correction 1 - 2/q for q >= 2; the constant is a free scale.
-    Returns an integer at least 1.
+    Returns an integer from 1 to MAX_DEGREE / 2 (EstimatorConfig's range),
+    and refuses a constant that puts T above it.
     """
     if n_obs < 3:
         raise ValueError(f"need at least 3 observations, got {n_obs}")
@@ -763,6 +776,10 @@ def rate_truncation(n_obs, dimension, smoothness=2.0, trimming_exponent=2.0, mom
         exponent += 1.0 - 2.0 / moment_order
     base = n_obs / math.log(n_obs) ** exponent
     t = constant * base ** (1.0 / (2.0 * smoothness + 2.0 * dimension - 1.0))
+    if t >= MAX_DEGREE // 2 + 0.5:
+        raise ValueError(
+            f"constant {constant} gives truncation {t:.3g}, above the largest, {MAX_DEGREE // 2}"
+        )
     return max(1, int(round(t)))
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "chi_weight",
     "chi_weights",
     "chi_table",
+    "MAX_DEGREE",
     "kernel_eval",
     "kernel_odd_eval",
     "HarmonicMixture",
@@ -118,8 +119,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if int(self.degree) != self.degree or self.degree < 0:
-            raise ValueError(f"degree must be a nonnegative integer, got {self.degree}")
+        if int(self.degree) != self.degree or not 0 <= self.degree <= MAX_DEGREE:
+            raise ValueError(
+                f"degree must be an integer in [0, {MAX_DEGREE}], got {self.degree}"
+            )
         if int(self.dimension) != self.dimension or self.dimension < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
         if self.family == "riesz":
@@ -162,6 +165,15 @@ def _delayed_means_profile(x):
     with np.errstate(invalid="ignore"):
         out = np.where(a + b > 0.0, a / np.where(a + b > 0.0, a + b, 1.0), 0.0)
     return out
+
+
+# Largest filter degree any kernel may have; KernelSpec and EstimatorConfig
+# refuse more.  Arrays over degrees (filter weights, per-degree self-sums,
+# Gegenbauer sweeps) grow with the band limit, so a band limit above this
+# is refused rather than allocated.  128 is twice the degree 64 planned for
+# an uncapped cross-validation search (its minimiser is 55 at N = 50 000),
+# and a power of two, so delayed_means can use it.
+MAX_DEGREE = 128
 
 
 def chi_table(family, degrees, max_n, d, s=2.0, l=3):

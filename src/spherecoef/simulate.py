@@ -12,10 +12,11 @@ variables, which is what the accuracy benchmarks compare against.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import multivariate_normal
 
 from .estimator import ChoiceSample
 
@@ -27,6 +28,33 @@ __all__ = [
     "true_fx_on_sphere",
     "true_fbeta_on_sphere",
 ]
+
+
+def _cholesky(covs):
+    """Lower Cholesky factors of a covariance or a stack of them.
+
+    Refuses a covariance that is not finite (ValueError) or not positive
+    definite (numpy's LinAlgError, itself a ValueError).
+    """
+    covs = np.asarray(covs, dtype=float)
+    if not np.all(np.isfinite(covs)):
+        raise ValueError("covariance entries must be finite")
+    return np.linalg.cholesky(covs)
+
+
+def _gaussian_pdf(points, mean, factor):
+    """Density of N(mean, L L') at points of shape (..., m), L = factor.
+
+    Forward substitution solves L z = points - mean one coordinate at a
+    time; the density is exp(-|z|^2 / 2) / ((2 pi)^(m/2) prod diag L).
+    """
+    diff = np.asarray(points, dtype=float) - mean
+    m = factor.shape[0]
+    z = np.empty_like(diff)
+    for i in range(m):
+        z[..., i] = (diff[..., i] - z[..., :i] @ factor[i, :i]) / factor[i, i]
+    log_norm = 0.5 * m * math.log(2.0 * math.pi) + np.log(np.diag(factor)).sum()
+    return np.exp(-0.5 * np.einsum("...i,...i->...", z, z) - log_norm)
 
 
 @dataclass
@@ -58,20 +86,18 @@ class GaussianMixture:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixture weights must sum to 1, got {total}")
         self.weights = self.weights / total
-        self._components = [
-            multivariate_normal(mean=mu, cov=cov)
-            for mu, cov in zip(self.means, self.covs)
-        ]
+        self._factors = _cholesky(self.covs)
 
     @property
     def dim(self):
         return self.means.shape[1]
 
     def pdf(self, points):
+        """Mixture density at points of shape (..., m)."""
         points = np.asarray(points, dtype=float)
-        out = self.weights[0] * self._components[0].pdf(points)
-        for w, comp in zip(self.weights[1:], self._components[1:]):
-            out = out + w * comp.pdf(points)
+        out = self.weights[0] * _gaussian_pdf(points, self.means[0], self._factors[0])
+        for w, mu, factor in zip(self.weights[1:], self.means[1:], self._factors[1:]):
+            out = out + w * _gaussian_pdf(points, mu, factor)
         return out
 
     def sample(self, n, rng=None):
@@ -233,8 +259,10 @@ def _as_sphere_points(points, d):
 def true_fx_on_sphere(spec, points):
     """Exact sphere density of the normalized covariate direction."""
     pts, single = _as_sphere_points(points, spec.dimension)
-    dist = multivariate_normal(mean=spec.covariate_mean, cov=spec.covariate_cov)
-    vals = _pushforward_values(dist.pdf, pts[:, 0], pts[:, 1:], spec.dimension)
+    pdf = functools.partial(
+        _gaussian_pdf, mean=spec.covariate_mean, factor=_cholesky(spec.covariate_cov)
+    )
+    vals = _pushforward_values(pdf, pts[:, 0], pts[:, 1:], spec.dimension)
     return float(vals[0]) if single else vals
 
 

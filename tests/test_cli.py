@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +311,11 @@ _REFUSED = {
     "two_rows_rate": (["estimate", "{two_rows}"], "[estimator]\ntruncation_rule = rate\n"),
     "seed": (["simulate", "--seed", "-1"], ""),
     "s_nan": (["estimate", "{data}"], "[estimator]\ns = nan\n"),
+    "mixture_covs_indefinite": (
+        ["simulate"],
+        "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 2 0 ; 0 2\n"
+        "mixture_weights = 1\nmixture_means = 0 0\nmixture_covs = 1 2 ; 2 1\n",
+    ),
 }
 
 
@@ -327,6 +336,53 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("out.csv*"))
+
+
+# Band limits far above kernels.MAX_DEGREE, keyed by the name their
+# refusal starts with.  Accepted, any of them would ask for gigabytes.
+_HUGE_BANDS = {
+    "truncation": "[estimator]\ntruncation = 100000000\n",
+    "fx_truncation": "[estimator]\nfx_truncation = 100000000\n",
+    "constant": "[estimator]\ntruncation_rule = rate\nrate_constant = 1e8\n",
+}
+
+# Runs the CLI with the arguments given and prints its exit code and the
+# traced peak of what it allocated.  The address space is capped at 1 GiB
+# first, so a band that slipped through would fail with MemoryError
+# instead of being allocated.
+_CAPPED_CLI = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from spherecoef import cli
+tracemalloc.start()
+code = cli.main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("key", list(_HUGE_BANDS))
+def test_huge_band_limit_exits_2_before_allocating(tmp_path, key):
+    pytest.importorskip("resource")  # the child caps its address space
+    data = str(tmp_path / "data.csv")
+    ini = _write(tmp_path / "m.ini", "[model]\nn_obs = 60\n")
+    assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "1"]) == 0
+    config = _write(tmp_path / "c.ini", _HUGE_BANDS[key])
+    out = str(tmp_path / "out.csv")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    threads = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, "estimate", data, "--config", config, "--out", out],
+        env={**os.environ, **threads, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, peak = map(int, done.stdout.split())
+    assert code == 2
+    assert peak < 1 << 20
+    assert done.stderr.startswith(f"error: {key} ") and done.stderr.count("\n") == 1
     assert not list(tmp_path.glob("out.csv*"))
 
 

@@ -23,7 +23,7 @@ from spherecoef.estimator import (
     standard_error,
 )
 from spherecoef import estimator, hemisphere
-from spherecoef.kernels import EVAL_CHUNK, HarmonicMixture, KernelSpec, projector_constants
+from spherecoef.kernels import EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, projector_constants
 from spherecoef.simulate import DgpSpec, generate
 from spherecoef.sphere import (
     angle_between,
@@ -768,6 +768,26 @@ def test_rate_truncation_validation():
         rate_truncation(100, 3, smoothness=0.0)
     with pytest.raises(ValueError):
         rate_truncation(100, 3, constant=-1.0)
+
+
+def test_band_limit_capped_at_max_degree():
+    """Band limits whose filter degree exceeds MAX_DEGREE are refused where
+    they are set, before any array sized by them exists; the cap itself is
+    accepted."""
+    top = EstimatorConfig(truncation=MAX_DEGREE // 2, fx_truncation=MAX_DEGREE)
+    assert top.main_kernel(3).degree == top.fx_kernel(3).degree == MAX_DEGREE
+    for key, value in [
+        ("truncation", MAX_DEGREE // 2 + 1),
+        ("truncation", 10**8),
+        ("fx_truncation", MAX_DEGREE + 1),
+        ("fx_truncation", 10**8),
+    ]:
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            EstimatorConfig(**{key: value})
+    for constant in (1e8, 1e308):
+        with pytest.raises(ValueError, match="constant"):
+            rate_truncation(500, 3, constant=constant)
+    assert 1 <= rate_truncation(500, 3, constant=70.0) <= MAX_DEGREE // 2
 
 
 @pytest.mark.parametrize("name", ["smoothness", "trimming_exponent", "constant"])

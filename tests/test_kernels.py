@@ -10,6 +10,7 @@ import oracles
 from spherecoef import hemisphere
 from spherecoef.kernels import (
     EVAL_CHUNK,
+    MAX_DEGREE,
     HarmonicMixture,
     KernelSpec,
     chi_weight,
@@ -108,6 +109,9 @@ def test_kernel_spec_validation():
         KernelSpec("riesz", 4, 8, l=3)  # needs l > (d-2)/2 = 3
     with pytest.raises(ValueError):
         KernelSpec("delayed_means", 12, 3)  # not a power of two
+    with pytest.raises(ValueError, match="degree"):
+        KernelSpec("riesz", MAX_DEGREE + 1, 3)
+    assert KernelSpec("delayed_means", MAX_DEGREE, 3).chi().shape == (MAX_DEGREE + 1,)
     spec = KernelSpec("riesz", 4, 4)
     assert spec.nu == 1.0
     assert np.array_equal(spec.chi(), chi_weights(spec))

@@ -49,6 +49,29 @@ def test_gaussian_mixture_validation():
         GaussianMixture(weights=[1.0, -0.0], means=[[0.0], [1.0]], covs=np.ones((2, 1, 1)))
     with pytest.raises(ValueError):
         GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], covs=np.eye(3))
+    for cov in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]):  # singular, indefinite
+        with pytest.raises(np.linalg.LinAlgError):
+            GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], covs=cov)
+    with pytest.raises(ValueError, match="finite"):
+        GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], covs=[[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_gaussian_density_matches_scipy(m):
+    """The Cholesky density against scipy's, on random positive definite
+    covariances, within 1e-12 of each case's largest density."""
+    from scipy.stats import multivariate_normal
+
+    rng = np.random.default_rng(40 + m)
+    for _ in range(10):
+        a = rng.standard_normal((m, m))
+        cov = a @ a.T + 0.05 * np.eye(m)
+        mean = rng.standard_normal(m)
+        pts = mean + 2.0 * rng.standard_normal((300, m)) @ a.T
+        ref = multivariate_normal(mean=mean, cov=cov).pdf(pts)
+        got = GaussianMixture(weights=[1.0], means=[mean], covs=cov).pdf(pts)
+        assert got.shape == (300,)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * ref.max()
 
 
 # ------------------------------------------------------------------ designs
