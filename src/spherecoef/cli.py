@@ -60,7 +60,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -472,15 +471,18 @@ def cmd_bench(args):
         for rep in range(reps)
     ]
     if args.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(_bench_task, tasks, chunksize=1))
     else:
         rows = [_bench_task(t) for t in tasks]
     rows.sort(key=lambda r: (r[0], r[1]))
-    medians = {}
-    for n in n_grid:
-        cell = [r[3] for r in rows if r[0] == n]
-        medians[n] = float(np.median(cell))
+    # statistics.median gives np.median's value for finite errors without
+    # loading numpy.ma, which np.median imports for its NaN check.
+    from statistics import median
+
+    medians = {n: median(r[3] for r in rows if r[0] == n) for n in n_grid}
     summary = {
         "replications": reps,
         "median_l2": {str(n): medians[n] for n in n_grid},

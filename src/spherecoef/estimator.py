@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import gegenbauer, hemisphere
 from .kernels import (
@@ -72,8 +71,7 @@ class ChoiceSample:
         y = np.asarray(self.y)
         if y.ndim != 1:
             raise ValueError(f"y must be one-dimensional, got shape {y.shape}")
-        vals = np.unique(y)
-        if not np.all(np.isin(vals, (0, 1))):
+        if not np.all((y == 0) | (y == 1)):
             raise ValueError("y must contain only 0 and 1")
         self.y = y.astype(np.int64)
         x = check_on_sphere(self.x)
@@ -628,6 +626,10 @@ def confidence_interval(estimate, points, level=0.95):
     centre and the standard error come from one pass over the fit's
     per-anchor terms, so each block of cosines is swept once.
     """
+    # scipy's ndtri equals norm.ppf bit for bit; importing it here keeps
+    # scipy out of the package import.
+    from scipy.special import ndtri
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     fit = estimate if estimate.inference is None else estimate.inference

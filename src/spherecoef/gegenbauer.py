@@ -8,8 +8,9 @@ the circle (d = 2) and the higher-dimensional spheres uniformly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import binom
 
 __all__ = ["eval_all", "eval_at_one", "series_eval", "sweep"]
 
@@ -108,7 +109,12 @@ def _series_eval(nu, coeffs, t):
 
 def eval_at_one(nu, n):
     """Value C_n^nu(1): binom(n + 2 nu - 1, n) for nu > 0, and 2/n for the
-    nu = 0 family (1 at degree 0)."""
+    nu = 0 family (1 at degree 0).
+
+    When 2 nu is an integer, as nu = (d - 2)/2 is for every sphere S^{d-1},
+    the binomial is the exact integer math.comb rounded once to a float;
+    other nu take the product of (2 nu - 1 + k)/k over k = 1..n.
+    """
     if nu < 0:
         raise ValueError(f"nu must be >= 0, got {nu}")
     if int(n) != n or n < 0:
@@ -118,4 +124,9 @@ def eval_at_one(nu, n):
         return 1.0
     if nu == 0:
         return 2.0 / n
-    return float(binom(n + 2.0 * nu - 1.0, n))
+    if float(2.0 * nu).is_integer():
+        return float(math.comb(n + int(2.0 * nu) - 1, n))
+    value = 1.0
+    for k in range(1, n + 1):
+        value *= (2.0 * nu - 1.0 + k) / k
+    return value

@@ -153,6 +153,7 @@ class DgpSpec:
             raise ValueError(
                 f"covariate_cov shape {self.covariate_cov.shape}, expected ({m}, {m})"
             )
+        _cholesky(self.covariate_cov)
         if not self.fixed_value > 0:
             raise ValueError(f"fixed_value must be positive, got {self.fixed_value}")
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 __all__ = [
     "surface_area",
@@ -165,8 +164,11 @@ def _split_jacobi_half(resolution):
     Each panel maps the (1 -/+ t)^{1/2} endpoint factor onto a Gauss-Jacobi
     weight and folds the remaining analytic factor into the node weights, so
     smooth integrands converge geometrically while the equator stays on a
-    panel boundary.
+    panel boundary.  Only the d = 4 product rule calls this, so scipy is
+    imported here rather than with the package.
     """
+    from scipy.special import roots_jacobi
+
     half = max(8, (resolution + 1) // 2)
     s, w = roots_jacobi(half, 0.5, 0.0)
     t_up = (1.0 + s) / 2.0

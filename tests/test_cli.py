@@ -316,6 +316,11 @@ _REFUSED = {
         "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 2 0 ; 0 2\n"
         "mixture_weights = 1\nmixture_means = 0 0\nmixture_covs = 1 2 ; 2 1\n",
     ),
+    "covariate_cov_indefinite": (
+        ["simulate"],
+        "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 1 2 ; 2 1\n"
+        "mixture_weights = 1\nmixture_means = 0 0\nmixture_covs = 1 0 ; 0 1\n",
+    ),
 }
 
 

@@ -58,8 +58,13 @@ def test_choice_sample_basic_properties():
 
 def test_choice_sample_validation():
     x = _design_points(3, 4, seed=1)
-    with pytest.raises(ValueError):
-        ChoiceSample(y=np.array([0, 1, 2, 0]), x=x)
+    for bad in (2, -1, 0.5, np.nan):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            ChoiceSample(y=np.array([0, 1, bad, 0]), x=x)
+    for good in (np.array([False, True, True, False]), np.array([0.0, 1.0, 1.0, 0.0])):
+        s = ChoiceSample(y=good, x=x)
+        assert s.y.dtype == np.int64
+        assert s.y.tolist() == [0, 1, 1, 0]
     with pytest.raises(ValueError):
         ChoiceSample(y=np.zeros(3), x=x)  # length mismatch
     with pytest.raises(ValueError):

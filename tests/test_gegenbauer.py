@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import eval_chebyt, eval_chebyu, eval_gegenbauer
+from scipy.special import binom, eval_chebyt, eval_chebyu, eval_gegenbauer
 
 import oracles
 from spherecoef import gegenbauer
+from spherecoef.kernels import MAX_DEGREE
 
 T_GRID = np.linspace(-1.0, 1.0, 101)
 
@@ -110,7 +111,8 @@ def test_series_eval_of_unit_coeffs_is_table_row(nu, max_degree):
 
 
 def test_eval_at_one():
-    for nu in (0.5, 1.0, 1.5, 2.5):
+    # 0.3 and 1.7 take the float product; the others the exact binomial
+    for nu in (0.3, 0.5, 1.0, 1.5, 1.7, 2.5):
         for n in range(12):
             explicit = oracles.gegenbauer_at_one(nu, n)
             assert gegenbauer.eval_at_one(nu, n) == pytest.approx(explicit, rel=1e-12)
@@ -119,6 +121,13 @@ def test_eval_at_one():
         assert gegenbauer.eval_at_one(0.0, n) == pytest.approx(2.0 / n, rel=1e-15)
     # closed form binom(n + 2 nu - 1, n)
     assert gegenbauer.eval_at_one(1.5, 4) == pytest.approx(math.comb(6, 4), rel=1e-13)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_eval_at_one_equals_scipy_binom_on_spheres(d):
+    nu = (d - 2) / 2.0
+    for n in range(1, MAX_DEGREE + 1):
+        assert gegenbauer.eval_at_one(nu, n) == float(binom(n + 2.0 * nu - 1.0, n))
 
 
 def test_argument_validation():

@@ -1,4 +1,4 @@
-"""What importing the package loads, checked in fresh interpreters."""
+"""What importing and running the package loads, checked in fresh interpreters."""
 
 import os
 import subprocess
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import spherecoef
+from spherecoef import cli
 
 SRC = str(Path(spherecoef.__file__).resolve().parents[1])
 
@@ -23,10 +24,52 @@ def _modules_after(statement):
     return set(done.stdout.split())
 
 
+def _scipy_and_masked(loaded):
+    """The scipy and numpy.ma modules among loaded names, sorted."""
+    return sorted(
+        name
+        for name in loaded
+        if name.split(".")[0] == "scipy" or name == "numpy.ma" or name.startswith("numpy.ma.")
+    )
+
+
 @pytest.mark.parametrize("statement", ["import spherecoef", "import spherecoef.cli"])
 def test_import_leaves_scipy_stats_unloaded(statement):
     loaded = _modules_after(statement)
-    assert "scipy.stats" not in loaded
+    # scipy is imported only inside the two functions that call it
+    # (confidence_interval and the d = 4 product quadrature).
+    assert _scipy_and_masked(loaded) == []
     # The package still imports its CLI; dropping it from __init__ is a
     # separate decision, pinned here so that it is made on purpose.
     assert "spherecoef.cli" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "{data}", "--grid-res", "6"],
+        ["bench", "--threads", "1", "--config", "{bench_ini}"],
+    ],
+    ids=["estimate", "bench"],
+)
+def test_cli_commands_leave_scipy_unloaded(tmp_path, argv):
+    data = str(tmp_path / "data.csv")
+    ini = tmp_path / "m.ini"
+    ini.write_text("[model]\nn_obs = 60\n")
+    assert cli.main(["simulate", "--config", str(ini), "--out", data, "--seed", "1"]) == 0
+    bench_ini = tmp_path / "bench.ini"
+    bench_ini.write_text("[bench]\nn_grid = 60 120\nreplications = 1\nresolution = 8\n")
+    args = [a.format(data=data, bench_ini=bench_ini) for a in argv]
+    args += ["--out", str(tmp_path / "out.csv")]
+    loaded = _modules_after(f"from spherecoef import cli\nassert cli.main({args!r}) == 0")
+    assert _scipy_and_masked(loaded) == []
+
+
+def test_confidence_interval_loads_scipy_special():
+    loaded = _modules_after(
+        "from spherecoef import estimator, simulate\n"
+        "sample = simulate.generate(simulate.DgpSpec.model_1(n_obs=60, seed=1)).sample\n"
+        "est = estimator.estimate_fbeta(sample, estimator.EstimatorConfig())\n"
+        "estimator.confidence_interval(est, [0.0, 0.0, 1.0])"
+    )
+    assert "scipy.special" in loaded
