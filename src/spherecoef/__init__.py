@@ -25,7 +25,6 @@ from .estimator import (
     estimate_fx,
     identification_diagnostic,
     marginal_density,
-    rate_truncation,
     standard_error,
 )
 from .kernels import HarmonicMixture, KernelSpec, eigenspace_dim, projector_kernel
@@ -54,7 +53,6 @@ __all__ = [
     "identification_diagnostic",
     "marginal_density",
     "projector_kernel",
-    "rate_truncation",
     "sample_uniform",
     "standard_error",
     "surface_area",

@@ -6,14 +6,15 @@ simulate   draw a synthetic dataset and write it as CSV
 estimate   fit the coefficient density on a dataset, write grid values + report
            (config echo, support diagnostic, and how the weights were formed)
 diagnose   run the one-hemisphere support diagnostic on a dataset
-bench      Monte-Carlo error study over a sample-size grid
+bench      Monte-Carlo error study over a sample-size grid, on --threads
+           worker processes (1 to the CPU count)
 
 Config file grammar (INI, all keys optional, defaults in parentheses):
 
     [model]
     preset = model_1 | model_2 | custom      (model_1)
     n_obs = 500
-    fixed_value = 1.0
+    fixed_value = 1.0                        ; finite, > 0, with fixed_value^(d-1) finite
     ; the remaining [model] keys apply only when preset = custom:
     dimension = 3
     covariate_mean = 0 0                     ; space-separated vector
@@ -25,9 +26,6 @@ Config file grammar (INI, all keys optional, defaults in parentheses):
 
     [estimator]                ; defaults and ranges are EstimatorConfig's
     truncation = 3
-    truncation_rule = fixed | rate           (fixed; rate derives the band
-                                              limit from the sample size)
-    rate_constant = 3.4
     trimming_exponent = 2.0
     family = riesz | delayed_means | dirichlet   (riesz)
     s = 2.0
@@ -59,6 +57,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -69,7 +68,6 @@ from .estimator import (
     EstimatorConfig,
     estimate_fbeta,
     identification_diagnostic,
-    rate_truncation,
     weight_summary,
 )
 from .simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere
@@ -94,11 +92,7 @@ _DEFAULTS = {
         "mixture_means": "",
         "mixture_covs": "",
     },
-    "estimator": {
-        **{f.name: str(f.default) for f in fields(EstimatorConfig)},
-        "truncation_rule": "fixed",
-        "rate_constant": "3.4",
-    },
+    "estimator": {f.name: str(f.default) for f in fields(EstimatorConfig)},
     "grid": {"resolution": "24", "points_file": ""},
     "run": {"seed": "0"},
     "bench": {"n_grid": "250 500 1000 2000", "replications": "50", "resolution": "16"},
@@ -199,25 +193,13 @@ def build_dgp(model_cfg, n_obs=None, seed=None):
     return spec
 
 
-def resolve_estimator_config(est_cfg, n_obs, dimension):
+def resolve_estimator_config(est_cfg):
     """Construct the EstimatorConfig described by the [estimator] section,
     each key parsed by the type of its default; the library checks ranges."""
     parse = {int: _parse_int, float: _parse_float, str: lambda text, what: text}
-    params = {
-        f.name: parse[type(f.default)](est_cfg[f.name], f.name) for f in fields(EstimatorConfig)
-    }
-    rule = est_cfg["truncation_rule"]
-    if rule == "rate":
-        params["truncation"] = rate_truncation(
-            n_obs,
-            dimension,
-            smoothness=params["s"],
-            trimming_exponent=params["trimming_exponent"],
-            constant=_parse_float(est_cfg["rate_constant"], "rate_constant"),
-        )
-    elif rule != "fixed":
-        raise CliError(f"truncation_rule must be 'fixed' or 'rate', got {rule!r}")
-    return EstimatorConfig(**params)
+    return EstimatorConfig(
+        **{f.name: parse[type(f.default)](est_cfg[f.name], f.name) for f in fields(EstimatorConfig)}
+    )
 
 
 def evaluation_grid(dimension, resolution, points_file=""):
@@ -390,9 +372,9 @@ def cmd_simulate(args):
 
 def cmd_estimate(args):
     cfg = load_config(args.config)
+    config = resolve_estimator_config(cfg["estimator"])
     sample = read_sample(args.data)
     d = sample.dimension
-    config = resolve_estimator_config(cfg["estimator"], sample.n_obs, d)
     resolution = args.grid_res if args.grid_res is not None else _parse_int(
         cfg["grid"]["resolution"], "grid resolution", minimum=2
     )
@@ -415,9 +397,9 @@ def cmd_estimate(args):
 
 def cmd_diagnose(args):
     cfg = load_config(args.config)
+    config = resolve_estimator_config(cfg["estimator"])
     sample = read_sample(args.data)
     d = sample.dimension
-    config = resolve_estimator_config(cfg["estimator"], sample.n_obs, d)
     resolution = args.grid_res if args.grid_res is not None else 32
     est = estimate_fbeta(sample, config)
     diag = identification_diagnostic(est, resolution=resolution)
@@ -437,12 +419,11 @@ def cmd_diagnose(args):
 
 def _bench_task(payload):
     """One (sample size, replication) cell of the benchmark grid."""
-    spec, est_cfg, n, rep, seed, quad_points, quad_weights, truth = payload
+    spec, config, n, rep, seed, quad_points, quad_weights, truth = payload
     cell_spec = replace(
         spec, n_obs=n, seed=np.random.SeedSequence((seed, n, rep))
     )
     draw = generate(cell_spec)
-    config = resolve_estimator_config(est_cfg, n, spec.dimension)
     est = estimate_fbeta(draw.sample, config)
     diff = est.density(quad_points) - truth
     l1 = float(np.sum(quad_weights * np.abs(diff)))
@@ -452,7 +433,11 @@ def _bench_task(payload):
 
 
 def cmd_bench(args):
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.threads <= cpus:
+        raise CliError(f"--threads must be from 1 to the CPU count, {cpus}, got {args.threads}")
     cfg = load_config(args.config)
+    config = resolve_estimator_config(cfg["estimator"])
     seed = args.seed if args.seed is not None else _parse_int(cfg["run"]["seed"], "seed")
     n_grid = [
         _parse_int(tok, "bench n_grid entry", minimum=3)
@@ -466,7 +451,7 @@ def cmd_bench(args):
     quad = build_quadrature(spec.dimension, resolution, seed=0)
     truth = true_fbeta_on_sphere(spec, quad.points)
     tasks = [
-        (spec, cfg["estimator"], n, rep, seed, quad.points, quad.weights, truth)
+        (spec, config, n, rep, seed, quad.points, quad.weights, truth)
         for n in n_grid
         for rep in range(reps)
     ]

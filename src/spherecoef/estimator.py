@@ -14,7 +14,8 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +49,6 @@ __all__ = [
     "confidence_interval",
     "marginal_density",
     "identification_diagnostic",
-    "rate_truncation",
     "CoefficientDensity",
 ]
 
@@ -113,7 +113,10 @@ class EstimatorConfig:
     fx_truncation: int = 10
 
     def __post_init__(self):
-        if int(self.truncation) != self.truncation or not 1 <= self.truncation <= MAX_DEGREE // 2:
+        for name in ("truncation", "trimming_exponent", "s", "l", "fx_truncation"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not 1 <= self.truncation <= MAX_DEGREE // 2 or int(self.truncation) != self.truncation:
             raise ValueError(
                 f"truncation must be an integer in [1, {MAX_DEGREE // 2}], got {self.truncation}"
             )
@@ -124,7 +127,7 @@ class EstimatorConfig:
             raise ValueError(
                 f"trimming_exponent must be finite and positive, got {self.trimming_exponent}"
             )
-        if int(self.fx_truncation) != self.fx_truncation or not 0 <= self.fx_truncation <= MAX_DEGREE:
+        if not 0 <= self.fx_truncation <= MAX_DEGREE or int(self.fx_truncation) != self.fx_truncation:
             raise ValueError(
                 f"fx_truncation must be an integer in [0, {MAX_DEGREE}], got {self.fx_truncation}"
             )
@@ -756,42 +759,12 @@ def identification_diagnostic(estimate, resolution=32, quad=None, rel_threshold=
     )
 
 
-def rate_truncation(n_obs, dimension, smoothness=2.0, trimming_exponent=2.0, moment_order=2.0, constant=1.0):
-    """Band-limit choice from the convergence-rate tradeoff.
-
-    T grows like (N / (log N)^e)^(1 / (2s + 2d - 1)) with e = 2r plus a
-    moment correction 1 - 2/q for q >= 2; the constant is a free scale.
-    Returns an integer from 1 to MAX_DEGREE / 2 (EstimatorConfig's range),
-    and refuses a constant that puts T above it.
-    """
-    if n_obs < 3:
-        raise ValueError(f"need at least 3 observations, got {n_obs}")
-    if dimension < 2:
-        raise ValueError(f"dimension must be >= 2, got {dimension}")
-    if not all(0 < v < math.inf for v in (smoothness, trimming_exponent, constant)):
-        raise ValueError(
-            "smoothness, trimming_exponent and constant must be finite and positive, got "
-            f"{smoothness}, {trimming_exponent} and {constant}"
-        )
-    exponent = 2.0 * trimming_exponent
-    if moment_order >= 2.0:
-        exponent += 1.0 - 2.0 / moment_order
-    base = n_obs / math.log(n_obs) ** exponent
-    t = constant * base ** (1.0 / (2.0 * smoothness + 2.0 * dimension - 1.0))
-    if t >= MAX_DEGREE // 2 + 0.5:
-        raise ValueError(
-            f"constant {constant} gives truncation {t:.3g}, above the largest, {MAX_DEGREE // 2}"
-        )
-    return max(1, int(round(t)))
-
-
 class CoefficientDensity:
     """Estimator-style front end: fit on (X, y), then query densities.
 
-    Parameters mirror EstimatorConfig; truncation=None picks the band
-    limit from the sample size through rate_truncation.  X rows are
-    renormalized to unit length (they must already be within 1e-6 of it)
-    and must have nonnegative first coordinate.
+    Parameters are EstimatorConfig's fields.  X rows are renormalized to
+    unit length (they must already be within 1e-6 of it) and must have
+    nonnegative first coordinate.
     """
 
     def __init__(
@@ -802,8 +775,6 @@ class CoefficientDensity:
         s=2.0,
         l=3,
         fx_truncation=10,
-        smoothness=2.0,
-        rate_constant=1.0,
     ):
         self.truncation = truncation
         self.trimming_exponent = trimming_exponent
@@ -811,8 +782,6 @@ class CoefficientDensity:
         self.s = s
         self.l = l
         self.fx_truncation = fx_truncation
-        self.smoothness = smoothness
-        self.rate_constant = rate_constant
 
     def get_params(self, deep=True):
         names = list(inspect.signature(type(self).__init__).parameters)[1:]
@@ -825,27 +794,15 @@ class CoefficientDensity:
             setattr(self, name, value)
         return self
 
-    def _config(self, n_obs):
-        params = {f.name: getattr(self, f.name) for f in fields(EstimatorConfig)}
-        if self.truncation is None:
-            params["truncation"] = rate_truncation(
-                n_obs,
-                self._dimension,
-                smoothness=self.smoothness,
-                trimming_exponent=self.trimming_exponent,
-                constant=self.rate_constant,
-            )
-        return EstimatorConfig(**params)
-
     def fit(self, X, y):
+        config = EstimatorConfig(**self.get_params())
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
         sample = ChoiceSample(y=np.asarray(y), x=normalize(check_on_sphere(X, tol=1e-6)))
-        self._dimension = sample.dimension
-        self.config_ = self._config(sample.n_obs)
+        self.config_ = config
         self.sample_ = sample
-        self.estimate_ = estimate_fbeta(sample, self.config_)
+        self.estimate_ = estimate_fbeta(sample, config)
         self.choice_probability_ = ChoiceProbabilityEstimate(
             hemisphere.transform(self.estimate_.odd)
         )

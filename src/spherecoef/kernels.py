@@ -128,7 +128,7 @@ class KernelSpec:
         if self.family == "riesz":
             if not 0 < self.s < math.inf:
                 raise ValueError(f"riesz smoothness s must be finite and > 0, got {self.s}")
-            if int(self.l) != self.l or self.l <= (self.dimension - 2) / 2.0:
+            if not (self.dimension - 2) / 2.0 < self.l < math.inf or int(self.l) != self.l:
                 raise ValueError(
                     f"riesz power l must be an integer > (d-2)/2 = "
                     f"{(self.dimension - 2) / 2.0}, got {self.l}"

@@ -154,8 +154,15 @@ class DgpSpec:
                 f"covariate_cov shape {self.covariate_cov.shape}, expected ({m}, {m})"
             )
         _cholesky(self.covariate_cov)
-        if not self.fixed_value > 0:
-            raise ValueError(f"fixed_value must be positive, got {self.fixed_value}")
+        if not 0 < self.fixed_value < math.inf:
+            raise ValueError(f"fixed_value must be finite and positive, got {self.fixed_value}")
+        try:
+            math.pow(self.fixed_value, self.dimension - 1)
+        except OverflowError:
+            raise ValueError(
+                f"fixed_value^(dimension - 1), the true density's scale factor, overflows "
+                f"at fixed_value = {self.fixed_value}"
+            ) from None
 
     @classmethod
     def model_1(cls, n_obs=500, seed=0):

@@ -49,6 +49,9 @@ def test_load_config_overrides_and_rejects(tmp_path):
         cli.load_config(_write(tmp_path / "bad2.ini", "[model]\nnobs = 3\n"))
     with pytest.raises(cli.CliError):
         cli.load_config(str(tmp_path / "missing.ini"))
+    for key in ("truncation_rule", "rate_constant"):  # the retired rate rule's keys
+        with pytest.raises(cli.CliError, match=f"^unknown config key '{key}'"):
+            cli.load_config(_write(tmp_path / "retired.ini", f"[estimator]\n{key} = 1\n"))
 
 
 def test_build_dgp_presets_and_custom():
@@ -77,15 +80,12 @@ def test_build_dgp_presets_and_custom():
 
 def test_resolve_estimator_config_rules():
     cfg = cli.load_config(None)
-    est = cli.resolve_estimator_config(cfg["estimator"], 500, 3)
-    assert est == EstimatorConfig()
-    rated = dict(cfg["estimator"])
-    rated["truncation_rule"] = "rate"
-    est2 = cli.resolve_estimator_config(rated, 500, 3)
-    assert est2.truncation == 3  # anchored constant maps N=500 to the default
-    rated["truncation_rule"] = "sometimes"
-    with pytest.raises(cli.CliError):
-        cli.resolve_estimator_config(rated, 500, 3)
+    assert cli.resolve_estimator_config(cfg["estimator"]) == EstimatorConfig()
+    tuned = dict(cfg["estimator"], truncation="4", family="dirichlet", fx_truncation="8")
+    want = EstimatorConfig(truncation=4, family="dirichlet", fx_truncation=8)
+    assert cli.resolve_estimator_config(tuned) == want
+    with pytest.raises(cli.CliError, match="^truncation must be an integer"):
+        cli.resolve_estimator_config(dict(tuned, truncation="2.5"))
 
 
 def test_evaluation_grid_shapes(tmp_path):
@@ -298,17 +298,24 @@ def test_cli_error_paths(tmp_path):
 
 
 # Each input is refused by the library with a ValueError (or, for s = nan,
-# was refused only after the grid had been written).  {data} is a 60-row
-# model_1 dataset, {two_rows} a 2-row one, {nan_points} a points file with
-# a NaN row.
+# was refused only after the grid had been written), by the config reader
+# (the retired rate rule's keys), or before any task is built (--threads).
+# {data} is a 60-row model_1 dataset, {two_rows} a 2-row one, {nan_points}
+# a points file with a NaN row.
+_SMALL_BENCH = "[bench]\nn_grid = 30\nreplications = 1\nresolution = 4\n"
 _REFUSED = {
-    "rate_constant": (["estimate", "{data}"], "[estimator]\ntruncation_rule = rate\nrate_constant = -1\n"),
+    "rate_constant": (["estimate", "{data}"], "[estimator]\nrate_constant = 3.4\n"),
+    "truncation_rule": (["estimate", "{data}"], "[estimator]\ntruncation_rule = fixed\n"),
     "fixed_value": (["simulate"], "[model]\nfixed_value = -1\n"),
+    "fixed_value_inf": (["bench"], "[model]\nfixed_value = inf\n" + _SMALL_BENCH),
+    "fixed_value_overflow": (["bench"], "[model]\nfixed_value = 1e308\n" + _SMALL_BENCH),
+    "threads_zero": (["bench", "--threads", "0"], _SMALL_BENCH),
+    "threads_negative": (["bench", "--threads", "-1"], _SMALL_BENCH),
+    "threads_above_cpus": (["bench", "--threads", str((os.cpu_count() or 1) + 1)], _SMALL_BENCH),
     "delayed_means": (["estimate", "{data}"], "[estimator]\nfamily = delayed_means\nfx_truncation = 8\n"),
     "l": (["estimate", "{data}"], "[estimator]\nl = 0\n"),
     "points_file_nan": (["estimate", "{data}"], "[grid]\npoints_file = {nan_points}\n"),
     "two_rows_fixed": (["estimate", "{two_rows}"], ""),
-    "two_rows_rate": (["estimate", "{two_rows}"], "[estimator]\ntruncation_rule = rate\n"),
     "seed": (["simulate", "--seed", "-1"], ""),
     "s_nan": (["estimate", "{data}"], "[estimator]\ns = nan\n"),
     "mixture_covs_indefinite": (
@@ -349,7 +356,6 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
 _HUGE_BANDS = {
     "truncation": "[estimator]\ntruncation = 100000000\n",
     "fx_truncation": "[estimator]\nfx_truncation = 100000000\n",
-    "constant": "[estimator]\ntruncation_rule = rate\nrate_constant = 1e8\n",
 }
 
 # Runs the CLI with the arguments given and prints its exit code and the
@@ -392,16 +398,31 @@ def test_huge_band_limit_exits_2_before_allocating(tmp_path, key):
 
 
 _BAD_VALUES = ["0", "-1", "nan", "inf", "-inf", "x"]
+
+
+def _edited(base, keys, values, max_edits):
+    """Config sections drawn from base, with up to max_edits of the keys
+    overwritten by one of values, so that most examples break one or two
+    settings and some break none."""
+    edits = st.dictionaries(st.sampled_from(keys), st.sampled_from(values), max_size=max_edits)
+    return st.builds(lambda section, edit: {**section, **edit}, base, edits)
+
+
+def _valid(choices):
+    return st.fixed_dictionaries({key: st.sampled_from(values) for key, values in choices.items()})
+
+
 _FUZZ_ESTIMATOR = {
-    "truncation": ["1", "2", "2.5"],
-    "truncation_rule": ["fixed", "rate", "sometimes"],
-    "rate_constant": ["3.4", "1"],
+    "truncation": ["1", "2", "4"],
     "trimming_exponent": ["2.0", "0.5"],
-    "family": ["riesz", "delayed_means", "dirichlet", "fejer"],
+    "family": ["riesz", "delayed_means", "dirichlet"],
     "s": ["2.0", "0.5"],
-    "l": ["3", "1", "1.5"],
+    "l": ["3", "1"],
     "fx_truncation": ["8", "4"],
 }
+_FUZZ_ESTIMATOR_VALUES = ["2.5", "1.5", "6", "129", "fejer"] + _BAD_VALUES
+_FUZZ_GRID = {"resolution": ["2", "5"], "points_file": ["", "unit.csv"]}
+_FUZZ_GRID_VALUES = ["nan.csv", "flat.csv", "missing.csv"] + _BAD_VALUES
 
 
 @pytest.fixture(scope="module")
@@ -417,21 +438,12 @@ def fuzz_dir(tmp_path_factory):
     return base
 
 
-@settings(max_examples=600, deadline=None)
-@given(
-    estimator=st.fixed_dictionaries(
-        {key: st.sampled_from(values + _BAD_VALUES) for key, values in _FUZZ_ESTIMATOR.items()}
-    ),
-    resolution=st.sampled_from(["2", "5"] + _BAD_VALUES),
-    points_file=st.sampled_from(["", "unit.csv", "nan.csv", "flat.csv", "missing.csv"]),
-)
-def test_fuzzed_config_exits_0_or_2_and_writes_nothing_on_2(fuzz_dir, estimator, resolution, points_file):
-    """Valid, out-of-range, NaN, infinite and non-numeric [estimator] and
-    [grid] values: estimate succeeds, or it exits 2 with one error line and
-    writes no file."""
-    points = str(fuzz_dir / points_file) if points_file else ""
-    lines = ["[estimator]", *(f"{k} = {v}" for k, v in estimator.items())]
-    lines += ["[grid]", f"resolution = {resolution}", f"points_file = {points}"]
+def _run_fuzzed(fuzz_dir, argv, sections):
+    """Run the CLI on a config of the given {section: {key: value}} and
+    check that it succeeds, or exits 2 with one error line and no file."""
+    lines = []
+    for name, keys in sections.items():
+        lines += [f"[{name}]", *(f"{k} = {v}" for k, v in keys.items())]
     config = _write(fuzz_dir / "fuzz.ini", "\n".join(lines) + "\n")
     out = fuzz_dir / "out.csv"
     report = fuzz_dir / "out.csv.report.json"
@@ -439,8 +451,63 @@ def test_fuzzed_config_exits_0_or_2_and_writes_nothing_on_2(fuzz_dir, estimator,
         path.unlink(missing_ok=True)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["estimate", str(fuzz_dir / "data.csv"), "--config", config, "--out", str(out)])
+        code = cli.main([*argv, "--config", config, "--out", str(out)])
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert not out.exists() and not report.exists()
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    estimator=_edited(_valid(_FUZZ_ESTIMATOR), list(_FUZZ_ESTIMATOR), _FUZZ_ESTIMATOR_VALUES, 2),
+    grid=_edited(_valid(_FUZZ_GRID), list(_FUZZ_GRID), _FUZZ_GRID_VALUES, 1),
+)
+def test_fuzzed_config_exits_0_or_2_and_writes_nothing_on_2(fuzz_dir, estimator, grid):
+    """Valid, out-of-range, NaN, infinite and non-numeric [estimator] and
+    [grid] values: estimate succeeds, or it exits 2 with one error line and
+    writes no file."""
+    if grid["points_file"]:
+        grid["points_file"] = str(fuzz_dir / grid["points_file"])
+    _run_fuzzed(fuzz_dir, ["estimate", str(fuzz_dir / "data.csv")], {"estimator": estimator, "grid": grid})
+
+
+# Coherent [model] sections, one per preset and one custom design per
+# dimension, and [bench] settings; valid sizes are kept small (n_obs and
+# n_grid entries at most 60, at most 2 replications, resolution at most 8).
+# Each example then overrides up to two [model] keys and one [bench] key
+# with values that are out of range, non-finite, non-numeric or of the
+# wrong shape, or valid only for another design.
+_FUZZ_MODELS = [
+    {"preset": "model_1"},
+    {"preset": "model_2", "n_obs": "7", "fixed_value": "2.5"},
+    {
+        "preset": "custom", "dimension": "2", "n_obs": "60", "covariate_mean": "0.5", "covariate_cov": "1.5",
+        "mixture_weights": "0.5 0.5", "mixture_means": "0.5 ; -0.5", "mixture_covs": "0.3 | 0.2",
+    },
+    {
+        "preset": "custom", "dimension": "3", "covariate_mean": "0 0", "covariate_cov": "2 0 ; 0 2",
+        "mixture_weights": "1", "mixture_means": "0 0", "mixture_covs": "0.3 0.1 ; 0.1 0.3",
+    },
+    {
+        "preset": "custom", "dimension": "4", "covariate_mean": "0 0 0", "covariate_cov": "1 0 0 ; 0 1 0 ; 0 0 1",
+        "mixture_weights": "0.5 0.5", "mixture_means": "0 0 0.5 ; 0 0 -0.5", "mixture_covs": "0.3 0 0 ; 0 0.3 0 ; 0 0 0.3",
+    },
+]
+_FUZZ_MODEL_VALUES = [
+    "custom", "model_3", "1", "3", "1e308", "1e-300", "0 0", "1 2 ; 2 1", "0.5 0.9", "1 0 ; 0", "0.3 | 0.2", "",
+] + _BAD_VALUES
+_FUZZ_BENCH = {"n_grid": ["30 60", "40", "3", "60 30 60"], "replications": ["1", "2"], "resolution": ["4", "8"]}
+_FUZZ_BENCH_VALUES = ["", "2", "3 x", "1 60"] + _BAD_VALUES
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model=_edited(st.sampled_from(_FUZZ_MODELS), list(cli.load_config(None)["model"]), _FUZZ_MODEL_VALUES, 2),
+    bench=_edited(_valid(_FUZZ_BENCH), list(_FUZZ_BENCH), _FUZZ_BENCH_VALUES, 1),
+)
+def test_fuzzed_model_and_bench_exit_0_or_2_and_write_nothing_on_2(fuzz_dir, model, bench):
+    """Valid, out-of-range, NaN, infinite, non-numeric and mis-shaped
+    [model] and [bench] values, custom vectors and matrices included:
+    bench succeeds, or it exits 2 with one error line and writes no file."""
+    _run_fuzzed(fuzz_dir, ["bench", "--seed", "3"], {"model": model, "bench": bench})

@@ -19,7 +19,6 @@ from spherecoef.estimator import (
     fx_self_evaluation,
     identification_diagnostic,
     marginal_density,
-    rate_truncation,
     standard_error,
 )
 from spherecoef import estimator, hemisphere
@@ -750,29 +749,7 @@ def test_diagnostic_input_validation():
         identification_diagnostic(lambda p: p[:, 0])
 
 
-# ---------------------------------------------------------- rate truncation
-
-
-def test_rate_truncation_growth_and_values():
-    assert rate_truncation(500, 3) == 1
-    ts = [rate_truncation(n, 3) for n in (10**3, 10**5, 10**7, 10**9)]
-    assert all(b >= a for a, b in zip(ts, ts[1:]))
-    assert ts[-1] > ts[0]
-    assert rate_truncation(500, 3, constant=3.4) == 3
-    # moment correction below q = 2 drops the extra log exponent
-    low_q = rate_truncation(10**6, 3, moment_order=1.5)
-    assert low_q >= rate_truncation(10**6, 3, moment_order=4.0)
-
-
-def test_rate_truncation_validation():
-    with pytest.raises(ValueError):
-        rate_truncation(2, 3)
-    with pytest.raises(ValueError):
-        rate_truncation(100, 1)
-    with pytest.raises(ValueError):
-        rate_truncation(100, 3, smoothness=0.0)
-    with pytest.raises(ValueError):
-        rate_truncation(100, 3, constant=-1.0)
+# --------------------------------------------------------- band limits
 
 
 def test_band_limit_capped_at_max_degree():
@@ -789,19 +766,18 @@ def test_band_limit_capped_at_max_degree():
     ]:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             EstimatorConfig(**{key: value})
-    for constant in (1e8, 1e308):
-        with pytest.raises(ValueError, match="constant"):
-            rate_truncation(500, 3, constant=constant)
-    assert 1 <= rate_truncation(500, 3, constant=70.0) <= MAX_DEGREE // 2
 
 
-@pytest.mark.parametrize("name", ["smoothness", "trimming_exponent", "constant"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
-def test_rate_truncation_refuses_non_finite_settings(name, value):
-    """A ValueError, not the OverflowError (constant = inf) or
-    ZeroDivisionError (trimming_exponent = -inf) of the arithmetic."""
-    with pytest.raises(ValueError, match="finite and positive"):
-        rate_truncation(500, 3, **{name: value})
+_NOT_NUMBERS = [(f.name, value) for f in dataclasses.fields(EstimatorConfig) for value in (None, "3", [3])]
+_NOT_FINITE = [(name, value) for name in ("truncation", "fx_truncation") for value in (math.inf, -math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("name, value", _NOT_NUMBERS + _NOT_FINITE)
+def test_estimator_config_refuses_non_numbers_naming_the_field(name, value):
+    """A ValueError that names the field, not the TypeError, OverflowError
+    or ValueError that int() raises on None, infinity or NaN."""
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        EstimatorConfig(**{name: value})
 
 
 # ----------------------------------------------------------- estimator API
@@ -859,13 +835,6 @@ def test_coefficient_density_predictions():
     assert agree > 0.55
 
 
-def test_coefficient_density_rate_rule_band_limit():
-    draw = generate(DgpSpec.model_1(n_obs=200, seed=7))
-    model = CoefficientDensity(truncation=None, rate_constant=3.4)
-    model.fit(draw.sample.x, draw.sample.y)
-    assert model.config_.truncation == rate_truncation(200, 3, constant=3.4)
-
-
 def test_coefficient_density_params_and_validation():
     model = CoefficientDensity()
     params = model.get_params()
@@ -878,16 +847,20 @@ def test_coefficient_density_params_and_validation():
         CoefficientDensity().density(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         CoefficientDensity().fit(np.ones((5, 3)), np.zeros(5))  # rows not unit
+    draw = generate(DgpSpec.model_1(n_obs=60, seed=3))
+    with pytest.raises(ValueError, match="^truncation must be a number"):
+        CoefficientDensity(truncation=None).fit(draw.sample.x, draw.sample.y)
 
 
 def test_coefficient_density_params_mirror_config():
-    """The front end's parameters are the config's fields plus the two
-    rate-rule constants, and a fixed truncation passes them through."""
+    """The front end's parameters are the config's fields, in order, and
+    fit passes them through."""
     names = [f.name for f in dataclasses.fields(EstimatorConfig)]
+    assert list(CoefficientDensity().get_params()) == names
     given = dict(truncation=2, trimming_exponent=1.5, family="dirichlet", s=3.0, l=4, fx_truncation=6)
-    assert set(given) == set(names)
-    model = CoefficientDensity(**given, smoothness=1.0, rate_constant=2.0)
-    assert set(model.get_params()) == set(names) | {"smoothness", "rate_constant"}
+    assert list(given) == names
+    model = CoefficientDensity(**given)
+    assert model.get_params() == given
     draw = generate(DgpSpec.model_1(n_obs=60, seed=3))
     model.fit(draw.sample.x, draw.sample.y)
     assert model.config_ == EstimatorConfig(**given)

@@ -123,6 +123,13 @@ def test_kernel_spec_refuses_non_finite_riesz_smoothness(s):
         KernelSpec("riesz", 4, 3, s=s)
 
 
+@pytest.mark.parametrize("l", [np.inf, np.nan])
+def test_kernel_spec_refuses_non_finite_riesz_power(l):
+    """A ValueError, not the OverflowError or ValueError of int()."""
+    with pytest.raises(ValueError, match="^riesz power l must be"):
+        KernelSpec("riesz", 4, 3, l=l)
+
+
 @pytest.mark.parametrize("family,degree", [("riesz", 6), ("dirichlet", 6), ("delayed_means", 8)])
 def test_kernel_eval_matches_projector_sum(family, degree):
     spec = KernelSpec(family, degree, 3)

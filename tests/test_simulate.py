@@ -105,6 +105,15 @@ def test_dgp_spec_validation():
     with pytest.raises(ValueError):
         DgpSpec(dimension=3, n_obs=10, coefficients=mix,
                 covariate_mean=np.zeros(3), covariate_cov=np.eye(2))
+    # fixed_value^(d - 1) scales the true density: refused where it is not
+    # finite, rather than overflowing when the truth is evaluated
+    for fixed in (np.inf, np.nan, 1e308):
+        with pytest.raises(ValueError, match="fixed_value"):
+            DgpSpec(dimension=3, n_obs=10, coefficients=mix,
+                    covariate_mean=np.zeros(2), covariate_cov=np.eye(2), fixed_value=fixed)
+    wide = DgpSpec(dimension=2, n_obs=10, coefficients=GaussianMixture([1.0], [[0.0]], [[[1.0]]]),
+                   covariate_mean=np.zeros(1), covariate_cov=np.eye(1), fixed_value=1e308)
+    assert wide.fixed_value == 1e308  # fixed_value^1 is finite
 
 
 # ----------------------------------------------------------------- sampling
