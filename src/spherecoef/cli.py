@@ -450,6 +450,11 @@ def cmd_bench(args):
     spec = build_dgp(cfg["model"], seed=seed)
     quad = build_quadrature(spec.dimension, resolution, seed=0)
     truth = true_fbeta_on_sphere(spec, quad.points)
+    if not np.any(truth):
+        raise CliError(
+            f"the true density is 0 at every node of the bench quadrature, so there is no "
+            f"error to measure; is fixed_value = {spec.fixed_value} too far from 1?"
+        )
     tasks = [
         (spec, config, n, rep, seed, quad.points, quad.weights, truth)
         for n in n_grid

@@ -132,6 +132,11 @@ class EstimatorConfig:
                 f"fx_truncation must be an integer in [0, {MAX_DEGREE}], got {self.fx_truncation}"
             )
         self.fx_truncation = int(self.fx_truncation)
+        # the dirichlet and delayed_means filters ignore s and l, but the
+        # config is echoed into reports, which cannot hold a non-finite value
+        for name in ("s", "l"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def main_kernel(self, d):
         """Filter spec for the coefficient density at dimension d."""
@@ -196,14 +201,18 @@ def _self_sums(x, nu, max_degree, budget=1 << 16):
     cosines) when it is small against the fundamental system's M points,
     and the fundamental system (_system_sums, 2NM cosines plus a one-off
     set-up of order M^3, paid once per process) otherwise.  The rule, one
-    comparison of N against M, charges the set-up to the call.  At degree
-    24 the fundamental system takes over from N = 436 in d = 3 (M = 98)
-    and from N = 9 232 in d = 4 (M = 1 250); with one BLAS thread the
-    measured crossovers, set-up included, were near 650 and 9 000.  In
-    d = 2 every N takes the fundamental system: its equispaced circle
-    points keep each degree's sums within 4e-14 of that degree's largest,
-    where the pair sweep's error reaches 4e-13, and at degree 24 it costs
-    at most 0.15 ms more (one BLAS thread), only below N = 150.
+    comparison of N against M, charges the set-up to the call.  A plug-in
+    point fit sweeps to fx_truncation (10 by default): at degree 10 the
+    fundamental system takes over from N = 177 in d = 3 (M = 42) and from
+    N = 1 204 in d = 4 (M = 242).  Its inference fit sweeps to the
+    cross-validation cap, 24 by default: there the fundamental system
+    takes over from N = 436 in d = 3 (M = 98) and from N = 9 232 in d = 4
+    (M = 1 250); with one BLAS thread the measured crossovers at degree
+    24, set-up included, were near 650 and 9 000.  In d = 2 every N takes
+    the fundamental system: its equispaced circle points keep each
+    degree's sums within 4e-14 of that degree's largest, where the pair
+    sweep's error reaches 4e-13, and at degree 24 it costs at most 0.15 ms
+    more (one BLAS thread), only below N = 150.
     """
     n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
     if x.shape[1] == 2 or n_obs * (n_obs - 4 * m) > m**3 / 50:
@@ -416,13 +425,15 @@ class DensityEstimate:
 
     fx_band is the band limit of the plug-in covariate-density estimate
     behind fx_values (None when the caller supplied them).  A plug-in fit
-    also carries an inference fit: the same anchors, coefficients and
-    kernel, with weights from the leave-one-out covariate density at the
-    cross-validated band (its fx_band).  That band is finer than the one
-    the point estimate uses, so the inference fit has less smoothing bias
-    at the price of more variance; confidence_interval is built on it,
-    while density, odd_values, z_values and standard_error describe this
-    estimate.
+    keeps its sample, from which inference builds, on first read, an
+    inference fit: the same anchors, coefficients and kernel, with weights
+    from the leave-one-out covariate density at the cross-validated band
+    (its fx_band; see fx_self_evaluation).  That band is finer than the
+    one the point estimate uses, so the inference fit has less smoothing
+    bias at the price of more variance; confidence_interval is built on
+    it, while density, odd_values, z_values and standard_error describe
+    this estimate.  A fit given fx values, and the inference fit itself,
+    keep no sample and have no inference fit.
     """
 
     odd: HarmonicMixture
@@ -432,7 +443,15 @@ class DensityEstimate:
     trimming_floor: float
     fx_values: np.ndarray
     fx_band: int | None = None
-    inference: DensityEstimate | None = None
+    sample: ChoiceSample | None = None
+
+    @functools.cached_property
+    def inference(self):
+        """The inference fit (None without a sample), built once."""
+        if self.sample is None:
+            return None
+        fxe = fx_self_evaluation(self.sample, self.config)
+        return _fit(self.sample, self.config, fxe.loo_values, fxe.band)
 
     @property
     def anchors(self):
@@ -473,45 +492,52 @@ class DensityEstimate:
         return self.odd
 
 
+def _fit(sample, config, fx_values, fx_band, keep_sample=False):
+    """The DensityEstimate weighted by the covariate-density values
+    fx_values at the sample; keep_sample for a plug-in point fit, whose
+    inference fit reads it (see DensityEstimate)."""
+    n_obs, d = sample.n_obs, sample.dimension
+    kernel = config.main_kernel(d)
+    chi = kernel.chi()
+    coeffs = {m: float(chi[m]) / (hemisphere.eigenvalue(m, d) * n_obs) for m in range(1, chi.size, 2)}
+    floor = config.trimming_floor(n_obs)
+    weights = (2.0 * sample.y - 1.0) / np.maximum(fx_values, floor)
+    return DensityEstimate(
+        odd=HarmonicMixture(d, sample.x, weights, coeffs),
+        weights=weights,
+        kernel=kernel,
+        config=config,
+        trimming_floor=floor,
+        fx_values=fx_values,
+        fx_band=fx_band,
+        sample=sample if keep_sample else None,
+    )
+
+
 def estimate_fbeta(sample, config=None, fx=None):
     """Fit the coefficient density from a choice sample.
 
     fx optionally overrides the plug-in covariate-density step: a callable
     evaluated at the sample covariates, or an (N,) array of precomputed
-    values; the fit then has no separate inference fit.  With fx=None the
-    covariate density is itself estimated from the sample
-    (fx_self_evaluation): the point estimate weights by it at
-    config.fx_truncation, each observation left in, and the inference fit
-    by its leave-one-out value at the cross-validated band.  Both fits
-    share the odd mixture's anchors and coefficients; only the weights
-    differ.
+    values; the fit then has no inference fit.  With fx=None the covariate
+    density is itself estimated from the sample, at config.fx_truncation
+    with each observation left in its own kernel average, from one sweep
+    of the self-sums to that degree (the leave-in values of
+    fx_self_evaluation, which sweeps to the cross-validation cap).  The
+    fit keeps the sample, so that its inference fit is built only when
+    read (DensityEstimate.inference).
     """
     config = EstimatorConfig() if config is None else config
     n_obs, d = sample.n_obs, sample.dimension
     if n_obs < 3:
         raise ValueError(f"need at least 3 observations, got {n_obs}")
-    kernel = config.main_kernel(d)
-    chi = kernel.chi()
-    coeffs = {m: float(chi[m]) / (hemisphere.eigenvalue(m, d) * n_obs) for m in range(1, chi.size, 2)}
-    floor = config.trimming_floor(n_obs)
-
-    def fit(fx_vals, fx_band, inference=None):
-        weights = (2.0 * sample.y - 1.0) / np.maximum(fx_vals, floor)
-        return DensityEstimate(
-            odd=HarmonicMixture(d, sample.x, weights, coeffs),
-            weights=weights,
-            kernel=kernel,
-            config=config,
-            trimming_floor=floor,
-            fx_values=fx_vals,
-            fx_band=fx_band,
-            inference=inference,
-        )
-
     if fx is not None:
-        return fit(_fx_at_sample(sample, fx), None)
-    fxe = fx_self_evaluation(sample, config)
-    return fit(fxe.fx_values, config.fx_truncation, inference=fit(fxe.loo_values, fxe.band))
+        return _fit(sample, config, _fx_at_sample(sample, fx), None)
+    top = config.fx_truncation
+    sums = _self_sums(sample.x, (d - 2) / 2.0, top)
+    chi = config.fx_kernel(d).chi()
+    fx_values = _leave_in_values(sums, chi, projector_constants(top, d), _at_one(top, d))
+    return _fit(sample, config, fx_values, top, keep_sample=True)
 
 
 def weight_summary(estimate):
@@ -527,7 +553,7 @@ def weight_summary(estimate):
     lscv_band: the inference fit's cross-validated band, and
         lscv_band_at_cap whether it is the highest band the search tries,
         so that the cap rather than the data chose it (both None without
-        an inference fit).
+        an inference fit; reading them builds it, as an interval would).
     """
     w, n_obs = estimate.weights, estimate.n_obs
     trimmed = int(np.sum(estimate.fx_values < estimate.trimming_floor))
@@ -571,17 +597,10 @@ class ChoiceProbabilityEstimate:
 def estimate_choice_probability(sample, config=None, fx=None):
     """Fit the choice-probability function from a choice sample.
 
-    fx is as in estimate_fbeta; with fx=None the weights use the plug-in
-    covariate density at config.fx_truncation, the point estimate's.
+    fx is as in estimate_fbeta: the choice probability is the hemisphere
+    transform of that fit's odd part, plus 1/2.
     """
-    config = EstimatorConfig() if config is None else config
-    if fx is None:
-        d, top = sample.dimension, config.fx_truncation
-        sums = _self_sums(sample.x, (d - 2) / 2.0, top)
-        chi = config.fx_kernel(d).chi()
-        fx = _leave_in_values(sums, chi, projector_constants(top, d), _at_one(top, d))
-    odd = estimate_fbeta(sample, config, fx=fx).odd
-    return ChoiceProbabilityEstimate(hemisphere.transform(odd))
+    return ChoiceProbabilityEstimate(hemisphere.transform(estimate_fbeta(sample, config, fx=fx).odd))
 
 
 def standard_error(estimate, points):
@@ -621,9 +640,9 @@ def confidence_interval(estimate, points, level=0.95):
     quantile for the given level, the lower bound clipped at 0.  A density
     is never negative, so where the estimate is clipped to 0 (or its
     interval would reach below 0) the lower bound is 0; the upper bound is
-    left as it is.  The fit is estimate.inference when the estimate
-    carries one (a plug-in fit; see DensityEstimate), and the estimate
-    itself otherwise.  The inference fit's finer, leave-one-out covariate
+    left as it is.  The fit is estimate.inference when the estimate has
+    one (a plug-in fit, which builds it on the first call; see
+    DensityEstimate), and the estimate itself otherwise.  The inference fit's finer, leave-one-out covariate
     density removes most of the smoothing bias that would shift an
     interval centred on the point estimate away from the truth.  The
     centre and the standard error come from one pass over the fit's

@@ -299,7 +299,8 @@ def test_cli_error_paths(tmp_path):
 
 # Each input is refused by the library with a ValueError (or, for s = nan,
 # was refused only after the grid had been written), by the config reader
-# (the retired rate rule's keys), or before any task is built (--threads).
+# (the retired rate rule's keys), or before any task is built (--threads,
+# a true density that is 0 at every node of bench's quadrature).
 # {data} is a 60-row model_1 dataset, {two_rows} a 2-row one, {nan_points}
 # a points file with a NaN row.
 _SMALL_BENCH = "[bench]\nn_grid = 30\nreplications = 1\nresolution = 4\n"
@@ -318,6 +319,13 @@ _REFUSED = {
     "two_rows_fixed": (["estimate", "{two_rows}"], ""),
     "seed": (["simulate", "--seed", "-1"], ""),
     "s_nan": (["estimate", "{data}"], "[estimator]\ns = nan\n"),
+    "s_inf_dirichlet": (["estimate", "{data}"], "[estimator]\ns = inf\nfamily = dirichlet\n"),
+    "s_nan_delayed_means": (
+        ["estimate", "{data}"],
+        "[estimator]\ns = nan\nfamily = delayed_means\nfx_truncation = 8\n",
+    ),
+    "fixed_value_1e100": (["bench"], "[model]\nfixed_value = 1e100\n" + _SMALL_BENCH),
+    "fixed_value_1e-300": (["bench"], "[model]\nfixed_value = 1e-300\n" + _SMALL_BENCH),
     "mixture_covs_indefinite": (
         ["simulate"],
         "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 2 0 ; 0 2\n"
@@ -328,6 +336,16 @@ _REFUSED = {
         "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 1 2 ; 2 1\n"
         "mixture_weights = 1\nmixture_means = 0 0\nmixture_covs = 1 0 ; 0 1\n",
     ),
+}
+
+
+# What the error line names, for the cases where the library's own
+# message would not say which setting is at fault.
+_NAMED = {
+    "s_inf_dirichlet": "s must be finite",
+    "s_nan_delayed_means": "s must be finite",
+    "fixed_value_1e100": "fixed_value",
+    "fixed_value_1e-300": "fixed_value",
 }
 
 
@@ -348,7 +366,24 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert _NAMED.get(case, "") in err
     assert not list(tmp_path.glob("out.csv*"))
+
+
+@pytest.mark.parametrize("family", ["dirichlet", "delayed_means"])
+@pytest.mark.parametrize("s", ["inf", "nan"])
+def test_diagnose_without_out_refuses_non_finite_s(tmp_path, capsys, family, s):
+    """diagnose writes no report without --out, so only the config check
+    stands between a non-finite s and exit 0."""
+    data = str(tmp_path / "data.csv")
+    ini = _write(tmp_path / "m.ini", "[model]\nn_obs = 60\n")
+    assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "1"]) == 0
+    config = _write(tmp_path / "c.ini", f"[estimator]\ns = {s}\nfamily = {family}\nfx_truncation = 8\n")
+    capsys.readouterr()
+    assert cli.main(["diagnose", data, "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: s must be finite") and captured.err.count("\n") == 1
 
 
 # Band limits far above kernels.MAX_DEGREE, keyed by the name their

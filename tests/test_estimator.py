@@ -114,6 +114,16 @@ def test_estimator_config_refuses_non_finite_trimming_exponent(value):
         EstimatorConfig(trimming_exponent=value)
 
 
+@pytest.mark.parametrize("family", ["riesz", "dirichlet", "delayed_means"])
+@pytest.mark.parametrize("name,value", [(n, v) for n in ("s", "l") for v in (math.inf, -math.inf, math.nan)])
+def test_estimator_config_refuses_non_finite_filter_settings(family, name, value):
+    """For every family, also those whose filter ignores s or l: the
+    config is echoed into reports, which refuse a non-finite value only
+    after the fit has run."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        EstimatorConfig(family=family, **{name: value})
+
+
 # ------------------------------------------------------------ estimate_fx
 
 
@@ -382,17 +392,19 @@ def test_self_evaluation_loo_values_and_lscv_scores(d, family):
 
 
 def test_plugin_fit_carries_inference_fit():
-    """A plug-in fit records its covariate-density band and carries an
-    inference fit weighted by the leave-one-out values at the
-    cross-validated band; a fit given fx values carries none."""
+    """A plug-in fit records its covariate-density band, keeps its sample
+    and carries an inference fit weighted by the leave-one-out values at
+    the cross-validated band, built once; a fit given fx values, and the
+    inference fit, keep no sample and carry none."""
     s = _random_sample(3, 40, seed=26)
     cfg = EstimatorConfig(truncation=2)
     est = estimate_fbeta(s, cfg)
     fxe = fx_self_evaluation(s, cfg)
     inf = est.inference
+    assert est.sample is s and est.inference is inf
     assert est.fx_band == cfg.fx_truncation
     assert np.array_equal(est.fx_values, fxe.fx_values)
-    assert inf.fx_band == fxe.band and inf.inference is None
+    assert inf.fx_band == fxe.band and inf.sample is None and inf.inference is None
     assert inf.anchors is est.anchors and inf.kernel == est.kernel
     assert inf.odd.degree_coeffs == est.odd.degree_coeffs
     # one weights array per fit, shared with its odd mixture
@@ -401,10 +413,65 @@ def test_plugin_fit_carries_inference_fit():
     floor = cfg.trimming_floor(40)
     assert np.array_equal(inf.weights, (2.0 * s.y - 1.0) / np.maximum(fxe.loo_values, floor))
     given = estimate_fbeta(s, cfg, fx=fxe.fx_values)
-    assert given.inference is None and given.fx_band is None
+    assert given.inference is None and given.fx_band is None and given.sample is None
     assert given.odd.weights is given.weights
     pts = sample_uniform(3, 10, seed=27)
     assert np.allclose(given.density(pts), est.density(pts), atol=1e-15)
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap estimator.<name> so that each call's positional arguments are
+    appended to the list returned."""
+    calls, real = [], getattr(estimator, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, name, recorded)
+    return calls
+
+
+def test_inference_fit_is_swept_only_when_read(monkeypatch):
+    """A plug-in fit sweeps the self-sums once, to fx_truncation, and its
+    point queries sweep nothing more; the first interval sweeps once more,
+    to the cross-validation cap, for the inference fit, which is then
+    kept: a second interval and the weight summary sweep nothing."""
+    sweeps = _record_calls(monkeypatch, "_self_sums")
+    s = generate(DgpSpec.model_1(n_obs=300, seed=3)).sample
+    cfg = EstimatorConfig()
+    est = estimate_fbeta(s, cfg)
+    pts = sample_uniform(3, 20, seed=4)
+    est.density(pts)
+    identification_diagnostic(est, resolution=8)
+    assert [args[2] for args in sweeps] == [cfg.fx_truncation]
+    first = confidence_interval(est, pts)
+    assert [args[2] for args in sweeps] == [cfg.fx_truncation, int(estimator._lscv_bands(cfg)[-1])]
+    second = confidence_interval(est, pts)
+    summary = estimator.weight_summary(est)
+    assert len(sweeps) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert summary["lscv_band"] == est.inference.fx_band
+
+
+@pytest.mark.parametrize("d,system_degrees", [(2, [10, 24]), (3, [10]), (4, [])])
+def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, system_degrees):
+    """The point fit's covariate density, from a sweep to fx_truncation,
+    is fx_self_evaluation's leave-in values, from a sweep to the
+    cross-validation cap, within 1e-13 relative.  At N = 300 in d = 3 the
+    two sweeps take different paths: the fundamental system at degree 10
+    (M = 42) and the pair sweep at degree 24 (M = 98); d = 2 takes the
+    system and d = 4 the pair sweep at both."""
+    system = _record_calls(monkeypatch, "_system_sums")
+    pairs = _record_calls(monkeypatch, "_pair_sums")
+    s = _random_sample(d, 300, seed=40 + d)
+    cfg = EstimatorConfig()
+    got = estimate_fbeta(s, cfg).fx_values
+    want = fx_self_evaluation(s, cfg).fx_values
+    assert [args[2] for args in system] == system_degrees
+    assert len(system) + len(pairs) == 2
+    assert np.min(want) > 0.0  # no value clipped, so relative error is defined
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("family", ["riesz", "dirichlet", "delayed_means"])
@@ -804,9 +871,7 @@ def test_coefficient_density_fit_and_queries():
 
 
 def test_coefficient_density_matches_functional_path():
-    """At N = 150 (pair sweep) and N = 1 000 (fundamental system, where the
-    choice probability's sweep to fx_truncation uses a smaller system than
-    the fit's sweep to the cross-validation cap)."""
+    """At N = 150 (pair sweep) and N = 1 000 (fundamental system)."""
     for n_obs in (150, 1000):
         draw = generate(DgpSpec.model_1(n_obs=n_obs, seed=5))
         model = CoefficientDensity().fit(draw.sample.x, draw.sample.y)
