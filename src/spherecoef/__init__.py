@@ -8,7 +8,7 @@ or optimization is needed to evaluate the fitted density.
 
 Layout: sphere (geometry and quadrature), gegenbauer (polynomial
 recursions), kernels (filtered zonal kernels and band-limited mixtures),
-hemisphere (the averaging operator and its inverses), estimator (the
+hemisphere (the averaging operator and its inverse), estimator (the
 statistical layer), simulate (synthetic designs with exact sphere
 densities), cli (command-line front end).
 """
@@ -27,7 +27,7 @@ from .estimator import (
     marginal_density,
     standard_error,
 )
-from .kernels import HarmonicMixture, KernelSpec, eigenspace_dim, projector_kernel
+from .kernels import HarmonicMixture, KernelSpec, eigenspace_dim
 from .simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere, true_fx_on_sphere
 from .sphere import QuadratureRule, build_quadrature, sample_uniform, surface_area
 
@@ -52,7 +52,6 @@ __all__ = [
     "generate",
     "identification_diagnostic",
     "marginal_density",
-    "projector_kernel",
     "sample_uniform",
     "standard_error",
     "surface_area",

@@ -192,12 +192,17 @@ def estimate_fx(sample, kernel):
 # (config.fx_truncation when that is larger); see _lscv_bands.
 FX_CV_MAX_BAND = 24
 
+# Cosines per row block of the self-sums, either path.  Blocks larger than
+# kernels.EVAL_CHUNK spread the per-degree call overhead of the sweep over
+# more pairs.
+SELF_SUMS_BLOCK = 1 << 16
 
-def _self_sums(x, nu, max_degree, budget=1 << 16):
+
+def _self_sums(x, nu, max_degree):
     """S[n, i] = sum_{j != i} C_n^nu(x_i'x_j) for n = 0..max_degree.
 
-    Two paths give the same sums, in row blocks of about `budget` cosines
-    each.  A sample of N points takes the pair sweep (_pair_sums, N^2/2
+    Two paths give the same sums, in row blocks of about SELF_SUMS_BLOCK
+    cosines each.  A sample of N points takes the pair sweep (_pair_sums, N^2/2
     cosines) when it is small against the fundamental system's M points,
     and the fundamental system (_system_sums, 2NM cosines plus a one-off
     set-up of order M^3, paid once per process) otherwise.  The rule, one
@@ -216,24 +221,23 @@ def _self_sums(x, nu, max_degree, budget=1 << 16):
     """
     n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
     if x.shape[1] == 2 or n_obs * (n_obs - 4 * m) > m**3 / 50:
-        return _system_sums(x, nu, max_degree, budget)
-    return _pair_sums(x, nu, max_degree, budget)
+        return _system_sums(x, nu, max_degree)
+    return _pair_sums(x, nu, max_degree)
 
 
-def _pair_sums(x, nu, max_degree, budget=1 << 16):
+def _pair_sums(x, nu, max_degree):
     """_self_sums by one sweep over the upper triangle of the cosine
     matrix: block [lo, hi) x [lo, N) adds its row sums, less the diagonal,
     to S[:, lo:hi] and the sums of its columns hi..N-1 to S[:, hi:], so
     every pair is visited once.  The degrees come from gegenbauer.sweep on
-    the block's cosines; blocks larger than kernels.EVAL_CHUNK spread the
-    per-degree call overhead over more pairs.
+    the block's cosines.
     """
     n_obs = x.shape[0]
     sums = np.zeros((max_degree + 1, n_obs))
     lo = 0
     while lo < n_obs:
         width = n_obs - lo
-        hi = lo + max(1, min(width, budget // width))
+        hi = lo + max(1, min(width, SELF_SUMS_BLOCK // width))
         rows = hi - lo
         diag = np.arange(rows)
         t = np.clip(x[lo:hi] @ x[lo:].T, -1.0, 1.0)
@@ -285,7 +289,7 @@ def _fundamental_system(d, top):
     return z, tuple(factors)
 
 
-def _system_sums(x, nu, max_degree, budget=1 << 16):
+def _system_sums(x, nu, max_degree):
     """_self_sums through a fundamental system, linear in N.
 
     With A_n = C_n(X Z_n') and G_n = C_n(Z_n Z_n') for the points Z_n of
@@ -298,7 +302,7 @@ def _system_sums(x, nu, max_degree, budget=1 << 16):
     """
     d = x.shape[1]
     z, factors = _fundamental_system(d, max_degree)
-    step = max(1, budget // z.shape[0])
+    step = max(1, SELF_SUMS_BLOCK // z.shape[0])
     blocks = [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
 
     def degrees(rows):
@@ -332,28 +336,22 @@ def _lscv_bands(config):
 
 @dataclass
 class FxSelfEvaluation:
-    """The covariate-density estimate at its own sample, from one sweep.
-
-    sums[n, i] = sum_{j != i} C_n^nu(x_i'x_j) for every degree n up to
-    the highest band the search tries (the last of _lscv_bands: the cap
+    """The cross-validated covariate-density estimate at its own sample,
+    from one sweep of the self-sums S[n, i] = sum_{j != i} C_n^nu(x_i'x_j)
+    to the highest band the search tries (the last of _lscv_bands: the cap
     max(FX_CV_MAX_BAND, config.fx_truncation) itself, or for delayed_means
     the largest power of two not above it).  From them:
 
-    fx_values: the estimate at config.fx_truncation, each x_i left in its
-        own kernel average and clipped at zero (what estimate_fx gives at
-        the sample);
     bands, scores: the admissible bands and their least-squares
         cross-validation scores  int f_T^2 - (2/N) sum_i f_{T,-i}(x_i)
         (Hall, Watson & Cabrera 1987), both terms in closed form in the
-        per-degree totals sum_i sums[n, i] because the zonal projectors
+        per-degree totals sum_i S[n, i] because the zonal projectors
         are orthogonal;
     band: the minimising band;
     loo_values: the leave-one-out estimate f_{band,-i}(x_i), clipped at
         zero.
     """
 
-    sums: np.ndarray
-    fx_values: np.ndarray
     bands: np.ndarray
     scores: np.ndarray
     band: int
@@ -373,8 +371,8 @@ def _leave_in_values(sums, chi, unit, at_one):
 
 
 def fx_self_evaluation(sample, config):
-    """Evaluate the plug-in covariate density at the sample, leave-in at
-    config.fx_truncation and leave-one-out at the cross-validated band."""
+    """Evaluate the plug-in covariate density at the sample, leave-one-out
+    at the cross-validated band."""
     n_obs, d = sample.n_obs, sample.dimension
     if n_obs < 3:
         raise ValueError(f"need at least 3 observations, got {n_obs}")
@@ -391,23 +389,11 @@ def fx_self_evaluation(sample, config):
     k = int(np.argmin(scores))
     loo = (chi[k] * unit) @ sums / (n_obs - 1)
     return FxSelfEvaluation(
-        sums=sums,
-        fx_values=_leave_in_values(sums, config.fx_kernel(d).chi(), unit, at_one),
         bands=bands,
         scores=scores,
         band=int(bands[k]),
         loo_values=np.maximum(loo, 0.0),
     )
-
-
-def _fx_at_sample(sample, fx):
-    """Covariate-density values at the sample from a callable or an array."""
-    fx_vals = np.asarray(fx(sample.x) if callable(fx) else fx, dtype=float)
-    if fx_vals.shape != (sample.n_obs,):
-        raise ValueError(
-            f"covariate-density values have shape {fx_vals.shape}, expected ({sample.n_obs},)"
-        )
-    return fx_vals
 
 
 @dataclass
@@ -517,22 +503,23 @@ def _fit(sample, config, fx_values, fx_band, keep_sample=False):
 def estimate_fbeta(sample, config=None, fx=None):
     """Fit the coefficient density from a choice sample.
 
-    fx optionally overrides the plug-in covariate-density step: a callable
-    evaluated at the sample covariates, or an (N,) array of precomputed
-    values; the fit then has no inference fit.  With fx=None the covariate
-    density is itself estimated from the sample, at config.fx_truncation
-    with each observation left in its own kernel average, from one sweep
-    of the self-sums to that degree (the leave-in values of
-    fx_self_evaluation, which sweeps to the cross-validation cap).  The
-    fit keeps the sample, so that its inference fit is built only when
-    read (DensityEstimate.inference).
+    fx optionally overrides the plug-in covariate-density step with an
+    (N,) array of covariate-density values at the sample covariates; the
+    fit then has no inference fit.  With fx=None the covariate density is
+    itself estimated from the sample, at config.fx_truncation with each
+    observation left in its own kernel average, from one sweep of the
+    self-sums to that degree.  The fit keeps the sample, so that its
+    inference fit is built only when read (DensityEstimate.inference).
     """
     config = EstimatorConfig() if config is None else config
     n_obs, d = sample.n_obs, sample.dimension
     if n_obs < 3:
         raise ValueError(f"need at least 3 observations, got {n_obs}")
     if fx is not None:
-        return _fit(sample, config, _fx_at_sample(sample, fx), None)
+        fx_values = np.asarray(fx, dtype=float)
+        if fx_values.shape != (n_obs,):
+            raise ValueError(f"covariate-density values have shape {fx_values.shape}, expected ({n_obs},)")
+        return _fit(sample, config, fx_values, None)
     top = config.fx_truncation
     sums = _self_sums(sample.x, (d - 2) / 2.0, top)
     chi = config.fx_kernel(d).chi()
@@ -575,7 +562,7 @@ class ChoiceProbabilityEstimate:
 
     odd_part is the hemisphere transform of a density estimate's odd
     mixture (coefficients chi(m) / N, the same anchors and weights), so
-    inverting the hemisphere operator on it gives back that odd part.
+    hemisphere.invert(odd_part) gives back that odd part.
     """
 
     odd_part: HarmonicMixture
@@ -589,16 +576,13 @@ class ChoiceProbabilityEstimate:
 
     __call__ = evaluate
 
-    def coefficient_odd_part(self):
-        """Spectral inverse of the odd part under the hemisphere operator."""
-        return hemisphere.invert(self.odd_part)
-
 
 def estimate_choice_probability(sample, config=None, fx=None):
     """Fit the choice-probability function from a choice sample.
 
-    fx is as in estimate_fbeta: the choice probability is the hemisphere
-    transform of that fit's odd part, plus 1/2.
+    The choice probability is the hemisphere transform of
+    estimate_fbeta(sample, config, fx=fx)'s odd part, plus 1/2; fx is None
+    or an (N,) array of covariate-density values, as there.
     """
     return ChoiceProbabilityEstimate(hemisphere.transform(estimate_fbeta(sample, config, fx=fx).odd))
 
@@ -720,12 +704,8 @@ class IdentificationReport:
     violation_score is twice the surface measure of the probe region where
     the odd part is clearly positive while the hemisphere mass centered at
     the same direction is negative, a sign incoherence that a
-    one-hemisphere density cannot produce.  The positivity cutoff is
-    relative to the odd part's peak; the default 0.3 clears the ripple the
-    inverted spectral filter leaves at realistic sample sizes, keeping the
-    score near zero on well-specified data while antipodally symmetric
-    coefficient distributions (whose odd part is pure noise) score far
-    above 0.05 * |S^{d-1}|.
+    one-hemisphere density cannot produce.  The positivity cutoff,
+    threshold, is POSITIVITY_CUTOFF times the odd part's peak.
     """
 
     axis: np.ndarray
@@ -735,7 +715,15 @@ class IdentificationReport:
     threshold: float
 
 
-def identification_diagnostic(estimate, resolution=32, quad=None, rel_threshold=0.3):
+# The diagnostic's positivity cutoff relative to the odd part's peak: 0.3
+# clears the ripple the inverted spectral filter leaves at realistic sample
+# sizes, keeping the violation score near zero on well-specified data while
+# antipodally symmetric coefficient distributions (whose odd part is pure
+# noise) score far above 0.05 * |S^{d-1}|.
+POSITIVITY_CUTOFF = 0.3
+
+
+def identification_diagnostic(estimate, resolution=32, quad=None):
     """Check the estimated density for one-hemisphere support.
 
     The odd part and its hemisphere transform differ only in their
@@ -766,7 +754,7 @@ def identification_diagnostic(estimate, resolution=32, quad=None, rel_threshold=
     mass_plus = float(masses[i_best])
     mass_minus = float(averaged.evaluate(-axis) / area)
     peak = float(np.max(odd_vals, initial=0.0))
-    threshold = max(rel_threshold * peak, 1e-12)
+    threshold = max(POSITIVITY_CUTOFF * peak, 1e-12)
     incoherent = (odd_vals > threshold) & (hemi_vals < 0.0)
     score = 2.0 * float(np.sum(quad.weights[incoherent]))
     return IdentificationReport(

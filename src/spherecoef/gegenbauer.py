@@ -12,18 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["eval_all", "eval_at_one", "series_eval", "sweep"]
-
-
-def _check_args(nu, max_degree, t):
-    if nu < 0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
-    if int(max_degree) != max_degree or max_degree < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {max_degree}")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-9):
-        raise ValueError("arguments t must lie in [-1, 1]")
-    return np.clip(t, -1.0, 1.0)
+__all__ = ["eval_at_one", "series_eval", "sweep"]
 
 
 def sweep(nu, max_degree, t):
@@ -58,41 +47,23 @@ def sweep(nu, max_degree, t):
         yield cur
 
 
-def eval_all(nu, max_degree, t):
-    """Evaluate C_0^nu, ..., C_max_degree^nu at t by the three-term recursion.
-
-    Parameters
-    ----------
-    nu : float
-        Gegenbauer index, >= 0.  nu = 0 uses C_1^0(t) = 2t and the
-        Chebyshev-limit family (2/n) T_n.
-    max_degree : int
-        Highest degree to return.
-    t : scalar or ndarray
-        Evaluation points in [-1, 1].
-
-    Returns
-    -------
-    ndarray with shape (max_degree + 1,) + shape(t); entry [n] is C_n^nu(t).
-    """
-    t = _check_args(nu, max_degree, t)
-    out = np.empty((int(max_degree) + 1,) + t.shape, dtype=float)
-    for n, c in enumerate(sweep(nu, max_degree, t)):
-        out[n] = c
-    return out
-
-
 def series_eval(nu, coeffs, t):
     """Evaluate sum_n coeffs[n] * C_n^nu(t) in one recursion sweep.
 
     Keeps only the sweep's three rolling buffers, so t may be a large array
     without materializing every degree.  coeffs is a 1-D sequence indexed
-    by degree; zero entries are skipped in the accumulation.
+    by degree; zero entries are skipped in the accumulation.  Arguments t
+    just outside [-1, 1] (by at most 1e-9, from rounding) are clipped.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coeffs must be a nonempty 1-D sequence indexed by degree")
-    t = _check_args(nu, coeffs.size - 1, t)
+    if nu < 0:
+        raise ValueError(f"nu must be >= 0, got {nu}")
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0 + 1e-9):
+        raise ValueError("arguments t must lie in [-1, 1]")
+    t = np.clip(t, -1.0, 1.0)
     out = _series_eval(nu, coeffs, t)
     return float(out) if t.shape == () else out
 

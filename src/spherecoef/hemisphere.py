@@ -17,15 +17,10 @@ from __future__ import annotations
 
 import math
 
-from .kernels import HarmonicMixture, laplacian_eigenvalue
+from .kernels import HarmonicMixture
 from .sphere import surface_area
 
-__all__ = [
-    "eigenvalue",
-    "transform",
-    "invert",
-    "invert_by_laplacian",
-]
+__all__ = ["eigenvalue", "transform", "invert"]
 
 
 def _lower_area(d):
@@ -78,37 +73,3 @@ def invert(g):
     return g.with_degree_coeffs(
         {n: c / eigenvalue(n, g.dimension) for n, c in g.degree_coeffs.items() if c != 0.0}
     )
-
-
-def invert_by_laplacian(g):
-    """Invert through the polynomial-in-Laplacian route (d a multiple of 4).
-
-    For d divisible by 4 the reciprocal eigenvalue on degree n = 2p+1 equals
-
-        (-1)^p prod_{k=1}^{d/4} [zeta_{n,d} + 2(k-1)(d-2k)]
-        / (|S^{d-2}| (d-3)!!),
-
-    a polynomial in the Laplace-Beltrami eigenvalue zeta_{n,d} applied
-    spectrally, with an alternating sign per odd eigenspace.  Independent
-    of the double-factorial-ratio route in eigenvalue(); used as a
-    cross-check of the inversion.
-    """
-    _require_odd(g)
-    d = g.dimension
-    if d % 4 != 0:
-        raise ValueError(f"the differential route needs d divisible by 4, got {d}")
-    dfact = 1
-    m = d - 3
-    while m > 1:
-        dfact *= m
-        m -= 2
-    new = {}
-    for n, c in g.degree_coeffs.items():
-        p = (n - 1) // 2
-        zeta = laplacian_eigenvalue(n, d)
-        prod = 1.0
-        for k in range(1, d // 4 + 1):
-            prod *= zeta + 2.0 * (k - 1) * (d - 2 * k)
-        new[n] = c * (-1.0) ** p * prod / (_lower_area(d) * dfact)
-    return g.with_degree_coeffs(new)
-

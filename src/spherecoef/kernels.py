@@ -22,16 +22,10 @@ from .sphere import check_on_sphere, surface_area
 
 __all__ = [
     "eigenspace_dim",
-    "laplacian_eigenvalue",
     "projector_constants",
-    "projector_kernel",
     "KernelSpec",
-    "chi_weight",
-    "chi_weights",
     "chi_table",
     "MAX_DEGREE",
-    "kernel_eval",
-    "kernel_odd_eval",
     "HarmonicMixture",
 ]
 
@@ -64,12 +58,6 @@ def eigenspace_dim(n, d):
     return math.comb(n + d - 2, n) + math.comb(n + d - 3, n - 1)
 
 
-def laplacian_eigenvalue(n, d):
-    """Eigenvalue n (n + d - 2) of -Laplace-Beltrami on degree-n harmonics."""
-    n, d = _check_degree_dim(n, d)
-    return float(n * (n + d - 2))
-
-
 def _at_one(max_degree, d):
     """The values C_n^nu(1) for n = 0..max_degree, with nu = (d-2)/2."""
     max_degree, d = _check_degree_dim(max_degree, d)
@@ -85,14 +73,6 @@ def projector_constants(max_degree, d, scale=1.0):
     max_degree, d = _check_degree_dim(max_degree, d)
     dims = np.array([eigenspace_dim(n, d) for n in range(max_degree + 1)], dtype=float)
     return scale * dims / (surface_area(d) * _at_one(max_degree, d))
-
-
-def projector_kernel(n, d, t):
-    """Zonal kernel of the projection onto degree-n harmonics, at cosine t."""
-    n, d = _check_degree_dim(n, d)
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = projector_constants(n, d)[n]
-    return gegenbauer.series_eval((d - 2) / 2.0, coeffs, t)
 
 
 def _is_power_of_two(n):
@@ -144,7 +124,8 @@ class KernelSpec:
 
     def chi(self):
         """All filter weights chi(n, T) for n = 0..degree as an array."""
-        return chi_weights(self)
+        table = chi_table(self.family, [self.degree], self.degree, self.dimension, s=self.s, l=self.l)
+        return table[0]
 
 
 def _bump(u):
@@ -194,39 +175,6 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
     else:
         table = np.where(top > 0, _delayed_means_profile(n / np.maximum(top, 1.0)), 1.0)
     return np.where(inside, table, 0.0)
-
-
-def chi_weights(spec):
-    """All weights chi(n, T) for n = 0..T as an array (single call)."""
-    return chi_table(spec.family, [spec.degree], spec.degree, spec.dimension, s=spec.s, l=spec.l)[0]
-
-
-def chi_weight(spec, n):
-    """Weight chi(n, T) for the given KernelSpec; 0 above the cutoff degree."""
-    if int(n) != n or n < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
-    if n > spec.degree:
-        return 0.0
-    return float(chi_weights(spec)[int(n)])
-
-
-def _series_coeffs(spec, odd_only=False):
-    """Per-degree coefficients turning chi weights into a Gegenbauer series."""
-    coeffs = projector_constants(spec.degree, spec.dimension, chi_weights(spec))
-    if odd_only:
-        coeffs[::2] = 0.0
-    return coeffs
-
-
-def kernel_eval(spec, t):
-    """Evaluate the smoothed kernel K_T at cosine(s) t (one recursion sweep)."""
-    return gegenbauer.series_eval(spec.nu, _series_coeffs(spec), t)
-
-
-def kernel_odd_eval(spec, t):
-    """Odd part of the smoothed kernel: only odd degrees contribute, and
-    kernel_odd_eval(spec, -t) = -kernel_odd_eval(spec, t)."""
-    return gegenbauer.series_eval(spec.nu, _series_coeffs(spec, odd_only=True), t)
 
 
 @dataclass
@@ -298,27 +246,26 @@ class HarmonicMixture:
             coeffs[n] = c
         return projector_constants(self.max_degree, self.dimension, coeffs)
 
-    def _cosine_blocks(self, pts, chunk_size):
+    def _cosine_blocks(self, pts):
         """The one block loop: yields (rows, t) with t[k, i] = x_i'b_k
         clipped to [-1, 1], for the points b_k in the slice rows of the
         checked (m, d) batch pts, about EVAL_CHUNK cosines a block."""
-        if chunk_size is None:
-            chunk_size = max(1, EVAL_CHUNK // max(1, self.anchors.shape[0]))
+        chunk_size = max(1, EVAL_CHUNK // max(1, self.anchors.shape[0]))
         for start in range(0, pts.shape[0], chunk_size):
             rows = slice(start, start + chunk_size)
             yield rows, np.clip(pts[rows] @ self.anchors.T, -1.0, 1.0)
 
-    def terms(self, points, chunk_size=None):
+    def terms(self, points):
         """Per-anchor terms, block by block: yields (rows, T) with
         T[k, i] = sum_n degree_coeffs[n] q_n(x_i, b_k) for the points b_k
         in the slice rows of the (m, d) batch; the mixture is T @ weights."""
         pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
         coeffs = self.series_coeffs()
         nu = (self.dimension - 2) / 2.0
-        for rows, cosines in self._cosine_blocks(pts, chunk_size):
+        for rows, cosines in self._cosine_blocks(pts):
             yield rows, gegenbauer._series_eval(nu, coeffs, cosines)
 
-    def evaluate_series(self, points, series, chunk_size=None):
+    def evaluate_series(self, points, series):
         """Evaluate several Gegenbauer series over these anchors and
         weights in one sweep.
 
@@ -340,15 +287,15 @@ class HarmonicMixture:
             return out
         top, live = int(np.flatnonzero(used)[-1]), series[:, used]
         nu = (self.dimension - 2) / 2.0
-        for rows, cosines in self._cosine_blocks(pts, chunk_size):
+        for rows, cosines in self._cosine_blocks(pts):
             degrees = gegenbauer.sweep(nu, top, cosines)
             sums = [cur @ self.weights for n, cur in enumerate(degrees) if used[n]]
             out[:, rows] = live @ np.array(sums)
         return out
 
-    def evaluate(self, points, chunk_size=None):
+    def evaluate(self, points):
         """Evaluate the mixture at one point (d,) or a batch (m, d)."""
-        (out,) = self.evaluate_series(points, self.series_coeffs(), chunk_size)
+        (out,) = self.evaluate_series(points, self.series_coeffs())
         return float(out[0]) if np.ndim(points) == 1 else out
 
     __call__ = evaluate

@@ -207,25 +207,33 @@ class SimulationDraw:
     covariates: np.ndarray
     raw_coefficients: np.ndarray
 
-    def true_fx(self, points):
-        return true_fx_on_sphere(self.spec, points)
-
-    def true_fbeta(self, points):
-        return true_fbeta_on_sphere(self.spec, points)
-
 
 def generate(spec):
-    """Draw one dataset from the design."""
+    """Draw one dataset from the design.
+
+    Refuses (ValueError) a design whose draws overflow a float: a covariate
+    draw too long to normalize, or a latent index x_raw'beta_raw that is
+    not finite.  The message names the [model] setting at fault.
+    """
     rng = np.random.default_rng(spec.seed)
     n, d = spec.n_obs, spec.dimension
     xt = rng.multivariate_normal(spec.covariate_mean, spec.covariate_cov, size=n)
     if xt.ndim == 1:
         xt = xt[:, None]
     g = spec.coefficients.sample(n, rng)
-    index = g[:, 0] + (xt[:, : d - 2] * g[:, 1:]).sum(axis=1) + spec.fixed_value * xt[:, d - 2]
-    y = (index >= 0.0).astype(np.int64)
     x_raw = np.column_stack([np.ones(n), xt])
-    x = x_raw / np.linalg.norm(x_raw, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(x_raw, axis=1, keepdims=True)
+        fixed = spec.fixed_value * xt[:, d - 2]
+        index = g[:, 0] + (xt[:, : d - 2] * g[:, 1:]).sum(axis=1) + fixed
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("covariate draws overflow a float: covariate_mean or covariate_cov is too large")
+    if not np.all(np.isfinite(fixed)):
+        raise ValueError(f"fixed_value = {spec.fixed_value} times a covariate draw overflows a float")
+    if not np.all(np.isfinite(index)):
+        raise ValueError("the latent index x'beta overflows a float: mixture_means or mixture_covs is too large")
+    y = (index >= 0.0).astype(np.int64)
+    x = x_raw / norms
     return SimulationDraw(
         sample=ChoiceSample(y=y, x=x),
         spec=spec,
@@ -247,9 +255,10 @@ def _pushforward_values(pdf, pivot, others, d, scale=1.0):
     if not np.any(ok):
         return out
     w = others[ok] / pivot[ok, None]
-    base = np.asarray(pdf(scale * w), dtype=float)
     s = 1.0 + np.einsum("ij,ij->i", w, w)
+    # a scale far from 1 can overflow scale * w; the density is 0 there
     with np.errstate(over="ignore", invalid="ignore"):
+        base = np.asarray(pdf(scale * w), dtype=float)
         vals = np.where(base > 0.0, base * s ** (d / 2.0) * scale ** (d - 1), 0.0)
     out[ok] = vals
     return out

@@ -24,7 +24,6 @@ __all__ = [
     "surface_area",
     "normalize",
     "sample_uniform",
-    "angle_between",
     "check_on_sphere",
     "QuadratureRule",
     "build_quadrature",
@@ -55,14 +54,6 @@ def normalize(v):
     if np.any(norms <= 1e-300):
         raise ValueError("cannot normalize a zero vector")
     return v / norms
-
-
-def angle_between(a, b):
-    """Great-circle (angular) distance between unit vectors, in radians."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    dots = np.clip(np.sum(a * b, axis=-1), -1.0, 1.0)
-    return np.arccos(dots)
 
 
 def check_on_sphere(points, d=None, tol=1e-12):

@@ -35,6 +35,7 @@ __all__ = [
     "mixture_by_terms",
     "project",
     "transform_by_quadrature",
+    "invert_by_laplacian",
     "gaussian_mixture_pdf",
     "pushforward_density",
 ]
@@ -347,6 +348,39 @@ def transform_by_quadrature(f, x, quad):
         side[np.abs(dots) <= 1e-12] = 0.5
         out[i] = np.sum(quad.weights * side * values)
     return float(out[0]) if np.ndim(x) == 1 else out
+
+
+def invert_by_laplacian(degree_coeffs, d):
+    """Invert the hemisphere operator on odd degree -> coefficient pairs
+    through the polynomial-in-Laplacian route (d a multiple of 4).
+
+    For d divisible by 4 the reciprocal eigenvalue on degree n = 2p+1 equals
+
+        (-1)^p prod_{k=1}^{d/4} [zeta_{n,d} + 2(k-1)(d-2k)]
+        / (|S^{d-2}| (d-3)!!),
+
+    a polynomial in the Laplace-Beltrami eigenvalue zeta_{n,d} = n(n+d-2)
+    with an alternating sign per odd eigenspace: independent of the
+    double-factorial-ratio route of the package's hemisphere.eigenvalue.
+    Returns the inverted coefficients as a new dict.
+    """
+    if d % 4 != 0:
+        raise ValueError(f"the differential route needs d divisible by 4, got {d}")
+    dfact = 1
+    m = d - 3
+    while m > 1:
+        dfact *= m
+        m -= 2
+    out = {}
+    for n, c in degree_coeffs.items():
+        if n % 2 == 0:
+            raise ValueError(f"the operator is only invertible on odd degrees, got {n}")
+        zeta = float(n * (n + d - 2))
+        prod = 1.0
+        for k in range(1, d // 4 + 1):
+            prod *= zeta + 2.0 * (k - 1) * (d - 2 * k)
+        out[n] = c * (-1.0) ** ((n - 1) // 2) * prod / (sphere_area(d - 1) * dfact)
+    return out
 
 
 def gaussian_mixture_pdf(point, weights, means, covs):

@@ -300,10 +300,19 @@ def test_cli_error_paths(tmp_path):
 # Each input is refused by the library with a ValueError (or, for s = nan,
 # was refused only after the grid had been written), by the config reader
 # (the retired rate rule's keys), or before any task is built (--threads,
-# a true density that is 0 at every node of bench's quadrature).
+# a true density that is 0 at every node of bench's quadrature), or by
+# simulate.generate when a design's draws overflow a float.
 # {data} is a 60-row model_1 dataset, {two_rows} a 2-row one, {nan_points}
 # a points file with a NaN row.
 _SMALL_BENCH = "[bench]\nn_grid = 30\nreplications = 1\nresolution = 4\n"
+# A d = 2 custom design, completed by the case's covariate_mean and
+# fixed_value lines.
+_CIRCLE_MODEL = (
+    "[model]\npreset = custom\ndimension = 2\ncovariate_cov = 1\n"
+    "mixture_weights = 1\nmixture_means = 0\nmixture_covs = 1\n"
+)
+_FIXED_VALUE_OVERFLOW = _CIRCLE_MODEL + "covariate_mean = 0\nfixed_value = 1e308\n"
+_COVARIATE_OVERFLOW = _CIRCLE_MODEL + "covariate_mean = 1e308\n"
 _REFUSED = {
     "rate_constant": (["estimate", "{data}"], "[estimator]\nrate_constant = 3.4\n"),
     "truncation_rule": (["estimate", "{data}"], "[estimator]\ntruncation_rule = fixed\n"),
@@ -331,6 +340,15 @@ _REFUSED = {
         "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 2 0 ; 0 2\n"
         "mixture_weights = 1\nmixture_means = 0 0\nmixture_covs = 1 2 ; 2 1\n",
     ),
+    "circle_fixed_value_overflow_simulate": (["simulate"], _FIXED_VALUE_OVERFLOW),
+    "circle_fixed_value_overflow_bench": (["bench"], _FIXED_VALUE_OVERFLOW + _SMALL_BENCH),
+    "covariate_mean_overflow_simulate": (["simulate"], _COVARIATE_OVERFLOW),
+    "covariate_mean_overflow_bench": (["bench"], _COVARIATE_OVERFLOW + _SMALL_BENCH),
+    "mixture_means_overflow": (
+        ["simulate"],
+        "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 1 0 ; 0 1\n"
+        "mixture_weights = 1\nmixture_means = 1e308 1e308\nmixture_covs = 1 0 ; 0 1\n",
+    ),
     "covariate_cov_indefinite": (
         ["simulate"],
         "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 1 2 ; 2 1\n"
@@ -346,9 +364,17 @@ _NAMED = {
     "s_nan_delayed_means": "s must be finite",
     "fixed_value_1e100": "fixed_value",
     "fixed_value_1e-300": "fixed_value",
+    "circle_fixed_value_overflow_simulate": "fixed_value",
+    "circle_fixed_value_overflow_bench": "fixed_value",
+    "covariate_mean_overflow_simulate": "covariate_mean",
+    "covariate_mean_overflow_bench": "covariate_mean",
+    "mixture_means_overflow": "mixture_means",
 }
 
 
+# Warnings are errors: a refused input must not let numpy warn (of an
+# overflow, say) before the error line.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(_REFUSED))
 def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     data = str(tmp_path / "data.csv")

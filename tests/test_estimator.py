@@ -21,11 +21,10 @@ from spherecoef.estimator import (
     marginal_density,
     standard_error,
 )
-from spherecoef import estimator, hemisphere
+from spherecoef import estimator, gegenbauer, hemisphere
 from spherecoef.kernels import EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, projector_constants
 from spherecoef.simulate import DgpSpec, generate
 from spherecoef.sphere import (
-    angle_between,
     build_quadrature,
     normalize,
     sample_uniform,
@@ -206,16 +205,16 @@ def test_signed_weights_and_trimming_floor():
     assert np.array_equal(est.fx_values, fx_vals)
 
 
-def test_fx_callable_and_array_paths_agree():
+def test_fx_array_and_plug_in_paths_agree():
     s = _random_sample(3, 20, seed=8)
     cfg = EstimatorConfig(truncation=2)
     fx = estimate_fx(s, cfg.fx_kernel(3))
     est_arr = estimate_fbeta(s, cfg, fx=fx(s.x))
-    est_call = estimate_fbeta(s, cfg, fx=fx)
     est_plug = estimate_fbeta(s, cfg)  # plug-in default
     pts = sample_uniform(3, 15, seed=9)
-    assert np.allclose(est_call.density(pts), est_arr.density(pts), atol=1e-15)
     assert np.allclose(est_plug.density(pts), est_arr.density(pts), atol=1e-15)
+    with pytest.raises(TypeError):  # fx takes values, not a callable
+        estimate_fbeta(s, cfg, fx=fx)
 
 
 # ------------------------------------- covariate-density self-evaluation
@@ -238,41 +237,63 @@ def _kernel_rounding(d, family, band):
     return 1e-14 + 8.0 * np.finfo(float).eps * total
 
 
+def _record_sweep_rows(monkeypatch):
+    """Wrap gegenbauer.sweep so that the row count of each cosine array it
+    is given is appended to the list returned."""
+    rows, real = [], gegenbauer.sweep
+
+    def recorded(nu, max_degree, t):
+        rows.append(t.shape[0])
+        return real(nu, max_degree, t)
+
+    monkeypatch.setattr(gegenbauer, "sweep", recorded)
+    return rows
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_self_sums_match_double_loop(d):
+def test_self_sums_match_double_loop(monkeypatch, d):
     """The upper-triangle sweep and the fundamental system each give every
-    degree's leave-one-out sums, for any row-block size (budget 1: one row
-    per block)."""
+    degree's leave-one-out sums, for any row-block size (SELF_SUMS_BLOCK 1:
+    one row per block), and the self-evaluation sweeps to the cap."""
     x = _design_points(d, 30, seed=60 + d)
     top = estimator.FX_CV_MAX_BAND
     ref = oracles.pair_sums(x, top)
     nu = (d - 2) / 2.0
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(top + 1)])
     tol = 1e-13 + 4.0 * np.finfo(float).eps * (x.shape[0] - 1) * bound
-    for budget in (1, 97, 1 << 16):
+    estimator._fundamental_system(d, top)  # its set-up sweep, out of the way
+    rows = _record_sweep_rows(monkeypatch)
+    for block in (1, 97, 1 << 16):
+        monkeypatch.setattr(estimator, "SELF_SUMS_BLOCK", block)
         for path in (estimator._pair_sums, estimator._system_sums):
-            sums = path(x, nu, top, budget=budget)
+            rows.clear()
+            sums = path(x, nu, top)
+            assert (max(rows) < x.shape[0]) == (block < 1 << 16)  # several blocks
             assert sums.shape == ref.shape
             assert np.all(np.abs(sums - ref) <= tol[:, None])
-    s = ChoiceSample(y=np.ones(30, dtype=int), x=x)
-    fxe = fx_self_evaluation(s, EstimatorConfig())
-    assert np.array_equal(fxe.sums, estimator._self_sums(x, nu, top))
+    monkeypatch.undo()
+    sweeps = _record_calls(monkeypatch, "_self_sums")
+    fx_self_evaluation(ChoiceSample(y=np.ones(30, dtype=int), x=x), EstimatorConfig())
+    assert [args[2] for args in sweeps] == [top]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_delayed_means_self_sums_stop_at_its_top_band(d):
+def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     """delayed_means tries the bands 1, 2, 4, 8 and 16, so its self-sums
     stop at degree 16 rather than at FX_CV_MAX_BAND.  They match the
     double loop within that oracle's rounding bound, as in
     test_self_sums_match_double_loop."""
     x = _design_points(d, 40, seed=70 + d)
     cfg = EstimatorConfig(family="delayed_means", fx_truncation=8)
+    sweeps = _record_calls(monkeypatch, "_self_sums")
     fxe = fx_self_evaluation(ChoiceSample(y=np.ones(40, dtype=int), x=x), cfg)
-    assert fxe.sums.shape == (17, 40) and fxe.bands[-1] == 16
+    assert [args[2] for args in sweeps] == [16] and fxe.bands[-1] == 16
     nu = (d - 2) / 2.0
+    sums = estimator._self_sums(x, nu, 16)
+    assert sums.shape == (17, 40)
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(17)])
     tol = 1e-13 + 4.0 * np.finfo(float).eps * 39 * bound
-    assert np.all(np.abs(fxe.sums - oracles.pair_sums(x, 16)) <= tol[:, None])
+    assert np.all(np.abs(sums - oracles.pair_sums(x, 16)) <= tol[:, None])
 
 
 def _circle_sums(x, top):
@@ -325,11 +346,12 @@ def test_self_evaluation_memory_is_linear():
     s = _random_sample(3, 20_000, seed=96)
     tracemalloc.start()
     try:
-        fxe = fx_self_evaluation(s, EstimatorConfig())
+        fx_self_evaluation(s, EstimatorConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - fxe.sums.nbytes <= 4 * 2**20
+    sums_nbytes = (estimator.FX_CV_MAX_BAND + 1) * s.n_obs * 8
+    assert peak - sums_nbytes <= 4 * 2**20
 
 
 def test_lscv_band_same_through_either_path(monkeypatch):
@@ -345,12 +367,14 @@ def test_lscv_band_same_through_either_path(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("family,band", _FAMILY_BANDS)
 def test_self_evaluation_matches_estimate_fx(d, family, band):
-    """The leave-in values at fx_truncation are estimate_fx at the sample."""
+    """The point fit's leave-in covariate density at fx_truncation is
+    estimate_fx at the sample.  truncation = 4 gives delayed_means a
+    power-of-two main kernel; the covariate density does not depend on it."""
     s = _random_sample(d, 60, seed=70 + d)
-    cfg = EstimatorConfig(family=family, fx_truncation=band)
+    cfg = EstimatorConfig(truncation=4, family=family, fx_truncation=band)
     expected = estimate_fx(s, cfg.fx_kernel(d))(s.x)
     assert np.min(expected) > 0.0  # no value clipped, so relative error is defined
-    got = fx_self_evaluation(s, cfg).fx_values
+    got = estimate_fbeta(s, cfg).fx_values
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
@@ -403,7 +427,6 @@ def test_plugin_fit_carries_inference_fit():
     inf = est.inference
     assert est.sample is s and est.inference is inf
     assert est.fx_band == cfg.fx_truncation
-    assert np.array_equal(est.fx_values, fxe.fx_values)
     assert inf.fx_band == fxe.band and inf.sample is None and inf.inference is None
     assert inf.anchors is est.anchors and inf.kernel == est.kernel
     assert inf.odd.degree_coeffs == est.odd.degree_coeffs
@@ -412,11 +435,22 @@ def test_plugin_fit_carries_inference_fit():
     assert np.array_equal(inf.fx_values, fxe.loo_values)
     floor = cfg.trimming_floor(40)
     assert np.array_equal(inf.weights, (2.0 * s.y - 1.0) / np.maximum(fxe.loo_values, floor))
-    given = estimate_fbeta(s, cfg, fx=fxe.fx_values)
+    given = estimate_fbeta(s, cfg, fx=est.fx_values)
     assert given.inference is None and given.fx_band is None and given.sample is None
     assert given.odd.weights is given.weights
     pts = sample_uniform(3, 10, seed=27)
     assert np.allclose(given.density(pts), est.density(pts), atol=1e-15)
+
+
+def _leave_in_at_cap(sample, config):
+    """The point fit's covariate density, each x_i left in its own kernel
+    average, from a sweep of the self-sums to the cross-validation cap (the
+    last of _lscv_bands) rather than to config.fx_truncation."""
+    d = sample.dimension
+    top = int(estimator._lscv_bands(config)[-1])
+    sums = estimator._self_sums(sample.x, (d - 2) / 2.0, top)
+    chi = config.fx_kernel(d).chi()
+    return estimator._leave_in_values(sums, chi, projector_constants(top, d), estimator._at_one(top, d))
 
 
 def _record_calls(monkeypatch, name):
@@ -457,8 +491,8 @@ def test_inference_fit_is_swept_only_when_read(monkeypatch):
 @pytest.mark.parametrize("d,system_degrees", [(2, [10, 24]), (3, [10]), (4, [])])
 def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, system_degrees):
     """The point fit's covariate density, from a sweep to fx_truncation,
-    is fx_self_evaluation's leave-in values, from a sweep to the
-    cross-validation cap, within 1e-13 relative.  At N = 300 in d = 3 the
+    is the leave-in values from a sweep to the cross-validation cap
+    (_leave_in_at_cap), within 1e-13 relative.  At N = 300 in d = 3 the
     two sweeps take different paths: the fundamental system at degree 10
     (M = 42) and the pair sweep at degree 24 (M = 98); d = 2 takes the
     system and d = 4 the pair sweep at both."""
@@ -467,7 +501,7 @@ def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, sys
     s = _random_sample(d, 300, seed=40 + d)
     cfg = EstimatorConfig()
     got = estimate_fbeta(s, cfg).fx_values
-    want = fx_self_evaluation(s, cfg).fx_values
+    want = _leave_in_at_cap(s, cfg)
     assert [args[2] for args in system] == system_degrees
     assert len(system) + len(pairs) == 2
     assert np.min(want) > 0.0  # no value clipped, so relative error is defined
@@ -477,19 +511,20 @@ def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, sys
 @pytest.mark.parametrize("family", ["riesz", "dirichlet", "delayed_means"])
 def test_choice_probability_sweeps_only_to_the_point_band(family):
     """The choice probability's covariate density comes from a sweep to
-    fx_truncation alone, yet equals the full self-evaluation's leave-in
-    values bit for bit, and so does the fitted choice probability."""
+    fx_truncation alone, yet equals the leave-in values of a sweep to the
+    cross-validation cap bit for bit, and so does the fitted choice
+    probability."""
     s = _random_sample(3, 60, seed=30)
     cfg = EstimatorConfig(truncation=2, family=family, fx_truncation=8)
-    fxe = fx_self_evaluation(s, cfg)
+    at_cap = _leave_in_at_cap(s, cfg)
     sums = estimator._self_sums(s.x, 0.5, cfg.fx_truncation)
     assert sums.shape[0] == cfg.fx_truncation + 1
     chi = cfg.fx_kernel(3).chi()
     unit, at_one = projector_constants(8, 3), estimator._at_one(8, 3)
-    assert np.array_equal(estimator._leave_in_values(sums, chi, unit, at_one), fxe.fx_values)
+    assert np.array_equal(estimator._leave_in_values(sums, chi, unit, at_one), at_cap)
     pts = sample_uniform(3, 9, seed=31)
     own = estimate_choice_probability(s, cfg).evaluate(pts)
-    given = estimate_choice_probability(s, cfg, fx=fxe.fx_values).evaluate(pts)
+    given = estimate_choice_probability(s, cfg, fx=at_cap).evaluate(pts)
     assert np.array_equal(own, given)
 
 
@@ -570,7 +605,7 @@ def test_choice_probability_antipodal_sum_and_link():
     # the coefficient-density odd part recovered from R-hat matches the
     # direct density estimate's odd part
     est = estimate_fbeta(s, cfg)
-    back = rhat.coefficient_odd_part()
+    back = hemisphere.invert(rhat.odd_part)
     assert np.allclose(back.evaluate(pts), est.odd_values(pts), atol=1e-12)
 
 
@@ -748,7 +783,7 @@ def test_diagnostic_on_well_specified_data():
     report = identification_diagnostic(est)
     reference = 0.05 * surface_area(3)
     assert report.violation_score <= reference
-    assert angle_between(report.axis, np.array([0.0, 0.0, 1.0])) < 0.5
+    assert np.arccos(np.clip(report.axis @ np.array([0.0, 0.0, 1.0]), -1, 1)) < 0.5
     assert report.mass_plus > 0.0
     assert report.mass_minus == pytest.approx(-report.mass_plus, abs=1e-12)
     # a hemisphere-supported density puts mass about 1/(2|S^2|) on its side

@@ -1,5 +1,8 @@
 """What importing and running the package loads, checked in fresh interpreters."""
 
+import dataclasses
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -73,3 +76,58 @@ def test_confidence_interval_loads_scipy_special():
         "estimator.confidence_interval(est, [0.0, 0.0, 1.0])"
     )
     assert "scipy.special" in loaded
+
+
+_MODULES = ["cli", "estimator", "gegenbauer", "hemisphere", "kernels", "simulate", "sphere"]
+
+# Names deleted from the runtime package, by the module that held them.
+_REMOVED = {
+    "kernels": [
+        "kernel_eval",
+        "kernel_odd_eval",
+        "_series_coeffs",
+        "chi_weight",
+        "chi_weights",
+        "projector_kernel",
+        "laplacian_eigenvalue",
+    ],
+    "hemisphere": ["invert_by_laplacian"],
+    "gegenbauer": ["eval_all"],
+    "sphere": ["angle_between"],
+}
+
+
+@pytest.mark.parametrize("name", ["spherecoef"] + [f"spherecoef.{m}" for m in _MODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_removed_names_are_gone():
+    reachable = [
+        f"{where}.{attr}"
+        for module, names in _REMOVED.items()
+        for attr in names
+        for where in ("spherecoef", f"spherecoef.{module}")
+        if hasattr(importlib.import_module(where), attr)
+    ]
+    assert reachable == []
+    from spherecoef import estimator
+    from spherecoef.kernels import HarmonicMixture
+    from spherecoef.simulate import SimulationDraw
+
+    assert not hasattr(estimator.ChoiceProbabilityEstimate, "coefficient_odd_part")
+    assert not hasattr(SimulationDraw, "true_fx") and not hasattr(SimulationDraw, "true_fbeta")
+    fields = {f.name for f in dataclasses.fields(estimator.FxSelfEvaluation)}
+    assert fields == {"bands", "scores", "band", "loo_values"}
+    removed_params = [
+        (HarmonicMixture.terms, "chunk_size"),
+        (HarmonicMixture.evaluate_series, "chunk_size"),
+        (HarmonicMixture.evaluate, "chunk_size"),
+        (estimator._self_sums, "budget"),
+        (estimator._pair_sums, "budget"),
+        (estimator._system_sums, "budget"),
+        (estimator.identification_diagnostic, "rel_threshold"),
+    ]
+    assert [p for f, p in removed_params if p in inspect.signature(f).parameters] == []

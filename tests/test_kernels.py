@@ -7,20 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from spherecoef import hemisphere
-from spherecoef.kernels import (
-    EVAL_CHUNK,
-    MAX_DEGREE,
-    HarmonicMixture,
-    KernelSpec,
-    chi_weight,
-    chi_weights,
-    eigenspace_dim,
-    kernel_eval,
-    kernel_odd_eval,
-    laplacian_eigenvalue,
-    projector_kernel,
-)
+from helpers import kernel_eval, projector_kernel
+from spherecoef import hemisphere, kernels
+from spherecoef.kernels import EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, eigenspace_dim
 from spherecoef.sphere import build_quadrature, sample_uniform, surface_area
 
 
@@ -36,12 +25,6 @@ def test_eigenspace_dim_known_forms():
 def test_eigenspace_dim_matches_independent_formula(d):
     for n in range(16):
         assert eigenspace_dim(n, d) == oracles.harmonic_dim(n, d)
-
-
-def test_laplacian_eigenvalue():
-    assert laplacian_eigenvalue(0, 3) == 0.0
-    assert laplacian_eigenvalue(1, 3) == 2.0
-    assert laplacian_eigenvalue(4, 5) == 4.0 * 7.0
 
 
 def test_projector_kernel_value_at_one():
@@ -68,19 +51,16 @@ def test_projector_kernel_reproducing_property():
 
 def test_chi_weights_dirichlet_and_cutoff():
     spec = KernelSpec("dirichlet", 5, 3)
-    assert np.array_equal(chi_weights(spec), np.ones(6))
-    assert chi_weight(spec, 9) == 0.0
-    with pytest.raises(ValueError):
-        chi_weight(spec, -1)
+    assert np.array_equal(spec.chi(), np.ones(6))
 
 
 def test_chi_weights_riesz_shape_and_hand_value():
     spec = KernelSpec("riesz", 2, 2, s=2.0, l=3)
-    w = chi_weights(spec)
+    w = spec.chi()
     assert w[0] == pytest.approx(1.0, rel=1e-15)
     # zeta_1 = 1, zeta_2 = 4: (1 - (1/5))^3 = 0.512
     assert w[1] == pytest.approx(0.512, rel=1e-13)
-    big = chi_weights(KernelSpec("riesz", 12, 3, s=2.0, l=3))
+    big = KernelSpec("riesz", 12, 3, s=2.0, l=3).chi()
     assert np.all(np.diff(big) < 0.0)
     assert np.all(big > 0.0) and np.all(big <= 1.0)
     for n in range(13):
@@ -89,7 +69,7 @@ def test_chi_weights_riesz_shape_and_hand_value():
 
 def test_chi_weights_delayed_means_profile():
     spec = KernelSpec("delayed_means", 16, 3)
-    w = chi_weights(spec)
+    w = spec.chi()
     assert np.allclose(w[: 16 // 2 + 1], 1.0)
     assert w[16] == 0.0
     assert np.all(np.diff(w) <= 1e-15)
@@ -114,7 +94,6 @@ def test_kernel_spec_validation():
     assert KernelSpec("delayed_means", MAX_DEGREE, 3).chi().shape == (MAX_DEGREE + 1,)
     spec = KernelSpec("riesz", 4, 4)
     assert spec.nu == 1.0
-    assert np.array_equal(spec.chi(), chi_weights(spec))
 
 
 @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
@@ -134,7 +113,7 @@ def test_kernel_spec_refuses_non_finite_riesz_power(l):
 def test_kernel_eval_matches_projector_sum(family, degree):
     spec = KernelSpec(family, degree, 3)
     t = np.linspace(-1.0, 1.0, 41)
-    chi = chi_weights(spec)
+    chi = spec.chi()
     direct = sum(chi[n] * projector_kernel(n, 3, t) for n in range(degree + 1))
     assert np.allclose(kernel_eval(spec, t), direct, atol=1e-11)
 
@@ -146,14 +125,14 @@ def test_kernel_integrates_to_chi_zero():
     for family in ("riesz", "dirichlet"):
         spec = KernelSpec(family, 8, 3)
         vals = kernel_eval(spec, quad.points @ x)
-        assert quad.integrate(vals) == pytest.approx(chi_weights(spec)[0], rel=1e-10)
+        assert quad.integrate(vals) == pytest.approx(spec.chi()[0], rel=1e-10)
 
 
 def test_kernel_odd_eval_is_odd_part():
     spec = KernelSpec("riesz", 7, 3)
     t = np.linspace(-1.0, 1.0, 51)
-    odd = kernel_odd_eval(spec, t)
-    assert np.allclose(odd, -kernel_odd_eval(spec, -t), atol=1e-12)
+    odd = kernel_eval(spec, t, odd_only=True)
+    assert np.allclose(odd, -kernel_eval(spec, -t, odd_only=True), atol=1e-12)
     assert np.allclose(odd, 0.5 * (kernel_eval(spec, t) - kernel_eval(spec, -t)), atol=1e-11)
 
 
@@ -174,7 +153,7 @@ def test_harmonic_mixture_evaluates_as_weighted_projector_sum():
     assert single == pytest.approx(direct[0], abs=1e-12)
 
 
-def test_harmonic_mixture_chunked_evaluation_matches():
+def test_harmonic_mixture_chunked_evaluation_matches(monkeypatch):
     mix = HarmonicMixture(
         dimension=3,
         anchors=sample_uniform(3, 7, seed=33),
@@ -182,7 +161,11 @@ def test_harmonic_mixture_chunked_evaluation_matches():
         degree_coeffs={3: 1.0, 4: 0.5},
     )
     pts = sample_uniform(3, 23, seed=34)
-    assert np.allclose(mix.evaluate(pts, chunk_size=4), mix.evaluate(pts), atol=1e-14)
+    whole = mix.evaluate(pts)
+    # 4 points of 7 anchors a block, as a block size of 4 gave
+    monkeypatch.setattr(kernels, "EVAL_CHUNK", 28)
+    assert len(list(mix.terms(pts))) > 1
+    assert np.allclose(mix.evaluate(pts), whole, atol=1e-14)
 
 
 def test_harmonic_mixture_oddness_and_rescaling():

@@ -240,14 +240,6 @@ def test_true_fx_integrates_to_one():
     assert total == pytest.approx(1.0, abs=2e-3)
 
 
-def test_simulation_draw_truth_delegates():
-    spec = DgpSpec.model_1(n_obs=20, seed=8)
-    draw = generate(spec)
-    pts = sample_uniform(3, 10, seed=16)
-    assert np.array_equal(draw.true_fx(pts), true_fx_on_sphere(spec, pts))
-    assert np.array_equal(draw.true_fbeta(pts), true_fbeta_on_sphere(spec, pts))
-
-
 def test_true_density_shape_contracts():
     spec = DgpSpec.model_1()
     single = true_fbeta_on_sphere(spec, np.array([0.0, 0.0, 1.0]))

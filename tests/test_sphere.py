@@ -7,7 +7,6 @@ import pytest
 
 from spherecoef.sphere import (
     QuadratureRule,
-    angle_between,
     build_quadrature,
     check_on_sphere,
     normalize,
@@ -44,14 +43,6 @@ def test_normalize_preserves_direction():
 def test_normalize_rejects_zero():
     with pytest.raises(ValueError):
         normalize(np.array([0.0, 0.0, 0.0]))
-
-
-def test_angle_between_basic():
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    assert angle_between(e1, e1) == pytest.approx(0.0, abs=1e-7)
-    assert angle_between(e1, e2) == pytest.approx(math.pi / 2, rel=1e-12)
-    assert angle_between(e1, -e1) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_check_on_sphere_accepts_and_shapes():
