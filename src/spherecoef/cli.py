@@ -451,9 +451,14 @@ def cmd_bench(args):
     quad = build_quadrature(spec.dimension, resolution, seed=0)
     truth = true_fbeta_on_sphere(spec, quad.points)
     if not np.any(truth):
+        cause = (
+            f"is fixed_value = {spec.fixed_value} too far from 1?"
+            if spec.fixed_value != 1.0
+            else "do mixture_means and mixture_covs put the mass between the nodes?"
+        )
         raise CliError(
             f"the true density is 0 at every node of the bench quadrature, so there is no "
-            f"error to measure; is fixed_value = {spec.fixed_value} too far from 1?"
+            f"error to measure; {cause}"
         )
     tasks = [
         (spec, config, n, rep, seed, quad.points, quad.weights, truth)

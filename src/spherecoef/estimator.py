@@ -27,6 +27,7 @@ from .kernels import (
     _FAMILIES,
     _at_one,
     chi_table,
+    degree_sums,
     eigenspace_dim,
     projector_constants,
 )
@@ -192,60 +193,36 @@ def estimate_fx(sample, kernel):
 # (config.fx_truncation when that is larger); see _lscv_bands.
 FX_CV_MAX_BAND = 24
 
-# Cosines per row block of the self-sums, either path.  Blocks larger than
-# kernels.EVAL_CHUNK spread the per-degree call overhead of the sweep over
-# more pairs.
-SELF_SUMS_BLOCK = 1 << 16
-
 
 def _self_sums(x, nu, max_degree):
     """S[n, i] = sum_{j != i} C_n^nu(x_i'x_j) for n = 0..max_degree.
 
-    Two paths give the same sums, in row blocks of about SELF_SUMS_BLOCK
-    cosines each.  A sample of N points takes the pair sweep (_pair_sums, N^2/2
-    cosines) when it is small against the fundamental system's M points,
-    and the fundamental system (_system_sums, 2NM cosines plus a one-off
-    set-up of order M^3, paid once per process) otherwise.  The rule, one
-    comparison of N against M, charges the set-up to the call.  A plug-in
-    point fit sweeps to fx_truncation (10 by default): at degree 10 the
-    fundamental system takes over from N = 177 in d = 3 (M = 42) and from
-    N = 1 204 in d = 4 (M = 242).  Its inference fit sweeps to the
-    cross-validation cap, 24 by default: there the fundamental system
-    takes over from N = 436 in d = 3 (M = 98) and from N = 9 232 in d = 4
-    (M = 1 250); with one BLAS thread the measured crossovers at degree
-    24, set-up included, were near 650 and 9 000.  In d = 2 every N takes
-    the fundamental system: its equispaced circle points keep each
-    degree's sums within 4e-14 of that degree's largest, where the pair
-    sweep's error reaches 4e-13, and at degree 24 it costs at most 0.15 ms
-    more (one BLAS thread), only below N = 150.
+    Two paths give the same sums through kernels.degree_sums: the pair
+    sweep (_pair_sums, N^2 cosines) and the fundamental system
+    (_system_sums, 2NM cosines plus a one-off set-up of its M points, paid
+    once per process).  The rule, one comparison of N against M, charges
+    the set-up to the call: with one BLAS thread the measured crossovers,
+    set-up included, were near N = 5.5 M (315, 550, 1 190 and 6 600 points
+    at M = 42, 98, 242 and 1 250).  So at degree 10, fx_truncation's
+    default, the system takes over from N = 232 in d = 3 (M = 42) and
+    N = 1 332 in d = 4 (M = 242); at the cross-validation cap, 24, from
+    N = 540 (M = 98) and N = 6 876 (M = 1 250).  In d = 2 every N takes
+    the system: its equispaced circle points keep each degree's sums
+    within 4e-14 of that degree's largest, where the pair sweep's error
+    reaches 4e-13, and at degree 24 it costs at most 0.5 ms more (one
+    BLAS thread, set-up aside), only below N = 120.
     """
     n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
-    if x.shape[1] == 2 or n_obs * (n_obs - 4 * m) > m**3 / 50:
+    if x.shape[1] == 2 or 2 * n_obs > 11 * m:
         return _system_sums(x, nu, max_degree)
     return _pair_sums(x, nu, max_degree)
 
 
 def _pair_sums(x, nu, max_degree):
-    """_self_sums by one sweep over the upper triangle of the cosine
-    matrix: block [lo, hi) x [lo, N) adds its row sums, less the diagonal,
-    to S[:, lo:hi] and the sums of its columns hi..N-1 to S[:, hi:], so
-    every pair is visited once.  The degrees come from gegenbauer.sweep on
-    the block's cosines.
-    """
-    n_obs = x.shape[0]
-    sums = np.zeros((max_degree + 1, n_obs))
-    lo = 0
-    while lo < n_obs:
-        width = n_obs - lo
-        hi = lo + max(1, min(width, SELF_SUMS_BLOCK // width))
-        rows = hi - lo
-        diag = np.arange(rows)
-        t = np.clip(x[lo:hi] @ x[lo:].T, -1.0, 1.0)
-        for n, cur in enumerate(gegenbauer.sweep(nu, max_degree, t)):
-            sums[n, lo:hi] += cur.sum(axis=1) - cur[diag, diag]
-            if hi < n_obs:
-                sums[n, hi:] += cur[:, rows:].sum(axis=0)
-        lo = hi
+    """_self_sums by one sweep over all N^2 cosines x_i'x_j: the per-degree
+    sums over j of C_n(x_i'x_j), less the term j = i, C_n(1)."""
+    sums = degree_sums(x, np.ones(x.shape[0]), x, nu, np.ones(max_degree + 1, dtype=bool))
+    sums -= _at_one(max_degree, x.shape[1])[:, None]
     return sums
 
 
@@ -295,32 +272,20 @@ def _system_sums(x, nu, max_degree):
     With A_n = C_n(X Z_n') and G_n = C_n(Z_n Z_n') for the points Z_n of
     _fundamental_system, sum_j C_n(x_i'x_j) = A_n[i] G_n^+ A_n'1 (the
     reproducing property of the zonal projector on a unisolvent set); the
-    term j = i is C_n(1).  The N x M cosines X Z' stream through
-    gegenbauer.sweep in row blocks twice: once for the column totals
-    A_n'1 of every degree, then for S[n, rows] = A_n[rows] v_n with
-    v_n = U_n U_n' A_n'1.  No table of every degree's cosines is built.
+    term j = i is C_n(1).  The N x M cosines stream through degree_sums
+    twice: once for the column totals A_n'1 of every degree, then for
+    S[n, i] = A_n[i] v_n with v_n = U_n U_n' A_n'1.  No table of every
+    degree's cosines is built.
     """
-    d = x.shape[1]
-    z, factors = _fundamental_system(d, max_degree)
-    step = max(1, SELF_SUMS_BLOCK // z.shape[0])
-    blocks = [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
-
-    def degrees(rows):
-        return enumerate(gegenbauer.sweep(nu, max_degree, np.clip(x[rows] @ z.T, -1.0, 1.0)))
-
-    totals = np.zeros((max_degree + 1, z.shape[0]))
-    for rows in blocks:
-        for n, cur in degrees(rows):
-            totals[n] += cur.sum(axis=0)
+    z, factors = _fundamental_system(x.shape[1], max_degree)
+    every = np.ones(max_degree + 1, dtype=bool)
+    totals = degree_sums(x, np.ones(x.shape[0]), z, nu, every)
     v = np.zeros_like(totals)
     for n, u in enumerate(factors):
         size = u.shape[0]
         v[n, :size] = u @ (u.T @ totals[n, :size])
-    sums = np.empty((max_degree + 1, x.shape[0]))
-    for rows in blocks:
-        for n, cur in degrees(rows):
-            sums[n, rows] = cur @ v[n]
-    sums -= _at_one(max_degree, d)[:, None]
+    sums = degree_sums(z, v, x, nu, every)
+    sums -= _at_one(max_degree, x.shape[1])[:, None]
     return sums
 
 
@@ -504,11 +469,11 @@ def estimate_fbeta(sample, config=None, fx=None):
     """Fit the coefficient density from a choice sample.
 
     fx optionally overrides the plug-in covariate-density step with an
-    (N,) array of covariate-density values at the sample covariates; the
-    fit then has no inference fit.  With fx=None the covariate density is
-    itself estimated from the sample, at config.fx_truncation with each
-    observation left in its own kernel average, from one sweep of the
-    self-sums to that degree.  The fit keeps the sample, so that its
+    (N,) array of finite covariate-density values at the sample
+    covariates; the fit then has no inference fit.  With fx=None the
+    covariate density is itself estimated from the sample, at
+    config.fx_truncation with each observation left in its own kernel
+    average, from one sweep of the self-sums to that degree.  The fit keeps the sample, so that its
     inference fit is built only when read (DensityEstimate.inference).
     """
     config = EstimatorConfig() if config is None else config
@@ -519,6 +484,9 @@ def estimate_fbeta(sample, config=None, fx=None):
         fx_values = np.asarray(fx, dtype=float)
         if fx_values.shape != (n_obs,):
             raise ValueError(f"covariate-density values have shape {fx_values.shape}, expected ({n_obs},)")
+        bad = np.flatnonzero(~np.isfinite(fx_values))
+        if bad.size:
+            raise ValueError(f"covariate-density values must be finite, got fx[{bad[0]}] = {fx_values[bad[0]]}")
         return _fit(sample, config, fx_values, None)
     top = config.fx_truncation
     sums = _self_sums(sample.x, (d - 2) / 2.0, top)
@@ -667,9 +635,13 @@ def marginal_density(density, keep_dims, values, n_draws=512, seed=None, dimensi
     if dimension is None:
         raise ValueError("pass dimension= when density is a bare callable")
     d = int(dimension)
+    if not isinstance(n_draws, numbers.Integral) or n_draws < 1:
+        raise ValueError(f"n_draws must be an integer >= 1, got {n_draws!r}")
     keep = np.asarray(keep_dims, dtype=int)
     if keep.ndim != 1 or keep.size == 0 or keep.size >= d:
         raise ValueError("keep_dims must select between 1 and d-1 coordinates")
+    if np.any(keep != np.asarray(keep_dims)):
+        raise ValueError(f"keep_dims must be integer coordinates, got {keep_dims}")
     if np.unique(keep).size != keep.size or keep.min() < 0 or keep.max() >= d:
         raise ValueError(f"keep_dims must be distinct coordinates in [0, {d}), got {keep_dims}")
     vals = np.atleast_1d(np.asarray(values, dtype=float))

@@ -26,15 +26,17 @@ __all__ = [
     "KernelSpec",
     "chi_table",
     "MAX_DEGREE",
+    "degree_sums",
     "HarmonicMixture",
 ]
 
 _FAMILIES = ("riesz", "delayed_means", "dirichlet")
 
-# Cosines per evaluation block.  Each temporary of the Gegenbauer sweep is
-# then 128 KB: it stays in cache and comes from the allocator's heap rather
-# than from a fresh, page-faulting mapping, which made blocks of millions
-# of cosines two to three times slower per point.
+# Cosines per block of _cosine_blocks, for evaluation and self-sums alike.
+# Each temporary of the Gegenbauer sweep is then 128 KB: it stays in cache
+# and comes from the allocator's heap rather than from a fresh,
+# page-faulting mapping, which made blocks of millions of cosines two to
+# three times slower per point.
 EVAL_CHUNK = 1 << 14
 
 
@@ -177,6 +179,41 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
     return np.where(inside, table, 0.0)
 
 
+def _cosine_blocks(anchors, points):
+    """The one block loop: yields (rows, t) with t[k, i] = a_i'b_k clipped
+    to [-1, 1], for the anchors a_i and the points b_k in the slice rows of
+    the (m, d) batch points, about EVAL_CHUNK cosines a block."""
+    chunk_size = max(1, EVAL_CHUNK // max(1, anchors.shape[0]))
+    for start in range(0, points.shape[0], chunk_size):
+        rows = slice(start, start + chunk_size)
+        yield rows, np.clip(points[rows] @ anchors.T, -1.0, 1.0)
+
+
+def degree_sums(anchors, weights, points, nu, used):
+    """Per-degree weighted sums D[n, k] = sum_i W[n, i] C_n^nu(a_i'b_k) of
+    the (N, d) anchors a_i at the (m, d) points b_k, for the degrees n
+    flagged in the boolean array used.
+
+    weights is one (N,) vector, W[n] = weights for every degree, or one
+    row per degree, W[n] = weights[n].  Returns a (u, m) array with one
+    row per flagged degree, in increasing order.  Each block of cosines
+    goes through one gegenbauer.sweep up to the highest flagged degree,
+    and each flagged degree is reduced by one matrix-vector product with
+    its weights.
+    """
+    degrees = np.flatnonzero(used).tolist()
+    out = np.empty((len(degrees), points.shape[0]))
+    if not degrees:
+        return out
+    slot = {n: k for k, n in enumerate(degrees)}
+    rows_of = weights if np.ndim(weights) == 2 else [weights] * (degrees[-1] + 1)
+    for rows, cosines in _cosine_blocks(anchors, points):
+        for n, cur in enumerate(gegenbauer.sweep(nu, degrees[-1], cosines)):
+            if n in slot:
+                out[slot[n], rows] = cur @ rows_of[n]
+    return out
+
+
 @dataclass
 class HarmonicMixture:
     """Band-limited function anchored at sphere points.
@@ -188,11 +225,11 @@ class HarmonicMixture:
     hemisphere transform), and spectral operators act by rescaling
     degree_coeffs.  So every such statistic is one row of coefficients
     against the same per-degree sums D[n, k] = sum_i weights[i]
-    C_n^nu(x_i'b_k): evaluate_series sweeps a block's cosines once, reduces
-    each degree that carries a coefficient by one matrix-vector product
-    with the weights, and applies any number of coefficient rows to the
-    result.  terms keeps the per-anchor values, for statistics that need
-    more than their weighted sum (the standard error).
+    C_n^nu(x_i'b_k) (degree_sums): evaluate_series takes them for each
+    degree that carries a coefficient and applies any number of
+    coefficient rows to them.  terms keeps the per-anchor values, for
+    statistics that need more than their weighted sum (the standard
+    error).
 
     weights is kept as passed when it is already a float array, not copied:
     a DensityEstimate's odd mixture holds the fit's own weights array, and
@@ -246,15 +283,6 @@ class HarmonicMixture:
             coeffs[n] = c
         return projector_constants(self.max_degree, self.dimension, coeffs)
 
-    def _cosine_blocks(self, pts):
-        """The one block loop: yields (rows, t) with t[k, i] = x_i'b_k
-        clipped to [-1, 1], for the points b_k in the slice rows of the
-        checked (m, d) batch pts, about EVAL_CHUNK cosines a block."""
-        chunk_size = max(1, EVAL_CHUNK // max(1, self.anchors.shape[0]))
-        for start in range(0, pts.shape[0], chunk_size):
-            rows = slice(start, start + chunk_size)
-            yield rows, np.clip(pts[rows] @ self.anchors.T, -1.0, 1.0)
-
     def terms(self, points):
         """Per-anchor terms, block by block: yields (rows, T) with
         T[k, i] = sum_n degree_coeffs[n] q_n(x_i, b_k) for the points b_k
@@ -262,7 +290,7 @@ class HarmonicMixture:
         pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
         coeffs = self.series_coeffs()
         nu = (self.dimension - 2) / 2.0
-        for rows, cosines in self._cosine_blocks(pts):
+        for rows, cosines in _cosine_blocks(self.anchors, pts):
             yield rows, gegenbauer._series_eval(nu, coeffs, cosines)
 
     def evaluate_series(self, points, series):
@@ -273,25 +301,15 @@ class HarmonicMixture:
         indexed by degree, as series_coeffs gives them; the rows of
         mixtures that share these anchors and weights, such as a mixture
         and its hemisphere transform, evaluate together.  Returns the
-        (r, m) values series @ D at the (m, d) points, with
-        D[n, k] = sum_i weights[i] C_n^nu(x_i'b_k) the per-degree sums.  Each block of cosines goes through one
-        gegenbauer.sweep up to the highest degree any row uses, and only
-        the degrees some row uses are reduced, each by one matrix-vector
-        product with the weights.
+        (r, m) values series @ D at the (m, d) points, with D the
+        per-degree sums of degree_sums, taken only for the degrees some
+        row uses.
         """
         pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
         series = np.atleast_2d(np.asarray(series, dtype=float))
-        out = np.zeros((series.shape[0], pts.shape[0]))
         used = np.any(series != 0.0, axis=0)
-        if not used.any():
-            return out
-        top, live = int(np.flatnonzero(used)[-1]), series[:, used]
         nu = (self.dimension - 2) / 2.0
-        for rows, cosines in self._cosine_blocks(pts):
-            degrees = gegenbauer.sweep(nu, top, cosines)
-            sums = [cur @ self.weights for n, cur in enumerate(degrees) if used[n]]
-            out[:, rows] = live @ np.array(sums)
-        return out
+        return series[:, used] @ degree_sums(self.anchors, self.weights, pts, nu, used)
 
     def evaluate(self, points):
         """Evaluate the mixture at one point (d,) or a batch (m, d)."""

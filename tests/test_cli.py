@@ -349,6 +349,11 @@ _REFUSED = {
         "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 1 0 ; 0 1\n"
         "mixture_weights = 1\nmixture_means = 1e308 1e308\nmixture_covs = 1 0 ; 0 1\n",
     ),
+    "mixture_means_overflow_bench": (
+        ["bench"],
+        "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 1 0 ; 0 1\n"
+        "mixture_weights = 1\nmixture_means = 1e308 1e308\nmixture_covs = 1 0 ; 0 1\n" + _SMALL_BENCH,
+    ),
     "covariate_cov_indefinite": (
         ["simulate"],
         "[model]\npreset = custom\ndimension = 3\ncovariate_mean = 0 0\ncovariate_cov = 1 2 ; 2 1\n"
@@ -369,6 +374,7 @@ _NAMED = {
     "covariate_mean_overflow_simulate": "covariate_mean",
     "covariate_mean_overflow_bench": "covariate_mean",
     "mixture_means_overflow": "mixture_means",
+    "mixture_means_overflow_bench": "mixture_means",
 }
 
 

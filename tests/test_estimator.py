@@ -21,7 +21,7 @@ from spherecoef.estimator import (
     marginal_density,
     standard_error,
 )
-from spherecoef import estimator, gegenbauer, hemisphere
+from spherecoef import estimator, gegenbauer, hemisphere, kernels
 from spherecoef.kernels import EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, projector_constants
 from spherecoef.simulate import DgpSpec, generate
 from spherecoef.sphere import (
@@ -252,9 +252,9 @@ def _record_sweep_rows(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_self_sums_match_double_loop(monkeypatch, d):
-    """The upper-triangle sweep and the fundamental system each give every
-    degree's leave-one-out sums, for any row-block size (SELF_SUMS_BLOCK 1:
-    one row per block), and the self-evaluation sweeps to the cap."""
+    """The pair sweep and the fundamental system each give every degree's
+    leave-one-out sums, for any block size (kernels.EVAL_CHUNK 1: one row
+    per block), and the self-evaluation sweeps to the cap."""
     x = _design_points(d, 30, seed=60 + d)
     top = estimator.FX_CV_MAX_BAND
     ref = oracles.pair_sums(x, top)
@@ -264,7 +264,7 @@ def test_self_sums_match_double_loop(monkeypatch, d):
     estimator._fundamental_system(d, top)  # its set-up sweep, out of the way
     rows = _record_sweep_rows(monkeypatch)
     for block in (1, 97, 1 << 16):
-        monkeypatch.setattr(estimator, "SELF_SUMS_BLOCK", block)
+        monkeypatch.setattr(kernels, "EVAL_CHUNK", block)
         for path in (estimator._pair_sums, estimator._system_sums):
             rows.clear()
             sums = path(x, nu, top)
@@ -355,10 +355,13 @@ def test_self_evaluation_memory_is_linear():
 
 
 def test_lscv_band_same_through_either_path(monkeypatch):
-    """On model_1 at N = 500 (the fundamental-system path) the
-    cross-validated band is the one the pair sweep's sums choose."""
+    """On model_1 at N = 500 the cross-validated band the fundamental
+    system's sums choose is the one the pair sweep's sums choose.  Each
+    path is set in turn, since _self_sums takes the pair sweep there (at
+    the cap, M = 98)."""
     cfg = EstimatorConfig()
     samples = [generate(DgpSpec.model_1(n_obs=500, seed=seed)).sample for seed in range(200)]
+    monkeypatch.setattr(estimator, "_self_sums", estimator._system_sums)
     bands = [fx_self_evaluation(s, cfg).band for s in samples]
     monkeypatch.setattr(estimator, "_self_sums", estimator._pair_sums)
     assert bands == [fx_self_evaluation(s, cfg).band for s in samples]
@@ -535,6 +538,18 @@ def test_estimate_fbeta_validation():
     s5 = _random_sample(3, 5, seed=11)
     with pytest.raises(ValueError):
         estimate_fbeta(s5, fx=np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimate_fbeta_refuses_non_finite_fx(bad):
+    """One non-finite covariate-density value would otherwise give an
+    all-zero density, NaN intervals and a zero violation score; the
+    refusal names the first bad index."""
+    s = generate(DgpSpec.model_1(n_obs=100, seed=1)).sample
+    fx = estimate_fbeta(s).fx_values.copy()
+    fx[[17, 42]] = bad
+    with pytest.raises(ValueError, match=r"finite.*fx\[17\]"):
+        estimate_fbeta(s, fx=fx)
 
 
 # ------------------------------------------------- structural invariants
@@ -772,6 +787,11 @@ def test_marginal_validation():
         marginal_density(f, keep_dims=[0], values=[1.2], dimension=d)
     with pytest.raises(ValueError):
         marginal_density(f, keep_dims=[0, 0], values=[0.1, 0.1], dimension=d)
+    for n_draws in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="n_draws"):
+            marginal_density(f, keep_dims=[0], values=[0.3], n_draws=n_draws, dimension=d)
+    with pytest.raises(ValueError, match="integer coordinates"):
+        marginal_density(f, keep_dims=[0.5], values=[0.3], dimension=d)
 
 
 # -------------------------------------------------------------- diagnostic

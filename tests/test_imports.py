@@ -94,6 +94,7 @@ _REMOVED = {
     "hemisphere": ["invert_by_laplacian"],
     "gegenbauer": ["eval_all"],
     "sphere": ["angle_between"],
+    "estimator": ["SELF_SUMS_BLOCK"],
 }
 
 

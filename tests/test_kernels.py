@@ -168,6 +168,34 @@ def test_harmonic_mixture_chunked_evaluation_matches(monkeypatch):
     assert np.allclose(mix.evaluate(pts), whole, atol=1e-14)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_degree_sums_match_double_loop(monkeypatch, d):
+    """degree_sums with one weight row per degree is the dense double loop
+    sum_i W[n, i] C_n(a_i'b_k) over every anchor and point, for the flagged
+    degrees only, across blocks; one weight vector stands for that row at
+    every degree."""
+    anchors, points = sample_uniform(d, 12, seed=60 + d), sample_uniform(d, 9, seed=70 + d)
+    weights = np.random.default_rng(d).standard_normal((10, 12))
+    used = np.isin(np.arange(10), [0, 2, 3, 9])
+    nu = (d - 2) / 2.0
+    monkeypatch.setattr(kernels, "EVAL_CHUNK", 24)  # 2 points of 12 anchors a block
+    assert len(list(kernels._cosine_blocks(anchors, points))) > 1
+    got = kernels.degree_sums(anchors, weights, points, nu, used)
+    want = np.array(
+        [
+            [sum(weights[n, i] * oracles.explicit_eval(nu, n, a @ b) for i, a in enumerate(anchors)) for b in points]
+            for n in np.flatnonzero(used)
+        ]
+    )
+    assert got.shape == (4, 9)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    shared = np.tile(weights[0], (10, 1))
+    assert np.array_equal(
+        kernels.degree_sums(anchors, weights[0], points, nu, used),
+        kernels.degree_sums(anchors, shared, points, nu, used),
+    )
+
+
 def test_harmonic_mixture_oddness_and_rescaling():
     mix = HarmonicMixture(
         dimension=3,
