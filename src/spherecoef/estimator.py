@@ -194,7 +194,7 @@ def estimate_fx(sample, kernel):
 FX_CV_MAX_BAND = 24
 
 
-def _self_sums(x, nu, max_degree):
+def _self_sums(x, max_degree):
     """S[n, i] = sum_{j != i} C_n^nu(x_i'x_j) for n = 0..max_degree.
 
     Two paths give the same sums through kernels.degree_sums: the pair
@@ -206,22 +206,25 @@ def _self_sums(x, nu, max_degree):
     at M = 42, 98, 242 and 1 250).  So at degree 10, fx_truncation's
     default, the system takes over from N = 232 in d = 3 (M = 42) and
     N = 1 332 in d = 4 (M = 242); at the cross-validation cap, 24, from
-    N = 540 (M = 98) and N = 6 876 (M = 1 250).  In d = 2 every N takes
-    the system: its equispaced circle points keep each degree's sums
-    within 4e-14 of that degree's largest, where the pair sweep's error
-    reaches 4e-13, and at degree 24 it costs at most 0.5 ms more (one
-    BLAS thread, set-up aside), only below N = 120.
+    N = 540 (M = 98) and N = 6 876 (M = 1 250).  The rule ignores whether
+    the set-up is cached: the paths agree only to about 1e-15, so reading
+    the cache would let outputs depend on what the process ran before.
+    In d = 2 every N takes the system: to degree 24 it keeps each
+    degree's sums within 1.5e-14, 9.3e-14 and 7.2e-14 of that degree's
+    largest at N = 300, 1 000 and 3 000 (seed 92, one BLAS thread, against
+    exactly rounded sums), where the pair sweep is off by 2.2e-13, 7.6e-13
+    and 1.5e-12, and costs at most 0.5 ms more (set-up aside) below N = 120.
     """
     n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
     if x.shape[1] == 2 or 2 * n_obs > 11 * m:
-        return _system_sums(x, nu, max_degree)
-    return _pair_sums(x, nu, max_degree)
+        return _system_sums(x, max_degree)
+    return _pair_sums(x, max_degree)
 
 
-def _pair_sums(x, nu, max_degree):
+def _pair_sums(x, max_degree):
     """_self_sums by one sweep over all N^2 cosines x_i'x_j: the per-degree
     sums over j of C_n(x_i'x_j), less the term j = i, C_n(1)."""
-    sums = degree_sums(x, np.ones(x.shape[0]), x, nu, np.ones(max_degree + 1, dtype=bool))
+    sums = degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
     sums -= _at_one(max_degree, x.shape[1])[:, None]
     return sums
 
@@ -242,9 +245,10 @@ def _fundamental_system(d, top):
     Z is sample_uniform(d, 2 h(top, d), seed=0) and degree n uses its
     first 2 h(n, d) points, twice the dimension of the degree-n harmonics:
     that prefix is the same for every top, and it keeps the set-up's
-    eigendecompositions small (0.9 s in d = 4 at degree 24, against 4.9 s
-    on all 1 250 points).  G_n has rank h(n, d), so U_n is its top h(n, d)
-    eigenvectors over the square roots of their eigenvalues; no M x M
+    eigendecompositions small (1.8-2.0 s in d = 4 at degree 24, against
+    9.0 s on all 1 250 points; one BLAS thread, 2-core Xeon).  G_n has
+    rank h(n, d), so U_n is its top h(n, d) eigenvectors over the square
+    roots of their eigenvalues; no M x M
     pseudo-inverse is kept.  The arrays are read-only, shared by every
     caller.
     """
@@ -266,7 +270,7 @@ def _fundamental_system(d, top):
     return z, tuple(factors)
 
 
-def _system_sums(x, nu, max_degree):
+def _system_sums(x, max_degree):
     """_self_sums through a fundamental system, linear in N.
 
     With A_n = C_n(X Z_n') and G_n = C_n(Z_n Z_n') for the points Z_n of
@@ -279,12 +283,12 @@ def _system_sums(x, nu, max_degree):
     """
     z, factors = _fundamental_system(x.shape[1], max_degree)
     every = np.ones(max_degree + 1, dtype=bool)
-    totals = degree_sums(x, np.ones(x.shape[0]), z, nu, every)
+    totals = degree_sums(x, np.ones(x.shape[0]), z, every)
     v = np.zeros_like(totals)
     for n, u in enumerate(factors):
         size = u.shape[0]
         v[n, :size] = u @ (u.T @ totals[n, :size])
-    sums = degree_sums(z, v, x, nu, every)
+    sums = degree_sums(z, v, x, every)
     sums -= _at_one(max_degree, x.shape[1])[:, None]
     return sums
 
@@ -343,8 +347,7 @@ def fx_self_evaluation(sample, config):
         raise ValueError(f"need at least 3 observations, got {n_obs}")
     bands = _lscv_bands(config)
     top = int(bands[-1])
-    nu = (d - 2) / 2.0
-    sums = _self_sums(sample.x, nu, top)
+    sums = _self_sums(sample.x, top)
     at_one = _at_one(top, d)
     unit = projector_constants(top, d)
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
@@ -365,14 +368,14 @@ def fx_self_evaluation(sample, config):
 class DensityEstimate:
     """Closed-form estimate of the coefficient density on S^{d-1}.
 
-    weights are the per-observation weights w_i = (2y_i - 1) /
-    max(fx_values[i], trimming_floor).  odd is the estimate's odd part, an
-    odd HarmonicMixture anchored at the sample covariates x_i with those
-    same weights (odd.weights is weights: one array per fit) and
-    coefficients chi(m) / (lambda_m N) on the odd degrees
-    m <= 2 * truncation - 1: the filter weights of kernel over the
-    hemisphere eigenvalues, with the 1/N of the sample mean.  The density
-    itself is twice its positive part.
+    odd is the estimate's odd part, an odd HarmonicMixture anchored at the
+    sample covariates x_i with the per-observation weights w_i =
+    (2y_i - 1) / max(fx_values[i], trimming_floor) and coefficients
+    chi(m) / (lambda_m N) on the odd degrees m <= 2 * truncation - 1: the
+    filter weights of config.main_kernel over the hemisphere eigenvalues,
+    with the 1/N of the sample mean.  The density is twice its positive
+    part.  weights and trimming_floor are read from odd and config, and
+    every query's points are checked once, by odd.
 
     fx_band is the band limit of the plug-in covariate-density estimate
     behind fx_values (None when the caller supplied them).  A plug-in fit
@@ -388,10 +391,7 @@ class DensityEstimate:
     """
 
     odd: HarmonicMixture
-    weights: np.ndarray
-    kernel: KernelSpec
     config: EstimatorConfig
-    trimming_floor: float
     fx_values: np.ndarray
     fx_band: int | None = None
     sample: ChoiceSample | None = None
@@ -403,6 +403,14 @@ class DensityEstimate:
             return None
         fxe = fx_self_evaluation(self.sample, self.config)
         return _fit(self.sample, self.config, fxe.loo_values, fxe.band)
+
+    @property
+    def weights(self):
+        return self.odd.weights
+
+    @property
+    def trimming_floor(self):
+        return self.config.trimming_floor(self.n_obs)
 
     @property
     def anchors(self):
@@ -418,15 +426,11 @@ class DensityEstimate:
 
     def odd_values(self, points):
         """The odd-part estimate at the given point(s)."""
-        check_on_sphere(points, d=self.dimension)
         return self.odd.evaluate(points)
 
     def density(self, points):
         """Twice the positive part of the odd estimate."""
-        ov = self.odd_values(points)
-        if isinstance(ov, np.ndarray):
-            return np.where(ov > 0.0, 2.0 * ov, 0.0)
-        return 2.0 * ov if ov > 0.0 else 0.0
+        return _twice_positive(self.odd_values(points))
 
     __call__ = density
 
@@ -434,7 +438,6 @@ class DensityEstimate:
         """Per-observation summands Z_i at a single point (density = 2 * mean)."""
         if np.ndim(point) != 1:
             raise ValueError("z_values takes a single point")
-        check_on_sphere(point, d=self.dimension)
         ((_, terms),) = self.odd.terms(point)
         return self.n_obs * terms[0] * self.weights
 
@@ -443,22 +446,23 @@ class DensityEstimate:
         return self.odd
 
 
+def _twice_positive(odd):
+    """The density from its odd part (a float for a float)."""
+    out = np.where(odd > 0.0, 2.0 * odd, 0.0)
+    return out if out.ndim else float(out)
+
+
 def _fit(sample, config, fx_values, fx_band, keep_sample=False):
     """The DensityEstimate weighted by the covariate-density values
     fx_values at the sample; keep_sample for a plug-in point fit, whose
     inference fit reads it (see DensityEstimate)."""
     n_obs, d = sample.n_obs, sample.dimension
-    kernel = config.main_kernel(d)
-    chi = kernel.chi()
+    chi = config.main_kernel(d).chi()
     coeffs = {m: float(chi[m]) / (hemisphere.eigenvalue(m, d) * n_obs) for m in range(1, chi.size, 2)}
-    floor = config.trimming_floor(n_obs)
-    weights = (2.0 * sample.y - 1.0) / np.maximum(fx_values, floor)
+    weights = (2.0 * sample.y - 1.0) / np.maximum(fx_values, config.trimming_floor(n_obs))
     return DensityEstimate(
         odd=HarmonicMixture(d, sample.x, weights, coeffs),
-        weights=weights,
-        kernel=kernel,
         config=config,
-        trimming_floor=floor,
         fx_values=fx_values,
         fx_band=fx_band,
         sample=sample if keep_sample else None,
@@ -489,7 +493,7 @@ def estimate_fbeta(sample, config=None, fx=None):
             raise ValueError(f"covariate-density values must be finite, got fx[{bad[0]}] = {fx_values[bad[0]]}")
         return _fit(sample, config, fx_values, None)
     top = config.fx_truncation
-    sums = _self_sums(sample.x, (d - 2) / 2.0, top)
+    sums = _self_sums(sample.x, top)
     chi = config.fx_kernel(d).chi()
     fx_values = _leave_in_values(sums, chi, projector_constants(top, d), _at_one(top, d))
     return _fit(sample, config, fx_values, top, keep_sample=True)
@@ -563,25 +567,20 @@ def standard_error(estimate, points):
     the half-width scale of a normal confidence interval (see
     confidence_interval, which does that and applies the quantile).
     """
-    pts = _inference_points(estimate, points)
-    out = np.empty(pts.shape[0])
-    for rows, terms in estimate.odd.terms(pts):
-        out[rows] = _spread(estimate, terms)
-    return float(out[0]) if np.ndim(points) == 1 else out
+    _, spread = _odd_and_spread(estimate, points)
+    return float(spread[0]) if np.ndim(points) == 1 else spread
 
 
-def _inference_points(estimate, points):
-    """The points as an (m, d) batch, once the estimate has the two
-    observations a standard error needs."""
-    if estimate.n_obs < 2:
+def _odd_and_spread(fit, points):
+    """The fit's odd part and its standard error scale 2 N sd(Z_i) at the
+    points, as two (m,) arrays from one pass over its per-anchor terms."""
+    if fit.n_obs < 2:
         raise ValueError("standard error needs at least 2 observations")
-    return check_on_sphere(points, d=estimate.dimension)
-
-
-def _spread(estimate, terms):
-    """2 N sd(terms[k] * weights) for each row k of a terms block: the
-    standard error scale at the block's points."""
-    return 2.0 * estimate.n_obs * np.std(terms * estimate.weights, axis=1, ddof=1)
+    odd, spread = [np.empty(0)], [np.empty(0)]
+    for _, terms in fit.odd.terms(points):
+        odd.append(terms @ fit.weights)
+        spread.append(2.0 * fit.n_obs * np.std(terms * fit.weights, axis=1, ddof=1))
+    return np.concatenate(odd), np.concatenate(spread)
 
 
 def confidence_interval(estimate, points, level=0.95):
@@ -608,12 +607,8 @@ def confidence_interval(estimate, points, level=0.95):
         raise ValueError(f"level must be in (0, 1), got {level}")
     fit = estimate if estimate.inference is None else estimate.inference
     z = ndtri(0.5 + level / 2.0)
-    pts = _inference_points(fit, points)
-    odd, spread = np.empty(pts.shape[0]), np.empty(pts.shape[0])
-    for rows, terms in fit.odd.terms(pts):
-        odd[rows] = terms @ fit.weights
-        spread[rows] = _spread(fit, terms)
-    center = np.where(odd > 0.0, 2.0 * odd, 0.0)
+    odd, spread = _odd_and_spread(fit, points)
+    center = _twice_positive(odd)
     half = z * spread / math.sqrt(fit.n_obs)
     lower, upper = np.maximum(center - half, 0.0), center + half
     return (float(lower[0]), float(upper[0])) if np.ndim(points) == 1 else (lower, upper)
@@ -670,9 +665,10 @@ class IdentificationReport:
 
     axis maximizes the hemisphere mass of the estimated odd part over the
     probe nodes; mass_plus and mass_minus are the odd-part masses of the
-    two closed hemispheres around it under the normalized surface measure
-    (they are exact negatives of each other).  For a density supported in
-    the axis hemisphere the plus mass approaches +1/(2|S^{d-1}|).
+    two closed hemispheres around it under the normalized surface measure;
+    an odd part's are exact negatives, so mass_minus is -mass_plus.  For a
+    density supported in the axis hemisphere the plus mass approaches
+    +1/(2|S^{d-1}|).
     violation_score is twice the surface measure of the probe region where
     the odd part is clearly positive while the hemisphere mass centered at
     the same direction is negative, a sign incoherence that a
@@ -724,7 +720,6 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     i_best = int(np.argmax(masses))
     axis = quad.points[i_best].copy()
     mass_plus = float(masses[i_best])
-    mass_minus = float(averaged.evaluate(-axis) / area)
     peak = float(np.max(odd_vals, initial=0.0))
     threshold = max(POSITIVITY_CUTOFF * peak, 1e-12)
     incoherent = (odd_vals > threshold) & (hemi_vals < 0.0)
@@ -732,7 +727,7 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     return IdentificationReport(
         axis=axis,
         mass_plus=mass_plus,
-        mass_minus=mass_minus,
+        mass_minus=-mass_plus,
         violation_score=score,
         threshold=threshold,
     )
@@ -743,7 +738,7 @@ class CoefficientDensity:
 
     Parameters are EstimatorConfig's fields.  X rows are renormalized to
     unit length (they must already be within 1e-6 of it) and must have
-    nonnegative first coordinate.
+    nonnegative first coordinate.  Query rows are taken the same way.
     """
 
     def __init__(
@@ -782,9 +777,7 @@ class CoefficientDensity:
         self.config_ = config
         self.sample_ = sample
         self.estimate_ = estimate_fbeta(sample, config)
-        self.choice_probability_ = ChoiceProbabilityEstimate(
-            hemisphere.transform(self.estimate_.odd)
-        )
+        self.choice_probability_ = ChoiceProbabilityEstimate(hemisphere.transform(self.estimate_.odd))
         self.n_features_in_ = sample.dimension
         return self
 
@@ -792,21 +785,27 @@ class CoefficientDensity:
         if not hasattr(self, "estimate_"):
             raise RuntimeError("call fit before querying the estimator")
 
-    def density(self, B):
+    def _points(self, B):
+        """Query rows taken as fit takes X; a single point stays one."""
         self._check_fitted()
-        return self.estimate_.density(B)
+        pts = normalize(check_on_sphere(B, d=self.n_features_in_, tol=1e-6))
+        return pts.reshape(np.shape(B))
+
+    def density(self, B):
+        pts = self._points(B)
+        return self.estimate_.density(pts)
 
     def odd_density(self, B):
-        self._check_fitted()
-        return self.estimate_.odd_values(B)
+        pts = self._points(B)
+        return self.estimate_.odd_values(pts)
 
     def standard_error(self, B):
-        self._check_fitted()
-        return standard_error(self.estimate_, B)
+        pts = self._points(B)
+        return standard_error(self.estimate_, pts)
 
     def confidence_interval(self, B, level=0.95):
-        self._check_fitted()
-        return confidence_interval(self.estimate_, B, level=level)
+        pts = self._points(B)
+        return confidence_interval(self.estimate_, pts, level=level)
 
     def marginal(self, keep_dims, values, n_draws=512, seed=None):
         self._check_fitted()
@@ -818,11 +817,11 @@ class CoefficientDensity:
 
     def predict_proba(self, X):
         """Estimated P(y=1 | x) for new covariate directions, clipped to [0, 1]."""
-        self._check_fitted()
-        p = np.clip(self.choice_probability_.evaluate(X), 0.0, 1.0)
+        pts = self._points(X)
+        p = np.clip(self.choice_probability_.evaluate(pts), 0.0, 1.0)
         return np.column_stack([1.0 - p, p]) if isinstance(p, np.ndarray) else np.array([1.0 - p, p])
 
     def predict(self, X):
-        self._check_fitted()
-        p = self.choice_probability_.evaluate(X)
+        pts = self._points(X)
+        p = self.choice_probability_.evaluate(pts)
         return (np.asarray(p) >= 0.5).astype(np.int64)

@@ -189,10 +189,10 @@ def _cosine_blocks(anchors, points):
         yield rows, np.clip(points[rows] @ anchors.T, -1.0, 1.0)
 
 
-def degree_sums(anchors, weights, points, nu, used):
+def degree_sums(anchors, weights, points, used):
     """Per-degree weighted sums D[n, k] = sum_i W[n, i] C_n^nu(a_i'b_k) of
     the (N, d) anchors a_i at the (m, d) points b_k, for the degrees n
-    flagged in the boolean array used.
+    flagged in the boolean array used, with nu = (d - 2)/2 for the points' d.
 
     weights is one (N,) vector, W[n] = weights for every degree, or one
     row per degree, W[n] = weights[n].  Returns a (u, m) array with one
@@ -206,6 +206,7 @@ def degree_sums(anchors, weights, points, nu, used):
     if not degrees:
         return out
     slot = {n: k for k, n in enumerate(degrees)}
+    nu = (points.shape[1] - 2) / 2.0
     rows_of = weights if np.ndim(weights) == 2 else [weights] * (degrees[-1] + 1)
     for rows, cosines in _cosine_blocks(anchors, points):
         for n, cur in enumerate(gegenbauer.sweep(nu, degrees[-1], cosines)):
@@ -229,7 +230,7 @@ class HarmonicMixture:
     degree that carries a coefficient and applies any number of
     coefficient rows to them.  terms keeps the per-anchor values, for
     statistics that need more than their weighted sum (the standard
-    error).
+    error).  Both check query points at one tolerance, |norm - 1| <= 1e-8.
 
     weights is kept as passed when it is already a float array, not copied:
     a DensityEstimate's odd mixture holds the fit's own weights array, and
@@ -308,8 +309,7 @@ class HarmonicMixture:
         pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
         series = np.atleast_2d(np.asarray(series, dtype=float))
         used = np.any(series != 0.0, axis=0)
-        nu = (self.dimension - 2) / 2.0
-        return series[:, used] @ degree_sums(self.anchors, self.weights, pts, nu, used)
+        return series[:, used] @ degree_sums(self.anchors, self.weights, pts, used)
 
     def evaluate(self, points):
         """Evaluate the mixture at one point (d,) or a batch (m, d)."""

@@ -267,14 +267,14 @@ def test_self_sums_match_double_loop(monkeypatch, d):
         monkeypatch.setattr(kernels, "EVAL_CHUNK", block)
         for path in (estimator._pair_sums, estimator._system_sums):
             rows.clear()
-            sums = path(x, nu, top)
+            sums = path(x, top)
             assert (max(rows) < x.shape[0]) == (block < 1 << 16)  # several blocks
             assert sums.shape == ref.shape
             assert np.all(np.abs(sums - ref) <= tol[:, None])
     monkeypatch.undo()
     sweeps = _record_calls(monkeypatch, "_self_sums")
     fx_self_evaluation(ChoiceSample(y=np.ones(30, dtype=int), x=x), EstimatorConfig())
-    assert [args[2] for args in sweeps] == [top]
+    assert [args[1] for args in sweeps] == [top]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -287,9 +287,9 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     cfg = EstimatorConfig(family="delayed_means", fx_truncation=8)
     sweeps = _record_calls(monkeypatch, "_self_sums")
     fxe = fx_self_evaluation(ChoiceSample(y=np.ones(40, dtype=int), x=x), cfg)
-    assert [args[2] for args in sweeps] == [16] and fxe.bands[-1] == 16
+    assert [args[1] for args in sweeps] == [16] and fxe.bands[-1] == 16
     nu = (d - 2) / 2.0
-    sums = estimator._self_sums(x, nu, 16)
+    sums = estimator._self_sums(x, 16)
     assert sums.shape == (17, 40)
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(17)])
     tol = 1e-13 + 4.0 * np.finfo(float).eps * 39 * bound
@@ -318,11 +318,10 @@ def test_system_sums_accuracy(d, n_obs, top):
     sweep's own error reaches 1e-12.  At these sizes _self_sums takes the
     fundamental system in d = 2 and 3 and the pair sweep in d = 4."""
     x = _design_points(d, n_obs, seed=90 + d)
-    nu = (d - 2) / 2.0
-    sums = estimator._system_sums(x, nu, top)
-    ref = _circle_sums(x, top) if d == 2 else estimator._pair_sums(x, nu, top)
+    sums = estimator._system_sums(x, top)
+    ref = _circle_sums(x, top) if d == 2 else estimator._pair_sums(x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
-    assert np.array_equal(estimator._self_sums(x, nu, top), ref if d == 4 else sums)
+    assert np.array_equal(estimator._self_sums(x, top), ref if d == 4 else sums)
 
 
 @pytest.mark.parametrize("n_obs", [3, 50, 150])
@@ -333,8 +332,8 @@ def test_circle_self_sums_take_fundamental_system(n_obs):
     sum (_circle_sums)."""
     x = _design_points(2, n_obs, seed=80)
     top = estimator.FX_CV_MAX_BAND
-    sums = estimator._self_sums(x, 0.0, top)
-    assert np.array_equal(sums, estimator._system_sums(x, 0.0, top))
+    sums = estimator._self_sums(x, top)
+    assert np.array_equal(sums, estimator._system_sums(x, top))
     ref = _circle_sums(x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-13
 
@@ -431,7 +430,7 @@ def test_plugin_fit_carries_inference_fit():
     assert est.sample is s and est.inference is inf
     assert est.fx_band == cfg.fx_truncation
     assert inf.fx_band == fxe.band and inf.sample is None and inf.inference is None
-    assert inf.anchors is est.anchors and inf.kernel == est.kernel
+    assert inf.anchors is est.anchors and inf.config is est.config
     assert inf.odd.degree_coeffs == est.odd.degree_coeffs
     # one weights array per fit, shared with its odd mixture
     assert est.odd.weights is est.weights and inf.odd.weights is inf.weights
@@ -451,7 +450,7 @@ def _leave_in_at_cap(sample, config):
     last of _lscv_bands) rather than to config.fx_truncation."""
     d = sample.dimension
     top = int(estimator._lscv_bands(config)[-1])
-    sums = estimator._self_sums(sample.x, (d - 2) / 2.0, top)
+    sums = estimator._self_sums(sample.x, top)
     chi = config.fx_kernel(d).chi()
     return estimator._leave_in_values(sums, chi, projector_constants(top, d), estimator._at_one(top, d))
 
@@ -481,9 +480,9 @@ def test_inference_fit_is_swept_only_when_read(monkeypatch):
     pts = sample_uniform(3, 20, seed=4)
     est.density(pts)
     identification_diagnostic(est, resolution=8)
-    assert [args[2] for args in sweeps] == [cfg.fx_truncation]
+    assert [args[1] for args in sweeps] == [cfg.fx_truncation]
     first = confidence_interval(est, pts)
-    assert [args[2] for args in sweeps] == [cfg.fx_truncation, int(estimator._lscv_bands(cfg)[-1])]
+    assert [args[1] for args in sweeps] == [cfg.fx_truncation, int(estimator._lscv_bands(cfg)[-1])]
     second = confidence_interval(est, pts)
     summary = estimator.weight_summary(est)
     assert len(sweeps) == 2
@@ -505,7 +504,7 @@ def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, sys
     cfg = EstimatorConfig()
     got = estimate_fbeta(s, cfg).fx_values
     want = _leave_in_at_cap(s, cfg)
-    assert [args[2] for args in system] == system_degrees
+    assert [args[1] for args in system] == system_degrees
     assert len(system) + len(pairs) == 2
     assert np.min(want) > 0.0  # no value clipped, so relative error is defined
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -520,7 +519,7 @@ def test_choice_probability_sweeps_only_to_the_point_band(family):
     s = _random_sample(3, 60, seed=30)
     cfg = EstimatorConfig(truncation=2, family=family, fx_truncation=8)
     at_cap = _leave_in_at_cap(s, cfg)
-    sums = estimator._self_sums(s.x, 0.5, cfg.fx_truncation)
+    sums = estimator._self_sums(s.x, cfg.fx_truncation)
     assert sums.shape[0] == cfg.fx_truncation + 1
     chi = cfg.fx_kernel(3).chi()
     unit, at_one = projector_constants(8, 3), estimator._at_one(8, 3)
@@ -583,6 +582,30 @@ def test_z_values_average_to_odd_part():
     assert np.mean(z) == pytest.approx(est.odd_values(b), abs=1e-15)
     with pytest.raises(ValueError):
         est.z_values(sample_uniform(3, 2, seed=15))
+
+
+# Every evaluator of one fit, each called on a (2, 3) batch of points.
+_EVALUATORS = {
+    "odd_values": lambda est, pts: est.odd_values(pts),
+    "density": lambda est, pts: est.density(pts),
+    "z_values": lambda est, pts: est.z_values(pts[0]),
+    "standard_error": lambda est, pts: standard_error(est, pts),
+    "confidence_interval": lambda est, pts: confidence_interval(est, pts),
+    "choice_probability": lambda est, pts: estimate_choice_probability(est.sample).evaluate(pts),
+    "estimate_fx": lambda est, pts: estimate_fx(est.sample, est.config.fx_kernel(3))(pts),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVALUATORS))
+def test_one_point_rule_for_every_evaluator(name):
+    """Every evaluator of a fit takes the points its mixture takes: a point
+    5e-10 off unit norm is accepted, one 1e-6 off is refused with the
+    mixture's own message."""
+    est = estimate_fbeta(_random_sample(3, 30, seed=21))
+    pts = sample_uniform(3, 2, seed=22)
+    _EVALUATORS[name](est, pts * (1.0 + 5e-10))
+    with pytest.raises(ValueError, match=r"^points are not unit vectors \(max \|norm-1\| = 1\.000e-06\)$"):
+        _EVALUATORS[name](est, pts * (1.0 + 1e-6))
 
 
 def test_as_mixture_matches_odd_values():
@@ -721,14 +744,7 @@ def test_standard_error_needs_two_observations():
     s = _random_sample(3, 40, seed=25)
     est = estimate_fbeta(s, EstimatorConfig(truncation=1))
     one = HarmonicMixture(3, est.anchors[:1], est.weights[:1], est.odd.degree_coeffs)
-    trimmed = type(est)(
-        odd=one,
-        weights=est.weights[:1],
-        kernel=est.kernel,
-        config=est.config,
-        trimming_floor=est.trimming_floor,
-        fx_values=est.fx_values[:1],
-    )
+    trimmed = type(est)(odd=one, config=est.config, fx_values=est.fx_values[:1])
     with pytest.raises(ValueError):
         standard_error(trimmed, np.array([0.0, 0.0, 1.0]))
 
@@ -808,6 +824,14 @@ def test_diagnostic_on_well_specified_data():
     assert report.mass_minus == pytest.approx(-report.mass_plus, abs=1e-12)
     # a hemisphere-supported density puts mass about 1/(2|S^2|) on its side
     assert report.mass_plus == pytest.approx(1.0 / (2.0 * surface_area(3)), rel=0.5)
+
+
+def test_diagnostic_minus_mass_is_exact_negative():
+    """The two hemisphere masses of an odd part are exact negatives, so the
+    diagnostic reports mass_minus as -mass_plus bit for bit."""
+    est = estimate_fbeta(generate(DgpSpec.model_1(n_obs=500, seed=2)).sample)
+    report = identification_diagnostic(est)
+    assert report.mass_minus == -report.mass_plus
 
 
 def test_diagnostic_flags_antipodally_symmetric_coefficients():
@@ -970,6 +994,33 @@ def test_coefficient_density_params_and_validation():
     draw = generate(DgpSpec.model_1(n_obs=60, seed=3))
     with pytest.raises(ValueError, match="^truncation must be a number"):
         CoefficientDensity(truncation=None).fit(draw.sample.x, draw.sample.y)
+
+
+def test_coefficient_density_queries_take_rows_as_fit_does():
+    """Query rows within 1e-6 of unit norm are renormalized, as fit does X:
+    every query on rows scaled by 1 + 1e-7 equals the estimate's on the
+    renormalized rows, a single row still gives a single answer, and an
+    unfitted model refuses every query."""
+    draw = generate(DgpSpec.model_1(n_obs=400, seed=3))
+    model = CoefficientDensity().fit(draw.sample.x, draw.sample.y)
+    est = model.estimate_
+    rows = sample_uniform(3, 5, seed=23) * (1.0 + 1e-7)
+    unit = normalize(rows)
+    assert np.array_equal(model.density(rows), est.density(unit))
+    assert np.array_equal(model.odd_density(rows), est.odd_values(unit))
+    assert np.array_equal(model.standard_error(rows), standard_error(est, unit))
+    for got, want in zip(model.confidence_interval(rows), confidence_interval(est, unit)):
+        assert np.array_equal(got, want)
+    p = np.clip(model.choice_probability_.evaluate(unit), 0.0, 1.0)
+    assert np.array_equal(model.predict_proba(rows)[:, 1], p)
+    assert np.array_equal(model.predict(rows), (p >= 0.5).astype(np.int64))
+    assert model.density(rows[0]) == est.density(unit[0])
+    assert model.predict_proba(rows[0]).shape == (2,)
+    with pytest.raises(ValueError, match="not unit vectors"):
+        model.density(rows * (1.0 + 1e-5))
+    for query in ("density", "odd_density", "standard_error", "confidence_interval", "predict_proba", "predict"):
+        with pytest.raises(RuntimeError, match="call fit"):
+            getattr(CoefficientDensity(), query)(unit)
 
 
 def test_coefficient_density_params_mirror_config():

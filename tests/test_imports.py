@@ -114,7 +114,7 @@ def test_removed_names_are_gone():
         if hasattr(importlib.import_module(where), attr)
     ]
     assert reachable == []
-    from spherecoef import estimator
+    from spherecoef import estimator, kernels
     from spherecoef.kernels import HarmonicMixture
     from spherecoef.simulate import SimulationDraw
 
@@ -122,6 +122,10 @@ def test_removed_names_are_gone():
     assert not hasattr(SimulationDraw, "true_fx") and not hasattr(SimulationDraw, "true_fbeta")
     fields = {f.name for f in dataclasses.fields(estimator.FxSelfEvaluation)}
     assert fields == {"bands", "scores", "band", "loo_values"}
+    # weights and trimming_floor are read from the mixture and the config
+    fields = {f.name for f in dataclasses.fields(estimator.DensityEstimate)}
+    assert fields == {"odd", "config", "fx_values", "fx_band", "sample"}
+    assert not hasattr(estimator.DensityEstimate, "kernel")
     removed_params = [
         (HarmonicMixture.terms, "chunk_size"),
         (HarmonicMixture.evaluate_series, "chunk_size"),
@@ -129,6 +133,10 @@ def test_removed_names_are_gone():
         (estimator._self_sums, "budget"),
         (estimator._pair_sums, "budget"),
         (estimator._system_sums, "budget"),
+        (estimator._self_sums, "nu"),
+        (estimator._pair_sums, "nu"),
+        (estimator._system_sums, "nu"),
+        (kernels.degree_sums, "nu"),
         (estimator.identification_diagnostic, "rel_threshold"),
     ]
     assert [p for f, p in removed_params if p in inspect.signature(f).parameters] == []

@@ -180,7 +180,7 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
     nu = (d - 2) / 2.0
     monkeypatch.setattr(kernels, "EVAL_CHUNK", 24)  # 2 points of 12 anchors a block
     assert len(list(kernels._cosine_blocks(anchors, points))) > 1
-    got = kernels.degree_sums(anchors, weights, points, nu, used)
+    got = kernels.degree_sums(anchors, weights, points, used)
     want = np.array(
         [
             [sum(weights[n, i] * oracles.explicit_eval(nu, n, a @ b) for i, a in enumerate(anchors)) for b in points]
@@ -191,8 +191,8 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     shared = np.tile(weights[0], (10, 1))
     assert np.array_equal(
-        kernels.degree_sums(anchors, weights[0], points, nu, used),
-        kernels.degree_sums(anchors, shared, points, nu, used),
+        kernels.degree_sums(anchors, weights[0], points, used),
+        kernels.degree_sums(anchors, shared, points, used),
     )
 
 
