@@ -445,6 +445,8 @@ def cmd_bench(args):
     ]
     if not n_grid:
         raise CliError("bench n_grid is empty")
+    if len(set(n_grid)) != len(n_grid):
+        raise CliError(f"bench n_grid repeats a size: {cfg['bench']['n_grid']!r}")
     reps = _parse_int(cfg["bench"]["replications"], "bench replications", minimum=1)
     resolution = _parse_int(cfg["bench"]["resolution"], "bench resolution", minimum=4)
     spec = build_dgp(cfg["model"], seed=seed)

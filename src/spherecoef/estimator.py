@@ -26,6 +26,7 @@ from .kernels import (
     HarmonicMixture,
     _FAMILIES,
     _at_one,
+    _is_power_of_two,
     chi_table,
     degree_sums,
     eigenspace_dim,
@@ -138,6 +139,13 @@ class EstimatorConfig:
         for name in ("s", "l"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # delayed_means filters only a power-of-two degree; 2 * truncation is
+        # one exactly when truncation is
+        for name in ("truncation", "fx_truncation"):
+            if self.family == "delayed_means" and not _is_power_of_two(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be a power of two for delayed_means, got {getattr(self, name)}"
+                )
 
     def main_kernel(self, d):
         """Filter spec for the coefficient density at dimension d."""
@@ -599,14 +607,13 @@ def confidence_interval(estimate, points, level=0.95):
     centre and the standard error come from one pass over the fit's
     per-anchor terms, so each block of cosines is swept once.
     """
-    # scipy's ndtri equals norm.ppf bit for bit; importing it here keeps
-    # scipy out of the package import.
-    from scipy.special import ndtri
+    # statistics is imported here so that import spherecoef does not load it
+    from statistics import NormalDist
 
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     fit = estimate if estimate.inference is None else estimate.inference
-    z = ndtri(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     odd, spread = _odd_and_spread(fit, points)
     center = _twice_positive(odd)
     half = z * spread / math.sqrt(fit.n_obs)

@@ -138,35 +138,35 @@ def _circle_rule(resolution):
     return points, weights
 
 
+def _mirrored(t_up, w_up):
+    """A rule on the panel [0, 1] and its mirror image on [-1, 0]."""
+    return np.concatenate([-t_up[::-1], t_up]), np.concatenate([w_up[::-1], w_up])
+
+
 def _split_legendre(resolution):
     """Gauss-Legendre nodes/weights for [-1, 1], split at 0 into two panels."""
-    half = max(2, (resolution + 1) // 2)
-    x, w = leggauss(half)
-    up_t = (x + 1.0) / 2.0
-    up_w = w / 2.0
-    t = np.concatenate([-up_t[::-1], up_t])
-    wt = np.concatenate([up_w[::-1], up_w])
-    return t, wt
+    x, w = leggauss(max(2, (resolution + 1) // 2))
+    return _mirrored((x + 1.0) / 2.0, w / 2.0)
 
 
 def _split_jacobi_half(resolution):
     """Nodes/weights for int_{-1}^{1} g(t) (1-t^2)^{1/2} dt, split at 0.
 
-    Each panel maps the (1 -/+ t)^{1/2} endpoint factor onto a Gauss-Jacobi
-    weight and folds the remaining analytic factor into the node weights, so
-    smooth integrands converge geometrically while the equator stays on a
-    panel boundary.  Only the d = 4 product rule calls this, so scipy is
-    imported here rather than with the package.
+    Each panel maps the (1 -/+ t)^{1/2} endpoint factor onto the
+    Gauss-Jacobi (alpha = 1/2, beta = 0) weight and folds the remaining
+    analytic factor into the node weights, so smooth integrands converge
+    geometrically while the equator stays on a panel boundary.  The
+    Gauss-Jacobi rule is Golub & Welsch's (1969): the nodes are the
+    eigenvalues of the Jacobi matrix, and the weights are the squared first
+    eigenvector components times int (1-s)^{1/2} ds = 4 sqrt(2) / 3.
     """
-    from scipy.special import roots_jacobi
-
-    half = max(8, (resolution + 1) // 2)
-    s, w = roots_jacobi(half, 0.5, 0.0)
-    t_up = (1.0 + s) / 2.0
-    w_up = w * np.sqrt((3.0 + s) / 2.0) / (2.0 * math.sqrt(2.0))
-    t = np.concatenate([-t_up[::-1], t_up])
-    wt = np.concatenate([w_up[::-1], w_up])
-    return t, wt
+    k = np.arange(max(8, (resolution + 1) // 2), dtype=float)
+    j = k[1:]
+    off = 2 * j * (j + 0.5) / ((2 * j + 0.5) * np.sqrt((2 * j + 1.5) * (2 * j - 0.5)))
+    # eigh reads the lower triangle alone
+    s, v = np.linalg.eigh(np.diag(-0.25 / ((2 * k + 0.5) * (2 * k + 2.5))) + np.diag(off, -1))
+    w = 4.0 * math.sqrt(2.0) / 3.0 * v[0] ** 2
+    return _mirrored((1.0 + s) / 2.0, w * np.sqrt((3.0 + s) / 2.0) / (2.0 * math.sqrt(2.0)))
 
 
 def _product_rule(d, resolution):

@@ -300,7 +300,8 @@ def test_cli_error_paths(tmp_path):
 # Each input is refused by the library with a ValueError (or, for s = nan,
 # was refused only after the grid had been written), by the config reader
 # (the retired rate rule's keys), or before any task is built (--threads,
-# a true density that is 0 at every node of bench's quadrature), or by
+# a repeated n_grid size, a true density that is 0 at every node of
+# bench's quadrature), or by
 # simulate.generate when a design's draws overflow a float.
 # {data} is a 60-row model_1 dataset, {two_rows} a 2-row one, {nan_points}
 # a points file with a NaN row.
@@ -322,6 +323,7 @@ _REFUSED = {
     "threads_zero": (["bench", "--threads", "0"], _SMALL_BENCH),
     "threads_negative": (["bench", "--threads", "-1"], _SMALL_BENCH),
     "threads_above_cpus": (["bench", "--threads", str((os.cpu_count() or 1) + 1)], _SMALL_BENCH),
+    "n_grid_repeated": (["bench"], "[bench]\nn_grid = 60 60\nreplications = 1\nresolution = 4\n"),
     "delayed_means": (["estimate", "{data}"], "[estimator]\nfamily = delayed_means\nfx_truncation = 8\n"),
     "l": (["estimate", "{data}"], "[estimator]\nl = 0\n"),
     "points_file_nan": (["estimate", "{data}"], "[grid]\npoints_file = {nan_points}\n"),
@@ -365,6 +367,8 @@ _REFUSED = {
 # What the error line names, for the cases where the library's own
 # message would not say which setting is at fault.
 _NAMED = {
+    "delayed_means": "truncation",
+    "n_grid_repeated": "n_grid",
     "s_inf_dirichlet": "s must be finite",
     "s_nan_delayed_means": "s must be finite",
     "fixed_value_1e100": "fixed_value",
@@ -564,8 +568,8 @@ _FUZZ_MODELS = [
 _FUZZ_MODEL_VALUES = [
     "custom", "model_3", "1", "3", "1e308", "1e-300", "0 0", "1 2 ; 2 1", "0.5 0.9", "1 0 ; 0", "0.3 | 0.2", "",
 ] + _BAD_VALUES
-_FUZZ_BENCH = {"n_grid": ["30 60", "40", "3", "60 30 60"], "replications": ["1", "2"], "resolution": ["4", "8"]}
-_FUZZ_BENCH_VALUES = ["", "2", "3 x", "1 60"] + _BAD_VALUES
+_FUZZ_BENCH = {"n_grid": ["30 60", "40", "3"], "replications": ["1", "2"], "resolution": ["4", "8"]}
+_FUZZ_BENCH_VALUES = ["", "2", "3 x", "1 60", "60 30 60"] + _BAD_VALUES
 
 
 @settings(max_examples=150, deadline=None)

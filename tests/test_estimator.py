@@ -107,6 +107,15 @@ def test_estimator_config_validation():
         EstimatorConfig().trimming_floor(2)
 
 
+@pytest.mark.parametrize("name,value", [("truncation", 3), ("fx_truncation", 10), ("fx_truncation", 0)])
+def test_delayed_means_config_refuses_a_band_that_is_not_a_power_of_two(name, value):
+    """Refused when the config is built, naming the setting, rather than by
+    every fit with the kernel's message about a degree."""
+    with pytest.raises(ValueError, match=f"^{name} must be a power of two"):
+        EstimatorConfig(**{"truncation": 4, "fx_truncation": 8, name: value}, family="delayed_means")
+    EstimatorConfig(**{name: value})  # riesz filters any degree
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_estimator_config_refuses_non_finite_trimming_exponent(value):
     with pytest.raises(ValueError, match="finite and positive"):
@@ -284,7 +293,7 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     double loop within that oracle's rounding bound, as in
     test_self_sums_match_double_loop."""
     x = _design_points(d, 40, seed=70 + d)
-    cfg = EstimatorConfig(family="delayed_means", fx_truncation=8)
+    cfg = EstimatorConfig(truncation=4, family="delayed_means", fx_truncation=8)
     sweeps = _record_calls(monkeypatch, "_self_sums")
     fxe = fx_self_evaluation(ChoiceSample(y=np.ones(40, dtype=int), x=x), cfg)
     assert [args[1] for args in sweeps] == [16] and fxe.bands[-1] == 16
@@ -392,7 +401,9 @@ def test_self_evaluation_loo_values_and_lscv_scores(d, family):
     g[:, 0] += 1.0
     x = normalize(g)
     s = ChoiceSample(y=np.ones(25, dtype=int), x=x)
-    cfg = EstimatorConfig(family=family, fx_truncation=dict(_FAMILY_BANDS)[family])
+    # truncation 4 suits every family; the self-evaluation reads only the
+    # covariate-density settings
+    cfg = EstimatorConfig(truncation=4, family=family, fx_truncation=dict(_FAMILY_BANDS)[family])
     fxe = fx_self_evaluation(s, cfg)
     assert fxe.band in fxe.bands
     assert fxe.scores[list(fxe.bands).index(fxe.band)] == np.min(fxe.scores)
@@ -688,11 +699,14 @@ def test_confidence_interval_lower_bound_clipped_at_zero():
     not centred at 0 (model_1, N = 500, seed 1: the south pole's interval
     was (-0.112, 0.112)); wherever centre - half-width >= 0 both bounds are
     the unclipped ones, bit for bit."""
+    from statistics import NormalDist
+
     from scipy.stats import norm
 
     est = estimate_fbeta(generate(DgpSpec.model_1(n_obs=500, seed=1)).sample)
     fit = est.inference
-    z = norm.ppf(0.975)
+    z = NormalDist().inv_cdf(0.975)
+    assert z == pytest.approx(norm.ppf(0.975), rel=1e-15, abs=0.0)
     pole = np.array([0.0, 0.0, -1.0])
     lo, hi = confidence_interval(est, pole)
     assert fit.density(pole) == 0.0

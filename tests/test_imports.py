@@ -39,8 +39,7 @@ def _scipy_and_masked(loaded):
 @pytest.mark.parametrize("statement", ["import spherecoef", "import spherecoef.cli"])
 def test_import_leaves_scipy_stats_unloaded(statement):
     loaded = _modules_after(statement)
-    # scipy is imported only inside the two functions that call it
-    # (confidence_interval and the d = 4 product quadrature).
+    # scipy is a test-only dependency: no runtime path imports it.
     assert _scipy_and_masked(loaded) == []
     # The package still imports its CLI; dropping it from __init__ is a
     # separate decision, pinned here so that it is made on purpose.
@@ -50,10 +49,12 @@ def test_import_leaves_scipy_stats_unloaded(statement):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["simulate", "--config", "{ini}"],
         ["estimate", "{data}", "--grid-res", "6"],
+        ["diagnose", "{data}"],
         ["bench", "--threads", "1", "--config", "{bench_ini}"],
     ],
-    ids=["estimate", "bench"],
+    ids=["simulate", "estimate", "diagnose", "bench"],
 )
 def test_cli_commands_leave_scipy_unloaded(tmp_path, argv):
     data = str(tmp_path / "data.csv")
@@ -62,20 +63,21 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path, argv):
     assert cli.main(["simulate", "--config", str(ini), "--out", data, "--seed", "1"]) == 0
     bench_ini = tmp_path / "bench.ini"
     bench_ini.write_text("[bench]\nn_grid = 60 120\nreplications = 1\nresolution = 8\n")
-    args = [a.format(data=data, bench_ini=bench_ini) for a in argv]
+    args = [a.format(data=data, ini=ini, bench_ini=bench_ini) for a in argv]
     args += ["--out", str(tmp_path / "out.csv")]
     loaded = _modules_after(f"from spherecoef import cli\nassert cli.main({args!r}) == 0")
     assert _scipy_and_masked(loaded) == []
 
 
-def test_confidence_interval_loads_scipy_special():
+def test_interval_and_d4_product_rule_leave_scipy_unloaded():
     loaded = _modules_after(
-        "from spherecoef import estimator, simulate\n"
+        "from spherecoef import estimator, simulate, sphere\n"
         "sample = simulate.generate(simulate.DgpSpec.model_1(n_obs=60, seed=1)).sample\n"
         "est = estimator.estimate_fbeta(sample, estimator.EstimatorConfig())\n"
-        "estimator.confidence_interval(est, [0.0, 0.0, 1.0])"
+        "estimator.confidence_interval(est, [0.0, 0.0, 1.0])\n"
+        "sphere.build_quadrature(4, 16, method='product')"
     )
-    assert "scipy.special" in loaded
+    assert _scipy_and_masked(loaded) == []
 
 
 _MODULES = ["cli", "estimator", "gegenbauer", "hemisphere", "kernels", "simulate", "sphere"]
