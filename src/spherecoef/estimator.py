@@ -38,12 +38,10 @@ __all__ = [
     "ChoiceSample",
     "EstimatorConfig",
     "FxEstimate",
-    "FxSelfEvaluation",
     "DensityEstimate",
     "ChoiceProbabilityEstimate",
     "IdentificationReport",
     "estimate_fx",
-    "fx_self_evaluation",
     "estimate_fbeta",
     "estimate_choice_probability",
     "weight_summary",
@@ -203,7 +201,8 @@ FX_CV_MAX_BAND = 24
 
 
 def _self_sums(x, max_degree):
-    """S[n, i] = sum_{j != i} C_n^nu(x_i'x_j) for n = 0..max_degree.
+    """S[n, i] = sum_j C_n^nu(x_i'x_j) for n = 0..max_degree, over the
+    whole sample (the term j = i, C_n(1), included).
 
     Two paths give the same sums through kernels.degree_sums: the pair
     sweep (_pair_sums, N^2 cosines) and the fundamental system
@@ -218,10 +217,10 @@ def _self_sums(x, max_degree):
     the set-up is cached: the paths agree only to about 1e-15, so reading
     the cache would let outputs depend on what the process ran before.
     In d = 2 every N takes the system: to degree 24 it keeps each
-    degree's sums within 1.5e-14, 9.3e-14 and 7.2e-14 of that degree's
+    degree's sums within 1.8e-14, 1.1e-13 and 7.4e-14 of that degree's
     largest at N = 300, 1 000 and 3 000 (seed 92, one BLAS thread, against
-    exactly rounded sums), where the pair sweep is off by 2.2e-13, 7.6e-13
-    and 1.5e-12, and costs at most 0.5 ms more (set-up aside) below N = 120.
+    exactly rounded sums), where the pair sweep is off by 2.6e-13, 8.9e-13
+    and 1.7e-12, and costs at most 0.5 ms more (set-up aside) below N = 120.
     """
     n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
     if x.shape[1] == 2 or 2 * n_obs > 11 * m:
@@ -230,11 +229,8 @@ def _self_sums(x, max_degree):
 
 
 def _pair_sums(x, max_degree):
-    """_self_sums by one sweep over all N^2 cosines x_i'x_j: the per-degree
-    sums over j of C_n(x_i'x_j), less the term j = i, C_n(1)."""
-    sums = degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
-    sums -= _at_one(max_degree, x.shape[1])[:, None]
-    return sums
+    """_self_sums by one sweep over all N^2 cosines x_i'x_j."""
+    return degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
 
 
 def _system_size(d, top):
@@ -283,11 +279,10 @@ def _system_sums(x, max_degree):
 
     With A_n = C_n(X Z_n') and G_n = C_n(Z_n Z_n') for the points Z_n of
     _fundamental_system, sum_j C_n(x_i'x_j) = A_n[i] G_n^+ A_n'1 (the
-    reproducing property of the zonal projector on a unisolvent set); the
-    term j = i is C_n(1).  The N x M cosines stream through degree_sums
-    twice: once for the column totals A_n'1 of every degree, then for
-    S[n, i] = A_n[i] v_n with v_n = U_n U_n' A_n'1.  No table of every
-    degree's cosines is built.
+    reproducing property of the zonal projector on a unisolvent set).  The
+    N x M cosines stream through degree_sums twice: once for the column
+    totals A_n'1 of every degree, then for S[n, i] = A_n[i] v_n with
+    v_n = U_n U_n' A_n'1.  No table of every degree's cosines is built.
     """
     z, factors = _fundamental_system(x.shape[1], max_degree)
     every = np.ones(max_degree + 1, dtype=bool)
@@ -296,9 +291,7 @@ def _system_sums(x, max_degree):
     for n, u in enumerate(factors):
         size = u.shape[0]
         v[n, :size] = u @ (u.T @ totals[n, :size])
-    sums = degree_sums(z, v, x, every)
-    sums -= _at_one(max_degree, x.shape[1])[:, None]
-    return sums
+    return degree_sums(z, v, x, every)
 
 
 def _lscv_bands(config):
@@ -311,65 +304,31 @@ def _lscv_bands(config):
     return np.arange(top + 1)
 
 
-@dataclass
-class FxSelfEvaluation:
-    """The cross-validated covariate-density estimate at its own sample,
-    from one sweep of the self-sums S[n, i] = sum_{j != i} C_n^nu(x_i'x_j)
-    to the highest band the search tries (the last of _lscv_bands: the cap
-    max(FX_CV_MAX_BAND, config.fx_truncation) itself, or for delayed_means
-    the largest power of two not above it).  From them:
-
-    bands, scores: the admissible bands and their least-squares
-        cross-validation scores  int f_T^2 - (2/N) sum_i f_{T,-i}(x_i)
-        (Hall, Watson & Cabrera 1987), both terms in closed form in the
-        per-degree totals sum_i S[n, i] because the zonal projectors
-        are orthogonal;
-    band: the minimising band;
-    loo_values: the leave-one-out estimate f_{band,-i}(x_i), clipped at
-        zero.
-    """
-
-    bands: np.ndarray
-    scores: np.ndarray
-    band: int
-    loo_values: np.ndarray
+def _lscv_scores(rows, chi, energy, loo_totals, n_obs):
+    """Least-squares cross-validation scores int f_T^2 - (2/N) sum_i
+    f_{T,-i}(x_i) (Hall, Watson & Cabrera 1987) of the bands whose filter
+    weights and series rows are chi and rows: both terms are closed forms
+    in per-degree totals, because the zonal projectors are orthogonal.
+    energy[n] is sum_i sum_j C_n(x_i'x_j), and loo_totals[n] the same
+    without the terms j = i."""
+    return (rows * chi) @ energy / n_obs**2 - 2.0 * rows @ loo_totals / (n_obs * (n_obs - 1))
 
 
-def _leave_in_values(sums, chi, unit, at_one):
-    """The covariate density with filter weights chi at the sample, each
-    x_i left in its own kernel average, clipped at zero.  sums is
-    _self_sums, unit the projector constants and at_one the values C_n(1),
-    each up to at least the kernel's degree."""
-    m = chi.size
-    # K_T(t) = sum_n chi(n, T) unit[n] C_n(t); the diagonal terms i = j,
-    # left out of sums, are C_n(1)
-    vals = (chi * unit[:m]) @ (sums[:m] + at_one[:m, None]) / sums.shape[1]
-    return np.maximum(vals, 0.0)
-
-
-def fx_self_evaluation(sample, config):
-    """Evaluate the plug-in covariate density at the sample, leave-one-out
-    at the cross-validated band."""
+def _cross_validated_fx(sample, config):
+    """The covariate density at its own sample, each x_i left out of its
+    own kernel average, at the band of _lscv_bands with the least
+    cross-validation score, as (band, values clipped at zero): one sweep of
+    the self-sums to the last band the search tries."""
     n_obs, d = sample.n_obs, sample.dimension
-    if n_obs < 3:
-        raise ValueError(f"need at least 3 observations, got {n_obs}")
     bands = _lscv_bands(config)
     top = int(bands[-1])
-    sums = _self_sums(sample.x, top)
-    at_one = _at_one(top, d)
-    unit = projector_constants(top, d)
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
-    totals = sums.sum(axis=1)
-    scores = (chi**2 * unit) @ (totals + n_obs * at_one) / n_obs**2
-    scores -= 2.0 * (chi * unit) @ totals / (n_obs * (n_obs - 1))
-    k = int(np.argmin(scores))
-    loo = (chi[k] * unit) @ sums / (n_obs - 1)
-    return FxSelfEvaluation(
-        bands=bands,
-        scores=scores,
-        band=int(bands[k]),
-        loo_values=np.maximum(loo, 0.0),
-    )
+    rows = projector_constants(top, d, chi)
+    sums = _self_sums(sample.x, top)
+    energy = sums.sum(axis=1)
+    sums -= _at_one(top, d)[:, None]  # drop the terms j = i
+    k = int(np.argmin(_lscv_scores(rows, chi, energy, sums.sum(axis=1), n_obs)))
+    return int(bands[k]), np.maximum(rows[k] @ sums / (n_obs - 1), 0.0)
 
 
 @dataclass
@@ -390,11 +349,11 @@ class DensityEstimate:
     keeps its sample, from which inference builds, on first read, an
     inference fit: the same anchors, coefficients and kernel, with weights
     from the leave-one-out covariate density at the cross-validated band
-    (its fx_band; see fx_self_evaluation).  That band is finer than the
+    (its fx_band; see _cross_validated_fx).  That band is finer than the
     one the point estimate uses, so the inference fit has less smoothing
     bias at the price of more variance; confidence_interval is built on
-    it, while density, odd_values, z_values and standard_error describe
-    this estimate.  A fit given fx values, and the inference fit itself,
+    it, while density, odd_values and standard_error describe this
+    estimate.  A fit given fx values, and the inference fit itself,
     keep no sample and have no inference fit.
     """
 
@@ -409,8 +368,8 @@ class DensityEstimate:
         """The inference fit (None without a sample), built once."""
         if self.sample is None:
             return None
-        fxe = fx_self_evaluation(self.sample, self.config)
-        return _fit(self.sample, self.config, fxe.loo_values, fxe.band)
+        band, loo_values = _cross_validated_fx(self.sample, self.config)
+        return _fit(self.sample, self.config, loo_values, band)
 
     @property
     def weights(self):
@@ -441,13 +400,6 @@ class DensityEstimate:
         return _twice_positive(self.odd_values(points))
 
     __call__ = density
-
-    def z_values(self, point):
-        """Per-observation summands Z_i at a single point (density = 2 * mean)."""
-        if np.ndim(point) != 1:
-            raise ValueError("z_values takes a single point")
-        ((_, terms),) = self.odd.terms(point)
-        return self.n_obs * terms[0] * self.weights
 
     def as_mixture(self):
         """The estimate's odd part: the odd mixture itself."""
@@ -501,9 +453,8 @@ def estimate_fbeta(sample, config=None, fx=None):
             raise ValueError(f"covariate-density values must be finite, got fx[{bad[0]}] = {fx_values[bad[0]]}")
         return _fit(sample, config, fx_values, None)
     top = config.fx_truncation
-    sums = _self_sums(sample.x, top)
-    chi = config.fx_kernel(d).chi()
-    fx_values = _leave_in_values(sums, chi, projector_constants(top, d), _at_one(top, d))
+    row = projector_constants(top, d, config.fx_kernel(d).chi())
+    fx_values = np.maximum(row @ _self_sums(sample.x, top) / n_obs, 0.0)
     return _fit(sample, config, fx_values, top, keep_sample=True)
 
 

@@ -212,14 +212,15 @@ def zonal_kernel(t, family, cutoff, d, s=2.0, l=3):
 
 
 def pair_sums(x, max_degree):
-    """S[n, i] = sum over j != i of C_n(x_i . x_j) for n = 0..max_degree,
-    by a loop over observations and degrees with the explicit polynomial."""
+    """S[n, i] = sum over all j (j = i included) of C_n(x_i . x_j) for
+    n = 0..max_degree, by a loop over observations and degrees with the
+    explicit polynomial."""
     x = np.asarray(x, dtype=float)
     n_obs, d = x.shape
     nu = (d - 2) / 2.0
     out = np.zeros((max_degree + 1, n_obs))
     for i in range(n_obs):
-        t = np.clip(np.delete(x, i, axis=0) @ x[i], -1.0, 1.0)
+        t = np.clip(x @ x[i], -1.0, 1.0)
         for n in range(max_degree + 1):
             out[n, i] = float(np.sum(gegenbauer_explicit(nu, n, t)))
     return out

@@ -276,6 +276,69 @@ def test_bench_writes_errors_and_slope(tmp_path):
     assert open(out).read().split("\n", 1)[1] == open(out2).read().split("\n", 1)[1]
 
 
+def _fresh_cli(args):
+    """Run python -W error -m spherecoef with args in a new interpreter,
+    with one BLAS thread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    threads = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "spherecoef", *args],
+        env={**os.environ, **threads, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_python_m_spherecoef_runs_the_cli_without_warnings(tmp_path):
+    """python -m spherecoef runs the command line with warnings as errors
+    (python -m spherecoef.cli trips runpy's RuntimeWarning, because the
+    package imports its cli): exit 0, nothing on stderr, and the CSV that
+    cli.main writes."""
+    out, ref = tmp_path / "m.csv", tmp_path / "ref.csv"
+    done = _fresh_cli(["simulate", "--seed", "1", "--out", str(out)])
+    assert done.returncode == 0 and done.stderr == ""
+    assert cli.main(["simulate", "--seed", "1", "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+_TINY_BENCH = "[bench]\nn_grid = 40 80\nreplications = 2\nresolution = 8\n"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--threads 2 needs two CPUs")
+def test_bench_tables_and_reports_do_not_depend_on_threads(tmp_path):
+    """bench --threads 1 in this process and --threads 2 in a new one write
+    byte-identical tables and reports: the workers start with other
+    cached fundamental systems than this process, and the self-sums' path
+    rule does not read that cache."""
+    ini = _write(tmp_path / "tiny.ini", "[model]\nn_obs = 120\n" + _TINY_BENCH)
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert cli.main(["bench", "--threads", "1", "--config", ini, "--seed", "3", "--out", str(one)]) == 0
+    done = _fresh_cli(["bench", "--threads", "2", "--config", ini, "--seed", "3", "--out", str(two)])
+    assert done.returncode == 0, done.stderr
+    for suffix in ("", ".report.json"):
+        assert Path(f"{one}{suffix}").read_bytes() == Path(f"{two}{suffix}").read_bytes()
+
+
+def test_circle_estimate_is_byte_identical_across_runs(tmp_path):
+    """A d = 2 custom model (the circle's own recursion branch, and the
+    fundamental system at every N) writes the same grid and report in a
+    new interpreter as in this one."""
+    ini = _write(
+        tmp_path / "circle.ini",
+        "[model]\npreset = custom\ndimension = 2\nn_obs = 120\ncovariate_mean = 0\n"
+        "covariate_cov = 2\nmixture_weights = 1\nmixture_means = 0\nmixture_covs = 0.3\n",
+    )
+    data = str(tmp_path / "sample.csv")
+    assert cli.main(["simulate", "--config", ini, "--seed", "3", "--out", data]) == 0
+    here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
+    assert cli.main(["estimate", data, "--config", ini, "--out", str(here)]) == 0
+    done = _fresh_cli(["estimate", data, "--config", ini, "--out", str(fresh)])
+    assert done.returncode == 0, done.stderr
+    for suffix in ("", ".report.json"):
+        assert Path(f"{here}{suffix}").read_bytes() == Path(f"{fresh}{suffix}").read_bytes()
+
+
 def test_write_json_refuses_nan(tmp_path):
     path = tmp_path / "r.json"
     with pytest.raises(cli.CliError):

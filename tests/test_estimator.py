@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import z_values
 from spherecoef.estimator import (
     ChoiceSample,
     CoefficientDensity,
@@ -16,7 +17,6 @@ from spherecoef.estimator import (
     estimate_choice_probability,
     estimate_fbeta,
     estimate_fx,
-    fx_self_evaluation,
     identification_diagnostic,
     marginal_density,
     standard_error,
@@ -262,8 +262,9 @@ def _record_sweep_rows(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_self_sums_match_double_loop(monkeypatch, d):
     """The pair sweep and the fundamental system each give every degree's
-    leave-one-out sums, for any block size (kernels.EVAL_CHUNK 1: one row
-    per block), and the self-evaluation sweeps to the cap."""
+    sums over the whole sample, for any block size (kernels.EVAL_CHUNK 1:
+    one row per block), and the cross-validated covariate density sweeps
+    to the cap."""
     x = _design_points(d, 30, seed=60 + d)
     top = estimator.FX_CV_MAX_BAND
     ref = oracles.pair_sums(x, top)
@@ -282,7 +283,7 @@ def test_self_sums_match_double_loop(monkeypatch, d):
             assert np.all(np.abs(sums - ref) <= tol[:, None])
     monkeypatch.undo()
     sweeps = _record_calls(monkeypatch, "_self_sums")
-    fx_self_evaluation(ChoiceSample(y=np.ones(30, dtype=int), x=x), EstimatorConfig())
+    estimator._cross_validated_fx(ChoiceSample(y=np.ones(30, dtype=int), x=x), EstimatorConfig())
     assert [args[1] for args in sweeps] == [top]
 
 
@@ -295,8 +296,8 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     x = _design_points(d, 40, seed=70 + d)
     cfg = EstimatorConfig(truncation=4, family="delayed_means", fx_truncation=8)
     sweeps = _record_calls(monkeypatch, "_self_sums")
-    fxe = fx_self_evaluation(ChoiceSample(y=np.ones(40, dtype=int), x=x), cfg)
-    assert [args[1] for args in sweeps] == [16] and fxe.bands[-1] == 16
+    estimator._cross_validated_fx(ChoiceSample(y=np.ones(40, dtype=int), x=x), cfg)
+    assert [args[1] for args in sweeps] == [16] and estimator._lscv_bands(cfg)[-1] == 16
     nu = (d - 2) / 2.0
     sums = estimator._self_sums(x, 16)
     assert sums.shape == (17, 40)
@@ -308,12 +309,12 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
 def _circle_sums(x, top):
     """_self_sums in d = 2 from exactly rounded sums: C_n^0(cos a) is
     (2/n) cos(n a), so the sum over j of C_n^0(x_i'x_j) splits into sums of
-    cos and sin of n theta_j; the term j = i is 2/n."""
+    cos and sin of n theta_j."""
     theta = np.arctan2(x[:, 1], x[:, 0])
-    ref = np.full((top + 1, x.shape[0]), x.shape[0] - 1.0)
+    ref = np.full((top + 1, x.shape[0]), float(x.shape[0]))
     for n in range(1, top + 1):
         c, s = np.cos(n * theta), np.sin(n * theta)
-        ref[n] = (2.0 / n) * (c * math.fsum(c) + s * math.fsum(s) - 1.0)
+        ref[n] = (2.0 / n) * (c * math.fsum(c) + s * math.fsum(s))
     return ref
 
 
@@ -348,13 +349,14 @@ def test_circle_self_sums_take_fundamental_system(n_obs):
 
 
 def test_self_evaluation_memory_is_linear():
-    """At N = 20 000 the self-evaluation allocates little beyond its
-    sums: the cosines stream through in row blocks, and no table of every
-    degree's or every pair's cosines is built."""
+    """At N = 20 000 the cross-validated covariate density allocates little
+    beyond its sums: the cosines stream through in row blocks, no table of
+    every degree's or every pair's cosines is built, and the terms j = i
+    leave the sums in place."""
     s = _random_sample(3, 20_000, seed=96)
     tracemalloc.start()
     try:
-        fx_self_evaluation(s, EstimatorConfig())
+        estimator._cross_validated_fx(s, EstimatorConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -370,9 +372,9 @@ def test_lscv_band_same_through_either_path(monkeypatch):
     cfg = EstimatorConfig()
     samples = [generate(DgpSpec.model_1(n_obs=500, seed=seed)).sample for seed in range(200)]
     monkeypatch.setattr(estimator, "_self_sums", estimator._system_sums)
-    bands = [fx_self_evaluation(s, cfg).band for s in samples]
+    bands = [estimator._cross_validated_fx(s, cfg)[0] for s in samples]
     monkeypatch.setattr(estimator, "_self_sums", estimator._pair_sums)
-    assert bands == [fx_self_evaluation(s, cfg).band for s in samples]
+    assert bands == [estimator._cross_validated_fx(s, cfg)[0] for s in samples]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -391,10 +393,11 @@ def test_self_evaluation_matches_estimate_fx(d, family, band):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("family", ["riesz", "dirichlet", "delayed_means"])
-def test_self_evaluation_loo_values_and_lscv_scores(d, family):
+def test_self_evaluation_loo_values_and_lscv_scores(monkeypatch, d, family):
     """Leave-one-out values at the chosen band and the closed-form
-    cross-validation scores agree with direct sums and a quadrature
-    integral of the squared estimate; the chosen band is admissible."""
+    cross-validation scores (read from _lscv_scores as the fit calls it)
+    agree with direct sums and a quadrature integral of the squared
+    estimate; the chosen band is admissible and has the least score."""
     # a cluster around the first axis, so that the search picks a band
     # well inside the range rather than one of the smallest
     g = np.random.default_rng(80 + d).standard_normal((25, d)) * 0.25
@@ -404,28 +407,32 @@ def test_self_evaluation_loo_values_and_lscv_scores(d, family):
     # truncation 4 suits every family; the self-evaluation reads only the
     # covariate-density settings
     cfg = EstimatorConfig(truncation=4, family=family, fx_truncation=dict(_FAMILY_BANDS)[family])
-    fxe = fx_self_evaluation(s, cfg)
-    assert fxe.band in fxe.bands
-    assert fxe.scores[list(fxe.bands).index(fxe.band)] == np.min(fxe.scores)
-    KernelSpec(family, fxe.band, d)  # raises if the band is not admissible
+    scored, real = [], estimator._lscv_scores
+    monkeypatch.setattr(estimator, "_lscv_scores", lambda *args: scored.append(real(*args)) or scored[-1])
+    band, loo_values = estimator._cross_validated_fx(s, cfg)
+    (scores,) = scored
+    bands = estimator._lscv_bands(cfg)
+    assert band in bands
+    assert scores[list(bands).index(band)] == np.min(scores)
+    KernelSpec(family, band, d)  # raises if the band is not admissible
     if family == "delayed_means":
-        assert list(fxe.bands) == [1, 2, 4, 8, 16]
+        assert list(bands) == [1, 2, 4, 8, 16]
     else:
-        assert list(fxe.bands) == list(range(estimator.FX_CV_MAX_BAND + 1))
+        assert list(bands) == list(range(estimator.FX_CV_MAX_BAND + 1))
 
-    loo = np.maximum(oracles.loo_covariate_density(x, family, fxe.band), 0.0)
-    assert np.max(np.abs(fxe.loo_values - loo)) <= _kernel_rounding(d, family, fxe.band)
+    loo = np.maximum(oracles.loo_covariate_density(x, family, band), 0.0)
+    assert np.max(np.abs(loo_values - loo)) <= _kernel_rounding(d, family, band)
 
     # f_T^2 has degree 2T <= 16: each rule below integrates it exactly or,
     # for the d = 4 Gauss-Jacobi panels, to rounding
     quad = build_quadrature(d, 64, method="trapezoid") if d == 2 else build_quadrature(
         d, 24, method="product"
     )
-    for k, band in enumerate(fxe.bands):
-        if band > 8:
+    for k, tried in enumerate(bands):
+        if tried > 8:
             continue
-        ref = oracles.lscv_score(x, family, int(band), quad.points, quad.weights)
-        assert fxe.scores[k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+        ref = oracles.lscv_score(x, family, int(tried), quad.points, quad.weights)
+        assert scores[k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_plugin_fit_carries_inference_fit():
@@ -436,18 +443,18 @@ def test_plugin_fit_carries_inference_fit():
     s = _random_sample(3, 40, seed=26)
     cfg = EstimatorConfig(truncation=2)
     est = estimate_fbeta(s, cfg)
-    fxe = fx_self_evaluation(s, cfg)
+    band, loo_values = estimator._cross_validated_fx(s, cfg)
     inf = est.inference
     assert est.sample is s and est.inference is inf
     assert est.fx_band == cfg.fx_truncation
-    assert inf.fx_band == fxe.band and inf.sample is None and inf.inference is None
+    assert inf.fx_band == band and inf.sample is None and inf.inference is None
     assert inf.anchors is est.anchors and inf.config is est.config
     assert inf.odd.degree_coeffs == est.odd.degree_coeffs
     # one weights array per fit, shared with its odd mixture
     assert est.odd.weights is est.weights and inf.odd.weights is inf.weights
-    assert np.array_equal(inf.fx_values, fxe.loo_values)
+    assert np.array_equal(inf.fx_values, loo_values)
     floor = cfg.trimming_floor(40)
-    assert np.array_equal(inf.weights, (2.0 * s.y - 1.0) / np.maximum(fxe.loo_values, floor))
+    assert np.array_equal(inf.weights, (2.0 * s.y - 1.0) / np.maximum(loo_values, floor))
     given = estimate_fbeta(s, cfg, fx=est.fx_values)
     assert given.inference is None and given.fx_band is None and given.sample is None
     assert given.odd.weights is given.weights
@@ -460,10 +467,9 @@ def _leave_in_at_cap(sample, config):
     average, from a sweep of the self-sums to the cross-validation cap (the
     last of _lscv_bands) rather than to config.fx_truncation."""
     d = sample.dimension
-    top = int(estimator._lscv_bands(config)[-1])
-    sums = estimator._self_sums(sample.x, top)
-    chi = config.fx_kernel(d).chi()
-    return estimator._leave_in_values(sums, chi, projector_constants(top, d), estimator._at_one(top, d))
+    sums = estimator._self_sums(sample.x, int(estimator._lscv_bands(config)[-1]))
+    row = projector_constants(config.fx_truncation, d, config.fx_kernel(d).chi())
+    return np.maximum(row @ sums[: row.size] / sample.n_obs, 0.0)
 
 
 def _record_calls(monkeypatch, name):
@@ -522,7 +528,7 @@ def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, sys
 
 
 @pytest.mark.parametrize("family", ["riesz", "dirichlet", "delayed_means"])
-def test_choice_probability_sweeps_only_to_the_point_band(family):
+def test_choice_probability_sweeps_only_to_the_point_band(monkeypatch, family):
     """The choice probability's covariate density comes from a sweep to
     fx_truncation alone, yet equals the leave-in values of a sweep to the
     cross-validation cap bit for bit, and so does the fitted choice
@@ -530,11 +536,9 @@ def test_choice_probability_sweeps_only_to_the_point_band(family):
     s = _random_sample(3, 60, seed=30)
     cfg = EstimatorConfig(truncation=2, family=family, fx_truncation=8)
     at_cap = _leave_in_at_cap(s, cfg)
-    sums = estimator._self_sums(s.x, cfg.fx_truncation)
-    assert sums.shape[0] == cfg.fx_truncation + 1
-    chi = cfg.fx_kernel(3).chi()
-    unit, at_one = projector_constants(8, 3), estimator._at_one(8, 3)
-    assert np.array_equal(estimator._leave_in_values(sums, chi, unit, at_one), at_cap)
+    sweeps = _record_calls(monkeypatch, "_self_sums")
+    assert np.array_equal(estimate_fbeta(s, cfg).fx_values, at_cap)
+    assert [args[1] for args in sweeps] == [cfg.fx_truncation]
     pts = sample_uniform(3, 9, seed=31)
     own = estimate_choice_probability(s, cfg).evaluate(pts)
     given = estimate_choice_probability(s, cfg, fx=at_cap).evaluate(pts)
@@ -588,18 +592,16 @@ def test_z_values_average_to_odd_part():
     s = _random_sample(3, 17, seed=13)
     est = estimate_fbeta(s, EstimatorConfig(truncation=2))
     b = sample_uniform(3, 1, seed=14)[0]
-    z = est.z_values(b)
+    z = z_values(est, b)
     assert z.shape == (17,)
     assert np.mean(z) == pytest.approx(est.odd_values(b), abs=1e-15)
-    with pytest.raises(ValueError):
-        est.z_values(sample_uniform(3, 2, seed=15))
 
 
 # Every evaluator of one fit, each called on a (2, 3) batch of points.
 _EVALUATORS = {
     "odd_values": lambda est, pts: est.odd_values(pts),
     "density": lambda est, pts: est.density(pts),
-    "z_values": lambda est, pts: est.z_values(pts[0]),
+    "z_values": lambda est, pts: z_values(est, pts[0]),
     "standard_error": lambda est, pts: standard_error(est, pts),
     "confidence_interval": lambda est, pts: confidence_interval(est, pts),
     "choice_probability": lambda est, pts: estimate_choice_probability(est.sample).evaluate(pts),
@@ -665,7 +667,7 @@ def test_standard_error_matches_manual():
     s = _random_sample(3, 40, seed=23)
     est = estimate_fbeta(s, EstimatorConfig(truncation=2))
     b = np.array([0.0, 0.0, 1.0])
-    manual = 2.0 * np.std(est.z_values(b), ddof=1)
+    manual = 2.0 * np.std(z_values(est, b), ddof=1)
     assert standard_error(est, b) == pytest.approx(manual, rel=1e-14)
     batch = standard_error(est, np.vstack([b, [0.0, 1.0, 0.0]]))
     assert batch.shape == (2,)
@@ -773,7 +775,7 @@ def test_standard_error_blocks_match_per_point_loop():
     per_block = EVAL_CHUNK // est.n_obs
     assert pts.shape[0] > 2 * per_block  # at least two block boundaries
     batch = standard_error(est, pts)
-    loop = np.array([2.0 * np.std(est.z_values(b), ddof=1) for b in pts])
+    loop = np.array([2.0 * np.std(z_values(est, b), ddof=1) for b in pts])
     assert np.max(np.abs(batch - loop) / loop) <= 1e-14
 
 

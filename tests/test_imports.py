@@ -96,7 +96,7 @@ _REMOVED = {
     "hemisphere": ["invert_by_laplacian"],
     "gegenbauer": ["eval_all"],
     "sphere": ["angle_between"],
-    "estimator": ["SELF_SUMS_BLOCK"],
+    "estimator": ["SELF_SUMS_BLOCK", "fx_self_evaluation", "FxSelfEvaluation", "_leave_in_values"],
 }
 
 
@@ -122,12 +122,11 @@ def test_removed_names_are_gone():
 
     assert not hasattr(estimator.ChoiceProbabilityEstimate, "coefficient_odd_part")
     assert not hasattr(SimulationDraw, "true_fx") and not hasattr(SimulationDraw, "true_fbeta")
-    fields = {f.name for f in dataclasses.fields(estimator.FxSelfEvaluation)}
-    assert fields == {"bands", "scores", "band", "loo_values"}
     # weights and trimming_floor are read from the mixture and the config
     fields = {f.name for f in dataclasses.fields(estimator.DensityEstimate)}
     assert fields == {"odd", "config", "fx_values", "fx_band", "sample"}
     assert not hasattr(estimator.DensityEstimate, "kernel")
+    assert not hasattr(estimator.DensityEstimate, "z_values")
     removed_params = [
         (HarmonicMixture.terms, "chunk_size"),
         (HarmonicMixture.evaluate_series, "chunk_size"),
