@@ -225,9 +225,10 @@ def evaluation_grid(dimension, resolution, points_file=""):
 
 
 def _read_points_file(path, dimension):
-    """Rows of a points CSV, each within 1e-6 of unit norm, renormalized."""
+    """Rows of a points CSV, each within 1e-6 of unit norm, renormalized;
+    a UTF-8 byte-order mark is skipped, as read_sample skips one."""
     try:
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        pts = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
         return normalize(check_on_sphere(pts, d=dimension, tol=1e-6))
     except OSError as exc:
         raise CliError(f"cannot read points file {path}: {exc}") from exc
@@ -257,10 +258,11 @@ def read_sample(path):
     Rows whose coordinates are off the unit sphere by more than 1e-6 are
     renormalized with a warning on stderr; genuinely malformed rows,
     NaN and infinite fields included, abort with the offending line
-    number.
+    number.  A UTF-8 byte-order mark, as spreadsheet programs write one,
+    is skipped.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     with fh:

@@ -185,13 +185,7 @@ def estimate_fx(sample, kernel):
             f"kernel is for dimension {kernel.dimension}, sample has {sample.dimension}"
         )
     n = sample.n_obs
-    chi = kernel.chi()
-    mix = HarmonicMixture(
-        dimension=sample.dimension,
-        anchors=sample.x,
-        weights=np.full(n, 1.0 / n),
-        degree_coeffs={m: float(chi[m]) for m in range(chi.size) if chi[m] != 0.0},
-    )
+    mix = HarmonicMixture(sample.x, np.full(n, 1.0 / n), kernel.chi())
     return FxEstimate(mixture=mix, kernel=kernel)
 
 
@@ -337,12 +331,13 @@ class DensityEstimate:
 
     odd is the estimate's odd part, an odd HarmonicMixture anchored at the
     sample covariates x_i with the per-observation weights w_i =
-    (2y_i - 1) / max(fx_values[i], trimming_floor) and coefficients
-    chi(m) / (lambda_m N) on the odd degrees m <= 2 * truncation - 1: the
-    filter weights of config.main_kernel over the hemisphere eigenvalues,
-    with the 1/N of the sample mean.  The density is twice its positive
-    part.  weights and trimming_floor are read from odd and config, and
-    every query's points are checked once, by odd.
+    (2y_i - 1) / max(fx_values[i], trimming_floor) and the coefficient
+    row of degrees 0..2 * truncation - 1 that holds chi(m) / (lambda_m N)
+    at odd m and 0 at even m: the filter weights of config.main_kernel over
+    the hemisphere eigenvalues, with the 1/N of the sample mean.  The
+    density is twice its positive part.  weights and trimming_floor are
+    read from odd and config, and every query's points are checked once,
+    by odd.
 
     fx_band is the band limit of the plug-in covariate-density estimate
     behind fx_values (None when the caller supplied them).  A plug-in fit
@@ -418,10 +413,12 @@ def _fit(sample, config, fx_values, fx_band, keep_sample=False):
     inference fit reads it (see DensityEstimate)."""
     n_obs, d = sample.n_obs, sample.dimension
     chi = config.main_kernel(d).chi()
-    coeffs = {m: float(chi[m]) / (hemisphere.eigenvalue(m, d) * n_obs) for m in range(1, chi.size, 2)}
+    coeffs = np.zeros(chi.size - 1)
+    for m in range(1, chi.size, 2):
+        coeffs[m] = chi[m] / (hemisphere.eigenvalue(m, d) * n_obs)
     weights = (2.0 * sample.y - 1.0) / np.maximum(fx_values, config.trimming_floor(n_obs))
     return DensityEstimate(
-        odd=HarmonicMixture(d, sample.x, weights, coeffs),
+        odd=HarmonicMixture(sample.x, weights, coeffs),
         config=config,
         fx_values=fx_values,
         fx_band=fx_band,
@@ -492,8 +489,8 @@ class ChoiceProbabilityEstimate:
     """Estimated choice probability x -> 1/2 + odd_part(x).
 
     odd_part is the hemisphere transform of a density estimate's odd
-    mixture (coefficients chi(m) / N, the same anchors and weights), so
-    hemisphere.invert(odd_part) gives back that odd part.
+    mixture (coefficients chi(m) / N at odd m, the same anchors and
+    weights), so hemisphere.invert(odd_part) gives back that odd part.
     """
 
     odd_part: HarmonicMixture
@@ -613,8 +610,7 @@ def marginal_density(density, keep_dims, values, n_draws=512, seed=None, dimensi
     pts = np.empty((n_draws, d))
     pts[:, keep] = vals
     pts[:, rest] = rho * u
-    f = density.density if isinstance(density, DensityEstimate) else density
-    return surface_area(d) * float(np.mean(f(pts)))
+    return surface_area(d) * float(np.mean(density(pts)))
 
 
 @dataclass
@@ -733,7 +729,6 @@ class CoefficientDensity:
             raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
         sample = ChoiceSample(y=np.asarray(y), x=normalize(check_on_sphere(X, tol=1e-6)))
         self.config_ = config
-        self.sample_ = sample
         self.estimate_ = estimate_fbeta(sample, config)
         self.choice_probability_ = ChoiceProbabilityEstimate(hemisphere.transform(self.estimate_.odd))
         self.n_features_in_ = sample.dimension

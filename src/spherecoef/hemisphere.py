@@ -15,9 +15,12 @@ open hemisphere are recoverable from their odd part alone.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
-from .kernels import HarmonicMixture
+import numpy as np
+
+from .kernels import HarmonicMixture, _check_degree_dim
 from .sphere import surface_area
 
 __all__ = ["eigenvalue", "transform", "invert"]
@@ -30,11 +33,7 @@ def _lower_area(d):
 
 def eigenvalue(n, d):
     """Eigenvalue of the hemisphere-averaging operator on degree n."""
-    if int(n) != n or n < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    n, d = int(n), int(d)
+    n, d = _check_degree_dim(n, d)
     if n == 0:
         return surface_area(d) / 2.0
     if n % 2 == 0:
@@ -56,20 +55,25 @@ def _require_odd(g):
         )
 
 
+def _eigenvalues(g):
+    """The eigenvalues of degrees 0..g.max_degree, as a row."""
+    return np.array([eigenvalue(n, g.dimension) for n in range(g.max_degree + 1)])
+
+
 def transform(g):
-    """Apply the operator to an odd band-limited expansion (exact, spectral)."""
+    """Apply the operator to an odd band-limited expansion (exact, spectral):
+    the mixture with its coefficient row times the eigenvalue row."""
     _require_odd(g)
-    return g.with_degree_coeffs(
-        {n: c * eigenvalue(n, g.dimension) for n, c in g.degree_coeffs.items()}
-    )
+    return dataclasses.replace(g, degree_coeffs=g.degree_coeffs * _eigenvalues(g))
 
 
 def invert(g):
-    """Invert the operator on an odd band-limited expansion (exact, spectral).
+    """Invert the operator on an odd band-limited expansion (exact, spectral):
+    the mixture with its coefficient row over the eigenvalue row.
 
-    Zero coefficients are dropped, as is_odd ignores them: an even degree
+    Zero coefficients stay zero, as is_odd ignores them: an even degree
     may carry one, and its eigenvalue is 0."""
     _require_odd(g)
-    return g.with_degree_coeffs(
-        {n: c / eigenvalue(n, g.dimension) for n, c in g.degree_coeffs.items() if c != 0.0}
-    )
+    c = g.degree_coeffs
+    inverted = np.divide(c, _eigenvalues(g), out=np.zeros_like(c), where=c != 0.0)
+    return dataclasses.replace(g, degree_coeffs=inverted)

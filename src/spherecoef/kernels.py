@@ -13,7 +13,7 @@ for one of the weight families below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,17 +220,20 @@ class HarmonicMixture:
     """Band-limited function anchored at sphere points.
 
     Represents g(b) = sum_n degree_coeffs[n] * sum_i weights[i] * q_n(x_i, b)
-    with x_i the anchor points.  This is the one closed form for every
+    with x_i the (N, d) anchors.  degree_coeffs is a nonempty 1-D float
+    array indexed by degree 0..max_degree, the layout of KernelSpec.chi and
+    projector_constants.  This is the one closed form for every
     kernel-smoothed statistic in the package (a coefficient-density
     estimate is an odd mixture, its choice probability the mixture's
     hemisphere transform), and spectral operators act by rescaling
-    degree_coeffs.  So every such statistic is one row of coefficients
-    against the same per-degree sums D[n, k] = sum_i weights[i]
-    C_n^nu(x_i'b_k) (degree_sums): evaluate_series takes them for each
-    degree that carries a coefficient and applies any number of
-    coefficient rows to them.  terms keeps the per-anchor values, for
-    statistics that need more than their weighted sum (the standard
-    error).  Both check query points at one tolerance, |norm - 1| <= 1e-8.
+    degree_coeffs (dataclasses.replace gives the rescaled mixture).  So
+    every such statistic is one row of coefficients against the same
+    per-degree sums D[n, k] = sum_i weights[i] C_n^nu(x_i'b_k)
+    (degree_sums): evaluate_series takes them for each degree that carries
+    a coefficient and applies any number of coefficient rows to them.
+    terms keeps the per-anchor values, for statistics that need more than
+    their weighted sum (the standard error).  Both check query points at
+    one tolerance, |norm - 1| <= 1e-8.
 
     weights is kept as passed when it is already a float array, not copied:
     a DensityEstimate's odd mixture holds the fit's own weights array, and
@@ -238,51 +241,36 @@ class HarmonicMixture:
     degree_coeffs instead.
     """
 
-    dimension: int
     anchors: np.ndarray
     weights: np.ndarray
-    degree_coeffs: dict = field(default_factory=dict)
+    degree_coeffs: np.ndarray
 
     def __post_init__(self):
-        self.anchors = check_on_sphere(self.anchors, d=self.dimension, tol=1e-8)
+        self.anchors = check_on_sphere(self.anchors, tol=1e-8)
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.anchors.shape[0],):
             raise ValueError("weights must have one entry per anchor")
-        clean = {}
-        for n, c in self.degree_coeffs.items():
-            if int(n) != n or n < 0:
-                raise ValueError(f"degrees must be nonnegative integers, got {n}")
-            clean[int(n)] = float(c)
-        self.degree_coeffs = clean
+        self.degree_coeffs = np.asarray(self.degree_coeffs, dtype=float)
+        if self.degree_coeffs.ndim != 1 or self.degree_coeffs.size == 0:
+            raise ValueError("degree_coeffs must be a nonempty 1-D array indexed by degree")
 
     @property
-    def degrees(self):
-        return sorted(self.degree_coeffs)
+    def dimension(self):
+        return self.anchors.shape[1]
 
     @property
     def max_degree(self):
-        return max(self.degree_coeffs) if self.degree_coeffs else 0
+        return self.degree_coeffs.size - 1
 
     def is_odd(self):
         """True when only odd degrees carry nonzero coefficients."""
-        return all(n % 2 == 1 for n, c in self.degree_coeffs.items() if c != 0.0)
-
-    def with_degree_coeffs(self, new_coeffs):
-        return HarmonicMixture(
-            dimension=self.dimension,
-            anchors=self.anchors,
-            weights=self.weights,
-            degree_coeffs=dict(new_coeffs),
-        )
+        return not np.any(self.degree_coeffs[::2])
 
     def series_coeffs(self):
         """Gegenbauer series coefficients indexed by degree 0..max_degree:
         degree_coeffs[n] times the projector constant of degree n, so that
         g(b) = sum_n series_coeffs()[n] sum_i weights[i] C_n^nu(x_i'b)."""
-        coeffs = np.zeros(self.max_degree + 1)
-        for n, c in self.degree_coeffs.items():
-            coeffs[n] = c
-        return projector_constants(self.max_degree, self.dimension, coeffs)
+        return projector_constants(self.max_degree, self.dimension, self.degree_coeffs)
 
     def terms(self, points):
         """Per-anchor terms, block by block: yields (rows, T) with

@@ -301,7 +301,7 @@ def mixture_by_terms(mixture, points):
     pts = _unit_rows(points, d)
     t = np.clip(pts @ np.asarray(mixture.anchors).T, -1.0, 1.0)
     terms = np.zeros_like(t)
-    for n, c in mixture.degree_coeffs.items():
+    for n, c in enumerate(mixture.degree_coeffs):
         if nu == 0:
             ratio = np.cos(n * np.arccos(t))
         else:
@@ -352,8 +352,9 @@ def transform_by_quadrature(f, x, quad):
 
 
 def invert_by_laplacian(degree_coeffs, d):
-    """Invert the hemisphere operator on odd degree -> coefficient pairs
-    through the polynomial-in-Laplacian route (d a multiple of 4).
+    """Invert the hemisphere operator on a coefficient row indexed by degree,
+    zero at every even degree, through the polynomial-in-Laplacian route
+    (d a multiple of 4).
 
     For d divisible by 4 the reciprocal eigenvalue on degree n = 2p+1 equals
 
@@ -363,7 +364,7 @@ def invert_by_laplacian(degree_coeffs, d):
     a polynomial in the Laplace-Beltrami eigenvalue zeta_{n,d} = n(n+d-2)
     with an alternating sign per odd eigenspace: independent of the
     double-factorial-ratio route of the package's hemisphere.eigenvalue.
-    Returns the inverted coefficients as a new dict.
+    Returns the inverted coefficients as a new row, zero at even degrees.
     """
     if d % 4 != 0:
         raise ValueError(f"the differential route needs d divisible by 4, got {d}")
@@ -372,10 +373,12 @@ def invert_by_laplacian(degree_coeffs, d):
     while m > 1:
         dfact *= m
         m -= 2
-    out = {}
-    for n, c in degree_coeffs.items():
+    out = np.zeros(len(degree_coeffs))
+    for n, c in enumerate(degree_coeffs):
         if n % 2 == 0:
-            raise ValueError(f"the operator is only invertible on odd degrees, got {n}")
+            if c != 0.0:
+                raise ValueError(f"the operator is only invertible on odd degrees, got {n}")
+            continue
         zeta = float(n * (n + d - 2))
         prod = 1.0
         for k in range(1, d // 4 + 1):

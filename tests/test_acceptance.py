@@ -8,6 +8,7 @@ confidence-interval coverage) to structural invariants on fuzzed inputs.
 Every test prints a one-line PASS/FAIL verdict with the measured numbers.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -117,29 +118,28 @@ def test_criterion_3_spectral_round_trip(capsys):
     band-limited odd functions; the differential inversion available in
     dimensions divisible by 4 agrees with the spectral one."""
     rng = np.random.default_rng(7)
+
+    def random_odd_mixture(d):
+        """Five random anchors and weights, random odd degrees 1..15."""
+        anchors = sample_uniform(d, 5, seed=int(rng.integers(2**31)))
+        weights = rng.standard_normal(5)
+        coeffs = np.zeros(16)
+        coeffs[1::2] = rng.standard_normal(8)
+        return HarmonicMixture(anchors, weights, coeffs)
+
     worst_rt = 0.0
     for d in (2, 3, 4):
         for _ in range(3):
-            mix = HarmonicMixture(
-                dimension=d,
-                anchors=sample_uniform(d, 5, seed=int(rng.integers(2**31))),
-                weights=rng.standard_normal(5),
-                degree_coeffs={n: float(rng.standard_normal()) for n in range(1, 16, 2)},
-            )
+            mix = random_odd_mixture(d)
             pts = sample_uniform(d, 50, seed=int(rng.integers(2**31)))
             back = hemisphere.invert(hemisphere.transform(mix))
             worst_rt = max(worst_rt, float(np.max(np.abs(back.evaluate(pts) - mix.evaluate(pts)))))
     worst_lap = 0.0
     for d in (4, 8):
-        mix = HarmonicMixture(
-            dimension=d,
-            anchors=sample_uniform(d, 5, seed=int(rng.integers(2**31))),
-            weights=rng.standard_normal(5),
-            degree_coeffs={n: float(rng.standard_normal()) for n in range(1, 16, 2)},
-        )
+        mix = random_odd_mixture(d)
         pts = sample_uniform(d, 50, seed=int(rng.integers(2**31)))
         spectral = hemisphere.invert(mix)
-        differential = mix.with_degree_coeffs(oracles.invert_by_laplacian(mix.degree_coeffs, d))
+        differential = dataclasses.replace(mix, degree_coeffs=oracles.invert_by_laplacian(mix.degree_coeffs, d))
         worst_lap = max(
             worst_lap,
             float(np.max(np.abs(differential.evaluate(pts) - spectral.evaluate(pts)))),

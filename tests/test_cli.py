@@ -143,7 +143,7 @@ def test_simulate_deterministic_output(tmp_path):
     assert cli.main(["simulate", "--out", out1, "--seed", "5"]) == 0
     assert cli.main(["simulate", "--out", out2, "--seed", "5"]) == 0
     assert cli.main(["simulate", "--out", out3, "--seed", "6"]) == 0
-    b1, b2, b3 = (open(p, "rb").read() for p in (out1, out2, out3))
+    b1, b2, b3 = (Path(p).read_bytes() for p in (out1, out2, out3))
     assert b1 == b2  # byte-identical across runs with the same seed
     assert b1 != b3
     first = b1.decode().splitlines()
@@ -157,12 +157,12 @@ def test_estimate_outputs_grid_and_report(tmp_path):
     assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "1"]) == 0
     out = str(tmp_path / "fit.csv")
     assert cli.main(["estimate", data, "--out", out, "--grid-res", "6"]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "b0,b1,b2,density"
     table = np.loadtxt(out, delimiter=",", skiprows=1)
     assert table.shape == (72, 4)
     assert np.all(table[:, 3] >= 0.0)
-    report = json.load(open(out + ".report.json"))
+    report = json.loads(Path(out + ".report.json").read_text())
     assert report["grid_points"] == 72
     assert report["config"]["truncation"] == 3
     diag = report["diagnostic"]
@@ -185,7 +185,7 @@ def test_estimate_report_says_how_the_weights_were_formed(tmp_path):
     outs = [str(tmp_path / f"fit{k}.csv") for k in (1, 2)]
     for out in outs:
         assert cli.main(["estimate", data, "--out", out, "--grid-res", "6"]) == 0
-    texts = [open(out + ".report.json", "rb").read() for out in outs]
+    texts = [Path(out + ".report.json").read_bytes() for out in outs]
     assert texts[0] == texts[1]
     weights = json.loads(texts[0])["weights"]
     est = estimate_fbeta(cli.read_sample(data), EstimatorConfig())
@@ -216,6 +216,28 @@ def test_estimate_with_points_file(tmp_path):
     assert table.shape == (3, 4)
 
 
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    """A sample and a points file saved with a UTF-8 byte-order mark, as
+    spreadsheet programs write "CSV UTF-8", give the same grid and report,
+    byte for byte, as the plain files."""
+    data = str(tmp_path / "data.csv")
+    ini = _write(tmp_path / "cfg.ini", "[model]\nn_obs = 120\n")
+    assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "2"]) == 0
+    bom_data = tmp_path / "bom.csv"
+    bom_data.write_bytes(b"\xef\xbb\xbf" + Path(data).read_bytes())
+    points = "0,0,1\n0,1,0\n1,0,0\n"
+    outs = []
+    for name, sample, prefix in (("plain", data, b""), ("bom", str(bom_data), b"\xef\xbb\xbf")):
+        pts = tmp_path / f"{name}-pts.csv"
+        pts.write_bytes(prefix + points.encode())
+        cfg = _write(tmp_path / f"{name}.ini", f"[grid]\npoints_file = {pts}\n")
+        out = str(tmp_path / f"{name}-grid.csv")
+        assert cli.main(["estimate", sample, "--config", cfg, "--out", out]) == 0
+        outs.append(out)
+    for suffix in ("", ".report.json"):
+        assert Path(outs[0] + suffix).read_bytes() == Path(outs[1] + suffix).read_bytes()
+
+
 def test_diagnose_prints_and_writes(tmp_path, capsys):
     data = str(tmp_path / "data.csv")
     ini = _write(tmp_path / "cfg.ini", "[model]\nn_obs = 300\n")
@@ -224,7 +246,7 @@ def test_diagnose_prints_and_writes(tmp_path, capsys):
     assert cli.main(["diagnose", data, "--out", rep, "--grid-res", "16"]) == 0
     text = capsys.readouterr().out
     assert "violation score" in text
-    saved = json.load(open(rep))
+    saved = json.loads(Path(rep).read_text())
     assert "violation_score" in saved and "axis" in saved
     assert len(saved["axis"]) == 3
 
@@ -236,8 +258,8 @@ def test_estimate_and_diagnose_share_the_diagnostic_report(tmp_path):
     out, rep = str(tmp_path / "fit.csv"), str(tmp_path / "diag.json")
     assert cli.main(["estimate", data, "--out", out, "--grid-res", "4"]) == 0
     assert cli.main(["diagnose", data, "--out", rep]) == 0
-    estimated = json.load(open(out + ".report.json"))
-    diagnosed = json.load(open(rep))
+    estimated = json.loads(Path(out + ".report.json").read_text())
+    diagnosed = json.loads(Path(rep).read_text())
     assert diagnosed.pop("config") == estimated["config"]
     assert diagnosed == estimated["diagnostic"]
 
@@ -246,7 +268,7 @@ def test_estimate_rejects_non_finite_field(tmp_path, capsys):
     data = str(tmp_path / "data.csv")
     ini = _write(tmp_path / "cfg.ini", "[model]\nn_obs = 30\n")
     assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "2"]) == 0
-    lines = open(data).read().splitlines()
+    lines = Path(data).read_text().splitlines()
     for bad in ("nan", "inf"):
         holed = list(lines)
         holed[5] = holed[5].rsplit(",", 1)[0] + "," + bad
@@ -264,16 +286,16 @@ def test_bench_writes_errors_and_slope(tmp_path):
     )
     out = str(tmp_path / "bench.csv")
     assert cli.main(["bench", "--config", ini, "--out", out, "--seed", "0"]) == 0
-    rows = open(out).read().splitlines()
+    rows = Path(out).read_text().splitlines()
     assert rows[0] == "n_obs,replication,l1,l2,linf"
     assert len(rows) == 5
-    report = json.load(open(out + ".report.json"))
+    report = json.loads(Path(out + ".report.json").read_text())
     assert set(report["median_l2"]) == {"60", "120"}
     assert "l2_slope" in report
     # deterministic re-run
     out2 = str(tmp_path / "bench2.csv")
     assert cli.main(["bench", "--config", ini, "--out", out2, "--seed", "0"]) == 0
-    assert open(out).read().split("\n", 1)[1] == open(out2).read().split("\n", 1)[1]
+    assert Path(out).read_text().split("\n", 1)[1] == Path(out2).read_text().split("\n", 1)[1]
 
 
 def _fresh_cli(args):

@@ -449,7 +449,7 @@ def test_plugin_fit_carries_inference_fit():
     assert est.fx_band == cfg.fx_truncation
     assert inf.fx_band == band and inf.sample is None and inf.inference is None
     assert inf.anchors is est.anchors and inf.config is est.config
-    assert inf.odd.degree_coeffs == est.odd.degree_coeffs
+    assert np.array_equal(inf.odd.degree_coeffs, est.odd.degree_coeffs)
     # one weights array per fit, shared with its odd mixture
     assert est.odd.weights is est.weights and inf.odd.weights is inf.weights
     assert np.array_equal(inf.fx_values, loo_values)
@@ -630,6 +630,20 @@ def test_as_mixture_matches_odd_values():
     assert np.allclose(mix.evaluate(pts), est.odd_values(pts), atol=1e-13)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("truncation", [1, 3])
+def test_odd_part_is_one_degree_row(d, truncation):
+    """The odd part's coefficients are one row indexed by degree
+    0..2 * truncation - 1: chi(m) / (lambda_m N) at odd m and 0 at even m."""
+    cfg = EstimatorConfig(truncation=truncation)
+    row = estimate_fbeta(_random_sample(d, 20, seed=28), cfg, fx=np.ones(20)).odd.degree_coeffs
+    assert row.shape == (2 * truncation,)
+    assert not np.any(row[::2])
+    odd = np.arange(1, 2 * truncation, 2)
+    eigenvalues = np.array([hemisphere.eigenvalue(m, d) for m in odd])
+    assert np.allclose(row[odd], cfg.main_kernel(d).chi()[odd] / (eigenvalues * 20), rtol=1e-15, atol=0.0)
+
+
 def test_direct_transcription_agrees():
     """The packaged evaluator equals a from-scratch loop over the defining
     sum at a handful of points (the acceptance suite does this at scale)."""
@@ -759,7 +773,7 @@ def test_fx_mixture_evaluation_matches_per_anchor_oracle(d):
 def test_standard_error_needs_two_observations():
     s = _random_sample(3, 40, seed=25)
     est = estimate_fbeta(s, EstimatorConfig(truncation=1))
-    one = HarmonicMixture(3, est.anchors[:1], est.weights[:1], est.odd.degree_coeffs)
+    one = HarmonicMixture(est.anchors[:1], est.weights[:1], est.odd.degree_coeffs)
     trimmed = type(est)(odd=one, config=est.config, fx_values=est.fx_values[:1])
     with pytest.raises(ValueError):
         standard_error(trimmed, np.array([0.0, 0.0, 1.0]))
@@ -872,7 +886,7 @@ def test_diagnostic_flags_antipodally_symmetric_coefficients():
 def test_diagnostic_zero_odd_part():
     s = _random_sample(3, 10, seed=27)
     est = estimate_fbeta(s, EstimatorConfig(truncation=2), fx=np.ones(10))
-    zero = est.as_mixture().with_degree_coeffs({1: 0.0})
+    zero = dataclasses.replace(est.as_mixture(), degree_coeffs=[0.0, 0.0])
     report = identification_diagnostic(zero)
     assert report.violation_score == 0.0
 

@@ -1,5 +1,6 @@
 """Tests for the hemisphere-averaging transform and its inverses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,9 +54,9 @@ def test_eigenvalue_validation():
 
 def _random_odd_mixture(d, max_degree, seed, n_anchors=5):
     rng = np.random.default_rng(seed)
-    coeffs = {n: float(rng.standard_normal()) for n in range(1, max_degree + 1, 2)}
+    coeffs = np.zeros(max_degree + 1)
+    coeffs[1::2] = rng.standard_normal(coeffs[1::2].size)
     return HarmonicMixture(
-        dimension=d,
         anchors=sample_uniform(d, n_anchors, seed=seed + 1),
         weights=rng.standard_normal(n_anchors),
         degree_coeffs=coeffs,
@@ -74,16 +75,15 @@ def test_transform_scales_each_degree():
     d = 3
     g = _random_odd_mixture(d, 7, seed=70)
     h = hemisphere.transform(g)
-    for n, c in g.degree_coeffs.items():
+    for n, c in enumerate(g.degree_coeffs):
         assert h.degree_coeffs[n] == pytest.approx(c * hemisphere.eigenvalue(n, d), rel=1e-14)
 
 
 def test_transform_requires_odd_mixture():
     even = HarmonicMixture(
-        dimension=3,
         anchors=sample_uniform(3, 3, seed=71),
         weights=np.ones(3),
-        degree_coeffs={2: 1.0},
+        degree_coeffs=[0.0, 0.0, 1.0],
     )
     with pytest.raises(ValueError):
         hemisphere.transform(even)
@@ -94,13 +94,14 @@ def test_transform_requires_odd_mixture():
 
 
 def test_invert_skips_explicit_zero_even_coefficient():
-    """is_odd ignores a zero coefficient at an even degree; invert drops it
-    rather than dividing by that degree's zero eigenvalue."""
+    """is_odd ignores a zero coefficient at an even degree; invert leaves it
+    at zero rather than dividing by that degree's zero eigenvalue."""
     anchors, weights = sample_uniform(3, 4, seed=72), np.linspace(-1.0, 1.0, 4)
-    g = HarmonicMixture(dimension=3, anchors=anchors, weights=weights, degree_coeffs={1: 1.0, 2: 0.0})
-    odd = HarmonicMixture(dimension=3, anchors=anchors, weights=weights, degree_coeffs={1: 1.0})
+    g = HarmonicMixture(anchors=anchors, weights=weights, degree_coeffs=[0.0, 1.0, 0.0])
+    odd = HarmonicMixture(anchors=anchors, weights=weights, degree_coeffs=[0.0, 1.0])
     assert g.is_odd()
-    assert hemisphere.invert(g).degree_coeffs == hemisphere.invert(odd).degree_coeffs
+    inverted = hemisphere.invert(g).degree_coeffs
+    assert np.array_equal(inverted[:2], hemisphere.invert(odd).degree_coeffs) and inverted[2] == 0.0
 
 
 @pytest.mark.parametrize("d", [4, 8])
@@ -108,7 +109,7 @@ def test_invert_by_laplacian_matches_spectral_inverse(d):
     g = _random_odd_mixture(d, 9, seed=80 + d)
     forward = hemisphere.transform(g)
     spectral = hemisphere.invert(forward)
-    differential = forward.with_degree_coeffs(oracles.invert_by_laplacian(forward.degree_coeffs, d))
+    differential = dataclasses.replace(forward, degree_coeffs=oracles.invert_by_laplacian(forward.degree_coeffs, d))
     pts = sample_uniform(d, 30, seed=90 + d)
     assert np.allclose(differential.evaluate(pts), spectral.evaluate(pts), atol=1e-11)
 

@@ -127,6 +127,10 @@ def test_removed_names_are_gone():
     assert fields == {"odd", "config", "fx_values", "fx_band", "sample"}
     assert not hasattr(estimator.DensityEstimate, "kernel")
     assert not hasattr(estimator.DensityEstimate, "z_values")
+    # a mixture is its anchors, weights and one coefficient row; its
+    # dimension is read from the anchors
+    assert [f.name for f in dataclasses.fields(HarmonicMixture)] == ["anchors", "weights", "degree_coeffs"]
+    assert not hasattr(HarmonicMixture, "degrees") and not hasattr(HarmonicMixture, "with_degree_coeffs")
     removed_params = [
         (HarmonicMixture.terms, "chunk_size"),
         (HarmonicMixture.evaluate_series, "chunk_size"),

@@ -1,6 +1,7 @@
 """Tests for harmonic machinery: dimensions, projectors, smoothed kernels,
 anchored mixtures."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -140,11 +141,11 @@ def test_harmonic_mixture_evaluates_as_weighted_projector_sum():
     d = 3
     anchors = sample_uniform(d, 5, seed=31)
     weights = np.linspace(-1.0, 1.0, 5)
-    coeffs = {1: 0.7, 2: -0.3, 5: 1.1}
-    mix = HarmonicMixture(dimension=d, anchors=anchors, weights=weights, degree_coeffs=coeffs)
+    coeffs = np.array([0.0, 0.7, -0.3, 0.0, 0.0, 1.1])
+    mix = HarmonicMixture(anchors=anchors, weights=weights, degree_coeffs=coeffs)
     pts = sample_uniform(d, 11, seed=32)
     direct = np.zeros(11)
-    for n, c in coeffs.items():
+    for n, c in enumerate(coeffs):
         for a, w in zip(anchors, weights):
             direct += c * w * projector_kernel(n, d, pts @ a)
     assert np.allclose(mix.evaluate(pts), direct, atol=1e-12)
@@ -155,10 +156,9 @@ def test_harmonic_mixture_evaluates_as_weighted_projector_sum():
 
 def test_harmonic_mixture_chunked_evaluation_matches(monkeypatch):
     mix = HarmonicMixture(
-        dimension=3,
         anchors=sample_uniform(3, 7, seed=33),
         weights=np.ones(7),
-        degree_coeffs={3: 1.0, 4: 0.5},
+        degree_coeffs=[0.0, 0.0, 0.0, 1.0, 0.5],
     )
     pts = sample_uniform(3, 23, seed=34)
     whole = mix.evaluate(pts)
@@ -198,29 +198,35 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
 
 def test_harmonic_mixture_oddness_and_rescaling():
     mix = HarmonicMixture(
-        dimension=3,
         anchors=sample_uniform(3, 4, seed=35),
         weights=np.array([1.0, -0.5, 0.25, 2.0]),
-        degree_coeffs={1: 1.0, 3: -0.5},
+        degree_coeffs=[0.0, 1.0, 0.0, -0.5],
     )
     assert mix.is_odd()
     pts = sample_uniform(3, 9, seed=36)
     assert np.allclose(mix.evaluate(-pts), -mix.evaluate(pts), atol=1e-13)
-    doubled = mix.with_degree_coeffs({n: 2.0 * c for n, c in mix.degree_coeffs.items()})
+    doubled = dataclasses.replace(mix, degree_coeffs=2.0 * mix.degree_coeffs)
     assert np.allclose(doubled.evaluate(pts), 2.0 * mix.evaluate(pts), atol=1e-13)
-    assert not mix.with_degree_coeffs({2: 1.0}).is_odd()
-    assert mix.degrees == [1, 3]
+    assert not dataclasses.replace(mix, degree_coeffs=[0.0, 0.0, 1.0]).is_odd()
     assert mix.max_degree == 3
+    assert mix.dimension == 3
 
 
 def test_harmonic_mixture_validation():
     anchors = sample_uniform(3, 4, seed=37)
     with pytest.raises(ValueError):
-        HarmonicMixture(dimension=3, anchors=anchors, weights=np.ones(3), degree_coeffs={})
+        HarmonicMixture(anchors=anchors, weights=np.ones(3), degree_coeffs=[0.0])
     with pytest.raises(ValueError):
-        HarmonicMixture(dimension=3, anchors=2.0 * anchors, weights=np.ones(4), degree_coeffs={})
-    with pytest.raises(ValueError):
-        HarmonicMixture(dimension=3, anchors=anchors, weights=np.ones(4), degree_coeffs={-1: 1.0})
+        HarmonicMixture(anchors=2.0 * anchors, weights=np.ones(4), degree_coeffs=[0.0])
+    # degree_coeffs is a nonempty 1-D row indexed by degree, taken as floats
+    with pytest.raises(TypeError):
+        HarmonicMixture(anchors, np.ones(4), {1: 1.0})
+    with pytest.raises(ValueError, match="1-D"):
+        HarmonicMixture(anchors, np.ones(4), [[0.0, 1.0]])
+    with pytest.raises(ValueError, match="nonempty"):
+        HarmonicMixture(anchors, np.ones(4), [])
+    mix = HarmonicMixture(anchors, np.ones(4), [0, 1])
+    assert mix.degree_coeffs.dtype == float and mix.max_degree == 1
 
 
 def _max_rel_error(got, want):
@@ -239,8 +245,8 @@ def test_evaluate_matches_per_anchor_oracle(d, family):
     anchors = sample_uniform(d, 300, seed=40 + d)
     weights = np.random.default_rng(d).standard_normal(300)
     chi = KernelSpec(family, 8, d).chi()
-    full = HarmonicMixture(d, anchors, weights, {n: chi[n] for n in range(9)})
-    odd = full.with_degree_coeffs({n: chi[n] for n in range(1, 9, 2)})
+    full = HarmonicMixture(anchors, weights, chi)
+    odd = dataclasses.replace(full, degree_coeffs=np.where(np.arange(9) % 2 == 1, chi, 0.0))
     pts = sample_uniform(d, 250, seed=50 + d)
     assert pts.shape[0] > 2 * (EVAL_CHUNK // 300)
     for mix in (full, odd):
@@ -258,12 +264,10 @@ def test_evaluate_degree_15_matches_per_anchor_oracle(d):
     round-trip degrees of acceptance criterion 3), at a batch and at a
     single point, which returns a float."""
     rng = np.random.default_rng(60 + d)
-    mix = HarmonicMixture(
-        d,
-        sample_uniform(d, 120, seed=61 + d),
-        rng.standard_normal(120),
-        {n: float(rng.standard_normal()) for n in (0, 2, 5, 9, 14, 15)},
-    )
+    weights = rng.standard_normal(120)
+    coeffs = np.zeros(16)
+    coeffs[[0, 2, 5, 9, 14, 15]] = rng.standard_normal(6)
+    mix = HarmonicMixture(sample_uniform(d, 120, seed=61 + d), weights, coeffs)
     pts = sample_uniform(d, 90, seed=62 + d)
     want = oracles.mixture_by_terms(mix, pts)
     assert _max_rel_error(mix.evaluate(pts), want) <= 1e-13
@@ -275,13 +279,13 @@ def test_evaluate_degree_15_matches_per_anchor_oracle(d):
 def test_zero_and_empty_coefficients_evaluate_to_zeros():
     anchors = sample_uniform(3, 6, seed=63)
     pts = sample_uniform(3, 40, seed=64)
-    for coeffs in ({}, {1: 0.0, 3: 0.0}, {0: 0.0}):
-        mix = HarmonicMixture(3, anchors, np.ones(6), coeffs)
+    for coeffs in ([0.0], [0.0, 0.0, 0.0, 0.0]):
+        mix = HarmonicMixture(anchors, np.ones(6), coeffs)
         assert np.array_equal(mix.evaluate(pts), np.zeros(40))
         assert mix.evaluate(pts[0]) == 0.0
         assert np.array_equal(mix.evaluate_series(pts, np.zeros((2, 4))), np.zeros((2, 40)))
     with pytest.raises(ValueError):
-        HarmonicMixture(3, anchors, np.ones(6), {}).evaluate(2.0 * pts)
+        HarmonicMixture(anchors, np.ones(6), [0.0]).evaluate(2.0 * pts)
 
 
 def test_evaluation_memory_stays_in_blocks():
@@ -289,10 +293,9 @@ def test_evaluation_memory_stays_in_blocks():
     2 MB beyond the output: the cosines, the sweep's buffers and the
     per-degree sums live one block at a time."""
     mix = HarmonicMixture(
-        3,
         sample_uniform(3, 5000, seed=65),
         np.random.default_rng(66).standard_normal(5000),
-        {1: 1.0, 3: -0.5, 5: 0.25},
+        [0.0, 1.0, 0.0, -0.5, 0.0, 0.25],
     )
     pts = sample_uniform(3, 20_000, seed=67)
     mix.evaluate(pts[:10])
@@ -310,9 +313,7 @@ def test_project_recovers_degree_component():
     quad = build_quadrature(d, 48)
     anchors = sample_uniform(d, 3, seed=38)
     weights = np.array([0.5, -1.0, 2.0])
-    mix = HarmonicMixture(
-        dimension=d, anchors=anchors, weights=weights, degree_coeffs={1: 0.8, 4: -1.2}
-    )
+    mix = HarmonicMixture(anchors=anchors, weights=weights, degree_coeffs=[0.0, 0.8, 0.0, 0.0, -1.2])
     x = sample_uniform(d, 6, seed=39)
     for n, c in [(1, 0.8), (4, -1.2), (2, 0.0)]:
         component = np.zeros(6)
