@@ -53,8 +53,10 @@ floats are written with 17 significant digits, which round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import codecs
 import configparser
 import csv
+import io
 import json
 import math
 import os
@@ -106,11 +108,10 @@ def load_config(path):
         return cfg
     parser = configparser.ConfigParser()
     try:
-        with open(path) as fh:
-            parser.read_file(fh)
+        parser.read_string(_read_text(path), source=path)
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, ValueError) as exc:
         raise CliError(f"cannot parse config {path}: {exc}") from exc
     for section in parser.sections():
         if section not in cfg:
@@ -224,11 +225,23 @@ def evaluation_grid(dimension, resolution, points_file=""):
     )
 
 
+def _read_text(path):
+    """The text of a UTF-8 file, a byte-order mark skipped; a byte that is
+    not UTF-8 raises ValueError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+
+
 def _read_points_file(path, dimension):
     """Rows of a points CSV, each within 1e-6 of unit norm, renormalized;
     a UTF-8 byte-order mark is skipped, as read_sample skips one."""
     try:
-        pts = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
+        pts = np.loadtxt(io.StringIO(_read_text(path), newline=None), delimiter=",", ndmin=2)
         return normalize(check_on_sphere(pts, d=dimension, tol=1e-6))
     except OSError as exc:
         raise CliError(f"cannot read points file {path}: {exc}") from exc
@@ -262,43 +275,44 @@ def read_sample(path):
     is skipped.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        text = _read_text(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0] != "y" or header[1:] != [
-            f"x{j}" for j in range(len(header) - 1)
-        ]:
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CliError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if len(header) < 3 or header[0] != "y" or header[1:] != [
+        f"x{j}" for j in range(len(header) - 1)
+    ]:
+        raise CliError(
+            f"{path}: line 1: bad header {','.join(header)!r}, "
+            "expected y,x0,...,x{d-1}"
+        )
+    d = len(header) - 1
+    ys, xs = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != d + 1:
             raise CliError(
-                f"{path}: line 1: bad header {','.join(header)!r}, "
-                "expected y,x0,...,x{d-1}"
+                f"{path}: line {lineno}: expected {d + 1} fields, got {len(row)}"
             )
-        d = len(header) - 1
-        ys, xs = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != d + 1:
-                raise CliError(
-                    f"{path}: line {lineno}: expected {d + 1} fields, got {len(row)}"
-                )
-            try:
-                yi = int(row[0])
-                xi = [float(tok) for tok in row[1:]]
-            except ValueError:
-                raise CliError(f"{path}: line {lineno}: non-numeric field") from None
-            if not all(map(math.isfinite, xi)):
-                raise CliError(f"{path}: line {lineno}: NaN or infinite field")
-            if yi not in (0, 1):
-                raise CliError(f"{path}: line {lineno}: y must be 0 or 1, got {yi}")
-            ys.append(yi)
-            xs.append(xi)
+        try:
+            yi = int(row[0])
+            xi = [float(tok) for tok in row[1:]]
+        except ValueError:
+            raise CliError(f"{path}: line {lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, xi)):
+            raise CliError(f"{path}: line {lineno}: NaN or infinite field")
+        if yi not in (0, 1):
+            raise CliError(f"{path}: line {lineno}: y must be 0 or 1, got {yi}")
+        ys.append(yi)
+        xs.append(xi)
     if not ys:
         raise CliError(f"{path}: no data rows")
     x = np.array(xs)

@@ -113,9 +113,11 @@ class EstimatorConfig:
     fx_truncation: int = 10
 
     def __post_init__(self):
+        # a bool is a numbers.Real, but no setting's value
         for name in ("truncation", "trimming_exponent", "s", "l", "fx_truncation"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 1 <= self.truncation <= MAX_DEGREE // 2 or int(self.truncation) != self.truncation:
             raise ValueError(
                 f"truncation must be an integer in [1, {MAX_DEGREE // 2}], got {self.truncation}"
@@ -203,11 +205,11 @@ def _self_sums(x, max_degree):
     (_system_sums, 2NM cosines plus a one-off set-up of its M points, paid
     once per process).  The rule, one comparison of N against M, charges
     the set-up to the call: with one BLAS thread the measured crossovers,
-    set-up included, were near N = 5.5 M (315, 550, 1 190 and 6 600 points
-    at M = 42, 98, 242 and 1 250).  So at degree 10, fx_truncation's
-    default, the system takes over from N = 232 in d = 3 (M = 42) and
-    N = 1 332 in d = 4 (M = 242); at the cross-validation cap, 24, from
-    N = 540 (M = 98) and N = 6 876 (M = 1 250).  The rule ignores whether
+    set-up included, were at N = 5.2-7.1 M (227, 458, 1 000 and 4 900
+    points at M = 32, 74, 182 and 938).  So at degree 10, fx_truncation's
+    default, the system takes over from N = 177 in d = 3 (M = 32) and
+    N = 1 002 in d = 4 (M = 182); at the cross-validation cap, 24, from
+    N = 408 (M = 74) and N = 5 160 (M = 938).  The rule ignores whether
     the set-up is cached: the paths agree only to about 1e-15, so reading
     the cache would let outputs depend on what the process ran before.
     In d = 2 every N takes the system: to degree 24 it keeps each
@@ -227,9 +229,15 @@ def _pair_sums(x, max_degree):
     return degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
 
 
+def _degree_points(n, d):
+    """Points of the fundamental system that degree n uses for d >= 3:
+    3/2 times the dimension h(n, d) of the degree-n harmonics, rounded up."""
+    return -(-3 * eigenspace_dim(n, d) // 2)
+
+
 def _system_size(d, top):
     """Points M in the fundamental system for degrees up to top."""
-    return 2 * top + 2 if d == 2 else 2 * eigenspace_dim(top, d)
+    return 2 * top + 2 if d == 2 else _degree_points(top, d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,15 +248,20 @@ def _fundamental_system(d, top):
 
     In d = 2, Z is 2 top + 2 equispaced circle points and Z_n is all of Z
     (a prefix of an equispaced set does not resolve degree n).  Otherwise
-    Z is sample_uniform(d, 2 h(top, d), seed=0) and degree n uses its
-    first 2 h(n, d) points, twice the dimension of the degree-n harmonics:
-    that prefix is the same for every top, and it keeps the set-up's
-    eigendecompositions small (1.8-2.0 s in d = 4 at degree 24, against
-    9.0 s on all 1 250 points; one BLAS thread, 2-core Xeon).  G_n has
-    rank h(n, d), so U_n is its top h(n, d) eigenvectors over the square
-    roots of their eigenvalues; no M x M
-    pseudo-inverse is kept.  The arrays are read-only, shared by every
-    caller.
+    Z is sample_uniform(d, M, seed=0) and degree n uses its first
+    _degree_points(n, d) points, 3/2 times the dimension h(n, d) of the
+    degree-n harmonics: that prefix is the same for every top, and it
+    keeps the set-up's eigendecompositions small (0.65 s in d = 4 at
+    degree 24, M = 938, against 1.3-1.5 s with 2 h(n, d) points per
+    degree; one BLAS thread, 2-core Xeon).  G_n has rank h(n, d), so U_n
+    is its top h(n, d) eigenvectors over the square roots of their
+    eigenvalues; no M x M pseudo-inverse is kept.  The ratio 3/2 keeps
+    every G_n's largest eigenvalue within 183 times its h(n, d)-th (45
+    with 2 h(n, d)), and _system_sums within 9.6e-14 of each degree's
+    largest exactly rounded sum at degree 10 (d = 3, N = 5 000) and 24
+    (d = 3, N = 2 000), 6.7e-14 at degree 24 in d = 4 (N = 1 500) and
+    6.1e-13 at degree 64 in d = 3 (N = 1 500), where 5/4 is off by more
+    than 1e-12.  The arrays are read-only, shared by every caller.
     """
     m = _system_size(d, top)
     if d == 2:
@@ -260,7 +273,7 @@ def _fundamental_system(d, top):
     gram = np.clip(z @ z.T, -1.0, 1.0)
     for n, g in enumerate(gegenbauer.sweep((d - 2) / 2.0, top, gram)):
         dim = eigenspace_dim(n, d)
-        size = m if d == 2 else 2 * dim
+        size = m if d == 2 else _degree_points(n, d)
         vals, vecs = np.linalg.eigh(g[:size, :size])
         factors.append(vecs[:, -dim:] / np.sqrt(vals[-dim:]))
     for a in (z, *factors):
@@ -585,7 +598,7 @@ def marginal_density(density, keep_dims, values, n_draws=512, seed=None, dimensi
     if dimension is None:
         raise ValueError("pass dimension= when density is a bare callable")
     d = int(dimension)
-    if not isinstance(n_draws, numbers.Integral) or n_draws < 1:
+    if isinstance(n_draws, bool) or not isinstance(n_draws, numbers.Integral) or n_draws < 1:
         raise ValueError(f"n_draws must be an integer >= 1, got {n_draws!r}")
     keep = np.asarray(keep_dims, dtype=int)
     if keep.ndim != 1 or keep.size == 0 or keep.size >= d:

@@ -49,6 +49,10 @@ def test_load_config_overrides_and_rejects(tmp_path):
         cli.load_config(_write(tmp_path / "bad2.ini", "[model]\nnobs = 3\n"))
     with pytest.raises(cli.CliError):
         cli.load_config(str(tmp_path / "missing.ini"))
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(b"[model]\nn_obs = 64\n# caf\xe9\n")
+    with pytest.raises(cli.CliError, match=f"^cannot parse config {latin1}: line 3: byte 0xe9 is not UTF-8$"):
+        cli.load_config(str(latin1))
     for key in ("truncation_rule", "rate_constant"):  # the retired rate rule's keys
         with pytest.raises(cli.CliError, match=f"^unknown config key '{key}'"):
             cli.load_config(_write(tmp_path / "retired.ini", f"[estimator]\n{key} = 1\n"))
@@ -413,6 +417,8 @@ _REFUSED = {
     "l": (["estimate", "{data}"], "[estimator]\nl = 0\n"),
     "points_file_nan": (["estimate", "{data}"], "[grid]\npoints_file = {nan_points}\n"),
     "two_rows_fixed": (["estimate", "{two_rows}"], ""),
+    "latin1_sample": (["estimate", "{latin1}"], ""),
+    "latin1_points": (["estimate", "{data}"], "[grid]\npoints_file = {latin1_points}\n"),
     "seed": (["simulate", "--seed", "-1"], ""),
     "s_nan": (["estimate", "{data}"], "[estimator]\ns = nan\n"),
     "s_inf_dirichlet": (["estimate", "{data}"], "[estimator]\ns = inf\nfamily = dirichlet\n"),
@@ -464,6 +470,8 @@ _NAMED = {
     "covariate_mean_overflow_bench": "covariate_mean",
     "mixture_means_overflow": "mixture_means",
     "mixture_means_overflow_bench": "mixture_means",
+    "latin1_sample": "latin1.csv: line 3: byte 0xe9 is not UTF-8",
+    "latin1_points": "latin1-pts.csv: line 2: byte 0xe9 is not UTF-8",
 }
 
 
@@ -479,7 +487,12 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
         "data": data,
         "two_rows": _write(tmp_path / "two.csv", "y,x0,x1,x2\n1,0.6,0.8,0\n0,1,0,0\n"),
         "nan_points": _write(tmp_path / "pts.csv", "0,0,1\nnan,0,1\n"),
+        "latin1": str(tmp_path / "latin1.csv"),
+        "latin1_points": str(tmp_path / "latin1-pts.csv"),
     }
+    # a Latin-1 byte (0xe9), which is not UTF-8
+    Path(paths["latin1"]).write_bytes(b"y,x0,x1,x2\n1,0.6,0.8,0\n0,1\xe9,0,0\n")
+    Path(paths["latin1_points"]).write_bytes(b"0,0,1\n0,1\xe9,0\n")
     argv, text = _REFUSED[case]
     config = _write(tmp_path / "c.ini", text.format(**paths))
     capsys.readouterr()

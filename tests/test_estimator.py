@@ -319,19 +319,46 @@ def _circle_sums(x, top):
 
 
 @pytest.mark.parametrize(
-    "d,n_obs,top", [(2, 1000, 24), (3, 2000, 24), (4, 1500, 24), (2, 1000, 64), (3, 1500, 64)]
+    "d,n_obs,top",
+    [
+        (2, 1000, 24),
+        (3, 2000, 24),
+        (4, 1500, 24),
+        (2, 1000, 64),
+        (3, 1500, 64),
+        (3, 5000, 10),
+        (4, 2000, 10),
+    ],
 )
 def test_system_sums_accuracy(d, n_obs, top):
     """Through the fundamental system each degree's sums are within 1e-12
-    of that degree's largest, to degree 64: against the pair sweep in
-    d = 3 and 4, and in d = 2 against _circle_sums, since there the pair
-    sweep's own error reaches 1e-12.  At these sizes _self_sums takes the
-    fundamental system in d = 2 and 3 and the pair sweep in d = 4."""
+    of that degree's largest, to degree 64 and at the point fit's band,
+    10: against the pair sweep in d = 3 and 4, and in d = 2 against
+    _circle_sums, since there the pair sweep's own error reaches 1e-12.
+    At these sizes _self_sums takes the fundamental system, except in
+    d = 4 at degree 24 (M = 938), where it takes the pair sweep."""
     x = _design_points(d, n_obs, seed=90 + d)
     sums = estimator._system_sums(x, top)
     ref = _circle_sums(x, top) if d == 2 else estimator._pair_sums(x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
-    assert np.array_equal(estimator._self_sums(x, top), ref if d == 4 else sums)
+    assert np.array_equal(estimator._self_sums(x, top), ref if (d, top) == (4, 24) else sums)
+
+
+@pytest.mark.parametrize("d,top", [(3, 10), (4, 10), (3, 24), (4, 24), (3, 64)])
+def test_fundamental_system_prefix_grams_are_well_conditioned(d, top):
+    """Each degree's prefix Gram G_n = C_n(Z_n Z_n') has rank h(n, d), the
+    dimension of the degree-n harmonics, and its largest eigenvalue is
+    below 1e3 times its h(n, d)-th largest (at most 183 with the first
+    3 h(n, d) / 2 points per degree, 45 with 2 h(n, d)), so that a change
+    of the point set cannot trade away the accuracy of
+    test_system_sums_accuracy unseen."""
+    z, factors = estimator._fundamental_system(d, top)
+    gram = np.clip(z @ z.T, -1.0, 1.0)
+    for n, g in enumerate(gegenbauer.sweep((d - 2) / 2.0, top, gram)):
+        h, size = kernels.eigenspace_dim(n, d), factors[n].shape[0]
+        vals = np.linalg.eigvalsh(g[:size, :size])
+        assert vals[-1] / vals[-h] < 1e3
+        assert size == h or vals[-h - 1] <= 1e-10 * vals[-1]
 
 
 @pytest.mark.parametrize("n_obs", [3, 50, 150])
@@ -367,8 +394,8 @@ def test_self_evaluation_memory_is_linear():
 def test_lscv_band_same_through_either_path(monkeypatch):
     """On model_1 at N = 500 the cross-validated band the fundamental
     system's sums choose is the one the pair sweep's sums choose.  Each
-    path is set in turn, since _self_sums takes the pair sweep there (at
-    the cap, M = 98)."""
+    path is set in turn, since _self_sums takes only one of them (the
+    system there, at the cap, M = 74)."""
     cfg = EstimatorConfig()
     samples = [generate(DgpSpec.model_1(n_obs=500, seed=seed)).sample for seed in range(200)]
     monkeypatch.setattr(estimator, "_self_sums", estimator._system_sums)
@@ -513,7 +540,7 @@ def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, sys
     is the leave-in values from a sweep to the cross-validation cap
     (_leave_in_at_cap), within 1e-13 relative.  At N = 300 in d = 3 the
     two sweeps take different paths: the fundamental system at degree 10
-    (M = 42) and the pair sweep at degree 24 (M = 98); d = 2 takes the
+    (M = 32) and the pair sweep at degree 24 (M = 74); d = 2 takes the
     system and d = 4 the pair sweep at both."""
     system = _record_calls(monkeypatch, "_system_sums")
     pairs = _record_calls(monkeypatch, "_pair_sums")
@@ -833,7 +860,7 @@ def test_marginal_validation():
         marginal_density(f, keep_dims=[0], values=[1.2], dimension=d)
     with pytest.raises(ValueError):
         marginal_density(f, keep_dims=[0, 0], values=[0.1, 0.1], dimension=d)
-    for n_draws in (0, -3, 2.5):
+    for n_draws in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="n_draws"):
             marginal_density(f, keep_dims=[0], values=[0.3], n_draws=n_draws, dimension=d)
     with pytest.raises(ValueError, match="integer coordinates"):
@@ -946,12 +973,15 @@ def test_band_limit_capped_at_max_degree():
 
 _NOT_NUMBERS = [(f.name, value) for f in dataclasses.fields(EstimatorConfig) for value in (None, "3", [3])]
 _NOT_FINITE = [(name, value) for name in ("truncation", "fx_truncation") for value in (math.inf, -math.inf, math.nan)]
+_BOOLS = [(f.name, True) for f in dataclasses.fields(EstimatorConfig)]
 
 
-@pytest.mark.parametrize("name, value", _NOT_NUMBERS + _NOT_FINITE)
+@pytest.mark.parametrize("name, value", _NOT_NUMBERS + _NOT_FINITE + _BOOLS)
 def test_estimator_config_refuses_non_numbers_naming_the_field(name, value):
     """A ValueError that names the field, not the TypeError, OverflowError
-    or ValueError that int() raises on None, infinity or NaN."""
+    or ValueError that int() raises on None, infinity or NaN.  A bool is a
+    numbers.Real but no setting's value: accepted, it would be echoed into
+    reports as true, and truncation=True would read as 1."""
     with pytest.raises(ValueError, match=f"^{name} must be"):
         EstimatorConfig(**{name: value})
 
