@@ -44,8 +44,11 @@ Config file grammar (INI, all keys optional, defaults in parentheses):
     replications = 50
     resolution = 16          ; quadrature resolution for error norms
 
-Exit codes: 0 on success, 2 on usage, config, or data errors (CliError, or
-the library's ValueError), with one "error:" line and no output file.
+The dataset and the points file share one CSV grammar: blank lines and
+whole-line # comments are skipped.  Config values are literal (% is not
+special).  Exit codes: 0 on success, 2 on usage, config, or data errors
+(CliError, or the library's ValueError), with one "error:" line, which
+names the file and line of a refused input, and no output file.
 Outputs are byte-identical across runs for the same config and seed;
 floats are written with 17 significant digits, which round-trips exactly.
 """
@@ -73,7 +76,7 @@ from .estimator import (
     weight_summary,
 )
 from .simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere
-from .sphere import build_quadrature, check_on_sphere, normalize, surface_area
+from .sphere import build_quadrature, normalize, surface_area
 
 __all__ = ["main", "entry_point"]
 
@@ -106,13 +109,17 @@ def load_config(path):
     cfg = {sec: dict(keys) for sec, keys in _DEFAULTS.items()}
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    text = _read_text(path, "config ")
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(_read_text(path), source=path)
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    except (configparser.Error, ValueError) as exc:
-        raise CliError(f"cannot parse config {path}: {exc}") from exc
+        parser.read_string(text, source=path)
+    except configparser.Error as exc:
+        line = getattr(exc, "lineno", None) or exc.errors[0][0]
+        fault = {configparser.MissingSectionHeaderError: "expected a [section] header",
+                 configparser.DuplicateSectionError: "repeated section",
+                 configparser.DuplicateOptionError: "repeated key"}.get(type(exc), "expected key = value")
+        source = text.split("\n")[line - 1].strip()
+        raise CliError(f"cannot parse config {path}: line {line}: {fault}: {source!r}") from None
     for section in parser.sections():
         if section not in cfg:
             raise CliError(f"unknown config section [{section}]")
@@ -204,9 +211,17 @@ def resolve_estimator_config(est_cfg):
 
 
 def evaluation_grid(dimension, resolution, points_file=""):
-    """Evaluation points: circle grid (d=2), cosine-uniform grid (d=3), or file."""
+    """Evaluation points: circle grid (d=2), cosine-uniform grid (d=3), or the
+    rows of a points file, each within 1e-6 of unit norm, renormalized."""
     if points_file:
-        return _read_points_file(points_file, dimension)
+        rows = list(_csv_rows(points_file, dimension))
+        pts = np.array([values for _, _, values in rows])
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(pts, axis=1)
+        if np.any(off := np.abs(norms - 1.0) > 1e-6):
+            bad = int(np.argmax(off))
+            raise CliError(f"{points_file}: line {rows[bad][0]}: norm {norms[bad]:.17g} is not within 1e-6 of 1")
+        return normalize(pts)
     if resolution < 2:
         raise CliError(f"grid resolution must be >= 2, got {resolution}")
     if dimension == 2:
@@ -225,28 +240,50 @@ def evaluation_grid(dimension, resolution, points_file=""):
     )
 
 
-def _read_text(path):
-    """The text of a UTF-8 file, a byte-order mark skipped; a byte that is
-    not UTF-8 raises ValueError naming its line."""
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
+def _read_text(path, what=""):
+    """The text of a UTF-8 file, a byte-order mark skipped; CliError names
+    a file that cannot be read, or the line of a byte that is not UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:
+        raise CliError(f"cannot read {what}{path}: {exc}") from exc
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+        raise CliError(f"cannot parse {what}{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
 
 
-def _read_points_file(path, dimension):
-    """Rows of a points CSV, each within 1e-6 of unit norm, renormalized;
-    a UTF-8 byte-order mark is skipped, as read_sample skips one."""
+def _csv_rows(path, width=None):
+    """(line, fields, values) for each row of the UTF-8 CSV at path that is
+    neither blank nor a whole-line # comment: its 1-based line number, its
+    fields, and those fields as finite floats.  Each row has width fields;
+    with width None the first row is a header, yielded with values None,
+    that sets the width.  Every refusal names path and the line."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    line, values = 1, None
     try:
-        pts = np.loadtxt(io.StringIO(_read_text(path), newline=None), delimiter=",", ndmin=2)
-        return normalize(check_on_sphere(pts, d=dimension, tol=1e-6))
-    except OSError as exc:
-        raise CliError(f"cannot read points file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"bad points file {path}: {exc}") from exc
+        for fields in reader:
+            first = fields[0].lstrip() if fields else ""
+            if (first or len(fields) > 1) and not first.startswith("#"):
+                if width is None:
+                    width = len(fields)
+                elif len(fields) != width:
+                    raise CliError(f"{path}: line {line}: expected {width} fields, got {len(fields)}")
+                else:
+                    try:
+                        values = [float(tok) for tok in fields]
+                    except ValueError:
+                        raise CliError(f"{path}: line {line}: non-numeric field") from None
+                    if not all(map(math.isfinite, values)):
+                        raise CliError(f"{path}: line {line}: NaN or infinite field")
+                yield line, fields, values
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise CliError(f"{path}: line {line}: {exc}") from None
+    if values is None:
+        raise CliError(f"{path}: line {line}: end of file before any data row")
 
 
 def _write_lines(path, lines):
@@ -266,76 +303,37 @@ def write_sample(sample, path):
 
 
 def read_sample(path):
-    """Parse a dataset CSV back into a ChoiceSample.
-
-    Rows whose coordinates are off the unit sphere by more than 1e-6 are
-    renormalized with a warning on stderr; genuinely malformed rows,
-    NaN and infinite fields included, abort with the offending line
-    number.  A UTF-8 byte-order mark, as spreadsheet programs write one,
-    is skipped.
-    """
-    try:
-        text = _read_text(path)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CliError(f"{path}: empty file") from None
+    """Parse a dataset CSV back into a ChoiceSample.  Rows whose coordinates
+    are off the unit sphere by more than 1e-6 are renormalized with a
+    warning on stderr; a malformed row aborts, naming its line."""
+    rows = _csv_rows(path)
+    line, header, _ = next(rows)
     header = [h.strip() for h in header]
-    if len(header) < 3 or header[0] != "y" or header[1:] != [
-        f"x{j}" for j in range(len(header) - 1)
-    ]:
-        raise CliError(
-            f"{path}: line 1: bad header {','.join(header)!r}, "
-            "expected y,x0,...,x{d-1}"
-        )
-    d = len(header) - 1
-    ys, xs = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != d + 1:
-            raise CliError(
-                f"{path}: line {lineno}: expected {d + 1} fields, got {len(row)}"
-            )
-        try:
-            yi = int(row[0])
-            xi = [float(tok) for tok in row[1:]]
-        except ValueError:
-            raise CliError(f"{path}: line {lineno}: non-numeric field") from None
-        if not all(map(math.isfinite, xi)):
-            raise CliError(f"{path}: line {lineno}: NaN or infinite field")
-        if yi not in (0, 1):
-            raise CliError(f"{path}: line {lineno}: y must be 0 or 1, got {yi}")
-        ys.append(yi)
-        xs.append(xi)
-    if not ys:
-        raise CliError(f"{path}: no data rows")
+    if len(header) < 3 or header[0] != "y" or header[1:] != [f"x{j}" for j in range(len(header) - 1)]:
+        raise CliError(f"{path}: line {line}: bad header {','.join(header)!r}, expected y,x0,...,x{{d-1}}")
+    kept = []
+    for line, fields, values in rows:
+        y = _parse_int(fields[0], f"{path}: line {line}: y")
+        if y not in (0, 1):
+            raise CliError(f"{path}: line {line}: y must be 0 or 1, got {y}")
+        kept.append((line, y, values[1:]))
+    lines, ys, xs = zip(*kept)
     x = np.array(xs)
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.argmax(norms == 0.0))
-        raise CliError(f"{path}: line {bad + 2}: zero covariate vector")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    if np.any(bad := (norms == 0.0) | np.isinf(norms)):
+        raise CliError(f"{path}: line {lines[int(np.argmax(bad))]}: covariate norm is 0 or overflows")
     # renormalize only rows that need it, so rows written at 17 significant
     # digits survive a read-write cycle bit for bit
     need = np.abs(norms - 1.0) > 1e-13
-    if np.any(need):
-        x[need] = x[need] / norms[need, None]
+    x[need] = x[need] / norms[need, None]
+    if np.any(negative := x[:, 0] < -1e-12):  # ChoiceSample's scale-fixing convention
+        raise CliError(f"{path}: line {lines[int(np.argmax(negative))]}: x0 must be nonnegative")
     off = np.abs(norms - 1.0) > 1e-6
     if np.any(off):
-        print(
-            f"warning: renormalized {int(off.sum())} rows of {path} "
-            "whose norm was off by more than 1e-6",
-            file=sys.stderr,
-        )
-    try:
-        return ChoiceSample(y=np.array(ys), x=x)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        print(f"warning: renormalized {int(off.sum())} rows of {path} whose norm was off by more than 1e-6",
+              file=sys.stderr)
+    return ChoiceSample(y=np.array(ys), x=x)
 
 
 def _json_text(payload, path):

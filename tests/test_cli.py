@@ -56,6 +56,24 @@ def test_load_config_overrides_and_rejects(tmp_path):
     for key in ("truncation_rule", "rate_constant"):  # the retired rate rule's keys
         with pytest.raises(cli.CliError, match=f"^unknown config key '{key}'"):
             cli.load_config(_write(tmp_path / "retired.ini", f"[estimator]\n{key} = 1\n"))
+    # configparser's multi-line messages, folded into one line naming the line
+    broken = {
+        "[model\nn_obs = 3\n": "line 1: expected a [section] header: '[model'",
+        "[model]\nn_obs\n": "line 2: expected key = value: 'n_obs'",
+        "[model]\nn_obs = 3\nn_obs = 4\n": "line 3: repeated key: 'n_obs = 4'",
+    }
+    for text, fault in broken.items():
+        path = _write(tmp_path / "broken.ini", text)
+        with pytest.raises(cli.CliError) as exc:
+            cli.load_config(path)
+        assert str(exc.value) == f"cannot parse config {path}: {fault}"
+
+
+def test_config_values_are_literal(tmp_path):
+    """% is not special in a config value: no interpolation, no error."""
+    cfg = cli.load_config(_write(tmp_path / "pct.ini", "[grid]\npoints_file = a%b.csv\n[run]\nseed = 100%%\n"))
+    assert cfg["grid"]["points_file"] == "a%b.csv"
+    assert cfg["run"]["seed"] == "100%%"
 
 
 def test_build_dgp_presets_and_custom():
@@ -103,6 +121,9 @@ def test_evaluation_grid_shapes(tmp_path):
     pts = _write(tmp_path / "pts.csv", "0,0,0,1\n0,0,1,0\n")
     g4 = cli.evaluation_grid(4, 8, points_file=pts)
     assert g4.shape == (2, 4)
+    # blank lines and whole-line comments are skipped, quoted numbers read
+    commented = _write(tmp_path / "commented.csv", "# d = 4\n0,0,0,1\n\n  # next\n0,0,\"1\",0\n")
+    assert np.array_equal(cli.evaluation_grid(4, 8, points_file=commented), g4)
 
 
 # ------------------------------------------------------------- sample files
@@ -127,9 +148,27 @@ def test_read_sample_error_reporting(tmp_path):
     short_row = _write(tmp_path / "s.csv", "y,x0,x1\n1,0.6\n")
     with pytest.raises(cli.CliError, match="line 2"):
         cli.read_sample(short_row)
-    zero_row = _write(tmp_path / "z.csv", "y,x0,x1\n1,0.0,0.0\n")
-    with pytest.raises(cli.CliError):
+    zero_row = _write(tmp_path / "z.csv", "y,x0,x1\n\n1,0.0,0.0\n")
+    with pytest.raises(cli.CliError, match="z.csv: line 3: covariate norm is 0"):
         cli.read_sample(zero_row)
+    trailing = _write(tmp_path / "t.csv", "y,x0,x1\n1,0.6,0.8 # note\n")
+    with pytest.raises(cli.CliError, match="t.csv: line 2: non-numeric field"):
+        cli.read_sample(trailing)
+    float_y = _write(tmp_path / "f.csv", "y,x0,x1\n1.0,0.6,0.8\n")
+    with pytest.raises(cli.CliError, match="f.csv: line 2: y must be an integer"):
+        cli.read_sample(float_y)
+    for text in ("", "\n\n", "y,x0,x1\n# no rows\n"):
+        with pytest.raises(cli.CliError, match="e.csv: line [0-9]+: end of file before any data row"):
+            cli.read_sample(_write(tmp_path / "e.csv", text))
+
+
+def test_read_sample_skips_blank_lines_and_comments(tmp_path):
+    """Whole-line # comments, before the header too, and blank lines are
+    skipped; the rows read are those of the plain file."""
+    plain = cli.read_sample(_write(tmp_path / "p.csv", "y,x0,x1\n1,0.6,0.8\n0,1,0\n"))
+    text = "# written by hand\ny,x0,x1\n\n1,0.6,0.8\n  # a note\n0,1,0\n"
+    commented = cli.read_sample(_write(tmp_path / "c.csv", text))
+    assert np.array_equal(commented.y, plain.y) and np.array_equal(commented.x, plain.x)
 
 
 def test_read_sample_renormalizes_with_warning(tmp_path, capsys):
@@ -392,8 +431,8 @@ def test_cli_error_paths(tmp_path):
 # a repeated n_grid size, a true density that is 0 at every node of
 # bench's quadrature), or by
 # simulate.generate when a design's draws overflow a float.
-# {data} is a 60-row model_1 dataset, {two_rows} a 2-row one, {nan_points}
-# a points file with a NaN row.
+# {data} is a 60-row model_1 dataset, {two_rows} a 2-row one; the points
+# files and the other datasets each hold one fault, on the line _NAMED gives.
 _SMALL_BENCH = "[bench]\nn_grid = 30\nreplications = 1\nresolution = 4\n"
 # A d = 2 custom design, completed by the case's covariate_mean and
 # fixed_value lines.
@@ -416,6 +455,15 @@ _REFUSED = {
     "delayed_means": (["estimate", "{data}"], "[estimator]\nfamily = delayed_means\nfx_truncation = 8\n"),
     "l": (["estimate", "{data}"], "[estimator]\nl = 0\n"),
     "points_file_nan": (["estimate", "{data}"], "[grid]\npoints_file = {nan_points}\n"),
+    "points_file_abc": (["estimate", "{data}"], "[grid]\npoints_file = {abc_points}\n"),
+    "points_file_off_norm": (["estimate", "{data}"], "[grid]\npoints_file = {off_points}\n"),
+    "points_file_four_fields": (["estimate", "{data}"], "[grid]\npoints_file = {wide_points}\n"),
+    "points_file_overflow": (["estimate", "{data}"], "[grid]\npoints_file = {huge_points}\n"),
+    "points_file_empty": (["estimate", "{data}"], "[grid]\npoints_file = {empty_points}\n"),
+    "points_file_blank": (["estimate", "{data}"], "[grid]\npoints_file = {blank_points}\n"),
+    "sample_negative_x0": (["estimate", "{negative}"], ""),
+    "sample_norm_overflow": (["estimate", "{overflow}"], ""),
+    "config_no_section_header": (["simulate"], "[model\nn_obs = 3\n"),
     "two_rows_fixed": (["estimate", "{two_rows}"], ""),
     "latin1_sample": (["estimate", "{latin1}"], ""),
     "latin1_points": (["estimate", "{data}"], "[grid]\npoints_file = {latin1_points}\n"),
@@ -471,6 +519,16 @@ _NAMED = {
     "mixture_means_overflow": "mixture_means",
     "mixture_means_overflow_bench": "mixture_means",
     "latin1_sample": "latin1.csv: line 3: byte 0xe9 is not UTF-8",
+    "points_file_nan": "pts.csv: line 2: NaN or infinite field",
+    "points_file_abc": "abc.csv: line 2: non-numeric field",
+    "points_file_off_norm": "off.csv: line 3: norm 1.12",
+    "points_file_four_fields": "wide.csv: line 1: expected 3 fields, got 4",
+    "points_file_overflow": "huge.csv: line 2: norm inf is not within 1e-6 of 1",
+    "points_file_empty": "empty.csv: line 1: end of file before any data row",
+    "points_file_blank": "blank.csv: line 4: end of file before any data row",
+    "sample_negative_x0": "negative.csv: line 3: x0 must be nonnegative",
+    "sample_norm_overflow": "overflow.csv: line 2: covariate norm is 0 or overflows",
+    "config_no_section_header": "c.ini: line 1: expected a [section] header",
     "latin1_points": "latin1-pts.csv: line 2: byte 0xe9 is not UTF-8",
 }
 
@@ -487,6 +545,14 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
         "data": data,
         "two_rows": _write(tmp_path / "two.csv", "y,x0,x1,x2\n1,0.6,0.8,0\n0,1,0,0\n"),
         "nan_points": _write(tmp_path / "pts.csv", "0,0,1\nnan,0,1\n"),
+        "abc_points": _write(tmp_path / "abc.csv", "0,0,1\nabc,0,1\n"),
+        "off_points": _write(tmp_path / "off.csv", "0,0,1\n\n0,0.672,0.896\n"),
+        "wide_points": _write(tmp_path / "wide.csv", "0,0,1,0\n"),
+        "huge_points": _write(tmp_path / "huge.csv", "0,0,1\n1e200,0,0\n"),
+        "empty_points": _write(tmp_path / "empty.csv", ""),
+        "blank_points": _write(tmp_path / "blank.csv", "\n  \n\n"),
+        "negative": _write(tmp_path / "negative.csv", "y,x0,x1,x2\n1,0.6,0.8,0\n0,-1,0,0\n"),
+        "overflow": _write(tmp_path / "overflow.csv", "y,x0,x1,x2\n0,1e200,1e200,0\n1,0.6,0.8,0\n"),
         "latin1": str(tmp_path / "latin1.csv"),
         "latin1_points": str(tmp_path / "latin1-pts.csv"),
     }
@@ -591,19 +657,20 @@ _FUZZ_ESTIMATOR = {
 }
 _FUZZ_ESTIMATOR_VALUES = ["2.5", "1.5", "6", "129", "fejer"] + _BAD_VALUES
 _FUZZ_GRID = {"resolution": ["2", "5"], "points_file": ["", "unit.csv"]}
-_FUZZ_GRID_VALUES = ["nan.csv", "flat.csv", "missing.csv"] + _BAD_VALUES
+_FUZZ_GRID_VALUES = ["nan.csv", "flat.csv", "empty.csv", "missing.csv"] + _BAD_VALUES
 
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """A 40-row model_1 dataset and points files: unit rows, a NaN row,
-    two columns, and a path that does not exist."""
+    two columns, no rows, and a path that does not exist."""
     base = tmp_path_factory.mktemp("fuzz")
     ini = _write(base / "m.ini", "[model]\nn_obs = 40\n")
     assert cli.main(["simulate", "--config", ini, "--out", str(base / "data.csv"), "--seed", "2"]) == 0
     _write(base / "unit.csv", "0,0,1\n0.6,0.8,0\n")
     _write(base / "nan.csv", "0,0,1\nnan,0,1\n")
     _write(base / "flat.csv", "0,1\n1,0\n")
+    _write(base / "empty.csv", "")
     return base
 
 
