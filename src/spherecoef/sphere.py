@@ -22,6 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "surface_area",
+    "coarea_factor",
     "normalize",
     "sample_uniform",
     "check_on_sphere",
@@ -41,6 +42,21 @@ def surface_area(d):
     if int(d) != d or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def coarea_factor(k, rho):
+    """The coarea factor rho^{k-2} |S^{k-1}| of a slice of a sphere.
+
+    Writing a point of S^{d-1} as (v, rho u), with v the kept block,
+    rho = sqrt(1 - |v|^2) and u on the unit sphere S^{k-1} of the k
+    integrated coordinates, the surface measure is rho^{k-2} dv dsigma(u)
+    (the coarea formula).  So the marginal density of v is
+    rho^{k-2} |S^{k-1}| times the mean of the joint density over the
+    slice, and this is that factor; |S^0| = 2 (the two points +-1).
+    """
+    if int(k) != k or k < 1:
+        raise ValueError(f"slice dimension must be an integer >= 1, got {k}")
+    return rho ** (k - 2) * (2.0 if k == 1 else surface_area(k))
 
 
 def normalize(v):

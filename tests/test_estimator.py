@@ -23,7 +23,7 @@ from spherecoef.estimator import (
 )
 from spherecoef import estimator, gegenbauer, hemisphere, kernels
 from spherecoef.kernels import EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, projector_constants
-from spherecoef.simulate import DgpSpec, generate
+from spherecoef.simulate import DgpSpec, generate, true_fbeta_on_sphere
 from spherecoef.sphere import (
     build_quadrature,
     normalize,
@@ -823,30 +823,73 @@ def test_standard_error_blocks_match_per_point_loop():
 # ---------------------------------------------------------------- marginal
 
 
-def test_marginal_of_uniform_density_is_one():
+def test_marginal_of_uniform_density_is_half():
+    """The uniform density on S^2 has marginal 1/2 on [-1, 1] in each
+    coordinate (Archimedes)."""
     d = 3
     f = lambda pts: np.full(pts.shape[0], 1.0 / surface_area(d))
-    val = marginal_density(f, keep_dims=[0], values=[0.3], n_draws=128, seed=0, dimension=d)
-    assert val == pytest.approx(1.0, rel=1e-12)
+    val = marginal_density(f, keep_dims=[0], values=[0.3], dimension=d)
+    assert val == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, values, expected",
+    [
+        (4, [0.6], lambda rho: 2.0 / math.pi * rho),
+        (3, [0.3, -0.4], lambda rho: 1.0 / (2.0 * math.pi * rho)),
+        (4, [0.3, 0.4], lambda rho: 1.0 / math.pi),
+        (5, [0.2], lambda rho: 0.75 * rho**2),
+        (6, [0.5], lambda rho: 8.0 / (3.0 * math.pi) * rho**3),
+    ],
+    ids=["d4-k3", "d3-k1", "d4-k2", "d5-k4", "d6-k5"],
+)
+def test_marginal_of_uniform_density_closed_form(d, values, expected):
+    """rho^{k-2} |S^{k-1}| / |S^{d-1}| with k = d - len(values) integrated
+    coordinates and rho = sqrt(1 - |values|^2): exact for every rule,
+    the Monte-Carlo one of k = 5 included, since each rule's weights sum
+    to 1."""
+    f = lambda pts: np.full(pts.shape[0], 1.0 / surface_area(d))
+    keep = list(range(d - len(values), d))
+    val = marginal_density(f, keep_dims=keep, values=values, dimension=d)
+    rho = math.sqrt(1.0 - float(np.dot(values, values)))
+    assert val == pytest.approx(expected(rho), rel=1e-12, abs=1e-12)
 
 
 def test_marginal_single_leftover_coordinate_exact():
-    """With one coordinate left to integrate and an even integrand in it,
-    the random signs average to the exact two-point value."""
+    """With one coordinate left to integrate, the two points +-rho give the
+    exact mean, and the slice's measure is 2 / rho."""
     d = 3
     f = lambda pts: pts[:, 2] ** 2 + pts[:, 0]
-    val = marginal_density(
-        f, keep_dims=[0, 1], values=[0.3, 0.4], n_draws=64, seed=1, dimension=d
-    )
-    expected = surface_area(3) * (0.75 + 0.3)
+    val = marginal_density(f, keep_dims=[0, 1], values=[0.3, 0.4], dimension=d)
+    expected = 2.0 / math.sqrt(0.75) * (0.75 + 0.3)
     assert val == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("keep", [0, 2])
+def test_marginal_of_true_density_integrates_to_one(keep):
+    """model_1's exact coefficient density, one coordinate kept: its
+    marginal integrates to 1 over [-1, 1] (64-node Gauss-Legendre)."""
+    spec = DgpSpec.model_1()
+    f = lambda pts: true_fbeta_on_sphere(spec, pts)
+    t, w = np.polynomial.legendre.leggauss(64)
+    vals = [marginal_density(f, keep_dims=[keep], values=[v], dimension=3) for v in t]
+    assert float(w @ np.array(vals)) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_marginal_on_density_estimate():
     s = _random_sample(3, 20, seed=26)
     est = estimate_fbeta(s, EstimatorConfig(truncation=2))
-    val = marginal_density(est, keep_dims=[2], values=[0.5], n_draws=256, seed=2)
+    val = marginal_density(est, keep_dims=[2], values=[0.5])
     assert np.isfinite(val) and val >= 0.0
+
+
+def test_marginal_ignores_seed():
+    draw = generate(DgpSpec.model_1(n_obs=300, seed=3))
+    model = CoefficientDensity().fit(draw.sample.x, draw.sample.y)
+    for keep, values in (([2], [0.4]), ([0, 1], [0.2, -0.3])):
+        vals = {seed: model.marginal(keep, values, seed=seed) for seed in (0, 1, None)}
+        assert vals[0] == vals[1] == vals[None]
+        assert vals[0] == marginal_density(model.estimate_, keep, values, seed=7)
 
 
 def test_marginal_validation():
@@ -860,9 +903,6 @@ def test_marginal_validation():
         marginal_density(f, keep_dims=[0], values=[1.2], dimension=d)
     with pytest.raises(ValueError):
         marginal_density(f, keep_dims=[0, 0], values=[0.1, 0.1], dimension=d)
-    for n_draws in (0, -3, 2.5, True):
-        with pytest.raises(ValueError, match="n_draws"):
-            marginal_density(f, keep_dims=[0], values=[0.3], n_draws=n_draws, dimension=d)
     with pytest.raises(ValueError, match="integer coordinates"):
         marginal_density(f, keep_dims=[0.5], values=[0.3], dimension=d)
 
@@ -1005,7 +1045,7 @@ def test_coefficient_density_fit_and_queries():
     assert model.standard_error(pts[0]) > 0.0
     report = model.diagnostic(resolution=16)
     assert np.isfinite(report.violation_score)
-    marg = model.marginal([2], [0.2], n_draws=64, seed=4)
+    marg = model.marginal([2], [0.2])
     assert np.isfinite(marg)
 
 
