@@ -6,11 +6,12 @@ averages of the choice probability.  This package inverts that relation
 with a closed-form filtered-harmonic estimator: no numerical integration
 or optimization is needed to evaluate the fitted density.
 
-Layout: sphere (geometry and quadrature), gegenbauer (polynomial
-recursions), kernels (filtered zonal kernels and band-limited mixtures),
-hemisphere (the averaging operator and its inverse), estimator (the
-statistical layer), simulate (synthetic designs with exact sphere
-densities), cli (command-line front end).
+Layout: sphere (geometry and quadrature), gegenbauer (the Chebyshev
+recurrence and its Gegenbauer connection tables), kernels (filtered
+zonal kernels and band-limited mixtures), hemisphere (the averaging
+operator and its inverse), estimator (the statistical layer), simulate
+(synthetic designs with exact sphere densities), cli (command-line front
+end).
 """
 
 from . import cli, gegenbauer, hemisphere, kernels, simulate, sphere

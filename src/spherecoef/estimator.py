@@ -21,6 +21,7 @@ import numpy as np
 
 from . import gegenbauer, hemisphere
 from .kernels import (
+    EVAL_CHUNK,
     MAX_DEGREE,
     KernelSpec,
     HarmonicMixture,
@@ -28,6 +29,7 @@ from .kernels import (
     _at_one,
     _is_power_of_two,
     chi_table,
+    chebyshev_sums,
     degree_sums,
     eigenspace_dim,
     projector_constants,
@@ -205,26 +207,32 @@ FX_CV_MAX_BAND = 24
 
 
 def _self_sums(x, max_degree):
-    """S[n, i] = sum_j C_n^nu(x_i'x_j) for n = 0..max_degree, over the
-    whole sample (the term j = i, C_n(1), included).
+    """The self-sums S[n, i] = sum_j C_n^nu(x_i'x_j) for n = 0..max_degree,
+    over the whole sample (the term j = i, C_n(1), included), as a pair
+    (energy, combine): energy[n] = sum_i S[n, i], and combine(row) the
+    values row @ S for a series row over degrees 0..max_degree, computed
+    only up to the row's last nonzero degree.
 
-    Two paths give the same sums through kernels.degree_sums: the pair
-    sweep (_pair_sums, N^2 cosines) and the fundamental system
-    (_system_sums, 2NM cosines plus a one-off set-up of its M points, paid
-    once per process).  The rule, one comparison of N against M, charges
-    the set-up to the call: with one BLAS thread the measured crossovers,
-    set-up included, were at N = 5.2-7.1 M (227, 458, 1 000 and 4 900
-    points at M = 32, 74, 182 and 938).  So at degree 10, fx_truncation's
-    default, the system takes over from N = 177 in d = 3 (M = 32) and
-    N = 1 002 in d = 4 (M = 182); at the cross-validation cap, 24, from
-    N = 408 (M = 74) and N = 5 160 (M = 938).  The rule ignores whether
-    the set-up is cached: the paths agree only to about 1e-15, so reading
-    the cache would let outputs depend on what the process ran before.
-    In d = 2 every N takes the system: to degree 24 it keeps each
-    degree's sums within 1.8e-14, 1.1e-13 and 7.4e-14 of that degree's
-    largest at N = 300, 1 000 and 3 000 (seed 92, one BLAS thread, against
-    exactly rounded sums), where the pair sweep is off by 2.6e-13, 8.9e-13
-    and 1.7e-12, and costs at most 0.5 ms more (set-up aside) below N = 120.
+    Two paths give them: the pair sweep (_pair_sums, N^2 cosines) and the
+    fundamental system (_system_sums, NM cosines for energy, NM more per
+    combine up to its band, plus a one-off set-up of the M points, paid
+    once per process).  The rule, one comparison of N against M, takes
+    the system from N = 5.5 M.  With one BLAS thread, for the energies
+    and one combine up to max_degree, the system is cheaper from N =
+    3.2, 2.5, 2.1 and 2.1 M once its set-up is cached, and from 8.1, 7.8,
+    6.4 and 7.0 M when the call pays for the set-up (M = 32, 74, 182 and
+    938: degrees 10 and 24 in d = 3 and 4); 5.5 M lies between the two
+    at every M.  So at degree 10,
+    fx_truncation's default, the system takes over from N = 177 in d = 3
+    and N = 1 002 in d = 4; at the cross-validation cap, 24, from N = 408
+    and N = 5 160.  The rule ignores whether the set-up is cached: the
+    paths agree only to about 1e-15, so reading the cache would let
+    outputs depend on what the process ran before.  In d = 2 every N
+    takes the system: to degree 24 it keeps each degree's sums within
+    1.9e-14, 1.1e-13 and 7.3e-14 of that degree's largest at N = 300,
+    1 000 and 3 000 (seed 92, one BLAS thread, against exactly rounded
+    sums), where the pair sweep is off by 2.6e-13, 9.4e-13 and 1.7e-12,
+    and costs at most 0.3 ms more (set-up aside) below N = 120.
     """
     n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
     if x.shape[1] == 2 or 2 * n_obs > 11 * m:
@@ -232,9 +240,22 @@ def _self_sums(x, max_degree):
     return _pair_sums(x, max_degree)
 
 
+def _band_length(row):
+    """Degrees 0..band of a series row that reach its last nonzero one."""
+    nonzero = np.flatnonzero(row)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 def _pair_sums(x, max_degree):
-    """_self_sums by one sweep over all N^2 cosines x_i'x_j."""
-    return degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
+    """_self_sums by one sweep over all N^2 cosines x_i'x_j, keeping the
+    (max_degree + 1, N) sums S."""
+    sums = degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
+
+    def combine(row):
+        size = _band_length(row)
+        return row[:size] @ sums[:size]
+
+    return sums.sum(axis=1), combine
 
 
 def _degree_points(n, d):
@@ -259,17 +280,23 @@ def _fundamental_system(d, top):
     Z is sample_uniform(d, M, seed=0) and degree n uses its first
     _degree_points(n, d) points, 3/2 times the dimension h(n, d) of the
     degree-n harmonics: that prefix is the same for every top, and it
-    keeps the set-up's eigendecompositions small (0.65 s in d = 4 at
-    degree 24, M = 938, against 1.3-1.5 s with 2 h(n, d) points per
-    degree; one BLAS thread, 2-core Xeon).  G_n has rank h(n, d), so U_n
-    is its top h(n, d) eigenvectors over the square roots of their
-    eigenvalues; no M x M pseudo-inverse is kept.  The ratio 3/2 keeps
-    every G_n's largest eigenvalue within 183 times its h(n, d)-th (45
-    with 2 h(n, d)), and _system_sums within 9.6e-14 of each degree's
-    largest exactly rounded sum at degree 10 (d = 3, N = 5 000) and 24
-    (d = 3, N = 2 000), 6.7e-14 at degree 24 in d = 4 (N = 1 500) and
-    6.1e-13 at degree 64 in d = 3 (N = 1 500), where 5/4 is off by more
-    than 1e-12.  The arrays are read-only, shared by every caller.
+    keeps the set-up's eigendecompositions small.  Each G_n is built on
+    its own points only, lower triangle only, block by block, by the
+    Chebyshev sweep through its row of the connection table
+    (gegenbauer._series_eval), so no M x M matrix of cosines or sweep
+    buffers is kept.  In d = 4 at degree 24 (M = 938) the set-up takes
+    0.70 s, nearly all of it in the eigendecompositions (1.3-1.5 s with
+    2 h(n, d) points per degree), and its traced allocations peak at
+    40 MiB (60 MiB when one Gegenbauer sweep ran over the whole M x M
+    Gram matrix); one BLAS thread, 2-core Xeon.  G_n has rank h(n, d), so
+    U_n is its top h(n, d) eigenvectors over the square roots of their
+    eigenvalues; no M x M pseudo-inverse is kept.  The ratio 3/2 keeps every G_n's largest eigenvalue within 183
+    times its h(n, d)-th (45 with 2 h(n, d)), and _system_sums within
+    9.9e-14 of each degree's largest sum at degree 10 (d = 3, N = 5 000)
+    and 24 (d = 3, N = 2 000), 6.3e-14 at degree 24 in d = 4 (N = 1 500)
+    and 6.1e-13 at degree 64 in d = 3 (N = 1 500), against long-double
+    pair sums, where 5/4 is off by more than 1e-12.  The arrays are
+    read-only, shared by every caller.
     """
     m = _system_size(d, top)
     if d == 2:
@@ -278,11 +305,20 @@ def _fundamental_system(d, top):
     else:
         z = sample_uniform(d, m, seed=0)
     factors = []
-    gram = np.clip(z @ z.T, -1.0, 1.0)
-    for n, g in enumerate(gegenbauer.sweep((d - 2) / 2.0, top, gram)):
+    for n in range(top + 1):
         dim = eigenspace_dim(n, d)
         size = m if d == 2 else _degree_points(n, d)
-        vals, vecs = np.linalg.eigh(g[:size, :size])
+        unit = np.zeros(n + 1)
+        unit[n] = 1.0
+        # eigh reads the lower triangle alone: rows r0:r1 need columns :r1
+        g, step = np.zeros((size, size)), max(1, EVAL_CHUNK // size)
+        work = np.empty(4 * step * size)
+        for r0 in range(0, size, step):
+            rows = slice(r0, min(size, r0 + step))
+            cosines = z[rows] @ z[: rows.stop].T
+            np.clip(cosines, -1.0, 1.0, out=cosines)
+            g[rows, : rows.stop] = gegenbauer._series_eval((d - 2) / 2.0, unit, cosines, work)
+        vals, vecs = np.linalg.eigh(g)
         factors.append(vecs[:, -dim:] / np.sqrt(vals[-dim:]))
     for a in (z, *factors):
         a.setflags(write=False)
@@ -295,18 +331,30 @@ def _system_sums(x, max_degree):
     With A_n = C_n(X Z_n') and G_n = C_n(Z_n Z_n') for the points Z_n of
     _fundamental_system, sum_j C_n(x_i'x_j) = A_n[i] G_n^+ A_n'1 (the
     reproducing property of the zonal projector on a unisolvent set).  The
-    N x M cosines stream through degree_sums twice: once for the column
-    totals A_n'1 of every degree, then for S[n, i] = A_n[i] v_n with
-    v_n = U_n U_n' A_n'1.  No table of every degree's cosines is built.
+    N x M cosines stream through twice: once for the column totals A_n'1
+    of every degree, whose coordinates c_n = U_n'A_n'1 give the energies
+    |c_n|^2 and v_n = U_n c_n; then, for a row, once through
+    chebyshev_sums for the values sum_n row[n] A_n[i] v_n, with the
+    folded weight rows sum_n row[n] L[n, j] v_n of the Chebyshev degrees
+    j, for the connection table L.  No per-degree N-row table is built.
     """
-    z, factors = _fundamental_system(x.shape[1], max_degree)
-    every = np.ones(max_degree + 1, dtype=bool)
-    totals = degree_sums(x, np.ones(x.shape[0]), z, every)
-    v = np.zeros_like(totals)
+    d = x.shape[1]
+    z, factors = _fundamental_system(d, max_degree)
+    table = gegenbauer.connection((d - 2) / 2.0, max_degree)
+    totals = degree_sums(x, np.ones(x.shape[0]), z, np.ones(max_degree + 1, dtype=bool))
+    energy, v = np.empty(max_degree + 1), np.zeros_like(totals)
     for n, u in enumerate(factors):
         size = u.shape[0]
-        v[n, :size] = u @ (u.T @ totals[n, :size])
-    return degree_sums(z, v, x, every)
+        coords = u.T @ totals[n, :size]
+        energy[n] = coords @ coords
+        v[n, :size] = u @ coords
+
+    def combine(row):
+        size = _band_length(row)
+        folded = (row[:size, None] * table[:size, :size]).T @ v[:size]
+        return chebyshev_sums(z, folded, x, np.any(folded != 0.0, axis=1)).sum(axis=0)
+
+    return energy, combine
 
 
 def _lscv_bands(config):
@@ -339,11 +387,10 @@ def _cross_validated_fx(sample, config):
     top = int(bands[-1])
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
     rows = projector_constants(top, d, chi)
-    sums = _self_sums(sample.x, top)
-    energy = sums.sum(axis=1)
-    sums -= _at_one(top, d)[:, None]  # drop the terms j = i
-    k = int(np.argmin(_lscv_scores(rows, chi, energy, sums.sum(axis=1), n_obs)))
-    return int(bands[k]), np.maximum(rows[k] @ sums / (n_obs - 1), 0.0)
+    energy, combine = _self_sums(sample.x, top)
+    at_one = _at_one(top, d)  # the terms j = i, dropped
+    k = int(np.argmin(_lscv_scores(rows, chi, energy, energy - n_obs * at_one, n_obs)))
+    return int(bands[k]), np.maximum((combine(rows[k]) - rows[k] @ at_one) / (n_obs - 1), 0.0)
 
 
 @dataclass
@@ -472,7 +519,8 @@ def estimate_fbeta(sample, config=None, fx=None):
         return _fit(sample, config, fx_values, None)
     top = config.fx_truncation
     row = projector_constants(top, d, config.fx_kernel(d).chi())
-    fx_values = np.maximum(row @ _self_sums(sample.x, top) / n_obs, 0.0)
+    _, combine = _self_sums(sample.x, top)
+    fx_values = np.maximum(combine(row) / n_obs, 0.0)
     return _fit(sample, config, fx_values, top, keep_sample=True)
 
 

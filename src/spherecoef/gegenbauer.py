@@ -1,59 +1,105 @@
-"""Gegenbauer (ultraspherical) polynomials C_n^nu on [-1, 1].
+"""Gegenbauer (ultraspherical) polynomials C_n^nu on [-1, 1], through the
+Chebyshev polynomials T_j of the first kind.
 
-The nu = 0 family here is the renormalized limit (2/n) T_n with T_n the
-Chebyshev polynomial of the first kind (and C_0^0 = 1, C_1^0(t) = 2t), which
-is the convention under which the sphere machinery in this package treats
-the circle (d = 2) and the higher-dimensional spheres uniformly.
+Szego's formula (Orthogonal Polynomials, 1939, eq. 4.9.19),
+
+    C_n^nu(cos theta) = sum_k a_k a_{n-k} cos((n - 2k) theta),
+    a_k = (nu)_k / k!,
+
+writes every C_n^nu as a combination of T_n, T_{n-2}, ... with nonnegative
+coefficients: the rows of connection(nu, top).  So one recurrence,
+chebyshev's T_{n+1} = 2t T_n - T_{n-1}, serves every nu, and a
+combination of nonnegative terms adds no cancellation.
+
+The nu = 0 family is the renormalized limit (2/n) T_n (C_0^0 = 1), the
+convention under which the sphere machinery in this package treats the
+circle (d = 2) and the higher-dimensional spheres uniformly: its table is
+the diagonal 1, 2, 2/2, 2/3, ..., one more row of the same formula.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-__all__ = ["eval_at_one", "series_eval", "sweep"]
+__all__ = ["chebyshev", "connection", "eval_at_one", "series_eval"]
 
 
-def sweep(nu, max_degree, t):
-    """Yield C_0^nu(t), ..., C_max_degree^nu(t) in turn by the three-term
-    recursion; the one place the recursion and the nu = 0 family are written.
+def chebyshev(top, t, work=None):
+    """Yield T_0(t), ..., T_top(t) in turn by T_{n+1} = 2t T_n - T_{n-1},
+    the package's one polynomial recurrence: two array passes per degree,
+    a product into a buffer and a subtraction in place.
 
-    t is an ndarray already in [-1, 1] (no check is made here).  The values
-    roll through three buffers of t's shape, updated in place: each yielded
-    array is overwritten two steps later, so copy it to keep it.
+    t is an ndarray already in [-1, 1] (no check is made here), yielded
+    itself as T_1 and never written.  The other values roll through three
+    buffers of t's shape, updated in place: each yielded array is
+    overwritten two steps later, so copy it to keep it.  work, if given,
+    is a flat float array of at least 4 t.size entries that holds those
+    buffers and 2t, so that a loop over blocks allocates them once.
     """
     t = np.asarray(t, dtype=float)
-    prev = np.ones_like(t)
-    yield prev
-    if max_degree == 0:
+    if work is None:
+        work = np.empty(4 * t.size)
+    ones, two_t, spare, other = (
+        work[k * t.size : (k + 1) * t.size].reshape(t.shape) for k in range(4)
+    )
+    ones.fill(1.0)
+    yield ones
+    if top == 0:
         return
-    cur = np.multiply(2.0 if nu == 0 else 2.0 * nu, t, out=np.empty_like(t))
-    yield cur
-    nxt = np.empty_like(t)
-    for m in range(int(max_degree) - 1):
-        if nu == 0 and m == 0:
-            # the degree-2 member of the Chebyshev-limit family; the printed
-            # three-term recursion only applies from degree 1 onward here
-            np.multiply(t, t, out=nxt)
-            nxt *= 2.0
-            nxt -= 1.0
-        else:
-            np.multiply(t, cur, out=nxt)
-            nxt *= 2.0 * (nu + m + 1.0) / (m + 2.0)
-            prev *= (2.0 * nu + m) / (m + 2.0)
-            nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
+    yield t
+    np.add(t, t, out=two_t)
+    prev, cur = ones, t
+    for _ in range(int(top) - 1):
+        np.multiply(two_t, cur, out=spare)
+        spare -= prev
+        # the buffer two degrees back is free, unless it is t itself
+        prev, cur, spare = cur, spare, (prev if prev is not t else other)
         yield cur
 
 
-def series_eval(nu, coeffs, t):
-    """Evaluate sum_n coeffs[n] * C_n^nu(t) in one recursion sweep.
+@functools.lru_cache(maxsize=None)
+def connection(nu, top):
+    """Lower-triangular (top + 1, top + 1) table L with C_n^nu = sum_j
+    L[n, j] T_j for n = 0..top, read-only and shared by every caller.
 
-    Keeps only the sweep's three rolling buffers, so t may be a large array
+    Every entry is nonnegative, each row sums to eval_at_one(nu, n), and
+    L[n, j] is zero unless n - j is even and nonnegative.  Row n is
+    C_n^nu(1) times the weights a_k a_{n-k} / C_n^nu(1) of Szego's formula
+    (a cosine of (n - 2k) theta with k < n/2 counts twice), written as
+    products of ratios that stay finite at nu = 0, where only the j = n
+    weight, 1, is left.
+    """
+    top = int(top)
+    table = np.zeros((top + 1, top + 1))
+    # g[k] = (nu + 1)_{k-1} / k!, so that a_k = nu g[k] for k >= 1
+    g = np.ones(top + 1)
+    for k in range(2, top + 1):
+        g[k] = g[k - 1] * (nu + k - 1) / k
+    table[0, 0] = 1.0
+    lead, scale = 1.0, 1.0  # prod_{i<n} (nu + i)/(2 nu + i) and n!/(2 nu + 1)_{n-1}
+    for n in range(1, top + 1):
+        if n > 1:
+            lead *= (nu + n - 1) / (2.0 * nu + n - 1)
+            scale *= n / (2.0 * nu + n - 1)
+        at_one = eval_at_one(nu, n)
+        table[n, n] = at_one * lead
+        for k in range(1, n // 2 + 1):
+            weight = nu * g[k] * g[n - k] * scale
+            table[n, n - 2 * k] = at_one * (weight / 2.0 if 2 * k == n else weight)
+    table.setflags(write=False)
+    return table
+
+
+def series_eval(nu, coeffs, t):
+    """Evaluate sum_n coeffs[n] * C_n^nu(t) in one recurrence sweep.
+
+    Keeps only the sweep's rolling buffers, so t may be a large array
     without materializing every degree.  coeffs is a 1-D sequence indexed
-    by degree; zero entries are skipped in the accumulation.  Arguments t
-    just outside [-1, 1] (by at most 1e-9, from rounding) are clipped.
+    by degree.  Arguments t just outside [-1, 1] (by at most 1e-9, from
+    rounding) are clipped.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
@@ -68,11 +114,15 @@ def series_eval(nu, coeffs, t):
     return float(out) if t.shape == () else out
 
 
-def _series_eval(nu, coeffs, t):
+def _series_eval(nu, coeffs, t, work=None):
     """series_eval without its argument checks: coeffs is a nonempty 1-D
-    float array indexed by degree and t an ndarray already in [-1, 1]."""
+    float array indexed by degree and t an ndarray already in [-1, 1];
+    work is chebyshev's.  The coefficients map through connection once,
+    to Chebyshev ones, and zero Chebyshev coefficients (every even one of
+    an odd series) are skipped in the accumulation."""
+    cheb = coeffs @ connection(nu, coeffs.size - 1)
     out, term = np.zeros_like(t), np.empty_like(t)
-    for c, values in zip(coeffs, sweep(nu, coeffs.size - 1, t)):
+    for c, values in zip(cheb, chebyshev(coeffs.size - 1, t, work)):
         if c != 0.0:
             out += np.multiply(values, c, out=term)
     return out

@@ -26,6 +26,7 @@ __all__ = [
     "KernelSpec",
     "chi_table",
     "MAX_DEGREE",
+    "chebyshev_sums",
     "degree_sums",
     "HarmonicMixture",
 ]
@@ -33,11 +34,18 @@ __all__ = [
 _FAMILIES = ("riesz", "delayed_means", "dirichlet")
 
 # Cosines per block of _cosine_blocks, for evaluation and self-sums alike.
-# Each temporary of the Gegenbauer sweep is then 128 KB: it stays in cache
-# and comes from the allocator's heap rather than from a fresh,
-# page-faulting mapping, which made blocks of millions of cosines two to
-# three times slower per point.
+# Each block-sized array of the Chebyshev sweep (the cosines, 2t and the
+# three rolling buffers) is then 128 KB, 640 KB together, so they stay in
+# cache; blocks of millions of cosines were two to three times slower per
+# point.
 EVAL_CHUNK = 1 << 14
+
+# Least anchors per chunk of degree_sums: each chunk's Chebyshev sums map
+# to Gegenbauer sums before the chunks add up, which keeps them as
+# accurate as sums of Gegenbauer values (see degree_sums).  A chunk's
+# blocks are then 128 x 128 cosines; with fewer than 128 points a chunk
+# takes more anchors, enough for one EVAL_CHUNK block.
+ANCHOR_CHUNK = 1 << 7
 
 
 def _check_degree_dim(n, d):
@@ -152,10 +160,10 @@ def _delayed_means_profile(x):
 
 # Largest filter degree any kernel may have; KernelSpec and EstimatorConfig
 # refuse more.  Arrays over degrees (filter weights, per-degree self-sums,
-# Gegenbauer sweeps) grow with the band limit, so a band limit above this
-# is refused rather than allocated.  128 is twice the degree 64 planned for
-# an uncapped cross-validation search (its minimiser is 55 at N = 50 000),
-# and a power of two, so delayed_means can use it.
+# connection tables, Chebyshev sweeps) grow with the band limit, so a band
+# limit above this is refused rather than allocated.  128 is twice the
+# degree 64 planned for an uncapped cross-validation search (its minimiser
+# is 55 at N = 50 000), and a power of two, so delayed_means can use it.
 MAX_DEGREE = 128
 
 
@@ -180,38 +188,78 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
 
 
 def _cosine_blocks(anchors, points):
-    """The one block loop: yields (rows, t) with t[k, i] = a_i'b_k clipped
-    to [-1, 1], for the anchors a_i and the points b_k in the slice rows of
-    the (m, d) batch points, about EVAL_CHUNK cosines a block."""
+    """The one block loop: yields (rows, t, work) with t[k, i] = a_i'b_k
+    clipped to [-1, 1], for the anchors a_i and the points b_k in the
+    slice rows of the (m, d) batch points, about EVAL_CHUNK cosines a
+    block, and work, room for gegenbauer.chebyshev's buffers.  Every block
+    reuses the same two arrays, so t is overwritten by the next block: a
+    fresh 128 KB array per block can come from a page-faulting mapping,
+    depending on what the allocator last freed, and that made evaluation
+    up to three times slower per point."""
     chunk_size = max(1, EVAL_CHUNK // max(1, anchors.shape[0]))
+    block = np.empty((min(chunk_size, points.shape[0]), anchors.shape[0]))
+    work = np.empty(4 * block.size)
     for start in range(0, points.shape[0], chunk_size):
         rows = slice(start, start + chunk_size)
-        yield rows, np.clip(points[rows] @ anchors.T, -1.0, 1.0)
+        cosines = block[: min(chunk_size, points.shape[0] - start)]
+        np.matmul(points[rows], anchors.T, out=cosines)
+        yield rows, np.clip(cosines, -1.0, 1.0, out=cosines), work
 
 
-def degree_sums(anchors, weights, points, used):
-    """Per-degree weighted sums D[n, k] = sum_i W[n, i] C_n^nu(a_i'b_k) of
-    the (N, d) anchors a_i at the (m, d) points b_k, for the degrees n
-    flagged in the boolean array used, with nu = (d - 2)/2 for the points' d.
+def chebyshev_sums(anchors, weights, points, flagged):
+    """Per-degree weighted Chebyshev sums E[j, k] = sum_i W[j, i]
+    T_j(a_i'b_k) of the (N, d) anchors a_i at the (m, d) points b_k, for
+    the Chebyshev degrees j flagged in the boolean array flagged.
 
-    weights is one (N,) vector, W[n] = weights for every degree, or one
-    row per degree, W[n] = weights[n].  Returns a (u, m) array with one
-    row per flagged degree, in increasing order.  Each block of cosines
-    goes through one gegenbauer.sweep up to the highest flagged degree,
-    and each flagged degree is reduced by one matrix-vector product with
-    its weights.
+    weights is one (N,) vector, W[j] = weights for every degree, or one
+    row per Chebyshev degree, W[j] = weights[j].  Returns a (u, m) array
+    with one row per flagged degree, in increasing order.  Each block of
+    cosines goes through one gegenbauer.chebyshev sweep up to the highest
+    flagged degree, and each flagged degree is reduced by one
+    matrix-vector product with its weights.
     """
-    degrees = np.flatnonzero(used).tolist()
+    degrees = np.flatnonzero(flagged).tolist()
     out = np.empty((len(degrees), points.shape[0]))
     if not degrees:
         return out
-    slot = {n: k for k, n in enumerate(degrees)}
-    nu = (points.shape[1] - 2) / 2.0
+    slot = {j: k for k, j in enumerate(degrees)}
     rows_of = weights if np.ndim(weights) == 2 else [weights] * (degrees[-1] + 1)
-    for rows, cosines in _cosine_blocks(anchors, points):
-        for n, cur in enumerate(gegenbauer.sweep(nu, degrees[-1], cosines)):
-            if n in slot:
-                out[slot[n], rows] = cur @ rows_of[n]
+    for rows, cosines, work in _cosine_blocks(anchors, points):
+        for j, values in enumerate(gegenbauer.chebyshev(degrees[-1], cosines, work)):
+            if j in slot:
+                out[slot[j], rows] = values @ rows_of[j]
+    return out
+
+
+def degree_sums(anchors, weights, points, used):
+    """Per-degree weighted sums D[n, k] = sum_i weights[i] C_n^nu(a_i'b_k)
+    of the (N, d) anchors a_i at the (m, d) points b_k, for the degrees n
+    flagged in the boolean array used, with nu = (d - 2)/2 for the points'
+    d.
+
+    Returns a (u, m) array with one row per flagged degree, in increasing
+    order.  The anchors go in chunks (ANCHOR_CHUNK) through chebyshev_sums,
+    for the Chebyshev degrees some flagged degree reads (only odd ones for
+    odd degrees), and each chunk's sums map through gegenbauer.connection
+    before they are added up.  On S^{d-1}, d >= 3, the T_j are not
+    orthogonal, so their totals over many anchors are large and cancel in
+    the map; mapped chunk by chunk, the sums keep the accuracy of a sweep
+    of Gegenbauer values.  The covariate density at its own N = 3 000
+    points in d = 5 is within 3.2e-15 of its largest value from a
+    long-double reference; one map of the whole sample's totals was off
+    by 2.2e-14, the Gegenbauer recurrence by 1.9e-15.
+    """
+    degrees = np.flatnonzero(used)
+    out = np.zeros((degrees.size, points.shape[0]))
+    if not degrees.size:
+        return out
+    table = gegenbauer.connection((points.shape[1] - 2) / 2.0, int(degrees[-1]))[degrees]
+    read = np.any(table != 0.0, axis=0)
+    table = table[:, read]
+    chunk = max(ANCHOR_CHUNK, EVAL_CHUNK // max(1, points.shape[0]))
+    for start in range(0, anchors.shape[0], chunk):
+        part = slice(start, start + chunk)
+        out += table @ chebyshev_sums(anchors[part], weights[part], points, read)
     return out
 
 
@@ -279,8 +327,8 @@ class HarmonicMixture:
         pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
         coeffs = self.series_coeffs()
         nu = (self.dimension - 2) / 2.0
-        for rows, cosines in _cosine_blocks(self.anchors, pts):
-            yield rows, gegenbauer._series_eval(nu, coeffs, cosines)
+        for rows, cosines, work in _cosine_blocks(self.anchors, pts):
+            yield rows, gegenbauer._series_eval(nu, coeffs, cosines, work)
 
     def evaluate_series(self, points, series):
         """Evaluate several Gegenbauer series over these anchors and

@@ -1,8 +1,9 @@
 """Reference evaluations built from the package's own primitives.
 
 Unlike oracles.py, this module imports spherecoef: each helper composes
-kernels.projector_constants, KernelSpec.chi, gegenbauer.series_eval and
-gegenbauer.sweep, so its values are bit-identical to the package's
+kernels.projector_constants, KernelSpec.chi, gegenbauer.series_eval,
+gegenbauer.chebyshev and gegenbauer.connection, so its values are
+bit-identical to the package's
 arithmetic.  Tests use them to evaluate single zonal kernels,
 polynomial tables and per-observation summands that the runtime never
 forms on its own.
@@ -35,11 +36,17 @@ def kernel_eval(spec, t, odd_only=False):
 
 def eval_all(nu, max_degree, t):
     """Table of C_0^nu(t), ..., C_max_degree^nu(t): entry [n] is C_n^nu at
-    t, an array of cosines in [-1, 1]."""
+    t, an array of cosines in [-1, 1], summed from the Chebyshev sweep
+    through the connection table in series_eval's order, so that it is
+    series_eval's value for the unit coefficients of degree n, bit for
+    bit."""
     t = np.asarray(t, dtype=float)
-    out = np.empty((int(max_degree) + 1,) + t.shape)
-    for n, c in enumerate(gegenbauer.sweep(nu, max_degree, t)):
-        out[n] = c
+    table = gegenbauer.connection(nu, max_degree)
+    out = np.zeros((int(max_degree) + 1,) + t.shape)
+    for j, values in enumerate(gegenbauer.chebyshev(max_degree, t)):
+        for n in range(j, int(max_degree) + 1):
+            if table[n, j] != 0.0:
+                out[n] += values * table[n, j]
     return out
 
 

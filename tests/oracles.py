@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Every routine here reaches its value by a different route than the package
-code: explicit finite sums instead of recursions, 1-D integrals instead of
-closed-form products, and a plain-Python transcription of the density
+code: explicit finite sums instead of recursions, the three-term
+recurrence in nu (carried out in 30-digit arithmetic) instead of the
+package's Chebyshev recurrence and connection table, 1-D integrals instead
+of closed-form products, and a plain-Python transcription of the density
 estimator's defining formula.  Nothing in this module imports from
 spherecoef, so an agreement between the two sides is evidence, not an
 identity check of shared code.
@@ -22,8 +24,10 @@ __all__ = [
     "gegenbauer_explicit",
     "explicit_eval",
     "gegenbauer_at_one",
+    "gegenbauer_recurrence",
     "gegenbauer_explicit_bound",
     "harmonic_dim",
+    "exact_sphere_rule",
     "halfspace_eigenvalue_1d",
     "riesz_weight",
     "filter_weight",
@@ -117,6 +121,41 @@ def explicit_eval(nu, n, t):
     return vals if t.shape else float(vals)
 
 
+def gegenbauer_recurrence(nu, max_degree, t):
+    """Table of C_0^nu(t), ..., C_max_degree^nu(t) by the three-term
+    recurrence in nu,
+
+        (m + 2) C_{m+2} = 2 (nu + m + 1) t C_{m+1} - (2 nu + m) C_m,
+
+    from C_0 = 1 and C_1 = 2 nu t, carried out in 30-digit mpmath
+    arithmetic on the exact float arguments and rounded once, so the
+    table is accurate to the last bit at every degree (in float the
+    recurrence drifts: at nu = 0.3 and degree 128 it is off by 3e-13
+    C_n(1)).  The nu = 0 family, (2/n) T_n, starts from C_1 = 2t and
+    C_2 = 2t^2 - 1 instead, and follows the same recurrence from degree
+    3 on.  Entry [n] has t's shape."""
+    import mpmath
+
+    t = np.asarray(t, dtype=float)
+    top = int(max_degree)
+    out = np.empty((top + 1, t.size))
+    with mpmath.workdps(30):
+        a = mpmath.mpf(float(nu))
+        for i, ti in enumerate(t.ravel()):
+            x = mpmath.mpf(float(ti))
+            prev, cur = mpmath.mpf(1), (2 if nu == 0 else 2 * a) * x
+            column = [prev, cur]
+            for m in range(top - 1):
+                if nu == 0 and m == 0:
+                    nxt = 2 * x * x - 1
+                else:
+                    nxt = (2 * (a + m + 1) * x * cur - (2 * a + m) * prev) / (m + 2)
+                prev, cur = cur, nxt
+                column.append(cur)
+            out[:, i] = [float(v) for v in column[: top + 1]]
+    return out.reshape((top + 1,) + t.shape)
+
+
 def gegenbauer_at_one(nu, n):
     """Value of the ultraspherical polynomial at t = 1 (explicit sum)."""
     return float(gegenbauer_explicit(nu, n, np.asarray(1.0)))
@@ -149,6 +188,36 @@ def harmonic_dim(n, d):
     first = math.comb(n + d - 1, d - 1)
     second = math.comb(n + d - 3, d - 1) if n + d - 3 >= d - 1 else 0
     return first - second
+
+
+def exact_sphere_rule(d, degree):
+    """Nodes (K, d) and weights (K,) on S^{d-1}, d = 3 or 4, that integrate
+    every polynomial of degree <= degree exactly against surface measure.
+
+    The last coordinate t carries the polar factor (1 - t^2)^{(d-3)/2}:
+    Gauss-Legendre for d = 3 and Gauss-Chebyshev of the second kind,
+    cos(k pi/(m + 1)) with weights pi/(m + 1) sin^2(k pi/(m + 1)), for
+    d = 4, each exact to degree 2m - 1 in t.  The slices are the circle's
+    degree + 1 equispaced points (d = 3) or this rule on S^2 (d = 4); odd
+    powers of sqrt(1 - t^2) come with odd monomials of the slice, which
+    the slice rule integrates to zero.
+    """
+    m = degree // 2 + 1
+    if d == 3:
+        t, wt = leggauss(m)
+        angles = 2.0 * math.pi * np.arange(degree + 1) / (degree + 1)
+        sub = np.column_stack([np.cos(angles), np.sin(angles)])
+        sub_w = np.full(degree + 1, 2.0 * math.pi / (degree + 1))
+    elif d == 4:
+        k = np.arange(1, m + 1)
+        t = np.cos(k * math.pi / (m + 1))
+        wt = math.pi / (m + 1) * np.sin(k * math.pi / (m + 1)) ** 2
+        sub, sub_w = exact_sphere_rule(3, degree)
+    else:
+        raise ValueError(f"exact_sphere_rule takes d = 3 or 4, got {d}")
+    r = np.sqrt(1.0 - t**2)
+    nodes = np.concatenate([np.column_stack([ri * sub, np.full(len(sub), ti)]) for ri, ti in zip(r, t)])
+    return nodes, np.outer(wt, sub_w).ravel()
 
 
 def halfspace_eigenvalue_1d(n, d, n_nodes=400):

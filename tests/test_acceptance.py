@@ -94,8 +94,9 @@ def test_criterion_1_eigenvalues_match_quadrature(capsys):
 
 
 def test_criterion_2_recursion_matches_explicit_formula(capsys):
-    """Three-term-recursion values of the orthogonal polynomials agree with
-    the explicit alternating-sum formula."""
+    """Values of the orthogonal polynomials from the Chebyshev recurrence
+    through the connection table agree with the explicit alternating-sum
+    formula."""
     t0 = time.perf_counter()
     t = np.linspace(-1.0, 1.0, 101)
     worst = 0.0

@@ -247,24 +247,31 @@ def _kernel_rounding(d, family, band):
 
 
 def _record_sweep_rows(monkeypatch):
-    """Wrap gegenbauer.sweep so that the row count of each cosine array it
-    is given is appended to the list returned."""
-    rows, real = [], gegenbauer.sweep
+    """Wrap gegenbauer.chebyshev so that the row count of each cosine
+    array it is given is appended to the list returned."""
+    rows, real = [], gegenbauer.chebyshev
 
-    def recorded(nu, max_degree, t):
+    def recorded(top, t, *work):
         rows.append(t.shape[0])
-        return real(nu, max_degree, t)
+        return real(top, t, *work)
 
-    monkeypatch.setattr(gegenbauer, "sweep", recorded)
+    monkeypatch.setattr(gegenbauer, "chebyshev", recorded)
     return rows
+
+
+def _sums_table(path, x, top):
+    """A _self_sums path's energies and its sums S[n, i] as a table, one
+    combine per degree with that degree's unit row."""
+    energy, combine = path(x, top)
+    return energy, np.array([combine(unit) for unit in np.eye(top + 1)])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_self_sums_match_double_loop(monkeypatch, d):
     """The pair sweep and the fundamental system each give every degree's
-    sums over the whole sample, for any block size (kernels.EVAL_CHUNK 1:
-    one row per block), and the cross-validated covariate density sweeps
-    to the cap."""
+    sums over the whole sample, and their totals as energies, for any
+    block size (kernels.EVAL_CHUNK 1: one row per block), and the
+    cross-validated covariate density sweeps to the cap."""
     x = _design_points(d, 30, seed=60 + d)
     top = estimator.FX_CV_MAX_BAND
     ref = oracles.pair_sums(x, top)
@@ -277,10 +284,11 @@ def test_self_sums_match_double_loop(monkeypatch, d):
         monkeypatch.setattr(kernels, "EVAL_CHUNK", block)
         for path in (estimator._pair_sums, estimator._system_sums):
             rows.clear()
-            sums = path(x, top)
+            energy, sums = _sums_table(path, x, top)
             assert (max(rows) < x.shape[0]) == (block < 1 << 16)  # several blocks
             assert sums.shape == ref.shape
             assert np.all(np.abs(sums - ref) <= tol[:, None])
+            assert np.all(np.abs(energy - ref.sum(axis=1)) <= x.shape[0] * tol)
     monkeypatch.undo()
     sweeps = _record_calls(monkeypatch, "_self_sums")
     estimator._cross_validated_fx(ChoiceSample(y=np.ones(30, dtype=int), x=x), EstimatorConfig())
@@ -299,7 +307,7 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     estimator._cross_validated_fx(ChoiceSample(y=np.ones(40, dtype=int), x=x), cfg)
     assert [args[1] for args in sweeps] == [16] and estimator._lscv_bands(cfg)[-1] == 16
     nu = (d - 2) / 2.0
-    sums = estimator._self_sums(x, 16)
+    _, sums = _sums_table(estimator._self_sums, x, 16)
     assert sums.shape == (17, 40)
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(17)])
     tol = 1e-13 + 4.0 * np.finfo(float).eps * 39 * bound
@@ -332,16 +340,22 @@ def _circle_sums(x, top):
 )
 def test_system_sums_accuracy(d, n_obs, top):
     """Through the fundamental system each degree's sums are within 1e-12
-    of that degree's largest, to degree 64 and at the point fit's band,
-    10: against the pair sweep in d = 3 and 4, and in d = 2 against
-    _circle_sums, since there the pair sweep's own error reaches 1e-12.
-    At these sizes _self_sums takes the fundamental system, except in
-    d = 4 at degree 24 (M = 938), where it takes the pair sweep."""
+    of that degree's largest, and its energies within 1e-12 relative, to
+    degree 64 and at the point fit's band, 10: against the pair sweep in
+    d = 3 and 4, and in d = 2 against _circle_sums, since there the pair
+    sweep's own error reaches 1e-12.  At these sizes _self_sums takes the
+    fundamental system, except in d = 4 at degree 24 (M = 938), where it
+    takes the pair sweep."""
     x = _design_points(d, n_obs, seed=90 + d)
-    sums = estimator._system_sums(x, top)
-    ref = _circle_sums(x, top) if d == 2 else estimator._pair_sums(x, top)
+    energy, sums = _sums_table(estimator._system_sums, x, top)
+    if d == 2:
+        ref = _circle_sums(x, top)
+    else:
+        pair_energy, ref = _sums_table(estimator._pair_sums, x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
-    assert np.array_equal(estimator._self_sums(x, top), ref if (d, top) == (4, 24) else sums)
+    assert np.max(np.abs(energy - ref.sum(axis=1)) / np.abs(ref.sum(axis=1))) <= 1e-12
+    taken = estimator._self_sums(x, top)[0]
+    assert np.array_equal(taken, pair_energy if (d, top) == (4, 24) else energy)
 
 
 @pytest.mark.parametrize("d,top", [(3, 10), (4, 10), (3, 24), (4, 24), (3, 64)])
@@ -353,12 +367,39 @@ def test_fundamental_system_prefix_grams_are_well_conditioned(d, top):
     of the point set cannot trade away the accuracy of
     test_system_sums_accuracy unseen."""
     z, factors = estimator._fundamental_system(d, top)
-    gram = np.clip(z @ z.T, -1.0, 1.0)
-    for n, g in enumerate(gegenbauer.sweep((d - 2) / 2.0, top, gram)):
-        h, size = kernels.eigenspace_dim(n, d), factors[n].shape[0]
-        vals = np.linalg.eigvalsh(g[:size, :size])
+    for n, u in enumerate(factors):
+        h, size = kernels.eigenspace_dim(n, d), u.shape[0]
+        unit = np.zeros(n + 1)
+        unit[n] = 1.0
+        vals = np.linalg.eigvalsh(gegenbauer.series_eval((d - 2) / 2.0, unit, z[:size] @ z[:size].T))
         assert vals[-1] / vals[-h] < 1e3
         assert size == h or vals[-h - 1] <= 1e-10 * vals[-1]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_system_combine_sweeps_only_to_the_rows_band(monkeypatch, d):
+    """The fundamental system's energies come from its first pass alone;
+    a combination row's pass over the sample sweeps only to the row's last
+    nonzero degree, and a zero row sweeps nothing."""
+    x = _design_points(d, 200, seed=50 + d)
+    top = estimator.FX_CV_MAX_BAND
+    estimator._fundamental_system(d, top)
+    tops, real = [], gegenbauer.chebyshev
+
+    def recorded(deg, t, *work):
+        tops.append(int(deg))
+        return real(deg, t, *work)
+
+    monkeypatch.setattr(gegenbauer, "chebyshev", recorded)
+    energy, combine = estimator._system_sums(x, top)
+    assert set(tops) == {top} and energy.shape == (top + 1,)
+    row = np.zeros(top + 1)
+    row[:7] = 1.0
+    tops.clear()
+    combine(row)
+    assert set(tops) == {6}
+    tops.clear()
+    assert np.array_equal(combine(np.zeros(top + 1)), np.zeros(200)) and tops == []
 
 
 @pytest.mark.parametrize("n_obs", [3, 50, 150])
@@ -369,8 +410,8 @@ def test_circle_self_sums_take_fundamental_system(n_obs):
     sum (_circle_sums)."""
     x = _design_points(2, n_obs, seed=80)
     top = estimator.FX_CV_MAX_BAND
-    sums = estimator._self_sums(x, top)
-    assert np.array_equal(sums, estimator._system_sums(x, top))
+    assert np.array_equal(estimator._self_sums(x, top)[0], estimator._system_sums(x, top)[0])
+    _, sums = _sums_table(estimator._self_sums, x, top)
     ref = _circle_sums(x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-13
 
@@ -493,10 +534,11 @@ def _leave_in_at_cap(sample, config):
     """The point fit's covariate density, each x_i left in its own kernel
     average, from a sweep of the self-sums to the cross-validation cap (the
     last of _lscv_bands) rather than to config.fx_truncation."""
-    d = sample.dimension
-    sums = estimator._self_sums(sample.x, int(estimator._lscv_bands(config)[-1]))
-    row = projector_constants(config.fx_truncation, d, config.fx_kernel(d).chi())
-    return np.maximum(row @ sums[: row.size] / sample.n_obs, 0.0)
+    d, cap = sample.dimension, int(estimator._lscv_bands(config)[-1])
+    _, combine = estimator._self_sums(sample.x, cap)
+    row = np.zeros(cap + 1)
+    row[: config.fx_truncation + 1] = projector_constants(config.fx_truncation, d, config.fx_kernel(d).chi())
+    return np.maximum(combine(row) / sample.n_obs, 0.0)
 
 
 def _record_calls(monkeypatch, name):

@@ -88,17 +88,67 @@ SWEEP_ARGS = [np.asarray(0.3), T_GRID, T_GRID[:100].reshape(4, 25)]
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])
 @pytest.mark.parametrize("max_degree", [0, 1, 2, 24])
 def test_sweep_yields_every_degree(nu, max_degree):
+    """The Chebyshev sweep yields T_0, ..., T_top, each an array of t's
+    shape, and through the connection table they give every C_n^nu."""
+    table = gegenbauer.connection(nu, max_degree)
     for t in SWEEP_ARGS:
-        vals = [c.copy() for c in gegenbauer.sweep(nu, max_degree, t)]
+        vals = [c.copy() for c in gegenbauer.chebyshev(max_degree, t)]
         assert len(vals) == max_degree + 1
-        for n, c in enumerate(vals):
+        for j, c in enumerate(vals):
             assert isinstance(c, np.ndarray) and c.shape == t.shape
+            assert np.max(np.abs(c - eval_chebyt(j, t))) < 1e-12
+        for n in range(max_degree + 1):
+            got = sum(table[n, j] * vals[j] for j in range(n + 1))
             if nu == 0:
                 ref = np.ones_like(t) if n == 0 else (2.0 / n) * eval_chebyt(n, t)
             else:
                 ref = eval_gegenbauer(n, nu, t)
             scale = max(1.0, float(np.max(np.abs(ref))))
-            assert np.max(np.abs(c - ref)) / scale < 1e-10
+            assert np.max(np.abs(got - ref)) / scale < 1e-10
+
+
+def test_sweep_leaves_its_argument_alone():
+    """The sweep never writes t, and with a work array it yields the
+    values it yields without one, bit for bit."""
+    t = T_GRID.copy()
+    alone = [c.copy() for c in gegenbauer.chebyshev(6, t)]
+    assert np.array_equal(t, T_GRID)
+    work = np.full(4 * t.size + 3, np.nan)
+    assert all(np.array_equal(a, b) for a, b in zip(alone, gegenbauer.chebyshev(6, t, work)))
+    assert np.array_equal(t, T_GRID)
+
+
+# the t-grid of the connection tests: both ends, an even grid and the
+# Chebyshev-Lobatto points, where T_j is +-1
+T_CHECK = np.concatenate([[-1.0, 1.0], T_GRID, np.cos(np.pi * np.arange(33) / 32)])
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.0, 1.5, 2.5])
+def test_connection_table_against_recurrence(nu):
+    """Up to MAX_DEGREE the table is lower triangular with nonnegative
+    entries of the degree's parity, each row sums to eval_at_one within
+    1e-14 relative, and its rows against the Chebyshev sweep agree with
+    the three-term recurrence in nu within 1e-13 C_n(1) on a grid that
+    includes +-1."""
+    table = gegenbauer.connection(nu, MAX_DEGREE)
+    assert table.shape == (MAX_DEGREE + 1, MAX_DEGREE + 1) and not table.flags.writeable
+    degree = np.arange(MAX_DEGREE + 1)
+    off_parity = ((degree[:, None] - degree[None, :]) % 2 == 1) | (degree[None, :] > degree[:, None])
+    assert np.all(table >= 0.0) and np.all(table[off_parity] == 0.0)
+    at_one = np.array([gegenbauer.eval_at_one(nu, n) for n in degree])
+    assert np.max(np.abs(table.sum(axis=1) - at_one) / at_one) <= 1e-14
+    cheb = np.array([c.copy() for c in gegenbauer.chebyshev(MAX_DEGREE, T_CHECK)])
+    ref = oracles.gegenbauer_recurrence(nu, MAX_DEGREE, T_CHECK)
+    assert np.all(np.abs(table @ cheb - ref) <= 1e-13 * at_one[:, None])
+    # a smaller top is the leading block, entry for entry
+    assert np.array_equal(gegenbauer.connection(nu, 24), table[:25, :25])
+
+
+def test_connection_of_the_circle_family_is_diagonal():
+    """For nu = 0, C_n^0 = (2/n) T_n: the table is diag(1, 2, 2/2, 2/3, ...)."""
+    n = np.arange(1, MAX_DEGREE + 1)
+    want = np.diag(np.concatenate([[1.0], 2.0 / n]))
+    assert np.array_equal(gegenbauer.connection(0.0, MAX_DEGREE), want)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])

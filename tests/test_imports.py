@@ -94,7 +94,7 @@ _REMOVED = {
         "laplacian_eigenvalue",
     ],
     "hemisphere": ["invert_by_laplacian"],
-    "gegenbauer": ["eval_all"],
+    "gegenbauer": ["eval_all", "sweep"],
     "sphere": ["angle_between"],
     "estimator": ["SELF_SUMS_BLOCK", "fx_self_evaluation", "FxSelfEvaluation", "_leave_in_values"],
 }

@@ -50,6 +50,23 @@ def test_projector_kernel_reproducing_property():
             assert val == pytest.approx(target, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_projector_reproducing_identity_on_exact_rule(d):
+    """int q_n(x, z) q_n(z, y) dz = q_n(x, y) and int q_n(x, z) q_{n-1}(z,
+    y) dz = 0 for every n <= 24, on a rule exact to degree 48
+    (oracles.exact_sphere_rule), within 1e-13 q_n(x, x) = 1e-13 h(n, d) /
+    |S^{d-1}|."""
+    nodes, weights = oracles.exact_sphere_rule(d, 48)
+    x, y = sample_uniform(d, 2, seed=22 + d)
+    before = np.zeros(len(weights))
+    for n in range(25):
+        qx, qy = projector_kernel(n, d, nodes @ x), projector_kernel(n, d, nodes @ y)
+        scale = eigenspace_dim(n, d) / surface_area(d)
+        assert abs(weights @ (qx * qy) - projector_kernel(n, d, float(x @ y))) <= 1e-13 * scale
+        assert abs(weights @ (before * qy)) <= 1e-13 * scale
+        before = qx
+
+
 def test_chi_weights_dirichlet_and_cutoff():
     spec = KernelSpec("dirichlet", 5, 3)
     assert np.array_equal(spec.chi(), np.ones(6))
@@ -170,30 +187,50 @@ def test_harmonic_mixture_chunked_evaluation_matches(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_degree_sums_match_double_loop(monkeypatch, d):
-    """degree_sums with one weight row per degree is the dense double loop
-    sum_i W[n, i] C_n(a_i'b_k) over every anchor and point, for the flagged
-    degrees only, across blocks; one weight vector stands for that row at
-    every degree."""
+    """degree_sums is the dense double loop sum_i w_i C_n(a_i'b_k) over
+    every anchor and point, for the flagged degrees only, across blocks
+    and anchor chunks.  chebyshev_sums with one weight row per Chebyshev
+    degree is the loop sum_i W[j, i] cos(j arccos(a_i'b_k)), and one
+    weight vector stands for that row at every degree."""
     anchors, points = sample_uniform(d, 12, seed=60 + d), sample_uniform(d, 9, seed=70 + d)
     weights = np.random.default_rng(d).standard_normal((10, 12))
     used = np.isin(np.arange(10), [0, 2, 3, 9])
     nu = (d - 2) / 2.0
     monkeypatch.setattr(kernels, "EVAL_CHUNK", 24)  # 2 points of 12 anchors a block
+    monkeypatch.setattr(kernels, "ANCHOR_CHUNK", 5)  # chunks of 5, 5 and 2 anchors
     assert len(list(kernels._cosine_blocks(anchors, points))) > 1
-    got = kernels.degree_sums(anchors, weights, points, used)
+    got = kernels.degree_sums(anchors, weights[0], points, used)
     want = np.array(
         [
-            [sum(weights[n, i] * oracles.explicit_eval(nu, n, a @ b) for i, a in enumerate(anchors)) for b in points]
+            [sum(weights[0, i] * oracles.explicit_eval(nu, n, a @ b) for i, a in enumerate(anchors)) for b in points]
             for n in np.flatnonzero(used)
         ]
     )
     assert got.shape == (4, 9)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    angles = np.arccos(np.clip(points @ anchors.T, -1.0, 1.0))
+    got = kernels.chebyshev_sums(anchors, weights, points, used)
+    want = np.array([np.cos(j * angles) @ weights[j] for j in np.flatnonzero(used)])
+    assert got.shape == (4, 9)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     shared = np.tile(weights[0], (10, 1))
     assert np.array_equal(
-        kernels.degree_sums(anchors, weights[0], points, used),
-        kernels.degree_sums(anchors, shared, points, used),
+        kernels.chebyshev_sums(anchors, weights[0], points, used),
+        kernels.chebyshev_sums(anchors, shared, points, used),
     )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_degree_sums_against_mpmath_at_degree_64(d):
+    """To degree 64 each degree's sums are within 5e-14 of that degree's
+    largest, against C_n^nu from the recurrence in nu carried out in
+    30-digit arithmetic (oracles.gegenbauer_recurrence) at the same float
+    cosines."""
+    anchors, points = sample_uniform(d, 40, seed=80 + d), sample_uniform(d, 6, seed=90 + d)
+    weights = np.random.default_rng(d).standard_normal(40)
+    ref = oracles.gegenbauer_recurrence((d - 2) / 2.0, 64, np.clip(points @ anchors.T, -1.0, 1.0)) @ weights
+    got = kernels.degree_sums(anchors, weights, points, np.ones(65, dtype=bool))
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= 5e-14 * np.max(np.abs(ref), axis=1))
 
 
 def test_harmonic_mixture_oddness_and_rescaling():
