@@ -85,6 +85,39 @@ class CliError(Exception):
     """Fatal usage, config, or data problem (exit code 2)."""
 
 
+class _Setting(str):
+    """A config value read from a file, which keeps where: the
+    "<path>: line <n>: " prefix of its refusals.  It is still the string."""
+
+    def __new__(cls, value, where):
+        setting = super().__new__(cls, value)
+        setting.where = where
+        return setting
+
+
+def _where(text):
+    """The file-and-line prefix of a config value ("" for a default)."""
+    return getattr(text, "where", "")
+
+
+def _key_lines(text, section_header):
+    """{(section, key): line} for an INI text that configparser has read,
+    by its rules: blank and whole-line comment lines are skipped, a line
+    indented deeper than the key above it continues that key's value, and
+    a key is the text before its first = or :, lower-cased."""
+    lines, section, indent = {}, None, None
+    for number, line in enumerate(text.split("\n"), start=1):
+        value, depth = line.strip(), len(line) - len(line.lstrip())
+        if not value or value[0] in "#;" or (indent is not None and depth > indent):
+            continue
+        if header := section_header.match(value):
+            section, indent = header.group("header"), None
+        else:
+            key = value.replace(":", "=").split("=", 1)[0]
+            lines[section, key.rstrip().lower()], indent = number, depth
+    return lines
+
+
 _DEFAULTS = {
     "model": {
         "preset": "model_1",
@@ -120,17 +153,20 @@ def load_config(path):
                  configparser.DuplicateOptionError: "repeated key"}.get(type(exc), "expected key = value")
         source = text.split("\n")[line - 1].strip()
         raise CliError(f"cannot parse config {path}: line {line}: {fault}: {source!r}") from None
+    lines = _key_lines(text, parser.SECTCRE)
     for section in parser.sections():
         if section not in cfg:
             raise CliError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
             if key not in cfg[section]:
                 raise CliError(f"unknown config key {key!r} in section [{section}]")
-            cfg[section][key] = value
+            line = lines.get((section, key))  # None for a [DEFAULT] key
+            cfg[section][key] = _Setting(value, f"{path}: line {line}: " if line else "")
     return cfg
 
 
 def _parse_int(text, what, minimum=None):
+    what = _where(text) + what
     try:
         value = int(text)
     except ValueError as exc:
@@ -141,6 +177,7 @@ def _parse_int(text, what, minimum=None):
 
 
 def _parse_float(text, what):
+    what = _where(text) + what
     try:
         return float(text)
     except ValueError as exc:
@@ -148,6 +185,7 @@ def _parse_float(text, what):
 
 
 def _parse_vector(text, what):
+    what = _where(text) + what
     try:
         return np.array([float(tok) for tok in text.split()])
     except ValueError as exc:
@@ -155,6 +193,7 @@ def _parse_vector(text, what):
 
 
 def _parse_matrix(text, what):
+    what = _where(text) + what
     rows = [r.strip() for r in text.split(";") if r.strip()]
     if not rows:
         raise CliError(f"{what} is empty")
@@ -195,7 +234,7 @@ def build_dgp(model_cfg, n_obs=None, seed=None):
         except ValueError as exc:
             raise CliError(f"invalid custom model: {exc}") from exc
     else:
-        raise CliError(f"unknown model preset {preset!r}")
+        raise CliError(f"{_where(preset)}unknown model preset {preset!r}")
     if preset != "custom" and fixed != 1.0:
         spec = replace(spec, fixed_value=fixed)
     return spec
@@ -203,11 +242,16 @@ def build_dgp(model_cfg, n_obs=None, seed=None):
 
 def resolve_estimator_config(est_cfg):
     """Construct the EstimatorConfig described by the [estimator] section,
-    each key parsed by the type of its default; the library checks ranges."""
-    parse = {int: _parse_int, float: _parse_float, str: lambda text, what: text}
-    return EstimatorConfig(
-        **{f.name: parse[type(f.default)](est_cfg[f.name], f.name) for f in fields(EstimatorConfig)}
-    )
+    each key parsed by the type of its default; the library checks ranges,
+    and a refusal, which begins with the key it refuses, names that key's
+    line."""
+    parse = {int: _parse_int, float: _parse_float, str: lambda text, what: str(text)}
+    try:
+        return EstimatorConfig(
+            **{f.name: parse[type(f.default)](est_cfg[f.name], f.name) for f in fields(EstimatorConfig)}
+        )
+    except ValueError as exc:
+        raise CliError(_where(est_cfg.get(str(exc).split(" ", 1)[0])) + str(exc)) from None
 
 
 def evaluation_grid(dimension, resolution, points_file=""):
@@ -453,14 +497,12 @@ def cmd_bench(args):
     cfg = load_config(args.config)
     config = resolve_estimator_config(cfg["estimator"])
     seed = args.seed if args.seed is not None else _parse_int(cfg["run"]["seed"], "seed")
-    n_grid = [
-        _parse_int(tok, "bench n_grid entry", minimum=3)
-        for tok in cfg["bench"]["n_grid"].split()
-    ]
+    where = _where(cfg["bench"]["n_grid"])
+    n_grid = [_parse_int(tok, f"{where}bench n_grid entry", minimum=3) for tok in cfg["bench"]["n_grid"].split()]
     if not n_grid:
-        raise CliError("bench n_grid is empty")
+        raise CliError(f"{where}bench n_grid is empty")
     if len(set(n_grid)) != len(n_grid):
-        raise CliError(f"bench n_grid repeats a size: {cfg['bench']['n_grid']!r}")
+        raise CliError(f"{where}bench n_grid repeats a size: {cfg['bench']['n_grid']!r}")
     reps = _parse_int(cfg["bench"]["replications"], "bench replications", minimum=1)
     resolution = _parse_int(cfg["bench"]["resolution"], "bench resolution", minimum=4)
     spec = build_dgp(cfg["model"], seed=seed)

@@ -12,10 +12,9 @@ kernel in x_i'b.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .kernels import (
 )
 from .sphere import (
     QuadratureRule,
+    _circle_rule,
     build_quadrature,
     check_on_sphere,
     coarea_factor,
@@ -181,7 +181,6 @@ class FxEstimate:
     """
 
     mixture: HarmonicMixture
-    kernel: KernelSpec
 
     def evaluate(self, points):
         raw = self.mixture.evaluate(points)
@@ -198,7 +197,7 @@ def estimate_fx(sample, kernel):
         )
     n = sample.n_obs
     mix = HarmonicMixture(sample.x, np.full(n, 1.0 / n), kernel.chi())
-    return FxEstimate(mixture=mix, kernel=kernel)
+    return FxEstimate(mixture=mix)
 
 
 # Cap on the covariate-density bands the cross-validation searches
@@ -233,6 +232,13 @@ def _self_sums(x, max_degree):
     1 000 and 3 000 (seed 92, one BLAS thread, against exactly rounded
     sums), where the pair sweep is off by 2.6e-13, 9.4e-13 and 1.7e-12,
     and costs at most 0.3 ms more (set-up aside) below N = 120.
+
+    The system alone would not do in d >= 3.  At d = 4, N = 2 000 and
+    degree 24 (2N = 4 000 < 11 M = 10 318, the pair side, where
+    perfbench's query-2k takes its d = 4 intervals), the system took
+    1 260 ms cold and 186 ms warm and raised the peak RSS from 35 to
+    105 MB (its cached factors hold 24.7 MiB); the pair sweep took 143 ms
+    cold and 131 ms warm and added 2 MB (single runs, one BLAS thread).
     """
     n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
     if x.shape[1] == 2 or 2 * n_obs > 11 * m:
@@ -299,11 +305,7 @@ def _fundamental_system(d, top):
     read-only, shared by every caller.
     """
     m = _system_size(d, top)
-    if d == 2:
-        angles = np.pi * np.arange(m) / (top + 1)
-        z = np.column_stack([np.cos(angles), np.sin(angles)])
-    else:
-        z = sample_uniform(d, m, seed=0)
+    z = _circle_rule(m)[0] if d == 2 else sample_uniform(d, m, seed=0)
     factors = []
     for n in range(top + 1):
         dim = eigenspace_dim(n, d)
@@ -482,8 +484,7 @@ def _fit(sample, config, fx_values, fx_band, keep_sample=False):
     n_obs, d = sample.n_obs, sample.dimension
     chi = config.main_kernel(d).chi()
     coeffs = np.zeros(chi.size - 1)
-    for m in range(1, chi.size, 2):
-        coeffs[m] = chi[m] / (hemisphere.eigenvalue(m, d) * n_obs)
+    coeffs[1::2] = chi[1::2] / (hemisphere._eigenvalues(coeffs.size - 1, d)[1::2] * n_obs)
     weights = (2.0 * sample.y - 1.0) / np.maximum(fx_values, config.trimming_floor(n_obs))
     return DensityEstimate(
         odd=HarmonicMixture(sample.x, weights, coeffs),
@@ -729,9 +730,12 @@ class IdentificationReport:
 
     axis: np.ndarray
     mass_plus: float
-    mass_minus: float
     violation_score: float
     threshold: float
+
+    @property
+    def mass_minus(self):
+        return -self.mass_plus
 
 
 # The diagnostic's positivity cutoff relative to the odd part's peak: 0.3
@@ -749,7 +753,9 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     per-degree coefficients (the transform rescales degree n by its
     eigenvalue), so both are read on the probe nodes from one sweep of the
     cosines, as two coefficient rows against the same per-degree sums
-    (HarmonicMixture.evaluate_series).
+    (HarmonicMixture.evaluate_series).  The transform's row is the odd
+    row times hemisphere's eigenvalue row; the transformed mixture itself
+    is never built.
     """
     if isinstance(estimate, DensityEstimate):
         odd = estimate.odd
@@ -763,9 +769,9 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     if quad is None:
         quad = build_quadrature(d, resolution, seed=0)
     area = surface_area(d)
-    averaged = hemisphere.transform(odd)
+    row = odd.degree_coeffs * hemisphere._eigenvalues(odd.max_degree, d)
     odd_vals, hemi_vals = odd.evaluate_series(
-        quad.points, [odd.series_coeffs(), averaged.series_coeffs()]
+        quad.points, [odd.series_coeffs(), projector_constants(odd.max_degree, d, row)]
     )
     masses = hemi_vals / area
     i_best = int(np.argmax(masses))
@@ -775,13 +781,7 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     threshold = max(POSITIVITY_CUTOFF * peak, 1e-12)
     incoherent = (odd_vals > threshold) & (hemi_vals < 0.0)
     score = 2.0 * float(np.sum(quad.weights[incoherent]))
-    return IdentificationReport(
-        axis=axis,
-        mass_plus=mass_plus,
-        mass_minus=-mass_plus,
-        violation_score=score,
-        threshold=threshold,
-    )
+    return IdentificationReport(axis=axis, mass_plus=mass_plus, violation_score=score, threshold=threshold)
 
 
 class CoefficientDensity:
@@ -794,12 +794,12 @@ class CoefficientDensity:
 
     def __init__(
         self,
-        truncation=3,
-        trimming_exponent=2.0,
-        family="riesz",
-        s=2.0,
-        l=3,
-        fx_truncation=10,
+        truncation=EstimatorConfig.truncation,
+        trimming_exponent=EstimatorConfig.trimming_exponent,
+        family=EstimatorConfig.family,
+        s=EstimatorConfig.s,
+        l=EstimatorConfig.l,
+        fx_truncation=EstimatorConfig.fx_truncation,
     ):
         self.truncation = truncation
         self.trimming_exponent = trimming_exponent
@@ -809,8 +809,7 @@ class CoefficientDensity:
         self.fx_truncation = fx_truncation
 
     def get_params(self, deep=True):
-        names = list(inspect.signature(type(self).__init__).parameters)[1:]
-        return {name: getattr(self, name) for name in names}
+        return {f.name: getattr(self, f.name) for f in fields(EstimatorConfig)}
 
     def set_params(self, **params):
         for name, value in params.items():

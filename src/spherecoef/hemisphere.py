@@ -16,7 +16,6 @@ open hemisphere are recoverable from their odd part alone.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -24,11 +23,6 @@ from .kernels import HarmonicMixture, _check_degree_dim
 from .sphere import surface_area
 
 __all__ = ["eigenvalue", "transform", "invert"]
-
-
-def _lower_area(d):
-    """|S^{d-2}|, valid down to d = 2 (|S^0| = 2)."""
-    return 2.0 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
 
 
 def eigenvalue(n, d):
@@ -39,10 +33,16 @@ def eigenvalue(n, d):
     if n % 2 == 0:
         return 0.0
     p = (n - 1) // 2
-    val = _lower_area(d) / (d - 1)
+    val = surface_area(d - 1) / (d - 1)
     for j in range(1, p + 1):
         val *= -(2.0 * j - 1.0) / (d + 2.0 * j - 1.0)
     return val
+
+
+def _eigenvalues(max_degree, d):
+    """The eigenvalues of degrees 0..max_degree on S^{d-1}, as a row: the
+    one row that every spectral use of the operator reads."""
+    return np.array([eigenvalue(n, d) for n in range(max_degree + 1)])
 
 
 def _require_odd(g):
@@ -55,16 +55,11 @@ def _require_odd(g):
         )
 
 
-def _eigenvalues(g):
-    """The eigenvalues of degrees 0..g.max_degree, as a row."""
-    return np.array([eigenvalue(n, g.dimension) for n in range(g.max_degree + 1)])
-
-
 def transform(g):
     """Apply the operator to an odd band-limited expansion (exact, spectral):
     the mixture with its coefficient row times the eigenvalue row."""
     _require_odd(g)
-    return dataclasses.replace(g, degree_coeffs=g.degree_coeffs * _eigenvalues(g))
+    return dataclasses.replace(g, degree_coeffs=g.degree_coeffs * _eigenvalues(g.max_degree, g.dimension))
 
 
 def invert(g):
@@ -75,5 +70,5 @@ def invert(g):
     may carry one, and its eigenvalue is 0."""
     _require_odd(g)
     c = g.degree_coeffs
-    inverted = np.divide(c, _eigenvalues(g), out=np.zeros_like(c), where=c != 0.0)
+    inverted = np.divide(c, _eigenvalues(g.max_degree, g.dimension), out=np.zeros_like(c), where=c != 0.0)
     return dataclasses.replace(g, degree_coeffs=inverted)

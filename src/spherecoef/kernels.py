@@ -188,14 +188,19 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
 
 
 def _cosine_blocks(anchors, points):
-    """The one block loop: yields (rows, t, work) with t[k, i] = a_i'b_k
-    clipped to [-1, 1], for the anchors a_i and the points b_k in the
-    slice rows of the (m, d) batch points, about EVAL_CHUNK cosines a
-    block, and work, room for gegenbauer.chebyshev's buffers.  Every block
-    reuses the same two arrays, so t is overwritten by the next block: a
-    fresh 128 KB array per block can come from a page-faulting mapping,
-    depending on what the allocator last freed, and that made evaluation
-    up to three times slower per point."""
+    """The block loop of every evaluation and sum: yields (rows, t, work)
+    with t[k, i] = a_i'b_k clipped to [-1, 1], for the anchors a_i and
+    the points b_k in the slice rows of the (m, d) batch points, about
+    EVAL_CHUNK cosines a block, and work, room for gegenbauer.chebyshev's
+    buffers.  Every block reuses the same two arrays, so t is overwritten
+    by the next block: a fresh 128 KB array per block can come from a
+    page-faulting mapping, depending on what the allocator last freed, and
+    that made evaluation up to three times slower per point.
+
+    The fundamental system's Gram matrices keep their own loop, over the
+    lower triangle only (eigh reads no more): built through this one, the
+    d = 4, degree-24 Gram matrices took 0.20 s against 0.13-0.16 s, and
+    their entries moved by up to 5.8e-13 (one BLAS thread)."""
     chunk_size = max(1, EVAL_CHUNK // max(1, anchors.shape[0]))
     block = np.empty((min(chunk_size, points.shape[0]), anchors.shape[0]))
     work = np.empty(4 * block.size)

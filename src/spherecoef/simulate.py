@@ -203,7 +203,6 @@ class SimulationDraw:
     """One realized dataset plus the latent draws behind it."""
 
     sample: ChoiceSample
-    spec: DgpSpec
     covariates: np.ndarray
     raw_coefficients: np.ndarray
 
@@ -234,12 +233,7 @@ def generate(spec):
         raise ValueError("the latent index x'beta overflows a float: mixture_means or mixture_covs is too large")
     y = (index >= 0.0).astype(np.int64)
     x = x_raw / norms
-    return SimulationDraw(
-        sample=ChoiceSample(y=y, x=x),
-        spec=spec,
-        covariates=xt,
-        raw_coefficients=g,
-    )
+    return SimulationDraw(sample=ChoiceSample(y=y, x=x), covariates=xt, raw_coefficients=g)
 
 
 def _pushforward_values(pdf, pivot, others, d, scale=1.0):

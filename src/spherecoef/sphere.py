@@ -37,10 +37,11 @@ def surface_area(d):
     Parameters
     ----------
     d : int
-        Ambient dimension, d >= 2 (d=2 gives the circle, 2*pi).
+        Ambient dimension, d >= 1 (d=2 gives the circle, 2*pi; d=1 the
+        two points +-1, exactly 2).
     """
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
+    if int(d) != d or d < 1:
+        raise ValueError(f"dimension must be an integer >= 1, got {d}")
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
@@ -52,11 +53,9 @@ def coarea_factor(k, rho):
     integrated coordinates, the surface measure is rho^{k-2} dv dsigma(u)
     (the coarea formula).  So the marginal density of v is
     rho^{k-2} |S^{k-1}| times the mean of the joint density over the
-    slice, and this is that factor; |S^0| = 2 (the two points +-1).
+    slice, and this is that factor.
     """
-    if int(k) != k or k < 1:
-        raise ValueError(f"slice dimension must be an integer >= 1, got {k}")
-    return rho ** (k - 2) * (2.0 if k == 1 else surface_area(k))
+    return surface_area(k) * rho ** (k - 2)
 
 
 def normalize(v):

@@ -13,8 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss, legfit, legroots
 from scipy import stats
-from scipy.special import roots_legendre
 
 import oracles
 from spherecoef import hemisphere
@@ -152,6 +152,21 @@ def test_criterion_3_spectral_round_trip(capsys):
     assert worst_lap <= 1e-9
 
 
+def _l1_norm_on_s2(spec):
+    """The L1 norm of a zonal kernel on S^2, 2 pi int_{-1}^{1} |K(t)| dt,
+    exactly: K is a polynomial of degree T, so its Legendre series (an
+    interpolant on T + 1 Gauss nodes) gives its real roots in (-1, 1), and
+    on each piece between them |K| is +-K, which 40 Gauss-Legendre nodes
+    integrate exactly up to degree 79."""
+    t, _ = leggauss(spec.degree + 1)
+    roots = legroots(legfit(t, kernel_eval(spec, t), spec.degree))
+    inside = roots.real[(roots.imag == 0.0) & (np.abs(roots.real) < 1.0)]
+    edges = np.concatenate([[-1.0], np.sort(inside), [1.0]])
+    g, w = leggauss(40)
+    half, mid = np.diff(edges)[:, None] / 2.0, (edges[:-1] + edges[1:])[:, None] / 2.0
+    return 2.0 * np.pi * float(np.sum(half * w * np.abs(kernel_eval(spec, mid + half * g))))
+
+
 def test_criterion_4_kernel_norm_boundedness(capsys):
     """Tapered kernels keep a bounded L1 norm as the cutoff grows (their
     norm increments shrink to zero), while the untapered projection kernel's
@@ -163,17 +178,11 @@ def test_criterion_4_kernel_norm_boundedness(capsys):
     which separate the two regimes cleanly: shrinking for the tapered
     families, growing for the untapered one.
     """
-    nodes, wts = roots_legendre(20001)
     cutoffs = np.array([4, 8, 16, 32, 64])
-    norms = {}
-    for family in ("riesz", "delayed_means", "dirichlet"):
-        vals = []
-        for cutoff in cutoffs:
-            spec = KernelSpec(family=family, degree=int(cutoff), dimension=3)
-            kt = kernel_eval(spec, nodes)
-            # zonal kernel on S^2: the L1 norm reduces to a 1-D integral
-            vals.append(2.0 * np.pi * float(np.sum(wts * np.abs(kt))))
-        norms[family] = np.array(vals)
+    norms = {
+        family: np.array([_l1_norm_on_s2(KernelSpec(family, int(cutoff), 3)) for cutoff in cutoffs])
+        for family in ("riesz", "delayed_means", "dirichlet")
+    }
     bound = 3.0
     bounded_ok = True
     pvals = {}

@@ -570,6 +570,48 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert not list(tmp_path.glob("out.csv*"))
 
 
+# A config value the CLI refuses, the command that reads it, and its
+# refusal after the file-and-line prefix; the config puts a comment, a
+# section header and a blank line above the value, on line 4.
+_REFUSED_VALUES = {
+    "n_obs": (["simulate"], "model", "n_obs = abc", "n_obs must be an integer, got 'abc'"),
+    "truncation": (
+        ["estimate", "{data}"], "estimator", "truncation = 0", "truncation must be an integer in [1, 64], got 0"
+    ),
+    "n_grid": (["bench"], "bench", "n_grid = 10 x", "bench n_grid entry must be an integer, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_VALUES))
+def test_refused_config_value_names_its_file_and_line(tmp_path, capsys, case):
+    argv, section, line, message = _REFUSED_VALUES[case]
+    data = str(tmp_path / "data.csv")
+    ini = _write(tmp_path / "m.ini", "[model]\nn_obs = 60\n")
+    assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "1"]) == 0
+    config = _write(tmp_path / "c.ini", f"# refused\n[{section}]\n\n{line}\n")
+    capsys.readouterr()
+    out = str(tmp_path / "out.csv")
+    assert cli.main([a.format(data=data) for a in argv] + ["--config", config, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {config}: line 4: {message}\n"
+    assert not list(tmp_path.glob("out.csv*"))
+
+
+def test_config_values_are_still_their_strings(tmp_path):
+    """A value read from a file compares equal to its text and feeds
+    build_dgp as a default does; only a refusal reads where it came from."""
+    path = _write(tmp_path / "c.ini", "[model]\n  n_obs = 64\n\n# the design\npreset : model_2\n")
+    cfg = cli.load_config(path)
+    assert cfg["model"]["n_obs"] == "64" and cfg["model"]["preset"] == "model_2"
+    assert [cli._where(cfg["model"][key]) for key in ("n_obs", "preset", "fixed_value")] == [
+        f"{path}: line 2: ",
+        f"{path}: line 5: ",
+        "",
+    ]
+    spec = cli.build_dgp(cfg["model"], seed=1)
+    assert spec.n_obs == 64
+    assert np.array_equal(spec.coefficients.means, DgpSpec.model_2().coefficients.means)
+
+
 @pytest.mark.parametrize("family", ["dirichlet", "delayed_means"])
 @pytest.mark.parametrize("s", ["inf", "nan"])
 def test_diagnose_without_out_refuses_non_finite_s(tmp_path, capsys, family, s):
@@ -583,7 +625,8 @@ def test_diagnose_without_out_refuses_non_finite_s(tmp_path, capsys, family, s):
     assert cli.main(["diagnose", data, "--config", config]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: s must be finite") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {config}: line 2: s must be finite")
+    assert captured.err.count("\n") == 1
 
 
 # Band limits far above kernels.MAX_DEGREE, keyed by the name their
@@ -628,7 +671,7 @@ def test_huge_band_limit_exits_2_before_allocating(tmp_path, key):
     code, peak = map(int, done.stdout.split())
     assert code == 2
     assert peak < 1 << 20
-    assert done.stderr.startswith(f"error: {key} ") and done.stderr.count("\n") == 1
+    assert done.stderr.startswith(f"error: {config}: line 2: {key} ") and done.stderr.count("\n") == 1
     assert not list(tmp_path.glob("out.csv*"))
 
 

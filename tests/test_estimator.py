@@ -195,6 +195,20 @@ def test_density_hand_value_on_circle_riesz():
     assert est.density(np.array([1.0, 0.0])) == pytest.approx(0.512 / math.pi, rel=1e-13)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["riesz", "delayed_means", "dirichlet"])
+def test_fit_coefficients_are_filter_over_eigenvalue(d, family):
+    """A fit's coefficient row holds chi(m) / (lambda_m N) at odd m and 0
+    at even m, bit for bit, with lambda_m the scalar eigenvalue."""
+    n_obs = 7
+    cfg = EstimatorConfig(truncation=4, family=family, fx_truncation=8)
+    coeffs = estimate_fbeta(_random_sample(d, n_obs, seed=d), cfg, fx=np.ones(n_obs)).odd.degree_coeffs
+    chi = cfg.main_kernel(d).chi()
+    assert coeffs.shape == (2 * cfg.truncation,)
+    for m, c in enumerate(coeffs):
+        assert c == (chi[m] / (hemisphere.eigenvalue(m, d) * n_obs) if m % 2 else 0.0)
+
+
 # ------------------------------------------------------ weights / trimming
 
 
@@ -973,6 +987,27 @@ def test_diagnostic_minus_mass_is_exact_negative():
     assert report.mass_minus == -report.mass_plus
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_diagnostic_equals_the_transformed_mixture_route(d):
+    """The diagnostic forms the transform's series row from the eigenvalue
+    row without building the transformed mixture; its report is the one
+    that hemisphere.transform(odd).series_coeffs() gives, bit for bit."""
+    s = generate(DgpSpec.model_1(n_obs=300, seed=4)).sample if d == 3 else _random_sample(d, 300, seed=40 + d)
+    odd = estimate_fbeta(s, EstimatorConfig(truncation=4)).odd
+    quad = build_quadrature(d, 16, seed=0)
+    report = identification_diagnostic(odd, quad=quad)
+    odd_vals, hemi_vals = odd.evaluate_series(
+        quad.points, [odd.series_coeffs(), hemisphere.transform(odd).series_coeffs()]
+    )
+    masses = hemi_vals / surface_area(d)
+    best = int(np.argmax(masses))
+    assert np.array_equal(report.axis, quad.points[best])
+    assert report.mass_plus == masses[best] and report.mass_minus == -masses[best]
+    threshold = max(estimator.POSITIVITY_CUTOFF * float(np.max(odd_vals, initial=0.0)), 1e-12)
+    assert report.threshold == threshold
+    assert report.violation_score == 2.0 * float(np.sum(quad.weights[(odd_vals > threshold) & (hemi_vals < 0.0)]))
+
+
 def test_diagnostic_flags_antipodally_symmetric_coefficients():
     """Coefficients drawn from an even density (antipodal caps with random
     sign flips) break the one-hemisphere assumption; the odd part of the
@@ -1163,6 +1198,10 @@ def test_coefficient_density_queries_take_rows_as_fit_does():
     for query in ("density", "odd_density", "standard_error", "confidence_interval", "predict_proba", "predict"):
         with pytest.raises(RuntimeError, match="call fit"):
             getattr(CoefficientDensity(), query)(unit)
+
+
+def test_coefficient_density_defaults_are_the_config_defaults():
+    assert CoefficientDensity().get_params() == dataclasses.asdict(EstimatorConfig())
 
 
 def test_coefficient_density_params_mirror_config():

@@ -52,6 +52,15 @@ def test_eigenvalue_validation():
         hemisphere.eigenvalue(2, 1)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_eigenvalue_row_is_the_scalar_eigenvalues(d):
+    """The one eigenvalue row that transform, invert, the fit and the
+    diagnostic read holds eigenvalue(n, d) bit for bit."""
+    row = hemisphere._eigenvalues(25, d)
+    assert row.shape == (26,)
+    assert [float(v) for v in row] == [hemisphere.eigenvalue(n, d) for n in range(26)]
+
+
 def _random_odd_mixture(d, max_degree, seed, n_anchors=5):
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(max_degree + 1)

@@ -93,7 +93,7 @@ _REMOVED = {
         "projector_kernel",
         "laplacian_eigenvalue",
     ],
-    "hemisphere": ["invert_by_laplacian"],
+    "hemisphere": ["invert_by_laplacian", "_lower_area"],
     "gegenbauer": ["eval_all", "sweep"],
     "sphere": ["angle_between"],
     "estimator": ["SELF_SUMS_BLOCK", "fx_self_evaluation", "FxSelfEvaluation", "_leave_in_values"],
@@ -122,6 +122,12 @@ def test_removed_names_are_gone():
 
     assert not hasattr(estimator.ChoiceProbabilityEstimate, "coefficient_odd_part")
     assert not hasattr(SimulationDraw, "true_fx") and not hasattr(SimulationDraw, "true_fbeta")
+    # state nothing read: the fit's kernel, the draw's design, and a minus
+    # mass that is always -mass_plus (now a property)
+    assert [f.name for f in dataclasses.fields(estimator.FxEstimate)] == ["mixture"]
+    assert [f.name for f in dataclasses.fields(SimulationDraw)] == ["sample", "covariates", "raw_coefficients"]
+    fields = [f.name for f in dataclasses.fields(estimator.IdentificationReport)]
+    assert fields == ["axis", "mass_plus", "violation_score", "threshold"]
     # weights and trimming_floor are read from the mixture and the config
     fields = {f.name for f in dataclasses.fields(estimator.DensityEstimate)}
     assert fields == {"odd", "config", "fx_values", "fx_band", "sample"}

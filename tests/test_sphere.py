@@ -27,7 +27,13 @@ def test_surface_area_known_values():
         )
 
 
-@pytest.mark.parametrize("bad", [1, 0, -3, 2.5])
+def test_surface_area_of_the_zero_sphere_is_two():
+    """S^0 is the two points +-1: the formula gives exactly 2, the lower
+    area that the hemisphere eigenvalues and the coarea factor read."""
+    assert surface_area(1) == 2.0
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5])
 def test_surface_area_rejects_bad_dimension(bad):
     with pytest.raises(ValueError):
         surface_area(bad)
