@@ -102,19 +102,20 @@ def _where(text):
 
 def _key_lines(text, section_header):
     """{(section, key): line} for an INI text that configparser has read,
-    by its rules: blank and whole-line comment lines are skipped, a line
-    indented deeper than the key above it continues that key's value, and
-    a key is the text before its first = or :, lower-cased."""
+    key None for the section's header, by its rules: blank and whole-line
+    comment lines are skipped, a line indented deeper than the key above
+    it continues that key's value, and a key is the text before its first
+    = or :, lower-cased."""
     lines, section, indent = {}, None, None
     for number, line in enumerate(text.split("\n"), start=1):
         value, depth = line.strip(), len(line) - len(line.lstrip())
         if not value or value[0] in "#;" or (indent is not None and depth > indent):
             continue
         if header := section_header.match(value):
-            section, indent = header.group("header"), None
+            section, key, indent = header.group("header"), None, None
         else:
-            key = value.replace(":", "=").split("=", 1)[0]
-            lines[section, key.rstrip().lower()], indent = number, depth
+            key, indent = value.replace(":", "=").split("=", 1)[0].rstrip().lower(), depth
+        lines[section, key] = number
     return lines
 
 
@@ -143,7 +144,8 @@ def load_config(path):
     if path is None:
         return cfg
     text = _read_text(path, "config ")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no [...] header spells "", so [DEFAULT] is a section refused as unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
@@ -156,12 +158,12 @@ def load_config(path):
     lines = _key_lines(text, parser.SECTCRE)
     for section in parser.sections():
         if section not in cfg:
-            raise CliError(f"unknown config section [{section}]")
+            raise CliError(f"{path}: line {lines[section, None]}: unknown config section [{section}]")
         for key, value in parser.items(section):
+            where = f"{path}: line {lines[section, key]}: "
             if key not in cfg[section]:
-                raise CliError(f"unknown config key {key!r} in section [{section}]")
-            line = lines.get((section, key))  # None for a [DEFAULT] key
-            cfg[section][key] = _Setting(value, f"{path}: line {line}: " if line else "")
+                raise CliError(f"{where}unknown config key {key!r} in section [{section}]")
+            cfg[section][key] = _Setting(value, where)
     return cfg
 
 

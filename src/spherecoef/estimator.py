@@ -589,9 +589,9 @@ def standard_error(estimate, points):
     """Pointwise standard error scale of the density estimate.
 
     On the positive region the estimate at b is 2/N * sum_i Z_i(b), so the
-    returned value is 2 * sd(Z_i(b)) with ddof=1.  Divide by sqrt(N) for
-    the half-width scale of a normal confidence interval (see
-    confidence_interval, which does that and applies the quantile).
+    returned value is 2 * sd(Z_i(b)) with ddof=1, read from per-degree sums
+    (_odd_and_spread).  Divide by sqrt(N) for the half-width scale of a
+    normal confidence interval (confidence_interval applies the quantile).
     """
     _, spread = _odd_and_spread(estimate, points)
     return float(spread[0]) if np.ndim(points) == 1 else spread
@@ -599,14 +599,24 @@ def standard_error(estimate, points):
 
 def _odd_and_spread(fit, points):
     """The fit's odd part and its standard error scale 2 N sd(Z_i) at the
-    points, as two (m,) arrays from one pass over its per-anchor terms."""
+    points, as two (m,) arrays from one degree_sums sweep to degree 2D,
+    for g the odd part's series of top degree D: the odd degrees weighted
+    by w_i give the odd part S1 = sum_i w_i g(x_i'b), and the even ones,
+    weighted by w_i^2, give S2 = sum_i w_i^2 g(x_i'b)^2 from the squared
+    series (gegenbauer.squared_series).  Then N sd(Z_i) = N sqrt((S2 -
+    S1^2 / N) / (N - 1)), the difference clipped at 0 against rounding."""
     if fit.n_obs < 2:
         raise ValueError("standard error needs at least 2 observations")
-    odd, spread = [np.empty(0)], [np.empty(0)]
-    for _, terms in fit.odd.terms(points):
-        odd.append(terms @ fit.weights)
-        spread.append(2.0 * fit.n_obs * np.std(terms * fit.weights, axis=1, ddof=1))
-    return np.concatenate(odd), np.concatenate(spread)
+    pts = check_on_sphere(points, d=fit.dimension, tol=1e-8)
+    series = fit.odd.series_coeffs()
+    coeffs = gegenbauer.squared_series((fit.dimension - 2) / 2.0, series)
+    coeffs[1::2] = np.pad(series, (0, series.size - 1))[1::2]  # the square is even
+    used = coeffs != 0.0
+    weights = np.stack((fit.weights * fit.weights, fit.weights))  # even, odd degrees
+    sums, odd = degree_sums(fit.anchors, weights, pts, used), np.flatnonzero(used) % 2 == 1
+    # parities reduced apart, as evaluate_series does: S1 is the odd part bit for bit
+    (s1,), (s2,) = (coeffs[None, used][:, part] @ sums[part] for part in (odd, ~odd))
+    return s1, 2.0 * fit.n_obs * np.sqrt(np.maximum(s2 - s1 * s1 / fit.n_obs, 0.0) / (fit.n_obs - 1))
 
 
 def confidence_interval(estimate, points, level=0.95):
@@ -614,16 +624,14 @@ def confidence_interval(estimate, points, level=0.95):
 
     Returns (lower, upper) arrays (floats at a single point): fit.density
     +- z * standard_error(fit) / sqrt(N) with z the two-sided normal
-    quantile for the given level, the lower bound clipped at 0.  A density
-    is never negative, so where the estimate is clipped to 0 (or its
-    interval would reach below 0) the lower bound is 0; the upper bound is
-    left as it is.  The fit is estimate.inference when the estimate has
-    one (a plug-in fit, which builds it on the first call; see
-    DensityEstimate), and the estimate itself otherwise.  The inference fit's finer, leave-one-out covariate
-    density removes most of the smoothing bias that would shift an
-    interval centred on the point estimate away from the truth.  The
-    centre and the standard error come from one pass over the fit's
-    per-anchor terms, so each block of cosines is swept once.
+    quantile for the given level, and the lower bound clipped at 0 (a
+    density is never negative); centre and standard error come from one
+    degree_sums sweep (_odd_and_spread).  The fit is estimate.inference
+    when the estimate has one (a plug-in fit, which builds it on the first
+    call; see DensityEstimate), and the estimate itself otherwise: its
+    finer, leave-one-out covariate density removes most of the smoothing
+    bias that would shift an interval centred on the point estimate away
+    from the truth.
     """
     # statistics is imported here so that import spherecoef does not load it
     from statistics import NormalDist

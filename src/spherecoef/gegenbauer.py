@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-__all__ = ["chebyshev", "connection", "eval_at_one", "series_eval"]
+__all__ = ["chebyshev", "connection", "eval_at_one", "series_eval", "squared_series"]
 
 
 def chebyshev(top, t, work=None):
@@ -91,6 +91,18 @@ def connection(nu, top):
             table[n, n - 2 * k] = at_one * (weight / 2.0 if 2 * k == n else weight)
     table.setflags(write=False)
     return table
+
+
+def squared_series(nu, coeffs):
+    """Gegenbauer coefficients a_0..a_{2D} of (sum_n coeffs[n] C_n^nu)^2,
+    D = coeffs.size - 1: connection maps the series to Chebyshev
+    coefficients, chebmul squares them, and one triangular solve against
+    connection(nu, 2D) (transposed, so upper triangular) maps them back."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    cheb = coeffs @ connection(nu, coeffs.size - 1)
+    square = np.polynomial.chebyshev.chebmul(cheb, cheb)  # trailing zeros trimmed
+    top = 2 * (coeffs.size - 1)
+    return np.linalg.solve(connection(nu, top).T, np.pad(square, (0, top + 1 - square.size)))
 
 
 def series_eval(nu, coeffs, t):

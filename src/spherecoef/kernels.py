@@ -33,7 +33,7 @@ __all__ = [
 
 _FAMILIES = ("riesz", "delayed_means", "dirichlet")
 
-# Cosines per block of _cosine_blocks, for evaluation and self-sums alike.
+# Cosines per block of chebyshev_sums, for evaluation and self-sums alike.
 # Each block-sized array of the Chebyshev sweep (the cosines, 2t and the
 # three rolling buffers) is then 128 KB, 640 KB together, so they stay in
 # cache; blocks of millions of cosines were two to three times slower per
@@ -187,20 +187,29 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
     return np.where(inside, table, 0.0)
 
 
-def _cosine_blocks(anchors, points):
-    """The block loop of every evaluation and sum: yields (rows, t, work)
-    with t[k, i] = a_i'b_k clipped to [-1, 1], for the anchors a_i and
-    the points b_k in the slice rows of the (m, d) batch points, about
-    EVAL_CHUNK cosines a block, and work, room for gegenbauer.chebyshev's
-    buffers.  Every block reuses the same two arrays, so t is overwritten
-    by the next block: a fresh 128 KB array per block can come from a
-    page-faulting mapping, depending on what the allocator last freed, and
-    that made evaluation up to three times slower per point.
+def chebyshev_sums(anchors, weights, points, flagged):
+    """Per-degree weighted Chebyshev sums E[j, k] = sum_i W[j, i]
+    T_j(a_i'b_k) of the (N, d) anchors a_i at the (m, d) points b_k, for
+    the Chebyshev degrees j flagged in the boolean array flagged.
 
-    The fundamental system's Gram matrices keep their own loop, over the
-    lower triangle only (eigh reads no more): built through this one, the
-    d = 4, degree-24 Gram matrices took 0.20 s against 0.13-0.16 s, and
-    their entries moved by up to 5.8e-13 (one BLAS thread)."""
+    weights is one (N,) vector, or p rows with W[j] = weights[j % p] (one
+    per Chebyshev degree, or two: even and odd).  Returns a (u, m) array
+    with one row per flagged degree, in increasing order.  Each block of
+    about EVAL_CHUNK cosines goes through one gegenbauer.chebyshev sweep
+    up to the highest flagged degree, and each flagged degree is reduced
+    by one matrix-vector product with its weights.
+    """
+    degrees = np.flatnonzero(flagged).tolist()
+    out = np.empty((len(degrees), points.shape[0]))
+    if not degrees:
+        return out
+    slot = {j: k for k, j in enumerate(degrees)}
+    rows_of = np.atleast_2d(weights)
+    # Every block reuses one array for the cosines and one for the sweep: a
+    # fresh 128 KB array per block can come from a page-faulting mapping,
+    # which made evaluation up to three times slower per point.  The Gram
+    # matrices of the fundamental system keep their own loop over the lower
+    # triangle: through this one, d = 4, degree 24 took 0.20 s, not 0.13 s.
     chunk_size = max(1, EVAL_CHUNK // max(1, anchors.shape[0]))
     block = np.empty((min(chunk_size, points.shape[0]), anchors.shape[0]))
     work = np.empty(4 * block.size)
@@ -208,31 +217,10 @@ def _cosine_blocks(anchors, points):
         rows = slice(start, start + chunk_size)
         cosines = block[: min(chunk_size, points.shape[0] - start)]
         np.matmul(points[rows], anchors.T, out=cosines)
-        yield rows, np.clip(cosines, -1.0, 1.0, out=cosines), work
-
-
-def chebyshev_sums(anchors, weights, points, flagged):
-    """Per-degree weighted Chebyshev sums E[j, k] = sum_i W[j, i]
-    T_j(a_i'b_k) of the (N, d) anchors a_i at the (m, d) points b_k, for
-    the Chebyshev degrees j flagged in the boolean array flagged.
-
-    weights is one (N,) vector, W[j] = weights for every degree, or one
-    row per Chebyshev degree, W[j] = weights[j].  Returns a (u, m) array
-    with one row per flagged degree, in increasing order.  Each block of
-    cosines goes through one gegenbauer.chebyshev sweep up to the highest
-    flagged degree, and each flagged degree is reduced by one
-    matrix-vector product with its weights.
-    """
-    degrees = np.flatnonzero(flagged).tolist()
-    out = np.empty((len(degrees), points.shape[0]))
-    if not degrees:
-        return out
-    slot = {j: k for k, j in enumerate(degrees)}
-    rows_of = weights if np.ndim(weights) == 2 else [weights] * (degrees[-1] + 1)
-    for rows, cosines, work in _cosine_blocks(anchors, points):
+        np.clip(cosines, -1.0, 1.0, out=cosines)
         for j, values in enumerate(gegenbauer.chebyshev(degrees[-1], cosines, work)):
             if j in slot:
-                out[slot[j], rows] = values @ rows_of[j]
+                out[slot[j], rows] = values @ rows_of[j % len(rows_of)]
     return out
 
 
@@ -240,7 +228,8 @@ def degree_sums(anchors, weights, points, used):
     """Per-degree weighted sums D[n, k] = sum_i weights[i] C_n^nu(a_i'b_k)
     of the (N, d) anchors a_i at the (m, d) points b_k, for the degrees n
     flagged in the boolean array used, with nu = (d - 2)/2 for the points'
-    d.
+    d.  weights is one (N,) vector or, as in chebyshev_sums, p rows, row
+    j % p for Chebyshev degree j; C_n reads only those of n's parity.
 
     Returns a (u, m) array with one row per flagged degree, in increasing
     order.  The anchors go in chunks (ANCHOR_CHUNK) through chebyshev_sums,
@@ -264,7 +253,7 @@ def degree_sums(anchors, weights, points, used):
     chunk = max(ANCHOR_CHUNK, EVAL_CHUNK // max(1, points.shape[0]))
     for start in range(0, anchors.shape[0], chunk):
         part = slice(start, start + chunk)
-        out += table @ chebyshev_sums(anchors[part], weights[part], points, read)
+        out += table @ chebyshev_sums(anchors[part], weights[..., part], points, read)
     return out
 
 
@@ -283,10 +272,9 @@ class HarmonicMixture:
     every such statistic is one row of coefficients against the same
     per-degree sums D[n, k] = sum_i weights[i] C_n^nu(x_i'b_k)
     (degree_sums): evaluate_series takes them for each degree that carries
-    a coefficient and applies any number of coefficient rows to them.
-    terms keeps the per-anchor values, for statistics that need more than
-    their weighted sum (the standard error).  Both check query points at
-    one tolerance, |norm - 1| <= 1e-8.
+    a coefficient and applies any number of coefficient rows to them (the
+    standard error reads such sums too).  Query points are checked at one
+    tolerance, |norm - 1| <= 1e-8.
 
     weights is kept as passed when it is already a float array, not copied:
     a DensityEstimate's odd mixture holds the fit's own weights array, and
@@ -324,16 +312,6 @@ class HarmonicMixture:
         degree_coeffs[n] times the projector constant of degree n, so that
         g(b) = sum_n series_coeffs()[n] sum_i weights[i] C_n^nu(x_i'b)."""
         return projector_constants(self.max_degree, self.dimension, self.degree_coeffs)
-
-    def terms(self, points):
-        """Per-anchor terms, block by block: yields (rows, T) with
-        T[k, i] = sum_n degree_coeffs[n] q_n(x_i, b_k) for the points b_k
-        in the slice rows of the (m, d) batch; the mixture is T @ weights."""
-        pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
-        coeffs = self.series_coeffs()
-        nu = (self.dimension - 2) / 2.0
-        for rows, cosines, work in _cosine_blocks(self.anchors, pts):
-            yield rows, gegenbauer._series_eval(nu, coeffs, cosines, work)
 
     def evaluate_series(self, points, series):
         """Evaluate several Gegenbauer series over these anchors and

@@ -4,9 +4,8 @@ Unlike oracles.py, this module imports spherecoef: each helper composes
 kernels.projector_constants, KernelSpec.chi, gegenbauer.series_eval,
 gegenbauer.chebyshev and gegenbauer.connection, so its values are
 bit-identical to the package's
-arithmetic.  Tests use them to evaluate single zonal kernels,
-polynomial tables and per-observation summands that the runtime never
-forms on its own.
+arithmetic.  Tests use them to evaluate single zonal kernels and
+polynomial tables that the runtime never forms on its own.
 """
 
 from __future__ import annotations
@@ -49,10 +48,3 @@ def eval_all(nu, max_degree, t):
                 out[n] += values * table[n, j]
     return out
 
-
-def z_values(est, point):
-    """Per-observation summands Z_i of a fit at a single point b: its odd
-    part there is their mean, (1/N) sum_i Z_i(b), and its density twice
-    that where positive."""
-    ((_, terms),) = est.odd.terms(point)
-    return est.n_obs * terms[0] * est.weights

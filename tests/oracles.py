@@ -25,6 +25,7 @@ __all__ = [
     "explicit_eval",
     "gegenbauer_at_one",
     "gegenbauer_recurrence",
+    "gegenbauer_series",
     "gegenbauer_explicit_bound",
     "harmonic_dim",
     "exact_sphere_rule",
@@ -36,7 +37,10 @@ __all__ = [
     "loo_covariate_density",
     "lscv_score",
     "direct_density_estimate",
+    "anchor_terms",
     "mixture_by_terms",
+    "z_values",
+    "standard_error_long_double",
     "project",
     "transform_by_quadrature",
     "invert_by_laplacian",
@@ -134,14 +138,37 @@ def gegenbauer_recurrence(nu, max_degree, t):
     C_n(1)).  The nu = 0 family, (2/n) T_n, starts from C_1 = 2t and
     C_2 = 2t^2 - 1 instead, and follows the same recurrence from degree
     3 on.  Entry [n] has t's shape."""
-    import mpmath
-
     t = np.asarray(t, dtype=float)
     top = int(max_degree)
     out = np.empty((top + 1, t.size))
+    for i, column in enumerate(_recurrence_columns(nu, top, t)):
+        out[:, i] = [float(v) for v in column]
+    return out.reshape((top + 1,) + t.shape)
+
+
+def gegenbauer_series(nu, coeffs, t, power=1):
+    """(sum_n coeffs[n] C_n^nu(t))^power at each float t, with the
+    C_n^nu(t) of gegenbauer_recurrence, the sum and the power all in
+    30-digit arithmetic and rounded once."""
+    import mpmath
+
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.size)
+    with mpmath.workdps(30):
+        for i, column in enumerate(_recurrence_columns(nu, len(coeffs) - 1, t)):
+            out[i] = float(mpmath.fsum(mpmath.mpf(float(c)) * v for c, v in zip(coeffs, column)) ** power)
+    return out.reshape(t.shape)
+
+
+def _recurrence_columns(nu, top, t):
+    """One list per entry of t: the 30-digit values C_0^nu, ...,
+    C_top^nu there, by gegenbauer_recurrence's recurrence."""
+    import mpmath
+
+    columns = []
     with mpmath.workdps(30):
         a = mpmath.mpf(float(nu))
-        for i, ti in enumerate(t.ravel()):
+        for ti in t.ravel():
             x = mpmath.mpf(float(ti))
             prev, cur = mpmath.mpf(1), (2 if nu == 0 else 2 * a) * x
             column = [prev, cur]
@@ -152,8 +179,8 @@ def gegenbauer_recurrence(nu, max_degree, t):
                     nxt = (2 * (a + m + 1) * x * cur - (2 * a + m) * prev) / (m + 2)
                 prev, cur = cur, nxt
                 column.append(cur)
-            out[:, i] = [float(v) for v in column[: top + 1]]
-    return out.reshape((top + 1,) + t.shape)
+            columns.append(column[: top + 1])
+    return columns
 
 
 def gegenbauer_at_one(nu, n):
@@ -355,14 +382,13 @@ def direct_density_estimate(y, x, b, fx_values, truncation, s=2.0, l=3,
     return odd, (2.0 * odd if odd > 0.0 else 0.0)
 
 
-def mixture_by_terms(mixture, points):
-    """A HarmonicMixture's value at (m, d) points (or one point) by the
-    per-anchor route: the (m, N) table of terms
-    T[k, i] = sum_n c_n h(n, d) C_n(x_i . b_k) / (|S^{d-1}| C_n(1)) over the
-    mixture's coefficients c_n, then T @ weights.  C_n(t) / C_n(1) is
-    cos(n arccos t) for d = 2 and scipy's Gegenbauer polynomial over the
-    rising factorial (2 nu)_n / n! otherwise.  Reads only the mixture's
-    dimension, anchors, weights and degree_coeffs."""
+def anchor_terms(mixture, points):
+    """A HarmonicMixture's (m, N) table of per-anchor terms at (m, d)
+    points (or one point), T[k, i] = sum_n c_n h(n, d) C_n(x_i . b_k) /
+    (|S^{d-1}| C_n(1)) over the mixture's coefficients c_n.
+    C_n(t) / C_n(1) is cos(n arccos t) for d = 2 and scipy's Gegenbauer
+    polynomial over the rising factorial (2 nu)_n / n! otherwise.  Reads
+    only the mixture's dimension, anchors and degree_coeffs."""
     from scipy.special import eval_gegenbauer
 
     d = mixture.dimension
@@ -376,8 +402,50 @@ def mixture_by_terms(mixture, points):
         else:
             ratio = eval_gegenbauer(n, nu, t) * (math.factorial(n) / rising_factorial(2.0 * nu, n))
         terms += (c * harmonic_dim(n, d) / sphere_area(d)) * ratio
-    out = terms @ np.asarray(mixture.weights)
+    return terms
+
+
+def mixture_by_terms(mixture, points):
+    """A HarmonicMixture's value at (m, d) points (or one point) by the
+    per-anchor route: anchor_terms(mixture, points) @ weights."""
+    out = anchor_terms(mixture, points) @ np.asarray(mixture.weights)
     return float(out[0]) if np.ndim(points) == 1 else out
+
+
+def z_values(fit, point):
+    """Per-observation summands Z_i = N T_i w_i of a density fit at one
+    point b, with T its odd mixture's anchor_terms: its odd part there is
+    their mean, (1/N) sum_i Z_i(b), and its density twice that where
+    positive.  Reads the fit's odd, weights and n_obs."""
+    return fit.n_obs * anchor_terms(fit.odd, point)[0] * np.asarray(fit.weights)
+
+
+def standard_error_long_double(fit, points):
+    """2 sd(Z_i(b)), ddof = 1, of a density fit's per-observation summands
+    at (m, d) points, with the (m, N) table of anchor_terms formed and
+    reduced in long double: cosines from the float inputs, C_n(t) / C_n(1)
+    by the three-term recurrence in nu (the Chebyshev one for d = 2), and
+    a two-pass variance.  Where long double is double, it is only a
+    double-precision reference."""
+    ld = np.longdouble
+    d, n_obs = fit.dimension, fit.n_obs
+    pts = _unit_rows(points, d).astype(ld)
+    t = np.clip(pts @ np.asarray(fit.anchors, dtype=ld).T, -1, 1)
+    nu = ld(d - 2) / 2
+    # C_{n-1} and C_n at t and at 1, from C_0 = 1 and C_1 = 2 nu t (T_1 = t)
+    prev, cur = np.ones_like(t), (t if nu == 0 else 2 * nu * t)
+    prev_one, cur_one = ld(1), (ld(1) if nu == 0 else 2 * nu)
+    terms = np.zeros_like(t)
+    for n, c in enumerate(fit.odd.degree_coeffs):
+        if n >= 2:
+            a, b = (ld(2), ld(1)) if nu == 0 else (2 * (n - 1 + nu) / n, (n + 2 * nu - 2) / n)
+            prev, cur = cur, a * t * cur - b * prev
+            prev_one, cur_one = cur_one, a * cur_one - b * prev_one
+        ratio = prev / prev_one if n == 0 else cur / cur_one
+        terms += ld(c) * harmonic_dim(n, d) / ld(sphere_area(d)) * ratio
+    z = n_obs * terms * np.asarray(fit.weights, dtype=ld)
+    centred = z - z.mean(axis=1, keepdims=True)
+    return (2 * np.sqrt((centred * centred).sum(axis=1) / (n_obs - 1))).astype(float)
 
 
 def _unit_rows(x, d):

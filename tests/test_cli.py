@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,8 +55,9 @@ def test_load_config_overrides_and_rejects(tmp_path):
     with pytest.raises(cli.CliError, match=f"^cannot parse config {latin1}: line 3: byte 0xe9 is not UTF-8$"):
         cli.load_config(str(latin1))
     for key in ("truncation_rule", "rate_constant"):  # the retired rate rule's keys
-        with pytest.raises(cli.CliError, match=f"^unknown config key '{key}'"):
-            cli.load_config(_write(tmp_path / "retired.ini", f"[estimator]\n{key} = 1\n"))
+        retired = _write(tmp_path / "retired.ini", f"[estimator]\n{key} = 1\n")
+        with pytest.raises(cli.CliError, match=f"^{re.escape(retired)}: line 2: unknown config key '{key}'"):
+            cli.load_config(retired)
     # configparser's multi-line messages, folded into one line naming the line
     broken = {
         "[model\nn_obs = 3\n": "line 1: expected a [section] header: '[model'",
@@ -464,6 +466,9 @@ _REFUSED = {
     "sample_negative_x0": (["estimate", "{negative}"], ""),
     "sample_norm_overflow": (["estimate", "{overflow}"], ""),
     "config_no_section_header": (["simulate"], "[model\nn_obs = 3\n"),
+    "config_default_section": (["simulate"], "[DEFAULT]\nn_obs = 7\n"),
+    "config_unknown_section": (["simulate"], "[model]\nn_obs = 60\n\n[models]\nn_obs = 3\n"),
+    "config_unknown_key": (["simulate"], "[model]\n# the sample size\nn_obz = 7\n"),
     "two_rows_fixed": (["estimate", "{two_rows}"], ""),
     "latin1_sample": (["estimate", "{latin1}"], ""),
     "latin1_points": (["estimate", "{data}"], "[grid]\npoints_file = {latin1_points}\n"),
@@ -529,6 +534,9 @@ _NAMED = {
     "sample_negative_x0": "negative.csv: line 3: x0 must be nonnegative",
     "sample_norm_overflow": "overflow.csv: line 2: covariate norm is 0 or overflows",
     "config_no_section_header": "c.ini: line 1: expected a [section] header",
+    "config_default_section": "c.ini: line 1: unknown config section [DEFAULT]",
+    "config_unknown_section": "c.ini: line 4: unknown config section [models]",
+    "config_unknown_key": "c.ini: line 3: unknown config key 'n_obz' in section [model]",
     "latin1_points": "latin1-pts.csv: line 2: byte 0xe9 is not UTF-8",
 }
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import z_values
 from spherecoef.estimator import (
     ChoiceSample,
     CoefficientDensity,
@@ -22,7 +21,7 @@ from spherecoef.estimator import (
     standard_error,
 )
 from spherecoef import estimator, gegenbauer, hemisphere, kernels
-from spherecoef.kernels import EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, projector_constants
+from spherecoef.kernels import ANCHOR_CHUNK, EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, projector_constants
 from spherecoef.simulate import DgpSpec, generate, true_fbeta_on_sphere
 from spherecoef.sphere import (
     build_quadrature,
@@ -675,7 +674,7 @@ def test_z_values_average_to_odd_part():
     s = _random_sample(3, 17, seed=13)
     est = estimate_fbeta(s, EstimatorConfig(truncation=2))
     b = sample_uniform(3, 1, seed=14)[0]
-    z = z_values(est, b)
+    z = oracles.z_values(est, b)
     assert z.shape == (17,)
     assert np.mean(z) == pytest.approx(est.odd_values(b), abs=1e-15)
 
@@ -684,7 +683,6 @@ def test_z_values_average_to_odd_part():
 _EVALUATORS = {
     "odd_values": lambda est, pts: est.odd_values(pts),
     "density": lambda est, pts: est.density(pts),
-    "z_values": lambda est, pts: z_values(est, pts[0]),
     "standard_error": lambda est, pts: standard_error(est, pts),
     "confidence_interval": lambda est, pts: confidence_interval(est, pts),
     "choice_probability": lambda est, pts: estimate_choice_probability(est.sample).evaluate(pts),
@@ -764,7 +762,7 @@ def test_standard_error_matches_manual():
     s = _random_sample(3, 40, seed=23)
     est = estimate_fbeta(s, EstimatorConfig(truncation=2))
     b = np.array([0.0, 0.0, 1.0])
-    manual = 2.0 * np.std(z_values(est, b), ddof=1)
+    manual = 2.0 * np.std(oracles.z_values(est, b), ddof=1)
     assert standard_error(est, b) == pytest.approx(manual, rel=1e-14)
     batch = standard_error(est, np.vstack([b, [0.0, 1.0, 0.0]]))
     assert batch.shape == (2,)
@@ -814,8 +812,7 @@ def test_confidence_interval_lower_bound_clipped_at_zero():
     assert hi == pytest.approx(0.112229457441485, rel=1e-12)
     pts = np.vstack([sample_uniform(3, 200, seed=2), pole])
     lo, hi = confidence_interval(est, pts)
-    odd = np.concatenate([terms @ fit.weights for _, terms in fit.odd.terms(pts)])
-    center = np.where(odd > 0.0, 2.0 * odd, 0.0)
+    center = fit.density(pts)
     half = z * standard_error(fit, pts) / math.sqrt(fit.n_obs)
     kept = center - half >= 0.0
     assert 0 < np.sum(kept) < pts.shape[0]
@@ -827,19 +824,20 @@ def test_confidence_interval_lower_bound_clipped_at_zero():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_fused_interval_matches_density_and_standard_error(d):
     """confidence_interval takes its centre and its standard error from one
-    pass over the per-anchor terms; the bounds equal the inference fit's
-    density +- z se / sqrt(N), the lower one clipped at 0, to 1e-13 of the
-    largest bound."""
+    sweep of per-degree sums; the centre is the inference fit's density,
+    bit for bit, and the bounds are that density +- z se / sqrt(N), the
+    lower one clipped at 0, also bit for bit."""
+    from statistics import NormalDist
+
     s = _random_sample(d, 400, seed=74 + d)
     est = estimate_fbeta(s, EstimatorConfig())
     fit = est.inference
     pts = sample_uniform(d, 300, seed=77 + d)
     lo, hi = confidence_interval(est, pts)
     center = fit.density(pts)
-    half = 1.959963984540054 * standard_error(fit, pts) / math.sqrt(fit.n_obs)
-    tol = 1e-13 * np.max(hi)
-    assert np.max(np.abs(hi - (center + half))) <= tol
-    assert np.max(np.abs(lo - np.maximum(center - half, 0.0))) <= tol
+    half = NormalDist().inv_cdf(0.975) * standard_error(fit, pts) / math.sqrt(fit.n_obs)
+    assert np.array_equal(hi, center + half)
+    assert np.array_equal(lo, np.maximum(center - half, 0.0))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -862,18 +860,42 @@ def test_standard_error_needs_two_observations():
         standard_error(trimmed, np.array([0.0, 0.0, 1.0]))
 
 
-def test_standard_error_blocks_match_per_point_loop():
-    """The batched standard error reads the odd mixture's per-anchor terms
-    block by block; across block boundaries it equals the per-point
-    definition 2 * sd(Z_i(b))."""
-    s = _random_sample(3, 300, seed=32)
-    est = estimate_fbeta(s, EstimatorConfig(truncation=3))
-    pts = sample_uniform(3, 130, seed=33)
-    per_block = EVAL_CHUNK // est.n_obs
-    assert pts.shape[0] > 2 * per_block  # at least two block boundaries
+# The default config, with the nearest power-of-two bands for delayed_means.
+_DEFAULT_BANDS = {
+    "riesz": EstimatorConfig(),
+    "dirichlet": EstimatorConfig(family="dirichlet"),
+    "delayed_means": EstimatorConfig(family="delayed_means", truncation=4, fx_truncation=8),
+}
+
+
+@pytest.mark.parametrize("family", list(_DEFAULT_BANDS))
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_standard_error_blocks_match_per_point_loop(d, family):
+    """The batched standard error reads per-degree sums, in anchor chunks
+    and point blocks; across both boundaries it equals the per-point
+    definition 2 * sd(Z_i(b)) over the per-observation summands
+    (oracles.z_values), to 1e-14 relative at every point."""
+    s = _random_sample(d, 300, seed=32)
+    est = estimate_fbeta(s, _DEFAULT_BANDS[family])
+    pts = sample_uniform(d, 130, seed=33)
+    assert est.n_obs > 2 * ANCHOR_CHUNK  # three anchor chunks
+    assert pts.shape[0] > EVAL_CHUNK // ANCHOR_CHUNK  # two point blocks a chunk
     batch = standard_error(est, pts)
-    loop = np.array([2.0 * np.std(z_values(est, b), ddof=1) for b in pts])
+    loop = np.array([2.0 * np.std(oracles.z_values(est, b), ddof=1) for b in pts])
     assert np.max(np.abs(batch - loop) / loop) <= 1e-14
+
+
+@pytest.mark.parametrize("family", list(_DEFAULT_BANDS))
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_standard_error_at_truncation_64_matches_long_double(d, family):
+    """At truncation 64 (odd degrees to 127, so a squared series of degree
+    254) the standard error is within 1e-12 relative at every point of the
+    per-observation definition formed and reduced in long double."""
+    cfg = dataclasses.replace(_DEFAULT_BANDS[family], truncation=64)
+    est = estimate_fbeta(_random_sample(d, 400, seed=34), cfg)
+    pts = sample_uniform(d, 30, seed=35)
+    want = oracles.standard_error_long_double(est, pts)
+    assert np.max(np.abs(standard_error(est, pts) - want) / want) <= 1e-12
 
 
 # ---------------------------------------------------------------- marginal

@@ -151,6 +151,23 @@ def test_connection_of_the_circle_family_is_diagonal():
     assert np.array_equal(gegenbauer.connection(0.0, MAX_DEGREE), want)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("top", [5, 15, 63, 127])
+def test_squared_series_against_mpmath(nu, top):
+    """squared_series gives the 2 top + 1 coefficients a_n with sum_n a_n
+    C_n(t) = (sum_n c_n C_n(t))^2, within 1e-13 of the largest |value| on
+    a grid that includes +-1, both sides summed in 30-digit arithmetic
+    (oracles.gegenbauer_series); an odd series' square is even."""
+    coeffs = np.random.default_rng(top).standard_normal(top + 1)
+    square = gegenbauer.squared_series(nu, coeffs)
+    assert square.shape == (2 * top + 1,)
+    want = oracles.gegenbauer_series(nu, coeffs, T_CHECK, power=2)
+    got = oracles.gegenbauer_series(nu, square, T_CHECK)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    coeffs[::2] = 0.0
+    assert not np.any(gegenbauer.squared_series(nu, coeffs)[1::2])
+
+
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])
 @pytest.mark.parametrize("max_degree", [0, 1, 2, 24])
 def test_series_eval_of_unit_coeffs_is_table_row(nu, max_degree):

@@ -70,11 +70,20 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path, argv):
 
 
 def test_interval_and_d4_product_rule_leave_scipy_unloaded():
+    """Intervals in d = 2, 3 and 4 (the squared series' chebmul and
+    triangular solve included) and the d = 4 product rule load neither
+    scipy nor numpy.ma."""
     loaded = _modules_after(
+        "import numpy as np\n"
         "from spherecoef import estimator, simulate, sphere\n"
         "sample = simulate.generate(simulate.DgpSpec.model_1(n_obs=60, seed=1)).sample\n"
         "est = estimator.estimate_fbeta(sample, estimator.EstimatorConfig())\n"
         "estimator.confidence_interval(est, [0.0, 0.0, 1.0])\n"
+        "for d in (2, 4):\n"
+        "    x = sphere.sample_uniform(d, 60, seed=d)\n"
+        "    x[:, 0] = np.abs(x[:, 0])\n"
+        "    sample = estimator.ChoiceSample(y=np.arange(60) % 2, x=x)\n"
+        "    estimator.confidence_interval(estimator.estimate_fbeta(sample), np.eye(d)[-1])\n"
         "sphere.build_quadrature(4, 16, method='product')"
     )
     assert _scipy_and_masked(loaded) == []
@@ -85,6 +94,7 @@ _MODULES = ["cli", "estimator", "gegenbauer", "hemisphere", "kernels", "simulate
 # Names deleted from the runtime package, by the module that held them.
 _REMOVED = {
     "kernels": [
+        "_cosine_blocks",
         "kernel_eval",
         "kernel_odd_eval",
         "_series_coeffs",
@@ -137,8 +147,10 @@ def test_removed_names_are_gone():
     # dimension is read from the anchors
     assert [f.name for f in dataclasses.fields(HarmonicMixture)] == ["anchors", "weights", "degree_coeffs"]
     assert not hasattr(HarmonicMixture, "degrees") and not hasattr(HarmonicMixture, "with_degree_coeffs")
+    # the per-anchor route (a table of terms per anchor and point) lives in
+    # tests/oracles.py only; the standard error reads per-degree sums
+    assert not hasattr(HarmonicMixture, "terms")
     removed_params = [
-        (HarmonicMixture.terms, "chunk_size"),
         (HarmonicMixture.evaluate_series, "chunk_size"),
         (HarmonicMixture.evaluate, "chunk_size"),
         (estimator._self_sums, "budget"),

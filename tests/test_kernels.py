@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from helpers import kernel_eval, projector_kernel
-from spherecoef import hemisphere, kernels
+from spherecoef import gegenbauer, hemisphere, kernels
 from spherecoef.kernels import EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, eigenspace_dim
 from spherecoef.sphere import build_quadrature, sample_uniform, surface_area
 
@@ -179,35 +179,52 @@ def test_harmonic_mixture_chunked_evaluation_matches(monkeypatch):
     )
     pts = sample_uniform(3, 23, seed=34)
     whole = mix.evaluate(pts)
-    # 4 points of 7 anchors a block, as a block size of 4 gave
+    # 4 points of 7 anchors a block, as a block size of 4 gave: 6 blocks
     monkeypatch.setattr(kernels, "EVAL_CHUNK", 28)
-    assert len(list(mix.terms(pts))) > 1
+    assert _sweeps(monkeypatch, lambda: mix.evaluate(pts)) == 6
     assert np.allclose(mix.evaluate(pts), whole, atol=1e-14)
+    assert np.allclose(whole, oracles.mixture_by_terms(mix, pts), atol=1e-14)
+
+
+def _sweeps(monkeypatch, call):
+    """How many Chebyshev sweeps (blocks of cosines) call runs."""
+    sweeps, chebyshev = [], gegenbauer.chebyshev
+    monkeypatch.setattr(gegenbauer, "chebyshev", lambda *args: sweeps.append(1) or chebyshev(*args))
+    call()
+    monkeypatch.setattr(gegenbauer, "chebyshev", chebyshev)
+    return len(sweeps)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_degree_sums_match_double_loop(monkeypatch, d):
     """degree_sums is the dense double loop sum_i w_i C_n(a_i'b_k) over
     every anchor and point, for the flagged degrees only, across blocks
-    and anchor chunks.  chebyshev_sums with one weight row per Chebyshev
-    degree is the loop sum_i W[j, i] cos(j arccos(a_i'b_k)), and one
-    weight vector stands for that row at every degree."""
+    and anchor chunks, with one weight vector or with weight rows by
+    parity, as two rows or as one row per Chebyshev degree.
+    chebyshev_sums with one weight row per Chebyshev degree is the loop
+    sum_i W[j, i] cos(j arccos(a_i'b_k)), and one weight vector stands for
+    that row at every degree."""
     anchors, points = sample_uniform(d, 12, seed=60 + d), sample_uniform(d, 9, seed=70 + d)
     weights = np.random.default_rng(d).standard_normal((10, 12))
     used = np.isin(np.arange(10), [0, 2, 3, 9])
     nu = (d - 2) / 2.0
-    monkeypatch.setattr(kernels, "EVAL_CHUNK", 24)  # 2 points of 12 anchors a block
+    monkeypatch.setattr(kernels, "EVAL_CHUNK", 24)
     monkeypatch.setattr(kernels, "ANCHOR_CHUNK", 5)  # chunks of 5, 5 and 2 anchors
-    assert len(list(kernels._cosine_blocks(anchors, points))) > 1
-    got = kernels.degree_sums(anchors, weights[0], points, used)
-    want = np.array(
-        [
-            [sum(weights[0, i] * oracles.explicit_eval(nu, n, a @ b) for i, a in enumerate(anchors)) for b in points]
-            for n in np.flatnonzero(used)
-        ]
-    )
-    assert got.shape == (4, 9)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # 4 points a block of the 5-anchor chunks, 3 blocks each; 1 block of 2 anchors
+    assert _sweeps(monkeypatch, lambda: kernels.degree_sums(anchors, weights[0], points, used)) == 7
+    for rows, parity in ((weights[0], [0, 0]), (weights[:2], [0, 1]), (weights[np.arange(10) % 2], [0, 1])):
+        got = kernels.degree_sums(anchors, rows, points, used)
+        want = np.array(
+            [
+                [
+                    sum(weights[parity[n % 2], i] * oracles.explicit_eval(nu, n, a @ b) for i, a in enumerate(anchors))
+                    for b in points
+                ]
+                for n in np.flatnonzero(used)
+            ]
+        )
+        assert got.shape == (4, 9)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     angles = np.arccos(np.clip(points @ anchors.T, -1.0, 1.0))
     got = kernels.chebyshev_sums(anchors, weights, points, used)
     want = np.array([np.cos(j * angles) @ weights[j] for j in np.flatnonzero(used)])
