@@ -9,32 +9,42 @@ diagnose   run the one-hemisphere support diagnostic on a dataset
 bench      Monte-Carlo error study over a sample-size grid, on --threads
            worker processes (1 to the CPU count)
 
-Config file grammar (INI, all keys optional, defaults in parentheses):
+Config file grammar (INI): [section] headers and key = value or key: value
+lines, keys in any case; a line indented deeper than its key continues the
+value, and a line that begins with # or ; is a comment.  Values are literal.
+Every key is optional; shown are the defaults (the custom model has none):
 
     [model]
-    preset = model_1 | model_2 | custom      (model_1)
+    # model_1, model_2 or custom
+    preset = model_1
     n_obs = 500
-    fixed_value = 1.0                        ; finite, > 0, with fixed_value^(d-1) finite
-    ; the remaining [model] keys apply only when preset = custom:
+    # finite, > 0, with fixed_value^(d-1) finite
+    fixed_value = 1.0
+    # read only when preset = custom: vectors are space-separated, matrix
+    # rows are separated by ';', mixture_means has one row per component,
+    # and mixture_covs one matrix, or one per component separated by '|'
     dimension = 3
-    covariate_mean = 0 0                     ; space-separated vector
-    covariate_cov = 2 0 ; 0 2                ; rows separated by ';'
+    covariate_mean = 0 0
+    covariate_cov = 2 0 ;
+        0 2
     mixture_weights = 0.5 0.5
-    mixture_means = 0.7 -0.7 ; -0.7 0.7      ; one row per component
-    mixture_covs = 0.3 0.15 ; 0.15 0.3       ; one matrix, or one per
-                                             ; component separated by '|'
+    mixture_means = 0.7 -0.7 ; -0.7 0.7
+    mixture_covs = 0.3 0.15 ; 0.15 0.3
 
-    [estimator]                ; defaults and ranges are EstimatorConfig's
+    [estimator]
+    # ranges are EstimatorConfig's; family is riesz, delayed_means or dirichlet
     truncation = 3
     trimming_exponent = 2.0
-    family = riesz | delayed_means | dirichlet   (riesz)
+    family = riesz
     s = 2.0
     l = 3
     fx_truncation = 10
 
     [grid]
-    resolution = 24          ; circle points (d=2) or polar levels (d=3)
-    points_file =            ; CSV of evaluation points, required for d >= 4
+    # circle points (d=2) or polar levels (d=3)
+    resolution = 24
+    # CSV of evaluation points, required for d >= 4
+    points_file =
 
     [run]
     seed = 0
@@ -42,27 +52,29 @@ Config file grammar (INI, all keys optional, defaults in parentheses):
     [bench]
     n_grid = 250 500 1000 2000
     replications = 50
-    resolution = 16          ; quadrature resolution for error norms
+    # quadrature resolution for error norms
+    resolution = 16
 
 The dataset and the points file share one CSV grammar: blank lines and
-whole-line # comments are skipped.  Config values are literal (% is not
-special).  Exit codes: 0 on success, 2 on usage, config, or data errors
-(CliError, or the library's ValueError), with one "error:" line, which
-names the file and line of a refused input, and no output file.
-Outputs are byte-identical across runs for the same config and seed;
-floats are written with 17 significant digits, which round-trips exactly.
+whole-line # comments are skipped.  Exit codes: 0 on success, 2 on usage,
+config, or data errors (CliError, or the library's ValueError), with one
+"error:" line, which names the file and line of a refused input, and no
+output file.  Outputs are byte-identical across runs for the same config
+and seed; floats are written with 17 significant digits, which round-trips
+exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
-import configparser
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -76,7 +88,7 @@ from .estimator import (
     weight_summary,
 )
 from .simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere
-from .sphere import build_quadrature, normalize, surface_area
+from .sphere import _circle_rule, build_quadrature, normalize, surface_area
 
 __all__ = ["main", "entry_point"]
 
@@ -100,25 +112,6 @@ def _where(text):
     return getattr(text, "where", "")
 
 
-def _key_lines(text, section_header):
-    """{(section, key): line} for an INI text that configparser has read,
-    key None for the section's header, by its rules: blank and whole-line
-    comment lines are skipped, a line indented deeper than the key above
-    it continues that key's value, and a key is the text before its first
-    = or :, lower-cased."""
-    lines, section, indent = {}, None, None
-    for number, line in enumerate(text.split("\n"), start=1):
-        value, depth = line.strip(), len(line) - len(line.lstrip())
-        if not value or value[0] in "#;" or (indent is not None and depth > indent):
-            continue
-        if header := section_header.match(value):
-            section, key, indent = header.group("header"), None, None
-        else:
-            key, indent = value.replace(":", "=").split("=", 1)[0].rstrip().lower(), depth
-        lines[section, key] = number
-    return lines
-
-
 _DEFAULTS = {
     "model": {
         "preset": "model_1",
@@ -139,59 +132,66 @@ _DEFAULTS = {
 
 
 def load_config(path):
-    """Read an INI config into a dict of dicts, applying defaults."""
+    """Read an INI config into a dict of dicts, applying defaults, in one
+    pass by the grammar above; a refusal names the line it is found on."""
     cfg = {sec: dict(keys) for sec, keys in _DEFAULTS.items()}
     if path is None:
         return cfg
-    text = _read_text(path, "config ")
-    # no [...] header spells "", so [DEFAULT] is a section refused as unknown
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        parser.read_string(text, source=path)
-    except configparser.Error as exc:
-        line = getattr(exc, "lineno", None) or exc.errors[0][0]
-        fault = {configparser.MissingSectionHeaderError: "expected a [section] header",
-                 configparser.DuplicateSectionError: "repeated section",
-                 configparser.DuplicateOptionError: "repeated key"}.get(type(exc), "expected key = value")
-        source = text.split("\n")[line - 1].strip()
-        raise CliError(f"cannot parse config {path}: line {line}: {fault}: {source!r}") from None
-    lines = _key_lines(text, parser.SECTCRE)
-    for section in parser.sections():
-        if section not in cfg:
-            raise CliError(f"{path}: line {lines[section, None]}: unknown config section [{section}]")
-        for key, value in parser.items(section):
-            where = f"{path}: line {lines[section, key]}: "
+    seen, section, key, indent = set(), None, None, 0
+    for number, line in enumerate(_read_text(path, "config ").split("\n"), start=1):
+        text, depth = line.strip(), len(line) - len(line.lstrip())
+        if not text or text[0] in "#;":
+            continue
+        if key and depth > indent:  # continues the value above
+            value = cfg[section][key]
+            cfg[section][key] = _Setting(f"{value}\n{text}", value.where)
+            continue
+        where, indent = f"{path}: line {number}: ", depth
+        if text[0] == "[" and text[-1] == "]":
+            key, section = None, text[1:-1]
+            if section not in cfg:
+                raise CliError(f"{where}unknown config section [{section}]")
+        elif section is None or text[0] == "[":
+            raise CliError(f"cannot parse config {where}expected a [section] header: {text!r}")
+        elif not (pair := re.match(r"([^=:]+)[=:](.*)", text)):  # split at the first = or :
+            raise CliError(f"cannot parse config {where}expected key = value: {text!r}")
+        else:
+            key = pair[1].rstrip().lower()
             if key not in cfg[section]:
                 raise CliError(f"{where}unknown config key {key!r} in section [{section}]")
-            cfg[section][key] = _Setting(value, where)
+            cfg[section][key] = _Setting(pair[2].strip(), where)
+        if (section, key) in seen:
+            raise CliError(f"cannot parse config {where}repeated {'key' if key else 'section'}: {text!r}")
+        seen.add((section, key))
     return cfg
 
 
-def _parse_int(text, what, minimum=None):
-    what = _where(text) + what
+@contextlib.contextmanager
+def _attributed(settings, prefix=""):
+    """Re-raise a library ValueError as a CliError at the line of setting prefix + its first word."""
     try:
-        value = int(text)
+        yield
     except ValueError as exc:
-        raise CliError(f"{what} must be an integer, got {text!r}") from exc
+        raise CliError(_where(settings.get(prefix + str(exc).split(" ", 1)[0])) + str(exc)) from None
+
+
+def _parse(text, what, convert=float, kind="a number"):
+    """convert(text), refused as "<where>what must be kind, got text"."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise CliError(f"{_where(text)}{what} must be {kind}, got {text!r}") from None
+
+
+def _parse_int(text, what, minimum=None):
+    value = _parse(text, what, int, "an integer")
     if minimum is not None and value < minimum:
-        raise CliError(f"{what} must be >= {minimum}, got {value}")
+        raise CliError(f"{_where(text)}{what} must be >= {minimum}, got {value}")
     return value
 
 
-def _parse_float(text, what):
-    what = _where(text) + what
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise CliError(f"{what} must be a number, got {text!r}") from exc
-
-
 def _parse_vector(text, what):
-    what = _where(text) + what
-    try:
-        return np.array([float(tok) for tok in text.split()])
-    except ValueError as exc:
-        raise CliError(f"{what} must be space-separated numbers, got {text!r}") from exc
+    return _parse(text, what, lambda t: np.array([float(tok) for tok in t.split()]), "space-separated numbers")
 
 
 def _parse_matrix(text, what):
@@ -209,51 +209,51 @@ def build_dgp(model_cfg, n_obs=None, seed=None):
     """Construct the DgpSpec described by the [model] section."""
     preset = model_cfg["preset"]
     n = _parse_int(model_cfg["n_obs"], "n_obs", minimum=1) if n_obs is None else n_obs
-    fixed = _parse_float(model_cfg["fixed_value"], "fixed_value")
-    if preset == "model_1":
-        spec = DgpSpec.model_1(n_obs=n, seed=seed)
-    elif preset == "model_2":
-        spec = DgpSpec.model_2(n_obs=n, seed=seed)
-    elif preset == "custom":
-        d = _parse_int(model_cfg["dimension"], "dimension", minimum=2)
-        weights = _parse_vector(model_cfg["mixture_weights"], "mixture_weights")
-        means = _parse_matrix(model_cfg["mixture_means"], "mixture_means")
-        blocks = [b.strip() for b in model_cfg["mixture_covs"].split("|") if b.strip()]
-        covs = np.stack([_parse_matrix(b, "mixture_covs") for b in blocks])
-        if covs.shape[0] == 1 and weights.size > 1:
-            covs = np.repeat(covs, weights.size, axis=0)
-        try:
-            mix = GaussianMixture(weights=weights, means=means, covs=covs)
-            spec = DgpSpec(
-                dimension=d,
-                n_obs=n,
-                coefficients=mix,
-                covariate_mean=_parse_vector(model_cfg["covariate_mean"], "covariate_mean"),
-                covariate_cov=_parse_matrix(model_cfg["covariate_cov"], "covariate_cov"),
-                seed=seed,
-                fixed_value=fixed,
-            )
-        except ValueError as exc:
-            raise CliError(f"invalid custom model: {exc}") from exc
-    else:
+    fixed = _parse(model_cfg["fixed_value"], "fixed_value")
+    if preset in ("model_1", "model_2"):
+        spec = getattr(DgpSpec, preset)(n_obs=n, seed=seed)
+        with _attributed(model_cfg):
+            return spec if fixed == 1.0 else replace(spec, fixed_value=fixed)
+    if preset != "custom":
         raise CliError(f"{_where(preset)}unknown model preset {preset!r}")
-    if preset != "custom" and fixed != 1.0:
-        spec = replace(spec, fixed_value=fixed)
-    return spec
+    d = _parse_int(model_cfg["dimension"], "dimension", minimum=2)
+    weights = _parse_vector(model_cfg["mixture_weights"], "mixture_weights")
+    means = _parse_matrix(model_cfg["mixture_means"], "mixture_means")
+    what = _where(model_cfg["mixture_covs"]) + "mixture_covs"
+    covs = [_parse_matrix(block, what) for block in model_cfg["mixture_covs"].split("|")]
+    if len({c.shape for c in covs}) > 1:
+        raise CliError(f"{what} holds matrices of unequal size")
+    covs = np.stack(covs)
+    if covs.shape[0] == 1 and weights.size > 1:
+        covs = np.repeat(covs, weights.size, axis=0)
+    with _attributed(model_cfg, prefix="mixture_"):
+        mix = GaussianMixture(weights=weights, means=means, covs=covs)
+    with _attributed(model_cfg):
+        return DgpSpec(
+            dimension=d,
+            n_obs=n,
+            coefficients=mix,
+            covariate_mean=_parse_vector(model_cfg["covariate_mean"], "covariate_mean"),
+            covariate_cov=_parse_matrix(model_cfg["covariate_cov"], "covariate_cov"),
+            seed=seed,
+            fixed_value=fixed,
+        )
 
 
 def resolve_estimator_config(est_cfg):
     """Construct the EstimatorConfig described by the [estimator] section,
-    each key parsed by the type of its default; the library checks ranges,
-    and a refusal, which begins with the key it refuses, names that key's
-    line."""
-    parse = {int: _parse_int, float: _parse_float, str: lambda text, what: str(text)}
-    try:
+    each key parsed by the type of its default; the library checks ranges."""
+    parse = {int: _parse_int, float: _parse, str: lambda text, what: str(text)}
+    with _attributed(est_cfg):
         return EstimatorConfig(
             **{f.name: parse[type(f.default)](est_cfg[f.name], f.name) for f in fields(EstimatorConfig)}
         )
-    except ValueError as exc:
-        raise CliError(_where(est_cfg.get(str(exc).split(" ", 1)[0])) + str(exc)) from None
+
+
+def _seed(args, run_cfg):
+    """--seed, or else [run] seed; refused below 0."""
+    text, what = (run_cfg["seed"], "seed") if args.seed is None else (str(args.seed), "--seed")
+    return _parse_int(text, what, minimum=0)
 
 
 def evaluation_grid(dimension, resolution, points_file=""):
@@ -271,8 +271,7 @@ def evaluation_grid(dimension, resolution, points_file=""):
     if resolution < 2:
         raise CliError(f"grid resolution must be >= 2, got {resolution}")
     if dimension == 2:
-        theta = 2.0 * math.pi * np.arange(resolution) / resolution
-        return np.column_stack([np.cos(theta), np.sin(theta)])
+        return _circle_rule(resolution)[0]
     if dimension == 3:
         t = -1.0 + 2.0 * (np.arange(resolution) + 0.5) / resolution
         phi = math.pi * np.arange(2 * resolution) / resolution
@@ -422,7 +421,7 @@ def _diagnostic_report(diag, d):
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _parse_int(cfg["run"]["seed"], "seed")
+    seed = _seed(args, cfg["run"])
     spec = build_dgp(cfg["model"], seed=seed)
     draw = generate(spec)
     write_sample(draw.sample, args.out)
@@ -498,7 +497,7 @@ def cmd_bench(args):
         raise CliError(f"--threads must be from 1 to the CPU count, {cpus}, got {args.threads}")
     cfg = load_config(args.config)
     config = resolve_estimator_config(cfg["estimator"])
-    seed = args.seed if args.seed is not None else _parse_int(cfg["run"]["seed"], "seed")
+    seed = _seed(args, cfg["run"])
     where = _where(cfg["bench"]["n_grid"])
     n_grid = [_parse_int(tok, f"{where}bench n_grid entry", minimum=3) for tok in cfg["bench"]["n_grid"].split()]
     if not n_grid:

@@ -149,6 +149,13 @@ class EstimatorConfig:
         for name in ("s", "l"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # the riesz bounds that hold in every dimension; l > (d-2)/2 waits
+        # for the fit, which knows d
+        if self.family == "riesz":
+            if self.s <= 0:
+                raise ValueError(f"s must be > 0 for riesz, got {self.s}")
+            if self.l < 1 or int(self.l) != self.l:
+                raise ValueError(f"l must be an integer >= 1 for riesz, got {self.l}")
         # delayed_means filters only a power-of-two degree; 2 * truncation is
         # one exactly when truncation is
         for name in ("truncation", "fx_truncation"):

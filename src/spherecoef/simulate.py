@@ -30,16 +30,20 @@ __all__ = [
 ]
 
 
-def _cholesky(covs):
+def _cholesky(covs, name):
     """Lower Cholesky factors of a covariance or a stack of them.
 
     Refuses a covariance that is not finite (ValueError) or not positive
-    definite (numpy's LinAlgError, itself a ValueError).
+    definite (numpy's LinAlgError, itself a ValueError), each message
+    beginning with name.
     """
     covs = np.asarray(covs, dtype=float)
     if not np.all(np.isfinite(covs)):
-        raise ValueError("covariance entries must be finite")
-    return np.linalg.cholesky(covs)
+        raise ValueError(f"{name} entries must be finite")
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(f"{name} is not positive definite") from None
 
 
 def _gaussian_pdf(points, mean, factor):
@@ -59,7 +63,10 @@ def _gaussian_pdf(points, mean, factor):
 
 @dataclass
 class GaussianMixture:
-    """Finite mixture of full-covariance Gaussians on R^m."""
+    """Finite mixture of full-covariance Gaussians on R^m.
+
+    A refusal begins with the argument at fault.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -81,12 +88,12 @@ class GaussianMixture:
                 f"covs shape {self.covs.shape}, expected ({k}, {m}, {m})"
             )
         if np.any(self.weights <= 0):
-            raise ValueError("mixture weights must be positive")
+            raise ValueError("weights must be positive")
         total = self.weights.sum()
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights must sum to 1, got {total}")
+            raise ValueError(f"weights must sum to 1, got {total}")
         self.weights = self.weights / total
-        self._factors = _cholesky(self.covs)
+        self._factors = _cholesky(self.covs, "covs")
 
     @property
     def dim(self):
@@ -119,7 +126,8 @@ class DgpSpec:
     dimension counts the sphere coordinates (intercept included), so the
     covariate block and the random coefficient block each have dimension-1
     components; fixed_value is the constant, strictly positive last raw
-    coefficient that pins the coefficient vector to one hemisphere.
+    coefficient that pins the coefficient vector to one hemisphere.  A
+    refusal begins with the argument at fault.
     """
 
     dimension: int
@@ -140,8 +148,8 @@ class DgpSpec:
         m = self.dimension - 1
         if self.coefficients.dim != m:
             raise ValueError(
-                f"coefficient mixture lives on R^{self.coefficients.dim}, "
-                f"expected R^{m} for dimension {self.dimension}"
+                f"dimension {self.dimension} needs coefficients on R^{m}, "
+                f"got a mixture on R^{self.coefficients.dim}"
             )
         self.covariate_mean = np.asarray(self.covariate_mean, dtype=float)
         self.covariate_cov = np.asarray(self.covariate_cov, dtype=float)
@@ -153,15 +161,15 @@ class DgpSpec:
             raise ValueError(
                 f"covariate_cov shape {self.covariate_cov.shape}, expected ({m}, {m})"
             )
-        _cholesky(self.covariate_cov)
+        _cholesky(self.covariate_cov, "covariate_cov")
         if not 0 < self.fixed_value < math.inf:
             raise ValueError(f"fixed_value must be finite and positive, got {self.fixed_value}")
         try:
             math.pow(self.fixed_value, self.dimension - 1)
         except OverflowError:
             raise ValueError(
-                f"fixed_value^(dimension - 1), the true density's scale factor, overflows "
-                f"at fixed_value = {self.fixed_value}"
+                f"fixed_value = {self.fixed_value} overflows fixed_value^(dimension - 1), "
+                f"the true density's scale factor"
             ) from None
 
     @classmethod
@@ -271,7 +279,7 @@ def true_fx_on_sphere(spec, points):
     """Exact sphere density of the normalized covariate direction."""
     pts, single = _as_sphere_points(points, spec.dimension)
     pdf = functools.partial(
-        _gaussian_pdf, mean=spec.covariate_mean, factor=_cholesky(spec.covariate_cov)
+        _gaussian_pdf, mean=spec.covariate_mean, factor=_cholesky(spec.covariate_cov, "covariate_cov")
     )
     vals = _pushforward_values(pdf, pts[:, 0], pts[:, 1:], spec.dimension)
     return float(vals[0]) if single else vals

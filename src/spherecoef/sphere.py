@@ -124,7 +124,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     dimension: int
-    method: str = "custom"
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -243,4 +242,4 @@ def build_quadrature(d, resolution, seed=None, method="auto"):
         weights = np.full(resolution, surface_area(d) / resolution)
     else:
         raise ValueError(f"unknown quadrature method {method!r}")
-    return QuadratureRule(points=points, weights=weights, dimension=d, method=method)
+    return QuadratureRule(points=points, weights=weights, dimension=d)

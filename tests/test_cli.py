@@ -58,7 +58,7 @@ def test_load_config_overrides_and_rejects(tmp_path):
         retired = _write(tmp_path / "retired.ini", f"[estimator]\n{key} = 1\n")
         with pytest.raises(cli.CliError, match=f"^{re.escape(retired)}: line 2: unknown config key '{key}'"):
             cli.load_config(retired)
-    # configparser's multi-line messages, folded into one line naming the line
+    # a malformed line, refused in one line that names it
     broken = {
         "[model\nn_obs = 3\n": "line 1: expected a [section] header: '[model'",
         "[model]\nn_obs\n": "line 2: expected key = value: 'n_obs'",
@@ -76,6 +76,58 @@ def test_config_values_are_literal(tmp_path):
     cfg = cli.load_config(_write(tmp_path / "pct.ini", "[grid]\npoints_file = a%b.csv\n[run]\nseed = 100%%\n"))
     assert cfg["grid"]["points_file"] == "a%b.csv"
     assert cfg["run"]["seed"] == "100%%"
+
+
+def test_config_grammar_spellings(tmp_path):
+    """Matrices continued on indented lines, with a comment and a blank line
+    between, build the design of their one-line spelling; key: value and an
+    upper-case key read as key = value; a repeated section is refused at
+    its line."""
+    model = "[model]\npreset = custom\ncovariate_mean = 0 0\nmixture_weights = 0.5 0.5\nmixture_means = 1 0 ; 0 1\n"
+    one_line = model + "covariate_cov = 2 0.5 ; 0.5 2\nmixture_covs = 0.3 0 ; 0 0.3 | 0.2 0 ; 0 0.2\nn_obs = 64\n"
+    spelled = model + (
+        "covariate_cov = 2 0.5 ;\n  # row 2\n\n    0.5 2\n"
+        "Mixture_Covs: 0.3 0 ;\n  0 0.3 |\n  0.2 0 ;\n  0 0.2\nN_OBS: 64\n"
+    )
+    configs = [cli.load_config(_write(tmp_path / n, text)) for n, text in (("a.ini", one_line), ("b.ini", spelled))]
+    specs = [cli.build_dgp(cfg["model"], seed=1) for cfg in configs]
+    assert np.array_equal(specs[1].covariate_cov, [[2, 0.5], [0.5, 2]])
+    assert np.array_equal(specs[1].covariate_cov, specs[0].covariate_cov)
+    assert np.array_equal(specs[1].coefficients.covs, specs[0].coefficients.covs)
+    assert specs[1].n_obs == specs[0].n_obs == 64
+    assert [cli._where(configs[1]["model"][key]) for key in ("covariate_cov", "mixture_covs", "n_obs")] == [
+        f"{tmp_path / 'b.ini'}: line {n}: " for n in (6, 10, 14)
+    ]
+    repeated = _write(tmp_path / "c.ini", "[model]\nn_obs = 64\n\n[run]\nseed = 1\n[model]\n")
+    with pytest.raises(cli.CliError) as exc:
+        cli.load_config(repeated)
+    assert str(exc.value) == f"cannot parse config {repeated}: line 6: repeated section: '[model]'"
+
+
+def _docstring_config():
+    """The config block of the cli module docstring."""
+    lines = cli.__doc__.split("\n")
+    start = lines.index("    [model]")
+    end = next(i for i in range(start, len(lines)) if lines[i] and not lines[i].startswith("    "))
+    return "\n".join(lines[start:end])
+
+
+def test_docstring_config_block_is_a_valid_config(tmp_path):
+    """The grammar block in the module docstring reads as a config: each
+    value it gives for a key with a default is that default, and its
+    custom model builds."""
+    cfg = cli.load_config(_write(tmp_path / "doc.ini", _docstring_config()))
+    defaults = cli.load_config(None)
+    assert {(sec, key) for sec in cfg for key in cfg[sec] if cli._where(cfg[sec][key])} == {
+        (sec, key) for sec in defaults for key in defaults[sec]
+    }
+    assert {(sec, key): value for sec in cfg for key, value in cfg[sec].items() if defaults[sec][key]} == {
+        (sec, key): value for sec in defaults for key, value in defaults[sec].items() if value
+    }
+    assert cli.resolve_estimator_config(cfg["estimator"]) == EstimatorConfig()
+    spec = cli.build_dgp(dict(cfg["model"], preset="custom"), seed=1)
+    assert spec.dimension == 3 and np.array_equal(spec.covariate_cov, 2.0 * np.eye(2))
+    assert np.array_equal(spec.coefficients.means, [[0.7, -0.7], [-0.7, 0.7]])
 
 
 def test_build_dgp_presets_and_custom():
@@ -512,6 +564,10 @@ _REFUSED = {
 # message would not say which setting is at fault.
 _NAMED = {
     "delayed_means": "truncation",
+    "l": "c.ini: line 2: l must be an integer >= 1 for riesz, got 0",
+    "seed": "--seed must be >= 0, got -1",
+    "mixture_covs_indefinite": "c.ini: line 8: covs is not positive definite",
+    "covariate_cov_indefinite": "c.ini: line 5: covariate_cov is not positive definite",
     "n_grid_repeated": "n_grid",
     "s_inf_dirichlet": "s must be finite",
     "s_nan_delayed_means": "s must be finite",
@@ -578,6 +634,16 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert not list(tmp_path.glob("out.csv*"))
 
 
+def _custom_model(line):
+    """line, then the other keys of a two-component d = 3 custom design."""
+    design = {
+        "preset": "custom", "dimension": "3", "covariate_mean": "0 0", "covariate_cov": "2 0 ; 0 2",
+        "mixture_weights": "0.5 0.5", "mixture_means": "0 0 ; 0 0", "mixture_covs": "1 0 ; 0 1",
+    }
+    key = line.split(" = ")[0]
+    return "\n".join([line] + [f"{k} = {v}" for k, v in design.items() if k != key])
+
+
 # A config value the CLI refuses, the command that reads it, and its
 # refusal after the file-and-line prefix; the config puts a comment, a
 # section header and a blank line above the value, on line 4.
@@ -587,6 +653,27 @@ _REFUSED_VALUES = {
         ["estimate", "{data}"], "estimator", "truncation = 0", "truncation must be an integer in [1, 64], got 0"
     ),
     "n_grid": (["bench"], "bench", "n_grid = 10 x", "bench n_grid entry must be an integer, got 'x'"),
+    "fixed_value": (["simulate"], "model", "fixed_value = -1", "fixed_value must be finite and positive, got -1.0"),
+    "mixture_weights": (
+        ["simulate"], "model", _custom_model("mixture_weights = 0.5 0.9"), "weights must sum to 1, got 1.4"
+    ),
+    "covariate_cov": (
+        ["simulate"], "model", _custom_model("covariate_cov = 1 2 ; 2 1"), "covariate_cov is not positive definite"
+    ),
+    "mixture_covs": (
+        ["simulate"],
+        "model",
+        _custom_model("mixture_covs = 1 0 ; 0 1 | 1 0 ; 0 x"),
+        "mixture_covs must be space-separated numbers, got '0 x'",
+    ),
+    "mixture_covs_sizes": (
+        ["simulate"],
+        "model",
+        _custom_model("mixture_covs = 1 0 ; 0 1 | 1"),
+        "mixture_covs holds matrices of unequal size",
+    ),
+    "seed": (["simulate"], "run", "seed = -1", "seed must be >= 0, got -1"),
+    "s": (["estimate", "{data}"], "estimator", "s = -1", "s must be > 0 for riesz, got -1.0"),
 }
 
 

@@ -41,6 +41,8 @@ def test_import_leaves_scipy_stats_unloaded(statement):
     loaded = _modules_after(statement)
     # scipy is a test-only dependency: no runtime path imports it.
     assert _scipy_and_masked(loaded) == []
+    # the config is read by the CLI's own one-pass reader
+    assert "configparser" not in loaded
     # The package still imports its CLI; dropping it from __init__ is a
     # separate decision, pinned here so that it is made on purpose.
     assert "spherecoef.cli" in loaded
@@ -107,6 +109,7 @@ _REMOVED = {
     "gegenbauer": ["eval_all", "sweep"],
     "sphere": ["angle_between"],
     "estimator": ["SELF_SUMS_BLOCK", "fx_self_evaluation", "FxSelfEvaluation", "_leave_in_values"],
+    "cli": ["_key_lines", "configparser"],
 }
 
 
@@ -129,6 +132,7 @@ def test_removed_names_are_gone():
     from spherecoef import estimator, kernels
     from spherecoef.kernels import HarmonicMixture
     from spherecoef.simulate import SimulationDraw
+    from spherecoef.sphere import QuadratureRule
 
     assert not hasattr(estimator.ChoiceProbabilityEstimate, "coefficient_odd_part")
     assert not hasattr(SimulationDraw, "true_fx") and not hasattr(SimulationDraw, "true_fbeta")
@@ -150,6 +154,8 @@ def test_removed_names_are_gone():
     # the per-anchor route (a table of terms per anchor and point) lives in
     # tests/oracles.py only; the standard error reads per-degree sums
     assert not hasattr(HarmonicMixture, "terms")
+    # a rule is its nodes and weights; which method built it was never read
+    assert [f.name for f in dataclasses.fields(QuadratureRule)] == ["points", "weights", "dimension"]
     removed_params = [
         (HarmonicMixture.evaluate_series, "chunk_size"),
         (HarmonicMixture.evaluate, "chunk_size"),
