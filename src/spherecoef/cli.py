@@ -423,7 +423,8 @@ def cmd_simulate(args):
     cfg = load_config(args.config)
     seed = _seed(args, cfg["run"])
     spec = build_dgp(cfg["model"], seed=seed)
-    draw = generate(spec)
+    with _attributed(cfg["model"]):
+        draw = generate(spec)
     write_sample(draw.sample, args.out)
     print(f"wrote {spec.n_obs} rows to {args.out}")
     return 0
@@ -524,13 +525,15 @@ def cmd_bench(args):
         for n in n_grid
         for rep in range(reps)
     ]
-    if args.threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # each task draws its sample: an overflowing draw names its [model] key
+    with _attributed(cfg["model"]):
+        if args.threads > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(_bench_task, tasks, chunksize=1))
-    else:
-        rows = [_bench_task(t) for t in tasks]
+            with ProcessPoolExecutor(max_workers=args.threads) as pool:
+                rows = list(pool.map(_bench_task, tasks, chunksize=1))
+        else:
+            rows = [_bench_task(t) for t in tasks]
     rows.sort(key=lambda r: (r[0], r[1]))
     # statistics.median gives np.median's value for finite errors without
     # loading numpy.ma, which np.median imports for its NaN check.
@@ -563,14 +566,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, needs_out=True, seeded=False):
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override [run] seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="override [run] seed")
         if needs_out:
             p.add_argument("--out", required=True, help="output path")
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset")
-    common(p_sim)
+    common(p_sim, seeded=True)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="fit the coefficient density")
@@ -587,7 +591,7 @@ def build_parser():
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_bench = sub.add_parser("bench", help="Monte-Carlo error study")
-    common(p_bench)
+    common(p_bench, seeded=True)
     p_bench.add_argument("--threads", type=int, default=1, help="worker processes")
     p_bench.set_defaults(func=cmd_bench)
 

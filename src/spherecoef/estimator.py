@@ -20,7 +20,6 @@ import numpy as np
 
 from . import gegenbauer, hemisphere
 from .kernels import (
-    EVAL_CHUNK,
     MAX_DEGREE,
     KernelSpec,
     HarmonicMixture,
@@ -28,19 +27,19 @@ from .kernels import (
     _at_one,
     _is_power_of_two,
     chi_table,
-    chebyshev_sums,
+    _layout,
     degree_sums,
     eigenspace_dim,
+    harmonic_moments,
+    harmonic_series,
     projector_constants,
 )
 from .sphere import (
     QuadratureRule,
-    _circle_rule,
     build_quadrature,
     check_on_sphere,
     coarea_factor,
     normalize,
-    sample_uniform,
     surface_area,
 )
 
@@ -207,6 +206,10 @@ def estimate_fx(sample, kernel):
     return FxEstimate(mixture=mix)
 
 
+# Multiple of H the count N (top + 1) must exceed for _self_sums to take
+# the harmonic basis; see _self_sums.
+BASIS_RATIO = 8
+
 # Cap on the covariate-density bands the cross-validation searches
 # (config.fx_truncation when that is larger); see _lscv_bands.
 FX_CV_MAX_BAND = 24
@@ -219,37 +222,26 @@ def _self_sums(x, max_degree):
     values row @ S for a series row over degrees 0..max_degree, computed
     only up to the row's last nonzero degree.
 
-    Two paths give them: the pair sweep (_pair_sums, N^2 cosines) and the
-    fundamental system (_system_sums, NM cosines for energy, NM more per
-    combine up to its band, plus a one-off set-up of the M points, paid
-    once per process).  The rule, one comparison of N against M, takes
-    the system from N = 5.5 M.  With one BLAS thread, for the energies
-    and one combine up to max_degree, the system is cheaper from N =
-    3.2, 2.5, 2.1 and 2.1 M once its set-up is cached, and from 8.1, 7.8,
-    6.4 and 7.0 M when the call pays for the set-up (M = 32, 74, 182 and
-    938: degrees 10 and 24 in d = 3 and 4); 5.5 M lies between the two
-    at every M.  So at degree 10,
-    fx_truncation's default, the system takes over from N = 177 in d = 3
-    and N = 1 002 in d = 4; at the cross-validation cap, 24, from N = 408
-    and N = 5 160.  The rule ignores whether the set-up is cached: the
-    paths agree only to about 1e-15, so reading the cache would let
-    outputs depend on what the process ran before.  In d = 2 every N
-    takes the system: to degree 24 it keeps each degree's sums within
-    1.9e-14, 1.1e-13 and 7.3e-14 of that degree's largest at N = 300,
-    1 000 and 3 000 (seed 92, one BLAS thread, against exactly rounded
-    sums), where the pair sweep is off by 2.6e-13, 9.4e-13 and 1.7e-12,
-    and costs at most 0.3 ms more (set-up aside) below N = 120.
-
-    The system alone would not do in d >= 3.  At d = 4, N = 2 000 and
-    degree 24 (2N = 4 000 < 11 M = 10 318, the pair side, where
-    perfbench's query-2k takes its d = 4 intervals), the system took
-    1 260 ms cold and 186 ms warm and raised the peak RSS from 35 to
-    105 MB (its cached factors hold 24.7 MiB); the pair sweep took 143 ms
-    cold and 131 ms warm and added 2 MB (single runs, one BLAS thread).
+    Two paths give them: the pair sweep (_pair_sums, N^2 (top + 1)
+    Chebyshev terms) and the harmonic basis (_basis_sums, N H harmonics
+    per pass, H = sum_{n <= top} h(n, d); no set-up, nothing kept between
+    calls).  The rule compares those counts: the basis from
+    N (top + 1) > BASIS_RATIO H, and in d = 2 always, where the pair sweep
+    is cheaper only below N = 50 (by at most 0.02 ms) and less accurate
+    (1.8e-12 of each degree's largest sum to degree 64 at N = 1 000, the
+    basis 2.4e-14).  With one BLAS thread, for the energies and one
+    combine at top (medians of 7, 2-core Xeon), the basis was the cheaper
+    from N (top + 1) = 12 H at degree 10 in d = 3 (N = 132), 8 H at degree
+    24 (N = 200), 7 H and 4 H at degrees 10 and 24 in d = 4 (N = 322 and
+    884) and 8 to 9 H at degree 10 in d = 5 (N = 1 248 to 1 404); at degree
+    24 in d = 5 the pair sweep still won at 8 H (4.4 s against 5.5 s, N =
+    12 168).  Where BASIS_RATIO = 8 picks the slower path, the basis costs
+    at most 0.2 ms more (d = 3, degree 10, N = 89 to 132) and the pair
+    sweep at most 1.7 times the basis (d = 4, degree 24, N = 884 to 1 768).
     """
-    n_obs, m = x.shape[0], _system_size(x.shape[1], max_degree)
-    if x.shape[1] == 2 or 2 * n_obs > 11 * m:
-        return _system_sums(x, max_degree)
+    n_obs, d = x.shape
+    if d == 2 or n_obs * (max_degree + 1) > BASIS_RATIO * eigenspace_dim(max_degree, d + 1):
+        return _basis_sums(x, max_degree)
     return _pair_sums(x, max_degree)
 
 
@@ -271,97 +263,27 @@ def _pair_sums(x, max_degree):
     return sums.sum(axis=1), combine
 
 
-def _degree_points(n, d):
-    """Points of the fundamental system that degree n uses for d >= 3:
-    3/2 times the dimension h(n, d) of the degree-n harmonics, rounded up."""
-    return -(-3 * eigenspace_dim(n, d) // 2)
-
-
-def _system_size(d, top):
-    """Points M in the fundamental system for degrees up to top."""
-    return 2 * top + 2 if d == 2 else _degree_points(top, d)
-
-
-@functools.lru_cache(maxsize=None)
-def _fundamental_system(d, top):
-    """Points Z (M x d) on which the degree-n harmonics are unisolvent for
-    every n <= top, and per degree a factor U_n with U_n U_n' the
-    pseudo-inverse of G_n = C_n(Z_n Z_n').
-
-    In d = 2, Z is 2 top + 2 equispaced circle points and Z_n is all of Z
-    (a prefix of an equispaced set does not resolve degree n).  Otherwise
-    Z is sample_uniform(d, M, seed=0) and degree n uses its first
-    _degree_points(n, d) points, 3/2 times the dimension h(n, d) of the
-    degree-n harmonics: that prefix is the same for every top, and it
-    keeps the set-up's eigendecompositions small.  Each G_n is built on
-    its own points only, lower triangle only, block by block, by the
-    Chebyshev sweep through its row of the connection table
-    (gegenbauer._series_eval), so no M x M matrix of cosines or sweep
-    buffers is kept.  In d = 4 at degree 24 (M = 938) the set-up takes
-    0.70 s, nearly all of it in the eigendecompositions (1.3-1.5 s with
-    2 h(n, d) points per degree), and its traced allocations peak at
-    40 MiB (60 MiB when one Gegenbauer sweep ran over the whole M x M
-    Gram matrix); one BLAS thread, 2-core Xeon.  G_n has rank h(n, d), so
-    U_n is its top h(n, d) eigenvectors over the square roots of their
-    eigenvalues; no M x M pseudo-inverse is kept.  The ratio 3/2 keeps every G_n's largest eigenvalue within 183
-    times its h(n, d)-th (45 with 2 h(n, d)), and _system_sums within
-    9.9e-14 of each degree's largest sum at degree 10 (d = 3, N = 5 000)
-    and 24 (d = 3, N = 2 000), 6.3e-14 at degree 24 in d = 4 (N = 1 500)
-    and 6.1e-13 at degree 64 in d = 3 (N = 1 500), against long-double
-    pair sums, where 5/4 is off by more than 1e-12.  The arrays are
-    read-only, shared by every caller.
-    """
-    m = _system_size(d, top)
-    z = _circle_rule(m)[0] if d == 2 else sample_uniform(d, m, seed=0)
-    factors = []
-    for n in range(top + 1):
-        dim = eigenspace_dim(n, d)
-        size = m if d == 2 else _degree_points(n, d)
-        unit = np.zeros(n + 1)
-        unit[n] = 1.0
-        # eigh reads the lower triangle alone: rows r0:r1 need columns :r1
-        g, step = np.zeros((size, size)), max(1, EVAL_CHUNK // size)
-        work = np.empty(4 * step * size)
-        for r0 in range(0, size, step):
-            rows = slice(r0, min(size, r0 + step))
-            cosines = z[rows] @ z[: rows.stop].T
-            np.clip(cosines, -1.0, 1.0, out=cosines)
-            g[rows, : rows.stop] = gegenbauer._series_eval((d - 2) / 2.0, unit, cosines, work)
-        vals, vecs = np.linalg.eigh(g)
-        factors.append(vecs[:, -dim:] / np.sqrt(vals[-dim:]))
-    for a in (z, *factors):
-        a.setflags(write=False)
-    return z, tuple(factors)
-
-
-def _system_sums(x, max_degree):
-    """_self_sums through a fundamental system, linear in N.
-
-    With A_n = C_n(X Z_n') and G_n = C_n(Z_n Z_n') for the points Z_n of
-    _fundamental_system, sum_j C_n(x_i'x_j) = A_n[i] G_n^+ A_n'1 (the
-    reproducing property of the zonal projector on a unisolvent set).  The
-    N x M cosines stream through twice: once for the column totals A_n'1
-    of every degree, whose coordinates c_n = U_n'A_n'1 give the energies
-    |c_n|^2 and v_n = U_n c_n; then, for a row, once through
-    chebyshev_sums for the values sum_n row[n] A_n[i] v_n, with the
-    folded weight rows sum_n row[n] L[n, j] v_n of the Chebyshev degrees
-    j, for the connection table L.  No per-degree N-row table is built.
-    """
+def _basis_sums(x, max_degree):
+    """_self_sums from the moments M = sum_i Y(x_i) of the harmonic basis
+    (kernels.harmonic_moments), linear in N: by the addition theorem
+    S[n, i] = kappa_n Y_n(x_i)'M_n with kappa_n = 1 / projector_constants[n],
+    so energy[n] = kappa_n |M_n|^2, and combine(row) is the series
+    (kernels.harmonic_series) of row[n] kappa_n M_n, to the row's band."""
     d = x.shape[1]
-    z, factors = _fundamental_system(d, max_degree)
-    table = gegenbauer.connection((d - 2) / 2.0, max_degree)
-    totals = degree_sums(x, np.ones(x.shape[0]), z, np.ones(max_degree + 1, dtype=bool))
-    energy, v = np.empty(max_degree + 1), np.zeros_like(totals)
-    for n, u in enumerate(factors):
-        size = u.shape[0]
-        coords = u.T @ totals[n, :size]
-        energy[n] = coords @ coords
-        v[n, :size] = u @ coords
+    moments = harmonic_moments(x, max_degree)
+    kappa = 1.0 / projector_constants(max_degree, d)
+    # moments[l, :, k] is of degree l + k
+    degree = np.add.outer(np.arange(moments.shape[0]), np.arange(moments.shape[2]))
+    energy = kappa * np.bincount(degree.ravel(), (moments**2).sum(axis=1).ravel())[: max_degree + 1]
 
     def combine(row):
         size = _band_length(row)
-        folded = (row[:size, None] * table[:size, :size]).T @ v[:size]
-        return chebyshev_sums(z, folded, x, np.any(folded != 0.0, axis=1)).sum(axis=0)
+        if size == 0:
+            return np.zeros(x.shape[0])
+        weights = np.zeros(2 * max_degree + 1)
+        weights[:size] = row[:size] * kappa[:size]
+        top, width, depth = _layout(d, size - 1)
+        return harmonic_series(moments[:top, :width, :depth] * weights[degree[:top, :depth]][:, None, :], x)
 
     return energy, combine
 

@@ -111,7 +111,9 @@ def series_eval(nu, coeffs, t):
     Keeps only the sweep's rolling buffers, so t may be a large array
     without materializing every degree.  coeffs is a 1-D sequence indexed
     by degree.  Arguments t just outside [-1, 1] (by at most 1e-9, from
-    rounding) are clipped.
+    rounding) are clipped.  The coefficients map through connection once,
+    to Chebyshev ones, and zero Chebyshev coefficients (every even one of
+    an odd series) are skipped in the accumulation.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
@@ -122,22 +124,12 @@ def series_eval(nu, coeffs, t):
     if np.any(np.abs(t) > 1.0 + 1e-9):
         raise ValueError("arguments t must lie in [-1, 1]")
     t = np.clip(t, -1.0, 1.0)
-    out = _series_eval(nu, coeffs, t)
-    return float(out) if t.shape == () else out
-
-
-def _series_eval(nu, coeffs, t, work=None):
-    """series_eval without its argument checks: coeffs is a nonempty 1-D
-    float array indexed by degree and t an ndarray already in [-1, 1];
-    work is chebyshev's.  The coefficients map through connection once,
-    to Chebyshev ones, and zero Chebyshev coefficients (every even one of
-    an odd series) are skipped in the accumulation."""
     cheb = coeffs @ connection(nu, coeffs.size - 1)
     out, term = np.zeros_like(t), np.empty_like(t)
-    for c, values in zip(cheb, chebyshev(coeffs.size - 1, t, work)):
+    for c, values in zip(cheb, chebyshev(coeffs.size - 1, t)):
         if c != 0.0:
             out += np.multiply(values, c, out=term)
-    return out
+    return float(out) if t.shape == () else out
 
 
 def eval_at_one(nu, n):

@@ -1,13 +1,17 @@
 """Surface-harmonic machinery: eigenspace dimensions, zonal projector
-kernels, smoothed projection kernels and anchored harmonic expansions.
+kernels, smoothed projection kernels, anchored harmonic expansions and an
+explicit orthonormal basis of the harmonics.
 
 Degree-n content on S^{d-1} is handled through the zonal projector kernel
 
     q_n(x, y) = h(n, d) * C_n^nu(x'y) / (|S^{d-1}| * C_n^nu(1)),
 
-with nu = (d-2)/2, so no explicit orthonormal basis is ever constructed.
-A smoothed projection kernel is K_T(x, y) = sum_{n<=T} chi(n, T) q_n(x, y)
-for one of the weight families below.
+with nu = (d-2)/2.  A smoothed projection kernel is K_T(x, y) =
+sum_{n<=T} chi(n, T) q_n(x, y) for one of the weight families below.  By
+the addition theorem q_n(x, y) is also Y_n(x)'Y_n(y) for any orthonormal
+basis Y_n of the degree-n harmonics; harmonic_basis builds one (the
+Gelfand-Tsetlin basis), and harmonic_moments and harmonic_series are its
+analysis and synthesis over a sample.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ __all__ = [
     "MAX_DEGREE",
     "chebyshev_sums",
     "degree_sums",
+    "harmonic_basis",
+    "harmonic_moments",
+    "harmonic_series",
     "HarmonicMixture",
 ]
 
@@ -207,9 +214,7 @@ def chebyshev_sums(anchors, weights, points, flagged):
     rows_of = np.atleast_2d(weights)
     # Every block reuses one array for the cosines and one for the sweep: a
     # fresh 128 KB array per block can come from a page-faulting mapping,
-    # which made evaluation up to three times slower per point.  The Gram
-    # matrices of the fundamental system keep their own loop over the lower
-    # triangle: through this one, d = 4, degree 24 took 0.20 s, not 0.13 s.
+    # which made evaluation up to three times slower per point.
     chunk_size = max(1, EVAL_CHUNK // max(1, anchors.shape[0]))
     block = np.empty((min(chunk_size, points.shape[0]), anchors.shape[0]))
     work = np.empty(4 * block.size)
@@ -254,6 +259,140 @@ def degree_sums(anchors, weights, points, used):
     for start in range(0, anchors.shape[0], chunk):
         part = slice(start, start + chunk)
         out += table @ chebyshev_sums(anchors[part], weights[..., part], points, read)
+    return out
+
+
+# Entries per row block of harmonic_moments and harmonic_series, counted
+# over the block's lower harmonics and its three rows of factors per lower
+# degree (see _basis_terms).
+BASIS_CHUNK = 1 << 17
+
+
+def _gegenbauer_factors(t, rho2, top, nu):
+    """Yield, for k = 0..top, (g, scale): the (top + 1 - k, m) monic
+    factors g = rho^k G_k(t / rho) of the lower degrees l = 0..top - k, and
+    the (top + 1 - k,) scale that makes them rho^k p_k(t / rho), for p_k
+    the orthonormal Gegenbauer polynomials of the weight
+    (1 - t^2)^{lambda - 1/2} on [-1, 1], lambda = l + nu (rho2 = rho^2,
+    None for rho = 1).  From t p_k = alpha_{k+1} p_{k+1} + alpha_k p_{k-1},
+    with alpha_k^2 = k (k + 2 lambda - 1) / (4 (k + lambda) (k + lambda - 1)),
+    G_{k+1} = t G_k - alpha_k^2 G_{k-1} and p_k = p_0 G_k / (alpha_1 ...
+    alpha_k), where p_0^2 = Gamma(lambda + 1) / (sqrt(pi) Gamma(lambda + 1/2))
+    (math.lgamma at lambda = nu, then its ratios from one lambda to the
+    next).  Three rolling buffers: each g is overwritten two steps later."""
+    lam = nu + np.arange(top + 1.0)
+    k = np.arange(1.0, top + 1.0)[:, None]
+    alpha2 = k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0))
+    first = math.exp(math.lgamma(nu + 1.0) - math.lgamma(nu + 0.5)) / math.sqrt(math.pi)
+    p0_squared = np.cumprod(np.concatenate(([first], (lam[:-1] + 1.0) / (lam[:-1] + 0.5))))
+    scale = np.sqrt(p0_squared / np.cumprod(np.vstack([np.ones(top + 1), alpha2]), axis=0))
+    buffers = np.empty((3, top + 1, t.size))
+    buffers[0].fill(1.0)
+    yield buffers[0], scale[0]
+    for k in range(1, top + 1):
+        rows = top + 1 - k
+        g, older = buffers[k % 3, :rows], buffers[(k - 2) % 3, :rows]
+        np.multiply(buffers[(k - 1) % 3, :rows], t, out=g)
+        if k > 1:
+            if rho2 is not None:
+                older *= rho2
+            older *= alpha2[k - 2, :rows, None]
+            g -= older
+        yield g, scale[k, :rows]
+
+
+def harmonic_basis(points, top):
+    """Real harmonics of every degree n <= top at the (m, d) points, d >= 2,
+    as a (top + 1, w, m) array Y: Y[n, :h(n, d)] are the degree-n ones and
+    the rest of Y[n] is zero (w = h(top, d), or 2 in d = 2).  At unit
+    vectors they are orthonormal in L^2(S^{d-1}), so that by the addition
+    theorem Y[n]'Y[n] is q_n at every pair; elsewhere they are the same
+    homogeneous harmonic polynomials (solid harmonics).
+
+    The basis is the Gelfand-Tsetlin one (Dai & Xu, Approximation Theory
+    and Harmonic Analysis on Spheres and Balls, 2013, section 1.5), built by
+    recursion over the dimension: in d = 2, 1/sqrt(2 pi) (and a zero) at
+    degree 0, then Re and Im of (x_1 + i x_2)^n / sqrt(pi), by repeated
+    products; above, each lower harmonic of degree l in the first d - 1 coordinates
+    times rho^k p_k(x_d / rho), k = n - l, for rho = |x| and the
+    orthonormal Gegenbauer polynomial p_k of index l + (d - 2)/2
+    (_gegenbauer_factors), listed by l within degree n.
+    """
+    x = np.asarray(points, dtype=float)
+    d = x.shape[1]
+    if d == 2:
+        # a whole row at a time: np.cumprod down the rows took twice as long
+        z, step = np.ones((top + 1, x.shape[0]), dtype=complex), x[:, 0] + 1j * x[:, 1]
+        for l in range(1, top + 1):
+            np.multiply(z[l - 1], step, out=z[l])
+        out = np.empty((top + 1, 2, x.shape[0]))
+        np.multiply(z.real, 1.0 / math.sqrt(math.pi), out=out[:, 0])
+        np.multiply(z.imag, 1.0 / math.sqrt(math.pi), out=out[:, 1])
+        out[0, 0] = 1.0 / math.sqrt(2.0 * math.pi)
+        return out
+    lower = harmonic_basis(x[:, :-1], top)
+    factors = np.empty((top + 1, top + 1, x.shape[0]))
+    rho2 = np.einsum("ij,ij->i", x, x)
+    for k, (g, scale) in enumerate(_gegenbauer_factors(x[:, -1], rho2, top, (d - 2) / 2.0)):
+        np.multiply(g, scale[:, None], out=factors[k, : top + 1 - k])
+    out = np.zeros((top + 1, eigenspace_dim(top, d), x.shape[0]))
+    dims = [eigenspace_dim(l, d - 1) for l in range(top + 1)]
+    for l, (dim, end) in enumerate(zip(dims, np.cumsum(dims))):
+        np.multiply(factors[: top + 1 - l, l, None], lower[l, None, :dim], out=out[l:, end - dim : end])
+    return out
+
+
+def _layout(d, top):
+    """Shape (top + 1, w, depth) of a coefficient array of the basis to
+    degree top in d dimensions (see harmonic_moments)."""
+    return top + 1, 2 if d <= 3 else eigenspace_dim(top, d - 1), 1 if d == 2 else top + 1
+
+
+def _basis_terms(x, top):
+    """Yield (rows, k, lower, g, scale) over row blocks of the unit vectors
+    x and the factor indices k = 0..top: lower is the block's
+    harmonic_basis in the first d - 1 coordinates to degree top - k, and g
+    and scale the matching monic Gegenbauer factors in the last one
+    (rho = 1) and their scales (_gegenbauer_factors), so that
+    scale[l] g[l] lower[l] are the harmonics of degree l + k.  In d = 2,
+    lower is the circle's own and the one factor (k = 0) is 1."""
+    d = x.shape[1]
+    size = max(1, BASIS_CHUNK // (top + 1) // (_layout(d, top)[1] + 3))
+    for start in range(0, x.shape[0], size):
+        rows = slice(start, start + size)
+        if d == 2:
+            yield rows, 0, harmonic_basis(x[rows], top), np.ones((top + 1, x[rows].shape[0])), np.ones(top + 1)
+            continue
+        lower = harmonic_basis(x[rows, :-1], top)
+        for k, (g, scale) in enumerate(_gegenbauer_factors(x[rows, -1], None, top, (d - 2) / 2.0)):
+            yield rows, k, lower[: top + 1 - k], g, scale
+
+
+def harmonic_moments(points, top):
+    """The sums over the (m, d) unit vectors of harmonic_basis' harmonics,
+    to degree top, as a coefficient array M of shape _layout(d, top):
+    M[l, :, k] is for the harmonics of degree l + k made of the lower ones
+    of degree l and the factor of index k (_basis_terms), zero where
+    l + k > top or beyond the h(l, d - 1) lower ones.  In d = 2, depth 1:
+    M[n, :, 0] is degree n.  The harmonics of the last coordinate are never
+    stored: rows stream in blocks of about BASIS_CHUNK entries, and each
+    factor meets the block's lower harmonics in one batched product."""
+    x = np.asarray(points, dtype=float)
+    moments = np.zeros(_layout(x.shape[1], top))
+    for _, k, lower, g, scale in _basis_terms(x, top):
+        moments[: g.shape[0], :, k] += scale[:, None] * np.matmul(lower, g[:, :, None])[..., 0]
+    return moments
+
+
+def harmonic_series(coeffs, points):
+    """The values sum coeffs * Y at the (m, d) unit vectors, for a
+    coefficient array in harmonic_moments' layout: its first axis sets the
+    degrees, up to coeffs.shape[0] - 1, and only those are computed."""
+    x = np.asarray(points, dtype=float)
+    out = np.zeros(x.shape[0])
+    for rows, k, lower, g, scale in _basis_terms(x, coeffs.shape[0] - 1):
+        scaled = coeffs[: g.shape[0], None, :, k] * scale[:, None, None]
+        out[rows] += np.einsum("lr,lr->r", g, np.matmul(scaled, lower)[:, 0])
     return out
 
 

@@ -234,11 +234,11 @@ def generate(spec):
         fixed = spec.fixed_value * xt[:, d - 2]
         index = g[:, 0] + (xt[:, : d - 2] * g[:, 1:]).sum(axis=1) + fixed
     if not np.all(np.isfinite(norms)):
-        raise ValueError("covariate draws overflow a float: covariate_mean or covariate_cov is too large")
+        raise ValueError("covariate_mean or covariate_cov is too large: covariate draws overflow a float")
     if not np.all(np.isfinite(fixed)):
         raise ValueError(f"fixed_value = {spec.fixed_value} times a covariate draw overflows a float")
     if not np.all(np.isfinite(index)):
-        raise ValueError("the latent index x'beta overflows a float: mixture_means or mixture_covs is too large")
+        raise ValueError("mixture_means or mixture_covs is too large: the latent index x'beta overflows a float")
     y = (index >= 0.0).astype(np.int64)
     x = x_raw / norms
     return SimulationDraw(sample=ChoiceSample(y=y, x=x), covariates=xt, raw_coefficients=g)

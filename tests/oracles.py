@@ -26,6 +26,7 @@ __all__ = [
     "gegenbauer_at_one",
     "gegenbauer_recurrence",
     "gegenbauer_series",
+    "gegenbauer_at_pairs",
     "gegenbauer_explicit_bound",
     "harmonic_dim",
     "exact_sphere_rule",
@@ -160,6 +161,25 @@ def gegenbauer_series(nu, coeffs, t, power=1):
     return out.reshape(t.shape)
 
 
+def gegenbauer_at_pairs(nu, max_degree, x, y):
+    """Table [n, i, j] of C_n^nu(t_ij), n = 0..max_degree, at the cosines
+    t_ij of the angles between the rows x_i and y_j of two float arrays:
+    each cosine taken in 30-digit arithmetic rather than rounded to a float
+    (from unit vectors rounded to floats), then gegenbauer_recurrence's
+    recurrence, rounded once.  A cosine off by eps alone moves C_n by up
+    to n(n + 2 nu)/(2 nu + 1) eps C_n(1), 5e-13 relative at degree 64."""
+    import mpmath
+
+    def dot(a, b):
+        return mpmath.fsum(mpmath.mpf(float(u)) * mpmath.mpf(float(v)) for u, v in zip(a, b))
+
+    with mpmath.workdps(30):
+        cosines = [dot(xi, yj) / mpmath.sqrt(dot(xi, xi) * dot(yj, yj)) for xi in x for yj in y]
+    columns = _recurrence_columns(nu, int(max_degree), cosines)
+    out = np.array([[float(v) for v in column] for column in columns]).T
+    return out.reshape(int(max_degree) + 1, len(x), len(y))
+
+
 def _recurrence_columns(nu, top, t):
     """One list per entry of t: the 30-digit values C_0^nu, ...,
     C_top^nu there, by gegenbauer_recurrence's recurrence."""
@@ -168,8 +188,8 @@ def _recurrence_columns(nu, top, t):
     columns = []
     with mpmath.workdps(30):
         a = mpmath.mpf(float(nu))
-        for ti in t.ravel():
-            x = mpmath.mpf(float(ti))
+        for ti in np.ravel(t):
+            x = mpmath.mpf(ti)
             prev, cur = mpmath.mpf(1), (2 if nu == 0 else 2 * a) * x
             column = [prev, cur]
             for m in range(top - 1):

@@ -427,9 +427,8 @@ _TINY_BENCH = "[bench]\nn_grid = 40 80\nreplications = 2\nresolution = 8\n"
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--threads 2 needs two CPUs")
 def test_bench_tables_and_reports_do_not_depend_on_threads(tmp_path):
     """bench --threads 1 in this process and --threads 2 in a new one write
-    byte-identical tables and reports: the workers start with other
-    cached fundamental systems than this process, and the self-sums' path
-    rule does not read that cache."""
+    byte-identical tables and reports: nothing a worker computes depends
+    on what its process ran before."""
     ini = _write(tmp_path / "tiny.ini", "[model]\nn_obs = 120\n" + _TINY_BENCH)
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert cli.main(["bench", "--threads", "1", "--config", ini, "--seed", "3", "--out", str(one)]) == 0
@@ -441,8 +440,8 @@ def test_bench_tables_and_reports_do_not_depend_on_threads(tmp_path):
 
 def test_circle_estimate_is_byte_identical_across_runs(tmp_path):
     """A d = 2 custom model (the circle's own recursion branch, and the
-    fundamental system at every N) writes the same grid and report in a
-    new interpreter as in this one."""
+    harmonic basis at every N) writes the same grid and report in a new
+    interpreter as in this one."""
     ini = _write(
         tmp_path / "circle.ini",
         "[model]\npreset = custom\ndimension = 2\nn_obs = 120\ncovariate_mean = 0\n"
@@ -479,6 +478,20 @@ def test_cli_error_paths(tmp_path):
         cli.main(["simulate"])  # --out is required
 
 
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_seed_is_refused_where_nothing_reads_it(tmp_path, capsys, command):
+    """estimate and diagnose draw nothing at random, so they take no --seed:
+    argparse refuses it with exit code 2 and writes no output."""
+    data = str(tmp_path / "d.csv")
+    assert cli.main(["simulate", "--out", data, "--seed", "5"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, data, "--seed", "5", "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o.csv*"))
+
+
 # Each input is refused by the library with a ValueError (or, for s = nan,
 # was refused only after the grid had been written), by the config reader
 # (the retired rate rule's keys), or before any task is built (--threads,
@@ -490,10 +503,11 @@ def test_cli_error_paths(tmp_path):
 _SMALL_BENCH = "[bench]\nn_grid = 30\nreplications = 1\nresolution = 4\n"
 # A d = 2 custom design, completed by the case's covariate_mean and
 # fixed_value lines.
-_CIRCLE_MODEL = (
-    "[model]\npreset = custom\ndimension = 2\ncovariate_cov = 1\n"
+_CIRCLE_DESIGN = (
+    "preset = custom\ndimension = 2\ncovariate_cov = 1\n"
     "mixture_weights = 1\nmixture_means = 0\nmixture_covs = 1\n"
 )
+_CIRCLE_MODEL = "[model]\n" + _CIRCLE_DESIGN
 _FIXED_VALUE_OVERFLOW = _CIRCLE_MODEL + "covariate_mean = 0\nfixed_value = 1e308\n"
 _COVARIATE_OVERFLOW = _CIRCLE_MODEL + "covariate_mean = 1e308\n"
 _REFUSED = {
@@ -674,6 +688,25 @@ _REFUSED_VALUES = {
     ),
     "seed": (["simulate"], "run", "seed = -1", "seed must be >= 0, got -1"),
     "s": (["estimate", "{data}"], "estimator", "s = -1", "s must be > 0 for riesz, got -1.0"),
+    # draws that overflow a float, refused by simulate.generate
+    "covariate_mean_overflow": (
+        ["bench"],
+        "model",
+        _custom_model("covariate_mean = 1e308 1e308") + "\n" + _SMALL_BENCH,
+        "covariate_mean or covariate_cov is too large: covariate draws overflow a float",
+    ),
+    "fixed_value_overflow": (
+        ["simulate"],
+        "model",
+        "fixed_value = 1e308\ncovariate_mean = 0\n" + _CIRCLE_DESIGN,
+        "fixed_value = 1e+308 times a covariate draw overflows a float",
+    ),
+    "mixture_means_overflow": (
+        ["simulate"],
+        "model",
+        _custom_model("mixture_means = 1e308 1e308 ; 1e308 1e308"),
+        "mixture_means or mixture_covs is too large: the latent index x'beta overflows a float",
+    ),
 }
 
 

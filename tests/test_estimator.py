@@ -279,23 +279,37 @@ def _sums_table(path, x, top):
     return energy, np.array([combine(unit) for unit in np.eye(top + 1)])
 
 
+def _record_basis_rows(monkeypatch):
+    """Wrap kernels.harmonic_basis, which every harmonic-basis block calls
+    in any d (and which calls itself once per lower dimension), so that the
+    row count of each call is appended to the list returned."""
+    rows, real = [], kernels.harmonic_basis
+
+    def recorded(x, top):
+        rows.append(x.shape[0])
+        return real(x, top)
+
+    monkeypatch.setattr(kernels, "harmonic_basis", recorded)
+    return rows
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_self_sums_match_double_loop(monkeypatch, d):
-    """The pair sweep and the fundamental system each give every degree's
-    sums over the whole sample, and their totals as energies, for any
-    block size (kernels.EVAL_CHUNK 1: one row per block), and the
-    cross-validated covariate density sweeps to the cap."""
+    """The pair sweep and the harmonic basis each give every degree's sums
+    over the whole sample, and their totals as energies, for any block
+    size (kernels.EVAL_CHUNK and kernels.BASIS_CHUNK 1: one row per block),
+    and the cross-validated covariate density sweeps to the cap."""
     x = _design_points(d, 30, seed=60 + d)
     top = estimator.FX_CV_MAX_BAND
     ref = oracles.pair_sums(x, top)
     nu = (d - 2) / 2.0
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(top + 1)])
     tol = 1e-13 + 4.0 * np.finfo(float).eps * (x.shape[0] - 1) * bound
-    estimator._fundamental_system(d, top)  # its set-up sweep, out of the way
-    rows = _record_sweep_rows(monkeypatch)
+    sweep_rows, basis_rows = _record_sweep_rows(monkeypatch), _record_basis_rows(monkeypatch)
     for block in (1, 97, 1 << 16):
         monkeypatch.setattr(kernels, "EVAL_CHUNK", block)
-        for path in (estimator._pair_sums, estimator._system_sums):
+        monkeypatch.setattr(kernels, "BASIS_CHUNK", block)
+        for path, rows in ((estimator._pair_sums, sweep_rows), (estimator._basis_sums, basis_rows)):
             rows.clear()
             energy, sums = _sums_table(path, x, top)
             assert (max(rows) < x.shape[0]) == (block < 1 << 16)  # several blocks
@@ -349,18 +363,21 @@ def _circle_sums(x, top):
         (3, 1500, 64),
         (3, 5000, 10),
         (4, 2000, 10),
+        (5, 1000, 24),
+        (5, 2000, 10),
     ],
 )
 def test_system_sums_accuracy(d, n_obs, top):
-    """Through the fundamental system each degree's sums are within 1e-12
-    of that degree's largest, and its energies within 1e-12 relative, to
+    """Through the harmonic basis each degree's sums are within 1e-12 of
+    that degree's largest, and its energies within 1e-12 relative, to
     degree 64 and at the point fit's band, 10: against the pair sweep in
-    d = 3 and 4, and in d = 2 against _circle_sums, since there the pair
-    sweep's own error reaches 1e-12.  At these sizes _self_sums takes the
-    fundamental system, except in d = 4 at degree 24 (M = 938), where it
-    takes the pair sweep."""
+    d = 3, 4 and 5, and in d = 2 against _circle_sums, since there the
+    pair sweep's own error reaches 1e-12.  At these sizes _self_sums takes
+    the basis, except in d = 4 at degree 24 (N (top + 1) = 37 500 below
+    BASIS_RATIO H = 44 200) and in d = 5 at degree 24, where it takes the
+    pair sweep."""
     x = _design_points(d, n_obs, seed=90 + d)
-    energy, sums = _sums_table(estimator._system_sums, x, top)
+    energy, sums = _sums_table(estimator._basis_sums, x, top)
     if d == 2:
         ref = _circle_sums(x, top)
     else:
@@ -368,43 +385,24 @@ def test_system_sums_accuracy(d, n_obs, top):
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
     assert np.max(np.abs(energy - ref.sum(axis=1)) / np.abs(ref.sum(axis=1))) <= 1e-12
     taken = estimator._self_sums(x, top)[0]
-    assert np.array_equal(taken, pair_energy if (d, top) == (4, 24) else energy)
-
-
-@pytest.mark.parametrize("d,top", [(3, 10), (4, 10), (3, 24), (4, 24), (3, 64)])
-def test_fundamental_system_prefix_grams_are_well_conditioned(d, top):
-    """Each degree's prefix Gram G_n = C_n(Z_n Z_n') has rank h(n, d), the
-    dimension of the degree-n harmonics, and its largest eigenvalue is
-    below 1e3 times its h(n, d)-th largest (at most 183 with the first
-    3 h(n, d) / 2 points per degree, 45 with 2 h(n, d)), so that a change
-    of the point set cannot trade away the accuracy of
-    test_system_sums_accuracy unseen."""
-    z, factors = estimator._fundamental_system(d, top)
-    for n, u in enumerate(factors):
-        h, size = kernels.eigenspace_dim(n, d), u.shape[0]
-        unit = np.zeros(n + 1)
-        unit[n] = 1.0
-        vals = np.linalg.eigvalsh(gegenbauer.series_eval((d - 2) / 2.0, unit, z[:size] @ z[:size].T))
-        assert vals[-1] / vals[-h] < 1e3
-        assert size == h or vals[-h - 1] <= 1e-10 * vals[-1]
+    assert np.array_equal(taken, pair_energy if d > 3 and top == 24 else energy)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_system_combine_sweeps_only_to_the_rows_band(monkeypatch, d):
-    """The fundamental system's energies come from its first pass alone;
-    a combination row's pass over the sample sweeps only to the row's last
-    nonzero degree, and a zero row sweeps nothing."""
+    """The harmonic basis' energies come from its first pass alone; a
+    combination row's pass over the sample builds the basis only to the
+    row's last nonzero degree, and a zero row builds nothing."""
     x = _design_points(d, 200, seed=50 + d)
     top = estimator.FX_CV_MAX_BAND
-    estimator._fundamental_system(d, top)
-    tops, real = [], gegenbauer.chebyshev
+    tops, real = [], kernels._basis_terms
 
-    def recorded(deg, t, *work):
+    def recorded(points, deg):
         tops.append(int(deg))
-        return real(deg, t, *work)
+        return real(points, deg)
 
-    monkeypatch.setattr(gegenbauer, "chebyshev", recorded)
-    energy, combine = estimator._system_sums(x, top)
+    monkeypatch.setattr(kernels, "_basis_terms", recorded)
+    energy, combine = estimator._basis_sums(x, top)
     assert set(tops) == {top} and energy.shape == (top + 1,)
     row = np.zeros(top + 1)
     row[:7] = 1.0
@@ -417,13 +415,14 @@ def test_system_combine_sweeps_only_to_the_rows_band(monkeypatch, d):
 
 @pytest.mark.parametrize("n_obs", [3, 50, 150])
 def test_circle_self_sums_take_fundamental_system(n_obs):
-    """In d = 2, _self_sums takes the fundamental system at every N, where
-    the pair sweep would be cheaper below N = 150 but less accurate: each
-    degree's sums are within 1e-13 of that degree's largest exactly rounded
-    sum (_circle_sums)."""
+    """In d = 2, _self_sums takes the harmonic basis at every N, where the
+    pair sweep would be cheaper below about N = 100 but less accurate:
+    each degree's sums are within 1e-13 of that degree's largest exactly
+    rounded sum (_circle_sums).  (The name is that of the path the basis
+    replaced.)"""
     x = _design_points(2, n_obs, seed=80)
     top = estimator.FX_CV_MAX_BAND
-    assert np.array_equal(estimator._self_sums(x, top)[0], estimator._system_sums(x, top)[0])
+    assert np.array_equal(estimator._self_sums(x, top)[0], estimator._basis_sums(x, top)[0])
     _, sums = _sums_table(estimator._self_sums, x, top)
     ref = _circle_sums(x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-13
@@ -446,13 +445,13 @@ def test_self_evaluation_memory_is_linear():
 
 
 def test_lscv_band_same_through_either_path(monkeypatch):
-    """On model_1 at N = 500 the cross-validated band the fundamental
-    system's sums choose is the one the pair sweep's sums choose.  Each
-    path is set in turn, since _self_sums takes only one of them (the
-    system there, at the cap, M = 74)."""
+    """On model_1 at N = 500 the cross-validated band the harmonic basis'
+    sums choose is the one the pair sweep's sums choose.  Each path is set
+    in turn, since _self_sums takes only one of them (the basis there, at
+    the cap, N (top + 1) = 12 500 > BASIS_RATIO H = 5 000)."""
     cfg = EstimatorConfig()
     samples = [generate(DgpSpec.model_1(n_obs=500, seed=seed)).sample for seed in range(200)]
-    monkeypatch.setattr(estimator, "_self_sums", estimator._system_sums)
+    monkeypatch.setattr(estimator, "_self_sums", estimator._basis_sums)
     bands = [estimator._cross_validated_fx(s, cfg)[0] for s in samples]
     monkeypatch.setattr(estimator, "_self_sums", estimator._pair_sums)
     assert bands == [estimator._cross_validated_fx(s, cfg)[0] for s in samples]
@@ -589,15 +588,15 @@ def test_inference_fit_is_swept_only_when_read(monkeypatch):
     assert summary["lscv_band"] == est.inference.fx_band
 
 
-@pytest.mark.parametrize("d,system_degrees", [(2, [10, 24]), (3, [10]), (4, [])])
+@pytest.mark.parametrize("d,system_degrees", [(2, [10, 24]), (3, [10, 24]), (4, [])])
 def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, system_degrees):
     """The point fit's covariate density, from a sweep to fx_truncation,
     is the leave-in values from a sweep to the cross-validation cap
-    (_leave_in_at_cap), within 1e-13 relative.  At N = 300 in d = 3 the
-    two sweeps take different paths: the fundamental system at degree 10
-    (M = 32) and the pair sweep at degree 24 (M = 74); d = 2 takes the
-    system and d = 4 the pair sweep at both."""
-    system = _record_calls(monkeypatch, "_system_sums")
+    (_leave_in_at_cap), within 1e-13 relative.  At N = 300, d = 2 and 3
+    take the harmonic basis (system_degrees) at both degrees, and d = 4
+    the pair sweep (N (top + 1) = 3 300 < BASIS_RATIO H = 4 048 at degree
+    10)."""
+    system = _record_calls(monkeypatch, "_basis_sums")
     pairs = _record_calls(monkeypatch, "_pair_sums")
     s = _random_sample(d, 300, seed=40 + d)
     cfg = EstimatorConfig()
@@ -1149,7 +1148,9 @@ def test_coefficient_density_fit_and_queries():
 
 
 def test_coefficient_density_matches_functional_path():
-    """At N = 150 (pair sweep) and N = 1 000 (fundamental system)."""
+    """At N = 150 (the harmonic basis at degree 10, the pair sweep for the
+    inference fit's self-sums at the cap, 24) and N = 1 000 (the basis at
+    both)."""
     for n_obs in (150, 1000):
         draw = generate(DgpSpec.model_1(n_obs=n_obs, seed=5))
         model = CoefficientDensity().fit(draw.sample.x, draw.sample.y)

@@ -106,9 +106,19 @@ _REMOVED = {
         "laplacian_eigenvalue",
     ],
     "hemisphere": ["invert_by_laplacian", "_lower_area"],
-    "gegenbauer": ["eval_all", "sweep"],
+    "gegenbauer": ["eval_all", "sweep", "_series_eval"],
     "sphere": ["angle_between"],
-    "estimator": ["SELF_SUMS_BLOCK", "fx_self_evaluation", "FxSelfEvaluation", "_leave_in_values"],
+    "estimator": [
+        "SELF_SUMS_BLOCK",
+        "fx_self_evaluation",
+        "FxSelfEvaluation",
+        "_leave_in_values",
+        # the fundamental system, which the explicit harmonic basis replaced
+        "_fundamental_system",
+        "_system_sums",
+        "_degree_points",
+        "_system_size",
+    ],
     "cli": ["_key_lines", "configparser"],
 }
 
@@ -161,10 +171,10 @@ def test_removed_names_are_gone():
         (HarmonicMixture.evaluate, "chunk_size"),
         (estimator._self_sums, "budget"),
         (estimator._pair_sums, "budget"),
-        (estimator._system_sums, "budget"),
+        (estimator._basis_sums, "budget"),
         (estimator._self_sums, "nu"),
         (estimator._pair_sums, "nu"),
-        (estimator._system_sums, "nu"),
+        (estimator._basis_sums, "nu"),
         (kernels.degree_sums, "nu"),
         (estimator.identification_diagnostic, "rel_threshold"),
     ]
