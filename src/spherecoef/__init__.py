@@ -8,8 +8,9 @@ or optimization is needed to evaluate the fitted density.
 
 Layout: sphere (geometry and quadrature), gegenbauer (the Chebyshev
 recurrence and its Gegenbauer connection tables), kernels (filtered
-zonal kernels and band-limited mixtures), hemisphere (the averaging
-operator and its inverse), estimator (the statistical layer), simulate
+zonal kernels, band-limited mixtures and a sample's per-degree
+self-sums), hemisphere (the averaging operator and its inverse),
+estimator (the statistical layer, which reads those sums), simulate
 (synthetic designs with exact sphere densities), cli (command-line front
 end).
 """

@@ -41,7 +41,8 @@ Every key is optional; shown are the defaults (the custom model has none):
     fx_truncation = 10
 
     [grid]
-    # circle points (d=2) or polar levels (d=3)
+    # circle points (d=2) or polar levels (d=3), >= 2, as is estimate's
+    # --grid-res, which overrides it (also when points_file is set)
     resolution = 24
     # CSV of evaluation points, required for d >= 4
     points_file =
@@ -435,9 +436,10 @@ def cmd_estimate(args):
     config = resolve_estimator_config(cfg["estimator"])
     sample = read_sample(args.data)
     d = sample.dimension
-    resolution = args.grid_res if args.grid_res is not None else _parse_int(
-        cfg["grid"]["resolution"], "grid resolution", minimum=2
-    )
+    # --grid-res is checked even when [grid] points_file sets the grid
+    flag = args.grid_res is not None
+    text, what = (str(args.grid_res), "--grid-res") if flag else (cfg["grid"]["resolution"], "grid resolution")
+    resolution = _parse_int(text, what, minimum=2)
     grid = evaluation_grid(d, resolution, cfg["grid"]["points_file"])
     est = estimate_fbeta(sample, config)
     values = est.density(grid)

@@ -27,12 +27,9 @@ from .kernels import (
     _at_one,
     _is_power_of_two,
     chi_table,
-    _layout,
     degree_sums,
-    eigenspace_dim,
-    harmonic_moments,
-    harmonic_series,
     projector_constants,
+    self_sums,
 )
 from .sphere import (
     QuadratureRule,
@@ -206,86 +203,9 @@ def estimate_fx(sample, kernel):
     return FxEstimate(mixture=mix)
 
 
-# Multiple of H the count N (top + 1) must exceed for _self_sums to take
-# the harmonic basis; see _self_sums.
-BASIS_RATIO = 8
-
 # Cap on the covariate-density bands the cross-validation searches
 # (config.fx_truncation when that is larger); see _lscv_bands.
 FX_CV_MAX_BAND = 24
-
-
-def _self_sums(x, max_degree):
-    """The self-sums S[n, i] = sum_j C_n^nu(x_i'x_j) for n = 0..max_degree,
-    over the whole sample (the term j = i, C_n(1), included), as a pair
-    (energy, combine): energy[n] = sum_i S[n, i], and combine(row) the
-    values row @ S for a series row over degrees 0..max_degree, computed
-    only up to the row's last nonzero degree.
-
-    Two paths give them: the pair sweep (_pair_sums, N^2 (top + 1)
-    Chebyshev terms) and the harmonic basis (_basis_sums, N H harmonics
-    per pass, H = sum_{n <= top} h(n, d); no set-up, nothing kept between
-    calls).  The rule compares those counts: the basis from
-    N (top + 1) > BASIS_RATIO H, and in d = 2 always, where the pair sweep
-    is cheaper only below N = 50 (by at most 0.02 ms) and less accurate
-    (1.8e-12 of each degree's largest sum to degree 64 at N = 1 000, the
-    basis 2.4e-14).  With one BLAS thread, for the energies and one
-    combine at top (medians of 7, 2-core Xeon), the basis was the cheaper
-    from N (top + 1) = 12 H at degree 10 in d = 3 (N = 132), 8 H at degree
-    24 (N = 200), 7 H and 4 H at degrees 10 and 24 in d = 4 (N = 322 and
-    884) and 8 to 9 H at degree 10 in d = 5 (N = 1 248 to 1 404); at degree
-    24 in d = 5 the pair sweep still won at 8 H (4.4 s against 5.5 s, N =
-    12 168).  Where BASIS_RATIO = 8 picks the slower path, the basis costs
-    at most 0.2 ms more (d = 3, degree 10, N = 89 to 132) and the pair
-    sweep at most 1.7 times the basis (d = 4, degree 24, N = 884 to 1 768).
-    """
-    n_obs, d = x.shape
-    if d == 2 or n_obs * (max_degree + 1) > BASIS_RATIO * eigenspace_dim(max_degree, d + 1):
-        return _basis_sums(x, max_degree)
-    return _pair_sums(x, max_degree)
-
-
-def _band_length(row):
-    """Degrees 0..band of a series row that reach its last nonzero one."""
-    nonzero = np.flatnonzero(row)
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
-
-
-def _pair_sums(x, max_degree):
-    """_self_sums by one sweep over all N^2 cosines x_i'x_j, keeping the
-    (max_degree + 1, N) sums S."""
-    sums = degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
-
-    def combine(row):
-        size = _band_length(row)
-        return row[:size] @ sums[:size]
-
-    return sums.sum(axis=1), combine
-
-
-def _basis_sums(x, max_degree):
-    """_self_sums from the moments M = sum_i Y(x_i) of the harmonic basis
-    (kernels.harmonic_moments), linear in N: by the addition theorem
-    S[n, i] = kappa_n Y_n(x_i)'M_n with kappa_n = 1 / projector_constants[n],
-    so energy[n] = kappa_n |M_n|^2, and combine(row) is the series
-    (kernels.harmonic_series) of row[n] kappa_n M_n, to the row's band."""
-    d = x.shape[1]
-    moments = harmonic_moments(x, max_degree)
-    kappa = 1.0 / projector_constants(max_degree, d)
-    # moments[l, :, k] is of degree l + k
-    degree = np.add.outer(np.arange(moments.shape[0]), np.arange(moments.shape[2]))
-    energy = kappa * np.bincount(degree.ravel(), (moments**2).sum(axis=1).ravel())[: max_degree + 1]
-
-    def combine(row):
-        size = _band_length(row)
-        if size == 0:
-            return np.zeros(x.shape[0])
-        weights = np.zeros(2 * max_degree + 1)
-        weights[:size] = row[:size] * kappa[:size]
-        top, width, depth = _layout(d, size - 1)
-        return harmonic_series(moments[:top, :width, :depth] * weights[degree[:top, :depth]][:, None, :], x)
-
-    return energy, combine
 
 
 def _lscv_bands(config):
@@ -312,13 +232,13 @@ def _cross_validated_fx(sample, config):
     """The covariate density at its own sample, each x_i left out of its
     own kernel average, at the band of _lscv_bands with the least
     cross-validation score, as (band, values clipped at zero): one sweep of
-    the self-sums to the last band the search tries."""
+    the self-sums (kernels.self_sums) to the last band the search tries."""
     n_obs, d = sample.n_obs, sample.dimension
     bands = _lscv_bands(config)
     top = int(bands[-1])
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
     rows = projector_constants(top, d, chi)
-    energy, combine = _self_sums(sample.x, top)
+    energy, combine = self_sums(sample.x, top)
     at_one = _at_one(top, d)  # the terms j = i, dropped
     k = int(np.argmin(_lscv_scores(rows, chi, energy, energy - n_obs * at_one, n_obs)))
     return int(bands[k]), np.maximum((combine(rows[k]) - rows[k] @ at_one) / (n_obs - 1), 0.0)
@@ -449,7 +369,7 @@ def estimate_fbeta(sample, config=None, fx=None):
         return _fit(sample, config, fx_values, None)
     top = config.fx_truncation
     row = projector_constants(top, d, config.fx_kernel(d).chi())
-    _, combine = _self_sums(sample.x, top)
+    _, combine = self_sums(sample.x, top)
     fx_values = np.maximum(combine(row) / n_obs, 0.0)
     return _fit(sample, config, fx_values, top, keep_sample=True)
 
@@ -690,9 +610,9 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     per-degree coefficients (the transform rescales degree n by its
     eigenvalue), so both are read on the probe nodes from one sweep of the
     cosines, as two coefficient rows against the same per-degree sums
-    (HarmonicMixture.evaluate_series).  The transform's row is the odd
-    row times hemisphere's eigenvalue row; the transformed mixture itself
-    is never built.
+    (HarmonicMixture.evaluate_series).  The transform's row is the series
+    row of hemisphere.transform(odd), which shares odd's anchors and
+    weights.
     """
     if isinstance(estimate, DensityEstimate):
         odd = estimate.odd
@@ -706,9 +626,8 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     if quad is None:
         quad = build_quadrature(d, resolution, seed=0)
     area = surface_area(d)
-    row = odd.degree_coeffs * hemisphere._eigenvalues(odd.max_degree, d)
     odd_vals, hemi_vals = odd.evaluate_series(
-        quad.points, [odd.series_coeffs(), projector_constants(odd.max_degree, d, row)]
+        quad.points, [odd.series_coeffs(), hemisphere.transform(odd).series_coeffs()]
     )
     masses = hemi_vals / area
     i_best = int(np.argmax(masses))

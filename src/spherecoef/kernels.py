@@ -10,8 +10,11 @@ with nu = (d-2)/2.  A smoothed projection kernel is K_T(x, y) =
 sum_{n<=T} chi(n, T) q_n(x, y) for one of the weight families below.  By
 the addition theorem q_n(x, y) is also Y_n(x)'Y_n(y) for any orthonormal
 basis Y_n of the degree-n harmonics; harmonic_basis builds one (the
-Gelfand-Tsetlin basis), and harmonic_moments and harmonic_series are its
-analysis and synthesis over a sample.
+Gelfand-Tsetlin basis).  The self-sums S[n, i] = sum_j C_n^nu(x_i'x_j)
+over a sample, which every covariate-density fit reads, live here too:
+self_sums takes them from the basis' moments over the sample (its
+analysis and synthesis, _harmonic_moments and _harmonic_series) or by a
+sweep over every pair of sample points, whichever costs less.
 """
 
 from __future__ import annotations
@@ -30,17 +33,15 @@ __all__ = [
     "KernelSpec",
     "chi_table",
     "MAX_DEGREE",
-    "chebyshev_sums",
     "degree_sums",
     "harmonic_basis",
-    "harmonic_moments",
-    "harmonic_series",
+    "self_sums",
     "HarmonicMixture",
 ]
 
 _FAMILIES = ("riesz", "delayed_means", "dirichlet")
 
-# Cosines per block of chebyshev_sums, for evaluation and self-sums alike.
+# Cosines per block of _chebyshev_sums, for evaluation and self-sums alike.
 # Each block-sized array of the Chebyshev sweep (the cosines, 2t and the
 # three rolling buffers) is then 128 KB, 640 KB together, so they stay in
 # cache; blocks of millions of cosines were two to three times slower per
@@ -194,7 +195,7 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
     return np.where(inside, table, 0.0)
 
 
-def chebyshev_sums(anchors, weights, points, flagged):
+def _chebyshev_sums(anchors, weights, points, flagged):
     """Per-degree weighted Chebyshev sums E[j, k] = sum_i W[j, i]
     T_j(a_i'b_k) of the (N, d) anchors a_i at the (m, d) points b_k, for
     the Chebyshev degrees j flagged in the boolean array flagged.
@@ -233,11 +234,11 @@ def degree_sums(anchors, weights, points, used):
     """Per-degree weighted sums D[n, k] = sum_i weights[i] C_n^nu(a_i'b_k)
     of the (N, d) anchors a_i at the (m, d) points b_k, for the degrees n
     flagged in the boolean array used, with nu = (d - 2)/2 for the points'
-    d.  weights is one (N,) vector or, as in chebyshev_sums, p rows, row
+    d.  weights is one (N,) vector or, as in _chebyshev_sums, p rows, row
     j % p for Chebyshev degree j; C_n reads only those of n's parity.
 
     Returns a (u, m) array with one row per flagged degree, in increasing
-    order.  The anchors go in chunks (ANCHOR_CHUNK) through chebyshev_sums,
+    order.  The anchors go in chunks (ANCHOR_CHUNK) through _chebyshev_sums,
     for the Chebyshev degrees some flagged degree reads (only odd ones for
     odd degrees), and each chunk's sums map through gegenbauer.connection
     before they are added up.  On S^{d-1}, d >= 3, the T_j are not
@@ -258,11 +259,11 @@ def degree_sums(anchors, weights, points, used):
     chunk = max(ANCHOR_CHUNK, EVAL_CHUNK // max(1, points.shape[0]))
     for start in range(0, anchors.shape[0], chunk):
         part = slice(start, start + chunk)
-        out += table @ chebyshev_sums(anchors[part], weights[..., part], points, read)
+        out += table @ _chebyshev_sums(anchors[part], weights[..., part], points, read)
     return out
 
 
-# Entries per row block of harmonic_moments and harmonic_series, counted
+# Entries per row block of _harmonic_moments and _harmonic_series, counted
 # over the block's lower harmonics and its three rows of factors per lower
 # degree (see _basis_terms).
 BASIS_CHUNK = 1 << 17
@@ -344,7 +345,7 @@ def harmonic_basis(points, top):
 
 def _layout(d, top):
     """Shape (top + 1, w, depth) of a coefficient array of the basis to
-    degree top in d dimensions (see harmonic_moments)."""
+    degree top in d dimensions (see _harmonic_moments)."""
     return top + 1, 2 if d <= 3 else eigenspace_dim(top, d - 1), 1 if d == 2 else top + 1
 
 
@@ -368,7 +369,7 @@ def _basis_terms(x, top):
             yield rows, k, lower[: top + 1 - k], g, scale
 
 
-def harmonic_moments(points, top):
+def _harmonic_moments(points, top):
     """The sums over the (m, d) unit vectors of harmonic_basis' harmonics,
     to degree top, as a coefficient array M of shape _layout(d, top):
     M[l, :, k] is for the harmonics of degree l + k made of the lower ones
@@ -384,16 +385,93 @@ def harmonic_moments(points, top):
     return moments
 
 
-def harmonic_series(coeffs, points):
-    """The values sum coeffs * Y at the (m, d) unit vectors, for a
-    coefficient array in harmonic_moments' layout: its first axis sets the
-    degrees, up to coeffs.shape[0] - 1, and only those are computed."""
+def _harmonic_energies(moments):
+    """The per-degree energies sum_{Y of degree n} M_Y^2 of a moment array
+    (_harmonic_moments) to degree top, for n = 0..top."""
+    degree = np.add.outer(np.arange(moments.shape[0]), np.arange(moments.shape[2]))
+    return np.bincount(degree.ravel(), (moments**2).sum(axis=1).ravel())[: moments.shape[0]]
+
+
+def _band_length(row):
+    """Degrees 0..band of a series row that reach its last nonzero one."""
+    nonzero = np.flatnonzero(row)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _harmonic_series(moments, points, row):
+    """The values sum_n row[n] sum_{Y of degree n} M_Y Y at the (m, d) unit
+    vectors, for a moment array M (_harmonic_moments) and a row over its
+    degrees: the basis is built only to the row's last nonzero degree, and
+    not at all for a zero row."""
     x = np.asarray(points, dtype=float)
     out = np.zeros(x.shape[0])
-    for rows, k, lower, g, scale in _basis_terms(x, coeffs.shape[0] - 1):
+    size = _band_length(row)
+    if size == 0:
+        return out
+    top, width, depth = _layout(x.shape[1], size - 1)
+    degree = np.add.outer(np.arange(top), np.arange(depth))
+    coeffs = moments[:top, :width, :depth] * np.pad(row[:size], (0, depth - 1))[degree][:, None, :]
+    for rows, k, lower, g, scale in _basis_terms(x, size - 1):
         scaled = coeffs[: g.shape[0], None, :, k] * scale[:, None, None]
         out[rows] += np.einsum("lr,lr->r", g, np.matmul(scaled, lower)[:, 0])
     return out
+
+
+# Multiple of H the count N (top + 1) must exceed for self_sums to take the
+# harmonic basis; see self_sums.
+BASIS_RATIO = 8
+
+
+def self_sums(x, max_degree):
+    """The self-sums S[n, i] = sum_j C_n^nu(x_i'x_j) for n = 0..max_degree,
+    over the whole sample (the term j = i, C_n(1), included), as a pair
+    (energy, combine): energy[n] = sum_i S[n, i], and combine(row) the
+    values row @ S for a series row over degrees 0..max_degree, computed
+    only up to the row's last nonzero degree.
+
+    Two paths give them: the pair sweep (_pair_sums, N^2 (top + 1)
+    Chebyshev terms) and the harmonic basis (_basis_sums, N H harmonics
+    per pass, H = sum_{n <= top} h(n, d); no set-up, nothing kept between
+    calls).  The rule compares those counts: the basis from
+    N (top + 1) > BASIS_RATIO H, and in d = 2 always, where the pair sweep
+    is cheaper only below N = 50 (by at most 0.02 ms) and less accurate
+    (1.8e-12 of each degree's largest sum to degree 64 at N = 1 000, the
+    basis 2.4e-14).  With one BLAS thread, for the energies and one
+    combine at top (medians of 7, 2-core Xeon), the basis was the cheaper
+    from N (top + 1) = 12 H at degree 10 in d = 3 (N = 132), 8 H at degree
+    24 (N = 200), 7 H and 4 H at degrees 10 and 24 in d = 4 (N = 322 and
+    884) and 8 to 9 H at degree 10 in d = 5 (N = 1 248 to 1 404); at degree
+    24 in d = 5 the pair sweep still won at 8 H (4.4 s against 5.5 s, N =
+    12 168).  Where BASIS_RATIO = 8 picks the slower path, the basis costs
+    at most 0.2 ms more (d = 3, degree 10, N = 89 to 132) and the pair
+    sweep at most 1.7 times the basis (d = 4, degree 24, N = 884 to 1 768).
+    """
+    n_obs, d = x.shape
+    if d == 2 or n_obs * (max_degree + 1) > BASIS_RATIO * eigenspace_dim(max_degree, d + 1):
+        return _basis_sums(x, max_degree)
+    return _pair_sums(x, max_degree)
+
+
+def _pair_sums(x, max_degree):
+    """self_sums by one sweep over all N^2 cosines x_i'x_j, keeping the
+    (max_degree + 1, N) sums S."""
+    sums = degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
+
+    def combine(row):
+        size = _band_length(row)
+        return row[:size] @ sums[:size]
+
+    return sums.sum(axis=1), combine
+
+
+def _basis_sums(x, max_degree):
+    """self_sums from the moments M = sum_i Y(x_i) of the harmonic basis,
+    linear in N: by the addition theorem S[n, i] = kappa_n Y_n(x_i)'M_n
+    with kappa_n = 1 / projector_constants[n], so energy[n] is kappa_n
+    |M_n|^2, and combine(row) the series of M with the row row[n] kappa_n."""
+    moments = _harmonic_moments(x, max_degree)
+    kappa = 1.0 / projector_constants(max_degree, x.shape[1])
+    return kappa * _harmonic_energies(moments), lambda row: _harmonic_series(moments, x, row * kappa)
 
 
 @dataclass

@@ -539,6 +539,9 @@ _REFUSED = {
     "latin1_sample": (["estimate", "{latin1}"], ""),
     "latin1_points": (["estimate", "{data}"], "[grid]\npoints_file = {latin1_points}\n"),
     "seed": (["simulate", "--seed", "-1"], ""),
+    "grid_res_points_file": (["estimate", "{data}", "--grid-res", "-5"], "[grid]\npoints_file = {unit_points}\n"),
+    "grid_res_one_points_file": (["estimate", "{data}", "--grid-res", "1"], "[grid]\npoints_file = {unit_points}\n"),
+    "grid_res_one": (["estimate", "{data}", "--grid-res", "1"], ""),
     "s_nan": (["estimate", "{data}"], "[estimator]\ns = nan\n"),
     "s_inf_dirichlet": (["estimate", "{data}"], "[estimator]\ns = inf\nfamily = dirichlet\n"),
     "s_nan_delayed_means": (
@@ -580,6 +583,9 @@ _NAMED = {
     "delayed_means": "truncation",
     "l": "c.ini: line 2: l must be an integer >= 1 for riesz, got 0",
     "seed": "--seed must be >= 0, got -1",
+    "grid_res_points_file": "error: --grid-res must be >= 2, got -5\n",
+    "grid_res_one_points_file": "error: --grid-res must be >= 2, got 1\n",
+    "grid_res_one": "error: --grid-res must be >= 2, got 1\n",
     "mixture_covs_indefinite": "c.ini: line 8: covs is not positive definite",
     "covariate_cov_indefinite": "c.ini: line 5: covariate_cov is not positive definite",
     "n_grid_repeated": "n_grid",
@@ -622,6 +628,7 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     paths = {
         "data": data,
         "two_rows": _write(tmp_path / "two.csv", "y,x0,x1,x2\n1,0.6,0.8,0\n0,1,0,0\n"),
+        "unit_points": _write(tmp_path / "unit.csv", "0,0,1\n0.6,0.8,0\n"),
         "nan_points": _write(tmp_path / "pts.csv", "0,0,1\nnan,0,1\n"),
         "abc_points": _write(tmp_path / "abc.csv", "0,0,1\nabc,0,1\n"),
         "off_points": _write(tmp_path / "off.csv", "0,0,1\n\n0,0.672,0.896\n"),

@@ -22,7 +22,7 @@ from spherecoef.estimator import (
 )
 from spherecoef import estimator, gegenbauer, hemisphere, kernels
 from spherecoef.kernels import ANCHOR_CHUNK, EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, projector_constants
-from spherecoef.simulate import DgpSpec, generate, true_fbeta_on_sphere
+from spherecoef.simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere
 from spherecoef.sphere import (
     build_quadrature,
     normalize,
@@ -273,7 +273,7 @@ def _record_sweep_rows(monkeypatch):
 
 
 def _sums_table(path, x, top):
-    """A _self_sums path's energies and its sums S[n, i] as a table, one
+    """A kernels.self_sums path's energies and its sums S[n, i] as a table, one
     combine per degree with that degree's unit row."""
     energy, combine = path(x, top)
     return energy, np.array([combine(unit) for unit in np.eye(top + 1)])
@@ -309,7 +309,7 @@ def test_self_sums_match_double_loop(monkeypatch, d):
     for block in (1, 97, 1 << 16):
         monkeypatch.setattr(kernels, "EVAL_CHUNK", block)
         monkeypatch.setattr(kernels, "BASIS_CHUNK", block)
-        for path, rows in ((estimator._pair_sums, sweep_rows), (estimator._basis_sums, basis_rows)):
+        for path, rows in ((kernels._pair_sums, sweep_rows), (kernels._basis_sums, basis_rows)):
             rows.clear()
             energy, sums = _sums_table(path, x, top)
             assert (max(rows) < x.shape[0]) == (block < 1 << 16)  # several blocks
@@ -317,7 +317,7 @@ def test_self_sums_match_double_loop(monkeypatch, d):
             assert np.all(np.abs(sums - ref) <= tol[:, None])
             assert np.all(np.abs(energy - ref.sum(axis=1)) <= x.shape[0] * tol)
     monkeypatch.undo()
-    sweeps = _record_calls(monkeypatch, "_self_sums")
+    sweeps = _record_calls(monkeypatch, estimator, "self_sums")
     estimator._cross_validated_fx(ChoiceSample(y=np.ones(30, dtype=int), x=x), EstimatorConfig())
     assert [args[1] for args in sweeps] == [top]
 
@@ -330,11 +330,11 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     test_self_sums_match_double_loop."""
     x = _design_points(d, 40, seed=70 + d)
     cfg = EstimatorConfig(truncation=4, family="delayed_means", fx_truncation=8)
-    sweeps = _record_calls(monkeypatch, "_self_sums")
+    sweeps = _record_calls(monkeypatch, estimator, "self_sums")
     estimator._cross_validated_fx(ChoiceSample(y=np.ones(40, dtype=int), x=x), cfg)
     assert [args[1] for args in sweeps] == [16] and estimator._lscv_bands(cfg)[-1] == 16
     nu = (d - 2) / 2.0
-    _, sums = _sums_table(estimator._self_sums, x, 16)
+    _, sums = _sums_table(kernels.self_sums, x, 16)
     assert sums.shape == (17, 40)
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(17)])
     tol = 1e-13 + 4.0 * np.finfo(float).eps * 39 * bound
@@ -342,7 +342,7 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
 
 
 def _circle_sums(x, top):
-    """_self_sums in d = 2 from exactly rounded sums: C_n^0(cos a) is
+    """kernels.self_sums in d = 2 from exactly rounded sums: C_n^0(cos a) is
     (2/n) cos(n a), so the sum over j of C_n^0(x_i'x_j) splits into sums of
     cos and sin of n theta_j."""
     theta = np.arctan2(x[:, 1], x[:, 0])
@@ -372,19 +372,19 @@ def test_system_sums_accuracy(d, n_obs, top):
     that degree's largest, and its energies within 1e-12 relative, to
     degree 64 and at the point fit's band, 10: against the pair sweep in
     d = 3, 4 and 5, and in d = 2 against _circle_sums, since there the
-    pair sweep's own error reaches 1e-12.  At these sizes _self_sums takes
+    pair sweep's own error reaches 1e-12.  At these sizes self_sums takes
     the basis, except in d = 4 at degree 24 (N (top + 1) = 37 500 below
     BASIS_RATIO H = 44 200) and in d = 5 at degree 24, where it takes the
     pair sweep."""
     x = _design_points(d, n_obs, seed=90 + d)
-    energy, sums = _sums_table(estimator._basis_sums, x, top)
+    energy, sums = _sums_table(kernels._basis_sums, x, top)
     if d == 2:
         ref = _circle_sums(x, top)
     else:
-        pair_energy, ref = _sums_table(estimator._pair_sums, x, top)
+        pair_energy, ref = _sums_table(kernels._pair_sums, x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
     assert np.max(np.abs(energy - ref.sum(axis=1)) / np.abs(ref.sum(axis=1))) <= 1e-12
-    taken = estimator._self_sums(x, top)[0]
+    taken = kernels.self_sums(x, top)[0]
     assert np.array_equal(taken, pair_energy if d > 3 and top == 24 else energy)
 
 
@@ -402,7 +402,7 @@ def test_system_combine_sweeps_only_to_the_rows_band(monkeypatch, d):
         return real(points, deg)
 
     monkeypatch.setattr(kernels, "_basis_terms", recorded)
-    energy, combine = estimator._basis_sums(x, top)
+    energy, combine = kernels._basis_sums(x, top)
     assert set(tops) == {top} and energy.shape == (top + 1,)
     row = np.zeros(top + 1)
     row[:7] = 1.0
@@ -415,15 +415,15 @@ def test_system_combine_sweeps_only_to_the_rows_band(monkeypatch, d):
 
 @pytest.mark.parametrize("n_obs", [3, 50, 150])
 def test_circle_self_sums_take_fundamental_system(n_obs):
-    """In d = 2, _self_sums takes the harmonic basis at every N, where the
+    """In d = 2, kernels.self_sums takes the harmonic basis at every N, where the
     pair sweep would be cheaper below about N = 100 but less accurate:
     each degree's sums are within 1e-13 of that degree's largest exactly
     rounded sum (_circle_sums).  (The name is that of the path the basis
     replaced.)"""
     x = _design_points(2, n_obs, seed=80)
     top = estimator.FX_CV_MAX_BAND
-    assert np.array_equal(estimator._self_sums(x, top)[0], estimator._basis_sums(x, top)[0])
-    _, sums = _sums_table(estimator._self_sums, x, top)
+    assert np.array_equal(kernels.self_sums(x, top)[0], kernels._basis_sums(x, top)[0])
+    _, sums = _sums_table(kernels.self_sums, x, top)
     ref = _circle_sums(x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-13
 
@@ -447,13 +447,13 @@ def test_self_evaluation_memory_is_linear():
 def test_lscv_band_same_through_either_path(monkeypatch):
     """On model_1 at N = 500 the cross-validated band the harmonic basis'
     sums choose is the one the pair sweep's sums choose.  Each path is set
-    in turn, since _self_sums takes only one of them (the basis there, at
+    in turn, since self_sums takes only one of them (the basis there, at
     the cap, N (top + 1) = 12 500 > BASIS_RATIO H = 5 000)."""
     cfg = EstimatorConfig()
     samples = [generate(DgpSpec.model_1(n_obs=500, seed=seed)).sample for seed in range(200)]
-    monkeypatch.setattr(estimator, "_self_sums", estimator._basis_sums)
+    monkeypatch.setattr(estimator, "self_sums", kernels._basis_sums)
     bands = [estimator._cross_validated_fx(s, cfg)[0] for s in samples]
-    monkeypatch.setattr(estimator, "_self_sums", estimator._pair_sums)
+    monkeypatch.setattr(estimator, "self_sums", kernels._pair_sums)
     assert bands == [estimator._cross_validated_fx(s, cfg)[0] for s in samples]
 
 
@@ -547,22 +547,22 @@ def _leave_in_at_cap(sample, config):
     average, from a sweep of the self-sums to the cross-validation cap (the
     last of _lscv_bands) rather than to config.fx_truncation."""
     d, cap = sample.dimension, int(estimator._lscv_bands(config)[-1])
-    _, combine = estimator._self_sums(sample.x, cap)
+    _, combine = kernels.self_sums(sample.x, cap)
     row = np.zeros(cap + 1)
     row[: config.fx_truncation + 1] = projector_constants(config.fx_truncation, d, config.fx_kernel(d).chi())
     return np.maximum(combine(row) / sample.n_obs, 0.0)
 
 
-def _record_calls(monkeypatch, name):
-    """Wrap estimator.<name> so that each call's positional arguments are
+def _record_calls(monkeypatch, module, name):
+    """Wrap module.<name> so that each call's positional arguments are
     appended to the list returned."""
-    calls, real = [], getattr(estimator, name)
+    calls, real = [], getattr(module, name)
 
     def recorded(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(estimator, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -571,7 +571,7 @@ def test_inference_fit_is_swept_only_when_read(monkeypatch):
     point queries sweep nothing more; the first interval sweeps once more,
     to the cross-validation cap, for the inference fit, which is then
     kept: a second interval and the weight summary sweep nothing."""
-    sweeps = _record_calls(monkeypatch, "_self_sums")
+    sweeps = _record_calls(monkeypatch, estimator, "self_sums")
     s = generate(DgpSpec.model_1(n_obs=300, seed=3)).sample
     cfg = EstimatorConfig()
     est = estimate_fbeta(s, cfg)
@@ -596,8 +596,8 @@ def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, sys
     take the harmonic basis (system_degrees) at both degrees, and d = 4
     the pair sweep (N (top + 1) = 3 300 < BASIS_RATIO H = 4 048 at degree
     10)."""
-    system = _record_calls(monkeypatch, "_basis_sums")
-    pairs = _record_calls(monkeypatch, "_pair_sums")
+    system = _record_calls(monkeypatch, kernels, "_basis_sums")
+    pairs = _record_calls(monkeypatch, kernels, "_pair_sums")
     s = _random_sample(d, 300, seed=40 + d)
     cfg = EstimatorConfig()
     got = estimate_fbeta(s, cfg).fx_values
@@ -617,13 +617,48 @@ def test_choice_probability_sweeps_only_to_the_point_band(monkeypatch, family):
     s = _random_sample(3, 60, seed=30)
     cfg = EstimatorConfig(truncation=2, family=family, fx_truncation=8)
     at_cap = _leave_in_at_cap(s, cfg)
-    sweeps = _record_calls(monkeypatch, "_self_sums")
+    sweeps = _record_calls(monkeypatch, estimator, "self_sums")
     assert np.array_equal(estimate_fbeta(s, cfg).fx_values, at_cap)
     assert [args[1] for args in sweeps] == [cfg.fx_truncation]
     pts = sample_uniform(3, 9, seed=31)
     own = estimate_choice_probability(s, cfg).evaluate(pts)
     given = estimate_choice_probability(s, cfg, fx=at_cap).evaluate(pts)
     assert np.array_equal(own, given)
+
+
+@pytest.mark.parametrize("d,resolution", [(3, 160), (4, 48)])
+def test_odd_part_mean_is_the_filtered_projection(d, resolution):
+    """With covariates uniform on the hemisphere x_1 >= 0 and the true
+    covariate density 2/|S^{d-1}| as fx (above the trimming floor, so no
+    weight is trimmed), the odd part's mean is exactly sum_{n odd} chi(n)
+    proj_n f_beta(b): 2 P(y = 1 | x) - 1 is twice the hemisphere transform
+    of f_beta's odd part, which the fit's 1/lambda_n undoes.  The target is
+    a mixture over a product rule weighted by f_beta (its mass within 1e-9
+    of 1) with chi written out by oracles.filter_weight, so a
+    wrong eigenvalue, filter weight or 1/N in the package moves the mean
+    off it.  Coefficients as model_1's: one centred Gaussian, covariance
+    0.3 I.  At 8 points (the pole and 7 random ones), 400 replications of
+    N = 500: the largest |z| of mean minus target was 2.1 in both d."""
+    n_obs, reps = 500, 400
+    coefficients = GaussianMixture(weights=[1.0], means=[np.zeros(d - 1)], covs=0.3 * np.eye(d - 1))
+    spec = DgpSpec(d, n_obs, coefficients, np.zeros(d - 1), np.eye(d - 1))
+    points = np.vstack([np.eye(d)[-1], sample_uniform(d, 7, seed=5)])
+    cfg = EstimatorConfig()
+    top = 2 * cfg.truncation
+    chi = [oracles.filter_weight(cfg.family, n, top, d) if n % 2 else 0.0 for n in range(top)]
+    quad = build_quadrature(d, resolution, method="product")
+    target = HarmonicMixture(quad.points, quad.weights * true_fbeta_on_sphere(spec, quad.points), chi)(points)
+    rng = np.random.default_rng(130 + d)
+    fx = np.full(n_obs, 2.0 / surface_area(d))
+    odd = np.empty((reps, points.shape[0]))
+    for r in range(reps):
+        x = normalize(rng.standard_normal((n_obs, d)))
+        x[:, 0] = np.abs(x[:, 0])
+        beta = normalize(np.column_stack([coefficients.sample(n_obs, rng), np.ones(n_obs)]))
+        y = (np.einsum("ij,ij->i", x, beta) >= 0.0).astype(int)
+        odd[r] = estimate_fbeta(ChoiceSample(y=y, x=x), cfg, fx=fx).odd_values(points)
+    z = (odd.mean(axis=0) - target) / (odd.std(axis=0, ddof=1) / math.sqrt(reps))
+    assert np.max(np.abs(z)) <= 4.0
 
 
 def test_estimate_fbeta_validation():

@@ -104,6 +104,10 @@ _REMOVED = {
         "chi_weights",
         "projector_kernel",
         "laplacian_eigenvalue",
+        # private since the self-sums moved here: nothing outside reads them
+        "chebyshev_sums",
+        "harmonic_moments",
+        "harmonic_series",
     ],
     "hemisphere": ["invert_by_laplacian", "_lower_area"],
     "gegenbauer": ["eval_all", "sweep", "_series_eval"],
@@ -118,6 +122,12 @@ _REMOVED = {
         "_system_sums",
         "_degree_points",
         "_system_size",
+        # the self-sums, their two paths and their rule, now in kernels
+        "_self_sums",
+        "_pair_sums",
+        "_basis_sums",
+        "_band_length",
+        "BASIS_RATIO",
     ],
     "cli": ["_key_lines", "configparser"],
 }
@@ -169,13 +179,16 @@ def test_removed_names_are_gone():
     removed_params = [
         (HarmonicMixture.evaluate_series, "chunk_size"),
         (HarmonicMixture.evaluate, "chunk_size"),
-        (estimator._self_sums, "budget"),
-        (estimator._pair_sums, "budget"),
-        (estimator._basis_sums, "budget"),
-        (estimator._self_sums, "nu"),
-        (estimator._pair_sums, "nu"),
-        (estimator._basis_sums, "nu"),
+        (kernels.self_sums, "budget"),
+        (kernels._pair_sums, "budget"),
+        (kernels._basis_sums, "budget"),
+        (kernels.self_sums, "nu"),
+        (kernels._pair_sums, "nu"),
+        (kernels._basis_sums, "nu"),
         (kernels.degree_sums, "nu"),
         (estimator.identification_diagnostic, "rel_threshold"),
     ]
     assert [p for f, p in removed_params if p in inspect.signature(f).parameters] == []
+    # only kernels reads the harmonic moments' layout
+    layout = ["_layout", "eigenspace_dim", "harmonic_moments", "harmonic_series", "_harmonic_moments", "_harmonic_series"]
+    assert [name for name in layout if hasattr(estimator, name)] == []

@@ -123,29 +123,35 @@ def test_harmonic_basis_is_solid_and_padded():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_harmonic_moments_and_series_are_the_basis(monkeypatch, d):
-    """harmonic_moments is the sum of harmonic_basis over the points, and
-    harmonic_series is sum coeffs * Y, in row blocks of any size
-    (kernels.BASIS_CHUNK 1: one row per block): a lower harmonic of degree
-    l (the basis in the first d - 1 coordinates, all d in d = 2) and factor
-    index k is the harmonic of degree l + k listed after the lower
-    harmonics of degrees below l."""
+    """_harmonic_moments is the sum of harmonic_basis over the points,
+    _harmonic_energies the per-degree sums of squared moments, and
+    _harmonic_series sum_n row[n] sum M Y over the degrees of the row's
+    band, in row blocks of any size (kernels.BASIS_CHUNK 1: one row per
+    block): a lower harmonic of degree l (the basis in the first d - 1
+    coordinates, all d in d = 2) and factor index k is the harmonic of
+    degree l + k listed after the lower harmonics of degrees below l."""
     top = 6
     x = sample_uniform(d, 40, seed=50 + d)
     values = kernels.harmonic_basis(x, top)
     low = [2] * (top + 1) if d == 2 else [eigenspace_dim(l, d - 1) for l in range(top + 1)]
     depth = 1 if d == 2 else top + 1
     coeffs = np.random.default_rng(d).standard_normal(kernels._layout(d, top))
-    want_moments, want_series = np.zeros(coeffs.shape), np.zeros(40)
+    row = np.random.default_rng(d + 10).standard_normal(top + 1)
+    row[5:] = 0.0  # the series stops at degree 4
+    want_moments, want_energies, want_series = np.zeros(coeffs.shape), np.zeros(top + 1), np.zeros(40)
     for l in range(top + 1):
         for k in range(min(depth, top + 1 - l)):
             start = sum(low[:l]) if d > 2 else 0
             block = values[l + k, start : start + low[l]]
             want_moments[l, : low[l], k] = block.sum(axis=1)
-            want_series += coeffs[l, : low[l], k] @ block
+            want_energies[l + k] += want_moments[l, : low[l], k] @ want_moments[l, : low[l], k]
+            want_series += row[l + k] * (coeffs[l, : low[l], k] @ block)
+    np.testing.assert_allclose(kernels._harmonic_energies(want_moments), want_energies, rtol=1e-14, atol=0)
     for chunk in (1, 97, 1 << 17):
         monkeypatch.setattr(kernels, "BASIS_CHUNK", chunk)
-        np.testing.assert_allclose(kernels.harmonic_moments(x, top), want_moments, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(kernels.harmonic_series(coeffs, x), want_series, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernels._harmonic_moments(x, top), want_moments, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(kernels._harmonic_series(coeffs, x, row), want_series, rtol=0, atol=1e-12)
+    assert np.array_equal(kernels._harmonic_series(coeffs, x, np.zeros(top + 1)), np.zeros(40))
 
 
 def test_chi_weights_dirichlet_and_cutoff():
@@ -282,7 +288,7 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
     every anchor and point, for the flagged degrees only, across blocks
     and anchor chunks, with one weight vector or with weight rows by
     parity, as two rows or as one row per Chebyshev degree.
-    chebyshev_sums with one weight row per Chebyshev degree is the loop
+    _chebyshev_sums with one weight row per Chebyshev degree is the loop
     sum_i W[j, i] cos(j arccos(a_i'b_k)), and one weight vector stands for
     that row at every degree."""
     anchors, points = sample_uniform(d, 12, seed=60 + d), sample_uniform(d, 9, seed=70 + d)
@@ -307,14 +313,14 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
         assert got.shape == (4, 9)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     angles = np.arccos(np.clip(points @ anchors.T, -1.0, 1.0))
-    got = kernels.chebyshev_sums(anchors, weights, points, used)
+    got = kernels._chebyshev_sums(anchors, weights, points, used)
     want = np.array([np.cos(j * angles) @ weights[j] for j in np.flatnonzero(used)])
     assert got.shape == (4, 9)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     shared = np.tile(weights[0], (10, 1))
     assert np.array_equal(
-        kernels.chebyshev_sums(anchors, weights[0], points, used),
-        kernels.chebyshev_sums(anchors, shared, points, used),
+        kernels._chebyshev_sums(anchors, weights[0], points, used),
+        kernels._chebyshev_sums(anchors, shared, points, used),
     )
 
 
