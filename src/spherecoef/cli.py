@@ -434,12 +434,13 @@ def cmd_simulate(args):
 def cmd_estimate(args):
     cfg = load_config(args.config)
     config = resolve_estimator_config(cfg["estimator"])
-    sample = read_sample(args.data)
-    d = sample.dimension
-    # --grid-res is checked even when [grid] points_file sets the grid
+    # --grid-res is checked even when [grid] points_file sets the grid, and
+    # before the data are read
     flag = args.grid_res is not None
     text, what = (str(args.grid_res), "--grid-res") if flag else (cfg["grid"]["resolution"], "grid resolution")
     resolution = _parse_int(text, what, minimum=2)
+    sample = read_sample(args.data)
+    d = sample.dimension
     grid = evaluation_grid(d, resolution, cfg["grid"]["points_file"])
     est = estimate_fbeta(sample, config)
     values = est.density(grid)
@@ -460,9 +461,9 @@ def cmd_estimate(args):
 def cmd_diagnose(args):
     cfg = load_config(args.config)
     config = resolve_estimator_config(cfg["estimator"])
+    resolution = 32 if args.grid_res is None else _parse_int(str(args.grid_res), "--grid-res", minimum=4)
     sample = read_sample(args.data)
     d = sample.dimension
-    resolution = args.grid_res if args.grid_res is not None else 32
     est = estimate_fbeta(sample, config)
     diag = identification_diagnostic(est, resolution=resolution)
     report = _diagnostic_report(diag, d)

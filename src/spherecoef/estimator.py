@@ -24,11 +24,10 @@ from .kernels import (
     KernelSpec,
     HarmonicMixture,
     _FAMILIES,
-    _at_one,
     _is_power_of_two,
     chi_table,
     degree_sums,
-    projector_constants,
+    eigenspace_dim,
     self_sums,
 )
 from .sphere import (
@@ -218,14 +217,14 @@ def _lscv_bands(config):
     return np.arange(top + 1)
 
 
-def _lscv_scores(rows, chi, energy, loo_totals, n_obs):
+def _lscv_scores(chi, energy, loo_totals, n_obs):
     """Least-squares cross-validation scores int f_T^2 - (2/N) sum_i
     f_{T,-i}(x_i) (Hall, Watson & Cabrera 1987) of the bands whose filter
-    weights and series rows are chi and rows: both terms are closed forms
-    in per-degree totals, because the zonal projectors are orthogonal.
-    energy[n] is sum_i sum_j C_n(x_i'x_j), and loo_totals[n] the same
-    without the terms j = i."""
-    return (rows * chi) @ energy / n_obs**2 - 2.0 * rows @ loo_totals / (n_obs * (n_obs - 1))
+    weights are the rows of chi: both terms are closed forms in per-degree
+    totals, because the zonal projectors are orthogonal.  energy[n] is
+    sum_i sum_j q_n(x_i, x_j), and loo_totals[n] the same without the
+    terms j = i."""
+    return (chi * chi) @ energy / n_obs**2 - 2.0 * chi @ loo_totals / (n_obs * (n_obs - 1))
 
 
 def _cross_validated_fx(sample, config):
@@ -237,11 +236,11 @@ def _cross_validated_fx(sample, config):
     bands = _lscv_bands(config)
     top = int(bands[-1])
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
-    rows = projector_constants(top, d, chi)
     energy, combine = self_sums(sample.x, top)
-    at_one = _at_one(top, d)  # the terms j = i, dropped
-    k = int(np.argmin(_lscv_scores(rows, chi, energy, energy - n_obs * at_one, n_obs)))
-    return int(bands[k]), np.maximum((combine(rows[k]) - rows[k] @ at_one) / (n_obs - 1), 0.0)
+    # the terms j = i, q_n(x_i, x_i) = h(n, d) / |S^{d-1}|, dropped
+    diagonal = np.array([eigenspace_dim(n, d) for n in range(top + 1)]) / surface_area(d)
+    k = int(np.argmin(_lscv_scores(chi, energy, energy - n_obs * diagonal, n_obs)))
+    return int(bands[k]), np.maximum((combine(chi[k]) - chi[k] @ diagonal) / (n_obs - 1), 0.0)
 
 
 @dataclass
@@ -352,8 +351,10 @@ def estimate_fbeta(sample, config=None, fx=None):
     covariates; the fit then has no inference fit.  With fx=None the
     covariate density is itself estimated from the sample, at
     config.fx_truncation with each observation left in its own kernel
-    average, from one sweep of the self-sums to that degree.  The fit keeps the sample, so that its
-    inference fit is built only when read (DensityEstimate.inference).
+    average: the filter weights config.fx_kernel(d).chi() against one
+    sweep of the self-sums to that degree (kernels.self_sums).  The fit
+    keeps the sample, so that its inference fit is built only when read
+    (DensityEstimate.inference).
     """
     config = EstimatorConfig() if config is None else config
     n_obs, d = sample.n_obs, sample.dimension
@@ -367,11 +368,9 @@ def estimate_fbeta(sample, config=None, fx=None):
         if bad.size:
             raise ValueError(f"covariate-density values must be finite, got fx[{bad[0]}] = {fx_values[bad[0]]}")
         return _fit(sample, config, fx_values, None)
-    top = config.fx_truncation
-    row = projector_constants(top, d, config.fx_kernel(d).chi())
-    _, combine = self_sums(sample.x, top)
-    fx_values = np.maximum(combine(row) / n_obs, 0.0)
-    return _fit(sample, config, fx_values, top, keep_sample=True)
+    _, combine = self_sums(sample.x, config.fx_truncation)
+    fx_values = np.maximum(combine(config.fx_kernel(d).chi()) / n_obs, 0.0)
+    return _fit(sample, config, fx_values, config.fx_truncation, keep_sample=True)
 
 
 def weight_summary(estimate):

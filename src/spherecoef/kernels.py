@@ -10,11 +10,13 @@ with nu = (d-2)/2.  A smoothed projection kernel is K_T(x, y) =
 sum_{n<=T} chi(n, T) q_n(x, y) for one of the weight families below.  By
 the addition theorem q_n(x, y) is also Y_n(x)'Y_n(y) for any orthonormal
 basis Y_n of the degree-n harmonics; harmonic_basis builds one (the
-Gelfand-Tsetlin basis).  The self-sums S[n, i] = sum_j C_n^nu(x_i'x_j)
-over a sample, which every covariate-density fit reads, live here too:
-self_sums takes them from the basis' moments over the sample (its
-analysis and synthesis, _harmonic_moments and _harmonic_series) or by a
-sweep over every pair of sample points, whichever costs less.
+Gelfand-Tsetlin basis).  Every per-degree sum over anchors runs through
+one loop, degree_sums.  The self-sums S[n, i] = sum_j q_n(x_i, x_j) over
+a sample, which every covariate-density fit reads against rows of filter
+weights, live here too: self_sums takes them from the basis' moments over
+the sample (its analysis and synthesis, _harmonic_moments and
+_harmonic_series) or by a sweep over every pair of sample points,
+whichever costs less.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 
 _FAMILIES = ("riesz", "delayed_means", "dirichlet")
 
-# Cosines per block of _chebyshev_sums, for evaluation and self-sums alike.
+# Cosines per block of degree_sums, for evaluation and self-sums alike.
 # Each block-sized array of the Chebyshev sweep (the cosines, 2t and the
 # three rolling buffers) is then 128 KB, 640 KB together, so they stay in
 # cache; blocks of millions of cosines were two to three times slower per
@@ -195,71 +197,61 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
     return np.where(inside, table, 0.0)
 
 
-def _chebyshev_sums(anchors, weights, points, flagged):
-    """Per-degree weighted Chebyshev sums E[j, k] = sum_i W[j, i]
-    T_j(a_i'b_k) of the (N, d) anchors a_i at the (m, d) points b_k, for
-    the Chebyshev degrees j flagged in the boolean array flagged.
-
-    weights is one (N,) vector, or p rows with W[j] = weights[j % p] (one
-    per Chebyshev degree, or two: even and odd).  Returns a (u, m) array
-    with one row per flagged degree, in increasing order.  Each block of
-    about EVAL_CHUNK cosines goes through one gegenbauer.chebyshev sweep
-    up to the highest flagged degree, and each flagged degree is reduced
-    by one matrix-vector product with its weights.
-    """
-    degrees = np.flatnonzero(flagged).tolist()
-    out = np.empty((len(degrees), points.shape[0]))
-    if not degrees:
-        return out
-    slot = {j: k for k, j in enumerate(degrees)}
-    rows_of = np.atleast_2d(weights)
-    # Every block reuses one array for the cosines and one for the sweep: a
-    # fresh 128 KB array per block can come from a page-faulting mapping,
-    # which made evaluation up to three times slower per point.
-    chunk_size = max(1, EVAL_CHUNK // max(1, anchors.shape[0]))
-    block = np.empty((min(chunk_size, points.shape[0]), anchors.shape[0]))
-    work = np.empty(4 * block.size)
-    for start in range(0, points.shape[0], chunk_size):
-        rows = slice(start, start + chunk_size)
-        cosines = block[: min(chunk_size, points.shape[0] - start)]
-        np.matmul(points[rows], anchors.T, out=cosines)
-        np.clip(cosines, -1.0, 1.0, out=cosines)
-        for j, values in enumerate(gegenbauer.chebyshev(degrees[-1], cosines, work)):
-            if j in slot:
-                out[slot[j], rows] = values @ rows_of[j % len(rows_of)]
-    return out
-
-
 def degree_sums(anchors, weights, points, used):
-    """Per-degree weighted sums D[n, k] = sum_i weights[i] C_n^nu(a_i'b_k)
+    """Per-degree weighted sums D[n, k] = sum_i W[n, i] C_n^nu(a_i'b_k)
     of the (N, d) anchors a_i at the (m, d) points b_k, for the degrees n
     flagged in the boolean array used, with nu = (d - 2)/2 for the points'
-    d.  weights is one (N,) vector or, as in _chebyshev_sums, p rows, row
-    j % p for Chebyshev degree j; C_n reads only those of n's parity.
+    d.  weights is one (N,) vector, or p rows, row j % p for Chebyshev
+    degree j (one per Chebyshev degree, or two: even and odd); C_n reads
+    only the Chebyshev degrees of n's parity.
 
     Returns a (u, m) array with one row per flagged degree, in increasing
-    order.  The anchors go in chunks (ANCHOR_CHUNK) through _chebyshev_sums,
-    for the Chebyshev degrees some flagged degree reads (only odd ones for
-    odd degrees), and each chunk's sums map through gegenbauer.connection
-    before they are added up.  On S^{d-1}, d >= 3, the T_j are not
-    orthogonal, so their totals over many anchors are large and cancel in
-    the map; mapped chunk by chunk, the sums keep the accuracy of a sweep
-    of Gegenbauer values.  The covariate density at its own N = 3 000
-    points in d = 5 is within 3.2e-15 of its largest value from a
-    long-double reference; one map of the whole sample's totals was off
-    by 2.2e-14, the Gegenbauer recurrence by 1.9e-15.
+    order.  The anchors go in chunks of at least ANCHOR_CHUNK, and each
+    chunk's points in blocks of about EVAL_CHUNK cosines: one
+    gegenbauer.chebyshev sweep per block, up to the highest Chebyshev
+    degree some flagged degree reads (only odd ones for odd degrees), and
+    one matrix-vector product with the weights for each such degree.  Each
+    chunk's Chebyshev sums map through gegenbauer.connection before the
+    chunks add up.  On S^{d-1}, d >= 3, the T_j are not orthogonal, so
+    their totals over many anchors are large and cancel in the map; mapped
+    chunk by chunk, the sums keep the accuracy of a sweep of Gegenbauer
+    values.  The covariate density at its own N = 3 000 points in d = 5 is
+    within 3.2e-15 of its largest value from a long-double reference; one
+    map of the whole sample's totals was off by 2.2e-14, the Gegenbauer
+    recurrence by 1.9e-15.
     """
     degrees = np.flatnonzero(used)
-    out = np.zeros((degrees.size, points.shape[0]))
+    n_obs, m = anchors.shape[0], points.shape[0]
+    out = np.zeros((degrees.size, m))
     if not degrees.size:
         return out
     table = gegenbauer.connection((points.shape[1] - 2) / 2.0, int(degrees[-1]))[degrees]
-    read = np.any(table != 0.0, axis=0)
-    table = table[:, read]
-    chunk = max(ANCHOR_CHUNK, EVAL_CHUNK // max(1, points.shape[0]))
-    for start in range(0, anchors.shape[0], chunk):
-        part = slice(start, start + chunk)
-        out += table @ _chebyshev_sums(anchors[part], weights[..., part], points, read)
+    read = np.flatnonzero(np.any(table != 0.0, axis=0))
+    table, slot = table[:, read], {j: k for k, j in enumerate(read.tolist())}
+    rows_of = np.atleast_2d(weights)
+    chunk = max(ANCHOR_CHUNK, EVAL_CHUNK // max(1, m))
+    # A chunk of c anchors takes its points EVAL_CHUNK // c at a time, so the
+    # last, shorter chunk has taller blocks; one height for every chunk would
+    # change the last bits of the sums, since BLAS rounds products of other
+    # shapes differently.  The cosines, the sweep's buffers and the Chebyshev
+    # sums are allocated once, for the larger of the two block sizes: a
+    # fresh 128 KB array per block can come from a page-faulting mapping,
+    # which made evaluation up to three times slower per point.
+    counts = [c for c in (min(chunk, n_obs), n_obs % chunk) if c]
+    cosines = np.empty(max([min(max(1, EVAL_CHUNK // c), m) * c for c in counts], default=0))
+    work, sums = np.empty(4 * cosines.size), np.empty((read.size, m))
+    for start in range(0, n_obs, chunk):
+        part = anchors[start : start + chunk]
+        height = max(1, EVAL_CHUNK // part.shape[0])
+        for first in range(0, m, height):
+            rows = slice(first, first + height)
+            block = cosines[: min(height, m - first) * part.shape[0]].reshape(-1, part.shape[0])
+            np.matmul(points[rows], part.T, out=block)
+            np.clip(block, -1.0, 1.0, out=block)
+            for j, values in enumerate(gegenbauer.chebyshev(read[-1], block, work)):
+                if j in slot:
+                    sums[slot[j], rows] = values @ rows_of[j % len(rows_of), start : start + chunk]
+        out += table @ sums
     return out
 
 
@@ -423,11 +415,12 @@ BASIS_RATIO = 8
 
 
 def self_sums(x, max_degree):
-    """The self-sums S[n, i] = sum_j C_n^nu(x_i'x_j) for n = 0..max_degree,
-    over the whole sample (the term j = i, C_n(1), included), as a pair
-    (energy, combine): energy[n] = sum_i S[n, i], and combine(row) the
-    values row @ S for a series row over degrees 0..max_degree, computed
-    only up to the row's last nonzero degree.
+    """The self-sums S[n, i] = sum_j q_n(x_i, x_j) for n = 0..max_degree,
+    over the whole sample (the term j = i, q_n(x_i, x_i) = h(n, d) /
+    |S^{d-1}|, included), as a pair (energy, combine): energy[n] = sum_i
+    S[n, i], and combine(row) the values row @ S for a row of filter
+    weights over degrees 0..max_degree (KernelSpec.chi, chi_table),
+    computed only up to the row's last nonzero degree.
 
     Two paths give them: the pair sweep (_pair_sums, N^2 (top + 1)
     Chebyshev terms) and the harmonic basis (_basis_sums, N H harmonics
@@ -454,8 +447,10 @@ def self_sums(x, max_degree):
 
 def _pair_sums(x, max_degree):
     """self_sums by one sweep over all N^2 cosines x_i'x_j, keeping the
-    (max_degree + 1, N) sums S."""
+    (max_degree + 1, N) sums S: degree_sums' Gegenbauer sums, each degree
+    times its projector constant."""
     sums = degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
+    sums *= projector_constants(max_degree, x.shape[1])[:, None]
 
     def combine(row):
         size = _band_length(row)
@@ -466,12 +461,10 @@ def _pair_sums(x, max_degree):
 
 def _basis_sums(x, max_degree):
     """self_sums from the moments M = sum_i Y(x_i) of the harmonic basis,
-    linear in N: by the addition theorem S[n, i] = kappa_n Y_n(x_i)'M_n
-    with kappa_n = 1 / projector_constants[n], so energy[n] is kappa_n
-    |M_n|^2, and combine(row) the series of M with the row row[n] kappa_n."""
+    linear in N: by the addition theorem S[n, i] = Y_n(x_i)'M_n, so
+    energy[n] is |M_n|^2, and combine(row) the series of M with the row."""
     moments = _harmonic_moments(x, max_degree)
-    kappa = 1.0 / projector_constants(max_degree, x.shape[1])
-    return kappa * _harmonic_energies(moments), lambda row: _harmonic_series(moments, x, row * kappa)
+    return _harmonic_energies(moments), lambda row: _harmonic_series(moments, x, row)
 
 
 @dataclass

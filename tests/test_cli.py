@@ -542,6 +542,12 @@ _REFUSED = {
     "grid_res_points_file": (["estimate", "{data}", "--grid-res", "-5"], "[grid]\npoints_file = {unit_points}\n"),
     "grid_res_one_points_file": (["estimate", "{data}", "--grid-res", "1"], "[grid]\npoints_file = {unit_points}\n"),
     "grid_res_one": (["estimate", "{data}", "--grid-res", "1"], ""),
+    # checked before the sample is read: a missing data file is not reached
+    "grid_res_one_no_data": (["estimate", "{missing}", "--grid-res", "1"], ""),
+    "diagnose_grid_res_three": (["diagnose", "{data}", "--grid-res", "3"], ""),
+    "diagnose_grid_res_one": (["diagnose", "{data}", "--grid-res", "1"], ""),
+    "diagnose_grid_res_negative": (["diagnose", "{data}", "--grid-res", "-5"], ""),
+    "diagnose_grid_res_no_data": (["diagnose", "{missing}", "--grid-res", "3"], ""),
     "s_nan": (["estimate", "{data}"], "[estimator]\ns = nan\n"),
     "s_inf_dirichlet": (["estimate", "{data}"], "[estimator]\ns = inf\nfamily = dirichlet\n"),
     "s_nan_delayed_means": (
@@ -586,6 +592,11 @@ _NAMED = {
     "grid_res_points_file": "error: --grid-res must be >= 2, got -5\n",
     "grid_res_one_points_file": "error: --grid-res must be >= 2, got 1\n",
     "grid_res_one": "error: --grid-res must be >= 2, got 1\n",
+    "grid_res_one_no_data": "error: --grid-res must be >= 2, got 1\n",
+    "diagnose_grid_res_three": "error: --grid-res must be >= 4, got 3\n",
+    "diagnose_grid_res_one": "error: --grid-res must be >= 4, got 1\n",
+    "diagnose_grid_res_negative": "error: --grid-res must be >= 4, got -5\n",
+    "diagnose_grid_res_no_data": "error: --grid-res must be >= 4, got 3\n",
     "mixture_covs_indefinite": "c.ini: line 8: covs is not positive definite",
     "covariate_cov_indefinite": "c.ini: line 5: covariate_cov is not positive definite",
     "n_grid_repeated": "n_grid",
@@ -627,6 +638,7 @@ def test_invalid_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "1"]) == 0
     paths = {
         "data": data,
+        "missing": str(tmp_path / "missing.csv"),
         "two_rows": _write(tmp_path / "two.csv", "y,x0,x1,x2\n1,0.6,0.8,0\n0,1,0,0\n"),
         "unit_points": _write(tmp_path / "unit.csv", "0,0,1\n0.6,0.8,0\n"),
         "nan_points": _write(tmp_path / "pts.csv", "0,0,1\nnan,0,1\n"),

@@ -298,13 +298,16 @@ def test_self_sums_match_double_loop(monkeypatch, d):
     """The pair sweep and the harmonic basis each give every degree's sums
     over the whole sample, and their totals as energies, for any block
     size (kernels.EVAL_CHUNK and kernels.BASIS_CHUNK 1: one row per block),
-    and the cross-validated covariate density sweeps to the cap."""
+    and the cross-validated covariate density sweeps to the cap.  The
+    reference is the double loop of C_n (oracles.pair_sums) times the
+    projector constants, and so is its rounding bound."""
     x = _design_points(d, 30, seed=60 + d)
     top = estimator.FX_CV_MAX_BAND
-    ref = oracles.pair_sums(x, top)
+    constants = projector_constants(top, d)
+    ref = constants[:, None] * oracles.pair_sums(x, top)
     nu = (d - 2) / 2.0
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(top + 1)])
-    tol = 1e-13 + 4.0 * np.finfo(float).eps * (x.shape[0] - 1) * bound
+    tol = constants * (1e-13 + 4.0 * np.finfo(float).eps * (x.shape[0] - 1) * bound)
     sweep_rows, basis_rows = _record_sweep_rows(monkeypatch), _record_basis_rows(monkeypatch)
     for block in (1, 97, 1 << 16):
         monkeypatch.setattr(kernels, "EVAL_CHUNK", block)
@@ -326,8 +329,8 @@ def test_self_sums_match_double_loop(monkeypatch, d):
 def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     """delayed_means tries the bands 1, 2, 4, 8 and 16, so its self-sums
     stop at degree 16 rather than at FX_CV_MAX_BAND.  They match the
-    double loop within that oracle's rounding bound, as in
-    test_self_sums_match_double_loop."""
+    double loop times the projector constants within that oracle's
+    rounding bound, as in test_self_sums_match_double_loop."""
     x = _design_points(d, 40, seed=70 + d)
     cfg = EstimatorConfig(truncation=4, family="delayed_means", fx_truncation=8)
     sweeps = _record_calls(monkeypatch, estimator, "self_sums")
@@ -336,21 +339,23 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     nu = (d - 2) / 2.0
     _, sums = _sums_table(kernels.self_sums, x, 16)
     assert sums.shape == (17, 40)
+    constants = projector_constants(16, d)
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(17)])
-    tol = 1e-13 + 4.0 * np.finfo(float).eps * 39 * bound
-    assert np.all(np.abs(sums - oracles.pair_sums(x, 16)) <= tol[:, None])
+    tol = constants * (1e-13 + 4.0 * np.finfo(float).eps * 39 * bound)
+    assert np.all(np.abs(sums - constants[:, None] * oracles.pair_sums(x, 16)) <= tol[:, None])
 
 
 def _circle_sums(x, top):
     """kernels.self_sums in d = 2 from exactly rounded sums: C_n^0(cos a) is
     (2/n) cos(n a), so the sum over j of C_n^0(x_i'x_j) splits into sums of
-    cos and sin of n theta_j."""
+    cos and sin of n theta_j; times the projector constants, these are the
+    sums of q_n."""
     theta = np.arctan2(x[:, 1], x[:, 0])
     ref = np.full((top + 1, x.shape[0]), float(x.shape[0]))
     for n in range(1, top + 1):
         c, s = np.cos(n * theta), np.sin(n * theta)
         ref[n] = (2.0 / n) * (c * math.fsum(c) + s * math.fsum(s))
-    return ref
+    return projector_constants(top, 2)[:, None] * ref
 
 
 @pytest.mark.parametrize(
@@ -389,7 +394,7 @@ def test_system_sums_accuracy(d, n_obs, top):
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_system_combine_sweeps_only_to_the_rows_band(monkeypatch, d):
+def test_basis_combine_sweeps_only_to_the_rows_band(monkeypatch, d):
     """The harmonic basis' energies come from its first pass alone; a
     combination row's pass over the sample builds the basis only to the
     row's last nonzero degree, and a zero row builds nothing."""
@@ -414,12 +419,11 @@ def test_system_combine_sweeps_only_to_the_rows_band(monkeypatch, d):
 
 
 @pytest.mark.parametrize("n_obs", [3, 50, 150])
-def test_circle_self_sums_take_fundamental_system(n_obs):
+def test_circle_self_sums_take_harmonic_basis(n_obs):
     """In d = 2, kernels.self_sums takes the harmonic basis at every N, where the
     pair sweep would be cheaper below about N = 100 but less accurate:
     each degree's sums are within 1e-13 of that degree's largest exactly
-    rounded sum (_circle_sums).  (The name is that of the path the basis
-    replaced.)"""
+    rounded sum (_circle_sums)."""
     x = _design_points(2, n_obs, seed=80)
     top = estimator.FX_CV_MAX_BAND
     assert np.array_equal(kernels.self_sums(x, top)[0], kernels._basis_sums(x, top)[0])
@@ -549,7 +553,7 @@ def _leave_in_at_cap(sample, config):
     d, cap = sample.dimension, int(estimator._lscv_bands(config)[-1])
     _, combine = kernels.self_sums(sample.x, cap)
     row = np.zeros(cap + 1)
-    row[: config.fx_truncation + 1] = projector_constants(config.fx_truncation, d, config.fx_kernel(d).chi())
+    row[: config.fx_truncation + 1] = config.fx_kernel(d).chi()
     return np.maximum(combine(row) / sample.n_obs, 0.0)
 
 
@@ -596,14 +600,14 @@ def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, sys
     take the harmonic basis (system_degrees) at both degrees, and d = 4
     the pair sweep (N (top + 1) = 3 300 < BASIS_RATIO H = 4 048 at degree
     10)."""
-    system = _record_calls(monkeypatch, kernels, "_basis_sums")
+    basis = _record_calls(monkeypatch, kernels, "_basis_sums")
     pairs = _record_calls(monkeypatch, kernels, "_pair_sums")
     s = _random_sample(d, 300, seed=40 + d)
     cfg = EstimatorConfig()
     got = estimate_fbeta(s, cfg).fx_values
     want = _leave_in_at_cap(s, cfg)
-    assert [args[1] for args in system] == system_degrees
-    assert len(system) + len(pairs) == 2
+    assert [args[1] for args in basis] == system_degrees
+    assert len(basis) + len(pairs) == 2
     assert np.min(want) > 0.0  # no value clipped, so relative error is defined
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -626,38 +630,86 @@ def test_choice_probability_sweeps_only_to_the_point_band(monkeypatch, family):
     assert np.array_equal(own, given)
 
 
-@pytest.mark.parametrize("d,resolution", [(3, 160), (4, 48)])
-def test_odd_part_mean_is_the_filtered_projection(d, resolution):
-    """With covariates uniform on the hemisphere x_1 >= 0 and the true
-    covariate density 2/|S^{d-1}| as fx (above the trimming floor, so no
-    weight is trimmed), the odd part's mean is exactly sum_{n odd} chi(n)
-    proj_n f_beta(b): 2 P(y = 1 | x) - 1 is twice the hemisphere transform
-    of f_beta's odd part, which the fit's 1/lambda_n undoes.  The target is
-    a mixture over a product rule weighted by f_beta (its mass within 1e-9
-    of 1) with chi written out by oracles.filter_weight, so a
-    wrong eigenvalue, filter weight or 1/N in the package moves the mean
-    off it.  Coefficients as model_1's: one centred Gaussian, covariance
-    0.3 I.  At 8 points (the pole and 7 random ones), 400 replications of
-    N = 500: the largest |z| of mean minus target was 2.1 in both d."""
+def _hemisphere_uniform_fits(d, seed, read):
+    """read(fit, points) over 400 fits of N = 500 draws with covariates
+    uniform on the hemisphere x_1 >= 0 and the true covariate density
+    2/|S^{d-1}| as fx (above the trimming floor, so no weight is trimmed),
+    at the pole and 7 random points.  Coefficients as model_1's: one
+    centred Gaussian, covariance 0.3 I.  Returns (spec, points, config,
+    the (400, 8) values read)."""
     n_obs, reps = 500, 400
     coefficients = GaussianMixture(weights=[1.0], means=[np.zeros(d - 1)], covs=0.3 * np.eye(d - 1))
     spec = DgpSpec(d, n_obs, coefficients, np.zeros(d - 1), np.eye(d - 1))
     points = np.vstack([np.eye(d)[-1], sample_uniform(d, 7, seed=5)])
     cfg = EstimatorConfig()
-    top = 2 * cfg.truncation
-    chi = [oracles.filter_weight(cfg.family, n, top, d) if n % 2 else 0.0 for n in range(top)]
-    quad = build_quadrature(d, resolution, method="product")
-    target = HarmonicMixture(quad.points, quad.weights * true_fbeta_on_sphere(spec, quad.points), chi)(points)
-    rng = np.random.default_rng(130 + d)
+    rng = np.random.default_rng(seed)
     fx = np.full(n_obs, 2.0 / surface_area(d))
-    odd = np.empty((reps, points.shape[0]))
+    values = np.empty((reps, points.shape[0]))
     for r in range(reps):
         x = normalize(rng.standard_normal((n_obs, d)))
         x[:, 0] = np.abs(x[:, 0])
         beta = normalize(np.column_stack([coefficients.sample(n_obs, rng), np.ones(n_obs)]))
         y = (np.einsum("ij,ij->i", x, beta) >= 0.0).astype(int)
-        odd[r] = estimate_fbeta(ChoiceSample(y=y, x=x), cfg, fx=fx).odd_values(points)
-    z = (odd.mean(axis=0) - target) / (odd.std(axis=0, ddof=1) / math.sqrt(reps))
+        values[r] = read(estimate_fbeta(ChoiceSample(y=y, x=x), cfg, fx=fx), points)
+    return spec, points, cfg, values
+
+
+def _filtered_projection(spec, points, cfg, resolution):
+    """sum_{n odd} chi(n) proj_n f_beta at the points: a mixture over a
+    product rule weighted by f_beta (its mass within 1e-9 of 1), with chi
+    written out by oracles.filter_weight."""
+    d, top = spec.dimension, 2 * cfg.truncation
+    chi = [oracles.filter_weight(cfg.family, n, top, d) if n % 2 else 0.0 for n in range(top)]
+    quad = build_quadrature(d, resolution, method="product")
+    return HarmonicMixture(quad.points, quad.weights * true_fbeta_on_sphere(spec, quad.points), chi)(points)
+
+
+@pytest.mark.parametrize("d,resolution", [(3, 160), (4, 48)])
+def test_odd_part_mean_is_the_filtered_projection(d, resolution):
+    """On the hemisphere-uniform design (_hemisphere_uniform_fits) the odd
+    part's mean is exactly sum_{n odd} chi(n) proj_n f_beta(b): 2 P(y = 1 |
+    x) - 1 is twice the hemisphere transform of f_beta's odd part, which
+    the fit's 1/lambda_n undoes.  The target (_filtered_projection) is
+    written out apart from the package's filter, so a wrong eigenvalue,
+    filter weight or 1/N in the package moves the mean off it.  At 8
+    points (the pole and 7 random ones), 400 replications of N = 500: the
+    largest |z| of mean minus target was 2.1 in both d."""
+    spec, points, cfg, odd = _hemisphere_uniform_fits(d, 130 + d, lambda fit, pts: fit.odd_values(pts))
+    target = _filtered_projection(spec, points, cfg, resolution)
+    z = (odd.mean(axis=0) - target) / (odd.std(axis=0, ddof=1) / math.sqrt(odd.shape[0]))
+    assert np.max(np.abs(z)) <= 4.0
+
+
+@pytest.mark.parametrize("d,resolution", [(3, 160), (4, 48)])
+def test_standard_error_squares_to_the_exact_variance(d, resolution):
+    """On the same design, (standard_error / 2)^2 is the sample variance
+    (ddof 1) of Z_i = (2y_i - 1) k(x_i'b) / f_X(x_i), for k = sum_{n odd}
+    (chi(n) / lambda_n) q_n, so its mean is exactly Var Z = int_H
+    k(x'b)^2 / f_X dx - (the filtered projection)^2.  k is written out
+    from the oracles' filter weights, eigenvalues and Gegenbauer sums, and
+    k^2, of degree 4 truncation - 2, is integrated exactly on H by the
+    upper panel of the product rule (split at its equator), the
+    coordinates rolled so that its polar axis is x_1.  At 8 points, 400
+    replications of N = 500: the largest |z| was 1.40 in d = 3 and 1.39 in
+    d = 4.  Without the S1^2 / N term it was 62 and 26, with a spread
+    missing its factor 2 about 1 830, and with w_i for w_i^2 in S2 the
+    spread clips to 0; 1/N for 1/(N - 1) gives 2.6, inside the bound."""
+    spec, points, cfg, half = _hemisphere_uniform_fits(
+        d, 140 + d, lambda fit, pts: (standard_error(fit, pts) / 2.0) ** 2
+    )
+    nu, area, top = (d - 2) / 2.0, oracles.sphere_area(d), 2 * cfg.truncation
+    rule = build_quadrature(d, 16, method="product")
+    upper = rule.points[:, -1] > 0.0
+    t = np.roll(rule.points[upper], 1, axis=1) @ points.T
+    k = sum(
+        oracles.filter_weight(cfg.family, m, top, d)
+        * oracles.harmonic_dim(m, d)
+        / (oracles.halfspace_eigenvalue_1d(m, d) * oracles.gegenbauer_at_one(nu, m) * area)
+        * oracles.gegenbauer_explicit(nu, m, t)
+        for m in range(1, top, 2)
+    )
+    variance = area / 2.0 * (rule.weights[upper] @ k**2) - _filtered_projection(spec, points, cfg, resolution) ** 2
+    z = (half.mean(axis=0) - variance) / (half.std(axis=0, ddof=1) / math.sqrt(half.shape[0]))
     assert np.max(np.abs(z)) <= 4.0
 
 

@@ -108,6 +108,8 @@ _REMOVED = {
         "chebyshev_sums",
         "harmonic_moments",
         "harmonic_series",
+        # folded into degree_sums, which runs the whole loop
+        "_chebyshev_sums",
     ],
     "hemisphere": ["invert_by_laplacian", "_lower_area"],
     "gegenbauer": ["eval_all", "sweep", "_series_eval"],
@@ -187,8 +189,13 @@ def test_removed_names_are_gone():
         (kernels._basis_sums, "nu"),
         (kernels.degree_sums, "nu"),
         (estimator.identification_diagnostic, "rel_threshold"),
+        # the scores read the filter rows alone, as the projector-form self-sums do
+        (estimator._lscv_scores, "rows"),
     ]
     assert [p for f, p in removed_params if p in inspect.signature(f).parameters] == []
-    # only kernels reads the harmonic moments' layout
-    layout = ["_layout", "eigenspace_dim", "harmonic_moments", "harmonic_series", "_harmonic_moments", "_harmonic_series"]
+    # only kernels reads the harmonic moments' layout; estimator reads
+    # eigenspace_dim for the leave-out diagonal q_n(x, x) = h(n, d) / |S^{d-1}|
+    # alone, and neither C_n(1) nor the projector constants
+    layout = ["_layout", "harmonic_moments", "harmonic_series", "_harmonic_moments", "_harmonic_series"]
     assert [name for name in layout if hasattr(estimator, name)] == []
+    assert [name for name in ("_at_one", "projector_constants") if hasattr(estimator, name)] == []

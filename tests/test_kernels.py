@@ -287,10 +287,10 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
     """degree_sums is the dense double loop sum_i w_i C_n(a_i'b_k) over
     every anchor and point, for the flagged degrees only, across blocks
     and anchor chunks, with one weight vector or with weight rows by
-    parity, as two rows or as one row per Chebyshev degree.
-    _chebyshev_sums with one weight row per Chebyshev degree is the loop
-    sum_i W[j, i] cos(j arccos(a_i'b_k)), and one weight vector stands for
-    that row at every degree."""
+    parity, as two rows or as one row per Chebyshev degree.  In d = 2,
+    where C_n = (2/n) T_n, one weight row per Chebyshev degree gives the
+    loop (2/n) sum_i W[n, i] cos(n arccos(a_i'b_k)), and one weight
+    vector stands bit for bit for that row tiled over every degree."""
     anchors, points = sample_uniform(d, 12, seed=60 + d), sample_uniform(d, 9, seed=70 + d)
     weights = np.random.default_rng(d).standard_normal((10, 12))
     used = np.isin(np.arange(10), [0, 2, 3, 9])
@@ -312,16 +312,15 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
         )
         assert got.shape == (4, 9)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    angles = np.arccos(np.clip(points @ anchors.T, -1.0, 1.0))
-    got = kernels._chebyshev_sums(anchors, weights, points, used)
-    want = np.array([np.cos(j * angles) @ weights[j] for j in np.flatnonzero(used)])
-    assert got.shape == (4, 9)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     shared = np.tile(weights[0], (10, 1))
     assert np.array_equal(
-        kernels._chebyshev_sums(anchors, weights[0], points, used),
-        kernels._chebyshev_sums(anchors, shared, points, used),
+        kernels.degree_sums(anchors, weights[0], points, used), kernels.degree_sums(anchors, shared, points, used)
     )
+    if d == 2:
+        angles = np.arccos(np.clip(points @ anchors.T, -1.0, 1.0))
+        got = kernels.degree_sums(anchors, weights, points, used)
+        want = np.array([(2.0 / n if n else 1.0) * np.cos(n * angles) @ weights[n] for n in np.flatnonzero(used)])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
