@@ -7,12 +7,13 @@ with a closed-form filtered-harmonic estimator: no numerical integration
 or optimization is needed to evaluate the fitted density.
 
 Layout: sphere (geometry and quadrature), gegenbauer (the Chebyshev
-recurrence and its Gegenbauer connection tables), kernels (filtered
-zonal kernels, band-limited mixtures and a sample's per-degree
-self-sums), hemisphere (the averaging operator and its inverse),
-estimator (the statistical layer, which reads those sums), simulate
-(synthetic designs with exact sphere densities), cli (command-line front
-end).
+recurrence and the connection tables of the normalised Gegenbauer
+polynomials), kernels (the zonal projectors q_n and their per-degree
+sums, filtered kernels, band-limited mixtures, whose coefficients are
+rows over q_n, and a sample's per-degree self-sums), hemisphere (the
+averaging operator and its inverse), estimator (the statistical layer,
+which reads those sums), simulate (synthetic designs with exact sphere
+densities), cli (command-line front end).
 """
 
 from . import cli, gegenbauer, hemisphere, kernels, simulate, sphere

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import gegenbauer, hemisphere
+from . import hemisphere
 from .kernels import (
     MAX_DEGREE,
     KernelSpec,
@@ -27,8 +27,9 @@ from .kernels import (
     _is_power_of_two,
     chi_table,
     degree_sums,
-    eigenspace_dim,
+    projector_diagonal,
     self_sums,
+    squared_row,
 )
 from .sphere import (
     QuadratureRule,
@@ -237,8 +238,8 @@ def _cross_validated_fx(sample, config):
     top = int(bands[-1])
     chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
     energy, combine = self_sums(sample.x, top)
-    # the terms j = i, q_n(x_i, x_i) = h(n, d) / |S^{d-1}|, dropped
-    diagonal = np.array([eigenspace_dim(n, d) for n in range(top + 1)]) / surface_area(d)
+    # the terms j = i, q_n(x_i, x_i), dropped
+    diagonal = projector_diagonal(top, d)
     k = int(np.argmin(_lscv_scores(chi, energy, energy - n_obs * diagonal, n_obs)))
     return int(bands[k]), np.maximum((combine(chi[k]) - chi[k] @ diagonal) / (n_obs - 1), 0.0)
 
@@ -448,17 +449,18 @@ def standard_error(estimate, points):
 def _odd_and_spread(fit, points):
     """The fit's odd part and its standard error scale 2 N sd(Z_i) at the
     points, as two (m,) arrays from one degree_sums sweep to degree 2D,
-    for g the odd part's series of top degree D: the odd degrees weighted
-    by w_i give the odd part S1 = sum_i w_i g(x_i'b), and the even ones,
-    weighted by w_i^2, give S2 = sum_i w_i^2 g(x_i'b)^2 from the squared
-    series (gegenbauer.squared_series).  Then N sd(Z_i) = N sqrt((S2 -
-    S1^2 / N) / (N - 1)), the difference clipped at 0 against rounding."""
+    for g = sum_n c_n q_n the odd part's kernel, c its degree_coeffs row
+    of top degree D: the odd degrees weighted by w_i give the odd part
+    S1 = sum_i w_i g(x_i, b), and the even ones, weighted by w_i^2, give
+    S2 = sum_i w_i^2 g(x_i, b)^2 from the squared row (kernels.squared_row).
+    Then N sd(Z_i) = N sqrt((S2 - S1^2 / N) / (N - 1)), the difference
+    clipped at 0 against rounding."""
     if fit.n_obs < 2:
         raise ValueError("standard error needs at least 2 observations")
     pts = check_on_sphere(points, d=fit.dimension, tol=1e-8)
-    series = fit.odd.series_coeffs()
-    coeffs = gegenbauer.squared_series((fit.dimension - 2) / 2.0, series)
-    coeffs[1::2] = np.pad(series, (0, series.size - 1))[1::2]  # the square is even
+    row = fit.odd.degree_coeffs
+    coeffs = squared_row(row, fit.dimension)
+    coeffs[1::2] = np.pad(row, (0, row.size - 1))[1::2]  # the square is even
     used = coeffs != 0.0
     weights = np.stack((fit.weights * fit.weights, fit.weights))  # even, odd degrees
     sums, odd = degree_sums(fit.anchors, weights, pts, used), np.flatnonzero(used) % 2 == 1
@@ -609,9 +611,9 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     per-degree coefficients (the transform rescales degree n by its
     eigenvalue), so both are read on the probe nodes from one sweep of the
     cosines, as two coefficient rows against the same per-degree sums
-    (HarmonicMixture.evaluate_series).  The transform's row is the series
-    row of hemisphere.transform(odd), which shares odd's anchors and
-    weights.
+    (HarmonicMixture.evaluate_series).  The transform's row is the
+    degree_coeffs row of hemisphere.transform(odd), which shares odd's
+    anchors and weights.
     """
     if isinstance(estimate, DensityEstimate):
         odd = estimate.odd
@@ -625,9 +627,7 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     if quad is None:
         quad = build_quadrature(d, resolution, seed=0)
     area = surface_area(d)
-    odd_vals, hemi_vals = odd.evaluate_series(
-        quad.points, [odd.series_coeffs(), hemisphere.transform(odd).series_coeffs()]
-    )
+    odd_vals, hemi_vals = odd.evaluate_series(quad.points, [odd.degree_coeffs, hemisphere.transform(odd).degree_coeffs])
     masses = hemi_vals / area
     i_best = int(np.argmax(masses))
     axis = quad.points[i_best].copy()

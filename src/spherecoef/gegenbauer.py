@@ -6,15 +6,16 @@ Szego's formula (Orthogonal Polynomials, 1939, eq. 4.9.19),
     C_n^nu(cos theta) = sum_k a_k a_{n-k} cos((n - 2k) theta),
     a_k = (nu)_k / k!,
 
-writes every C_n^nu as a combination of T_n, T_{n-2}, ... with nonnegative
-coefficients: the rows of connection(nu, top).  So one recurrence,
-chebyshev's T_{n+1} = 2t T_n - T_{n-1}, serves every nu, and a
+writes every normalised polynomial C_n^nu / C_n^nu(1) as a convex
+combination of T_n, T_{n-2}, ...: the rows of connection(nu, top).  So one
+recurrence, chebyshev's T_{n+1} = 2t T_n - T_{n-1}, serves every nu, and a
 combination of nonnegative terms adds no cancellation.
 
 The nu = 0 family is the renormalized limit (2/n) T_n (C_0^0 = 1), the
 convention under which the sphere machinery in this package treats the
-circle (d = 2) and the higher-dimensional spheres uniformly: its table is
-the diagonal 1, 2, 2/2, 2/3, ..., one more row of the same formula.
+circle (d = 2) and the higher-dimensional spheres uniformly: normalised,
+it is T_n itself, so its table is the identity, one more row of the same
+formula.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-__all__ = ["chebyshev", "connection", "eval_at_one", "series_eval", "squared_series"]
+__all__ = ["chebyshev", "connection", "eval_at_one", "series_eval"]
 
 
 def chebyshev(top, t, work=None):
@@ -62,15 +63,16 @@ def chebyshev(top, t, work=None):
 
 @functools.lru_cache(maxsize=None)
 def connection(nu, top):
-    """Lower-triangular (top + 1, top + 1) table L with C_n^nu = sum_j
-    L[n, j] T_j for n = 0..top, read-only and shared by every caller.
+    """Lower-triangular (top + 1, top + 1) table P of the normalised
+    polynomials, C_n^nu / C_n^nu(1) = sum_j P[n, j] T_j for n = 0..top,
+    read-only and shared by every caller.
 
-    Every entry is nonnegative, each row sums to eval_at_one(nu, n), and
-    L[n, j] is zero unless n - j is even and nonnegative.  Row n is
-    C_n^nu(1) times the weights a_k a_{n-k} / C_n^nu(1) of Szego's formula
-    (a cosine of (n - 2k) theta with k < n/2 counts twice), written as
-    products of ratios that stay finite at nu = 0, where only the j = n
-    weight, 1, is left.
+    Every entry is nonnegative, each row sums to 1, and P[n, j] is zero
+    unless n - j is even and nonnegative; a smaller top gives the leading
+    block.  Row n holds the weights a_k a_{n-k} / C_n^nu(1) of Szego's
+    formula (a cosine of (n - 2k) theta with k < n/2 counts twice), written
+    as products of ratios that stay finite at nu = 0, where only the j = n
+    weight, 1, is left: the identity.
     """
     top = int(top)
     table = np.zeros((top + 1, top + 1))
@@ -84,25 +86,12 @@ def connection(nu, top):
         if n > 1:
             lead *= (nu + n - 1) / (2.0 * nu + n - 1)
             scale *= n / (2.0 * nu + n - 1)
-        at_one = eval_at_one(nu, n)
-        table[n, n] = at_one * lead
+        table[n, n] = lead
         for k in range(1, n // 2 + 1):
             weight = nu * g[k] * g[n - k] * scale
-            table[n, n - 2 * k] = at_one * (weight / 2.0 if 2 * k == n else weight)
+            table[n, n - 2 * k] = weight / 2.0 if 2 * k == n else weight
     table.setflags(write=False)
     return table
-
-
-def squared_series(nu, coeffs):
-    """Gegenbauer coefficients a_0..a_{2D} of (sum_n coeffs[n] C_n^nu)^2,
-    D = coeffs.size - 1: connection maps the series to Chebyshev
-    coefficients, chebmul squares them, and one triangular solve against
-    connection(nu, 2D) (transposed, so upper triangular) maps them back."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    cheb = coeffs @ connection(nu, coeffs.size - 1)
-    square = np.polynomial.chebyshev.chebmul(cheb, cheb)  # trailing zeros trimmed
-    top = 2 * (coeffs.size - 1)
-    return np.linalg.solve(connection(nu, top).T, np.pad(square, (0, top + 1 - square.size)))
 
 
 def series_eval(nu, coeffs, t):
@@ -111,9 +100,10 @@ def series_eval(nu, coeffs, t):
     Keeps only the sweep's rolling buffers, so t may be a large array
     without materializing every degree.  coeffs is a 1-D sequence indexed
     by degree.  Arguments t just outside [-1, 1] (by at most 1e-9, from
-    rounding) are clipped.  The coefficients map through connection once,
-    to Chebyshev ones, and zero Chebyshev coefficients (every even one of
-    an odd series) are skipped in the accumulation.
+    rounding) are clipped.  The coefficients, times eval_at_one, map
+    through connection once, to Chebyshev ones, and zero Chebyshev
+    coefficients (every even one of an odd series) are skipped in the
+    accumulation.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
@@ -124,7 +114,8 @@ def series_eval(nu, coeffs, t):
     if np.any(np.abs(t) > 1.0 + 1e-9):
         raise ValueError("arguments t must lie in [-1, 1]")
     t = np.clip(t, -1.0, 1.0)
-    cheb = coeffs @ connection(nu, coeffs.size - 1)
+    at_one = np.array([eval_at_one(nu, n) for n in range(coeffs.size)])
+    cheb = (coeffs * at_one) @ connection(nu, coeffs.size - 1)
     out, term = np.zeros_like(t), np.empty_like(t)
     for c, values in zip(cheb, chebyshev(coeffs.size - 1, t)):
         if c != 0.0:

@@ -4,19 +4,22 @@ explicit orthonormal basis of the harmonics.
 
 Degree-n content on S^{d-1} is handled through the zonal projector kernel
 
-    q_n(x, y) = h(n, d) * C_n^nu(x'y) / (|S^{d-1}| * C_n^nu(1)),
+    q_n(x, y) = q_n(x, x) * C_n^nu(x'y) / C_n^nu(1),
 
-with nu = (d-2)/2.  A smoothed projection kernel is K_T(x, y) =
-sum_{n<=T} chi(n, T) q_n(x, y) for one of the weight families below.  By
-the addition theorem q_n(x, y) is also Y_n(x)'Y_n(y) for any orthonormal
-basis Y_n of the degree-n harmonics; harmonic_basis builds one (the
-Gelfand-Tsetlin basis).  Every per-degree sum over anchors runs through
-one loop, degree_sums.  The self-sums S[n, i] = sum_j q_n(x_i, x_j) over
-a sample, which every covariate-density fit reads against rows of filter
-weights, live here too: self_sums takes them from the basis' moments over
-the sample (its analysis and synthesis, _harmonic_moments and
-_harmonic_series) or by a sweep over every pair of sample points,
-whichever costs less.
+with nu = (d-2)/2 and q_n(x, x) = h(n, d) / |S^{d-1}| (projector_diagonal,
+the one place that constant is written).  Every per-degree quantity is a
+row over these projectors: a smoothed projection kernel is K_T(x, y) =
+sum_{n<=T} chi(n, T) q_n(x, y) for one of the weight families below, and a
+HarmonicMixture's degree_coeffs is such a row too.  By the addition
+theorem q_n(x, y) is also Y_n(x)'Y_n(y) for any orthonormal basis Y_n of
+the degree-n harmonics; harmonic_basis builds one (the Gelfand-Tsetlin
+basis).  Every per-degree sum of q_n over anchors runs through one loop,
+degree_sums, and squared_row squares a row in the same form.  The
+self-sums S[n, i] = sum_j q_n(x_i, x_j) over a sample, which every
+covariate-density fit reads against rows of filter weights, live here
+too: self_sums takes them from the basis' moments over the sample (its
+analysis and synthesis, _harmonic_moments and _harmonic_series) or by a
+sweep over every pair of sample points, whichever costs less.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from .sphere import check_on_sphere, surface_area
 
 __all__ = [
     "eigenspace_dim",
-    "projector_constants",
+    "projector_diagonal",
     "KernelSpec",
     "chi_table",
     "MAX_DEGREE",
     "degree_sums",
+    "squared_row",
     "harmonic_basis",
     "self_sums",
     "HarmonicMixture",
@@ -51,8 +55,8 @@ _FAMILIES = ("riesz", "delayed_means", "dirichlet")
 EVAL_CHUNK = 1 << 14
 
 # Least anchors per chunk of degree_sums: each chunk's Chebyshev sums map
-# to Gegenbauer sums before the chunks add up, which keeps them as
-# accurate as sums of Gegenbauer values (see degree_sums).  A chunk's
+# to projector sums before the chunks add up, which keeps them as
+# accurate as sums of projector values (see degree_sums).  A chunk's
 # blocks are then 128 x 128 cosines; with fewer than 128 points a chunk
 # takes more anchors, enough for one EVAL_CHUNK block.
 ANCHOR_CHUNK = 1 << 7
@@ -78,21 +82,12 @@ def eigenspace_dim(n, d):
     return math.comb(n + d - 2, n) + math.comb(n + d - 3, n - 1)
 
 
-def _at_one(max_degree, d):
-    """The values C_n^nu(1) for n = 0..max_degree, with nu = (d-2)/2."""
+def projector_diagonal(max_degree, d):
+    """The row q_n(x, x) = h(n, d) / |S^{d-1}| for n = 0..max_degree: the
+    constant that turns the normalised polynomial C_n^nu(t) / C_n^nu(1)
+    (gegenbauer.connection) into the zonal projector q_n."""
     max_degree, d = _check_degree_dim(max_degree, d)
-    return np.array([gegenbauer.eval_at_one((d - 2) / 2.0, n) for n in range(max_degree + 1)])
-
-
-def projector_constants(max_degree, d, scale=1.0):
-    """The constants scale[n] h(n, d) / (|S^{d-1}| C_n^nu(1)) for
-    n = 0..max_degree.  With scale 1 they turn C_n^nu(x'y) into the zonal
-    projector q_n(x, y); with per-degree coefficients c_n as scale they
-    turn sum_n c_n q_n into a Gegenbauer series.  The scale multiplies
-    h(n, d) before the division, so each constant is rounded once."""
-    max_degree, d = _check_degree_dim(max_degree, d)
-    dims = np.array([eigenspace_dim(n, d) for n in range(max_degree + 1)], dtype=float)
-    return scale * dims / (surface_area(d) * _at_one(max_degree, d))
+    return np.array([eigenspace_dim(n, d) for n in range(max_degree + 1)], dtype=float) / surface_area(d)
 
 
 def _is_power_of_two(n):
@@ -168,12 +163,14 @@ def _delayed_means_profile(x):
     return out
 
 
-# Largest filter degree any kernel may have; KernelSpec and EstimatorConfig
-# refuse more.  Arrays over degrees (filter weights, per-degree self-sums,
-# connection tables, Chebyshev sweeps) grow with the band limit, so a band
-# limit above this is refused rather than allocated.  128 is twice the
-# degree 64 planned for an uncapped cross-validation search (its minimiser
-# is 55 at N = 50 000), and a power of two, so delayed_means can use it.
+# Largest filter degree any kernel may have; KernelSpec, EstimatorConfig and
+# HarmonicMixture refuse more.  Arrays over degrees (filter weights,
+# per-degree self-sums, connection tables, Chebyshev sweeps) grow with the
+# band limit, so a band limit above this is refused rather than allocated;
+# only the standard error's square, to twice the odd part's degree, goes
+# past it, straight to degree_sums.  128 is twice the degree 64 planned
+# for an uncapped cross-validation search (its minimiser is 55 at
+# N = 50 000), and a power of two, so delayed_means can use it.
 MAX_DEGREE = 128
 
 
@@ -198,12 +195,12 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
 
 
 def degree_sums(anchors, weights, points, used):
-    """Per-degree weighted sums D[n, k] = sum_i W[n, i] C_n^nu(a_i'b_k)
-    of the (N, d) anchors a_i at the (m, d) points b_k, for the degrees n
-    flagged in the boolean array used, with nu = (d - 2)/2 for the points'
-    d.  weights is one (N,) vector, or p rows, row j % p for Chebyshev
-    degree j (one per Chebyshev degree, or two: even and odd); C_n reads
-    only the Chebyshev degrees of n's parity.
+    """Per-degree weighted sums D[n, k] = sum_i W[n, i] q_n(a_i, b_k) of
+    the zonal projectors at the (N, d) anchors a_i and the (m, d) points
+    b_k, for the degrees n flagged in the boolean array used.  weights is
+    one (N,) vector, or p rows, row j % p for Chebyshev degree j (one per
+    Chebyshev degree, or two: even and odd); q_n reads only the Chebyshev
+    degrees of n's parity.
 
     Returns a (u, m) array with one row per flagged degree, in increasing
     order.  The anchors go in chunks of at least ANCHOR_CHUNK, and each
@@ -211,21 +208,22 @@ def degree_sums(anchors, weights, points, used):
     gegenbauer.chebyshev sweep per block, up to the highest Chebyshev
     degree some flagged degree reads (only odd ones for odd degrees), and
     one matrix-vector product with the weights for each such degree.  Each
-    chunk's Chebyshev sums map through gegenbauer.connection before the
-    chunks add up.  On S^{d-1}, d >= 3, the T_j are not orthogonal, so
-    their totals over many anchors are large and cancel in the map; mapped
-    chunk by chunk, the sums keep the accuracy of a sweep of Gegenbauer
-    values.  The covariate density at its own N = 3 000 points in d = 5 is
-    within 3.2e-15 of its largest value from a long-double reference; one
-    map of the whole sample's totals was off by 2.2e-14, the Gegenbauer
-    recurrence by 1.9e-15.
+    chunk's Chebyshev sums map through the table of q_n (projector_diagonal
+    times gegenbauer.connection) before the chunks add up.  On S^{d-1},
+    d >= 3, the T_j are not orthogonal, so their totals over many anchors
+    are large and cancel in the map; mapped chunk by chunk, the sums keep
+    the accuracy of a sweep of Gegenbauer values.  The covariate density
+    at its own N = 3 000 points in d = 5 is within 3.2e-15 of its largest
+    value from a long-double reference; one map of the whole sample's
+    totals was off by 2.2e-14, the Gegenbauer recurrence by 1.9e-15.
     """
     degrees = np.flatnonzero(used)
     n_obs, m = anchors.shape[0], points.shape[0]
     out = np.zeros((degrees.size, m))
     if not degrees.size:
         return out
-    table = gegenbauer.connection((points.shape[1] - 2) / 2.0, int(degrees[-1]))[degrees]
+    d, top = points.shape[1], int(degrees[-1])
+    table = projector_diagonal(top, d)[degrees, None] * gegenbauer.connection((d - 2) / 2.0, top)[degrees]
     read = np.flatnonzero(np.any(table != 0.0, axis=0))
     table, slot = table[:, read], {j: k for k, j in enumerate(read.tolist())}
     rows_of = np.atleast_2d(weights)
@@ -253,6 +251,21 @@ def degree_sums(anchors, weights, points, used):
                     sums[slot[j], rows] = values @ rows_of[j % len(rows_of), start : start + chunk]
         out += table @ sums
     return out
+
+
+def squared_row(row, d):
+    """The row r over degrees 0..2D with sum_n r[n] q_n(t) = (sum_n row[n]
+    q_n(t))^2 on S^{d-1}, D = row.size - 1: the table of q_n
+    (projector_diagonal times gegenbauer.connection) maps the row to
+    Chebyshev coefficients, chebmul squares them, and one triangular solve
+    against the same table at 2D (transposed, so upper triangular) maps
+    them back."""
+    row = np.asarray(row, dtype=float)
+    nu, top = (d - 2) / 2.0, 2 * (row.size - 1)
+    diagonal = projector_diagonal(top, d)
+    cheb = (row * diagonal[: row.size]) @ gegenbauer.connection(nu, row.size - 1)
+    square = np.polynomial.chebyshev.chebmul(cheb, cheb)  # trailing zeros trimmed
+    return np.linalg.solve(gegenbauer.connection(nu, top).T, np.pad(square, (0, top + 1 - square.size))) / diagonal
 
 
 # Entries per row block of _harmonic_moments and _harmonic_series, counted
@@ -447,10 +460,8 @@ def self_sums(x, max_degree):
 
 def _pair_sums(x, max_degree):
     """self_sums by one sweep over all N^2 cosines x_i'x_j, keeping the
-    (max_degree + 1, N) sums S: degree_sums' Gegenbauer sums, each degree
-    times its projector constant."""
+    (max_degree + 1, N) sums S of degree_sums with unit weights."""
     sums = degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
-    sums *= projector_constants(max_degree, x.shape[1])[:, None]
 
     def combine(row):
         size = _band_length(row)
@@ -473,14 +484,14 @@ class HarmonicMixture:
 
     Represents g(b) = sum_n degree_coeffs[n] * sum_i weights[i] * q_n(x_i, b)
     with x_i the (N, d) anchors.  degree_coeffs is a nonempty 1-D float
-    array indexed by degree 0..max_degree, the layout of KernelSpec.chi and
-    projector_constants.  This is the one closed form for every
-    kernel-smoothed statistic in the package (a coefficient-density
-    estimate is an odd mixture, its choice probability the mixture's
-    hemisphere transform), and spectral operators act by rescaling
-    degree_coeffs (dataclasses.replace gives the rescaled mixture).  So
-    every such statistic is one row of coefficients against the same
-    per-degree sums D[n, k] = sum_i weights[i] C_n^nu(x_i'b_k)
+    array indexed by degree 0..max_degree, at most MAX_DEGREE, the layout
+    of KernelSpec.chi and projector_diagonal.  This is the one closed form
+    for every kernel-smoothed statistic in the package (a
+    coefficient-density estimate is an odd mixture, its choice probability
+    the mixture's hemisphere transform), and spectral operators act by
+    rescaling degree_coeffs (dataclasses.replace gives the rescaled
+    mixture).  So every such statistic is one row of coefficients against
+    the same per-degree sums D[n, k] = sum_i weights[i] q_n(x_i, b_k)
     (degree_sums): evaluate_series takes them for each degree that carries
     a coefficient and applies any number of coefficient rows to them (the
     standard error reads such sums too).  Query points are checked at one
@@ -502,8 +513,8 @@ class HarmonicMixture:
         if self.weights.shape != (self.anchors.shape[0],):
             raise ValueError("weights must have one entry per anchor")
         self.degree_coeffs = np.asarray(self.degree_coeffs, dtype=float)
-        if self.degree_coeffs.ndim != 1 or self.degree_coeffs.size == 0:
-            raise ValueError("degree_coeffs must be a nonempty 1-D array indexed by degree")
+        if self.degree_coeffs.ndim != 1 or not 0 < self.degree_coeffs.size <= MAX_DEGREE + 1:
+            raise ValueError(f"degree_coeffs must be a nonempty 1-D array over degrees 0..MAX_DEGREE = {MAX_DEGREE} at most")
 
     @property
     def dimension(self):
@@ -517,32 +528,28 @@ class HarmonicMixture:
         """True when only odd degrees carry nonzero coefficients."""
         return not np.any(self.degree_coeffs[::2])
 
-    def series_coeffs(self):
-        """Gegenbauer series coefficients indexed by degree 0..max_degree:
-        degree_coeffs[n] times the projector constant of degree n, so that
-        g(b) = sum_n series_coeffs()[n] sum_i weights[i] C_n^nu(x_i'b)."""
-        return projector_constants(self.max_degree, self.dimension, self.degree_coeffs)
+    def evaluate_series(self, points, rows):
+        """Evaluate several coefficient rows over these anchors and weights
+        in one sweep.
 
-    def evaluate_series(self, points, series):
-        """Evaluate several Gegenbauer series over these anchors and
-        weights in one sweep.
-
-        series is an (r, D) array whose rows are Gegenbauer coefficients
-        indexed by degree, as series_coeffs gives them; the rows of
+        rows is an (r, k) array whose rows are indexed by degree in the
+        degree_coeffs layout, k at most MAX_DEGREE + 1; the rows of
         mixtures that share these anchors and weights, such as a mixture
         and its hemisphere transform, evaluate together.  Returns the
-        (r, m) values series @ D at the (m, d) points, with D the
-        per-degree sums of degree_sums, taken only for the degrees some
-        row uses.
+        (r, m) values rows @ D at the (m, d) points, with D the per-degree
+        sums of degree_sums, taken only for the degrees some row uses.
         """
         pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
-        series = np.atleast_2d(np.asarray(series, dtype=float))
-        used = np.any(series != 0.0, axis=0)
-        return series[:, used] @ degree_sums(self.anchors, self.weights, pts, used)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if rows.shape[1] > MAX_DEGREE + 1:
+            raise ValueError(f"rows must be over degrees 0..MAX_DEGREE = {MAX_DEGREE} at most, got {rows.shape[1]} degrees")
+        used = np.any(rows != 0.0, axis=0)
+        return rows[:, used] @ degree_sums(self.anchors, self.weights, pts, used)
 
     def evaluate(self, points):
         """Evaluate the mixture at one point (d,) or a batch (m, d)."""
-        (out,) = self.evaluate_series(points, self.series_coeffs())
+        (out,) = self.evaluate_series(points, self.degree_coeffs)
         return float(out[0]) if np.ndim(points) == 1 else out
 
     __call__ = evaluate
+

@@ -29,6 +29,7 @@ __all__ = [
     "gegenbauer_at_pairs",
     "gegenbauer_explicit_bound",
     "harmonic_dim",
+    "projector_constants",
     "exact_sphere_rule",
     "halfspace_eigenvalue_1d",
     "riesz_weight",
@@ -237,6 +238,23 @@ def harmonic_dim(n, d):
     return first - second
 
 
+def projector_constants(max_degree, d):
+    """The constants h(n, d) / (|S^{d-1}| C_n(1)) for n = 0..max_degree,
+    which turn C_n(x . y) into the zonal projector q_n(x, y).  C_n(1) is
+    the rising-factorial ratio (2 nu)_n / n!, a product carried out in
+    exact rational arithmetic and rounded once (2/n at nu = 0), rather than
+    gegenbauer_at_one's alternating sum, which has no correct digit left
+    by degree 64."""
+    nu = (d - 2) / 2.0
+    out, at_one = [], Fraction(1)
+    for n in range(int(max_degree) + 1):
+        if n:
+            at_one *= (Fraction(2.0 * nu) + n - 1) / n
+        value = 1.0 if n == 0 else 2.0 / n if nu == 0 else float(at_one)
+        out.append(harmonic_dim(n, d) / (sphere_area(d) * value))
+    return np.array(out)
+
+
 def exact_sphere_rule(d, degree):
     """Nodes (K, d) and weights (K,) on S^{d-1}, d = 3 or 4, that integrate
     every polynomial of degree <= degree exactly against surface measure.
@@ -319,11 +337,10 @@ def zonal_kernel(t, family, cutoff, d, s=2.0, l=3):
     nu = (d - 2) / 2.0
     t = np.asarray(t, dtype=float)
     total = np.zeros_like(t)
-    for n in range(int(cutoff) + 1):
+    for n, constant in enumerate(projector_constants(cutoff, d)):
         w = filter_weight(family, n, cutoff, d, s=s, l=l)
         if w != 0.0:
-            scale = w * harmonic_dim(n, d) / (sphere_area(d) * gegenbauer_at_one(nu, n))
-            total = total + scale * gegenbauer_explicit(nu, n, t)
+            total = total + w * constant * gegenbauer_explicit(nu, n, t)
     return total
 
 
@@ -483,7 +500,7 @@ def project(f, n, quad, x):
     d = quad.dimension
     nu = (d - 2) / 2.0
     values = f(quad.points) if callable(f) else np.asarray(f, dtype=float)
-    scale = harmonic_dim(n, d) / (sphere_area(d) * gegenbauer_at_one(nu, n))
+    scale = projector_constants(n, d)[n]
     out = np.array([
         float(np.sum(quad.weights * values * scale
                      * gegenbauer_explicit(nu, n, np.clip(quad.points @ xi, -1.0, 1.0))))

@@ -21,7 +21,7 @@ from spherecoef.estimator import (
     standard_error,
 )
 from spherecoef import estimator, gegenbauer, hemisphere, kernels
-from spherecoef.kernels import ANCHOR_CHUNK, EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, projector_constants
+from spherecoef.kernels import ANCHOR_CHUNK, EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec
 from spherecoef.simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere
 from spherecoef.sphere import (
     build_quadrature,
@@ -303,7 +303,7 @@ def test_self_sums_match_double_loop(monkeypatch, d):
     projector constants, and so is its rounding bound."""
     x = _design_points(d, 30, seed=60 + d)
     top = estimator.FX_CV_MAX_BAND
-    constants = projector_constants(top, d)
+    constants = oracles.projector_constants(top, d)
     ref = constants[:, None] * oracles.pair_sums(x, top)
     nu = (d - 2) / 2.0
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(top + 1)])
@@ -339,7 +339,7 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     nu = (d - 2) / 2.0
     _, sums = _sums_table(kernels.self_sums, x, 16)
     assert sums.shape == (17, 40)
-    constants = projector_constants(16, d)
+    constants = oracles.projector_constants(16, d)
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(17)])
     tol = constants * (1e-13 + 4.0 * np.finfo(float).eps * 39 * bound)
     assert np.all(np.abs(sums - constants[:, None] * oracles.pair_sums(x, 16)) <= tol[:, None])
@@ -355,7 +355,7 @@ def _circle_sums(x, top):
     for n in range(1, top + 1):
         c, s = np.cos(n * theta), np.sin(n * theta)
         ref[n] = (2.0 / n) * (c * math.fsum(c) + s * math.fsum(s))
-    return projector_constants(top, 2)[:, None] * ref
+    return oracles.projector_constants(top, 2)[:, None] * ref
 
 
 @pytest.mark.parametrize(
@@ -592,12 +592,12 @@ def test_inference_fit_is_swept_only_when_read(monkeypatch):
     assert summary["lscv_band"] == est.inference.fx_band
 
 
-@pytest.mark.parametrize("d,system_degrees", [(2, [10, 24]), (3, [10, 24]), (4, [])])
-def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, system_degrees):
+@pytest.mark.parametrize("d,basis_degrees", [(2, [10, 24]), (3, [10, 24]), (4, [])])
+def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, basis_degrees):
     """The point fit's covariate density, from a sweep to fx_truncation,
     is the leave-in values from a sweep to the cross-validation cap
     (_leave_in_at_cap), within 1e-13 relative.  At N = 300, d = 2 and 3
-    take the harmonic basis (system_degrees) at both degrees, and d = 4
+    take the harmonic basis (basis_degrees) at both degrees, and d = 4
     the pair sweep (N (top + 1) = 3 300 < BASIS_RATIO H = 4 048 at degree
     10)."""
     basis = _record_calls(monkeypatch, kernels, "_basis_sums")
@@ -606,7 +606,7 @@ def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, sys
     cfg = EstimatorConfig()
     got = estimate_fbeta(s, cfg).fx_values
     want = _leave_in_at_cap(s, cfg)
-    assert [args[1] for args in basis] == system_degrees
+    assert [args[1] for args in basis] == basis_degrees
     assert len(basis) + len(pairs) == 2
     assert np.min(want) > 0.0  # no value clipped, so relative error is defined
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -1097,16 +1097,14 @@ def test_diagnostic_minus_mass_is_exact_negative():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_diagnostic_equals_the_transformed_mixture_route(d):
-    """The diagnostic forms the transform's series row from the eigenvalue
-    row without building the transformed mixture; its report is the one
-    that hemisphere.transform(odd).series_coeffs() gives, bit for bit."""
+    """The diagnostic reads the transform's row from the eigenvalue row;
+    its report is the one that the degree_coeffs rows of odd and of
+    hemisphere.transform(odd), evaluated together, give, bit for bit."""
     s = generate(DgpSpec.model_1(n_obs=300, seed=4)).sample if d == 3 else _random_sample(d, 300, seed=40 + d)
     odd = estimate_fbeta(s, EstimatorConfig(truncation=4)).odd
     quad = build_quadrature(d, 16, seed=0)
     report = identification_diagnostic(odd, quad=quad)
-    odd_vals, hemi_vals = odd.evaluate_series(
-        quad.points, [odd.series_coeffs(), hemisphere.transform(odd).series_coeffs()]
-    )
+    odd_vals, hemi_vals = odd.evaluate_series(quad.points, [odd.degree_coeffs, hemisphere.transform(odd).degree_coeffs])
     masses = hemi_vals / surface_area(d)
     best = int(np.argmax(masses))
     assert np.array_equal(report.axis, quad.points[best])

@@ -8,7 +8,7 @@ from scipy.special import binom, eval_chebyt, eval_chebyu, eval_gegenbauer
 
 import oracles
 from helpers import eval_all
-from spherecoef import gegenbauer
+from spherecoef import gegenbauer, kernels
 from spherecoef.kernels import MAX_DEGREE
 
 T_GRID = np.linspace(-1.0, 1.0, 101)
@@ -89,7 +89,8 @@ SWEEP_ARGS = [np.asarray(0.3), T_GRID, T_GRID[:100].reshape(4, 25)]
 @pytest.mark.parametrize("max_degree", [0, 1, 2, 24])
 def test_sweep_yields_every_degree(nu, max_degree):
     """The Chebyshev sweep yields T_0, ..., T_top, each an array of t's
-    shape, and through the connection table they give every C_n^nu."""
+    shape, and through the connection table, times C_n^nu(1), they give
+    every C_n^nu."""
     table = gegenbauer.connection(nu, max_degree)
     for t in SWEEP_ARGS:
         vals = [c.copy() for c in gegenbauer.chebyshev(max_degree, t)]
@@ -98,7 +99,7 @@ def test_sweep_yields_every_degree(nu, max_degree):
             assert isinstance(c, np.ndarray) and c.shape == t.shape
             assert np.max(np.abs(c - eval_chebyt(j, t))) < 1e-12
         for n in range(max_degree + 1):
-            got = sum(table[n, j] * vals[j] for j in range(n + 1))
+            got = gegenbauer.eval_at_one(nu, n) * sum(table[n, j] * vals[j] for j in range(n + 1))
             if nu == 0:
                 ref = np.ones_like(t) if n == 0 else (2.0 / n) * eval_chebyt(n, t)
             else:
@@ -125,47 +126,51 @@ T_CHECK = np.concatenate([[-1.0, 1.0], T_GRID, np.cos(np.pi * np.arange(33) / 32
 
 @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 1.0, 1.5, 2.5])
 def test_connection_table_against_recurrence(nu):
-    """Up to MAX_DEGREE the table is lower triangular with nonnegative
-    entries of the degree's parity, each row sums to eval_at_one within
-    1e-14 relative, and its rows against the Chebyshev sweep agree with
-    the three-term recurrence in nu within 1e-13 C_n(1) on a grid that
-    includes +-1."""
+    """Up to MAX_DEGREE the table of the normalised polynomials C_n /
+    C_n(1) is lower triangular with nonnegative entries of the degree's
+    parity, each row sums to 1 within 1e-14, and its rows against the
+    Chebyshev sweep agree within 1e-13 with the three-term recurrence in
+    nu over its own value at t = 1, on a grid that includes +-1.  A
+    smaller top gives the leading block, entry for entry."""
     table = gegenbauer.connection(nu, MAX_DEGREE)
     assert table.shape == (MAX_DEGREE + 1, MAX_DEGREE + 1) and not table.flags.writeable
     degree = np.arange(MAX_DEGREE + 1)
     off_parity = ((degree[:, None] - degree[None, :]) % 2 == 1) | (degree[None, :] > degree[:, None])
     assert np.all(table >= 0.0) and np.all(table[off_parity] == 0.0)
-    at_one = np.array([gegenbauer.eval_at_one(nu, n) for n in degree])
-    assert np.max(np.abs(table.sum(axis=1) - at_one) / at_one) <= 1e-14
+    assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-14
     cheb = np.array([c.copy() for c in gegenbauer.chebyshev(MAX_DEGREE, T_CHECK)])
     ref = oracles.gegenbauer_recurrence(nu, MAX_DEGREE, T_CHECK)
-    assert np.all(np.abs(table @ cheb - ref) <= 1e-13 * at_one[:, None])
-    # a smaller top is the leading block, entry for entry
-    assert np.array_equal(gegenbauer.connection(nu, 24), table[:25, :25])
+    assert T_CHECK[1] == 1.0
+    assert np.all(np.abs(table @ cheb - ref / ref[:, 1:2]) <= 1e-13)
+    for top in (0, 1, 24):
+        assert np.array_equal(gegenbauer.connection(nu, top), table[: top + 1, : top + 1])
 
 
 def test_connection_of_the_circle_family_is_diagonal():
-    """For nu = 0, C_n^0 = (2/n) T_n: the table is diag(1, 2, 2/2, 2/3, ...)."""
-    n = np.arange(1, MAX_DEGREE + 1)
-    want = np.diag(np.concatenate([[1.0], 2.0 / n]))
-    assert np.array_equal(gegenbauer.connection(0.0, MAX_DEGREE), want)
+    """For nu = 0, C_n^0 / C_n^0(1) = T_n: the table is the identity."""
+    assert np.array_equal(gegenbauer.connection(0.0, MAX_DEGREE), np.eye(MAX_DEGREE + 1))
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5])
 @pytest.mark.parametrize("top", [5, 15, 63, 127])
 def test_squared_series_against_mpmath(nu, top):
-    """squared_series gives the 2 top + 1 coefficients a_n with sum_n a_n
-    C_n(t) = (sum_n c_n C_n(t))^2, within 1e-13 of the largest |value| on
-    a grid that includes +-1, both sides summed in 30-digit arithmetic
-    (oracles.gegenbauer_series); an odd series' square is even."""
-    coeffs = np.random.default_rng(top).standard_normal(top + 1)
-    square = gegenbauer.squared_series(nu, coeffs)
+    """kernels.squared_row squares a row of projector coefficients on
+    S^{d-1}, d = 2 nu + 2 (2 to 5): it gives the 2 top + 1 coefficients
+    r_n with sum_n r_n q_n(t) = (sum_n c_n q_n(t))^2, within 1e-13 of the
+    largest |value| on a grid that includes +-1.  Both sides are
+    Gegenbauer series, through oracles.projector_constants, summed in
+    30-digit arithmetic (oracles.gegenbauer_series); an odd row's square
+    is even."""
+    d = int(2 * nu + 2)
+    row = np.random.default_rng(top).standard_normal(top + 1)
+    square = kernels.squared_row(row, d)
     assert square.shape == (2 * top + 1,)
-    want = oracles.gegenbauer_series(nu, coeffs, T_CHECK, power=2)
-    got = oracles.gegenbauer_series(nu, square, T_CHECK)
+    constants = oracles.projector_constants(2 * top, d)
+    want = oracles.gegenbauer_series(nu, row * constants[: top + 1], T_CHECK, power=2)
+    got = oracles.gegenbauer_series(nu, square * constants, T_CHECK)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    coeffs[::2] = 0.0
-    assert not np.any(gegenbauer.squared_series(nu, coeffs)[1::2])
+    row[::2] = 0.0
+    assert not np.any(kernels.squared_row(row, d)[1::2])
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])

@@ -110,9 +110,13 @@ _REMOVED = {
         "harmonic_series",
         # folded into degree_sums, which runs the whole loop
         "_chebyshev_sums",
+        # the Gegenbauer-series form of a mixture's row: degree_sums sums
+        # q_n, and projector_diagonal is the one per-degree constant
+        "projector_constants",
+        "_at_one",
     ],
     "hemisphere": ["invert_by_laplacian", "_lower_area"],
-    "gegenbauer": ["eval_all", "sweep", "_series_eval"],
+    "gegenbauer": ["eval_all", "sweep", "_series_eval", "squared_series"],
     "sphere": ["angle_between"],
     "estimator": [
         "SELF_SUMS_BLOCK",
@@ -176,6 +180,8 @@ def test_removed_names_are_gone():
     # the per-anchor route (a table of terms per anchor and point) lives in
     # tests/oracles.py only; the standard error reads per-degree sums
     assert not hasattr(HarmonicMixture, "terms")
+    # evaluation takes degree_coeffs rows as they are
+    assert not hasattr(HarmonicMixture, "series_coeffs")
     # a rule is its nodes and weights; which method built it was never read
     assert [f.name for f in dataclasses.fields(QuadratureRule)] == ["points", "weights", "dimension"]
     removed_params = [
@@ -193,9 +199,11 @@ def test_removed_names_are_gone():
         (estimator._lscv_scores, "rows"),
     ]
     assert [p for f, p in removed_params if p in inspect.signature(f).parameters] == []
-    # only kernels reads the harmonic moments' layout; estimator reads
-    # eigenspace_dim for the leave-out diagonal q_n(x, x) = h(n, d) / |S^{d-1}|
-    # alone, and neither C_n(1) nor the projector constants
+    # only kernels reads the harmonic moments' layout; estimator reads the
+    # leave-out diagonal q_n(x, x) = h(n, d) / |S^{d-1}| from
+    # kernels.projector_diagonal, and neither gegenbauer, C_n(1), a
+    # projector constant nor h(n, d)
     layout = ["_layout", "harmonic_moments", "harmonic_series", "_harmonic_moments", "_harmonic_series"]
     assert [name for name in layout if hasattr(estimator, name)] == []
-    assert [name for name in ("_at_one", "projector_constants") if hasattr(estimator, name)] == []
+    constants = ("gegenbauer", "eval_at_one", "_at_one", "projector_constants", "eigenspace_dim")
+    assert [name for name in constants if hasattr(estimator, name)] == []

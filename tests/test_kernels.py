@@ -103,7 +103,7 @@ def test_harmonic_basis_addition_theorem(d, top):
     x = sample_uniform(d, 5, seed=40 + d)
     values = kernels.harmonic_basis(x, top)
     ref = oracles.gegenbauer_at_pairs((d - 2) / 2.0, top, x, x)
-    for n, constant in enumerate(kernels.projector_constants(top, d)):
+    for n, constant in enumerate(oracles.projector_constants(top, d)):
         scale = oracles.harmonic_dim(n, d) / oracles.sphere_area(d)
         assert np.max(np.abs(values[n].T @ values[n] - constant * ref[n])) <= 1e-13 * scale
 
@@ -284,17 +284,18 @@ def _sweeps(monkeypatch, call):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_degree_sums_match_double_loop(monkeypatch, d):
-    """degree_sums is the dense double loop sum_i w_i C_n(a_i'b_k) over
+    """degree_sums is the dense double loop sum_i w_i q_n(a_i, b_k) over
     every anchor and point, for the flagged degrees only, across blocks
     and anchor chunks, with one weight vector or with weight rows by
-    parity, as two rows or as one row per Chebyshev degree.  In d = 2,
-    where C_n = (2/n) T_n, one weight row per Chebyshev degree gives the
-    loop (2/n) sum_i W[n, i] cos(n arccos(a_i'b_k)), and one weight
-    vector stands bit for bit for that row tiled over every degree."""
+    parity, as two rows or as one row per Chebyshev degree; q_n is C_n
+    times oracles.projector_constants.  In d = 2, where C_n = (2/n) T_n,
+    one weight row per Chebyshev degree gives the loop (2/n) sum_i W[n, i]
+    cos(n arccos(a_i'b_k)) times the constant, and one weight vector
+    stands bit for bit for that row tiled over every degree."""
     anchors, points = sample_uniform(d, 12, seed=60 + d), sample_uniform(d, 9, seed=70 + d)
     weights = np.random.default_rng(d).standard_normal((10, 12))
     used = np.isin(np.arange(10), [0, 2, 3, 9])
-    nu = (d - 2) / 2.0
+    nu, constants = (d - 2) / 2.0, oracles.projector_constants(9, d)
     monkeypatch.setattr(kernels, "EVAL_CHUNK", 24)
     monkeypatch.setattr(kernels, "ANCHOR_CHUNK", 5)  # chunks of 5, 5 and 2 anchors
     # 4 points a block of the 5-anchor chunks, 3 blocks each; 1 block of 2 anchors
@@ -304,7 +305,8 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
         want = np.array(
             [
                 [
-                    sum(weights[parity[n % 2], i] * oracles.explicit_eval(nu, n, a @ b) for i, a in enumerate(anchors))
+                    constants[n]
+                    * sum(weights[parity[n % 2], i] * oracles.explicit_eval(nu, n, a @ b) for i, a in enumerate(anchors))
                     for b in points
                 ]
                 for n in np.flatnonzero(used)
@@ -319,19 +321,22 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
     if d == 2:
         angles = np.arccos(np.clip(points @ anchors.T, -1.0, 1.0))
         got = kernels.degree_sums(anchors, weights, points, used)
-        want = np.array([(2.0 / n if n else 1.0) * np.cos(n * angles) @ weights[n] for n in np.flatnonzero(used)])
+        want = np.array(
+            [constants[n] * (2.0 / n if n else 1.0) * np.cos(n * angles) @ weights[n] for n in np.flatnonzero(used)]
+        )
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_degree_sums_against_mpmath_at_degree_64(d):
     """To degree 64 each degree's sums are within 5e-14 of that degree's
-    largest, against C_n^nu from the recurrence in nu carried out in
+    largest, against q_n from C_n^nu by the recurrence in nu carried out in
     30-digit arithmetic (oracles.gegenbauer_recurrence) at the same float
-    cosines."""
+    cosines, times oracles.projector_constants."""
     anchors, points = sample_uniform(d, 40, seed=80 + d), sample_uniform(d, 6, seed=90 + d)
     weights = np.random.default_rng(d).standard_normal(40)
     ref = oracles.gegenbauer_recurrence((d - 2) / 2.0, 64, np.clip(points @ anchors.T, -1.0, 1.0)) @ weights
+    ref *= oracles.projector_constants(64, d)[:, None]
     got = kernels.degree_sums(anchors, weights, points, np.ones(65, dtype=bool))
     assert np.all(np.max(np.abs(got - ref), axis=1) <= 5e-14 * np.max(np.abs(ref), axis=1))
 
@@ -367,6 +372,13 @@ def test_harmonic_mixture_validation():
         HarmonicMixture(anchors, np.ones(4), [])
     mix = HarmonicMixture(anchors, np.ones(4), [0, 1])
     assert mix.degree_coeffs.dtype == float and mix.max_degree == 1
+    # a band limit past MAX_DEGREE is refused, for a mixture and for the
+    # rows evaluate_series takes, before any table is built
+    assert HarmonicMixture(anchors, np.ones(4), np.ones(MAX_DEGREE + 1)).max_degree == MAX_DEGREE
+    with pytest.raises(ValueError, match="MAX_DEGREE"):
+        HarmonicMixture(anchors, np.ones(4), np.ones(MAX_DEGREE + 2))
+    with pytest.raises(ValueError, match="MAX_DEGREE"):
+        mix.evaluate_series(anchors, np.ones((2, MAX_DEGREE + 2)))
 
 
 def _max_rel_error(got, want):
@@ -392,7 +404,7 @@ def test_evaluate_matches_per_anchor_oracle(d, family):
     for mix in (full, odd):
         assert _max_rel_error(mix.evaluate(pts), oracles.mixture_by_terms(mix, pts)) <= 1e-13
     averaged = hemisphere.transform(odd)
-    rows = odd.evaluate_series(pts, [odd.series_coeffs(), averaged.series_coeffs()])
+    rows = odd.evaluate_series(pts, [odd.degree_coeffs, averaged.degree_coeffs])
     assert rows.shape == (2, 250)
     for got, mix in zip(rows, (odd, averaged)):
         assert _max_rel_error(got, oracles.mixture_by_terms(mix, pts)) <= 1e-13
