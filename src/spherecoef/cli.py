@@ -206,10 +206,10 @@ def _parse_matrix(text, what):
     return np.vstack(mat)
 
 
-def build_dgp(model_cfg, n_obs=None, seed=None):
+def build_dgp(model_cfg, seed=None):
     """Construct the DgpSpec described by the [model] section."""
     preset = model_cfg["preset"]
-    n = _parse_int(model_cfg["n_obs"], "n_obs", minimum=1) if n_obs is None else n_obs
+    n = _parse_int(model_cfg["n_obs"], "n_obs", minimum=1)
     fixed = _parse(model_cfg["fixed_value"], "fixed_value")
     if preset in ("model_1", "model_2"):
         spec = getattr(DgpSpec, preset)(n_obs=n, seed=seed)

@@ -333,7 +333,7 @@ def _fit(sample, config, fx_values, fx_band, keep_sample=False):
     n_obs, d = sample.n_obs, sample.dimension
     chi = config.main_kernel(d).chi()
     coeffs = np.zeros(chi.size - 1)
-    coeffs[1::2] = chi[1::2] / (hemisphere._eigenvalues(coeffs.size - 1, d)[1::2] * n_obs)
+    coeffs[1::2] = chi[1::2] / (hemisphere.eigenvalues(coeffs.size - 1, d)[1::2] * n_obs)
     weights = (2.0 * sample.y - 1.0) / np.maximum(fx_values, config.trimming_floor(n_obs))
     return DensityEstimate(
         odd=HarmonicMixture(sample.x, weights, coeffs),
@@ -557,6 +557,8 @@ def marginal_density(density, keep_dims, values, seed=None, dimension=None):
     vals = np.atleast_1d(np.asarray(values, dtype=float))
     if vals.shape != (keep.size,):
         raise ValueError(f"values has shape {vals.shape}, expected ({keep.size},)")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"values must be finite, got {vals}")
     sq = float(vals @ vals)
     if sq >= 1.0:
         raise ValueError("kept coordinates must have norm strictly below 1")

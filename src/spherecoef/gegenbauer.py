@@ -9,23 +9,19 @@ Szego's formula (Orthogonal Polynomials, 1939, eq. 4.9.19),
 writes every normalised polynomial C_n^nu / C_n^nu(1) as a convex
 combination of T_n, T_{n-2}, ...: the rows of connection(nu, top).  So one
 recurrence, chebyshev's T_{n+1} = 2t T_n - T_{n-1}, serves every nu, and a
-combination of nonnegative terms adds no cancellation.
-
-The nu = 0 family is the renormalized limit (2/n) T_n (C_0^0 = 1), the
-convention under which the sphere machinery in this package treats the
-circle (d = 2) and the higher-dimensional spheres uniformly: normalised,
-it is T_n itself, so its table is the identity, one more row of the same
-formula.
+combination of nonnegative terms adds no cancellation.  Every polynomial
+in the package is normalised, so C_n^nu(1) itself is never formed; at
+nu = 0 the normalised polynomial is T_n and the table is the identity, one
+more row of the same formula.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-__all__ = ["chebyshev", "connection", "eval_at_one", "series_eval"]
+__all__ = ["chebyshev", "connection", "series_eval"]
 
 
 def chebyshev(top, t, work=None):
@@ -95,12 +91,13 @@ def connection(nu, top):
 
 
 def series_eval(nu, coeffs, t):
-    """Evaluate sum_n coeffs[n] * C_n^nu(t) in one recurrence sweep.
+    """Evaluate sum_n coeffs[n] * C_n^nu(t) / C_n^nu(1), a series of the
+    normalised polynomials, in one recurrence sweep.
 
     Keeps only the sweep's rolling buffers, so t may be a large array
-    without materializing every degree.  coeffs is a 1-D sequence indexed
-    by degree.  Arguments t just outside [-1, 1] (by at most 1e-9, from
-    rounding) are clipped.  The coefficients, times eval_at_one, map
+    without materializing every degree.  coeffs is a finite 1-D sequence
+    indexed by degree.  Arguments t just outside [-1, 1] (by at most 1e-9,
+    from rounding) are clipped; NaN is refused.  The coefficients map
     through connection once, to Chebyshev ones, and zero Chebyshev
     coefficients (every even one of an odd series) are skipped in the
     accumulation.
@@ -108,41 +105,17 @@ def series_eval(nu, coeffs, t):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coeffs must be a nonempty 1-D sequence indexed by degree")
-    if nu < 0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coeffs must be finite")
+    if not 0.0 <= nu < np.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-9):
+    if not np.all(np.abs(t) <= 1.0 + 1e-9):
         raise ValueError("arguments t must lie in [-1, 1]")
     t = np.clip(t, -1.0, 1.0)
-    at_one = np.array([eval_at_one(nu, n) for n in range(coeffs.size)])
-    cheb = (coeffs * at_one) @ connection(nu, coeffs.size - 1)
+    cheb = coeffs @ connection(nu, coeffs.size - 1)
     out, term = np.zeros_like(t), np.empty_like(t)
     for c, values in zip(cheb, chebyshev(coeffs.size - 1, t)):
         if c != 0.0:
             out += np.multiply(values, c, out=term)
     return float(out) if t.shape == () else out
-
-
-def eval_at_one(nu, n):
-    """Value C_n^nu(1): binom(n + 2 nu - 1, n) for nu > 0, and 2/n for the
-    nu = 0 family (1 at degree 0).
-
-    When 2 nu is an integer, as nu = (d - 2)/2 is for every sphere S^{d-1},
-    the binomial is the exact integer math.comb rounded once to a float;
-    other nu take the product of (2 nu - 1 + k)/k over k = 1..n.
-    """
-    if nu < 0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
-    if int(n) != n or n < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
-    n = int(n)
-    if n == 0:
-        return 1.0
-    if nu == 0:
-        return 2.0 / n
-    if float(2.0 * nu).is_integer():
-        return float(math.comb(n + int(2.0 * nu) - 1, n))
-    value = 1.0
-    for k in range(1, n + 1):
-        value *= (2.0 * nu - 1.0 + k) / k
-    return value

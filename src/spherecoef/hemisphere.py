@@ -8,9 +8,11 @@ eigenvalue on degree n is
     n even>=2:  0
     n = 2p+1:   (-1)^p |S^{d-2}| (2p-1)!! / ((d-1)(d+1)...(d+2p-1)),
 
-which for d = 2 reduces to 2 sin(n pi / 2) / n.  Even degrees >= 2 are the
-null space, so only odd content is invertible; densities supported in an
-open hemisphere are recoverable from their odd part alone.
+which for d = 2 reduces to 2 sin(n pi / 2) / n.  eigenvalues gives them as
+one row over degrees 0..T, and transform and invert rescale a mixture's
+coefficient row by it.  Even degrees >= 2 are the null space, so only odd
+content is invertible; densities supported in an open hemisphere are
+recoverable from their odd part alone.
 """
 
 from __future__ import annotations
@@ -22,27 +24,24 @@ import numpy as np
 from .kernels import HarmonicMixture, _check_degree_dim
 from .sphere import surface_area
 
-__all__ = ["eigenvalue", "transform", "invert"]
+__all__ = ["eigenvalues", "transform", "invert"]
 
 
-def eigenvalue(n, d):
-    """Eigenvalue of the hemisphere-averaging operator on degree n."""
-    n, d = _check_degree_dim(n, d)
-    if n == 0:
-        return surface_area(d) / 2.0
-    if n % 2 == 0:
-        return 0.0
-    p = (n - 1) // 2
-    val = surface_area(d - 1) / (d - 1)
-    for j in range(1, p + 1):
-        val *= -(2.0 * j - 1.0) / (d + 2.0 * j - 1.0)
-    return val
-
-
-def _eigenvalues(max_degree, d):
+def eigenvalues(max_degree, d):
     """The eigenvalues of degrees 0..max_degree on S^{d-1}, as a row: the
-    one row that every spectral use of the operator reads."""
-    return np.array([eigenvalue(n, d) for n in range(max_degree + 1)])
+    one row that every spectral use of the operator reads.
+
+    The odd entries are one cumulative product: |S^{d-2}| / (d - 1) at
+    n = 1, then each odd n multiplies in -(n - 2) / (d + n - 2).
+    """
+    max_degree, d = _check_degree_dim(max_degree, d)
+    row = np.zeros(max_degree + 1)
+    row[0] = surface_area(d) / 2.0
+    odd = np.arange(1.0, max_degree + 1, 2.0)
+    ratios = -(odd - 2.0) / (d + odd - 2.0)
+    ratios[:1] = surface_area(d - 1) / (d - 1)
+    row[1::2] = np.cumprod(ratios)
+    return row
 
 
 def _require_odd(g):
@@ -59,7 +58,7 @@ def transform(g):
     """Apply the operator to an odd band-limited expansion (exact, spectral):
     the mixture with its coefficient row times the eigenvalue row."""
     _require_odd(g)
-    return dataclasses.replace(g, degree_coeffs=g.degree_coeffs * _eigenvalues(g.max_degree, g.dimension))
+    return dataclasses.replace(g, degree_coeffs=g.degree_coeffs * eigenvalues(g.max_degree, g.dimension))
 
 
 def invert(g):
@@ -70,5 +69,5 @@ def invert(g):
     may carry one, and its eigenvalue is 0."""
     _require_odd(g)
     c = g.degree_coeffs
-    inverted = np.divide(c, _eigenvalues(g.max_degree, g.dimension), out=np.zeros_like(c), where=c != 0.0)
+    inverted = np.divide(c, eigenvalues(g.max_degree, g.dimension), out=np.zeros_like(c), where=c != 0.0)
     return dataclasses.replace(g, degree_coeffs=inverted)

@@ -133,10 +133,6 @@ class KernelSpec:
                 f"delayed_means requires a power-of-two degree, got {self.degree}"
             )
 
-    @property
-    def nu(self):
-        return (self.dimension - 2) / 2.0
-
     def chi(self):
         """All filter weights chi(n, T) for n = 0..degree as an array."""
         table = chi_table(self.family, [self.degree], self.degree, self.dimension, s=self.s, l=self.l)
@@ -495,7 +491,8 @@ class HarmonicMixture:
     (degree_sums): evaluate_series takes them for each degree that carries
     a coefficient and applies any number of coefficient rows to them (the
     standard error reads such sums too).  Query points are checked at one
-    tolerance, |norm - 1| <= 1e-8.
+    tolerance, |norm - 1| <= 1e-8, and weights and degree_coeffs must be
+    finite.
 
     weights is kept as passed when it is already a float array, not copied:
     a DensityEstimate's odd mixture holds the fit's own weights array, and
@@ -512,9 +509,13 @@ class HarmonicMixture:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.anchors.shape[0],):
             raise ValueError("weights must have one entry per anchor")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
         self.degree_coeffs = np.asarray(self.degree_coeffs, dtype=float)
         if self.degree_coeffs.ndim != 1 or not 0 < self.degree_coeffs.size <= MAX_DEGREE + 1:
             raise ValueError(f"degree_coeffs must be a nonempty 1-D array over degrees 0..MAX_DEGREE = {MAX_DEGREE} at most")
+        if not np.all(np.isfinite(self.degree_coeffs)):
+            raise ValueError("degree_coeffs must be finite")
 
     @property
     def dimension(self):

@@ -29,9 +29,11 @@ __all__ = [
     "gegenbauer_at_pairs",
     "gegenbauer_explicit_bound",
     "harmonic_dim",
+    "at_one_exact",
     "projector_constants",
     "exact_sphere_rule",
     "halfspace_eigenvalue_1d",
+    "halfspace_eigenvalue_closed_form",
     "riesz_weight",
     "filter_weight",
     "zonal_kernel",
@@ -238,21 +240,41 @@ def harmonic_dim(n, d):
     return first - second
 
 
+def at_one_exact(nu, max_degree):
+    """The values C_n^nu(1) for n = 0..max_degree: the rising-factorial
+    ratio (2 nu)_n / n!, a product carried out in exact rational arithmetic
+    and rounded once (the renormalised 2/n at nu = 0, 1 at degree 0),
+    rather than gegenbauer_at_one's alternating sum, which has no correct
+    digit left by degree 64."""
+    out, at_one = [1.0], Fraction(1)
+    for n in range(1, int(max_degree) + 1):
+        at_one *= (Fraction(2.0 * nu) + n - 1) / n
+        out.append(2.0 / n if nu == 0 else float(at_one))
+    return np.array(out)
+
+
 def projector_constants(max_degree, d):
     """The constants h(n, d) / (|S^{d-1}| C_n(1)) for n = 0..max_degree,
-    which turn C_n(x . y) into the zonal projector q_n(x, y).  C_n(1) is
-    the rising-factorial ratio (2 nu)_n / n!, a product carried out in
-    exact rational arithmetic and rounded once (2/n at nu = 0), rather than
-    gegenbauer_at_one's alternating sum, which has no correct digit left
-    by degree 64."""
-    nu = (d - 2) / 2.0
-    out, at_one = [], Fraction(1)
-    for n in range(int(max_degree) + 1):
-        if n:
-            at_one *= (Fraction(2.0 * nu) + n - 1) / n
-        value = 1.0 if n == 0 else 2.0 / n if nu == 0 else float(at_one)
-        out.append(harmonic_dim(n, d) / (sphere_area(d) * value))
-    return np.array(out)
+    which turn C_n(x . y) into the zonal projector q_n(x, y), with C_n(1)
+    from at_one_exact."""
+    at_one = at_one_exact((d - 2) / 2.0, max_degree)
+    return np.array([harmonic_dim(n, d) / (sphere_area(d) * at_one[n]) for n in range(int(max_degree) + 1)])
+
+
+def halfspace_eigenvalue_closed_form(n, d):
+    """Hemisphere-transform eigenvalue from its closed form, one degree at
+    a time: |S^{d-1}| / 2 at n = 0, 0 at even n >= 2, and at n = 2p + 1
+    the loop |S^{d-2}| / (d - 1) times -(2j - 1) / (d + 2j - 1) for
+    j = 1..p, the float arithmetic of the package's row carried out per
+    degree instead of as one cumulative product."""
+    if n == 0:
+        return sphere_area(d) / 2.0
+    if n % 2 == 0:
+        return 0.0
+    value = sphere_area(d - 1) / (d - 1)
+    for j in range(1, (n - 1) // 2 + 1):
+        value *= -(2.0 * j - 1.0) / (d + 2.0 * j - 1.0)
+    return value
 
 
 def exact_sphere_rule(d, degree):
@@ -537,7 +559,7 @@ def invert_by_laplacian(degree_coeffs, d):
 
     a polynomial in the Laplace-Beltrami eigenvalue zeta_{n,d} = n(n+d-2)
     with an alternating sign per odd eigenspace: independent of the
-    double-factorial-ratio route of the package's hemisphere.eigenvalue.
+    double-factorial-ratio route of the package's hemisphere.eigenvalues.
     Returns the inverted coefficients as a new row, zero at even degrees.
     """
     if d % 4 != 0:

@@ -132,11 +132,12 @@ def test_docstring_config_block_is_a_valid_config(tmp_path):
 
 def test_build_dgp_presets_and_custom():
     cfg = cli.load_config(None)
-    spec = cli.build_dgp(cfg["model"], n_obs=77, seed=4)
+    spec = cli.build_dgp(dict(cfg["model"], n_obs="77"), seed=4)
     assert spec.n_obs == 77 and spec.seed == 4 and spec.dimension == 3
     custom = dict(cfg["model"])
     custom.update(
         preset="custom",
+        n_obs="10",
         dimension="3",
         covariate_mean="0 0",
         covariate_cov="1 0; 0 1",
@@ -145,13 +146,13 @@ def test_build_dgp_presets_and_custom():
         mixture_covs="0.2 0; 0 0.2 | 0.2 0; 0 0.2",
         fixed_value="1.5",
     )
-    spec2 = cli.build_dgp(custom, n_obs=10, seed=1)
+    spec2 = cli.build_dgp(custom, seed=1)
     assert spec2.fixed_value == 1.5
     assert np.allclose(spec2.coefficients.means, [[0.5, -0.5], [-0.5, 0.5]])
     bad = dict(custom)
     bad["mixture_weights"] = "0.5 0.9"
     with pytest.raises(cli.CliError):
-        cli.build_dgp(bad, n_obs=10, seed=1)
+        cli.build_dgp(bad, seed=1)
 
 
 def test_resolve_estimator_config_rules():

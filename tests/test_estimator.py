@@ -198,14 +198,14 @@ def test_density_hand_value_on_circle_riesz():
 @pytest.mark.parametrize("family", ["riesz", "delayed_means", "dirichlet"])
 def test_fit_coefficients_are_filter_over_eigenvalue(d, family):
     """A fit's coefficient row holds chi(m) / (lambda_m N) at odd m and 0
-    at even m, bit for bit, with lambda_m the scalar eigenvalue."""
+    at even m, bit for bit, with lambda_m from the eigenvalue row."""
     n_obs = 7
     cfg = EstimatorConfig(truncation=4, family=family, fx_truncation=8)
     coeffs = estimate_fbeta(_random_sample(d, n_obs, seed=d), cfg, fx=np.ones(n_obs)).odd.degree_coeffs
-    chi = cfg.main_kernel(d).chi()
+    chi, lam = cfg.main_kernel(d).chi(), hemisphere.eigenvalues(coeffs.size - 1, d)
     assert coeffs.shape == (2 * cfg.truncation,)
     for m, c in enumerate(coeffs):
-        assert c == (chi[m] / (hemisphere.eigenvalue(m, d) * n_obs) if m % 2 else 0.0)
+        assert c == (chi[m] / (lam[m] * n_obs) if m % 2 else 0.0)
 
 
 # ------------------------------------------------------ weights / trimming
@@ -372,7 +372,7 @@ def _circle_sums(x, top):
         (5, 2000, 10),
     ],
 )
-def test_system_sums_accuracy(d, n_obs, top):
+def test_basis_sums_accuracy(d, n_obs, top):
     """Through the harmonic basis each degree's sums are within 1e-12 of
     that degree's largest, and its energies within 1e-12 relative, to
     degree 64 and at the point fit's band, 10: against the pair sweep in
@@ -807,7 +807,7 @@ def test_odd_part_is_one_degree_row(d, truncation):
     assert row.shape == (2 * truncation,)
     assert not np.any(row[::2])
     odd = np.arange(1, 2 * truncation, 2)
-    eigenvalues = np.array([hemisphere.eigenvalue(m, d) for m in odd])
+    eigenvalues = hemisphere.eigenvalues(2 * truncation - 1, d)[odd]
     assert np.allclose(row[odd], cfg.main_kernel(d).chi()[odd] / (eigenvalues * 20), rtol=1e-15, atol=0.0)
 
 
@@ -1069,6 +1069,13 @@ def test_marginal_validation():
         marginal_density(f, keep_dims=[0, 0], values=[0.1, 0.1], dimension=d)
     with pytest.raises(ValueError, match="integer coordinates"):
         marginal_density(f, keep_dims=[0.5], values=[0.3], dimension=d)
+    # nan ** 0 is 1: a NaN value would read a finite marginal
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="values must be finite"):
+            marginal_density(f, keep_dims=[0], values=[bad], dimension=d)
+    est = estimate_fbeta(generate(DgpSpec.model_1(n_obs=60, seed=3)).sample)
+    with pytest.raises(ValueError, match="values must be finite"):
+        marginal_density(est.density, keep_dims=[0, 1], values=[0.1, np.nan], dimension=d)
 
 
 # -------------------------------------------------------------- diagnostic

@@ -56,15 +56,19 @@ def test_explicit_eval_matches_recursion_to_high_degree():
 
 
 def test_series_eval_matches_sum_of_rows():
+    """series_eval sums the normalised polynomials: coefficients times
+    C_n(1) give the series of C_n itself."""
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal(13)
     t = rng.uniform(-1.0, 1.0, 37)
     for nu in (0.0, 0.5, 2.0):
         direct = coeffs @ eval_all(nu, 12, t)
-        assert np.allclose(gegenbauer.series_eval(nu, coeffs, t), direct, atol=1e-12)
+        got = gegenbauer.series_eval(nu, coeffs * oracles.at_one_exact(nu, 12), t)
+        assert np.allclose(got, direct, atol=1e-12)
 
 
 def test_series_eval_scalar_and_sparse_coeffs():
+    # at nu = 1/2 (d = 3) C_n(1) = 1: the normalised polynomial is P_n
     coeffs = np.zeros(8)
     coeffs[3] = 2.0
     out = gegenbauer.series_eval(0.5, coeffs, 0.4)
@@ -92,6 +96,7 @@ def test_sweep_yields_every_degree(nu, max_degree):
     shape, and through the connection table, times C_n^nu(1), they give
     every C_n^nu."""
     table = gegenbauer.connection(nu, max_degree)
+    at_one = oracles.at_one_exact(nu, max_degree)
     for t in SWEEP_ARGS:
         vals = [c.copy() for c in gegenbauer.chebyshev(max_degree, t)]
         assert len(vals) == max_degree + 1
@@ -99,7 +104,7 @@ def test_sweep_yields_every_degree(nu, max_degree):
             assert isinstance(c, np.ndarray) and c.shape == t.shape
             assert np.max(np.abs(c - eval_chebyt(j, t))) < 1e-12
         for n in range(max_degree + 1):
-            got = gegenbauer.eval_at_one(nu, n) * sum(table[n, j] * vals[j] for j in range(n + 1))
+            got = at_one[n] * sum(table[n, j] * vals[j] for j in range(n + 1))
             if nu == 0:
                 ref = np.ones_like(t) if n == 0 else (2.0 / n) * eval_chebyt(n, t)
             else:
@@ -177,30 +182,35 @@ def test_squared_series_against_mpmath(nu, top):
 @pytest.mark.parametrize("max_degree", [0, 1, 2, 24])
 def test_series_eval_of_unit_coeffs_is_table_row(nu, max_degree):
     table = eval_all(nu, max_degree, T_GRID)
+    at_one = oracles.at_one_exact(nu, max_degree)
     for n in range(max_degree + 1):
         unit = np.zeros(max_degree + 1)
-        unit[n] = 1.0
+        unit[n] = at_one[n]
         assert np.array_equal(gegenbauer.series_eval(nu, unit, T_GRID), table[n])
 
 
 def test_eval_at_one():
-    # 0.3 and 1.7 take the float product; the others the exact binomial
+    """The values C_n(1) that the tests multiply into the normalised
+    polynomials (oracles.at_one_exact) agree with the explicit sum, which
+    is a different route, and with the binomial binom(n + 2 nu - 1, n);
+    the package itself never forms them."""
     for nu in (0.3, 0.5, 1.0, 1.5, 1.7, 2.5):
+        at_one = oracles.at_one_exact(nu, 11)
         for n in range(12):
             explicit = oracles.gegenbauer_at_one(nu, n)
-            assert gegenbauer.eval_at_one(nu, n) == pytest.approx(explicit, rel=1e-12)
-    assert gegenbauer.eval_at_one(0.0, 0) == 1.0
-    for n in range(1, 9):
-        assert gegenbauer.eval_at_one(0.0, n) == pytest.approx(2.0 / n, rel=1e-15)
-    # closed form binom(n + 2 nu - 1, n)
-    assert gegenbauer.eval_at_one(1.5, 4) == pytest.approx(math.comb(6, 4), rel=1e-13)
+            assert at_one[n] == pytest.approx(explicit, rel=1e-12)
+    assert list(oracles.at_one_exact(0.0, 8)) == [1.0] + [2.0 / n for n in range(1, 9)]
+    assert oracles.at_one_exact(1.5, 4)[4] == math.comb(6, 4)
 
 
 @pytest.mark.parametrize("d", range(3, 9))
 def test_eval_at_one_equals_scipy_binom_on_spheres(d):
+    """On every sphere S^{d-1} the exact C_n(1) is scipy's binomial, bit
+    for bit, up to MAX_DEGREE."""
     nu = (d - 2) / 2.0
+    at_one = oracles.at_one_exact(nu, MAX_DEGREE)
     for n in range(1, MAX_DEGREE + 1):
-        assert gegenbauer.eval_at_one(nu, n) == float(binom(n + 2.0 * nu - 1.0, n))
+        assert at_one[n] == float(binom(n + 2.0 * nu - 1.0, n))
 
 
 def test_argument_validation():
@@ -210,8 +220,18 @@ def test_argument_validation():
         gegenbauer.series_eval(1.0, np.ones(5), 1.5)
     with pytest.raises(ValueError):
         gegenbauer.series_eval(1.0, np.empty(0), 0.0)
-    with pytest.raises(ValueError):
-        gegenbauer.eval_at_one(1.0, 2.5)
+    # NaN fails every comparison, so it is refused rather than passed on
+    with pytest.raises(ValueError, match="lie in"):
+        gegenbauer.series_eval(0.5, [1.0, 2.0], np.nan)
+    with pytest.raises(ValueError, match="lie in"):
+        gegenbauer.series_eval(0.5, [1.0, 2.0], np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        gegenbauer.series_eval(0.5, [1.0, np.nan], 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        gegenbauer.series_eval(0.5, [1.0, np.inf], 0.5)
+    for nu in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="nu must be finite"):
+            gegenbauer.series_eval(nu, [1.0, 2.0], 0.5)
     with pytest.raises(ValueError):
         oracles.explicit_eval(1.0, 31, 0.0)
 
@@ -220,5 +240,5 @@ def test_boundary_arguments_clipped():
     # values just outside [-1, 1] from rounding are accepted and clipped
     unit = np.zeros(4)
     unit[3] = 1.0
-    vals = gegenbauer.series_eval(0.5, unit, np.array([1.0 + 1e-12, -1.0 - 1e-12]))
-    assert vals[0] == pytest.approx(gegenbauer.eval_at_one(0.5, 3), rel=1e-12)
+    vals = gegenbauer.series_eval(1.5, unit, np.array([1.0 + 1e-12, -1.0 - 1e-12]))
+    assert vals[0] == pytest.approx(1.0, rel=1e-12) and vals[1] == pytest.approx(-1.0, rel=1e-12)

@@ -9,56 +9,62 @@ import pytest
 import oracles
 from helpers import projector_kernel
 from spherecoef import hemisphere
-from spherecoef.kernels import HarmonicMixture
+from spherecoef.kernels import MAX_DEGREE, HarmonicMixture
 from spherecoef.sphere import build_quadrature, sample_uniform, surface_area
 
 
 def test_eigenvalue_hand_values():
-    assert hemisphere.eigenvalue(0, 3) == pytest.approx(2.0 * math.pi, rel=1e-14)
-    assert hemisphere.eigenvalue(1, 3) == pytest.approx(math.pi, rel=1e-14)
-    assert hemisphere.eigenvalue(3, 3) == pytest.approx(-math.pi / 4.0, rel=1e-14)
-    assert hemisphere.eigenvalue(1, 2) == pytest.approx(2.0, rel=1e-14)
-    assert hemisphere.eigenvalue(3, 2) == pytest.approx(-2.0 / 3.0, rel=1e-14)
-    assert hemisphere.eigenvalue(5, 2) == pytest.approx(2.0 / 5.0, rel=1e-14)
+    lam3, lam2 = hemisphere.eigenvalues(10, 3), hemisphere.eigenvalues(5, 2)
+    assert lam3[0] == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert lam3[1] == pytest.approx(math.pi, rel=1e-14)
+    assert lam3[3] == pytest.approx(-math.pi / 4.0, rel=1e-14)
+    assert lam2[1] == pytest.approx(2.0, rel=1e-14)
+    assert lam2[3] == pytest.approx(-2.0 / 3.0, rel=1e-14)
+    assert lam2[5] == pytest.approx(2.0 / 5.0, rel=1e-14)
     for n in (2, 4, 6, 10):
-        assert hemisphere.eigenvalue(n, 3) == 0.0
+        assert lam3[n] == 0.0
 
 
 def test_eigenvalue_circle_closed_form():
     """On the circle the odd eigenvalues reduce to 2 sin(n pi / 2) / n."""
+    lam = hemisphere.eigenvalues(15, 2)
     for n in range(1, 16, 2):
         expected = 2.0 * math.sin(n * math.pi / 2.0) / n
-        assert hemisphere.eigenvalue(n, 2) == pytest.approx(expected, rel=1e-13)
+        assert lam[n] == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_eigenvalue_matches_polar_integral(d):
+    lam = hemisphere.eigenvalues(13, d)
     for n in range(0, 14):
         ref = oracles.halfspace_eigenvalue_1d(n, d)
-        assert hemisphere.eigenvalue(n, d) == pytest.approx(ref, abs=1e-12)
+        assert lam[n] == pytest.approx(ref, abs=1e-12)
 
 
 def test_eigenvalue_signs_alternate_and_decay():
-    vals = [hemisphere.eigenvalue(2 * p + 1, 3) for p in range(6)]
+    vals = hemisphere.eigenvalues(11, 3)[1::2]
     signs = [math.copysign(1.0, v) for v in vals]
     assert signs == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
     assert np.all(np.diff(np.abs(vals)) < 0.0)
 
 
 def test_eigenvalue_validation():
-    with pytest.raises(ValueError):
-        hemisphere.eigenvalue(-1, 3)
-    with pytest.raises(ValueError):
-        hemisphere.eigenvalue(2, 1)
+    for bad in ((-1, 3), (2, 1), (2.5, 3), (3, 2.5)):
+        with pytest.raises(ValueError):
+            hemisphere.eigenvalues(*bad)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_eigenvalue_row_is_the_scalar_eigenvalues(d):
     """The one eigenvalue row that transform, invert, the fit and the
-    diagnostic read holds eigenvalue(n, d) bit for bit."""
-    row = hemisphere._eigenvalues(25, d)
-    assert row.shape == (26,)
-    assert [float(v) for v in row] == [hemisphere.eigenvalue(n, d) for n in range(26)]
+    diagnostic read holds the closed form's eigenvalues computed one degree
+    at a time, bit for bit, to MAX_DEGREE; a smaller top gives its leading
+    entries."""
+    row = hemisphere.eigenvalues(MAX_DEGREE, d)
+    assert row.shape == (MAX_DEGREE + 1,)
+    assert [float(v) for v in row] == [oracles.halfspace_eigenvalue_closed_form(n, d) for n in range(MAX_DEGREE + 1)]
+    for top in (0, 1, 2, 25):
+        assert np.array_equal(hemisphere.eigenvalues(top, d), row[: top + 1])
 
 
 def _random_odd_mixture(d, max_degree, seed, n_anchors=5):
@@ -85,7 +91,7 @@ def test_transform_scales_each_degree():
     g = _random_odd_mixture(d, 7, seed=70)
     h = hemisphere.transform(g)
     for n, c in enumerate(g.degree_coeffs):
-        assert h.degree_coeffs[n] == pytest.approx(c * hemisphere.eigenvalue(n, d), rel=1e-14)
+        assert h.degree_coeffs[n] == pytest.approx(c * oracles.halfspace_eigenvalue_closed_form(n, d), rel=1e-14)
 
 
 def test_transform_requires_odd_mixture():
@@ -146,7 +152,7 @@ def test_transform_by_quadrature_matches_eigenvalue_on_zonal():
     for n in range(0, 8):
         f = projector_kernel(n, d, quad.points @ pole)
         got = oracles.transform_by_quadrature(f, pole, quad)
-        expected = hemisphere.eigenvalue(n, d) * projector_kernel(n, d, 1.0)
+        expected = hemisphere.eigenvalues(n, d)[n] * projector_kernel(n, d, 1.0)
         assert got == pytest.approx(expected, abs=1e-7)
 
 
@@ -158,7 +164,7 @@ def test_transform_by_quadrature_single_point_and_callable():
     got = oracles.transform_by_quadrature(lambda p: p[:, 0], x, quad)
     assert isinstance(got, float)
     # H(t -> t)(x) = lambda(1, 2) * (x . e1) = 2
-    assert got == pytest.approx(hemisphere.eigenvalue(1, 2), abs=1e-6)
+    assert got == pytest.approx(hemisphere.eigenvalues(1, 2)[1], abs=1e-6)
 
 
 def test_transform_by_quadrature_halves_boundary_nodes():

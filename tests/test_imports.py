@@ -115,8 +115,10 @@ _REMOVED = {
         "projector_constants",
         "_at_one",
     ],
-    "hemisphere": ["invert_by_laplacian", "_lower_area"],
-    "gegenbauer": ["eval_all", "sweep", "_series_eval", "squared_series"],
+    # one row, eigenvalues, replaced the scalar and the row stacked from it
+    "hemisphere": ["invert_by_laplacian", "_lower_area", "eigenvalue", "_eigenvalues"],
+    # series_eval sums the normalised polynomials, so C_n(1) is never formed
+    "gegenbauer": ["eval_all", "sweep", "_series_eval", "squared_series", "eval_at_one"],
     "sphere": ["angle_between"],
     "estimator": [
         "SELF_SUMS_BLOCK",
@@ -182,6 +184,8 @@ def test_removed_names_are_gone():
     assert not hasattr(HarmonicMixture, "terms")
     # evaluation takes degree_coeffs rows as they are
     assert not hasattr(HarmonicMixture, "series_coeffs")
+    # nu = (d - 2) / 2 is derived where a sum needs it, not kept on the spec
+    assert not hasattr(kernels.KernelSpec, "nu")
     # a rule is its nodes and weights; which method built it was never read
     assert [f.name for f in dataclasses.fields(QuadratureRule)] == ["points", "weights", "dimension"]
     removed_params = [
@@ -197,6 +201,8 @@ def test_removed_names_are_gone():
         (estimator.identification_diagnostic, "rel_threshold"),
         # the scores read the filter rows alone, as the projector-form self-sums do
         (estimator._lscv_scores, "rows"),
+        # the sample size is the [model] section's n_obs key
+        (cli.build_dgp, "n_obs"),
     ]
     assert [p for f, p in removed_params if p in inspect.signature(f).parameters] == []
     # only kernels reads the harmonic moments' layout; estimator reads the

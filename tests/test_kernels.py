@@ -197,8 +197,7 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError, match="degree"):
         KernelSpec("riesz", MAX_DEGREE + 1, 3)
     assert KernelSpec("delayed_means", MAX_DEGREE, 3).chi().shape == (MAX_DEGREE + 1,)
-    spec = KernelSpec("riesz", 4, 4)
-    assert spec.nu == 1.0
+    assert KernelSpec("riesz", 4, 4).chi().shape == (5,)  # l = 3 > (d-2)/2 = 1
 
 
 @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
@@ -379,6 +378,15 @@ def test_harmonic_mixture_validation():
         HarmonicMixture(anchors, np.ones(4), np.ones(MAX_DEGREE + 2))
     with pytest.raises(ValueError, match="MAX_DEGREE"):
         mix.evaluate_series(anchors, np.ones((2, MAX_DEGREE + 2)))
+    # a non-finite weight or coefficient is refused, not read as a zero
+    # density (twice the positive part of NaN is 0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights"):
+            HarmonicMixture(anchors, [1.0, bad, 1.0, 1.0], [0, 1])
+        with pytest.raises(ValueError, match="degree_coeffs"):
+            HarmonicMixture(anchors, np.ones(4), [0.0, bad])
+        with pytest.raises(ValueError, match="degree_coeffs"):
+            dataclasses.replace(mix, degree_coeffs=[0.0, bad])
 
 
 def _max_rel_error(got, want):

@@ -1,7 +1,10 @@
-"""Print the code-only lines of each module of src/spherecoef and their total.
+"""Print the code-only lines and the public names of each module of
+src/spherecoef, and their totals.
 
 A code-only line is neither blank, nor a whole-line # comment, nor part of
-a module, class or function docstring.  Run from anywhere:
+a module, class or function docstring.  A module's public names are the
+entries of its __all__, read from the source without importing it (0 when
+it has none).  Run from anywhere:
 
     python tools/code_lines.py [package directory]
 """
@@ -11,10 +14,9 @@ import sys
 from pathlib import Path
 
 
-def code_lines(path):
-    text = path.read_text(encoding="utf-8")
+def code_lines(text, tree):
     skip = set()
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
             if isinstance(first, ast.Expr) and isinstance(getattr(first.value, "value", None), str):
@@ -26,14 +28,25 @@ def code_lines(path):
     )
 
 
+def public_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return len(ast.literal_eval(node.value))
+    return 0
+
+
 def main(argv):
     package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "spherecoef"
-    total = 0
+    total_lines = total_names = 0
+    print(" lines  names  module")
     for path in sorted(package.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        lines, names = code_lines(text, tree), public_names(tree)
+        total_lines += lines
+        total_names += names
+        print(f"{lines:6d} {names:6d}  {path.name}")
+    print(f"{total_lines:6d} {total_names:6d}  total")
     return 0
 
 
