@@ -21,7 +21,25 @@ import functools
 
 import numpy as np
 
-__all__ = ["chebyshev", "connection", "series_eval"]
+__all__ = ["chebyshev", "work_size", "connection", "series_eval"]
+
+# Largest filter degree any kernel may have; KernelSpec, EstimatorConfig and
+# HarmonicMixture refuse more.  Arrays over degrees (filter weights,
+# per-degree self-sums, connection tables, Chebyshev sweeps) grow with the
+# band limit, so a band limit above this is refused rather than allocated;
+# only the standard error's square, to twice the odd part's degree, goes
+# past it, to degree_sums and squared_row, and connection refuses any table
+# beyond that reach, 2 MAX_DEGREE.  128 is twice the degree 64 planned for
+# an uncapped cross-validation search (its minimiser is 55 at N = 50 000),
+# and a power of two, so delayed_means can use it.
+MAX_DEGREE = 128
+
+
+def work_size(size):
+    """Entries of chebyshev's work array for a t of this size: four slots,
+    each rounded up to whole 64-byte cache lines (8 float64 entries), so
+    that every slot starts on a line when work does."""
+    return 4 * -(-size // 8) * 8
 
 
 def chebyshev(top, t, work=None):
@@ -33,14 +51,17 @@ def chebyshev(top, t, work=None):
     itself as T_1 and never written.  The other values roll through three
     buffers of t's shape, updated in place: each yielded array is
     overwritten two steps later, so copy it to keep it.  work, if given,
-    is a flat float array of at least 4 t.size entries that holds those
-    buffers and 2t, so that a loop over blocks allocates them once.
+    is a flat float array of at least work_size(t.size) entries that holds
+    those buffers and 2t, so that a loop over blocks allocates them once;
+    each sits a whole number of cache lines past work's start, so a work
+    that starts on a line keeps every pass of the sweep on whole lines.
     """
     t = np.asarray(t, dtype=float)
+    stride = work_size(t.size) // 4
     if work is None:
-        work = np.empty(4 * t.size)
+        work = np.empty(4 * stride)
     ones, two_t, spare, other = (
-        work[k * t.size : (k + 1) * t.size].reshape(t.shape) for k in range(4)
+        work[k * stride : k * stride + t.size].reshape(t.shape) for k in range(4)
     )
     ones.fill(1.0)
     yield ones
@@ -61,7 +82,9 @@ def chebyshev(top, t, work=None):
 def connection(nu, top):
     """Lower-triangular (top + 1, top + 1) table P of the normalised
     polynomials, C_n^nu / C_n^nu(1) = sum_j P[n, j] T_j for n = 0..top,
-    read-only and shared by every caller.
+    read-only and shared by every caller.  top is at most 2 MAX_DEGREE, the
+    reach of kernels.squared_row, so no call builds and keeps a larger
+    table.
 
     Every entry is nonnegative, each row sums to 1, and P[n, j] is zero
     unless n - j is even and nonnegative; a smaller top gives the leading
@@ -71,6 +94,8 @@ def connection(nu, top):
     weight, 1, is left: the identity.
     """
     top = int(top)
+    if not 0 <= top <= 2 * MAX_DEGREE:
+        raise ValueError(f"connection tables reach degree 2 MAX_DEGREE = {2 * MAX_DEGREE}, got top {top}")
     table = np.zeros((top + 1, top + 1))
     # g[k] = (nu + 1)_{k-1} / k!, so that a_k = nu g[k] for k >= 1
     g = np.ones(top + 1)
@@ -96,8 +121,9 @@ def series_eval(nu, coeffs, t):
 
     Keeps only the sweep's rolling buffers, so t may be a large array
     without materializing every degree.  coeffs is a finite 1-D sequence
-    indexed by degree.  Arguments t just outside [-1, 1] (by at most 1e-9,
-    from rounding) are clipped; NaN is refused.  The coefficients map
+    indexed by degree, to degree 2 MAX_DEGREE at most (connection's
+    reach).  Arguments t just outside [-1, 1] (by at most 1e-9, from
+    rounding) are clipped; NaN is refused.  The coefficients map
     through connection once, to Chebyshev ones, and zero Chebyshev
     coefficients (every even one of an odd series) are skipped in the
     accumulation.

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gegenbauer
+from .gegenbauer import MAX_DEGREE
 from .sphere import check_on_sphere, surface_area
 
 __all__ = [
@@ -51,7 +52,8 @@ _FAMILIES = ("riesz", "delayed_means", "dirichlet")
 # Each block-sized array of the Chebyshev sweep (the cosines, 2t and the
 # three rolling buffers) is then 128 KB, 640 KB together, so they stay in
 # cache; blocks of millions of cosines were two to three times slower per
-# point.
+# point.  Each starts on a 64-byte cache line (_aligned_empty and
+# gegenbauer.work_size), so no vector load of the sweep straddles two.
 EVAL_CHUNK = 1 << 14
 
 # Least anchors per chunk of degree_sums: each chunk's Chebyshev sums map
@@ -159,17 +161,6 @@ def _delayed_means_profile(x):
     return out
 
 
-# Largest filter degree any kernel may have; KernelSpec, EstimatorConfig and
-# HarmonicMixture refuse more.  Arrays over degrees (filter weights,
-# per-degree self-sums, connection tables, Chebyshev sweeps) grow with the
-# band limit, so a band limit above this is refused rather than allocated;
-# only the standard error's square, to twice the odd part's degree, goes
-# past it, straight to degree_sums.  128 is twice the degree 64 planned
-# for an uncapped cross-validation search (its minimiser is 55 at
-# N = 50 000), and a power of two, so delayed_means can use it.
-MAX_DEGREE = 128
-
-
 def chi_table(family, degrees, max_n, d, s=2.0, l=3):
     """Weights chi(n, T) for several cutoffs at once.
 
@@ -188,6 +179,16 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
     else:
         table = np.where(top > 0, _delayed_means_profile(n / np.maximum(top, 1.0)), 1.0)
     return np.where(inside, table, 0.0)
+
+
+def _aligned_empty(size):
+    """An uninitialised flat float64 array of size entries whose first
+    starts on a 64-byte cache line.  np.empty promises 16 bytes, and its
+    large buffers start 16 bytes past a line, so that each vector load of
+    a sweep over them straddles two lines."""
+    raw = np.empty(size + 8)
+    skip = -raw.ctypes.data % 64 // raw.itemsize
+    return raw[skip:][:size]  # an empty slice raw[skip:skip] keeps raw's start
 
 
 def degree_sums(anchors, weights, points, used):
@@ -230,10 +231,13 @@ def degree_sums(anchors, weights, points, used):
     # shapes differently.  The cosines, the sweep's buffers and the Chebyshev
     # sums are allocated once, for the larger of the two block sizes: a
     # fresh 128 KB array per block can come from a page-faulting mapping,
-    # which made evaluation up to three times slower per point.
+    # which made evaluation up to three times slower per point.  The cosines
+    # and the sweep's work start on cache lines: at d = 3, N = 5 000 that
+    # took the diagnostic's 2 048 nodes from 66-75 ms to 49-50 ms, bit for
+    # bit the same.
     counts = [c for c in (min(chunk, n_obs), n_obs % chunk) if c]
-    cosines = np.empty(max([min(max(1, EVAL_CHUNK // c), m) * c for c in counts], default=0))
-    work, sums = np.empty(4 * cosines.size), np.empty((read.size, m))
+    cosines = _aligned_empty(max([min(max(1, EVAL_CHUNK // c), m) * c for c in counts], default=0))
+    work, sums = _aligned_empty(gegenbauer.work_size(cosines.size)), np.empty((read.size, m))
     for start in range(0, n_obs, chunk):
         part = anchors[start : start + chunk]
         height = max(1, EVAL_CHUNK // part.shape[0])

@@ -1,6 +1,7 @@
 """Tests for ultraspherical polynomial evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,12 +115,14 @@ def test_sweep_yields_every_degree(nu, max_degree):
 
 
 def test_sweep_leaves_its_argument_alone():
-    """The sweep never writes t, and with a work array it yields the
-    values it yields without one, bit for bit."""
+    """The sweep never writes t, and with a work array (of at least
+    work_size(t.size) entries, four slots of whole cache lines) it yields
+    the values it yields without one, bit for bit."""
     t = T_GRID.copy()
     alone = [c.copy() for c in gegenbauer.chebyshev(6, t)]
     assert np.array_equal(t, T_GRID)
-    work = np.full(4 * t.size + 3, np.nan)
+    assert [gegenbauer.work_size(n) for n in (0, 1, 8, 9, 101)] == [0, 32, 32, 64, 416]
+    work = np.full(gegenbauer.work_size(t.size) + 3, np.nan)
     assert all(np.array_equal(a, b) for a, b in zip(alone, gegenbauer.chebyshev(6, t, work)))
     assert np.array_equal(t, T_GRID)
 
@@ -149,6 +152,29 @@ def test_connection_table_against_recurrence(nu):
     assert np.all(np.abs(table @ cheb - ref / ref[:, 1:2]) <= 1e-13)
     for top in (0, 1, 24):
         assert np.array_equal(gegenbauer.connection(nu, top), table[: top + 1, : top + 1])
+
+
+def test_connection_stops_at_the_squared_rows_reach():
+    """connection builds tables to 2 MAX_DEGREE = 256, the degree of
+    kernels.squared_row's square of a MAX_DEGREE row, and refuses a larger
+    top before it allocates: a 100 001-entry series_eval row, which would
+    ask for a 10^10-entry table, is refused and caches nothing."""
+    table = gegenbauer.connection(0.5, 2 * MAX_DEGREE)
+    assert table.shape == (2 * MAX_DEGREE + 1, 2 * MAX_DEGREE + 1)
+    assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-13
+    cached = gegenbauer.connection.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2 MAX_DEGREE = 256"):
+            gegenbauer.series_eval(0.5, np.ones(100_001), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # the row itself is 0.8 MB
+    assert gegenbauer.connection.cache_info().currsize == cached
+    for top in (-1, 2 * MAX_DEGREE + 1):
+        with pytest.raises(ValueError, match="connection tables"):
+            gegenbauer.connection(0.5, top)
 
 
 def test_connection_of_the_circle_family_is_diagonal():

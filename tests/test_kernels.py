@@ -281,6 +281,31 @@ def _sweeps(monkeypatch, call):
     return len(sweeps)
 
 
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 16383, 65536])
+def test_aligned_empty_starts_on_a_cache_line(size):
+    """The pair sweep's buffers are flat, C-contiguous float64 arrays of the
+    size asked for whose first entry starts on a 64-byte boundary."""
+    buf = kernels._aligned_empty(size)
+    assert buf.shape == (size,) and buf.dtype == np.float64 and buf.flags.c_contiguous
+    assert buf.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("shape", [(101,), (116, 3), (5, 7)])
+def test_chebyshev_slots_start_on_cache_lines(shape):
+    """In a work array that starts on a cache line, every array the
+    Chebyshev sweep yields starts on one too, also when a block's size is
+    not a multiple of 8 cosines (the last, 116-anchor chunk at N = 500),
+    and the values are those of the sweep's own work, bit for bit."""
+    size = int(np.prod(shape))
+    t = kernels._aligned_empty(size).reshape(shape)
+    t[...] = np.linspace(-1.0, 1.0, size).reshape(shape)
+    work = kernels._aligned_empty(gegenbauer.work_size(size))
+    alone = [c.copy() for c in gegenbauer.chebyshev(7, t)]
+    for want, values in zip(alone, gegenbauer.chebyshev(7, t, work), strict=True):
+        assert values.ctypes.data % 64 == 0
+        assert np.array_equal(values, want)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_degree_sums_match_double_loop(monkeypatch, d):
     """degree_sums is the dense double loop sum_i w_i q_n(a_i, b_k) over
