@@ -24,12 +24,12 @@ from .kernels import (
     KernelSpec,
     HarmonicMixture,
     _FAMILIES,
+    _chebyshev_rows,
     _is_power_of_two,
     chi_table,
     degree_sums,
     projector_diagonal,
     self_sums,
-    squared_row,
 )
 from .sphere import (
     QuadratureRule,
@@ -448,24 +448,24 @@ def standard_error(estimate, points):
 
 def _odd_and_spread(fit, points):
     """The fit's odd part and its standard error scale 2 N sd(Z_i) at the
-    points, as two (m,) arrays from one degree_sums sweep to degree 2D,
-    for g = sum_n c_n q_n the odd part's kernel, c its degree_coeffs row
-    of top degree D: the odd degrees weighted by w_i give the odd part
-    S1 = sum_i w_i g(x_i, b), and the even ones, weighted by w_i^2, give
-    S2 = sum_i w_i^2 g(x_i, b)^2 from the squared row (kernels.squared_row).
-    Then N sd(Z_i) = N sqrt((S2 - S1^2 / N) / (N - 1)), the difference
-    clipped at 0 against rounding."""
+    points, as two (m,) arrays from one degree_sums sweep to Chebyshev
+    degree 2D, for g = sum_n c_n q_n the odd part's kernel, c its
+    degree_coeffs row of top degree D, and e its Chebyshev coefficients
+    (kernels._chebyshev_rows): e, odd, weighted by w_i gives the odd part
+    S1 = sum_i w_i g(x_i, b), and chebmul(e, e), the even coefficients of
+    g^2, weighted by w_i^2 gives S2 = sum_i w_i^2 g(x_i, b)^2.  Each row is
+    reduced on its own, so S1 is the odd part bit for bit.  Then N sd(Z_i)
+    = N sqrt((S2 - S1^2 / N) / (N - 1)), the difference clipped at 0
+    against rounding."""
     if fit.n_obs < 2:
         raise ValueError("standard error needs at least 2 observations")
     pts = check_on_sphere(points, d=fit.dimension, tol=1e-8)
-    row = fit.odd.degree_coeffs
-    coeffs = squared_row(row, fit.dimension)
-    coeffs[1::2] = np.pad(row, (0, row.size - 1))[1::2]  # the square is even
-    used = coeffs != 0.0
-    weights = np.stack((fit.weights * fit.weights, fit.weights))  # even, odd degrees
-    sums, odd = degree_sums(fit.anchors, weights, pts, used), np.flatnonzero(used) % 2 == 1
-    # parities reduced apart, as evaluate_series does: S1 is the odd part bit for bit
-    (s1,), (s2,) = (coeffs[None, used][:, part] @ sums[part] for part in (odd, ~odd))
+    (cheb,) = _chebyshev_rows(fit.odd.degree_coeffs, fit.dimension)
+    square = np.polynomial.chebyshev.chebmul(cheb, cheb)  # trailing zeros trimmed
+    rows = np.zeros((2, 2 * cheb.size - 1))
+    rows[0, : cheb.size], rows[1, : square.size] = cheb, square
+    weights = np.stack((fit.weights * fit.weights, fit.weights))  # even, odd Chebyshev degrees
+    s1, s2 = degree_sums(fit.anchors, weights, pts, rows)
     return s1, 2.0 * fit.n_obs * np.sqrt(np.maximum(s2 - s1 * s1 / fit.n_obs, 0.0) / (fit.n_obs - 1))
 
 

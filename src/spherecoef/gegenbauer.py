@@ -23,15 +23,15 @@ import numpy as np
 
 __all__ = ["chebyshev", "work_size", "connection", "series_eval"]
 
-# Largest filter degree any kernel may have; KernelSpec, EstimatorConfig and
-# HarmonicMixture refuse more.  Arrays over degrees (filter weights,
-# per-degree self-sums, connection tables, Chebyshev sweeps) grow with the
-# band limit, so a band limit above this is refused rather than allocated;
-# only the standard error's square, to twice the odd part's degree, goes
-# past it, to degree_sums and squared_row, and connection refuses any table
-# beyond that reach, 2 MAX_DEGREE.  128 is twice the degree 64 planned for
-# an uncapped cross-validation search (its minimiser is 55 at N = 50 000),
-# and a power of two, so delayed_means can use it.
+# Largest filter degree any kernel may have; KernelSpec, EstimatorConfig,
+# HarmonicMixture and connection refuse more.  Arrays over degrees (filter
+# weights, per-degree self-sums, connection tables, Chebyshev sweeps) grow
+# with the band limit, so a band limit above this is refused rather than
+# allocated; only the standard error's square, to twice the odd part's
+# degree, goes past it, and only as Chebyshev coefficients (chebmul of the
+# odd part's), which no table maps back.  128 is twice the degree 64
+# planned for an uncapped cross-validation search (its minimiser is 55 at
+# N = 50 000), and a power of two, so delayed_means can use it.
 MAX_DEGREE = 128
 
 
@@ -82,9 +82,8 @@ def chebyshev(top, t, work=None):
 def connection(nu, top):
     """Lower-triangular (top + 1, top + 1) table P of the normalised
     polynomials, C_n^nu / C_n^nu(1) = sum_j P[n, j] T_j for n = 0..top,
-    read-only and shared by every caller.  top is at most 2 MAX_DEGREE, the
-    reach of kernels.squared_row, so no call builds and keeps a larger
-    table.
+    read-only and shared by every caller.  top is at most MAX_DEGREE, the
+    largest band limit, so no call builds and keeps a larger table.
 
     Every entry is nonnegative, each row sums to 1, and P[n, j] is zero
     unless n - j is even and nonnegative; a smaller top gives the leading
@@ -94,8 +93,8 @@ def connection(nu, top):
     weight, 1, is left: the identity.
     """
     top = int(top)
-    if not 0 <= top <= 2 * MAX_DEGREE:
-        raise ValueError(f"connection tables reach degree 2 MAX_DEGREE = {2 * MAX_DEGREE}, got top {top}")
+    if not 0 <= top <= MAX_DEGREE:
+        raise ValueError(f"connection tables reach degree MAX_DEGREE = {MAX_DEGREE}, got top {top}")
     table = np.zeros((top + 1, top + 1))
     # g[k] = (nu + 1)_{k-1} / k!, so that a_k = nu g[k] for k >= 1
     g = np.ones(top + 1)
@@ -121,7 +120,7 @@ def series_eval(nu, coeffs, t):
 
     Keeps only the sweep's rolling buffers, so t may be a large array
     without materializing every degree.  coeffs is a finite 1-D sequence
-    indexed by degree, to degree 2 MAX_DEGREE at most (connection's
+    indexed by degree, to degree MAX_DEGREE at most (connection's
     reach).  Arguments t just outside [-1, 1] (by at most 1e-9, from
     rounding) are clipped; NaN is refused.  The coefficients map
     through connection once, to Chebyshev ones, and zero Chebyshev

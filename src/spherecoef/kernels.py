@@ -13,13 +13,15 @@ sum_{n<=T} chi(n, T) q_n(x, y) for one of the weight families below, and a
 HarmonicMixture's degree_coeffs is such a row too.  By the addition
 theorem q_n(x, y) is also Y_n(x)'Y_n(y) for any orthonormal basis Y_n of
 the degree-n harmonics; harmonic_basis builds one (the Gelfand-Tsetlin
-basis).  Every per-degree sum of q_n over anchors runs through one loop,
-degree_sums, and squared_row squares a row in the same form.  The
-self-sums S[n, i] = sum_j q_n(x_i, x_j) over a sample, which every
-covariate-density fit reads against rows of filter weights, live here
-too: self_sums takes them from the basis' moments over the sample (its
-analysis and synthesis, _harmonic_moments and _harmonic_series) or by a
-sweep over every pair of sample points, whichever costs less.
+basis).  A row maps once to Chebyshev coefficients (_chebyshev_rows),
+and every sum of such rows over anchors runs through one loop,
+degree_sums; a row's square is the product of its Chebyshev series
+(np.polynomial.chebyshev.chebmul).  The self-sums S[n, i] = sum_j
+q_n(x_i, x_j) over a sample, which every covariate-density fit reads
+against rows of filter weights, live here too: self_sums takes them from
+the basis' moments over the sample (its analysis and synthesis,
+_harmonic_moments and _harmonic_series) or by a sweep over every pair of
+sample points, whichever costs less.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "chi_table",
     "MAX_DEGREE",
     "degree_sums",
-    "squared_row",
     "harmonic_basis",
     "self_sums",
     "HarmonicMixture",
@@ -56,18 +57,19 @@ _FAMILIES = ("riesz", "delayed_means", "dirichlet")
 # gegenbauer.work_size), so no vector load of the sweep straddles two.
 EVAL_CHUNK = 1 << 14
 
-# Least anchors per chunk of degree_sums: each chunk's Chebyshev sums map
-# to projector sums before the chunks add up, which keeps them as
-# accurate as sums of projector values (see degree_sums).  A chunk's
+# Least anchors per chunk of degree_sums: each chunk's Chebyshev sums reduce
+# through each row before the chunks add up, which keeps them as accurate
+# as sums of projector values (see degree_sums).  A chunk's
 # blocks are then 128 x 128 cosines; with fewer than 128 points a chunk
 # takes more anchors, enough for one EVAL_CHUNK block.
 ANCHOR_CHUNK = 1 << 7
 
 
 def _check_degree_dim(n, d):
-    if int(n) != n or n < 0:
+    # a bool is an int, but no degree or dimension
+    if isinstance(n, bool) or int(n) != n or n < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {n}")
-    if int(d) != d or d < 2:
+    if isinstance(d, bool) or int(d) != d or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
     return int(n), int(d)
 
@@ -105,6 +107,9 @@ class KernelSpec:
     dimension : ambient dimension d >= 2
     s, l : Riesz parameters (smoothness exponent and integer power); l must
         exceed (d-2)/2.  Ignored by the other families.
+
+    degree, dimension and a riesz l are stored as ints (np.int64 and
+    integral floats are accepted); a bool is refused.
     """
 
     family: str
@@ -116,12 +121,17 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        if int(self.degree) != self.degree or not 0 <= self.degree <= MAX_DEGREE:
+        # a bool is an int, but no argument's value
+        if isinstance(self.degree, bool) or int(self.degree) != self.degree or not 0 <= self.degree <= MAX_DEGREE:
             raise ValueError(
                 f"degree must be an integer in [0, {MAX_DEGREE}], got {self.degree}"
             )
-        if int(self.dimension) != self.dimension or self.dimension < 2:
+        if isinstance(self.dimension, bool) or int(self.dimension) != self.dimension or self.dimension < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
+        if isinstance(self.l, bool):
+            raise ValueError(f"l must be an integer, got {self.l}")
+        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "dimension", int(self.dimension))
         if self.family == "riesz":
             if not 0 < self.s < math.inf:
                 raise ValueError(f"riesz smoothness s must be finite and > 0, got {self.s}")
@@ -130,6 +140,7 @@ class KernelSpec:
                     f"riesz power l must be an integer > (d-2)/2 = "
                     f"{(self.dimension - 2) / 2.0}, got {self.l}"
                 )
+            object.__setattr__(self, "l", int(self.l))
         if self.family == "delayed_means" and not _is_power_of_two(self.degree):
             raise ValueError(
                 f"delayed_means requires a power-of-two degree, got {self.degree}"
@@ -191,38 +202,46 @@ def _aligned_empty(size):
     return raw[skip:][:size]  # an empty slice raw[skip:skip] keeps raw's start
 
 
-def degree_sums(anchors, weights, points, used):
-    """Per-degree weighted sums D[n, k] = sum_i W[n, i] q_n(a_i, b_k) of
-    the zonal projectors at the (N, d) anchors a_i and the (m, d) points
-    b_k, for the degrees n flagged in the boolean array used.  weights is
-    one (N,) vector, or p rows, row j % p for Chebyshev degree j (one per
-    Chebyshev degree, or two: even and odd); q_n reads only the Chebyshev
-    degrees of n's parity.
+def _chebyshev_rows(rows, d):
+    """The Chebyshev coefficients of rows of projector coefficients on
+    S^{d-1}: sum_j C[r, j] T_j(t) = sum_n rows[r, n] q_n(t), through the
+    table of q_n (projector_diagonal times gegenbauer.connection).  rows is
+    one row or an (r, k) array over degrees 0..k - 1; returns (r, k)."""
+    top = np.shape(rows)[-1] - 1
+    return (np.atleast_2d(rows) * projector_diagonal(top, d)) @ gegenbauer.connection((d - 2) / 2.0, top)
 
-    Returns a (u, m) array with one row per flagged degree, in increasing
-    order.  The anchors go in chunks of at least ANCHOR_CHUNK, and each
-    chunk's points in blocks of about EVAL_CHUNK cosines: one
-    gegenbauer.chebyshev sweep per block, up to the highest Chebyshev
-    degree some flagged degree reads (only odd ones for odd degrees), and
-    one matrix-vector product with the weights for each such degree.  Each
-    chunk's Chebyshev sums map through the table of q_n (projector_diagonal
-    times gegenbauer.connection) before the chunks add up.  On S^{d-1},
+
+def degree_sums(anchors, weights, points, cheb):
+    """The values V[r, k] = sum_i sum_j C[r, j] W[j, i] T_j(a_i'b_k) of the
+    (r, J) Chebyshev rows C (_chebyshev_rows) over the (N, d) anchors a_i,
+    at the (m, d) points b_k.  weights is one (N,) vector, or p rows, row
+    j % p for Chebyshev degree j (one per Chebyshev degree, or two: even
+    and odd), so that a row of one parity reads only its own weights.
+
+    Returns an (r, m) array.  The anchors go in chunks of at least
+    ANCHOR_CHUNK, and each chunk's points in blocks of about EVAL_CHUNK
+    cosines: one gegenbauer.chebyshev sweep per block, up to the highest
+    Chebyshev degree some row reads, and one matrix-vector product with the
+    weights for each Chebyshev degree some row reads.  After each chunk,
+    each row reduces the chunk's Chebyshev sums over its own nonzero
+    degrees, so that a row's values do not depend on the other rows passed
+    with it (one product over all rows rounds otherwise).  On S^{d-1},
     d >= 3, the T_j are not orthogonal, so their totals over many anchors
-    are large and cancel in the map; mapped chunk by chunk, the sums keep
-    the accuracy of a sweep of Gegenbauer values.  The covariate density
-    at its own N = 3 000 points in d = 5 is within 3.2e-15 of its largest
-    value from a long-double reference; one map of the whole sample's
-    totals was off by 2.2e-14, the Gegenbauer recurrence by 1.9e-15.
+    are large and cancel in the reduction; reduced chunk by chunk, the sums
+    keep the accuracy of a sweep of Gegenbauer values.  The covariate
+    density (riesz, degree 10) at its own N = 3 000 uniform points in d = 5
+    is within 2.7e-15 of its largest value from a long-double Gegenbauer
+    recurrence; on another such sample, one map of the whole sample's
+    totals was off by 2.2e-14, the Gegenbauer recurrence in double by
+    1.9e-15.
     """
-    degrees = np.flatnonzero(used)
     n_obs, m = anchors.shape[0], points.shape[0]
-    out = np.zeros((degrees.size, m))
-    if not degrees.size:
+    out = np.zeros((cheb.shape[0], m))
+    read = np.any(cheb != 0.0, axis=0)  # the Chebyshev degrees some row reads
+    if not read.any():
         return out
-    d, top = points.shape[1], int(degrees[-1])
-    table = projector_diagonal(top, d)[degrees, None] * gegenbauer.connection((d - 2) / 2.0, top)[degrees]
-    read = np.flatnonzero(np.any(table != 0.0, axis=0))
-    table, slot = table[:, read], {j: k for k, j in enumerate(read.tolist())}
+    top, slot = np.flatnonzero(read)[-1], np.cumsum(read) - 1  # degree j's sums are row slot[j]
+    terms = [(row[row != 0.0], slot[row != 0.0]) for row in cheb]  # each row's own coefficients and sums
     rows_of = np.atleast_2d(weights)
     chunk = max(ANCHOR_CHUNK, EVAL_CHUNK // max(1, m))
     # A chunk of c anchors takes its points EVAL_CHUNK // c at a time, so the
@@ -237,7 +256,7 @@ def degree_sums(anchors, weights, points, used):
     # bit the same.
     counts = [c for c in (min(chunk, n_obs), n_obs % chunk) if c]
     cosines = _aligned_empty(max([min(max(1, EVAL_CHUNK // c), m) * c for c in counts], default=0))
-    work, sums = _aligned_empty(gegenbauer.work_size(cosines.size)), np.empty((read.size, m))
+    work, sums = _aligned_empty(gegenbauer.work_size(cosines.size)), np.empty((slot[-1] + 1, m))
     for start in range(0, n_obs, chunk):
         part = anchors[start : start + chunk]
         height = max(1, EVAL_CHUNK // part.shape[0])
@@ -246,26 +265,14 @@ def degree_sums(anchors, weights, points, used):
             block = cosines[: min(height, m - first) * part.shape[0]].reshape(-1, part.shape[0])
             np.matmul(points[rows], part.T, out=block)
             np.clip(block, -1.0, 1.0, out=block)
-            for j, values in enumerate(gegenbauer.chebyshev(read[-1], block, work)):
-                if j in slot:
+            for j, values in enumerate(gegenbauer.chebyshev(top, block, work)):
+                if read[j]:
                     sums[slot[j], rows] = values @ rows_of[j % len(rows_of), start : start + chunk]
-        out += table @ sums
+        # a row that reads every slot takes sums itself: a copy per chunk made
+        # the d = 4 marginal's 128 nodes about 2% slower at N = 2 000
+        for total, (coeffs, picks) in zip(out, terms):
+            total += coeffs @ (sums if picks.size == len(sums) else sums[picks])
     return out
-
-
-def squared_row(row, d):
-    """The row r over degrees 0..2D with sum_n r[n] q_n(t) = (sum_n row[n]
-    q_n(t))^2 on S^{d-1}, D = row.size - 1: the table of q_n
-    (projector_diagonal times gegenbauer.connection) maps the row to
-    Chebyshev coefficients, chebmul squares them, and one triangular solve
-    against the same table at 2D (transposed, so upper triangular) maps
-    them back."""
-    row = np.asarray(row, dtype=float)
-    nu, top = (d - 2) / 2.0, 2 * (row.size - 1)
-    diagonal = projector_diagonal(top, d)
-    cheb = (row * diagonal[: row.size]) @ gegenbauer.connection(nu, row.size - 1)
-    square = np.polynomial.chebyshev.chebmul(cheb, cheb)  # trailing zeros trimmed
-    return np.linalg.solve(gegenbauer.connection(nu, top).T, np.pad(square, (0, top + 1 - square.size))) / diagonal
 
 
 # Entries per row block of _harmonic_moments and _harmonic_series, counted
@@ -460,8 +467,9 @@ def self_sums(x, max_degree):
 
 def _pair_sums(x, max_degree):
     """self_sums by one sweep over all N^2 cosines x_i'x_j, keeping the
-    (max_degree + 1, N) sums S of degree_sums with unit weights."""
-    sums = degree_sums(x, np.ones(x.shape[0]), x, np.ones(max_degree + 1, dtype=bool))
+    (max_degree + 1, N) sums S: degree_sums of the rows of the table of q_n
+    (_chebyshev_rows of the unit rows) with unit weights."""
+    sums = degree_sums(x, np.ones(x.shape[0]), x, _chebyshev_rows(np.eye(max_degree + 1), x.shape[1]))
 
     def combine(row):
         size = _band_length(row)
@@ -490,11 +498,11 @@ class HarmonicMixture:
     coefficient-density estimate is an odd mixture, its choice probability
     the mixture's hemisphere transform), and spectral operators act by
     rescaling degree_coeffs (dataclasses.replace gives the rescaled
-    mixture).  So every such statistic is one row of coefficients against
-    the same per-degree sums D[n, k] = sum_i weights[i] q_n(x_i, b_k)
-    (degree_sums): evaluate_series takes them for each degree that carries
-    a coefficient and applies any number of coefficient rows to them (the
-    standard error reads such sums too).  Query points are checked at one
+    mixture).  So every such statistic is one row of coefficients over the
+    same anchors and weights: evaluate_series maps any number of such rows
+    to Chebyshev coefficients (_chebyshev_rows) and sums them over the
+    anchors in one sweep (degree_sums; the standard error sums the odd
+    part's square there too).  Query points are checked at one
     tolerance, |norm - 1| <= 1e-8, and weights and degree_coeffs must be
     finite.
 
@@ -541,15 +549,17 @@ class HarmonicMixture:
         degree_coeffs layout, k at most MAX_DEGREE + 1; the rows of
         mixtures that share these anchors and weights, such as a mixture
         and its hemisphere transform, evaluate together.  Returns the
-        (r, m) values rows @ D at the (m, d) points, with D the per-degree
-        sums of degree_sums, taken only for the degrees some row uses.
+        (r, m) values sum_n rows[:, n] sum_i weights[i] q_n(x_i, b_k) at
+        the (m, d) points: degree_sums of the rows' Chebyshev coefficients
+        (_chebyshev_rows), which sweeps only to the highest Chebyshev
+        degree some row reads, and each row's values are those it has
+        alone.
         """
         pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.shape[1] > MAX_DEGREE + 1:
             raise ValueError(f"rows must be over degrees 0..MAX_DEGREE = {MAX_DEGREE} at most, got {rows.shape[1]} degrees")
-        used = np.any(rows != 0.0, axis=0)
-        return rows[:, used] @ degree_sums(self.anchors, self.weights, pts, used)
+        return degree_sums(self.anchors, self.weights, pts, _chebyshev_rows(rows, self.dimension))
 
     def evaluate(self, points):
         """Evaluate the mixture at one point (d,) or a batch (m, d)."""

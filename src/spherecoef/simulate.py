@@ -139,10 +139,11 @@ class DgpSpec:
     fixed_value: float = 1.0
 
     def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension < 2:
+        # a bool is an int, but no dimension or sample size
+        if isinstance(self.dimension, bool) or int(self.dimension) != self.dimension or self.dimension < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
         self.dimension = int(self.dimension)
-        if int(self.n_obs) != self.n_obs or self.n_obs < 1:
+        if isinstance(self.n_obs, bool) or int(self.n_obs) != self.n_obs or self.n_obs < 1:
             raise ValueError(f"n_obs must be a positive integer, got {self.n_obs}")
         self.n_obs = int(self.n_obs)
         m = self.dimension - 1

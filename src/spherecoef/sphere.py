@@ -101,8 +101,10 @@ def sample_uniform(d, n, seed=None):
     """
     if int(d) != d or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    # a bool is an int, but no sample size
+    if isinstance(n, bool) or int(n) != n or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    d, n = int(d), int(n)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, d))
     # a fresh draw for the (measure-zero) event of an underflowing norm

@@ -926,6 +926,19 @@ def test_fused_interval_matches_density_and_standard_error(d):
     assert np.array_equal(lo, np.maximum(center - half, 0.0))
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_spread_sweep_reads_the_odd_part_bit_for_bit(d):
+    """The standard error's sweep reduces the odd part's Chebyshev row on
+    its own, so its S1 is odd_values bit for bit at one point and at many,
+    to truncation 64; a product over the odd row and its square together
+    rounded differently in d >= 3 (at truncation 4 at one point)."""
+    s = _random_sample(d, 400, seed=90 + d)
+    for family, truncation in (("riesz", 4), ("dirichlet", 4), ("riesz", 64), ("dirichlet", 64)):
+        fit = estimate_fbeta(s, EstimatorConfig(truncation=truncation, family=family))
+        for pts in (sample_uniform(d, 1, seed=d), sample_uniform(d, 300, seed=d)):
+            assert np.array_equal(estimator._odd_and_spread(fit, pts)[0], fit.odd_values(pts))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_fx_mixture_evaluation_matches_per_anchor_oracle(d):
     """The covariate-density mixture, on every degree up to its band,

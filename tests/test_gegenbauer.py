@@ -154,25 +154,26 @@ def test_connection_table_against_recurrence(nu):
         assert np.array_equal(gegenbauer.connection(nu, top), table[: top + 1, : top + 1])
 
 
-def test_connection_stops_at_the_squared_rows_reach():
-    """connection builds tables to 2 MAX_DEGREE = 256, the degree of
-    kernels.squared_row's square of a MAX_DEGREE row, and refuses a larger
-    top before it allocates: a 100 001-entry series_eval row, which would
-    ask for a 10^10-entry table, is refused and caches nothing."""
-    table = gegenbauer.connection(0.5, 2 * MAX_DEGREE)
-    assert table.shape == (2 * MAX_DEGREE + 1, 2 * MAX_DEGREE + 1)
+def test_connection_stops_at_max_degree():
+    """connection builds tables to MAX_DEGREE = 128, the largest band
+    limit, and refuses a larger top before it allocates: a 100 001-entry
+    series_eval row, which would ask for a 10^10-entry table, is refused
+    and caches nothing.  The standard error's square reaches 2 MAX_DEGREE
+    only as Chebyshev coefficients, which need no table."""
+    table = gegenbauer.connection(0.5, MAX_DEGREE)
+    assert table.shape == (MAX_DEGREE + 1, MAX_DEGREE + 1)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-13
     cached = gegenbauer.connection.cache_info().currsize
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="2 MAX_DEGREE = 256"):
+        with pytest.raises(ValueError, match="MAX_DEGREE = 128"):
             gegenbauer.series_eval(0.5, np.ones(100_001), 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6  # the row itself is 0.8 MB
     assert gegenbauer.connection.cache_info().currsize == cached
-    for top in (-1, 2 * MAX_DEGREE + 1):
+    for top in (-1, MAX_DEGREE + 1):
         with pytest.raises(ValueError, match="connection tables"):
             gegenbauer.connection(0.5, top)
 
@@ -185,23 +186,25 @@ def test_connection_of_the_circle_family_is_diagonal():
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5])
 @pytest.mark.parametrize("top", [5, 15, 63, 127])
 def test_squared_series_against_mpmath(nu, top):
-    """kernels.squared_row squares a row of projector coefficients on
-    S^{d-1}, d = 2 nu + 2 (2 to 5): it gives the 2 top + 1 coefficients
-    r_n with sum_n r_n q_n(t) = (sum_n c_n q_n(t))^2, within 1e-13 of the
-    largest |value| on a grid that includes +-1.  Both sides are
-    Gegenbauer series, through oracles.projector_constants, summed in
-    30-digit arithmetic (oracles.gegenbauer_series); an odd row's square
-    is even."""
+    """chebmul squares a row of projector coefficients on S^{d-1}, d =
+    2 nu + 2 (2 to 5), in its Chebyshev coefficients
+    (kernels._chebyshev_rows): the 2 top + 1 coefficients s_j with
+    sum_j s_j T_j(t) = (sum_n c_n q_n(t))^2, within 1e-13 of the largest
+    |value| on a grid that includes +-1.  The row is a Gegenbauer series
+    through oracles.projector_constants, the square the nu = 0 one, C_j^0 =
+    (2/j) T_j, through oracles.at_one_exact, both summed in 30-digit
+    arithmetic (oracles.gegenbauer_series); an odd row's square is even."""
     d = int(2 * nu + 2)
     row = np.random.default_rng(top).standard_normal(top + 1)
-    square = kernels.squared_row(row, d)
+    (cheb,) = kernels._chebyshev_rows(row, d)
+    square = np.polynomial.chebyshev.chebmul(cheb, cheb)
     assert square.shape == (2 * top + 1,)
-    constants = oracles.projector_constants(2 * top, d)
-    want = oracles.gegenbauer_series(nu, row * constants[: top + 1], T_CHECK, power=2)
-    got = oracles.gegenbauer_series(nu, square * constants, T_CHECK)
+    want = oracles.gegenbauer_series(nu, row * oracles.projector_constants(top, d), T_CHECK, power=2)
+    got = oracles.gegenbauer_series(0.0, square / oracles.at_one_exact(0.0, 2 * top), T_CHECK)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     row[::2] = 0.0
-    assert not np.any(kernels.squared_row(row, d)[1::2])
+    (cheb,) = kernels._chebyshev_rows(row, d)
+    assert not np.any(np.polynomial.chebyshev.chebmul(cheb, cheb)[1::2])
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])

@@ -200,6 +200,34 @@ def test_kernel_spec_validation():
     assert KernelSpec("riesz", 4, 4).chi().shape == (5,)  # l = 3 > (d-2)/2 = 1
 
 
+def test_kernel_spec_refuses_bools_and_stores_ints():
+    """A bool degree, dimension or l is refused, naming the argument
+    (True would otherwise read as 1: a degree-1 kernel, or Riesz power 1);
+    np.int64 and integral floats are accepted and stored as ints, so that
+    delayed_means' power-of-two check takes a float degree too."""
+    for args, name in (((True, 3), "degree"), ((4, True), "dimension"), ((4, 3, 2.0, True), "l")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            KernelSpec("riesz", *args)
+    with pytest.raises(ValueError, match="^l must be an integer"):
+        KernelSpec("dirichlet", 4, 3, l=False)
+    spec = KernelSpec("riesz", np.int64(4), np.int64(3), l=np.int64(2))
+    assert spec == KernelSpec("riesz", 4.0, 3.0, l=2.0) == KernelSpec("riesz", 4, 3, l=2)
+    assert all(type(v) is int for v in (spec.degree, spec.dimension, spec.l))
+    assert KernelSpec("delayed_means", 4.0, 3).degree == 4
+
+
+def test_eigenspace_dim_refuses_bools():
+    """_check_degree_dim refuses a bool degree or dimension, so
+    eigenspace_dim, projector_diagonal and hemisphere.eigenvalues do;
+    np.int64 stays accepted."""
+    for fn in (eigenspace_dim, kernels.projector_diagonal, hemisphere.eigenvalues):
+        with pytest.raises(ValueError, match="^degree must be"):
+            fn(True, 3)
+        with pytest.raises(ValueError, match="^dimension must be"):
+            fn(2, True)
+    assert eigenspace_dim(np.int64(2), np.int64(3)) == 5
+
+
 @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
 def test_kernel_spec_refuses_non_finite_riesz_smoothness(s):
     with pytest.raises(ValueError, match="finite"):
@@ -308,24 +336,26 @@ def test_chebyshev_slots_start_on_cache_lines(shape):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_degree_sums_match_double_loop(monkeypatch, d):
-    """degree_sums is the dense double loop sum_i w_i q_n(a_i, b_k) over
-    every anchor and point, for the flagged degrees only, across blocks
-    and anchor chunks, with one weight vector or with weight rows by
-    parity, as two rows or as one row per Chebyshev degree; q_n is C_n
-    times oracles.projector_constants.  In d = 2, where C_n = (2/n) T_n,
-    one weight row per Chebyshev degree gives the loop (2/n) sum_i W[n, i]
+    """degree_sums of the projector-table rows (kernels._chebyshev_rows of
+    unit rows) is the dense double loop sum_i w_i q_n(a_i, b_k) over every
+    anchor and point, for the chosen degrees only, across blocks and
+    anchor chunks, with one weight vector or with weight rows by parity,
+    as two rows or as one row per Chebyshev degree; q_n is C_n times
+    oracles.projector_constants.  In d = 2, where C_n = (2/n) T_n, one
+    weight row per Chebyshev degree gives the loop (2/n) sum_i W[n, i]
     cos(n arccos(a_i'b_k)) times the constant, and one weight vector
     stands bit for bit for that row tiled over every degree."""
     anchors, points = sample_uniform(d, 12, seed=60 + d), sample_uniform(d, 9, seed=70 + d)
     weights = np.random.default_rng(d).standard_normal((10, 12))
     used = np.isin(np.arange(10), [0, 2, 3, 9])
+    table = kernels._chebyshev_rows(np.eye(10)[used], d)
     nu, constants = (d - 2) / 2.0, oracles.projector_constants(9, d)
     monkeypatch.setattr(kernels, "EVAL_CHUNK", 24)
     monkeypatch.setattr(kernels, "ANCHOR_CHUNK", 5)  # chunks of 5, 5 and 2 anchors
     # 4 points a block of the 5-anchor chunks, 3 blocks each; 1 block of 2 anchors
-    assert _sweeps(monkeypatch, lambda: kernels.degree_sums(anchors, weights[0], points, used)) == 7
+    assert _sweeps(monkeypatch, lambda: kernels.degree_sums(anchors, weights[0], points, table)) == 7
     for rows, parity in ((weights[0], [0, 0]), (weights[:2], [0, 1]), (weights[np.arange(10) % 2], [0, 1])):
-        got = kernels.degree_sums(anchors, rows, points, used)
+        got = kernels.degree_sums(anchors, rows, points, table)
         want = np.array(
             [
                 [
@@ -340,11 +370,11 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     shared = np.tile(weights[0], (10, 1))
     assert np.array_equal(
-        kernels.degree_sums(anchors, weights[0], points, used), kernels.degree_sums(anchors, shared, points, used)
+        kernels.degree_sums(anchors, weights[0], points, table), kernels.degree_sums(anchors, shared, points, table)
     )
     if d == 2:
         angles = np.arccos(np.clip(points @ anchors.T, -1.0, 1.0))
-        got = kernels.degree_sums(anchors, weights, points, used)
+        got = kernels.degree_sums(anchors, weights, points, table)
         want = np.array(
             [constants[n] * (2.0 / n if n else 1.0) * np.cos(n * angles) @ weights[n] for n in np.flatnonzero(used)]
         )
@@ -353,15 +383,16 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_degree_sums_against_mpmath_at_degree_64(d):
-    """To degree 64 each degree's sums are within 5e-14 of that degree's
-    largest, against q_n from C_n^nu by the recurrence in nu carried out in
-    30-digit arithmetic (oracles.gegenbauer_recurrence) at the same float
-    cosines, times oracles.projector_constants."""
+    """To degree 64 each degree's sums, read through the projector-table
+    rows, are within 5e-14 of that degree's largest, against q_n from
+    C_n^nu by the recurrence in nu carried out in 30-digit arithmetic
+    (oracles.gegenbauer_recurrence) at the same float cosines, times
+    oracles.projector_constants."""
     anchors, points = sample_uniform(d, 40, seed=80 + d), sample_uniform(d, 6, seed=90 + d)
     weights = np.random.default_rng(d).standard_normal(40)
     ref = oracles.gegenbauer_recurrence((d - 2) / 2.0, 64, np.clip(points @ anchors.T, -1.0, 1.0)) @ weights
     ref *= oracles.projector_constants(64, d)[:, None]
-    got = kernels.degree_sums(anchors, weights, points, np.ones(65, dtype=bool))
+    got = kernels.degree_sums(anchors, weights, points, kernels._chebyshev_rows(np.eye(65), d))
     assert np.all(np.max(np.abs(got - ref), axis=1) <= 5e-14 * np.max(np.abs(ref), axis=1))
 
 

@@ -91,6 +91,19 @@ def test_benchmark_design_fields():
     )
 
 
+def test_dgp_spec_refuses_bools():
+    """A bool n_obs or dimension is refused, naming the argument (n_obs =
+    True would draw one row); np.int64 stays accepted and is stored as an
+    int."""
+    with pytest.raises(ValueError, match="^n_obs must be"):
+        DgpSpec.model_1(n_obs=True)
+    mix = GaussianMixture(weights=[1.0], means=[[0.0]], covs=[[[1.0]]])
+    with pytest.raises(ValueError, match="^dimension must be"):
+        DgpSpec(dimension=True, n_obs=10, coefficients=mix,
+                covariate_mean=np.zeros(1), covariate_cov=np.eye(1))
+    assert type(DgpSpec.model_1(n_obs=np.int64(7)).n_obs) is int
+
+
 def test_dgp_spec_validation():
     mix = GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], covs=np.eye(2))
     with pytest.raises(ValueError):

@@ -39,6 +39,17 @@ def test_surface_area_rejects_bad_dimension(bad):
         surface_area(bad)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, -1])
+def test_sample_uniform_refuses_a_bad_count(bad):
+    """A bool or non-integral n is a ValueError naming n (2.5 was numpy's
+    TypeError, True one point); np.int64 and integral floats, which the
+    checks accept, are drawn as ints (a float d was numpy's TypeError)."""
+    with pytest.raises(ValueError, match="^n must be a nonnegative integer"):
+        sample_uniform(3, bad)
+    assert sample_uniform(3, np.int64(4), seed=1).shape == (4, 3)
+    assert np.array_equal(sample_uniform(3.0, 4.0, seed=1), sample_uniform(3, 4, seed=1))
+
+
 def test_normalize_preserves_direction():
     v = np.array([[3.0, 4.0], [0.0, -2.0]])
     u = normalize(v)
