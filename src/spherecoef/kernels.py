@@ -21,7 +21,9 @@ q_n(x_i, x_j) over a sample, which every covariate-density fit reads
 against rows of filter weights, live here too: self_sums takes them from
 the basis' moments over the sample (its analysis and synthesis,
 _harmonic_moments and _harmonic_series) or by a sweep over every pair of
-sample points, whichever costs less.
+sample points, whichever costs less (_basis_is_cheaper).  By the same
+rule, _cheaper_series reads rows of a mixture from its weighted moments
+sum_i w_i Y(x_i) instead of sweeping every anchor-point pair.
 """
 
 from __future__ import annotations
@@ -381,18 +383,22 @@ def _basis_terms(x, top):
             yield rows, k, lower[: top + 1 - k], g, scale
 
 
-def _harmonic_moments(points, top):
+def _harmonic_moments(points, top, weights=None):
     """The sums over the (m, d) unit vectors of harmonic_basis' harmonics,
-    to degree top, as a coefficient array M of shape _layout(d, top):
+    to degree top, each vector's harmonics times its entry of the (m,)
+    weights when given, as a coefficient array M of shape _layout(d, top):
     M[l, :, k] is for the harmonics of degree l + k made of the lower ones
     of degree l and the factor of index k (_basis_terms), zero where
     l + k > top or beyond the h(l, d - 1) lower ones.  In d = 2, depth 1:
     M[n, :, 0] is degree n.  The harmonics of the last coordinate are never
     stored: rows stream in blocks of about BASIS_CHUNK entries, and each
-    factor meets the block's lower harmonics in one batched product."""
+    factor, times the block's weights, meets the block's lower harmonics in
+    one batched product."""
     x = np.asarray(points, dtype=float)
     moments = np.zeros(_layout(x.shape[1], top))
-    for _, k, lower, g, scale in _basis_terms(x, top):
+    for rows, k, lower, g, scale in _basis_terms(x, top):
+        if weights is not None:
+            g = g * weights[rows]
         moments[: g.shape[0], :, k] += scale[:, None] * np.matmul(lower, g[:, :, None])[..., 0]
     return moments
 
@@ -410,28 +416,72 @@ def _band_length(row):
     return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
-def _harmonic_series(moments, points, row):
-    """The values sum_n row[n] sum_{Y of degree n} M_Y Y at the (m, d) unit
-    vectors, for a moment array M (_harmonic_moments) and a row over its
-    degrees: the basis is built only to the row's last nonzero degree, and
-    not at all for a zero row."""
+def _harmonic_series(moments, points, rows):
+    """The values sum_n rows[r, n] sum_{Y of degree n} M_Y Y at the (m, d)
+    unit vectors, for a moment array M (_harmonic_moments) and an (r, k)
+    array of rows over its degrees, as an (r, m) array: the rows share one
+    basis, built only to their last nonzero degree, and not at all for
+    zero rows.  Each row is summed on its own, so that a row's values are
+    those it has alone."""
     x = np.asarray(points, dtype=float)
-    out = np.zeros(x.shape[0])
-    size = _band_length(row)
+    out = np.zeros((rows.shape[0], x.shape[0]))
+    size = max(_band_length(row) for row in rows)
     if size == 0:
         return out
     top, width, depth = _layout(x.shape[1], size - 1)
     degree = np.add.outer(np.arange(top), np.arange(depth))
-    coeffs = moments[:top, :width, :depth] * np.pad(row[:size], (0, depth - 1))[degree][:, None, :]
-    for rows, k, lower, g, scale in _basis_terms(x, size - 1):
-        scaled = coeffs[: g.shape[0], None, :, k] * scale[:, None, None]
-        out[rows] += np.einsum("lr,lr->r", g, np.matmul(scaled, lower)[:, 0])
+    padded = np.zeros((rows.shape[0], top + depth - 1))
+    padded[:, :size] = rows[:, :size]
+    coeffs = [moments[:top, :width, :depth] * row[degree][:, None, :] for row in padded]
+    for block, k, lower, g, scale in _basis_terms(x, size - 1):
+        for total, own in zip(out, coeffs):
+            scaled = own[: g.shape[0], None, :, k] * scale[:, None, None]
+            total[block] += np.einsum("lr,lr->r", g, np.matmul(scaled, lower)[:, 0])
     return out
 
 
-# Multiple of H the count N (top + 1) must exceed for self_sums to take the
-# harmonic basis; see self_sums.
+# Multiple of H that 2 N m (top + 1) / (N + m) must exceed for a series to
+# be read from the harmonic basis; see _basis_is_cheaper.
 BASIS_RATIO = 8
+
+
+def _basis_is_cheaper(n_anchors, n_points, top, d):
+    """Whether series to degree top over N anchors at m points cost less
+    from the harmonic basis (moments over the anchors, then their series
+    at the points: (N + m) H harmonics, H = sum_{n <= top} h(n, d) =
+    h(top, d + 1); no set-up, nothing kept between calls) than from the
+    pair sweep (degree_sums: N m (top + 1) Chebyshev terms): in d = 2
+    always, elsewhere from 2 N m (top + 1) > BASIS_RATIO (N + m) H.  For
+    the self-sums, N = m, that is N (top + 1) > BASIS_RATIO H.
+
+    Self-sums (self_sums), with one BLAS thread, for the energies and one
+    combine at top (medians of 7, 2-core Xeon): the basis was the cheaper
+    from N (top + 1) = 12 H at degree 10 in d = 3 (N = 132), 8 H at degree
+    24 (N = 200), 7 H and 4 H at degrees 10 and 24 in d = 4 (N = 322 and
+    884) and 8 to 9 H at degree 10 in d = 5 (N = 1 248 to 1 404); at degree
+    24 in d = 5 the pair sweep still won at 8 H (4.4 s against 5.5 s, N =
+    12 168).  Where BASIS_RATIO = 8 picks the slower path, the basis costs
+    at most 0.2 ms more (d = 3, degree 10, N = 89 to 132) and the pair
+    sweep at most 1.7 times the basis (d = 4, degree 24, N = 884 to 1 768).
+    In d = 2 the pair sweep is cheaper only below N = 50 (by at most 0.02
+    ms) and less accurate (1.8e-12 of each degree's largest sum to degree
+    64 at N = 1 000, the basis 2.4e-14).
+
+    The support diagnostic's two odd rows (identification_diagnostic;
+    best of 5, one BLAS thread, same machine): in d = 3, 4 and 5, at
+    degrees 5 and 15 and N = 1 000 to 50 000, the moments were the cheaper
+    from min(N, m) (top + 1) = 3 to 8 H (the rule: from 4 H when N >> m),
+    and at N = 500 from about 12 H, where both take under 0.3 ms.  Where
+    the rule picks the slower path it costs at most 1.7 times the other
+    (d = 3, N = 500, m = 35: 0.29 against 0.17 ms), and from N = 5 000 at
+    most 1.3 times (d = 4, degree 15, N = 20 000, m = 381: the sweep's 93
+    against 72 ms).  In d = 2 the moments cost at most 1.14 times the sweep
+    (N = 5 000, m = 4).  At fit-5k's shape (d = 3, N = 5 000, 2 048 nodes)
+    the moments took 0.9 ms and the sweep 49 ms; every d >= 4 diagnostic
+    at its default 32 nodes stays on the sweep (d = 4, N = 20 000, degree
+    15: 7.0 ms, against 72 ms on the moments).
+    """
+    return d == 2 or 2 * n_anchors * n_points * (top + 1) > BASIS_RATIO * (n_anchors + n_points) * eigenspace_dim(top, d + 1)
 
 
 def self_sums(x, max_degree):
@@ -442,25 +492,12 @@ def self_sums(x, max_degree):
     weights over degrees 0..max_degree (KernelSpec.chi, chi_table),
     computed only up to the row's last nonzero degree.
 
-    Two paths give them: the pair sweep (_pair_sums, N^2 (top + 1)
-    Chebyshev terms) and the harmonic basis (_basis_sums, N H harmonics
-    per pass, H = sum_{n <= top} h(n, d); no set-up, nothing kept between
-    calls).  The rule compares those counts: the basis from
-    N (top + 1) > BASIS_RATIO H, and in d = 2 always, where the pair sweep
-    is cheaper only below N = 50 (by at most 0.02 ms) and less accurate
-    (1.8e-12 of each degree's largest sum to degree 64 at N = 1 000, the
-    basis 2.4e-14).  With one BLAS thread, for the energies and one
-    combine at top (medians of 7, 2-core Xeon), the basis was the cheaper
-    from N (top + 1) = 12 H at degree 10 in d = 3 (N = 132), 8 H at degree
-    24 (N = 200), 7 H and 4 H at degrees 10 and 24 in d = 4 (N = 322 and
-    884) and 8 to 9 H at degree 10 in d = 5 (N = 1 248 to 1 404); at degree
-    24 in d = 5 the pair sweep still won at 8 H (4.4 s against 5.5 s, N =
-    12 168).  Where BASIS_RATIO = 8 picks the slower path, the basis costs
-    at most 0.2 ms more (d = 3, degree 10, N = 89 to 132) and the pair
-    sweep at most 1.7 times the basis (d = 4, degree 24, N = 884 to 1 768).
+    Two paths give them, whichever costs less (_basis_is_cheaper, with the
+    sample as both anchors and points): the pair sweep (_pair_sums) and the
+    harmonic basis (_basis_sums).
     """
     n_obs, d = x.shape
-    if d == 2 or n_obs * (max_degree + 1) > BASIS_RATIO * eigenspace_dim(max_degree, d + 1):
+    if _basis_is_cheaper(n_obs, n_obs, max_degree, d):
         return _basis_sums(x, max_degree)
     return _pair_sums(x, max_degree)
 
@@ -483,7 +520,7 @@ def _basis_sums(x, max_degree):
     linear in N: by the addition theorem S[n, i] = Y_n(x_i)'M_n, so
     energy[n] is |M_n|^2, and combine(row) the series of M with the row."""
     moments = _harmonic_moments(x, max_degree)
-    return _harmonic_energies(moments), lambda row: _harmonic_series(moments, x, row)
+    return _harmonic_energies(moments), lambda row: _harmonic_series(moments, x, row[None])[0]
 
 
 @dataclass
@@ -568,3 +605,19 @@ class HarmonicMixture:
 
     __call__ = evaluate
 
+
+def _cheaper_series(mixture, points, rows):
+    """mixture.evaluate_series(points, rows), read from the mixture's
+    weighted harmonic moments M = sum_i w_i Y(x_i) when those cost less
+    (_basis_is_cheaper at the rows' last nonzero degree): by the addition
+    theorem sum_i w_i q_n(x_i, b) = sum_{Y of degree n} M_Y Y(b), so each
+    row's values are the series of M with that row (_harmonic_series).
+    Both routes agree within rounding (about 1e-15 of each row's largest
+    value), not bit for bit.  The points are checked as evaluate_series
+    checks them, and nothing is kept between calls."""
+    pts = check_on_sphere(points, d=mixture.dimension, tol=1e-8)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    top = max(_band_length(row) for row in rows) - 1
+    if top < 0 or not _basis_is_cheaper(mixture.anchors.shape[0], pts.shape[0], top, mixture.dimension):
+        return mixture.evaluate_series(pts, rows)
+    return _harmonic_series(_harmonic_moments(mixture.anchors, top, mixture.weights), pts, rows)

@@ -599,15 +599,21 @@ def test_point_fit_covariate_density_matches_self_evaluation(monkeypatch, d, bas
     (_leave_in_at_cap), within 1e-13 relative.  At N = 300, d = 2 and 3
     take the harmonic basis (basis_degrees) at both degrees, and d = 4
     the pair sweep (N (top + 1) = 3 300 < BASIS_RATIO H = 4 048 at degree
-    10)."""
+    10).  The fit sweeps once; reading fx_values sweeps once more to the
+    same degree, since a plug-in fit recomputes them from its sample."""
     basis = _record_calls(monkeypatch, kernels, "_basis_sums")
     pairs = _record_calls(monkeypatch, kernels, "_pair_sums")
     s = _random_sample(d, 300, seed=40 + d)
     cfg = EstimatorConfig()
-    got = estimate_fbeta(s, cfg).fx_values
-    want = _leave_in_at_cap(s, cfg)
-    assert [args[1] for args in basis] == basis_degrees
+    est = estimate_fbeta(s, cfg)
+    assert [args[1] for args in basis] == basis_degrees[:1]
+    assert len(basis) + len(pairs) == 1
+    got = est.fx_values
+    assert [args[1] for args in basis] == basis_degrees[:1] * 2
     assert len(basis) + len(pairs) == 2
+    want = _leave_in_at_cap(s, cfg)
+    assert [args[1] for args in basis] == basis_degrees[:1] * 2 + basis_degrees[1:]
+    assert len(basis) + len(pairs) == 3
     assert np.min(want) > 0.0  # no value clipped, so relative error is defined
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -617,13 +623,17 @@ def test_choice_probability_sweeps_only_to_the_point_band(monkeypatch, family):
     """The choice probability's covariate density comes from a sweep to
     fx_truncation alone, yet equals the leave-in values of a sweep to the
     cross-validation cap bit for bit, and so does the fitted choice
-    probability."""
+    probability.  The fit sweeps once, and reading its fx_values, which a
+    plug-in fit recomputes from its sample, once more."""
     s = _random_sample(3, 60, seed=30)
     cfg = EstimatorConfig(truncation=2, family=family, fx_truncation=8)
     at_cap = _leave_in_at_cap(s, cfg)
     sweeps = _record_calls(monkeypatch, estimator, "self_sums")
-    assert np.array_equal(estimate_fbeta(s, cfg).fx_values, at_cap)
+    est = estimate_fbeta(s, cfg)
     assert [args[1] for args in sweeps] == [cfg.fx_truncation]
+    fx_values = est.fx_values
+    assert [args[1] for args in sweeps] == [cfg.fx_truncation] * 2
+    assert np.array_equal(fx_values, at_cap)
     pts = sample_uniform(3, 9, seed=31)
     own = estimate_choice_probability(s, cfg).evaluate(pts)
     given = estimate_choice_probability(s, cfg, fx=at_cap).evaluate(pts)
@@ -1119,12 +1129,22 @@ def test_diagnostic_minus_mass_is_exact_negative():
 def test_diagnostic_equals_the_transformed_mixture_route(d):
     """The diagnostic reads the transform's row from the eigenvalue row;
     its report is the one that the degree_coeffs rows of odd and of
-    hemisphere.transform(odd), evaluated together, give, bit for bit."""
+    hemisphere.transform(odd), evaluated together, give, bit for bit: by
+    one sweep (HarmonicMixture.evaluate_series) in d = 4, where 16 nodes
+    over 300 anchors stay on the sweep, and in d = 2 and 3, where they
+    take the moments, as the series of the odd mixture's weighted
+    moments."""
     s = generate(DgpSpec.model_1(n_obs=300, seed=4)).sample if d == 3 else _random_sample(d, 300, seed=40 + d)
     odd = estimate_fbeta(s, EstimatorConfig(truncation=4)).odd
     quad = build_quadrature(d, 16, seed=0)
     report = identification_diagnostic(odd, quad=quad)
-    odd_vals, hemi_vals = odd.evaluate_series(quad.points, [odd.degree_coeffs, hemisphere.transform(odd).degree_coeffs])
+    rows = np.array([odd.degree_coeffs, hemisphere.transform(odd).degree_coeffs])
+    assert kernels._basis_is_cheaper(300, quad.n_nodes, odd.max_degree, d) == (d < 4)
+    if d < 4:
+        moments = kernels._harmonic_moments(odd.anchors, odd.max_degree, odd.weights)
+        odd_vals, hemi_vals = kernels._harmonic_series(moments, quad.points, rows)
+    else:
+        odd_vals, hemi_vals = odd.evaluate_series(quad.points, rows)
     masses = hemi_vals / surface_area(d)
     best = int(np.argmax(masses))
     assert np.array_equal(report.axis, quad.points[best])
@@ -1132,6 +1152,78 @@ def test_diagnostic_equals_the_transformed_mixture_route(d):
     threshold = max(estimator.POSITIVITY_CUTOFF * float(np.max(odd_vals, initial=0.0)), 1e-12)
     assert report.threshold == threshold
     assert report.violation_score == 2.0 * float(np.sum(quad.weights[(odd_vals > threshold) & (hemi_vals < 0.0)]))
+
+
+@pytest.mark.parametrize("family", ["riesz", "delayed_means", "dirichlet"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_diagnostic_routes_agree(monkeypatch, d, family):
+    """The diagnostic's two routes, the weighted moments and the pair
+    sweep (each set in turn through kernels._basis_is_cheaper), give the
+    same axis and violation score, and masses and cutoffs within 1e-13
+    relative.  Both refuse probe nodes of another dimension."""
+    s = generate(DgpSpec.model_1(n_obs=400, seed=87)).sample if d == 3 else _random_sample(d, 400, seed=87 + d)
+    est = estimate_fbeta(s, EstimatorConfig(truncation=4, family=family, fx_truncation=8))
+    quad = build_quadrature(d, 32 if d < 4 else 1024, seed=0)
+    wrong = build_quadrature(d + 1, 16, seed=0)
+    reports = []
+    for moments in (True, False):
+        monkeypatch.setattr(kernels, "_basis_is_cheaper", lambda *sizes, taken=moments: taken)
+        reports.append(identification_diagnostic(est, quad=quad))
+        with pytest.raises(ValueError, match=f"expected points in R\\^{d}"):
+            identification_diagnostic(est, quad=wrong)
+    by_moments, by_sweep = reports
+    assert np.array_equal(by_moments.axis, by_sweep.axis)
+    assert by_moments.violation_score == by_sweep.violation_score
+    assert by_moments.mass_plus == pytest.approx(by_sweep.mass_plus, rel=1e-13, abs=0.0)
+    assert by_moments.threshold == pytest.approx(by_sweep.threshold, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("d,n_obs,moments", [(3, 5000, True), (4, 2000, False)])
+def test_diagnostic_takes_the_cheaper_route(monkeypatch, d, n_obs, moments):
+    """At fit-5k's shape (d = 3, N = 5 000, the default 2 048 nodes) the
+    diagnostic reads the fit's weighted moments and sweeps no pair; at
+    d = 4's default 32 Monte-Carlo nodes it stays on the pair sweep, where
+    the moments would cost more (kernels._basis_is_cheaper)."""
+    s = generate(DgpSpec.model_1(n_obs=n_obs, seed=5)).sample if d == 3 else _random_sample(d, n_obs, seed=55)
+    est = estimate_fbeta(s)
+    builds = _record_calls(monkeypatch, kernels, "_harmonic_moments")
+    sweeps = _record_calls(monkeypatch, kernels, "degree_sums")
+    identification_diagnostic(est)
+    assert (len(builds), len(sweeps)) == ((1, 0) if moments else (0, 1))
+    if moments:
+        assert builds[0][0] is est.anchors and builds[0][1] == est.odd.max_degree
+
+
+def test_plug_in_fit_holds_one_n_vector(monkeypatch):
+    """After a plug-in fit, a density read on a grid and the diagnostic, at
+    N = 5 000, the fit retains at most 1.25 x 8N bytes beyond its sample:
+    its weights, and not the covariate-density values, which fx_values
+    recomputes from the sample bit for bit as the fit weighted by them.
+    Caches (the connection tables, the probe rule) are filled by one
+    fit's reads beforehand."""
+    s = generate(DgpSpec.model_1(n_obs=5000, seed=6)).sample
+    grid = sample_uniform(3, 1152, seed=7)
+
+    def fit_and_read():
+        est = estimate_fbeta(s)
+        est.density(grid)
+        identification_diagnostic(est)
+        return est
+
+    fit_and_read()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        est = fit_and_read()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.25 * 8 * s.n_obs
+    fits = _record_calls(monkeypatch, estimator, "_fit")
+    again = estimate_fbeta(s)
+    weighted_by = fits[0][2]
+    assert np.array_equal(again.fx_values, weighted_by) and np.array_equal(est.fx_values, weighted_by)
+    assert again.trimmed_count == int(np.sum(weighted_by < again.trimming_floor))
 
 
 def test_diagnostic_flags_antipodally_symmetric_coefficients():

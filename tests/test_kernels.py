@@ -125,8 +125,8 @@ def test_harmonic_basis_is_solid_and_padded():
 def test_harmonic_moments_and_series_are_the_basis(monkeypatch, d):
     """_harmonic_moments is the sum of harmonic_basis over the points,
     _harmonic_energies the per-degree sums of squared moments, and
-    _harmonic_series sum_n row[n] sum M Y over the degrees of the row's
-    band, in row blocks of any size (kernels.BASIS_CHUNK 1: one row per
+    _harmonic_series sum_n row[n] sum M Y over the degrees of each row's
+    band (two rows at once, each as it reads alone), in row blocks of any size (kernels.BASIS_CHUNK 1: one row per
     block): a lower harmonic of degree l (the basis in the first d - 1
     coordinates, all d in d = 2) and factor index k is the harmonic of
     degree l + k listed after the lower harmonics of degrees below l."""
@@ -150,8 +150,35 @@ def test_harmonic_moments_and_series_are_the_basis(monkeypatch, d):
     for chunk in (1, 97, 1 << 17):
         monkeypatch.setattr(kernels, "BASIS_CHUNK", chunk)
         np.testing.assert_allclose(kernels._harmonic_moments(x, top), want_moments, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(kernels._harmonic_series(coeffs, x, row), want_series, rtol=0, atol=1e-12)
-    assert np.array_equal(kernels._harmonic_series(coeffs, x, np.zeros(top + 1)), np.zeros(40))
+        both = kernels._harmonic_series(coeffs, x, np.stack([row, 2.0 * row]))
+        np.testing.assert_allclose(both[0], want_series, rtol=0, atol=1e-12)
+        assert np.array_equal(both[0], kernels._harmonic_series(coeffs, x, row[None])[0])
+        assert np.array_equal(both[1], kernels._harmonic_series(coeffs, x, 2.0 * row[None])[0])
+    assert np.array_equal(kernels._harmonic_series(coeffs, x, np.zeros((2, top + 1))), np.zeros((2, 40)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_weighted_harmonic_moments_are_the_weighted_basis(monkeypatch, d):
+    """_harmonic_moments(x, top, w) is sum_i w_i harmonic_basis(x, top)[...,
+    i] in the moments' layout, within 1e-13 of its largest entry, in row
+    blocks of any size; unit weights give the unweighted moments (the
+    self-sums' route) bit for bit, since the weight multiplies each
+    Gegenbauer factor exactly."""
+    top, n = 7, 60
+    x = sample_uniform(d, n, seed=60 + d)
+    w = np.random.default_rng(d).standard_normal(n)
+    weighted = kernels.harmonic_basis(x, top) * w
+    low = [2] * (top + 1) if d == 2 else [eigenspace_dim(l, d - 1) for l in range(top + 1)]
+    want = np.zeros(kernels._layout(d, top))
+    for l in range(top + 1):
+        for k in range(min(want.shape[2], top + 1 - l)):
+            start = sum(low[:l]) if d > 2 else 0
+            want[l, : low[l], k] = weighted[l + k, start : start + low[l]].sum(axis=1)
+    for chunk in (1, 97, 1 << 17):
+        monkeypatch.setattr(kernels, "BASIS_CHUNK", chunk)
+        got = kernels._harmonic_moments(x, top, w)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(kernels._harmonic_moments(x, top, np.ones(n)), kernels._harmonic_moments(x, top))
 
 
 def test_chi_weights_dirichlet_and_cutoff():
