@@ -13,10 +13,11 @@ sums, filtered kernels, band-limited mixtures, whose coefficients are
 rows over q_n, and a sample's per-degree self-sums), hemisphere (the
 averaging operator and its inverse), estimator (the statistical layer,
 which reads those sums), simulate (synthetic designs with exact sphere
-densities), cli (command-line front end).
+densities), cli (command-line front end, which importing the package
+does not load: python -m spherecoef.cli runs it without a second copy).
 """
 
-from . import cli, gegenbauer, hemisphere, kernels, simulate, sphere
+from . import gegenbauer, hemisphere, kernels, simulate, sphere
 from .estimator import (
     ChoiceSample,
     CoefficientDensity,
@@ -60,7 +61,6 @@ __all__ = [
     "surface_area",
     "true_fbeta_on_sphere",
     "true_fx_on_sphere",
-    "cli",
     "gegenbauer",
     "hemisphere",
     "kernels",

@@ -23,8 +23,8 @@ from .kernels import (
     MAX_DEGREE,
     KernelSpec,
     HarmonicMixture,
-    _FAMILIES,
     _cheaper_series,
+    _check_family,
     _chebyshev_rows,
     _is_power_of_two,
     chi_table,
@@ -34,6 +34,7 @@ from .kernels import (
 )
 from .sphere import (
     QuadratureRule,
+    _integer,
     build_quadrature,
     check_on_sphere,
     coarea_factor,
@@ -125,22 +126,13 @@ class EstimatorConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 1 <= self.truncation <= MAX_DEGREE // 2 or int(self.truncation) != self.truncation:
-            raise ValueError(
-                f"truncation must be an integer in [1, {MAX_DEGREE // 2}], got {self.truncation}"
-            )
-        self.truncation = int(self.truncation)
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        self.truncation = _integer(self.truncation, "truncation", 1, MAX_DEGREE // 2)
+        _check_family(self.family)
         if not 0 < self.trimming_exponent < math.inf:
             raise ValueError(
                 f"trimming_exponent must be finite and positive, got {self.trimming_exponent}"
             )
-        if not 0 <= self.fx_truncation <= MAX_DEGREE or int(self.fx_truncation) != self.fx_truncation:
-            raise ValueError(
-                f"fx_truncation must be an integer in [0, {MAX_DEGREE}], got {self.fx_truncation}"
-            )
-        self.fx_truncation = int(self.fx_truncation)
+        self.fx_truncation = _integer(self.fx_truncation, "fx_truncation", 0, MAX_DEGREE)
         # the dirichlet and delayed_means filters ignore s and l, but the
         # config is echoed into reports, which cannot hold a non-finite value
         for name in ("s", "l"):
@@ -257,7 +249,8 @@ class DensityEstimate:
     the hemisphere eigenvalues, with the 1/N of the sample mean.  The
     density is twice its positive part.  weights and trimming_floor are
     read from odd and config, and every query's points are checked once,
-    by odd.
+    by odd.  trimmed_count is the number of fx_values below the trimming
+    floor, which _fit counts when it builds the fit.
 
     fx_band is the band limit of the plug-in covariate-density estimate
     behind fx_values (None when the caller supplied them).  A plug-in fit
@@ -289,23 +282,15 @@ class DensityEstimate:
     fx_band: int | None
     sample: ChoiceSample | None
 
-    def __init__(self, odd, config, fx_values, fx_band=None, sample=None, trimmed_count=None):
+    def __init__(self, odd, config, fx_values, trimmed_count, fx_band=None, sample=None):
         self.odd, self.config, self.fx_band, self.sample = odd, config, fx_band, sample
         self._fx_values = None if sample is not None else fx_values
-        self._trimmed_count = trimmed_count
+        self.trimmed_count = trimmed_count
 
     @property
     def fx_values(self):
         """The covariate-density values at the sample behind the weights."""
         return _plug_in_fx(self.sample, self.config) if self._fx_values is None else self._fx_values
-
-    @property
-    def trimmed_count(self):
-        """The number of fx_values below the trimming floor, as _fit
-        counted them (counted on first read for a fit built otherwise)."""
-        if self._trimmed_count is None:
-            self._trimmed_count = int(np.count_nonzero(self.fx_values < self.trimming_floor))
-        return self._trimmed_count
 
     @functools.cached_property
     def inference(self):
@@ -371,9 +356,9 @@ def _fit(sample, config, fx_values, fx_band, keep_sample=False):
         odd=HarmonicMixture(sample.x, weights, coeffs),
         config=config,
         fx_values=fx_values,
+        trimmed_count=int(np.count_nonzero(fx_values < floor)),
         fx_band=fx_band,
         sample=sample if keep_sample else None,
-        trimmed_count=int(np.count_nonzero(fx_values < floor)),
     )
 
 
@@ -586,7 +571,7 @@ def marginal_density(density, keep_dims, values, seed=None, dimension=None):
         dimension = getattr(density, "dimension", None)
     if dimension is None:
         raise ValueError("pass dimension= when density is a bare callable")
-    d = int(dimension)
+    d = _integer(dimension, "dimension", 2)
     keep = np.asarray(keep_dims, dtype=int)
     if keep.ndim != 1 or keep.size == 0 or keep.size >= d:
         raise ValueError("keep_dims must select between 1 and d-1 coordinates")
@@ -653,7 +638,8 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     per-degree coefficients (the transform rescales degree n by its
     eigenvalue), so both are read on the probe nodes as two coefficient
     rows over the same anchors and weights.  The transform's row is the
-    degree_coeffs row of hemisphere.transform(odd).  The two rows are
+    odd row times hemisphere.eigenvalues, as hemisphere.transform(odd)
+    would hold it, without a second mixture.  The two rows are
     read by whichever route costs less for N anchors, m nodes, the odd
     row's top degree and d (kernels._cheaper_series, by the rule the
     self-sums use): the weighted harmonic moments M = sum_i w_i Y(x_i),
@@ -678,7 +664,8 @@ def identification_diagnostic(estimate, resolution=32, quad=None):
     if quad is None:
         quad = build_quadrature(d, resolution, seed=0)
     area = surface_area(d)
-    odd_vals, hemi_vals = _cheaper_series(odd, quad.points, [odd.degree_coeffs, hemisphere.transform(odd).degree_coeffs])
+    hemi_row = odd.degree_coeffs * hemisphere.eigenvalues(odd.max_degree, d)
+    odd_vals, hemi_vals = _cheaper_series(odd, quad.points, [odd.degree_coeffs, hemi_row])
     masses = hemi_vals / area
     i_best = int(np.argmax(masses))
     axis = quad.points[i_best].copy()

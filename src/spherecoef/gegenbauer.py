@@ -21,6 +21,8 @@ import functools
 
 import numpy as np
 
+from .sphere import _integer
+
 __all__ = ["chebyshev", "work_size", "connection", "series_eval"]
 
 # Largest filter degree any kernel may have; KernelSpec, EstimatorConfig,
@@ -56,6 +58,7 @@ def chebyshev(top, t, work=None):
     each sits a whole number of cache lines past work's start, so a work
     that starts on a line keeps every pass of the sweep on whole lines.
     """
+    top = _integer(top, "top", 0)
     t = np.asarray(t, dtype=float)
     stride = work_size(t.size) // 4
     if work is None:
@@ -70,7 +73,7 @@ def chebyshev(top, t, work=None):
     yield t
     np.add(t, t, out=two_t)
     prev, cur = ones, t
-    for _ in range(int(top) - 1):
+    for _ in range(top - 1):
         np.multiply(two_t, cur, out=spare)
         spare -= prev
         # the buffer two degrees back is free, unless it is t itself
@@ -78,7 +81,8 @@ def chebyshev(top, t, work=None):
         yield cur
 
 
-@functools.lru_cache(maxsize=None)
+# typed, so that top = True is checked rather than served the table of 1
+@functools.lru_cache(maxsize=None, typed=True)
 def connection(nu, top):
     """Lower-triangular (top + 1, top + 1) table P of the normalised
     polynomials, C_n^nu / C_n^nu(1) = sum_j P[n, j] T_j for n = 0..top,
@@ -92,9 +96,9 @@ def connection(nu, top):
     as products of ratios that stay finite at nu = 0, where only the j = n
     weight, 1, is left: the identity.
     """
-    top = int(top)
     if not 0 <= top <= MAX_DEGREE:
         raise ValueError(f"connection tables reach degree MAX_DEGREE = {MAX_DEGREE}, got top {top}")
+    top = _integer(top, "top", 0)
     table = np.zeros((top + 1, top + 1))
     # g[k] = (nu + 1)_{k-1} / k!, so that a_k = nu g[k] for k >= 1
     g = np.ones(top + 1)

@@ -21,8 +21,8 @@ import dataclasses
 
 import numpy as np
 
-from .kernels import HarmonicMixture, _check_degree_dim
-from .sphere import surface_area
+from .kernels import HarmonicMixture
+from .sphere import _integer, surface_area
 
 __all__ = ["eigenvalues", "transform", "invert"]
 
@@ -34,7 +34,7 @@ def eigenvalues(max_degree, d):
     The odd entries are one cumulative product: |S^{d-2}| / (d - 1) at
     n = 1, then each odd n multiplies in -(n - 2) / (d + n - 2).
     """
-    max_degree, d = _check_degree_dim(max_degree, d)
+    max_degree, d = _integer(max_degree, "degree", 0), _integer(d, "dimension", 2)
     row = np.zeros(max_degree + 1)
     row[0] = surface_area(d) / 2.0
     odd = np.arange(1.0, max_degree + 1, 2.0)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import gegenbauer
 from .gegenbauer import MAX_DEGREE
-from .sphere import check_on_sphere, surface_area
+from .sphere import _integer, check_on_sphere, surface_area
 
 __all__ = [
     "eigenspace_dim",
@@ -67,13 +67,9 @@ EVAL_CHUNK = 1 << 14
 ANCHOR_CHUNK = 1 << 7
 
 
-def _check_degree_dim(n, d):
-    # a bool is an int, but no degree or dimension
-    if isinstance(n, bool) or int(n) != n or n < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {n}")
-    if isinstance(d, bool) or int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    return int(n), int(d)
+def _check_family(family):
+    if family not in _FAMILIES:
+        raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
 
 
 def eigenspace_dim(n, d):
@@ -82,7 +78,7 @@ def eigenspace_dim(n, d):
     Exact integer; equals 1 at n = 0, 2 for every n >= 1 when d = 2, and
     2n + 1 when d = 3.
     """
-    n, d = _check_degree_dim(n, d)
+    n, d = _integer(n, "degree", 0), _integer(d, "dimension", 2)
     if n == 0:
         return 1
     return math.comb(n + d - 2, n) + math.comb(n + d - 3, n - 1)
@@ -92,7 +88,7 @@ def projector_diagonal(max_degree, d):
     """The row q_n(x, x) = h(n, d) / |S^{d-1}| for n = 0..max_degree: the
     constant that turns the normalised polynomial C_n^nu(t) / C_n^nu(1)
     (gegenbauer.connection) into the zonal projector q_n."""
-    max_degree, d = _check_degree_dim(max_degree, d)
+    max_degree, d = _integer(max_degree, "degree", 0), _integer(d, "dimension", 2)
     return np.array([eigenspace_dim(n, d) for n in range(max_degree + 1)], dtype=float) / surface_area(d)
 
 
@@ -121,19 +117,9 @@ class KernelSpec:
     l: int = 3
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
-        # a bool is an int, but no argument's value
-        if isinstance(self.degree, bool) or int(self.degree) != self.degree or not 0 <= self.degree <= MAX_DEGREE:
-            raise ValueError(
-                f"degree must be an integer in [0, {MAX_DEGREE}], got {self.degree}"
-            )
-        if isinstance(self.dimension, bool) or int(self.dimension) != self.dimension or self.dimension < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
-        if isinstance(self.l, bool):
-            raise ValueError(f"l must be an integer, got {self.l}")
-        object.__setattr__(self, "degree", int(self.degree))
-        object.__setattr__(self, "dimension", int(self.dimension))
+        _check_family(self.family)
+        object.__setattr__(self, "degree", _integer(self.degree, "degree", 0, MAX_DEGREE))
+        object.__setattr__(self, "dimension", _integer(self.dimension, "dimension", 2))
         if self.family == "riesz":
             if not 0 < self.s < math.inf:
                 raise ValueError(f"riesz smoothness s must be finite and > 0, got {self.s}")
@@ -142,7 +128,9 @@ class KernelSpec:
                     f"riesz power l must be an integer > (d-2)/2 = "
                     f"{(self.dimension - 2) / 2.0}, got {self.l}"
                 )
-            object.__setattr__(self, "l", int(self.l))
+        # the other families ignore l, but a bool is no power in any of them
+        if self.family == "riesz" or isinstance(self.l, bool):
+            object.__setattr__(self, "l", _integer(self.l, "l", 1))
         if self.family == "delayed_means" and not _is_power_of_two(self.degree):
             raise ValueError(
                 f"delayed_means requires a power-of-two degree, got {self.degree}"
@@ -180,6 +168,7 @@ def chi_table(family, degrees, max_n, d, s=2.0, l=3):
     Row k holds chi(n, degrees[k]) for n = 0..max_n, zero above that
     cutoff; the family and the Riesz parameters s, l are as in KernelSpec.
     """
+    _check_family(family)
     n = np.arange(max_n + 1, dtype=float)
     top = np.asarray(degrees, dtype=float)[:, None]
     inside = n <= top

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import ChoiceSample
+from .sphere import _integer
 
 __all__ = [
     "GaussianMixture",
@@ -139,13 +140,8 @@ class DgpSpec:
     fixed_value: float = 1.0
 
     def __post_init__(self):
-        # a bool is an int, but no dimension or sample size
-        if isinstance(self.dimension, bool) or int(self.dimension) != self.dimension or self.dimension < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
-        self.dimension = int(self.dimension)
-        if isinstance(self.n_obs, bool) or int(self.n_obs) != self.n_obs or self.n_obs < 1:
-            raise ValueError(f"n_obs must be a positive integer, got {self.n_obs}")
-        self.n_obs = int(self.n_obs)
+        self.dimension = _integer(self.dimension, "dimension", 2)
+        self.n_obs = _integer(self.n_obs, "n_obs", 1)
         m = self.dimension - 1
         if self.coefficients.dim != m:
             raise ValueError(

@@ -31,6 +31,27 @@ __all__ = [
 ]
 
 
+def _integer(value, name, low, high=None):
+    """value as an int, for the public integer arguments: an integer in
+    [low, high] (no upper bound when high is None), given as an int, a
+    numpy integer or an integral float.  Anything else, a bool, NaN, an
+    infinity, a fraction or a non-number included, is a ValueError that
+    names the argument, worded by its range."""
+    try:
+        number = int(value)
+        # a bool is an int, but no argument's value
+        valid = number == value and not isinstance(value, bool) and low <= number and (high is None or number <= high)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if valid:
+        return number
+    if high is not None:
+        kind = f"an integer in [{low}, {high}]"
+    else:
+        kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+    raise ValueError(f"{name} must be {kind}, got {value}")
+
+
 def surface_area(d):
     """Surface area of S^{d-1}, i.e. 2 pi^{d/2} / Gamma(d/2).
 
@@ -40,8 +61,7 @@ def surface_area(d):
         Ambient dimension, d >= 1 (d=2 gives the circle, 2*pi; d=1 the
         two points +-1, exactly 2).
     """
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d}")
+    d = _integer(d, "dimension", 1)
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
@@ -99,12 +119,7 @@ def sample_uniform(d, n, seed=None):
 
     Uses normalized iid Gaussian vectors; reproducible for a fixed seed.
     """
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    # a bool is an int, but no sample size
-    if isinstance(n, bool) or int(n) != n or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
-    d, n = int(d), int(n)
+    d, n = _integer(d, "dimension", 2), _integer(n, "n", 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, d))
     # a fresh draw for the (measure-zero) event of an underflowing norm
@@ -223,12 +238,7 @@ def build_quadrature(d, resolution, seed=None, method="auto"):
         "auto" (trapezoid for d=2, product for d=3, Monte-Carlo for d>=4),
         or one of "trapezoid", "product", "montecarlo" explicitly.
     """
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    if int(resolution) != resolution or resolution < 4:
-        raise ValueError(f"resolution must be an integer >= 4, got {resolution}")
-    d = int(d)
-    resolution = int(resolution)
+    d, resolution = _integer(d, "dimension", 2), _integer(resolution, "resolution", 4)
 
     if method == "auto":
         method = "trapezoid" if d == 2 else ("product" if d == 3 else "montecarlo")

@@ -396,13 +396,13 @@ def test_bench_writes_errors_and_slope(tmp_path):
     assert Path(out).read_text().split("\n", 1)[1] == Path(out2).read_text().split("\n", 1)[1]
 
 
-def _fresh_cli(args):
-    """Run python -W error -m spherecoef with args in a new interpreter,
-    with one BLAS thread."""
+def _fresh_cli(args, module="spherecoef"):
+    """Run python -W error -m module (spherecoef or spherecoef.cli) with
+    args in a new interpreter, with one BLAS thread."""
     src = str(Path(cli.__file__).resolve().parents[1])
     threads = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "spherecoef", *args],
+        [sys.executable, "-W", "error", "-m", module, *args],
         env={**os.environ, **threads, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -411,15 +411,18 @@ def _fresh_cli(args):
 
 
 def test_python_m_spherecoef_runs_the_cli_without_warnings(tmp_path):
-    """python -m spherecoef runs the command line with warnings as errors
-    (python -m spherecoef.cli trips runpy's RuntimeWarning, because the
-    package imports its cli): exit 0, nothing on stderr, and the CSV that
-    cli.main writes."""
-    out, ref = tmp_path / "m.csv", tmp_path / "ref.csv"
-    done = _fresh_cli(["simulate", "--seed", "1", "--out", str(out)])
-    assert done.returncode == 0 and done.stderr == ""
+    """python -m spherecoef and python -m spherecoef.cli run the command
+    line with warnings as errors (the package does not import its cli, so
+    runpy finds no copy of spherecoef.cli loaded before it runs one as
+    __main__): exit 0, nothing on stderr, and the CSV that cli.main
+    writes."""
+    ref = tmp_path / "ref.csv"
     assert cli.main(["simulate", "--seed", "1", "--out", str(ref)]) == 0
-    assert out.read_bytes() == ref.read_bytes()
+    for module in ("spherecoef", "spherecoef.cli"):
+        out = tmp_path / f"{module}.csv"
+        done = _fresh_cli(["simulate", "--seed", "1", "--out", str(out)], module)
+        assert done.returncode == 0 and done.stderr == ""
+        assert out.read_bytes() == ref.read_bytes()
 
 
 _TINY_BENCH = "[bench]\nn_grid = 40 80\nreplications = 2\nresolution = 8\n"

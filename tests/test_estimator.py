@@ -964,7 +964,7 @@ def test_standard_error_needs_two_observations():
     s = _random_sample(3, 40, seed=25)
     est = estimate_fbeta(s, EstimatorConfig(truncation=1))
     one = HarmonicMixture(est.anchors[:1], est.weights[:1], est.odd.degree_coeffs)
-    trimmed = type(est)(odd=one, config=est.config, fx_values=est.fx_values[:1])
+    trimmed = type(est)(odd=one, config=est.config, fx_values=est.fx_values[:1], trimmed_count=0)
     with pytest.raises(ValueError):
         standard_error(trimmed, np.array([0.0, 0.0, 1.0]))
 

@@ -43,9 +43,9 @@ def test_import_leaves_scipy_stats_unloaded(statement):
     assert _scipy_and_masked(loaded) == []
     # the config is read by the CLI's own one-pass reader
     assert "configparser" not in loaded
-    # The package still imports its CLI; dropping it from __init__ is a
-    # separate decision, pinned here so that it is made on purpose.
-    assert "spherecoef.cli" in loaded
+    # The package does not import its CLI, so that runpy runs
+    # python -m spherecoef.cli without a second copy of the module.
+    assert ("spherecoef.cli" in loaded) == (statement == "import spherecoef.cli")
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from helpers import kernel_eval, projector_kernel
 from spherecoef import gegenbauer, hemisphere, kernels
+from spherecoef.estimator import EstimatorConfig
 from spherecoef.kernels import EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec, eigenspace_dim
 from spherecoef.sphere import build_quadrature, sample_uniform, surface_area
 
@@ -243,10 +244,23 @@ def test_kernel_spec_refuses_bools_and_stores_ints():
     assert KernelSpec("delayed_means", 4.0, 3).degree == 4
 
 
+def test_unknown_filter_family_is_refused_everywhere():
+    """A misspelt family is refused by chi_table, as by KernelSpec and
+    EstimatorConfig, with the one message of kernels._check_family (it
+    was read as delayed_means by chi_table)."""
+    for build in (
+        lambda: kernels.chi_table("rieszz", [4], 4, 3),
+        lambda: KernelSpec("rieszz", 4, 3),
+        lambda: EstimatorConfig(family="rieszz"),
+    ):
+        with pytest.raises(ValueError, match=r"^family must be one of \('riesz', 'delayed_means', 'dirichlet'\), got 'rieszz'$"):
+            build()
+
+
 def test_eigenspace_dim_refuses_bools():
-    """_check_degree_dim refuses a bool degree or dimension, so
-    eigenspace_dim, projector_diagonal and hemisphere.eigenvalues do;
-    np.int64 stays accepted."""
+    """eigenspace_dim, projector_diagonal and hemisphere.eigenvalues refuse
+    a bool degree or dimension (sphere._integer); np.int64 stays
+    accepted."""
     for fn in (eigenspace_dim, kernels.projector_diagonal, hemisphere.eigenvalues):
         with pytest.raises(ValueError, match="^degree must be"):
             fn(True, 3)
