@@ -251,6 +251,13 @@ def resolve_estimator_config(est_cfg):
         )
 
 
+def _checked_dimension(est_cfg, config, d):
+    """The dimension d, once a command knows it, after the one [estimator]
+    bound that needs it, riesz l > (d - 2)/2, refused at its config line."""
+    with _attributed(est_cfg):
+        return config.main_kernel(d).dimension
+
+
 def _seed(args, run_cfg):
     """--seed, or else [run] seed; refused below 0."""
     text, what = (run_cfg["seed"], "seed") if args.seed is None else (str(args.seed), "--seed")
@@ -440,7 +447,7 @@ def cmd_estimate(args):
     text, what = (str(args.grid_res), "--grid-res") if flag else (cfg["grid"]["resolution"], "grid resolution")
     resolution = _parse_int(text, what, minimum=2)
     sample = read_sample(args.data)
-    d = sample.dimension
+    d = _checked_dimension(cfg["estimator"], config, sample.dimension)
     grid = evaluation_grid(d, resolution, cfg["grid"]["points_file"])
     est = estimate_fbeta(sample, config)
     values = est.density(grid)
@@ -463,7 +470,7 @@ def cmd_diagnose(args):
     config = resolve_estimator_config(cfg["estimator"])
     resolution = 32 if args.grid_res is None else _parse_int(str(args.grid_res), "--grid-res", minimum=4)
     sample = read_sample(args.data)
-    d = sample.dimension
+    d = _checked_dimension(cfg["estimator"], config, sample.dimension)
     est = estimate_fbeta(sample, config)
     diag = identification_diagnostic(est, resolution=resolution)
     report = _diagnostic_report(diag, d)
@@ -511,6 +518,7 @@ def cmd_bench(args):
     reps = _parse_int(cfg["bench"]["replications"], "bench replications", minimum=1)
     resolution = _parse_int(cfg["bench"]["resolution"], "bench resolution", minimum=4)
     spec = build_dgp(cfg["model"], seed=seed)
+    _checked_dimension(cfg["estimator"], config, spec.dimension)
     quad = build_quadrature(spec.dimension, resolution, seed=0)
     truth = true_fbeta_on_sphere(spec, quad.points)
     if not np.any(truth):

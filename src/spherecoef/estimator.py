@@ -34,6 +34,7 @@ from .kernels import (
 )
 from .sphere import (
     QuadratureRule,
+    _finite,
     _integer,
     build_quadrature,
     check_on_sphere,
@@ -136,10 +137,9 @@ class EstimatorConfig:
         # the dirichlet and delayed_means filters ignore s and l, but the
         # config is echoed into reports, which cannot hold a non-finite value
         for name in ("s", "l"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _finite(getattr(self, name), name)
         # the riesz bounds that hold in every dimension; l > (d-2)/2 waits
-        # for the fit, which knows d
+        # for KernelSpec, which knows d
         if self.family == "riesz":
             if self.s <= 0:
                 raise ValueError(f"s must be > 0 for riesz, got {self.s}")
@@ -270,11 +270,8 @@ class DensityEstimate:
     values, while a plug-in fit recomputes them from its sample when
     fx_values is read (_plug_in_fx, bit for bit the values it was weighted
     by, at the cost of one sweep of the self-sums).  Callers may keep many
-    fits at once: the perfbench fit-5k run keeps every operation's fit,
-    and once the diagnostic read the moments it kept 489 fits in 25 s
-    (seed 3), whose second N-vector (40 KB each at N = 5 000) took its peak
-    resident memory from 95.3 to 116.3 MB; with one N-vector per fit it
-    kept 506 fits in 98.5 MB.
+    fits at once, and a second N-vector per fit would double what each
+    keeps beyond its sample.
     """
 
     odd: HarmonicMixture
@@ -380,12 +377,9 @@ def estimate_fbeta(sample, config=None, fx=None):
     if n_obs < 3:
         raise ValueError(f"need at least 3 observations, got {n_obs}")
     if fx is not None:
-        fx_values = np.asarray(fx, dtype=float)
+        fx_values = _finite(fx, "fx")
         if fx_values.shape != (n_obs,):
             raise ValueError(f"covariate-density values have shape {fx_values.shape}, expected ({n_obs},)")
-        bad = np.flatnonzero(~np.isfinite(fx_values))
-        if bad.size:
-            raise ValueError(f"covariate-density values must be finite, got fx[{bad[0]}] = {fx_values[bad[0]]}")
         return _fit(sample, config, fx_values, None)
     return _fit(sample, config, _plug_in_fx(sample, config), config.fx_truncation, keep_sample=True)
 
@@ -579,11 +573,9 @@ def marginal_density(density, keep_dims, values, seed=None, dimension=None):
         raise ValueError(f"keep_dims must be integer coordinates, got {keep_dims}")
     if np.unique(keep).size != keep.size or keep.min() < 0 or keep.max() >= d:
         raise ValueError(f"keep_dims must be distinct coordinates in [0, {d}), got {keep_dims}")
-    vals = np.atleast_1d(np.asarray(values, dtype=float))
+    vals = np.atleast_1d(_finite(values, "values"))
     if vals.shape != (keep.size,):
         raise ValueError(f"values has shape {vals.shape}, expected ({keep.size},)")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"values must be finite, got {vals}")
     sq = float(vals @ vals)
     if sq >= 1.0:
         raise ValueError("kept coordinates must have norm strictly below 1")

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .sphere import _integer
+from .sphere import _finite, _integer
 
 __all__ = ["chebyshev", "work_size", "connection", "series_eval"]
 
@@ -131,11 +131,9 @@ def series_eval(nu, coeffs, t):
     coefficients (every even one of an odd series) are skipped in the
     accumulation.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _finite(coeffs, "coeffs")
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coeffs must be a nonempty 1-D sequence indexed by degree")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coeffs must be finite")
     if not 0.0 <= nu < np.inf:
         raise ValueError(f"nu must be finite and >= 0, got {nu}")
     t = np.asarray(t, dtype=float)

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import gegenbauer
 from .gegenbauer import MAX_DEGREE
-from .sphere import _integer, check_on_sphere, surface_area
+from .sphere import _finite, _integer, check_on_sphere, surface_area
 
 __all__ = [
     "eigenspace_dim",
@@ -125,8 +125,8 @@ class KernelSpec:
                 raise ValueError(f"riesz smoothness s must be finite and > 0, got {self.s}")
             if not (self.dimension - 2) / 2.0 < self.l < math.inf or int(self.l) != self.l:
                 raise ValueError(
-                    f"riesz power l must be an integer > (d-2)/2 = "
-                    f"{(self.dimension - 2) / 2.0}, got {self.l}"
+                    f"l must be an integer > (d-2)/2 = {(self.dimension - 2) / 2.0} "
+                    f"for riesz in d = {self.dimension}, got {self.l}"
                 )
         # the other families ignore l, but a bool is no power in any of them
         if self.family == "riesz" or isinstance(self.l, bool):
@@ -157,9 +157,8 @@ def _delayed_means_profile(x):
     x = np.asarray(x, dtype=float)
     a = _bump(2.0 - 2.0 * x)
     b = _bump(2.0 * x - 1.0)
-    with np.errstate(invalid="ignore"):
-        out = np.where(a + b > 0.0, a / np.where(a + b > 0.0, a + b, 1.0), 0.0)
-    return out
+    # for x >= 0 one of 2 - 2x and 2x - 1 is at least 1/2, so a + b >= e^-2
+    return a / (a + b)
 
 
 def chi_table(family, degrees, max_n, d, s=2.0, l=3):
@@ -544,16 +543,12 @@ class HarmonicMixture:
 
     def __post_init__(self):
         self.anchors = check_on_sphere(self.anchors, tol=1e-8)
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = _finite(self.weights, "weights")
         if self.weights.shape != (self.anchors.shape[0],):
             raise ValueError("weights must have one entry per anchor")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
-        self.degree_coeffs = np.asarray(self.degree_coeffs, dtype=float)
+        self.degree_coeffs = _finite(self.degree_coeffs, "degree_coeffs")
         if self.degree_coeffs.ndim != 1 or not 0 < self.degree_coeffs.size <= MAX_DEGREE + 1:
             raise ValueError(f"degree_coeffs must be a nonempty 1-D array over degrees 0..MAX_DEGREE = {MAX_DEGREE} at most")
-        if not np.all(np.isfinite(self.degree_coeffs)):
-            raise ValueError("degree_coeffs must be finite")
 
     @property
     def dimension(self):
@@ -603,10 +598,10 @@ def _cheaper_series(mixture, points, rows):
     row's values are the series of M with that row (_harmonic_series).
     Both routes agree within rounding (about 1e-15 of each row's largest
     value), not bit for bit.  The points are checked as evaluate_series
-    checks them, and nothing is kept between calls."""
+    checks them, once for both routes, and nothing is kept between calls."""
     pts = check_on_sphere(points, d=mixture.dimension, tol=1e-8)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     top = max(_band_length(row) for row in rows) - 1
     if top < 0 or not _basis_is_cheaper(mixture.anchors.shape[0], pts.shape[0], top, mixture.dimension):
-        return mixture.evaluate_series(pts, rows)
+        return degree_sums(mixture.anchors, mixture.weights, pts, _chebyshev_rows(rows, mixture.dimension))
     return _harmonic_series(_harmonic_moments(mixture.anchors, top, mixture.weights), pts, rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import ChoiceSample
-from .sphere import _integer
+from .sphere import _finite, _integer
 
 __all__ = [
     "GaussianMixture",
@@ -38,9 +38,7 @@ def _cholesky(covs, name):
     definite (numpy's LinAlgError, itself a ValueError), each message
     beginning with name.
     """
-    covs = np.asarray(covs, dtype=float)
-    if not np.all(np.isfinite(covs)):
-        raise ValueError(f"{name} entries must be finite")
+    covs = _finite(covs, name)
     try:
         return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
@@ -74,8 +72,8 @@ class GaussianMixture:
     covs: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
+        self.weights = _finite(self.weights, "weights")
+        self.means = np.atleast_2d(_finite(self.means, "means"))
         self.covs = np.asarray(self.covs, dtype=float)
         if self.covs.ndim == 2:
             self.covs = self.covs[None, :, :]
@@ -148,7 +146,7 @@ class DgpSpec:
                 f"dimension {self.dimension} needs coefficients on R^{m}, "
                 f"got a mixture on R^{self.coefficients.dim}"
             )
-        self.covariate_mean = np.asarray(self.covariate_mean, dtype=float)
+        self.covariate_mean = _finite(self.covariate_mean, "covariate_mean")
         self.covariate_cov = np.asarray(self.covariate_cov, dtype=float)
         if self.covariate_mean.shape != (m,):
             raise ValueError(
@@ -264,7 +262,7 @@ def _pushforward_values(pdf, pivot, others, d, scale=1.0):
 
 
 def _as_sphere_points(points, d):
-    pts = np.asarray(points, dtype=float)
+    pts = _finite(points, "points")
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != d:

@@ -52,6 +52,23 @@ def _integer(value, name, low, high=None):
     raise ValueError(f"{name} must be {kind}, got {value}")
 
 
+def _finite(values, name):
+    """values as a float array, for the public array arguments, after one
+    np.isfinite pass: the same object when it already is a float array.  A
+    NaN or an infinity is a ValueError that names the argument and its first
+    non-finite entry, as in "fx[17] = nan" (for a scalar, "s = inf").  An
+    int past the largest float is infinite as a float, and refused too."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, not NaN or infinite: {name} = {values}") from None
+    if np.isfinite(array).all():
+        return array
+    index = tuple(np.argwhere(~np.isfinite(array))[0])
+    entry = f"{name}[{', '.join(map(str, index))}]" if index else name
+    raise ValueError(f"{name} must be finite, not NaN or infinite: {entry} = {array[index]}")
+
+
 def surface_area(d):
     """Surface area of S^{d-1}, i.e. 2 pi^{d/2} / Gamma(d/2).
 
@@ -82,9 +99,10 @@ def normalize(v):
     """Map vectors to the unit sphere, preserving direction.
 
     Accepts a single vector (d,) or a batch (n, d).  Raises on (near-)zero
-    vectors since those have no direction.
+    vectors since those have no direction, and on a NaN or infinite
+    coordinate (_finite).
     """
-    v = np.asarray(v, dtype=float)
+    v = _finite(v, "v")
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     if np.any(norms <= 1e-300):
         raise ValueError("cannot normalize a zero vector")
@@ -94,19 +112,17 @@ def normalize(v):
 def check_on_sphere(points, d=None, tol=1e-12):
     """Validate an array of points as living on S^{d-1}.
 
-    Returns the points as a (n, d) float array.  Raises ValueError when the
-    dimension is wrong, any coordinate is NaN or infinite, or any row's
-    norm deviates from 1 by more than tol.
+    Returns the points as a (n, d) float array.  Raises ValueError when any
+    coordinate is NaN or infinite (_finite), the dimension is wrong, or any
+    row's norm deviates from 1 by more than tol.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(_finite(points, "points"))
     if pts.ndim != 2:
         raise ValueError(f"expected an (n, d) array of points, got shape {pts.shape}")
     if d is not None and pts.shape[1] != d:
         raise ValueError(f"expected points in R^{d}, got R^{pts.shape[1]}")
     if pts.shape[1] < 2:
         raise ValueError("sphere points need dimension >= 2")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain NaN or infinite coordinates")
     norms = np.linalg.norm(pts, axis=1)
     worst = np.max(np.abs(norms - 1.0)) if len(norms) else 0.0
     if worst > tol:
@@ -135,7 +151,8 @@ class QuadratureRule:
     """Nodes and weights for integration over S^{d-1} w.r.t. sigma.
 
     weights sum to surface_area(dimension); integrate(values) expects one
-    value per node (or a callable evaluated on the nodes).
+    value per node (or a callable evaluated on the nodes).  Points and
+    weights must be finite (_finite).
     """
 
     points: np.ndarray
@@ -143,8 +160,8 @@ class QuadratureRule:
     dimension: int
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.points = _finite(self.points, "points")
+        self.weights = _finite(self.weights, "weights")
         if self.points.ndim != 2 or self.points.shape[1] != self.dimension:
             raise ValueError("points must have shape (n_nodes, dimension)")
         if self.weights.shape != (self.points.shape[0],):

@@ -730,6 +730,38 @@ _REFUSED_VALUES = {
         _custom_model("mixture_means = 1e308 1e308 ; 1e308 1e308"),
         "mixture_means or mixture_covs is too large: the latent index x'beta overflows a float",
     ),
+    # non-finite values, refused by name and entry before any draw
+    "mixture_weights_nan": (
+        ["simulate"],
+        "model",
+        _custom_model("mixture_weights = nan 0.5"),
+        "weights must be finite, not NaN or infinite: weights[0] = nan",
+    ),
+    "mixture_weights_nan_bench": (
+        ["bench"],
+        "model",
+        _custom_model("mixture_weights = nan 0.5") + "\n" + _SMALL_BENCH,
+        "weights must be finite, not NaN or infinite: weights[0] = nan",
+    ),
+    "mixture_means_nan": (
+        ["simulate"],
+        "model",
+        _custom_model("mixture_means = nan 0 ; 0 0"),
+        "means must be finite, not NaN or infinite: means[0, 0] = nan",
+    ),
+    "covariate_mean_nan": (
+        ["simulate"],
+        "model",
+        _custom_model("covariate_mean = nan 0"),
+        "covariate_mean must be finite, not NaN or infinite: covariate_mean[0] = nan",
+    ),
+    # an int past the largest float, which float() cannot convert
+    "l_past_the_largest_float": (
+        ["estimate", "{data}"],
+        "estimator",
+        "l = 1" + "0" * 400,
+        "l must be finite, not NaN or infinite: l = 1" + "0" * 400,
+    ),
 }
 
 
@@ -744,6 +776,33 @@ def test_refused_config_value_names_its_file_and_line(tmp_path, capsys, case):
     out = str(tmp_path / "out.csv")
     assert cli.main([a.format(data=data) for a in argv] + ["--config", config, "--out", out]) == 2
     assert capsys.readouterr().err == f"error: {config}: line 4: {message}\n"
+    assert not list(tmp_path.glob("out.csv*"))
+
+
+_D4_MODEL = (
+    "[model]\npreset = custom\ndimension = 4\nn_obs = 60\ncovariate_mean = 0 0 0\n"
+    "covariate_cov = 1 0 0 ; 0 1 0 ; 0 0 1\nmixture_weights = 1\nmixture_means = 0 0 0\n"
+    "mixture_covs = 0.3 0 0 ; 0 0.3 0 ; 0 0 0.3\n"
+)
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose", "bench"])
+def test_riesz_power_refused_in_d_4_names_its_line(tmp_path, capsys, monkeypatch, command):
+    """l = 1 passes the config's own checks but not riesz l > (d - 2)/2 in
+    d = 4: each command refuses it at its line as soon as it knows d,
+    before a grid, a quadrature or a fit (d = 4 has no built-in grid, and
+    no points file is given)."""
+    config = _write(tmp_path / "c.ini", _D4_MODEL + "[estimator]\nl = 1\n" + _SMALL_BENCH)
+    data = str(tmp_path / "data.csv")
+    assert cli.main(["simulate", "--config", config, "--out", data, "--seed", "1"]) == 0
+    capsys.readouterr()
+    for late in ("build_quadrature", "estimate_fbeta"):
+        monkeypatch.setattr(cli, late, lambda *args, **kwargs: pytest.fail("reached past the check"))
+    out = str(tmp_path / "out.csv")
+    argv = [command] + ([] if command == "bench" else [data]) + ["--config", config, "--out", out]
+    assert cli.main(argv) == 2
+    message = "l must be an integer > (d-2)/2 = 1.0 for riesz in d = 4, got 1"
+    assert capsys.readouterr().err == f"error: {config}: line 11: {message}\n"
     assert not list(tmp_path.glob("out.csv*"))
 
 

@@ -278,7 +278,7 @@ def test_kernel_spec_refuses_non_finite_riesz_smoothness(s):
 @pytest.mark.parametrize("l", [np.inf, np.nan])
 def test_kernel_spec_refuses_non_finite_riesz_power(l):
     """A ValueError, not the OverflowError or ValueError of int()."""
-    with pytest.raises(ValueError, match="^riesz power l must be"):
+    with pytest.raises(ValueError, match="^l must be an integer > "):
         KernelSpec("riesz", 4, 3, l=l)
 
 
