@@ -6,15 +6,17 @@ averages of the choice probability.  This package inverts that relation
 with a closed-form filtered-harmonic estimator: no numerical integration
 or optimization is needed to evaluate the fitted density.
 
-Layout: sphere (geometry and quadrature), gegenbauer (the Chebyshev
-recurrence and the connection tables of the normalised Gegenbauer
-polynomials), kernels (the zonal projectors q_n and their per-degree
-sums, filtered kernels, band-limited mixtures, whose coefficients are
-rows over q_n, and a sample's per-degree self-sums), hemisphere (the
-averaging operator and its inverse), estimator (the statistical layer,
-which reads those sums), simulate (synthetic designs with exact sphere
-densities), cli (command-line front end, which importing the package
-does not load: python -m spherecoef.cli runs it without a second copy).
+Layout: sphere (geometry and quadrature), gegenbauer (series of the
+normalised Gegenbauer polynomials, through one Chebyshev recurrence and
+per-dimension connection tables), kernels (filtered kernels and
+band-limited mixtures, whose coefficients are rows over the zonal
+projectors q_n, and behind them the per-degree sums over anchors and a
+sample's self-sums), hemisphere (the averaging operator and its inverse),
+estimator (the statistical layer, which reads those sums), simulate
+(synthetic designs with exact sphere densities), cli (command-line front
+end, which importing the package does not load: python -m spherecoef.cli
+runs it without a second copy).  Each module's __all__ is its public
+API, and README.md's "Public API" section lists every one.
 """
 
 from . import gegenbauer, hemisphere, kernels, simulate, sphere
@@ -24,9 +26,7 @@ from .estimator import (
     DensityEstimate,
     EstimatorConfig,
     confidence_interval,
-    estimate_choice_probability,
     estimate_fbeta,
-    estimate_fx,
     identification_diagnostic,
     marginal_density,
     standard_error,
@@ -50,9 +50,7 @@ __all__ = [
     "build_quadrature",
     "confidence_interval",
     "eigenspace_dim",
-    "estimate_choice_probability",
     "estimate_fbeta",
-    "estimate_fx",
     "generate",
     "identification_diagnostic",
     "marginal_density",

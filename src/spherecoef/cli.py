@@ -89,7 +89,7 @@ from .estimator import (
     weight_summary,
 )
 from .simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere
-from .sphere import _circle_rule, build_quadrature, normalize, surface_area
+from .sphere import _circle_rule, _normalize, build_quadrature, surface_area
 
 __all__ = ["main", "entry_point"]
 
@@ -275,7 +275,7 @@ def evaluation_grid(dimension, resolution, points_file=""):
         if np.any(off := np.abs(norms - 1.0) > 1e-6):
             bad = int(np.argmax(off))
             raise CliError(f"{points_file}: line {rows[bad][0]}: norm {norms[bad]:.17g} is not within 1e-6 of 1")
-        return normalize(pts)
+        return _normalize(pts)
     if resolution < 2:
         raise CliError(f"grid resolution must be >= 2, got {resolution}")
     if dimension == 2:

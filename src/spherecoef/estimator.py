@@ -18,7 +18,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import hemisphere
+# the self-sums are read as kernels._self_sums, so that no _self_sums
+# names them here (tests/test_imports.py keeps the name out of estimator)
+from . import hemisphere, kernels
 from .kernels import (
     MAX_DEGREE,
     KernelSpec,
@@ -26,20 +28,19 @@ from .kernels import (
     _cheaper_series,
     _check_family,
     _chebyshev_rows,
+    _chi_table,
+    _degree_sums,
     _is_power_of_two,
-    chi_table,
-    degree_sums,
-    projector_diagonal,
-    self_sums,
+    _projector_diagonal,
 )
 from .sphere import (
     QuadratureRule,
+    _check_on_sphere,
+    _coarea_factor,
     _finite,
     _integer,
+    _normalize,
     build_quadrature,
-    check_on_sphere,
-    coarea_factor,
-    normalize,
     surface_area,
 )
 
@@ -83,7 +84,7 @@ class ChoiceSample:
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("y must contain only 0 and 1")
         self.y = y.astype(np.int64)
-        x = check_on_sphere(self.x)
+        x = _check_on_sphere(self.x)
         if x.shape[0] != y.shape[0]:
             raise ValueError(
                 f"y has {y.shape[0]} rows but x has {x.shape[0]}"
@@ -134,9 +135,10 @@ class EstimatorConfig:
                 f"trimming_exponent must be finite and positive, got {self.trimming_exponent}"
             )
         self.fx_truncation = _integer(self.fx_truncation, "fx_truncation", 0, MAX_DEGREE)
-        # the dirichlet and delayed_means filters ignore s and l, but the
-        # config is echoed into reports, which cannot hold a non-finite value
-        for name in ("s", "l"):
+        # reports echo the config, so no value may be non-finite: not s or
+        # l, which the dirichlet and delayed_means filters ignore, and not an
+        # int past the largest float, which passes the range check above
+        for name in ("trimming_exponent", "s", "l"):
             _finite(getattr(self, name), name)
         # the riesz bounds that hold in every dimension; l > (d-2)/2 waits
         # for KernelSpec, which knows d
@@ -225,14 +227,14 @@ def _cross_validated_fx(sample, config):
     """The covariate density at its own sample, each x_i left out of its
     own kernel average, at the band of _lscv_bands with the least
     cross-validation score, as (band, values clipped at zero): one sweep of
-    the self-sums (kernels.self_sums) to the last band the search tries."""
+    the self-sums (kernels._self_sums) to the last band the search tries."""
     n_obs, d = sample.n_obs, sample.dimension
     bands = _lscv_bands(config)
     top = int(bands[-1])
-    chi = chi_table(config.family, bands, top, d, s=config.s, l=config.l)
-    energy, combine = self_sums(sample.x, top)
+    chi = _chi_table(config.family, bands, top, d, s=config.s, l=config.l)
+    energy, combine = kernels._self_sums(sample.x, top)
     # the terms j = i, q_n(x_i, x_i), dropped
-    diagonal = projector_diagonal(top, d)
+    diagonal = _projector_diagonal(top, d)
     k = int(np.argmin(_lscv_scores(chi, energy, energy - n_obs * diagonal, n_obs)))
     return int(bands[k]), np.maximum((combine(chi[k]) - chi[k] @ diagonal) / (n_obs - 1), 0.0)
 
@@ -388,8 +390,8 @@ def _plug_in_fx(sample, config):
     """The plug-in covariate density at the sample, each observation left
     in its own kernel average: the filter weights config.fx_kernel(d).chi()
     against one sweep of the self-sums to config.fx_truncation
-    (kernels.self_sums), clipped at zero."""
-    _, combine = self_sums(sample.x, config.fx_truncation)
+    (kernels._self_sums), clipped at zero."""
+    _, combine = kernels._self_sums(sample.x, config.fx_truncation)
     return np.maximum(combine(config.fx_kernel(sample.dimension).chi()) / sample.n_obs, 0.0)
 
 
@@ -467,7 +469,7 @@ def standard_error(estimate, points):
 
 def _odd_and_spread(fit, points):
     """The fit's odd part and its standard error scale 2 N sd(Z_i) at the
-    points, as two (m,) arrays from one degree_sums sweep to Chebyshev
+    points, as two (m,) arrays from one _degree_sums sweep to Chebyshev
     degree 2D, for g = sum_n c_n q_n the odd part's kernel, c its
     degree_coeffs row of top degree D, and e its Chebyshev coefficients
     (kernels._chebyshev_rows): e, odd, weighted by w_i gives the odd part
@@ -478,13 +480,13 @@ def _odd_and_spread(fit, points):
     against rounding."""
     if fit.n_obs < 2:
         raise ValueError("standard error needs at least 2 observations")
-    pts = check_on_sphere(points, d=fit.dimension, tol=1e-8)
+    pts = _check_on_sphere(points, d=fit.dimension, tol=1e-8)
     (cheb,) = _chebyshev_rows(fit.odd.degree_coeffs, fit.dimension)
     square = np.polynomial.chebyshev.chebmul(cheb, cheb)  # trailing zeros trimmed
     rows = np.zeros((2, 2 * cheb.size - 1))
     rows[0, : cheb.size], rows[1, : square.size] = cheb, square
     weights = np.stack((fit.weights * fit.weights, fit.weights))  # even, odd Chebyshev degrees
-    s1, s2 = degree_sums(fit.anchors, weights, pts, rows)
+    s1, s2 = _degree_sums(fit.anchors, weights, pts, rows)
     return s1, 2.0 * fit.n_obs * np.sqrt(np.maximum(s2 - s1 * s1 / fit.n_obs, 0.0) / (fit.n_obs - 1))
 
 
@@ -495,7 +497,7 @@ def confidence_interval(estimate, points, level=0.95):
     +- z * standard_error(fit) / sqrt(N) with z the two-sided normal
     quantile for the given level, and the lower bound clipped at 0 (a
     density is never negative); centre and standard error come from one
-    degree_sums sweep (_odd_and_spread).  The fit is estimate.inference
+    _degree_sums sweep (_odd_and_spread).  The fit is estimate.inference
     when the estimate has one (a plug-in fit, which builds it on the first
     call; see DensityEstimate), and the estimate itself otherwise: its
     finer, leave-one-out covariate density removes most of the smoothing
@@ -540,7 +542,7 @@ def marginal_density(density, keep_dims, values, seed=None, dimension=None):
     A point of S^{d-1} whose kept block equals values is (values, rho u),
     with rho = sqrt(1 - |values|^2) and u on the unit sphere S^{k-1} of
     the k = d - len(keep_dims) integrated coordinates.  The marginal
-    density at values is sphere.coarea_factor(k, rho) = rho^{k-2}
+    density at values is sphere._coarea_factor(k, rho) = rho^{k-2}
     |S^{k-1}| times the mean of the joint density over those points.  The
     mean is taken by a fixed rule on S^{k-1} (_slice_rule):
 
@@ -566,13 +568,11 @@ def marginal_density(density, keep_dims, values, seed=None, dimension=None):
     if dimension is None:
         raise ValueError("pass dimension= when density is a bare callable")
     d = _integer(dimension, "dimension", 2)
-    keep = np.asarray(keep_dims, dtype=int)
-    if keep.ndim != 1 or keep.size == 0 or keep.size >= d:
+    if np.ndim(keep_dims) != 1 or not 0 < len(keep_dims) < d:
         raise ValueError("keep_dims must select between 1 and d-1 coordinates")
-    if np.any(keep != np.asarray(keep_dims)):
-        raise ValueError(f"keep_dims must be integer coordinates, got {keep_dims}")
-    if np.unique(keep).size != keep.size or keep.min() < 0 or keep.max() >= d:
-        raise ValueError(f"keep_dims must be distinct coordinates in [0, {d}), got {keep_dims}")
+    keep = np.array([_integer(k, "keep_dims", 0, d - 1) for k in keep_dims], dtype=int)
+    if np.unique(keep).size != keep.size:
+        raise ValueError(f"keep_dims must be distinct coordinates, got {keep_dims}")
     vals = np.atleast_1d(_finite(values, "values"))
     if vals.shape != (keep.size,):
         raise ValueError(f"values has shape {vals.shape}, expected ({keep.size},)")
@@ -585,7 +585,7 @@ def marginal_density(density, keep_dims, values, seed=None, dimension=None):
     pts = np.empty((len(weights), d))
     pts[:, keep] = vals
     pts[:, rest] = rho * u
-    return coarea_factor(rest.size, rho) * float(weights @ density(pts))
+    return _coarea_factor(rest.size, rho) * float(weights @ density(pts))
 
 
 @dataclass
@@ -708,7 +708,7 @@ class CoefficientDensity:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
-        sample = ChoiceSample(y=np.asarray(y), x=normalize(check_on_sphere(X, tol=1e-6)))
+        sample = ChoiceSample(y=np.asarray(y), x=_normalize(_check_on_sphere(X, tol=1e-6)))
         self.config_ = config
         self.estimate_ = estimate_fbeta(sample, config)
         self.choice_probability_ = ChoiceProbabilityEstimate(hemisphere.transform(self.estimate_.odd))
@@ -722,7 +722,7 @@ class CoefficientDensity:
     def _points(self, B):
         """Query rows taken as fit takes X; a single point stays one."""
         self._check_fitted()
-        pts = normalize(check_on_sphere(B, d=self.n_features_in_, tol=1e-6))
+        pts = _normalize(_check_on_sphere(B, d=self.n_features_in_, tol=1e-6))
         return pts.reshape(np.shape(B))
 
     def density(self, B):

@@ -1,24 +1,26 @@
-"""Surface-harmonic machinery: eigenspace dimensions, zonal projector
-kernels, smoothed projection kernels, anchored harmonic expansions and an
-explicit orthonormal basis of the harmonics.
+"""Surface-harmonic machinery: eigenspace dimensions (eigenspace_dim),
+smoothed projection kernels (KernelSpec) and anchored harmonic expansions
+(HarmonicMixture), the public names, and behind them the zonal projectors,
+their sums over anchors and an explicit orthonormal basis of the
+harmonics, which the estimator reads.
 
 Degree-n content on S^{d-1} is handled through the zonal projector kernel
 
     q_n(x, y) = q_n(x, x) * C_n^nu(x'y) / C_n^nu(1),
 
-with nu = (d-2)/2 and q_n(x, x) = h(n, d) / |S^{d-1}| (projector_diagonal,
+with nu = (d-2)/2 and q_n(x, x) = h(n, d) / |S^{d-1}| (_projector_diagonal,
 the one place that constant is written).  Every per-degree quantity is a
 row over these projectors: a smoothed projection kernel is K_T(x, y) =
 sum_{n<=T} chi(n, T) q_n(x, y) for one of the weight families below, and a
 HarmonicMixture's degree_coeffs is such a row too.  By the addition
 theorem q_n(x, y) is also Y_n(x)'Y_n(y) for any orthonormal basis Y_n of
-the degree-n harmonics; harmonic_basis builds one (the Gelfand-Tsetlin
+the degree-n harmonics; _harmonic_basis builds one (the Gelfand-Tsetlin
 basis).  A row maps once to Chebyshev coefficients (_chebyshev_rows),
 and every sum of such rows over anchors runs through one loop,
-degree_sums; a row's square is the product of its Chebyshev series
+_degree_sums; a row's square is the product of its Chebyshev series
 (np.polynomial.chebyshev.chebmul).  The self-sums S[n, i] = sum_j
 q_n(x_i, x_j) over a sample, which every covariate-density fit reads
-against rows of filter weights, live here too: self_sums takes them from
+against rows of filter weights, live here too: _self_sums takes them from
 the basis' moments over the sample (its analysis and synthesis,
 _harmonic_moments and _harmonic_series) or by a sweep over every pair of
 sample points, whichever costs less (_basis_is_cheaper).  By the same
@@ -29,39 +31,30 @@ sum_i w_i Y(x_i) instead of sweeping every anchor-point pair.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gegenbauer
 from .gegenbauer import MAX_DEGREE
-from .sphere import _finite, _integer, check_on_sphere, surface_area
+from .sphere import _check_on_sphere, _finite, _integer, surface_area
 
-__all__ = [
-    "eigenspace_dim",
-    "projector_diagonal",
-    "KernelSpec",
-    "chi_table",
-    "MAX_DEGREE",
-    "degree_sums",
-    "harmonic_basis",
-    "self_sums",
-    "HarmonicMixture",
-]
+__all__ = ["eigenspace_dim", "KernelSpec", "MAX_DEGREE", "HarmonicMixture"]
 
 _FAMILIES = ("riesz", "delayed_means", "dirichlet")
 
-# Cosines per block of degree_sums, for evaluation and self-sums alike.
+# Cosines per block of _degree_sums, for evaluation and self-sums alike.
 # Each block-sized array of the Chebyshev sweep (the cosines, 2t and the
 # three rolling buffers) is then 128 KB, 640 KB together, so they stay in
 # cache; blocks of millions of cosines were two to three times slower per
 # point.  Each starts on a 64-byte cache line (_aligned_empty and
-# gegenbauer.work_size), so no vector load of the sweep straddles two.
+# gegenbauer._work_size), so no vector load of the sweep straddles two.
 EVAL_CHUNK = 1 << 14
 
-# Least anchors per chunk of degree_sums: each chunk's Chebyshev sums reduce
+# Least anchors per chunk of _degree_sums: each chunk's Chebyshev sums reduce
 # through each row before the chunks add up, which keeps them as accurate
-# as sums of projector values (see degree_sums).  A chunk's
+# as sums of projector values (see _degree_sums).  A chunk's
 # blocks are then 128 x 128 cosines; with fewer than 128 points a chunk
 # takes more anchors, enough for one EVAL_CHUNK block.
 ANCHOR_CHUNK = 1 << 7
@@ -84,11 +77,11 @@ def eigenspace_dim(n, d):
     return math.comb(n + d - 2, n) + math.comb(n + d - 3, n - 1)
 
 
-def projector_diagonal(max_degree, d):
+def _projector_diagonal(max_degree, d):
     """The row q_n(x, x) = h(n, d) / |S^{d-1}| for n = 0..max_degree: the
     constant that turns the normalised polynomial C_n^nu(t) / C_n^nu(1)
-    (gegenbauer.connection) into the zonal projector q_n."""
-    max_degree, d = _integer(max_degree, "degree", 0), _integer(d, "dimension", 2)
+    (gegenbauer._connection) into the zonal projector q_n, for int
+    max_degree >= 0 and d >= 2."""
     return np.array([eigenspace_dim(n, d) for n in range(max_degree + 1)], dtype=float) / surface_area(d)
 
 
@@ -104,10 +97,12 @@ class KernelSpec:
     degree : truncation degree T >= 0
     dimension : ambient dimension d >= 2
     s, l : Riesz parameters (smoothness exponent and integer power); l must
-        exceed (d-2)/2.  Ignored by the other families.
+        exceed (d-2)/2.  Ignored by the other families, but finite numbers
+        in every one (sphere._finite).
 
     degree, dimension and a riesz l are stored as ints (np.int64 and
-    integral floats are accepted); a bool is refused.
+    integral floats are accepted); a bool, Python's or numpy's, is refused
+    for any of them and for s.
     """
 
     family: str
@@ -120,6 +115,9 @@ class KernelSpec:
         _check_family(self.family)
         object.__setattr__(self, "degree", _integer(self.degree, "degree", 0, MAX_DEGREE))
         object.__setattr__(self, "dimension", _integer(self.dimension, "dimension", 2))
+        # a bool is a numbers.Real, but no smoothness
+        if isinstance(self.s, bool) or not isinstance(self.s, numbers.Real):
+            raise ValueError(f"s must be a number, got {self.s!r}")
         if self.family == "riesz":
             if not 0 < self.s < math.inf:
                 raise ValueError(f"riesz smoothness s must be finite and > 0, got {self.s}")
@@ -128,8 +126,12 @@ class KernelSpec:
                     f"l must be an integer > (d-2)/2 = {(self.dimension - 2) / 2.0} "
                     f"for riesz in d = {self.dimension}, got {self.l}"
                 )
-        # the other families ignore l, but a bool is no power in any of them
-        if self.family == "riesz" or isinstance(self.l, bool):
+        # finite in every family, also those that ignore s and l; an int
+        # past the largest float passes the riesz bounds above
+        for name in ("s", "l"):
+            _finite(getattr(self, name), name)
+        # and a bool is no power in any family
+        if self.family == "riesz" or isinstance(self.l, (bool, np.bool_)):
             object.__setattr__(self, "l", _integer(self.l, "l", 1))
         if self.family == "delayed_means" and not _is_power_of_two(self.degree):
             raise ValueError(
@@ -138,7 +140,7 @@ class KernelSpec:
 
     def chi(self):
         """All filter weights chi(n, T) for n = 0..degree as an array."""
-        table = chi_table(self.family, [self.degree], self.degree, self.dimension, s=self.s, l=self.l)
+        table = _chi_table(self.family, [self.degree], self.degree, self.dimension, s=self.s, l=self.l)
         return table[0]
 
 
@@ -161,13 +163,13 @@ def _delayed_means_profile(x):
     return a / (a + b)
 
 
-def chi_table(family, degrees, max_n, d, s=2.0, l=3):
+def _chi_table(family, degrees, max_n, d, s=2.0, l=3):
     """Weights chi(n, T) for several cutoffs at once.
 
     Row k holds chi(n, degrees[k]) for n = 0..max_n, zero above that
-    cutoff; the family and the Riesz parameters s, l are as in KernelSpec.
+    cutoff; the family and the Riesz parameters s, l are as in KernelSpec,
+    which checks them.
     """
-    _check_family(family)
     n = np.arange(max_n + 1, dtype=float)
     top = np.asarray(degrees, dtype=float)[:, None]
     inside = n <= top
@@ -195,13 +197,13 @@ def _aligned_empty(size):
 def _chebyshev_rows(rows, d):
     """The Chebyshev coefficients of rows of projector coefficients on
     S^{d-1}: sum_j C[r, j] T_j(t) = sum_n rows[r, n] q_n(t), through the
-    table of q_n (projector_diagonal times gegenbauer.connection).  rows is
+    table of q_n (_projector_diagonal times gegenbauer._connection).  rows is
     one row or an (r, k) array over degrees 0..k - 1; returns (r, k)."""
     top = np.shape(rows)[-1] - 1
-    return (np.atleast_2d(rows) * projector_diagonal(top, d)) @ gegenbauer.connection((d - 2) / 2.0, top)
+    return (np.atleast_2d(rows) * _projector_diagonal(top, d)) @ gegenbauer._connection((d - 2) / 2.0, top)
 
 
-def degree_sums(anchors, weights, points, cheb):
+def _degree_sums(anchors, weights, points, cheb):
     """The values V[r, k] = sum_i sum_j C[r, j] W[j, i] T_j(a_i'b_k) of the
     (r, J) Chebyshev rows C (_chebyshev_rows) over the (N, d) anchors a_i,
     at the (m, d) points b_k.  weights is one (N,) vector, or p rows, row
@@ -210,7 +212,7 @@ def degree_sums(anchors, weights, points, cheb):
 
     Returns an (r, m) array.  The anchors go in chunks of at least
     ANCHOR_CHUNK, and each chunk's points in blocks of about EVAL_CHUNK
-    cosines: one gegenbauer.chebyshev sweep per block, up to the highest
+    cosines: one gegenbauer._chebyshev sweep per block, up to the highest
     Chebyshev degree some row reads, and one matrix-vector product with the
     weights for each Chebyshev degree some row reads.  After each chunk,
     each row reduces the chunk's Chebyshev sums over its own nonzero
@@ -246,7 +248,7 @@ def degree_sums(anchors, weights, points, cheb):
     # bit the same.
     counts = [c for c in (min(chunk, n_obs), n_obs % chunk) if c]
     cosines = _aligned_empty(max([min(max(1, EVAL_CHUNK // c), m) * c for c in counts], default=0))
-    work, sums = _aligned_empty(gegenbauer.work_size(cosines.size)), np.empty((slot[-1] + 1, m))
+    work, sums = _aligned_empty(gegenbauer._work_size(cosines.size)), np.empty((slot[-1] + 1, m))
     for start in range(0, n_obs, chunk):
         part = anchors[start : start + chunk]
         height = max(1, EVAL_CHUNK // part.shape[0])
@@ -255,7 +257,7 @@ def degree_sums(anchors, weights, points, cheb):
             block = cosines[: min(height, m - first) * part.shape[0]].reshape(-1, part.shape[0])
             np.matmul(points[rows], part.T, out=block)
             np.clip(block, -1.0, 1.0, out=block)
-            for j, values in enumerate(gegenbauer.chebyshev(top, block, work)):
+            for j, values in enumerate(gegenbauer._chebyshev(top, block, work)):
                 if read[j]:
                     sums[slot[j], rows] = values @ rows_of[j % len(rows_of), start : start + chunk]
         # a row that reads every slot takes sums itself: a copy per chunk made
@@ -304,7 +306,7 @@ def _gegenbauer_factors(t, rho2, top, nu):
         yield g, scale[k, :rows]
 
 
-def harmonic_basis(points, top):
+def _harmonic_basis(points, top):
     """Real harmonics of every degree n <= top at the (m, d) points, d >= 2,
     as a (top + 1, w, m) array Y: Y[n, :h(n, d)] are the degree-n ones and
     the rest of Y[n] is zero (w = h(top, d), or 2 in d = 2).  At unit
@@ -333,7 +335,7 @@ def harmonic_basis(points, top):
         np.multiply(z.imag, 1.0 / math.sqrt(math.pi), out=out[:, 1])
         out[0, 0] = 1.0 / math.sqrt(2.0 * math.pi)
         return out
-    lower = harmonic_basis(x[:, :-1], top)
+    lower = _harmonic_basis(x[:, :-1], top)
     factors = np.empty((top + 1, top + 1, x.shape[0]))
     rho2 = np.einsum("ij,ij->i", x, x)
     for k, (g, scale) in enumerate(_gegenbauer_factors(x[:, -1], rho2, top, (d - 2) / 2.0)):
@@ -354,7 +356,7 @@ def _layout(d, top):
 def _basis_terms(x, top):
     """Yield (rows, k, lower, g, scale) over row blocks of the unit vectors
     x and the factor indices k = 0..top: lower is the block's
-    harmonic_basis in the first d - 1 coordinates to degree top - k, and g
+    _harmonic_basis in the first d - 1 coordinates to degree top - k, and g
     and scale the matching monic Gegenbauer factors in the last one
     (rho = 1) and their scales (_gegenbauer_factors), so that
     scale[l] g[l] lower[l] are the harmonics of degree l + k.  In d = 2,
@@ -364,15 +366,15 @@ def _basis_terms(x, top):
     for start in range(0, x.shape[0], size):
         rows = slice(start, start + size)
         if d == 2:
-            yield rows, 0, harmonic_basis(x[rows], top), np.ones((top + 1, x[rows].shape[0])), np.ones(top + 1)
+            yield rows, 0, _harmonic_basis(x[rows], top), np.ones((top + 1, x[rows].shape[0])), np.ones(top + 1)
             continue
-        lower = harmonic_basis(x[rows, :-1], top)
+        lower = _harmonic_basis(x[rows, :-1], top)
         for k, (g, scale) in enumerate(_gegenbauer_factors(x[rows, -1], None, top, (d - 2) / 2.0)):
             yield rows, k, lower[: top + 1 - k], g, scale
 
 
 def _harmonic_moments(points, top, weights=None):
-    """The sums over the (m, d) unit vectors of harmonic_basis' harmonics,
+    """The sums over the (m, d) unit vectors of _harmonic_basis' harmonics,
     to degree top, each vector's harmonics times its entry of the (m,)
     weights when given, as a coefficient array M of shape _layout(d, top):
     M[l, :, k] is for the harmonics of degree l + k made of the lower ones
@@ -438,11 +440,11 @@ def _basis_is_cheaper(n_anchors, n_points, top, d):
     from the harmonic basis (moments over the anchors, then their series
     at the points: (N + m) H harmonics, H = sum_{n <= top} h(n, d) =
     h(top, d + 1); no set-up, nothing kept between calls) than from the
-    pair sweep (degree_sums: N m (top + 1) Chebyshev terms): in d = 2
+    pair sweep (_degree_sums: N m (top + 1) Chebyshev terms): in d = 2
     always, elsewhere from 2 N m (top + 1) > BASIS_RATIO (N + m) H.  For
     the self-sums, N = m, that is N (top + 1) > BASIS_RATIO H.
 
-    Self-sums (self_sums), with one BLAS thread, for the energies and one
+    Self-sums (_self_sums), with one BLAS thread, for the energies and one
     combine at top (medians of 7, 2-core Xeon): the basis was the cheaper
     from N (top + 1) = 12 H at degree 10 in d = 3 (N = 132), 8 H at degree
     24 (N = 200), 7 H and 4 H at degrees 10 and 24 in d = 4 (N = 322 and
@@ -472,12 +474,12 @@ def _basis_is_cheaper(n_anchors, n_points, top, d):
     return d == 2 or 2 * n_anchors * n_points * (top + 1) > BASIS_RATIO * (n_anchors + n_points) * eigenspace_dim(top, d + 1)
 
 
-def self_sums(x, max_degree):
+def _self_sums(x, max_degree):
     """The self-sums S[n, i] = sum_j q_n(x_i, x_j) for n = 0..max_degree,
     over the whole sample (the term j = i, q_n(x_i, x_i) = h(n, d) /
     |S^{d-1}|, included), as a pair (energy, combine): energy[n] = sum_i
     S[n, i], and combine(row) the values row @ S for a row of filter
-    weights over degrees 0..max_degree (KernelSpec.chi, chi_table),
+    weights over degrees 0..max_degree (KernelSpec.chi, _chi_table),
     computed only up to the row's last nonzero degree.
 
     Two paths give them, whichever costs less (_basis_is_cheaper, with the
@@ -491,10 +493,10 @@ def self_sums(x, max_degree):
 
 
 def _pair_sums(x, max_degree):
-    """self_sums by one sweep over all N^2 cosines x_i'x_j, keeping the
-    (max_degree + 1, N) sums S: degree_sums of the rows of the table of q_n
+    """_self_sums by one sweep over all N^2 cosines x_i'x_j, keeping the
+    (max_degree + 1, N) sums S: _degree_sums of the rows of the table of q_n
     (_chebyshev_rows of the unit rows) with unit weights."""
-    sums = degree_sums(x, np.ones(x.shape[0]), x, _chebyshev_rows(np.eye(max_degree + 1), x.shape[1]))
+    sums = _degree_sums(x, np.ones(x.shape[0]), x, _chebyshev_rows(np.eye(max_degree + 1), x.shape[1]))
 
     def combine(row):
         size = _band_length(row)
@@ -504,7 +506,7 @@ def _pair_sums(x, max_degree):
 
 
 def _basis_sums(x, max_degree):
-    """self_sums from the moments M = sum_i Y(x_i) of the harmonic basis,
+    """_self_sums from the moments M = sum_i Y(x_i) of the harmonic basis,
     linear in N: by the addition theorem S[n, i] = Y_n(x_i)'M_n, so
     energy[n] is |M_n|^2, and combine(row) the series of M with the row."""
     moments = _harmonic_moments(x, max_degree)
@@ -518,7 +520,7 @@ class HarmonicMixture:
     Represents g(b) = sum_n degree_coeffs[n] * sum_i weights[i] * q_n(x_i, b)
     with x_i the (N, d) anchors.  degree_coeffs is a nonempty 1-D float
     array indexed by degree 0..max_degree, at most MAX_DEGREE, the layout
-    of KernelSpec.chi and projector_diagonal.  This is the one closed form
+    of KernelSpec.chi and _projector_diagonal.  This is the one closed form
     for every kernel-smoothed statistic in the package (a
     coefficient-density estimate is an odd mixture, its choice probability
     the mixture's hemisphere transform), and spectral operators act by
@@ -526,7 +528,7 @@ class HarmonicMixture:
     mixture).  So every such statistic is one row of coefficients over the
     same anchors and weights: evaluate_series maps any number of such rows
     to Chebyshev coefficients (_chebyshev_rows) and sums them over the
-    anchors in one sweep (degree_sums; the standard error sums the odd
+    anchors in one sweep (_degree_sums; the standard error sums the odd
     part's square there too).  Query points are checked at one
     tolerance, |norm - 1| <= 1e-8, and weights and degree_coeffs must be
     finite.
@@ -542,7 +544,7 @@ class HarmonicMixture:
     degree_coeffs: np.ndarray
 
     def __post_init__(self):
-        self.anchors = check_on_sphere(self.anchors, tol=1e-8)
+        self.anchors = _check_on_sphere(self.anchors, tol=1e-8)
         self.weights = _finite(self.weights, "weights")
         if self.weights.shape != (self.anchors.shape[0],):
             raise ValueError("weights must have one entry per anchor")
@@ -571,16 +573,16 @@ class HarmonicMixture:
         mixtures that share these anchors and weights, such as a mixture
         and its hemisphere transform, evaluate together.  Returns the
         (r, m) values sum_n rows[:, n] sum_i weights[i] q_n(x_i, b_k) at
-        the (m, d) points: degree_sums of the rows' Chebyshev coefficients
+        the (m, d) points: _degree_sums of the rows' Chebyshev coefficients
         (_chebyshev_rows), which sweeps only to the highest Chebyshev
         degree some row reads, and each row's values are those it has
         alone.
         """
-        pts = check_on_sphere(points, d=self.dimension, tol=1e-8)
+        pts = _check_on_sphere(points, d=self.dimension, tol=1e-8)
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.shape[1] > MAX_DEGREE + 1:
             raise ValueError(f"rows must be over degrees 0..MAX_DEGREE = {MAX_DEGREE} at most, got {rows.shape[1]} degrees")
-        return degree_sums(self.anchors, self.weights, pts, _chebyshev_rows(rows, self.dimension))
+        return _degree_sums(self.anchors, self.weights, pts, _chebyshev_rows(rows, self.dimension))
 
     def evaluate(self, points):
         """Evaluate the mixture at one point (d,) or a batch (m, d)."""
@@ -599,9 +601,9 @@ def _cheaper_series(mixture, points, rows):
     Both routes agree within rounding (about 1e-15 of each row's largest
     value), not bit for bit.  The points are checked as evaluate_series
     checks them, once for both routes, and nothing is kept between calls."""
-    pts = check_on_sphere(points, d=mixture.dimension, tol=1e-8)
+    pts = _check_on_sphere(points, d=mixture.dimension, tol=1e-8)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     top = max(_band_length(row) for row in rows) - 1
     if top < 0 or not _basis_is_cheaper(mixture.anchors.shape[0], pts.shape[0], top, mixture.dimension):
-        return degree_sums(mixture.anchors, mixture.weights, pts, _chebyshev_rows(rows, mixture.dimension))
+        return _degree_sums(mixture.anchors, mixture.weights, pts, _chebyshev_rows(rows, mixture.dimension))
     return _harmonic_series(_harmonic_moments(mixture.anchors, top, mixture.weights), pts, rows)

@@ -20,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = [
-    "surface_area",
-    "coarea_factor",
-    "normalize",
-    "sample_uniform",
-    "check_on_sphere",
-    "QuadratureRule",
-    "build_quadrature",
-]
+__all__ = ["surface_area", "sample_uniform", "QuadratureRule", "build_quadrature"]
 
 
 def _integer(value, name, low, high=None):
@@ -39,8 +31,8 @@ def _integer(value, name, low, high=None):
     names the argument, worded by its range."""
     try:
         number = int(value)
-        # a bool is an int, but no argument's value
-        valid = number == value and not isinstance(value, bool) and low <= number and (high is None or number <= high)
+        # a bool, Python's or numpy's, is an int, but no argument's value
+        valid = number == value and not isinstance(value, (bool, np.bool_)) and low <= number and (high is None or number <= high)
     except (TypeError, ValueError, OverflowError):
         valid = False
     if valid:
@@ -82,7 +74,7 @@ def surface_area(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def coarea_factor(k, rho):
+def _coarea_factor(k, rho):
     """The coarea factor rho^{k-2} |S^{k-1}| of a slice of a sphere.
 
     Writing a point of S^{d-1} as (v, rho u), with v the kept block,
@@ -95,7 +87,7 @@ def coarea_factor(k, rho):
     return surface_area(k) * rho ** (k - 2)
 
 
-def normalize(v):
+def _normalize(v):
     """Map vectors to the unit sphere, preserving direction.
 
     Accepts a single vector (d,) or a batch (n, d).  Raises on (near-)zero
@@ -109,7 +101,7 @@ def normalize(v):
     return v / norms
 
 
-def check_on_sphere(points, d=None, tol=1e-12):
+def _check_on_sphere(points, d=None, tol=1e-12):
     """Validate an array of points as living on S^{d-1}.
 
     Returns the points as a (n, d) float array.  Raises ValueError when any

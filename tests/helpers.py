@@ -1,8 +1,8 @@
 """Reference evaluations built from the package's own primitives.
 
 Unlike oracles.py, this module imports spherecoef: each helper composes
-KernelSpec.chi, gegenbauer.series_eval, gegenbauer.chebyshev and
-gegenbauer.connection, the series of the normalised polynomials
+KernelSpec.chi, gegenbauer.series_eval, gegenbauer._chebyshev and
+gegenbauer._connection, the series of the normalised polynomials
 C_n^nu / C_n^nu(1), with the constants h(n, d) / |S^{d-1}| of
 oracles.harmonic_dim and oracles.sphere_area and the values C_n^nu(1) of
 oracles.at_one_exact, so that eval_all is bit-identical to the package's
@@ -47,10 +47,10 @@ def eval_all(nu, max_degree, t):
     series_eval's order, so that it is series_eval's value for the
     coefficient C_n^nu(1) at degree n and 0 elsewhere, bit for bit."""
     t = np.asarray(t, dtype=float)
-    table = gegenbauer.connection(nu, max_degree)
+    table = gegenbauer._connection(nu, max_degree)
     at_one = at_one_exact(nu, max_degree)
     out = np.zeros((int(max_degree) + 1,) + t.shape)
-    for j, values in enumerate(gegenbauer.chebyshev(max_degree, t)):
+    for j, values in enumerate(gegenbauer._chebyshev(max_degree, t)):
         for n in range(j, int(max_degree) + 1):
             if table[n, j] != 0.0:
                 out[n] += values * (at_one[n] * table[n, j])

@@ -24,8 +24,8 @@ from spherecoef import estimator, gegenbauer, hemisphere, kernels
 from spherecoef.kernels import ANCHOR_CHUNK, EVAL_CHUNK, MAX_DEGREE, HarmonicMixture, KernelSpec
 from spherecoef.simulate import DgpSpec, GaussianMixture, generate, true_fbeta_on_sphere
 from spherecoef.sphere import (
+    _normalize,
     build_quadrature,
-    normalize,
     sample_uniform,
     surface_area,
 )
@@ -36,7 +36,7 @@ def _design_points(d, n, seed):
     whose first regressor is the constant 1 (positive first coordinate)."""
     x = sample_uniform(d, n, seed=seed)
     x[:, 0] = np.abs(x[:, 0])
-    return normalize(x)
+    return _normalize(x)
 
 
 def _random_sample(d, n, seed):
@@ -260,36 +260,36 @@ def _kernel_rounding(d, family, band):
 
 
 def _record_sweep_rows(monkeypatch):
-    """Wrap gegenbauer.chebyshev so that the row count of each cosine
+    """Wrap gegenbauer._chebyshev so that the row count of each cosine
     array it is given is appended to the list returned."""
-    rows, real = [], gegenbauer.chebyshev
+    rows, real = [], gegenbauer._chebyshev
 
     def recorded(top, t, *work):
         rows.append(t.shape[0])
         return real(top, t, *work)
 
-    monkeypatch.setattr(gegenbauer, "chebyshev", recorded)
+    monkeypatch.setattr(gegenbauer, "_chebyshev", recorded)
     return rows
 
 
 def _sums_table(path, x, top):
-    """A kernels.self_sums path's energies and its sums S[n, i] as a table, one
+    """A kernels._self_sums path's energies and its sums S[n, i] as a table, one
     combine per degree with that degree's unit row."""
     energy, combine = path(x, top)
     return energy, np.array([combine(unit) for unit in np.eye(top + 1)])
 
 
 def _record_basis_rows(monkeypatch):
-    """Wrap kernels.harmonic_basis, which every harmonic-basis block calls
+    """Wrap kernels._harmonic_basis, which every harmonic-basis block calls
     in any d (and which calls itself once per lower dimension), so that the
     row count of each call is appended to the list returned."""
-    rows, real = [], kernels.harmonic_basis
+    rows, real = [], kernels._harmonic_basis
 
     def recorded(x, top):
         rows.append(x.shape[0])
         return real(x, top)
 
-    monkeypatch.setattr(kernels, "harmonic_basis", recorded)
+    monkeypatch.setattr(kernels, "_harmonic_basis", recorded)
     return rows
 
 
@@ -320,7 +320,7 @@ def test_self_sums_match_double_loop(monkeypatch, d):
             assert np.all(np.abs(sums - ref) <= tol[:, None])
             assert np.all(np.abs(energy - ref.sum(axis=1)) <= x.shape[0] * tol)
     monkeypatch.undo()
-    sweeps = _record_calls(monkeypatch, estimator, "self_sums")
+    sweeps = _record_calls(monkeypatch, kernels, "_self_sums")
     estimator._cross_validated_fx(ChoiceSample(y=np.ones(30, dtype=int), x=x), EstimatorConfig())
     assert [args[1] for args in sweeps] == [top]
 
@@ -333,11 +333,11 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
     rounding bound, as in test_self_sums_match_double_loop."""
     x = _design_points(d, 40, seed=70 + d)
     cfg = EstimatorConfig(truncation=4, family="delayed_means", fx_truncation=8)
-    sweeps = _record_calls(monkeypatch, estimator, "self_sums")
+    sweeps = _record_calls(monkeypatch, kernels, "_self_sums")
     estimator._cross_validated_fx(ChoiceSample(y=np.ones(40, dtype=int), x=x), cfg)
     assert [args[1] for args in sweeps] == [16] and estimator._lscv_bands(cfg)[-1] == 16
     nu = (d - 2) / 2.0
-    _, sums = _sums_table(kernels.self_sums, x, 16)
+    _, sums = _sums_table(kernels._self_sums, x, 16)
     assert sums.shape == (17, 40)
     constants = oracles.projector_constants(16, d)
     bound = np.array([oracles.gegenbauer_explicit_bound(nu, n) for n in range(17)])
@@ -346,7 +346,7 @@ def test_delayed_means_self_sums_stop_at_its_top_band(monkeypatch, d):
 
 
 def _circle_sums(x, top):
-    """kernels.self_sums in d = 2 from exactly rounded sums: C_n^0(cos a) is
+    """kernels._self_sums in d = 2 from exactly rounded sums: C_n^0(cos a) is
     (2/n) cos(n a), so the sum over j of C_n^0(x_i'x_j) splits into sums of
     cos and sin of n theta_j; times the projector constants, these are the
     sums of q_n."""
@@ -389,7 +389,7 @@ def test_basis_sums_accuracy(d, n_obs, top):
         pair_energy, ref = _sums_table(kernels._pair_sums, x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
     assert np.max(np.abs(energy - ref.sum(axis=1)) / np.abs(ref.sum(axis=1))) <= 1e-12
-    taken = kernels.self_sums(x, top)[0]
+    taken = kernels._self_sums(x, top)[0]
     assert np.array_equal(taken, pair_energy if d > 3 and top == 24 else energy)
 
 
@@ -420,14 +420,14 @@ def test_basis_combine_sweeps_only_to_the_rows_band(monkeypatch, d):
 
 @pytest.mark.parametrize("n_obs", [3, 50, 150])
 def test_circle_self_sums_take_harmonic_basis(n_obs):
-    """In d = 2, kernels.self_sums takes the harmonic basis at every N, where the
+    """In d = 2, kernels._self_sums takes the harmonic basis at every N, where the
     pair sweep would be cheaper below about N = 100 but less accurate:
     each degree's sums are within 1e-13 of that degree's largest exactly
     rounded sum (_circle_sums)."""
     x = _design_points(2, n_obs, seed=80)
     top = estimator.FX_CV_MAX_BAND
-    assert np.array_equal(kernels.self_sums(x, top)[0], kernels._basis_sums(x, top)[0])
-    _, sums = _sums_table(kernels.self_sums, x, top)
+    assert np.array_equal(kernels._self_sums(x, top)[0], kernels._basis_sums(x, top)[0])
+    _, sums = _sums_table(kernels._self_sums, x, top)
     ref = _circle_sums(x, top)
     assert np.max(np.max(np.abs(sums - ref), axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-13
 
@@ -455,9 +455,9 @@ def test_lscv_band_same_through_either_path(monkeypatch):
     the cap, N (top + 1) = 12 500 > BASIS_RATIO H = 5 000)."""
     cfg = EstimatorConfig()
     samples = [generate(DgpSpec.model_1(n_obs=500, seed=seed)).sample for seed in range(200)]
-    monkeypatch.setattr(estimator, "self_sums", kernels._basis_sums)
+    monkeypatch.setattr(kernels, "_self_sums", kernels._basis_sums)
     bands = [estimator._cross_validated_fx(s, cfg)[0] for s in samples]
-    monkeypatch.setattr(estimator, "self_sums", kernels._pair_sums)
+    monkeypatch.setattr(kernels, "_self_sums", kernels._pair_sums)
     assert bands == [estimator._cross_validated_fx(s, cfg)[0] for s in samples]
 
 
@@ -486,7 +486,7 @@ def test_self_evaluation_loo_values_and_lscv_scores(monkeypatch, d, family):
     # well inside the range rather than one of the smallest
     g = np.random.default_rng(80 + d).standard_normal((25, d)) * 0.25
     g[:, 0] += 1.0
-    x = normalize(g)
+    x = _normalize(g)
     s = ChoiceSample(y=np.ones(25, dtype=int), x=x)
     # truncation 4 suits every family; the self-evaluation reads only the
     # covariate-density settings
@@ -551,7 +551,7 @@ def _leave_in_at_cap(sample, config):
     average, from a sweep of the self-sums to the cross-validation cap (the
     last of _lscv_bands) rather than to config.fx_truncation."""
     d, cap = sample.dimension, int(estimator._lscv_bands(config)[-1])
-    _, combine = kernels.self_sums(sample.x, cap)
+    _, combine = kernels._self_sums(sample.x, cap)
     row = np.zeros(cap + 1)
     row[: config.fx_truncation + 1] = config.fx_kernel(d).chi()
     return np.maximum(combine(row) / sample.n_obs, 0.0)
@@ -575,7 +575,7 @@ def test_inference_fit_is_swept_only_when_read(monkeypatch):
     point queries sweep nothing more; the first interval sweeps once more,
     to the cross-validation cap, for the inference fit, which is then
     kept: a second interval and the weight summary sweep nothing."""
-    sweeps = _record_calls(monkeypatch, estimator, "self_sums")
+    sweeps = _record_calls(monkeypatch, kernels, "_self_sums")
     s = generate(DgpSpec.model_1(n_obs=300, seed=3)).sample
     cfg = EstimatorConfig()
     est = estimate_fbeta(s, cfg)
@@ -628,7 +628,7 @@ def test_choice_probability_sweeps_only_to_the_point_band(monkeypatch, family):
     s = _random_sample(3, 60, seed=30)
     cfg = EstimatorConfig(truncation=2, family=family, fx_truncation=8)
     at_cap = _leave_in_at_cap(s, cfg)
-    sweeps = _record_calls(monkeypatch, estimator, "self_sums")
+    sweeps = _record_calls(monkeypatch, kernels, "_self_sums")
     est = estimate_fbeta(s, cfg)
     assert [args[1] for args in sweeps] == [cfg.fx_truncation]
     fx_values = est.fx_values
@@ -656,9 +656,9 @@ def _hemisphere_uniform_fits(d, seed, read):
     fx = np.full(n_obs, 2.0 / surface_area(d))
     values = np.empty((reps, points.shape[0]))
     for r in range(reps):
-        x = normalize(rng.standard_normal((n_obs, d)))
+        x = _normalize(rng.standard_normal((n_obs, d)))
         x[:, 0] = np.abs(x[:, 0])
-        beta = normalize(np.column_stack([coefficients.sample(n_obs, rng), np.ones(n_obs)]))
+        beta = _normalize(np.column_stack([coefficients.sample(n_obs, rng), np.ones(n_obs)]))
         y = (np.einsum("ij,ij->i", x, beta) >= 0.0).astype(int)
         values[r] = read(estimate_fbeta(ChoiceSample(y=y, x=x), cfg, fx=fx), points)
     return spec, points, cfg, values
@@ -1090,8 +1090,11 @@ def test_marginal_validation():
         marginal_density(f, keep_dims=[0], values=[1.2], dimension=d)
     with pytest.raises(ValueError):
         marginal_density(f, keep_dims=[0, 0], values=[0.1, 0.1], dimension=d)
-    with pytest.raises(ValueError, match="integer coordinates"):
-        marginal_density(f, keep_dims=[0.5], values=[0.3], dimension=d)
+    # each entry is checked as an integer argument (sphere._integer): a
+    # fraction, and a bool that would read as coordinate 1
+    for keep in ([0.5], np.array([True]), [True]):
+        with pytest.raises(ValueError, match=r"^keep_dims must be an integer in \[0, 2\], got"):
+            marginal_density(f, keep_dims=keep, values=[0.3], dimension=d)
     # nan ** 0 is 1: a NaN value would read a finite marginal
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="values must be finite"):
@@ -1187,7 +1190,7 @@ def test_diagnostic_takes_the_cheaper_route(monkeypatch, d, n_obs, moments):
     s = generate(DgpSpec.model_1(n_obs=n_obs, seed=5)).sample if d == 3 else _random_sample(d, n_obs, seed=55)
     est = estimate_fbeta(s)
     builds = _record_calls(monkeypatch, kernels, "_harmonic_moments")
-    sweeps = _record_calls(monkeypatch, kernels, "degree_sums")
+    sweeps = _record_calls(monkeypatch, kernels, "_degree_sums")
     identification_diagnostic(est)
     assert (len(builds), len(sweeps)) == ((1, 0) if moments else (0, 1))
     if moments:
@@ -1236,7 +1239,7 @@ def test_diagnostic_flags_antipodally_symmetric_coefficients():
     x = generate(spec).sample.x
     axis = np.array([0.0, 0.0, 1.0])
     cap = sample_uniform(3, n, seed=1001)
-    cap = normalize(axis + 0.5 * cap)  # points concentrated around the axis
+    cap = _normalize(axis + 0.5 * cap)  # points concentrated around the axis
     signs = rng.choice((-1.0, 1.0), size=(n, 1))
     beta = cap * signs
     y = (np.sum(x * beta, axis=1) >= 0.0).astype(int)
@@ -1402,7 +1405,7 @@ def test_coefficient_density_queries_take_rows_as_fit_does():
     model = CoefficientDensity().fit(draw.sample.x, draw.sample.y)
     est = model.estimate_
     rows = sample_uniform(3, 5, seed=23) * (1.0 + 1e-7)
-    unit = normalize(rows)
+    unit = _normalize(rows)
     assert np.array_equal(model.density(rows), est.density(unit))
     assert np.array_equal(model.odd_density(rows), est.odd_values(unit))
     assert np.array_equal(model.standard_error(rows), standard_error(est, unit))

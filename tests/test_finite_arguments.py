@@ -41,7 +41,7 @@ def _config(name):
 # (argument, the name its refusal gives, a call taking the value, a valid
 # value, the entry made non-finite: the first of two, or () for a scalar)
 _ARGUMENTS = [
-    ("check_on_sphere.points", "points", sphere.check_on_sphere, _POINTS, (1, 2)),
+    ("check_on_sphere.points", "points", sphere._check_on_sphere, _POINTS, (1, 2)),
     ("HarmonicMixture.weights", "weights",
      lambda w: kernels.HarmonicMixture(_ANCHORS, w, [0.0, 1.0, 0.0, 0.5]).evaluate(_POINTS), np.ones(4), (1,)),
     ("HarmonicMixture.degree_coeffs", "degree_coeffs",
@@ -53,6 +53,10 @@ _ARGUMENTS = [
      lambda v: estimator.marginal_density(_fit().density, [0, 1], v, dimension=3), np.array([0.1, 0.2]), (1,)),
     ("EstimatorConfig.s", "s", _config("s"), 2.0, ()),
     ("EstimatorConfig.l", "l", _config("l"), 3.0, ()),
+    # dirichlet ignores s and l, and still refuses them non-finite; riesz
+    # refuses a non-finite l by its bound, l > (d-2)/2
+    ("KernelSpec.s", "s", lambda s: kernels.KernelSpec("dirichlet", 4, 3, s=s).chi(), 2.0, ()),
+    ("KernelSpec.l", "l", lambda l: kernels.KernelSpec("dirichlet", 4, 3, l=l).chi(), 3.0, ()),
     ("series_eval.coeffs", "coeffs",
      lambda c: gegenbauer.series_eval(0.5, c, np.linspace(-1.0, 1.0, 7)), np.array([1.0, 0.5, 0.25]), (1,)),
     ("GaussianMixture.weights", "weights", lambda w: _mixture(weights=w), np.array([0.5, 0.5]), (0,)),
@@ -65,7 +69,7 @@ _ARGUMENTS = [
      lambda p: sphere.QuadratureRule(p, _QUAD.weights, 3).integrate(np.ones(_QUAD.n_nodes)), _QUAD.points, (5, 0)),
     ("QuadratureRule.weights", "weights",
      lambda w: sphere.QuadratureRule(_QUAD.points, w, 3).integrate(np.ones(_QUAD.n_nodes)), _QUAD.weights, (9,)),
-    ("normalize.v", "v", sphere.normalize, np.array([[3.0, 4.0, 0.0], [1.0, 1.0, 1.0]]), (1, 0)),
+    ("normalize.v", "v", sphere._normalize, np.array([[3.0, 4.0, 0.0], [1.0, 1.0, 1.0]]), (1, 0)),
     ("true_fx_on_sphere.points", "points",
      lambda p: simulate.true_fx_on_sphere(simulate.DgpSpec.model_1(), p), _POINTS, (0, 1)),
     ("true_fbeta_on_sphere.points", "points",
@@ -96,6 +100,23 @@ def test_array_arguments_refuse_nans_and_infinities_by_name_and_entry(argument, 
     expected = call(valid)
     same = np.asarray(valid).tolist()
     assert np.array_equal(call(same), expected)
+
+
+# (argument, a call taking the value): an int past the largest float passes
+# the range checks (0 < s < inf holds for it), and failed later with an
+# unnamed OverflowError when the work converted it to a float
+_PAST_LARGEST_FLOAT = [
+    ("s", lambda s: kernels.KernelSpec("riesz", 4, 3, s=s).chi()),
+    ("l", lambda l: kernels.KernelSpec("riesz", 4, 3, l=l).chi()),
+    ("trimming_exponent", lambda r: estimator.EstimatorConfig(trimming_exponent=r).trimming_floor(100)),
+]
+
+
+@pytest.mark.parametrize("name, call", _PAST_LARGEST_FLOAT, ids=[a[0] for a in _PAST_LARGEST_FLOAT])
+def test_ints_past_the_largest_float_are_refused_by_name(name, call):
+    with pytest.raises(ValueError) as refused:
+        call(10**400)
+    assert str(refused.value) == f"{name} must be finite, not NaN or infinite: {name} = {10**400}"
 
 
 def test_finite_float_arrays_pass_through_uncopied():

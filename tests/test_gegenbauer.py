@@ -96,10 +96,10 @@ def test_sweep_yields_every_degree(nu, max_degree):
     """The Chebyshev sweep yields T_0, ..., T_top, each an array of t's
     shape, and through the connection table, times C_n^nu(1), they give
     every C_n^nu."""
-    table = gegenbauer.connection(nu, max_degree)
+    table = gegenbauer._connection(nu, max_degree)
     at_one = oracles.at_one_exact(nu, max_degree)
     for t in SWEEP_ARGS:
-        vals = [c.copy() for c in gegenbauer.chebyshev(max_degree, t)]
+        vals = [c.copy() for c in gegenbauer._chebyshev(max_degree, t)]
         assert len(vals) == max_degree + 1
         for j, c in enumerate(vals):
             assert isinstance(c, np.ndarray) and c.shape == t.shape
@@ -119,11 +119,11 @@ def test_sweep_leaves_its_argument_alone():
     work_size(t.size) entries, four slots of whole cache lines) it yields
     the values it yields without one, bit for bit."""
     t = T_GRID.copy()
-    alone = [c.copy() for c in gegenbauer.chebyshev(6, t)]
+    alone = [c.copy() for c in gegenbauer._chebyshev(6, t)]
     assert np.array_equal(t, T_GRID)
-    assert [gegenbauer.work_size(n) for n in (0, 1, 8, 9, 101)] == [0, 32, 32, 64, 416]
-    work = np.full(gegenbauer.work_size(t.size) + 3, np.nan)
-    assert all(np.array_equal(a, b) for a, b in zip(alone, gegenbauer.chebyshev(6, t, work)))
+    assert [gegenbauer._work_size(n) for n in (0, 1, 8, 9, 101)] == [0, 32, 32, 64, 416]
+    work = np.full(gegenbauer._work_size(t.size) + 3, np.nan)
+    assert all(np.array_equal(a, b) for a, b in zip(alone, gegenbauer._chebyshev(6, t, work)))
     assert np.array_equal(t, T_GRID)
 
 
@@ -140,18 +140,18 @@ def test_connection_table_against_recurrence(nu):
     Chebyshev sweep agree within 1e-13 with the three-term recurrence in
     nu over its own value at t = 1, on a grid that includes +-1.  A
     smaller top gives the leading block, entry for entry."""
-    table = gegenbauer.connection(nu, MAX_DEGREE)
+    table = gegenbauer._connection(nu, MAX_DEGREE)
     assert table.shape == (MAX_DEGREE + 1, MAX_DEGREE + 1) and not table.flags.writeable
     degree = np.arange(MAX_DEGREE + 1)
     off_parity = ((degree[:, None] - degree[None, :]) % 2 == 1) | (degree[None, :] > degree[:, None])
     assert np.all(table >= 0.0) and np.all(table[off_parity] == 0.0)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-14
-    cheb = np.array([c.copy() for c in gegenbauer.chebyshev(MAX_DEGREE, T_CHECK)])
+    cheb = np.array([c.copy() for c in gegenbauer._chebyshev(MAX_DEGREE, T_CHECK)])
     ref = oracles.gegenbauer_recurrence(nu, MAX_DEGREE, T_CHECK)
     assert T_CHECK[1] == 1.0
     assert np.all(np.abs(table @ cheb - ref / ref[:, 1:2]) <= 1e-13)
     for top in (0, 1, 24):
-        assert np.array_equal(gegenbauer.connection(nu, top), table[: top + 1, : top + 1])
+        assert np.array_equal(gegenbauer._connection(nu, top), table[: top + 1, : top + 1])
 
 
 def test_connection_stops_at_max_degree():
@@ -160,10 +160,10 @@ def test_connection_stops_at_max_degree():
     series_eval row, which would ask for a 10^10-entry table, is refused
     and caches nothing.  The standard error's square reaches 2 MAX_DEGREE
     only as Chebyshev coefficients, which need no table."""
-    table = gegenbauer.connection(0.5, MAX_DEGREE)
+    table = gegenbauer._connection(0.5, MAX_DEGREE)
     assert table.shape == (MAX_DEGREE + 1, MAX_DEGREE + 1)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-13
-    cached = gegenbauer.connection.cache_info().currsize
+    cached = gegenbauer._connection.cache_info().currsize
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="MAX_DEGREE = 128"):
@@ -172,15 +172,15 @@ def test_connection_stops_at_max_degree():
     finally:
         tracemalloc.stop()
     assert peak < 4e6  # the row itself is 0.8 MB
-    assert gegenbauer.connection.cache_info().currsize == cached
+    assert gegenbauer._connection.cache_info().currsize == cached
     for top in (-1, MAX_DEGREE + 1):
         with pytest.raises(ValueError, match="connection tables"):
-            gegenbauer.connection(0.5, top)
+            gegenbauer._connection(0.5, top)
 
 
 def test_connection_of_the_circle_family_is_diagonal():
     """For nu = 0, C_n^0 / C_n^0(1) = T_n: the table is the identity."""
-    assert np.array_equal(gegenbauer.connection(0.0, MAX_DEGREE), np.eye(MAX_DEGREE + 1))
+    assert np.array_equal(gegenbauer._connection(0.0, MAX_DEGREE), np.eye(MAX_DEGREE + 1))
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5])

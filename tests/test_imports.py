@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,21 +108,38 @@ _REMOVED = {
         "chebyshev_sums",
         "harmonic_moments",
         "harmonic_series",
-        # folded into degree_sums, which runs the whole loop
+        # folded into _degree_sums, which runs the whole loop
         "_chebyshev_sums",
-        # the Gegenbauer-series form of a mixture's row: degree_sums sums
-        # q_n, and projector_diagonal is the one per-degree constant
+        # the Gegenbauer-series form of a mixture's row: _degree_sums sums
+        # q_n, and _projector_diagonal is the one per-degree constant
         "projector_constants",
         "_at_one",
         # the standard error squares its row's Chebyshev coefficients, which
         # no table maps back to projector ones
         "squared_row",
+        # private: mechanism that only the estimator and the tests read
+        "projector_diagonal",
+        "chi_table",
+        "degree_sums",
+        "harmonic_basis",
+        "self_sums",
     ],
     # one row, eigenvalues, replaced the scalar and the row stacked from it
     "hemisphere": ["invert_by_laplacian", "_lower_area", "eigenvalue", "_eigenvalues"],
-    # series_eval sums the normalised polynomials, so C_n(1) is never formed
-    "gegenbauer": ["eval_all", "sweep", "_series_eval", "squared_series", "eval_at_one"],
-    "sphere": ["angle_between"],
+    "gegenbauer": [
+        # series_eval sums the normalised polynomials, so C_n(1) is never formed
+        "eval_all",
+        "sweep",
+        "_series_eval",
+        "squared_series",
+        "eval_at_one",
+        # private: the recurrence and the tables that kernels reads
+        "chebyshev",
+        "work_size",
+        "connection",
+    ],
+    # private: the checks and the coarea factor behind the public functions
+    "sphere": ["angle_between", "check_on_sphere", "normalize", "coarea_factor"],
     "estimator": [
         "SELF_SUMS_BLOCK",
         "fx_self_evaluation",
@@ -159,6 +177,8 @@ def test_removed_names_are_gone():
         if hasattr(importlib.import_module(where), attr)
     ]
     assert reachable == []
+    # the package re-exports neither; perfbench imports them from estimator
+    assert [name for name in ("estimate_fx", "estimate_choice_probability") if hasattr(spherecoef, name)] == []
     from spherecoef import estimator, kernels
     from spherecoef.kernels import HarmonicMixture
     from spherecoef.simulate import SimulationDraw
@@ -195,13 +215,13 @@ def test_removed_names_are_gone():
     removed_params = [
         (HarmonicMixture.evaluate_series, "chunk_size"),
         (HarmonicMixture.evaluate, "chunk_size"),
-        (kernels.self_sums, "budget"),
+        (kernels._self_sums, "budget"),
         (kernels._pair_sums, "budget"),
         (kernels._basis_sums, "budget"),
-        (kernels.self_sums, "nu"),
+        (kernels._self_sums, "nu"),
         (kernels._pair_sums, "nu"),
         (kernels._basis_sums, "nu"),
-        (kernels.degree_sums, "nu"),
+        (kernels._degree_sums, "nu"),
         (estimator.identification_diagnostic, "rel_threshold"),
         # the scores read the filter rows alone, as the projector-form self-sums do
         (estimator._lscv_scores, "rows"),
@@ -211,9 +231,32 @@ def test_removed_names_are_gone():
     assert [p for f, p in removed_params if p in inspect.signature(f).parameters] == []
     # only kernels reads the harmonic moments' layout; estimator reads the
     # leave-out diagonal q_n(x, x) = h(n, d) / |S^{d-1}| from
-    # kernels.projector_diagonal, and neither gegenbauer, C_n(1), a
+    # kernels._projector_diagonal, and neither gegenbauer, C_n(1), a
     # projector constant nor h(n, d)
     layout = ["_layout", "harmonic_moments", "harmonic_series", "_harmonic_moments", "_harmonic_series"]
     assert [name for name in layout if hasattr(estimator, name)] == []
     constants = ("gegenbauer", "eval_at_one", "_at_one", "projector_constants", "eigenspace_dim")
     assert [name for name in constants if hasattr(estimator, name)] == []
+
+
+def _readme_public_api():
+    """README.md's "Public API" section as {module: [names]}, one entry per
+    bullet that opens with a module name, up to the next bullet or blank
+    line."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for bullet in re.split(r"\n(?=- )|\n\n", section):
+        head = re.match(r"- `(spherecoef(?:\.\w+)?)`: ", bullet)
+        if head:
+            listed[head.group(1)] = re.findall(r"`([^`]+)`", bullet[head.end():])
+    return listed
+
+
+def test_readme_public_api_names_exactly_each_modules_all():
+    """The README's list cannot drift from the code: every module, and
+    each one's __all__ in order."""
+    listed = _readme_public_api()
+    assert sorted(listed) == sorted(["spherecoef"] + [f"spherecoef.{m}" for m in _MODULES])
+    for name, names in listed.items():
+        assert names == list(importlib.import_module(name).__all__), name

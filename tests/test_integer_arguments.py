@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from spherecoef import estimator, gegenbauer, hemisphere, kernels, simulate, sphere
+from spherecoef import estimator, hemisphere, kernels, simulate, sphere
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,8 +35,6 @@ def _diagnostic(resolution):
 _ARGUMENTS = [
     ("eigenspace_dim.n", "degree", lambda k: kernels.eigenspace_dim(k, 3), 4),
     ("eigenspace_dim.d", "dimension", lambda k: kernels.eigenspace_dim(2, k), 4),
-    ("projector_diagonal.max_degree", "degree", lambda k: kernels.projector_diagonal(k, 3), 4),
-    ("projector_diagonal.d", "dimension", lambda k: kernels.projector_diagonal(4, k), 4),
     ("KernelSpec.degree", "degree", lambda k: kernels.KernelSpec("riesz", k, 3).chi(), 4),
     ("KernelSpec.dimension", "dimension", lambda k: kernels.KernelSpec("riesz", 4, k).chi(), 4),
     ("EstimatorConfig.truncation", "truncation",
@@ -53,9 +51,6 @@ _ARGUMENTS = [
     ("identification_diagnostic.resolution", "resolution", _diagnostic, 4),
     ("eigenvalues.max_degree", "degree", lambda k: hemisphere.eigenvalues(k, 3), 4),
     ("eigenvalues.d", "dimension", lambda k: hemisphere.eigenvalues(4, k), 4),
-    ("connection.top", "top", lambda k: gegenbauer.connection(0.5, k), 4),
-    ("chebyshev.top", "top",
-     lambda k: np.array([v.copy() for v in gegenbauer.chebyshev(k, np.linspace(-1.0, 1.0, 5))]), 4),
     ("marginal_density.dimension", "dimension",
      lambda k: estimator.marginal_density(lambda p: p[:, -1] ** 2, [0], [0.3], dimension=k), 4),
 ]
@@ -63,11 +58,11 @@ _ARGUMENTS = [
 
 @pytest.mark.parametrize("argument, name, call, valid", _ARGUMENTS, ids=[a[0] for a in _ARGUMENTS])
 def test_integer_arguments_refuse_bools_nans_infinities_and_fractions_by_name(argument, name, call, valid):
-    """True, NaN, +-inf and 4.5 are each a ValueError naming the argument
-    (not int()'s OverflowError or unnamed ValueError, and not a bool read
-    as 1 or a fraction truncated to 4); np.int64(k) and float(k) give what
-    k gives."""
-    for bad in (True, math.nan, math.inf, -math.inf, 4.5):
+    """True, np.True_, NaN, +-inf and 4.5 are each a ValueError naming the
+    argument (not int()'s OverflowError or unnamed ValueError, and not a
+    bool read as 1 or a fraction truncated to 4); np.int64(k) and float(k)
+    give what k gives."""
+    for bad in (True, np.True_, math.nan, math.inf, -math.inf, 4.5):
         with pytest.raises(ValueError) as refused:
             call(bad)
         assert re.search(rf"\b{name}\b", str(refused.value)), (bad, str(refused.value))

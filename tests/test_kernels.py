@@ -71,7 +71,7 @@ def test_projector_reproducing_identity_on_exact_rule(d):
 def _basis_columns(d, points, top):
     """harmonic_basis at the points as an (H, m) table, degree by degree,
     without the zeros that pad each degree's block."""
-    values = kernels.harmonic_basis(points, top)
+    values = kernels._harmonic_basis(points, top)
     return np.concatenate([values[n, : oracles.harmonic_dim(n, d)] for n in range(top + 1)])
 
 
@@ -102,7 +102,7 @@ def test_harmonic_basis_addition_theorem(d, top):
     against C_n^nu from the recurrence in nu carried out in 30-digit
     arithmetic at the exact cosines (oracles.gegenbauer_at_pairs)."""
     x = sample_uniform(d, 5, seed=40 + d)
-    values = kernels.harmonic_basis(x, top)
+    values = kernels._harmonic_basis(x, top)
     ref = oracles.gegenbauer_at_pairs((d - 2) / 2.0, top, x, x)
     for n, constant in enumerate(oracles.projector_constants(top, d)):
         scale = oracles.harmonic_dim(n, d) / oracles.sphere_area(d)
@@ -114,8 +114,8 @@ def test_harmonic_basis_is_solid_and_padded():
     recursion evaluates lower ones at shorter vectors): a point scaled by
     r gives r^n times degree n's values.  Entries past h(n, d) are zero."""
     x = sample_uniform(4, 3, seed=7)
-    values = kernels.harmonic_basis(x, 12)
-    scaled = kernels.harmonic_basis(0.7 * x, 12)
+    values = kernels._harmonic_basis(x, 12)
+    scaled = kernels._harmonic_basis(0.7 * x, 12)
     for n in range(13):
         assert np.max(np.abs(scaled[n] - 0.7**n * values[n])) <= 1e-14 * 0.7**n * np.max(np.abs(values[n]))
     assert values.shape == (13, eigenspace_dim(12, 4), 3)
@@ -133,7 +133,7 @@ def test_harmonic_moments_and_series_are_the_basis(monkeypatch, d):
     degree l + k listed after the lower harmonics of degrees below l."""
     top = 6
     x = sample_uniform(d, 40, seed=50 + d)
-    values = kernels.harmonic_basis(x, top)
+    values = kernels._harmonic_basis(x, top)
     low = [2] * (top + 1) if d == 2 else [eigenspace_dim(l, d - 1) for l in range(top + 1)]
     depth = 1 if d == 2 else top + 1
     coeffs = np.random.default_rng(d).standard_normal(kernels._layout(d, top))
@@ -168,7 +168,7 @@ def test_weighted_harmonic_moments_are_the_weighted_basis(monkeypatch, d):
     top, n = 7, 60
     x = sample_uniform(d, n, seed=60 + d)
     w = np.random.default_rng(d).standard_normal(n)
-    weighted = kernels.harmonic_basis(x, top) * w
+    weighted = kernels._harmonic_basis(x, top) * w
     low = [2] * (top + 1) if d == 2 else [eigenspace_dim(l, d - 1) for l in range(top + 1)]
     want = np.zeros(kernels._layout(d, top))
     for l in range(top + 1):
@@ -244,12 +244,19 @@ def test_kernel_spec_refuses_bools_and_stores_ints():
     assert KernelSpec("delayed_means", 4.0, 3).degree == 4
 
 
+def test_kernel_spec_refuses_a_non_number_s():
+    """s is a number for every family, as in EstimatorConfig: a bool is not
+    read as 1.0, and a string is not compared with 0."""
+    for family in ("riesz", "dirichlet"):
+        for s in (True, np.True_, "2"):
+            with pytest.raises(ValueError, match="^s must be a number, got "):
+                KernelSpec(family, 4, 3, s=s)
+
+
 def test_unknown_filter_family_is_refused_everywhere():
-    """A misspelt family is refused by chi_table, as by KernelSpec and
-    EstimatorConfig, with the one message of kernels._check_family (it
-    was read as delayed_means by chi_table)."""
+    """A misspelt family is refused by KernelSpec and EstimatorConfig,
+    with the one message of kernels._check_family."""
     for build in (
-        lambda: kernels.chi_table("rieszz", [4], 4, 3),
         lambda: KernelSpec("rieszz", 4, 3),
         lambda: EstimatorConfig(family="rieszz"),
     ):
@@ -258,10 +265,9 @@ def test_unknown_filter_family_is_refused_everywhere():
 
 
 def test_eigenspace_dim_refuses_bools():
-    """eigenspace_dim, projector_diagonal and hemisphere.eigenvalues refuse
-    a bool degree or dimension (sphere._integer); np.int64 stays
-    accepted."""
-    for fn in (eigenspace_dim, kernels.projector_diagonal, hemisphere.eigenvalues):
+    """eigenspace_dim and hemisphere.eigenvalues refuse a bool degree or
+    dimension (sphere._integer); np.int64 stays accepted."""
+    for fn in (eigenspace_dim, hemisphere.eigenvalues):
         with pytest.raises(ValueError, match="^degree must be"):
             fn(True, 3)
         with pytest.raises(ValueError, match="^dimension must be"):
@@ -343,10 +349,10 @@ def test_harmonic_mixture_chunked_evaluation_matches(monkeypatch):
 
 def _sweeps(monkeypatch, call):
     """How many Chebyshev sweeps (blocks of cosines) call runs."""
-    sweeps, chebyshev = [], gegenbauer.chebyshev
-    monkeypatch.setattr(gegenbauer, "chebyshev", lambda *args: sweeps.append(1) or chebyshev(*args))
+    sweeps, chebyshev = [], gegenbauer._chebyshev
+    monkeypatch.setattr(gegenbauer, "_chebyshev", lambda *args: sweeps.append(1) or chebyshev(*args))
     call()
-    monkeypatch.setattr(gegenbauer, "chebyshev", chebyshev)
+    monkeypatch.setattr(gegenbauer, "_chebyshev", chebyshev)
     return len(sweeps)
 
 
@@ -368,9 +374,9 @@ def test_chebyshev_slots_start_on_cache_lines(shape):
     size = int(np.prod(shape))
     t = kernels._aligned_empty(size).reshape(shape)
     t[...] = np.linspace(-1.0, 1.0, size).reshape(shape)
-    work = kernels._aligned_empty(gegenbauer.work_size(size))
-    alone = [c.copy() for c in gegenbauer.chebyshev(7, t)]
-    for want, values in zip(alone, gegenbauer.chebyshev(7, t, work), strict=True):
+    work = kernels._aligned_empty(gegenbauer._work_size(size))
+    alone = [c.copy() for c in gegenbauer._chebyshev(7, t)]
+    for want, values in zip(alone, gegenbauer._chebyshev(7, t, work), strict=True):
         assert values.ctypes.data % 64 == 0
         assert np.array_equal(values, want)
 
@@ -394,9 +400,9 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
     monkeypatch.setattr(kernels, "EVAL_CHUNK", 24)
     monkeypatch.setattr(kernels, "ANCHOR_CHUNK", 5)  # chunks of 5, 5 and 2 anchors
     # 4 points a block of the 5-anchor chunks, 3 blocks each; 1 block of 2 anchors
-    assert _sweeps(monkeypatch, lambda: kernels.degree_sums(anchors, weights[0], points, table)) == 7
+    assert _sweeps(monkeypatch, lambda: kernels._degree_sums(anchors, weights[0], points, table)) == 7
     for rows, parity in ((weights[0], [0, 0]), (weights[:2], [0, 1]), (weights[np.arange(10) % 2], [0, 1])):
-        got = kernels.degree_sums(anchors, rows, points, table)
+        got = kernels._degree_sums(anchors, rows, points, table)
         want = np.array(
             [
                 [
@@ -411,11 +417,11 @@ def test_degree_sums_match_double_loop(monkeypatch, d):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     shared = np.tile(weights[0], (10, 1))
     assert np.array_equal(
-        kernels.degree_sums(anchors, weights[0], points, table), kernels.degree_sums(anchors, shared, points, table)
+        kernels._degree_sums(anchors, weights[0], points, table), kernels._degree_sums(anchors, shared, points, table)
     )
     if d == 2:
         angles = np.arccos(np.clip(points @ anchors.T, -1.0, 1.0))
-        got = kernels.degree_sums(anchors, weights, points, table)
+        got = kernels._degree_sums(anchors, weights, points, table)
         want = np.array(
             [constants[n] * (2.0 / n if n else 1.0) * np.cos(n * angles) @ weights[n] for n in np.flatnonzero(used)]
         )
@@ -433,7 +439,7 @@ def test_degree_sums_against_mpmath_at_degree_64(d):
     weights = np.random.default_rng(d).standard_normal(40)
     ref = oracles.gegenbauer_recurrence((d - 2) / 2.0, 64, np.clip(points @ anchors.T, -1.0, 1.0)) @ weights
     ref *= oracles.projector_constants(64, d)[:, None]
-    got = kernels.degree_sums(anchors, weights, points, kernels._chebyshev_rows(np.eye(65), d))
+    got = kernels._degree_sums(anchors, weights, points, kernels._chebyshev_rows(np.eye(65), d))
     assert np.all(np.max(np.abs(got - ref), axis=1) <= 5e-14 * np.max(np.abs(ref), axis=1))
 
 

@@ -8,9 +8,9 @@ import pytest
 from spherecoef import sphere
 from spherecoef.sphere import (
     QuadratureRule,
+    _check_on_sphere,
+    _normalize,
     build_quadrature,
-    check_on_sphere,
-    normalize,
     sample_uniform,
     surface_area,
 )
@@ -52,7 +52,7 @@ def test_sample_uniform_refuses_a_bad_count(bad):
 
 def test_normalize_preserves_direction():
     v = np.array([[3.0, 4.0], [0.0, -2.0]])
-    u = normalize(v)
+    u = _normalize(v)
     assert np.allclose(np.linalg.norm(u, axis=1), 1.0)
     assert np.allclose(u[0], [0.6, 0.8])
     assert np.allclose(u[1], [0.0, -1.0])
@@ -60,23 +60,23 @@ def test_normalize_preserves_direction():
 
 def test_normalize_rejects_zero():
     with pytest.raises(ValueError):
-        normalize(np.array([0.0, 0.0, 0.0]))
+        _normalize(np.array([0.0, 0.0, 0.0]))
 
 
 def test_check_on_sphere_accepts_and_shapes():
-    pts = check_on_sphere([1.0, 0.0])
+    pts = _check_on_sphere([1.0, 0.0])
     assert pts.shape == (1, 2)
-    batch = check_on_sphere(np.eye(3), d=3)
+    batch = _check_on_sphere(np.eye(3), d=3)
     assert batch.shape == (3, 3)
 
 
 def test_check_on_sphere_rejects():
     with pytest.raises(ValueError):
-        check_on_sphere([1.0, 1.0])  # norm sqrt(2)
+        _check_on_sphere([1.0, 1.0])  # norm sqrt(2)
     with pytest.raises(ValueError):
-        check_on_sphere(np.eye(3), d=4)
+        _check_on_sphere(np.eye(3), d=4)
     with pytest.raises(ValueError):
-        check_on_sphere(np.ones((2, 1)))
+        _check_on_sphere(np.ones((2, 1)))
 
 
 def test_sample_uniform_shape_norms_and_seed():
@@ -115,7 +115,7 @@ def test_quadrature_second_moment_identity(d):
     quad = build_quadrature(d, 24, method=method)
     rng = np.random.default_rng(3)
     for _ in range(3):
-        a = normalize(rng.standard_normal(d))
+        a = _normalize(rng.standard_normal(d))
         val = quad.integrate((quad.points @ a) ** 2)
         assert val == pytest.approx(surface_area(d) / d, rel=1e-9)
 
@@ -125,7 +125,7 @@ def test_quadrature_odd_integrand_vanishes(d):
     method = "trapezoid" if d == 2 else "product"
     quad = build_quadrature(d, 16, method=method)
     rng = np.random.default_rng(4)
-    a = normalize(rng.standard_normal(d))
+    a = _normalize(rng.standard_normal(d))
     dots = quad.points @ a
     assert abs(quad.integrate(dots**3)) < 1e-12 * surface_area(d)
 
