@@ -405,11 +405,16 @@ def _write_json(path, payload):
 
 def _write_with_report(path, lines, payload):
     """Write lines to path and payload to path + ".report.json", the JSON
-    serialised first so that a payload it refuses leaves neither file."""
+    serialised first so that a payload it refuses leaves neither file, and
+    path removed again when the report cannot be written."""
     report_path = path + ".report.json"
     report = _json_text(payload, report_path)
     _write_lines(path, lines)
-    _write_lines(report_path, [report])
+    try:
+        _write_lines(report_path, [report])
+    except CliError:
+        os.remove(path)
+        raise
 
 
 def _config_echo(config, n_obs, dimension):

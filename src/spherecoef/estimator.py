@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,6 +39,7 @@ from .sphere import (
     _finite,
     _integer,
     _normalize,
+    _real,
     build_quadrature,
     surface_area,
 )
@@ -123,30 +123,20 @@ class EstimatorConfig:
     fx_truncation: int = 10
 
     def __post_init__(self):
-        # a bool is a numbers.Real, but no setting's value
-        for name in ("truncation", "trimming_exponent", "s", "l", "fx_truncation"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
         self.truncation = _integer(self.truncation, "truncation", 1, MAX_DEGREE // 2)
         _check_family(self.family)
-        if not 0 < self.trimming_exponent < math.inf:
-            raise ValueError(
-                f"trimming_exponent must be finite and positive, got {self.trimming_exponent}"
-            )
+        self.trimming_exponent = _real(self.trimming_exponent, "trimming_exponent", 0)
         self.fx_truncation = _integer(self.fx_truncation, "fx_truncation", 0, MAX_DEGREE)
-        # reports echo the config, so no value may be non-finite: not s or
-        # l, which the dirichlet and delayed_means filters ignore, and not an
-        # int past the largest float, which passes the range check above
-        for name in ("trimming_exponent", "s", "l"):
-            _finite(getattr(self, name), name)
-        # the riesz bounds that hold in every dimension; l > (d-2)/2 waits
-        # for KernelSpec, which knows d
-        if self.family == "riesz":
-            if self.s <= 0:
-                raise ValueError(f"s must be > 0 for riesz, got {self.s}")
-            if self.l < 1 or int(self.l) != self.l:
-                raise ValueError(f"l must be an integer >= 1 for riesz, got {self.l}")
+        # reports echo the config, so s and l are finite numbers in every
+        # family, also those whose filter ignores them.  The riesz bounds
+        # here hold in every dimension; l > (d-2)/2 waits for KernelSpec,
+        # which knows d.  Any other l is kept as given, so the echo of an
+        # int l reads as an int
+        riesz = self.family == "riesz"
+        self.s = _real(self.s, "s", 0 if riesz else -math.inf)
+        _real(self.l, "l")
+        if riesz:
+            self.l = _integer(self.l, "l", 1)
         # delayed_means filters only a power-of-two degree; 2 * truncation is
         # one exactly when truncation is
         for name in ("truncation", "fx_truncation"):
@@ -346,10 +336,10 @@ def _fit(sample, config, fx_values, fx_band, keep_sample=False):
     floor; keep_sample for a plug-in point fit, whose inference fit reads
     it and which recomputes fx_values from it (see DensityEstimate)."""
     n_obs, d = sample.n_obs, sample.dimension
+    floor = config.trimming_floor(n_obs)
     chi = config.main_kernel(d).chi()
     coeffs = np.zeros(chi.size - 1)
     coeffs[1::2] = chi[1::2] / (hemisphere.eigenvalues(coeffs.size - 1, d)[1::2] * n_obs)
-    floor = config.trimming_floor(n_obs)
     weights = (2.0 * sample.y - 1.0) / np.maximum(fx_values, floor)
     return DensityEstimate(
         odd=HarmonicMixture(sample.x, weights, coeffs),
@@ -376,8 +366,6 @@ def estimate_fbeta(sample, config=None, fx=None):
     """
     config = EstimatorConfig() if config is None else config
     n_obs = sample.n_obs
-    if n_obs < 3:
-        raise ValueError(f"need at least 3 observations, got {n_obs}")
     if fx is not None:
         fx_values = _finite(fx, "fx")
         if fx_values.shape != (n_obs,):
@@ -507,8 +495,7 @@ def confidence_interval(estimate, points, level=0.95):
     # statistics is imported here so that import spherecoef does not load it
     from statistics import NormalDist
 
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    level = _real(level, "level", 0, 1)
     fit = estimate if estimate.inference is None else estimate.inference
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     odd, spread = _odd_and_spread(fit, points)

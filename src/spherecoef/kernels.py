@@ -31,14 +31,13 @@ sum_i w_i Y(x_i) instead of sweeping every anchor-point pair.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gegenbauer
 from .gegenbauer import MAX_DEGREE
-from .sphere import _check_on_sphere, _finite, _integer, surface_area
+from .sphere import _check_on_sphere, _finite, _integer, _real, surface_area
 
 __all__ = ["eigenspace_dim", "KernelSpec", "MAX_DEGREE", "HarmonicMixture"]
 
@@ -98,11 +97,11 @@ class KernelSpec:
     dimension : ambient dimension d >= 2
     s, l : Riesz parameters (smoothness exponent and integer power); l must
         exceed (d-2)/2.  Ignored by the other families, but finite numbers
-        in every one (sphere._finite).
+        in every one (sphere._real).
 
     degree, dimension and a riesz l are stored as ints (np.int64 and
-    integral floats are accepted); a bool, Python's or numpy's, is refused
-    for any of them and for s.
+    integral floats are accepted), s and any other l as floats; a bool,
+    Python's or numpy's, is refused for any of them.
     """
 
     family: str
@@ -115,24 +114,12 @@ class KernelSpec:
         _check_family(self.family)
         object.__setattr__(self, "degree", _integer(self.degree, "degree", 0, MAX_DEGREE))
         object.__setattr__(self, "dimension", _integer(self.dimension, "dimension", 2))
-        # a bool is a numbers.Real, but no smoothness
-        if isinstance(self.s, bool) or not isinstance(self.s, numbers.Real):
-            raise ValueError(f"s must be a number, got {self.s!r}")
-        if self.family == "riesz":
-            if not 0 < self.s < math.inf:
-                raise ValueError(f"riesz smoothness s must be finite and > 0, got {self.s}")
-            if not (self.dimension - 2) / 2.0 < self.l < math.inf or int(self.l) != self.l:
-                raise ValueError(
-                    f"l must be an integer > (d-2)/2 = {(self.dimension - 2) / 2.0} "
-                    f"for riesz in d = {self.dimension}, got {self.l}"
-                )
-        # finite in every family, also those that ignore s and l; an int
-        # past the largest float passes the riesz bounds above
-        for name in ("s", "l"):
-            _finite(getattr(self, name), name)
-        # and a bool is no power in any family
-        if self.family == "riesz" or isinstance(self.l, (bool, np.bool_)):
-            object.__setattr__(self, "l", _integer(self.l, "l", 1))
+        # finite numbers in every family, also those that ignore s and l; a
+        # riesz l is an integer > (d-2)/2, that is >= d // 2
+        riesz = self.family == "riesz"
+        object.__setattr__(self, "s", _real(self.s, "s", 0 if riesz else -math.inf))
+        l = _real(self.l, "l")
+        object.__setattr__(self, "l", _integer(self.l, "l", self.dimension // 2) if riesz else l)
         if self.family == "delayed_means" and not _is_power_of_two(self.degree):
             raise ValueError(
                 f"delayed_means requires a power-of-two degree, got {self.degree}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import ChoiceSample
-from .sphere import _finite, _integer
+from .sphere import _finite, _integer, _real
 
 __all__ = [
     "GaussianMixture",
@@ -77,6 +77,8 @@ class GaussianMixture:
         self.covs = np.asarray(self.covs, dtype=float)
         if self.covs.ndim == 2:
             self.covs = self.covs[None, :, :]
+        if self.means.ndim != 2:
+            raise ValueError(f"means must be one mean or a (k, m) array of them, got shape {self.means.shape}")
         k, m = self.means.shape
         if self.weights.shape != (k,):
             raise ValueError(
@@ -157,8 +159,7 @@ class DgpSpec:
                 f"covariate_cov shape {self.covariate_cov.shape}, expected ({m}, {m})"
             )
         _cholesky(self.covariate_cov, "covariate_cov")
-        if not 0 < self.fixed_value < math.inf:
-            raise ValueError(f"fixed_value must be finite and positive, got {self.fixed_value}")
+        self.fixed_value = _real(self.fixed_value, "fixed_value", 0)
         try:
             math.pow(self.fixed_value, self.dimension - 1)
         except OverflowError:

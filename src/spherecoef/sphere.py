@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,27 @@ def _integer(value, name, low, high=None):
     else:
         kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
     raise ValueError(f"{name} must be {kind}, got {value}")
+
+
+def _real(value, name, low=-math.inf, high=math.inf):
+    """value as a float, for the public real-valued settings: an int, a
+    float or a numpy number that is finite and lies in the open interval
+    (low, high).  Anything else, a bool, a string, None, NaN, an infinity or
+    an int past the largest float included, is a ValueError that names the
+    argument, worded by its range."""
+    # a bool is a numbers.Real, but no setting's value (numpy's is neither)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        # the open interval leaves out NaN and both infinities
+        if low < number < high:
+            return number
+    kind = "a finite number" if low == -math.inf else f"a finite number > {low}"
+    if high < math.inf:
+        kind = f"a number in ({low}, {high})"
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def _finite(values, name):
@@ -165,8 +187,8 @@ class QuadratureRule:
 
     def integrate(self, f):
         """Integrate f over the sphere; f is a callable or per-node values."""
-        values = f(self.points) if callable(f) else np.asarray(f, dtype=float)
-        if values.shape[-1] != self.n_nodes:
+        values = np.asarray(f(self.points) if callable(f) else f, dtype=float)
+        if values.shape[-1:] != (self.n_nodes,):
             raise ValueError("values must match the number of nodes")
         return values @ self.weights
 

@@ -468,6 +468,23 @@ def test_write_json_refuses_nan(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [["estimate", "{data}", "--grid-res", "4"], ["bench", "--threads", "1"]])
+def test_an_unwritable_report_leaves_no_output_file(tmp_path, capsys, argv):
+    """A directory where the report goes: exit 2, naming the report path,
+    and the table written before it is removed again."""
+    data = str(tmp_path / "data.csv")
+    ini = _write(tmp_path / "m.ini", "[model]\nn_obs = 60\n" + _TINY_BENCH)
+    assert cli.main(["simulate", "--config", ini, "--out", data, "--seed", "1"]) == 0
+    out = tmp_path / "out.csv"
+    report = tmp_path / "out.csv.report.json"
+    report.mkdir()
+    capsys.readouterr()
+    code = cli.main([a.format(data=data) for a in argv] + ["--config", ini, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {report}: ")
+    assert not out.exists() and report.is_dir() and not any(report.iterdir())
+
+
 def test_cli_error_paths(tmp_path):
     missing = str(tmp_path / "nope.csv")
     assert cli.main(["estimate", missing, "--out", str(tmp_path / "o.csv")]) == 2
@@ -591,7 +608,7 @@ _REFUSED = {
 # message would not say which setting is at fault.
 _NAMED = {
     "delayed_means": "truncation",
-    "l": "c.ini: line 2: l must be an integer >= 1 for riesz, got 0",
+    "l": "c.ini: line 2: l must be an integer >= 1, got 0",
     "seed": "--seed must be >= 0, got -1",
     "grid_res_points_file": "error: --grid-res must be >= 2, got -5\n",
     "grid_res_one_points_file": "error: --grid-res must be >= 2, got 1\n",
@@ -604,8 +621,8 @@ _NAMED = {
     "mixture_covs_indefinite": "c.ini: line 8: covs is not positive definite",
     "covariate_cov_indefinite": "c.ini: line 5: covariate_cov is not positive definite",
     "n_grid_repeated": "n_grid",
-    "s_inf_dirichlet": "s must be finite",
-    "s_nan_delayed_means": "s must be finite",
+    "s_inf_dirichlet": "s must be a finite number, got inf",
+    "s_nan_delayed_means": "s must be a finite number, got nan",
     "fixed_value_1e100": "fixed_value",
     "fixed_value_1e-300": "fixed_value",
     "circle_fixed_value_overflow_simulate": "fixed_value",
@@ -690,7 +707,7 @@ _REFUSED_VALUES = {
         ["estimate", "{data}"], "estimator", "truncation = 0", "truncation must be an integer in [1, 64], got 0"
     ),
     "n_grid": (["bench"], "bench", "n_grid = 10 x", "bench n_grid entry must be an integer, got 'x'"),
-    "fixed_value": (["simulate"], "model", "fixed_value = -1", "fixed_value must be finite and positive, got -1.0"),
+    "fixed_value": (["simulate"], "model", "fixed_value = -1", "fixed_value must be a finite number > 0, got -1.0"),
     "mixture_weights": (
         ["simulate"], "model", _custom_model("mixture_weights = 0.5 0.9"), "weights must sum to 1, got 1.4"
     ),
@@ -710,7 +727,7 @@ _REFUSED_VALUES = {
         "mixture_covs holds matrices of unequal size",
     ),
     "seed": (["simulate"], "run", "seed = -1", "seed must be >= 0, got -1"),
-    "s": (["estimate", "{data}"], "estimator", "s = -1", "s must be > 0 for riesz, got -1.0"),
+    "s": (["estimate", "{data}"], "estimator", "s = -1", "s must be a finite number > 0, got -1.0"),
     # draws that overflow a float, refused by simulate.generate
     "covariate_mean_overflow": (
         ["bench"],
@@ -760,7 +777,7 @@ _REFUSED_VALUES = {
         ["estimate", "{data}"],
         "estimator",
         "l = 1" + "0" * 400,
-        "l must be finite, not NaN or infinite: l = 1" + "0" * 400,
+        "l must be a finite number, got 1" + "0" * 400,
     ),
 }
 
@@ -801,7 +818,7 @@ def test_riesz_power_refused_in_d_4_names_its_line(tmp_path, capsys, monkeypatch
     out = str(tmp_path / "out.csv")
     argv = [command] + ([] if command == "bench" else [data]) + ["--config", config, "--out", out]
     assert cli.main(argv) == 2
-    message = "l must be an integer > (d-2)/2 = 1.0 for riesz in d = 4, got 1"
+    message = "l must be an integer >= 2, got 1"
     assert capsys.readouterr().err == f"error: {config}: line 11: {message}\n"
     assert not list(tmp_path.glob("out.csv*"))
 
@@ -835,8 +852,7 @@ def test_diagnose_without_out_refuses_non_finite_s(tmp_path, capsys, family, s):
     assert cli.main(["diagnose", data, "--config", config]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {config}: line 2: s must be finite")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: {config}: line 2: s must be a finite number, got {float(s)}\n"
 
 
 # Band limits far above kernels.MAX_DEGREE, keyed by the name their

@@ -117,7 +117,7 @@ def test_delayed_means_config_refuses_a_band_that_is_not_a_power_of_two(name, va
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_estimator_config_refuses_non_finite_trimming_exponent(value):
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="^trimming_exponent must be a finite number > 0, got "):
         EstimatorConfig(trimming_exponent=value)
 
 
@@ -127,7 +127,7 @@ def test_estimator_config_refuses_non_finite_filter_settings(family, name, value
     """For every family, also those whose filter ignores s or l: the
     config is echoed into reports, which refuse a non-finite value only
     after the fit has run."""
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
         EstimatorConfig(family=family, **{name: value})
 
 
@@ -1392,7 +1392,7 @@ def test_coefficient_density_params_and_validation():
     with pytest.raises(ValueError):
         CoefficientDensity().fit(np.ones((5, 3)), np.zeros(5))  # rows not unit
     draw = generate(DgpSpec.model_1(n_obs=60, seed=3))
-    with pytest.raises(ValueError, match="^truncation must be a number"):
+    with pytest.raises(ValueError, match="^truncation must be an integer"):
         CoefficientDensity(truncation=None).fit(draw.sample.x, draw.sample.y)
 
 

@@ -2,7 +2,6 @@
 (sphere._finite): NaN, +inf and -inf are each a ValueError that names the
 argument and its first non-finite entry."""
 
-import dataclasses
 import functools
 import math
 
@@ -34,12 +33,8 @@ _POINTS = sphere.sample_uniform(3, 5, seed=3)
 _QUAD = sphere.build_quadrature(3, 8)
 
 
-def _config(name):
-    return lambda value: dataclasses.astuple(estimator.EstimatorConfig(**{name: value}))
-
-
 # (argument, the name its refusal gives, a call taking the value, a valid
-# value, the entry made non-finite: the first of two, or () for a scalar)
+# value, the entry made non-finite: the first of two)
 _ARGUMENTS = [
     ("check_on_sphere.points", "points", sphere._check_on_sphere, _POINTS, (1, 2)),
     ("HarmonicMixture.weights", "weights",
@@ -51,12 +46,6 @@ _ARGUMENTS = [
      lambda fx: estimator.estimate_fbeta(_fit().sample, fx=fx).density(_POINTS), np.full(60, 0.1), (17,)),
     ("marginal_density.values", "values",
      lambda v: estimator.marginal_density(_fit().density, [0, 1], v, dimension=3), np.array([0.1, 0.2]), (1,)),
-    ("EstimatorConfig.s", "s", _config("s"), 2.0, ()),
-    ("EstimatorConfig.l", "l", _config("l"), 3.0, ()),
-    # dirichlet ignores s and l, and still refuses them non-finite; riesz
-    # refuses a non-finite l by its bound, l > (d-2)/2
-    ("KernelSpec.s", "s", lambda s: kernels.KernelSpec("dirichlet", 4, 3, s=s).chi(), 2.0, ()),
-    ("KernelSpec.l", "l", lambda l: kernels.KernelSpec("dirichlet", 4, 3, l=l).chi(), 3.0, ()),
     ("series_eval.coeffs", "coeffs",
      lambda c: gegenbauer.series_eval(0.5, c, np.linspace(-1.0, 1.0, 7)), np.array([1.0, 0.5, 0.25]), (1,)),
     ("GaussianMixture.weights", "weights", lambda w: _mixture(weights=w), np.array([0.5, 0.5]), (0,)),
@@ -78,9 +67,7 @@ _ARGUMENTS = [
 
 
 def _with(valid, index, bad):
-    """valid with bad at index and at its last entry (bad for a scalar)."""
-    if not index:
-        return bad
+    """valid with bad at index and at its last entry."""
     values = np.array(valid, dtype=float)
     values.flat[-1] = values[index] = bad
     return values
@@ -92,7 +79,7 @@ def test_array_arguments_refuse_nans_and_infinities_by_name_and_entry(argument, 
     that names the argument and its first non-finite entry (not numpy's
     "Probabilities contain NaN", a wrong key's "too large", a zero density
     or NaNs); the valid value gives the same result as a list."""
-    entry = f"{name}[{', '.join(map(str, index))}]" if index else name
+    entry = f"{name}[{', '.join(map(str, index))}]"
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError) as refused:
             call(_with(valid, index, bad))
@@ -100,23 +87,6 @@ def test_array_arguments_refuse_nans_and_infinities_by_name_and_entry(argument, 
     expected = call(valid)
     same = np.asarray(valid).tolist()
     assert np.array_equal(call(same), expected)
-
-
-# (argument, a call taking the value): an int past the largest float passes
-# the range checks (0 < s < inf holds for it), and failed later with an
-# unnamed OverflowError when the work converted it to a float
-_PAST_LARGEST_FLOAT = [
-    ("s", lambda s: kernels.KernelSpec("riesz", 4, 3, s=s).chi()),
-    ("l", lambda l: kernels.KernelSpec("riesz", 4, 3, l=l).chi()),
-    ("trimming_exponent", lambda r: estimator.EstimatorConfig(trimming_exponent=r).trimming_floor(100)),
-]
-
-
-@pytest.mark.parametrize("name, call", _PAST_LARGEST_FLOAT, ids=[a[0] for a in _PAST_LARGEST_FLOAT])
-def test_ints_past_the_largest_float_are_refused_by_name(name, call):
-    with pytest.raises(ValueError) as refused:
-        call(10**400)
-    assert str(refused.value) == f"{name} must be finite, not NaN or infinite: {name} = {10**400}"
 
 
 def test_finite_float_arrays_pass_through_uncopied():

@@ -233,11 +233,12 @@ def test_kernel_spec_refuses_bools_and_stores_ints():
     (True would otherwise read as 1: a degree-1 kernel, or Riesz power 1);
     np.int64 and integral floats are accepted and stored as ints, so that
     delayed_means' power-of-two check takes a float degree too."""
-    for args, name in (((True, 3), "degree"), ((4, True), "dimension"), ((4, 3, 2.0, True), "l")):
+    for args, name in (((True, 3), "degree"), ((4, True), "dimension")):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             KernelSpec("riesz", *args)
-    with pytest.raises(ValueError, match="^l must be an integer"):
-        KernelSpec("dirichlet", 4, 3, l=False)
+    for family, flag in (("riesz", True), ("dirichlet", False)):
+        with pytest.raises(ValueError, match=f"^l must be a finite number, got {flag}$"):
+            KernelSpec(family, 4, 3, 2.0, flag)
     spec = KernelSpec("riesz", np.int64(4), np.int64(3), l=np.int64(2))
     assert spec == KernelSpec("riesz", 4.0, 3.0, l=2.0) == KernelSpec("riesz", 4, 3, l=2)
     assert all(type(v) is int for v in (spec.degree, spec.dimension, spec.l))
@@ -249,7 +250,7 @@ def test_kernel_spec_refuses_a_non_number_s():
     read as 1.0, and a string is not compared with 0."""
     for family in ("riesz", "dirichlet"):
         for s in (True, np.True_, "2"):
-            with pytest.raises(ValueError, match="^s must be a number, got "):
+            with pytest.raises(ValueError, match="^s must be a finite number(?: > 0)?, got "):
                 KernelSpec(family, 4, 3, s=s)
 
 
@@ -284,7 +285,7 @@ def test_kernel_spec_refuses_non_finite_riesz_smoothness(s):
 @pytest.mark.parametrize("l", [np.inf, np.nan])
 def test_kernel_spec_refuses_non_finite_riesz_power(l):
     """A ValueError, not the OverflowError or ValueError of int()."""
-    with pytest.raises(ValueError, match="^l must be an integer > "):
+    with pytest.raises(ValueError, match="^l must be a finite number, got "):
         KernelSpec("riesz", 4, 3, l=l)
 
 

@@ -56,6 +56,12 @@ def test_gaussian_mixture_validation():
         GaussianMixture(weights=[1.0], means=[[0.0, 0.0]], covs=[[np.nan, 0.0], [0.0, 1.0]])
 
 
+def test_gaussian_mixture_refuses_means_of_three_dimensions_by_name():
+    """Not numpy's unnamed "too many values to unpack"."""
+    with pytest.raises(ValueError, match=r"^means must be one mean or a \(k, m\) array of them, got shape \(1, 1, 2\)$"):
+        GaussianMixture(weights=[1.0], means=[[[0.0, 0.0]]], covs=np.eye(2))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_gaussian_density_matches_scipy(m):
     """The Cholesky density against scipy's, on random positive definite

@@ -173,6 +173,16 @@ def test_quadrature_integrate_callable_and_values_agree():
     assert quad.integrate(f) == pytest.approx(quad.integrate(f(quad.points)), rel=1e-15)
 
 
+def test_quadrature_integrate_reads_what_the_callable_returns_as_values():
+    """A list of per-node values is integrated; a scalar, returned or given,
+    is refused by the node count, not with an AttributeError."""
+    quad = build_quadrature(3, 8)
+    assert quad.integrate(lambda p: [1.0] * len(p)) == pytest.approx(surface_area(3), rel=1e-14)
+    for f in (lambda p: 1.0, 1.0):
+        with pytest.raises(ValueError, match="^values must match the number of nodes$"):
+            quad.integrate(f)
+
+
 def test_quadrature_montecarlo_seeded():
     a = build_quadrature(5, 100, seed=3, method="montecarlo")
     b = build_quadrature(5, 100, seed=3, method="montecarlo")
